@@ -107,3 +107,48 @@ func BenchmarkConstrainedFormInto(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkPlanCompileUnique measures cold plan compilation — the
+// LeastCompatibleFirst degree pass, seeds and MinDistance setup — over
+// a seeded stream of distinct 5-skill tasks on the SPM matrix, with no
+// plan cache: the compile layer of a unique-task batch on its own.
+// The ~600-skill Zipf universe has well over 2^16 skill pairs with
+// holders, so the stream keeps meeting pairs it has not seen before
+// until the pair-degree memo holds the whole universe.
+func BenchmarkPlanCompileUnique(b *testing.B) {
+	rng := rand.New(rand.NewSource(42))
+	const n, numSkills, numTasks = 1024, 600, 1 << 15
+	g := randomTeamGraph(rng, n, 8*n, 0.2)
+	assign, err := skills.GenerateZipf(rng, n, skills.ZipfConfig{NumSkills: numSkills, MeanSkillsPerUser: 5})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if h := len(assign.SkillsWithHolders()); h*(h-1)/2 <= 1<<16 {
+		b.Fatalf("only %d skills have holders: %d pairs do not exceed 2^16", h, h*(h-1)/2)
+	}
+	m, err := compat.NewMatrix(compat.SPM, g, compat.MatrixOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	tasks := make([]skills.Task, 0, numTasks)
+	seen := make(map[[5]skills.SkillID]bool, numTasks)
+	for len(tasks) < numTasks {
+		task, err := skills.RandomTask(rng, assign, 5)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if key := [5]skills.SkillID(task); !seen[key] {
+			seen[key] = true
+			tasks = append(tasks, task)
+		}
+	}
+	s := NewSolver(m, assign, SolverOptions{Workers: 1})
+	opts := Options{Skill: LeastCompatibleFirst, User: MinDistance, Cost: Diameter}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.Plan(tasks[i%numTasks], opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

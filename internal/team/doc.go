@@ -24,7 +24,14 @@
 //     assignment's cached packed holder sets on packed engines),
 //     Algorithm 2's seed list, and the MostCompatible candidate pool
 //     with its precomputed degrees. Everything in a plan is immutable
-//     across solves.
+//     across solves. The pairwise degrees cd(s,s') behind the ranking
+//     are task-independent, so the solver memoises them in a dense
+//     triangular table per relation epoch, published through an
+//     atomic pointer and read without a lock: every pair of skill IDs
+//     below 2048 has a slot (at most 8 MiB), so each pair is computed
+//     once per epoch. The table replaced a map capped at 2^16 entries,
+//     which real universes (Epinions' ~130k pairs) overflowed and
+//     reset wholesale.
 //   - scratch carries what a single solve mutates: the covered-skill
 //     bitset (indexed by task position — no maps), the members and
 //     candidate buffers, the row-AND mask that packed engines keep

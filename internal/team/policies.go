@@ -7,8 +7,9 @@
 package team
 
 import (
+	"math"
 	"sort"
-	"sync"
+	"sync/atomic"
 
 	"repro/internal/compat"
 	"repro/internal/container"
@@ -144,60 +145,99 @@ func taskHolderWords(assign *skills.Assignment, m compat.PackedRelation, s skill
 }
 
 // pairDegreeMemo caches pairwise skill compatibility degrees cd(s,s')
-// across a solver's plan compilations. Entries are keyed by the
-// relation epoch they were computed against, exactly like the plan
-// cache: a graph mutation moves the epoch, every lookup misses, and
-// the first insert at the new epoch drops the stale generation. The
-// map is bounded by pairMemoMaxEntries (it grows with the workload's
-// distinct skill pairs, not the universe) and resets wholesale when
-// full — degrees are cheap enough to recompute that LRU bookkeeping
-// on the plan-compile hot path is not worth its cost. The zero value
-// is ready to use; a nil receiver disables memoisation.
+// across a solver's plan compilations. Each relation epoch gets its
+// own dense triangular table — one slot per unordered pair of skill
+// IDs below the memo's bound, holding cd+1 (0 = not yet computed) —
+// published through an atomic pointer, the pattern matrixState uses
+// for the packed rows. A lookup is a pointer load, an epoch compare
+// and a slot load, with no lock and no hashing, and a workload
+// touching every pair of the universe computes each cd(s,s') once per
+// epoch. A graph mutation moves the epoch, every
+// lookup misses, and the first insert at the new epoch publishes a
+// fresh table. A nil receiver disables memoisation.
 type pairDegreeMemo struct {
-	mu    sync.RWMutex
-	epoch uint64
-	m     map[uint64]int64
+	numSkills int // IDs below this are memoised: min(universe size, pairMemoMaxSkills)
+	table     atomic.Pointer[pairDegreeTable]
 }
 
-// pairMemoMaxEntries caps the memo at ~1 MiB of map payload.
-const pairMemoMaxEntries = 1 << 16
+// pairDegreeTable is one epoch's degrees, indexed by pairSlot.
+type pairDegreeTable struct {
+	epoch uint64
+	slots []atomic.Uint32
+}
 
-func pairKey(s1, s2 skills.SkillID) uint64 {
+// pairMemoMaxSkills bounds the skill IDs the memo covers, and with it
+// the table: 2048·2047/2 four-byte slots, just under 8 MiB per epoch
+// (the 523-skill Epinions universe needs 546 KB). Pairs with an ID at
+// or past the bound, like degrees too large for a slot, are recomputed
+// on every compile.
+const pairMemoMaxSkills = 2048
+
+// newPairDegreeMemo returns a memo for a universe of numSkills skills.
+func newPairDegreeMemo(numSkills int) *pairDegreeMemo {
+	return &pairDegreeMemo{numSkills: min(numSkills, pairMemoMaxSkills)}
+}
+
+// pairSlot returns the table index of the unordered pair {s1,s2} —
+// s2(s2-1)/2 + s1 once ordered s1 < s2 — or false when the pair is
+// not memoised: equal IDs, or an ID outside [0, pm.numSkills).
+func (pm *pairDegreeMemo) pairSlot(s1, s2 skills.SkillID) (int, bool) {
 	if s2 < s1 {
 		s1, s2 = s2, s1
 	}
-	return uint64(uint32(s1))<<32 | uint64(uint32(s2))
+	if s1 < 0 || s1 == s2 || int(s2) >= pm.numSkills {
+		return 0, false
+	}
+	return int(s2)*(int(s2)-1)/2 + int(s1), true
 }
 
+//tfsn:noalloc
 func (pm *pairDegreeMemo) get(epoch uint64, s1, s2 skills.SkillID) (int64, bool) {
 	if pm == nil {
 		return 0, false
 	}
-	pm.mu.RLock()
-	defer pm.mu.RUnlock()
-	if pm.epoch != epoch || pm.m == nil {
+	i, ok := pm.pairSlot(s1, s2)
+	if !ok {
 		return 0, false
 	}
-	cd, ok := pm.m[pairKey(s1, s2)]
-	return cd, ok
+	t := pm.table.Load()
+	if t == nil || t.epoch != epoch {
+		return 0, false
+	}
+	v := t.slots[i].Load()
+	return int64(v) - 1, v != 0
 }
 
-// put records a degree computed against epoch, starting a fresh
-// generation whenever the memo's epoch differs (or the cap is hit).
-// As with the plan cache, a mutation racing the computation leaves at
-// worst a value stamped one epoch behind, which the next generation
-// reset retires.
+// put records a degree computed against epoch. Epochs only move
+// forward: the first put at a newer epoch publishes a fresh table, and
+// a put stamped older than the current table is dropped, so a
+// computation that raced a mutation can never displace the newer
+// generation. As with the plan cache, a mutation landing mid-compute
+// leaves at worst a value stamped one epoch behind, which the next
+// table retires.
+//
+//tfsn:noalloc
 func (pm *pairDegreeMemo) put(epoch uint64, s1, s2 skills.SkillID, cd int64) {
-	if pm == nil {
+	if pm == nil || cd < 0 || cd >= math.MaxUint32 {
 		return
 	}
-	pm.mu.Lock()
-	defer pm.mu.Unlock()
-	if pm.m == nil || pm.epoch != epoch || len(pm.m) >= pairMemoMaxEntries {
-		pm.m = make(map[uint64]int64)
-		pm.epoch = epoch
+	i, ok := pm.pairSlot(s1, s2)
+	if !ok {
+		return
 	}
-	pm.m[pairKey(s1, s2)] = cd
+	t := pm.table.Load()
+	for t == nil || t.epoch < epoch {
+		//tfsn:allow-alloc(once per epoch: the first put at a new epoch publishes its table)
+		fresh := &pairDegreeTable{epoch: epoch, slots: make([]atomic.Uint32, pm.numSkills*(pm.numSkills-1)/2)}
+		if pm.table.CompareAndSwap(t, fresh) {
+			t = fresh
+			break
+		}
+		t = pm.table.Load()
+	}
+	if t.epoch == epoch {
+		t.slots[i].Store(uint32(cd + 1))
+	}
 }
 
 // holderWordsMatch reports whether the assignment's packed holder sets

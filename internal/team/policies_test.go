@@ -2,7 +2,10 @@ package team
 
 import (
 	"errors"
+	"math"
 	"math/rand"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/compat"
@@ -15,7 +18,7 @@ import (
 // epoch, and treat the key as unordered (cd is symmetric). A nil memo
 // must be inert.
 func TestPairDegreeMemo(t *testing.T) {
-	var pm pairDegreeMemo
+	pm := newPairDegreeMemo(8)
 	if _, ok := pm.get(0, 1, 2); ok {
 		t.Fatal("empty memo hit")
 	}
@@ -40,6 +43,191 @@ func TestPairDegreeMemo(t *testing.T) {
 	nilMemo.put(0, 1, 2, 1) // must not panic
 }
 
+// TestPairDegreeMemoEpochsMoveForward: a put stamped older than the
+// current table is dropped — it must neither displace the newer
+// generation nor become visible at its own epoch.
+func TestPairDegreeMemoEpochsMoveForward(t *testing.T) {
+	pm := newPairDegreeMemo(8)
+	pm.put(5, 1, 2, 10)
+	published := pm.table.Load()
+	pm.put(3, 3, 4, 7)
+	if pm.table.Load() != published {
+		t.Fatal("a stale-epoch put replaced the current table")
+	}
+	if cd, ok := pm.get(5, 1, 2); !ok || cd != 10 {
+		t.Fatalf("current-epoch get after stale put = (%d,%v), want (10,true)", cd, ok)
+	}
+	if _, ok := pm.get(3, 3, 4); ok {
+		t.Fatal("stale-epoch put became visible at its epoch")
+	}
+	if _, ok := pm.get(5, 3, 4); ok {
+		t.Fatal("stale-epoch put leaked into the current epoch")
+	}
+}
+
+// TestPairDegreeMemoBounds: pairs the table cannot hold — an ID at or
+// past pairMemoMaxSkills (or past the universe), equal or negative
+// IDs, degrees that do not fit a slot — are simply not memoised.
+func TestPairDegreeMemoBounds(t *testing.T) {
+	pm := newPairDegreeMemo(pairMemoMaxSkills + 10)
+	for _, p := range [][2]skills.SkillID{
+		{0, pairMemoMaxSkills}, {pairMemoMaxSkills + 1, 3}, {4, 4}, {-1, 2},
+	} {
+		pm.put(0, p[0], p[1], 9)
+		if _, ok := pm.get(0, p[0], p[1]); ok {
+			t.Errorf("pair %v outside the memo was memoised", p)
+		}
+	}
+	last := skills.SkillID(pairMemoMaxSkills - 1)
+	pm.put(0, last-1, last, 11)
+	if cd, ok := pm.get(0, last, last-1); !ok || cd != 11 {
+		t.Fatalf("last in-budget pair = (%d,%v), want (11,true)", cd, ok)
+	}
+	pm.put(0, 1, 2, math.MaxUint32)
+	if _, ok := pm.get(0, 1, 2); ok {
+		t.Error("a degree too large for a slot was memoised")
+	}
+	pm.put(0, 1, 2, math.MaxUint32-1)
+	if cd, ok := pm.get(0, 1, 2); !ok || cd != math.MaxUint32-1 {
+		t.Errorf("largest slot degree = (%d,%v), want (%d,true)", cd, ok, int64(math.MaxUint32-1))
+	}
+	small := newPairDegreeMemo(3)
+	small.put(0, 1, 3, 5)
+	if _, ok := small.get(0, 1, 3); ok {
+		t.Error("a skill ID past the universe was memoised")
+	}
+}
+
+// wideAssignment spreads numSkills skills over n users, one to three
+// holders each, so universes with far more than 2^16 skill pairs stay
+// cheap to sweep.
+func wideAssignment(rng *rand.Rand, n, numSkills int) *skills.Assignment {
+	a := skills.NewAssignment(skills.GenerateUniverse(numSkills), n)
+	for s := 0; s < numSkills; s++ {
+		for k := 1 + rng.Intn(3); k > 0; k-- {
+			u := sgraph.NodeID(rng.Intn(n))
+			if !a.Has(u, skills.SkillID(s)) {
+				a.MustAdd(u, skills.SkillID(s))
+			}
+		}
+	}
+	return a
+}
+
+// TestPairDegreeMemoCoversUniverse: one degree pass over a 600-skill
+// task touches 179,700 pairs — well past 2^16 — and must leave every
+// one of them memoised, each equal to its unmemoised degree.
+func TestPairDegreeMemoCoversUniverse(t *testing.T) {
+	rng := rand.New(rand.NewSource(861))
+	const n, numSkills = 48, 600
+	g := randomTeamGraph(rng, n, 6*n, 0.3)
+	assign := wideAssignment(rng, n, numSkills)
+	rel := compat.MustNewMatrix(compat.SPM, g, compat.MatrixOptions{})
+	all := make(skills.Task, numSkills)
+	for i := range all {
+		all[i] = skills.SkillID(i)
+	}
+	memo := newPairDegreeMemo(numSkills)
+	if _, err := skillCompatDegreesScratch(rel, assign, all, make([]int64, numSkills), nil, memo, 0); err != nil {
+		t.Fatal(err)
+	}
+	want := make([]int64, 2)
+	for s2 := skills.SkillID(1); s2 < numSkills; s2++ {
+		for s1 := skills.SkillID(0); s1 < s2; s1++ {
+			cd, ok := memo.get(0, s1, s2)
+			if !ok {
+				t.Fatalf("pair (%d,%d) not memoised after one sweep", s1, s2)
+			}
+			if err := skillCompatDegreesInto(rel, assign, skills.Task{s1, s2}, want); err != nil {
+				t.Fatal(err)
+			}
+			if cd != want[0] {
+				t.Fatalf("memoised cd(%d,%d) = %d, want %d", s1, s2, cd, want[0])
+			}
+		}
+	}
+}
+
+// TestSkillCompatDegreesPastMemoBudget: tasks whose skill IDs straddle
+// pairMemoMaxSkills get exact degrees on cold and warm passes; only
+// the in-budget pairs are memoised.
+func TestSkillCompatDegreesPastMemoBudget(t *testing.T) {
+	rng := rand.New(rand.NewSource(871))
+	const n, numSkills = 40, pairMemoMaxSkills + 64
+	g := randomTeamGraph(rng, n, 6*n, 0.3)
+	assign := wideAssignment(rng, n, numSkills)
+	rel := compat.MustNewMatrix(compat.SPO, g, compat.MatrixOptions{})
+	memo := newPairDegreeMemo(numSkills)
+	task := skills.Task{7, pairMemoMaxSkills - 2, pairMemoMaxSkills - 1, pairMemoMaxSkills, numSkills - 1}
+	want := make([]int64, len(task))
+	if err := skillCompatDegreesInto(rel, assign, task, want); err != nil {
+		t.Fatal(err)
+	}
+	for pass := 0; pass < 2; pass++ {
+		got := make([]int64, len(task))
+		if _, err := skillCompatDegreesScratch(rel, assign, task, got, nil, memo, 0); err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("pass %d: deg[%d] = %d, want %d", pass, i, got[i], want[i])
+			}
+		}
+	}
+	for i, s1 := range task {
+		for _, s2 := range task[i+1:] {
+			_, ok := memo.get(0, s1, s2)
+			if inBudget := s2 < pairMemoMaxSkills; ok != inBudget {
+				t.Errorf("pair (%d,%d): memoised=%v, want %v", s1, s2, ok, inBudget)
+			}
+		}
+	}
+}
+
+// TestPairDegreeMemoConcurrentEpochs races readers and writers against
+// epoch bumps. Every put at epoch e stores f(e, pair), so any hit at e
+// must read exactly that value: a slot can never surface a degree
+// written at another epoch. Run under -race it also checks the table
+// publication is properly synchronised.
+func TestPairDegreeMemoConcurrentEpochs(t *testing.T) {
+	const numSkills, workers, rounds = 64, 4, 300
+	pm := newPairDegreeMemo(numSkills)
+	f := func(e uint64, s1, s2 skills.SkillID) int64 {
+		return int64(e)*10_000 + int64(min(s1, s2))*100 + int64(max(s1, s2))
+	}
+	var epoch atomic.Uint64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(881 + w)))
+			for r := 0; r < rounds; r++ {
+				if w == 0 && r%20 == 0 {
+					epoch.Add(1)
+				}
+				e := epoch.Load()
+				for k := 0; k < 32; k++ {
+					s1, s2 := skills.SkillID(rng.Intn(numSkills)), skills.SkillID(rng.Intn(numSkills))
+					if rng.Intn(2) == 0 {
+						pm.put(e, s1, s2, f(e, s1, s2))
+					}
+					if cd, ok := pm.get(e, s1, s2); ok && cd != f(e, s1, s2) {
+						t.Errorf("get(%d, %d, %d) = %d, want %d", e, s1, s2, cd, f(e, s1, s2))
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	final := epoch.Load()
+	pm.put(final, 1, 2, f(final, 1, 2))
+	if cd, ok := pm.get(final, 2, 1); !ok || cd != f(final, 1, 2) {
+		t.Fatalf("after the race: get = (%d,%v), want (%d,true)", cd, ok, f(final, 1, 2))
+	}
+}
+
 // TestSkillCompatDegreesMemoised: a memo-carrying degree pass must
 // return exactly the unmemoised numbers, on cold and warm calls, over
 // both a packed and a lazy relation — and warm calls must not touch
@@ -55,7 +243,7 @@ func TestSkillCompatDegreesMemoised(t *testing.T) {
 		"matrix": compat.MustNewMatrix(compat.SPO, g, compat.MatrixOptions{}),
 	}
 	for name, rel := range rels {
-		var memo pairDegreeMemo
+		memo := newPairDegreeMemo(assign.Universe().Len())
 		for trial := 0; trial < 12; trial++ {
 			task, err := skills.RandomTask(rng, assign, 2+rng.Intn(3))
 			if err != nil {
@@ -67,7 +255,7 @@ func TestSkillCompatDegreesMemoised(t *testing.T) {
 			}
 			for pass := 0; pass < 2; pass++ { // cold fills the memo, warm reads it
 				got := make([]int64, len(task))
-				if _, err := skillCompatDegreesScratch(rel, assign, task, got, nil, &memo, 5); err != nil {
+				if _, err := skillCompatDegreesScratch(rel, assign, task, got, nil, memo, 5); err != nil {
 					t.Fatal(err)
 				}
 				for i := range want {

@@ -83,9 +83,9 @@ type Solver struct {
 	holdersPacked bool
 
 	// pairDeg memoises the task-independent pairwise skill degrees
-	// cd(s,s') across plan compilations, epoch-keyed like the plan
-	// cache so a graph mutation invalidates it in one stroke.
-	pairDeg pairDegreeMemo
+	// cd(s,s') across plan compilations, one table per relation epoch
+	// so a graph mutation invalidates it in one stroke.
+	pairDeg *pairDegreeMemo
 
 	workers int
 	scratch sync.Pool  // *scratch
@@ -98,6 +98,7 @@ func NewSolver(rel compat.Relation, assign *skills.Assignment, opts SolverOption
 		rel:     rel,
 		assign:  assign,
 		n:       rel.Graph().NumNodes(),
+		pairDeg: newPairDegreeMemo(assign.Universe().Len()),
 		workers: opts.Workers,
 	}
 	if m, ok := rel.(compat.PackedRelation); ok {
@@ -612,7 +613,7 @@ func (p *TaskPlan) rankSkills(sc *scratch) error {
 		}
 		deg := sc.planDeg[:len(p.task)]
 		var err error
-		sc.planHolders, err = skillCompatDegreesScratch(p.s.rel, p.s.assign, p.task, deg, sc.planHolders, &p.s.pairDeg, p.s.relEpoch())
+		sc.planHolders, err = skillCompatDegreesScratch(p.s.rel, p.s.assign, p.task, deg, sc.planHolders, p.s.pairDeg, p.s.relEpoch())
 		if err != nil {
 			return err
 		}
