@@ -416,6 +416,65 @@ func BenchmarkCountPaths(b *testing.B) {
 	})
 }
 
+// BenchmarkMultiSweep times one bit-parallel signed BFS from 64
+// sources — the unit of work the packed SPA/SPO/DPE/NNE builds run per
+// block of rows. The warm sub-bench reuses one MultiSweep and must
+// report 0 allocs/op (the CI smoke test watches this).
+func BenchmarkMultiSweep(b *testing.B) {
+	d, err := datasets.EpinionsSim(1, 0.04)
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := d.Graph
+	n := g.NumNodes()
+	srcs := make([]sgraph.NodeID, signedbfs.MaxSources)
+	block := func(i int) []sgraph.NodeID {
+		for j := range srcs {
+			srcs[j] = sgraph.NodeID((i*signedbfs.MaxSources + j) % n)
+		}
+		return srcs
+	}
+	b.Run("fresh", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sw := signedbfs.NewMultiSweep(n)
+			for ok := sw.Start(g, block(i)); ok; ok = sw.Next() {
+			}
+		}
+	})
+	b.Run("warm", func(b *testing.B) {
+		sw := signedbfs.NewMultiSweep(n)
+		for ok := sw.Start(g, block(0)); ok; ok = sw.Next() {
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for ok := sw.Start(g, block(i)); ok; ok = sw.Next() {
+			}
+		}
+	})
+}
+
+// BenchmarkMatrixBuild times the full packed-matrix build: SPO fills
+// 64 rows per multi-source sweep, SPM (which needs the path counts
+// themselves) one CountPathsInto per row.
+func BenchmarkMatrixBuild(b *testing.B) {
+	d, err := datasets.EpinionsSim(1, 0.04)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, k := range []compat.Kind{compat.SPO, compat.SPM} {
+		b.Run(k.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := compat.NewMatrix(k, d.Graph, compat.MatrixOptions{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkFormTeamEngines races the lazy row-cache relation against
 // the packed matrix backend on the same Algorithm 2 workload (LCMD on
 // bench-scale Epinions). Both engines get their all-pairs precompute

@@ -104,6 +104,61 @@ func TestFigure1aRelationVerdicts(t *testing.T) {
 	}
 }
 
+// blockOpts caps the SBPH beam and the exact SBP enumeration on
+// blockGraphs inputs (identically on every engine, so they must still
+// agree): both kinds keep one-row blocks, and their full searches on
+// these graphs would dominate the suites' run time.
+var blockOpts = Options{BeamWidth: 2, Exact: balance.ExactOptions{MaxLen: 4}}
+
+// blockGraph is one agreement-suite input taller than a single
+// 64-source sweep block.
+type blockGraph struct {
+	name string
+	g    *sgraph.Graph
+}
+
+// blockGraphs returns the inputs the engine-agreement suites add on
+// top of their small random graphs, so the packed builds run several
+// 64-row sweep blocks (and partial last blocks): random graphs of 65,
+// 130 and 200 nodes; a graph of several components plus isolated
+// nodes; and a long path with mixed signs, whose BFS levels run far
+// past 64. Suites run them under blockOpts.
+func blockGraphs(rng *rand.Rand) []blockGraph {
+	out := []blockGraph{
+		{"n65", randomSignedGraph(rng, 65, 130, 0.3)},
+		{"n130", randomSignedGraph(rng, 130, 260, 0.3)},
+		{"n200", randomSignedGraph(rng, 200, 400, 0.3)},
+	}
+	// Three random components of 40 nodes (ids interleaved, so every
+	// block mixes them) and 30 isolated nodes.
+	const parts, size, isolated = 3, 40, 30
+	split := sgraph.NewBuilder(parts*size + isolated)
+	for i := 0; i < parts*size*2; i++ {
+		c := rng.Intn(parts)
+		u := sgraph.NodeID(c + parts*rng.Intn(size))
+		v := sgraph.NodeID(c + parts*rng.Intn(size))
+		if u == v || split.HasEdge(u, v) {
+			continue
+		}
+		s := sgraph.Positive
+		if rng.Intn(3) == 0 {
+			s = sgraph.Negative
+		}
+		split.AddEdge(u, v, s)
+	}
+	out = append(out, blockGraph{"split", split.MustBuild()})
+	const pathLen = 150
+	path := sgraph.NewBuilder(pathLen)
+	for i := 0; i+1 < pathLen; i++ {
+		s := sgraph.Positive
+		if rng.Intn(4) == 0 {
+			s = sgraph.Negative
+		}
+		path.AddEdge(sgraph.NodeID(i), sgraph.NodeID(i+1), s)
+	}
+	return append(out, blockGraph{"path", path.MustBuild()})
+}
+
 func randomSignedGraph(rng *rand.Rand, n, m int, negFrac float64) *sgraph.Graph {
 	b := sgraph.NewBuilder(n)
 	for i := 0; i < m; i++ {

@@ -55,6 +55,21 @@
 //     by PrefetchStats — while the current one is scanned; see
 //     ShardedMatrix.
 //
+// # Packed construction
+//
+// Both packed engines fill rows through one block filler (fill.go):
+// the matrix build, each shard build and each stale-shard rebuild hand
+// out blocks of consecutive rows, never straddling a shard, to a
+// worker pool. SPA, SPO, DPE and NNE fill up to 64 rows from a single
+// signedbfs.MultiSweep, whose per-source positive/negative bits are
+// exactly Algorithm 1's Pos>0 / Neg>0 and whose levels give every
+// distance (DPE and NNE keep their neighbour-list bits and take only
+// the distances). SPM compares the path counts themselves, which one
+// bit per source cannot carry, so it keeps one CountPathsInto per row;
+// SBP and SBPH keep one balance search per row. The lazy engine's
+// on-demand rows stay on CountPathsInto/DistancesInto, the reference
+// the engine-agreement suites hold the packed builds to.
+//
 // The packed engines expose their rows through the PackedRelation
 // capability, which the team package's pickers and cost functions
 // detect to switch to word-parallel AND/popcount fast paths. Beyond

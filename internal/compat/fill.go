@@ -2,110 +2,122 @@ package compat
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/balance"
 	"repro/internal/sgraph"
 	"repro/internal/signedbfs"
 )
 
-// rowSink is where a packed-relation build lands one source row: the
-// bit words of the row (owned by the backend — full matrix slab or
-// shard slab) and the packed distance writer. setDist returns
-// errDistOverflow when a distance does not fit the active packing, so
-// the caller can retry the build with wide storage.
-type rowSink struct {
-	row     func(u sgraph.NodeID) []uint64
-	setDist func(u, v sgraph.NodeID, d int32) error
+// blockView is where a packed-relation build lands a run of
+// consecutive source rows: their bit words (stride words per row) and
+// their distance lanes (n entries per row), both owned by the backend
+// — the full matrix slab or a shard slab, which store rows
+// contiguously. Exactly one of d8 (uint8 packing) and d32 (wide
+// packing) is non-nil.
+type blockView struct {
+	stride, n int
+	bits      []uint64
+	d8        []uint8
+	d32       []int32
 }
 
-// relationRowFiller returns the per-source row computation for one
-// relation kind, shared by every packed backend (CompatMatrix fills a
-// single slab, ShardedMatrix fills the owning shard). Every filler
-// overwrites its row completely (bits and defined distances), sets the
-// diagonal, and keeps tail bits (≥ n) zero so row popcounts are exact.
-// Undefined distances keep whatever sentinel the sink prefilled.
-func relationRowFiller(g *sgraph.Graph, kind Kind, beam int, exact balance.ExactOptions, sink rowSink) func(u sgraph.NodeID, s *rowScratch) error {
-	n := g.NumNodes()
-	distRow := func(u sgraph.NodeID, dist []int32) error {
-		for v, d := range dist {
-			if d != signedbfs.Unreachable {
-				if err := sink.setDist(u, sgraph.NodeID(v), d); err != nil {
-					return err
-				}
-			}
+// rowSink maps the source rows [lo, hi) to their storage in the
+// backend.
+type rowSink func(lo, hi sgraph.NodeID) blockView
+
+// slabSink maps source rows onto a packed slab that stores rows base,
+// base+1, … contiguously: the full matrix (base 0) or one shard's
+// slabs. Exactly one of d8 and d32 is non-nil; undefined entries keep
+// the sentinel the caller prefilled.
+func slabSink(bits []uint64, d8 []uint8, d32 []int32, stride, n, base int) rowSink {
+	return func(lo, hi sgraph.NodeID) blockView {
+		a, b := int(lo)-base, int(hi)-base
+		out := blockView{stride: stride, n: n, bits: bits[a*stride : b*stride]}
+		if d32 != nil {
+			out.d32 = d32[a*n : b*n]
+		} else {
+			out.d8 = d8[a*n : b*n]
 		}
+		return out
+	}
+}
+
+// row returns the bit words of the block's i-th row.
+func (b blockView) row(i int) []uint64 { return b.bits[i*b.stride : (i+1)*b.stride] }
+
+// setDist writes one distance into the block's i-th row. It returns
+// errDistOverflow when d does not fit the uint8 packing, so the caller
+// can retry the build wide.
+func (b blockView) setDist(i int, v sgraph.NodeID, d int32) error {
+	if b.d32 != nil {
+		b.d32[i*b.n+int(v)] = d
 		return nil
 	}
-	// recordReach ORs the row's plain-BFS reachable set into the armed
-	// scratch accumulator (see rowScratch.reach); every relation's
-	// search only traverses graph edges, so this is a superset of any
-	// vertex the row's computation could have relaxed through.
-	recordReach := func(s *rowScratch, dist []int32) {
-		if s.reach == nil {
-			return
+	if d > maxDist8 {
+		return errDistOverflow
+	}
+	b.d8[i*b.n+int(v)] = uint8(d)
+	return nil
+}
+
+// setDists writes every reachable entry of dist into the block's i-th
+// row.
+func (b blockView) setDists(i int, dist []int32) error {
+	for v, d := range dist {
+		if d == signedbfs.Unreachable {
+			continue
 		}
-		for v, d := range dist {
-			if d != signedbfs.Unreachable {
-				s.reach[v>>6] |= 1 << uint(v&63)
-			}
+		if err := b.setDist(i, sgraph.NodeID(v), d); err != nil {
+			return err
 		}
 	}
+	return nil
+}
 
+// blockFiller fills the consecutive source rows [lo, hi) of a packed
+// relation, using s for all transient state.
+type blockFiller func(lo, hi sgraph.NodeID, s *rowScratch) error
+
+// relationFiller returns the block computation for one relation kind,
+// shared by every packed backend (CompatMatrix fills a single slab,
+// ShardedMatrix the owning shard), and the tallest block it accepts.
+// Every filler overwrites its rows completely (bits and defined
+// distances), sets the diagonal, and keeps tail bits (≥ n) zero so row
+// popcounts are exact. Undefined distances keep whatever sentinel the
+// sink prefilled.
+//
+// SPA, SPO, DPE and NNE fill up to signedbfs.MaxSources rows from one
+// bit-parallel sweep: SPA and SPO take their bits and distances from
+// it, DPE and NNE keep their neighbour-list bits and take only the
+// distances (a source is at distance d when either frontier bit
+// reaches the node first at level d, so signs drop out). SPM needs the
+// path counts themselves, and SBP/SBPH run their own per-source
+// searches, so those kinds fill one row per block.
+func relationFiller(g *sgraph.Graph, kind Kind, beam int, exact balance.ExactOptions, sink rowSink) (blockFiller, int) {
+	n := g.NumNodes()
 	switch kind {
-	case DPE, NNE:
-		return func(u sgraph.NodeID, s *rowScratch) error {
-			row := sink.row(u)
-			if kind == DPE {
-				zeroWords(row)
-				ids := g.NeighborIDs(u)
-				signs := g.NeighborSigns(u)
-				for i, v := range ids {
-					if signs[i] == sgraph.Positive {
-						setWordBit(row, v)
-					}
-				}
-			} else {
-				// NNE: everyone is compatible except negative
-				// neighbours — including unreachable nodes.
-				fillWords(row, n)
-				ids := g.NeighborIDs(u)
-				signs := g.NeighborSigns(u)
-				for i, v := range ids {
-					if signs[i] == sgraph.Negative {
-						clearWordBit(row, v)
-					}
-				}
-			}
-			setWordBit(row, u) // reflexivity
-			s.dist = signedbfs.DistancesInto(g, u, s.dist, s.bfs)
-			recordReach(s, s.dist)
-			return distRow(u, s.dist)
-		}
-	case SPA, SPM, SPO:
-		return func(u sgraph.NodeID, s *rowScratch) error {
+	case SPA, SPO, DPE, NNE:
+		return func(lo, hi sgraph.NodeID, s *rowScratch) error {
+			return fillSweepBlock(g, kind, sink(lo, hi), lo, hi, s)
+		}, signedbfs.MaxSources
+	case SPM:
+		return func(u, _ sgraph.NodeID, s *rowScratch) error {
 			signedbfs.CountPathsInto(g, u, &s.res, s.bfs)
-			row := sink.row(u)
+			out := sink(u, u+1)
+			row := out.row(0)
 			zeroWords(row)
 			for v := 0; v < n; v++ {
-				var ok bool
-				switch kind {
-				case SPA:
-					ok = s.res.Pos[v] > 0 && s.res.Neg[v] == 0
-				case SPM:
-					ok = s.res.Dist[v] != signedbfs.Unreachable && s.res.Pos[v] >= s.res.Neg[v]
-				default: // SPO
-					ok = s.res.Pos[v] > 0
-				}
-				if ok {
+				if s.res.MajorityPositive(sgraph.NodeID(v)) {
 					setWordBit(row, sgraph.NodeID(v))
 				}
 			}
 			setWordBit(row, u)
-			recordReach(s, s.res.Dist)
-			return distRow(u, s.res.Dist)
-		}
+			s.recordReach(s.res.Dist)
+			return out.setDists(0, s.res.Dist)
+		}, 1
 	case SBPH, SBP:
-		return func(u sgraph.NodeID, s *rowScratch) error {
+		return func(u, _ sgraph.NodeID, s *rowScratch) error {
 			var pd *balance.PathDists
 			var err error
 			if kind == SBPH {
@@ -116,14 +128,12 @@ func relationRowFiller(g *sgraph.Graph, kind Kind, beam int, exact balance.Exact
 					return err
 				}
 			}
-			row := sink.row(u)
+			out := sink(u, u+1)
+			row := out.row(0)
 			zeroWords(row)
 			for v, d := range pd.PosDist {
 				if d != balance.NoPath {
 					setWordBit(row, sgraph.NodeID(v))
-					if err := sink.setDist(u, sgraph.NodeID(v), d); err != nil {
-						return err
-					}
 				}
 			}
 			setWordBit(row, u)
@@ -132,13 +142,112 @@ func relationRowFiller(g *sgraph.Graph, kind Kind, beam int, exact balance.Exact
 				// the footprint takes one extra BFS per row — only when
 				// reach tracking is armed (sharded builds and rebuilds).
 				s.dist = signedbfs.DistancesInto(g, u, s.dist, s.bfs)
-				recordReach(s, s.dist)
+				s.recordReach(s.dist)
 			}
-			return sink.setDist(u, u, 0)
-		}
+			if err := out.setDists(0, pd.PosDist); err != nil {
+				return err
+			}
+			return out.setDist(0, u, 0)
+		}, 1
 	default:
-		return func(sgraph.NodeID, *rowScratch) error {
+		return func(sgraph.NodeID, sgraph.NodeID, *rowScratch) error {
 			return fmt.Errorf("compat: unhandled packed relation kind %v", kind)
+		}, 1
+	}
+}
+
+// fillSweepBlock fills the rows [lo, hi) (at most
+// signedbfs.MaxSources of them, landing in out) of an SPA, SPO, DPE or
+// NNE relation from one multi-source sweep, source lo+j riding bit j.
+func fillSweepBlock(g *sgraph.Graph, kind Kind, out blockView, lo, hi sgraph.NodeID, s *rowScratch) error {
+	if s.sweep == nil {
+		s.sweep = signedbfs.NewMultiSweep(g.NumNodes())
+	}
+	s.srcs = s.srcs[:0]
+	for u := lo; u < hi; u++ {
+		row := out.row(int(u - lo))
+		switch kind {
+		case DPE:
+			zeroWords(row)
+			signs := g.NeighborSigns(u)
+			for i, v := range g.NeighborIDs(u) {
+				if signs[i] == sgraph.Positive {
+					setWordBit(row, v)
+				}
+			}
+		case NNE:
+			// Everyone is compatible except negative neighbours —
+			// including unreachable nodes.
+			fillWords(row, g.NumNodes())
+			signs := g.NeighborSigns(u)
+			for i, v := range g.NeighborIDs(u) {
+				if signs[i] == sgraph.Negative {
+					clearWordBit(row, v)
+				}
+			}
+		default: // SPA, SPO: bits come from the sweep
+			zeroWords(row)
+		}
+		setWordBit(row, u) // reflexivity
+		s.srcs = append(s.srcs, u)
+	}
+
+	// set = (p &^ (q & qm)) & pm picks the sources whose row gains the
+	// level's node: SPO keeps p (some positive shortest path), SPA
+	// p &^ q (every shortest path positive), DPE/NNE nothing.
+	var pm, qm uint64
+	switch kind {
+	case SPO:
+		pm = ^uint64(0)
+	case SPA:
+		pm, qm = ^uint64(0), ^uint64(0)
+	}
+	sw := s.sweep
+	n, stride := out.n, out.stride
+	for ok := sw.Start(g, s.srcs); ok; ok = sw.Next() {
+		d, level := sw.Level()
+		if out.d32 == nil && d > maxDist8 {
+			return errDistOverflow
+		}
+		for _, e := range level {
+			v, p, q := int(e.Node), e.Pos, e.Neg
+			if out.d32 != nil {
+				for b := p | q; b != 0; b &= b - 1 {
+					out.d32[bits.TrailingZeros64(b)*n+v] = d
+				}
+			} else {
+				for b := p | q; b != 0; b &= b - 1 {
+					out.d8[bits.TrailingZeros64(b)*n+v] = uint8(d)
+				}
+			}
+			w, m := v>>6, uint64(1)<<uint(v&63)
+			for set := (p &^ (q & qm)) & pm; set != 0; set &= set - 1 {
+				out.bits[bits.TrailingZeros64(set)*stride+w] |= m
+			}
 		}
 	}
+	// The block's footprint: every node any of its sources saw.
+	if s.reach != nil {
+		for _, v := range sw.Reached() {
+			s.reach[v>>6] |= 1 << uint(v&63)
+		}
+	}
+	return nil
+}
+
+// fillRows runs fill over the rows [base, base+rows) in blocks of at
+// most height rows, spread over the workers (one scratch each). Blocks
+// shrink when the range is too short to give every worker a full one,
+// so a small shard still fills in parallel. A block never leaves the
+// range, so a shard's rows are filled by blocks of that shard alone.
+func fillRows(base, rows, height, workers int, scratches []*rowScratch, fill blockFiller) error {
+	if per := (rows + workers - 1) / workers; per < height {
+		height = max(per, 1)
+	}
+	blocks := (rows + height - 1) / height
+	return parallelSweep(blocks, workers, func(w, b int) error {
+		lo := base + b*height
+		hi := min(lo+height, base+rows)
+		return fill(sgraph.NodeID(lo), sgraph.NodeID(hi), scratches[w])
+	})
 }

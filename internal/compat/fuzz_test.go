@@ -70,7 +70,7 @@ func FuzzMutationSequence(f *testing.F) {
 			es.apply(mut)
 		}
 		oracle := MustNew(SPO, es.graph(), Options{})
-		checkAgainstOracle(t, int(applied), "fuzz-sharded", eng, oracle)
+		checkAgainstOracle(t, int(applied), "fuzz-sharded", eng, oracleTable(t, oracle))
 	})
 }
 

@@ -362,12 +362,10 @@ func (m *CompatMatrix) buildStateOnce(g *sgraph.Graph, epoch uint64, wide bool) 
 		}
 	}
 
-	fill := m.rowFiller(g, st, wide)
+	sink := slabSink(st.bits, st.dist8, st.dist32, m.stride, n, 0)
+	fill, height := relationFiller(g, m.kind, m.beam, m.exact, sink)
 	scratches, workers := newWorkerScratches(m.workers, n)
-	err := parallelSweep(n, workers, func(w, i int) error {
-		return fill(sgraph.NodeID(i), scratches[w])
-	})
-	if err != nil {
+	if err := fillRows(0, n, height, workers, scratches, fill); err != nil {
 		return nil, err
 	}
 	if m.kind == SBPH {
@@ -376,28 +374,6 @@ func (m *CompatMatrix) buildStateOnce(g *sgraph.Graph, epoch uint64, wide bool) 
 		}
 	}
 	return st, nil
-}
-
-// rowFiller returns the per-source row computation for the matrix's
-// kind, built on the shared relationRowFiller with the full-slab sink:
-// rows are views into st.bits and distances pack into the flat n×n
-// matrix. Undefined entries keep the sentinel written by the prefill.
-func (m *CompatMatrix) rowFiller(g *sgraph.Graph, st *matrixState, wide bool) func(u sgraph.NodeID, s *rowScratch) error {
-	n := m.n
-	return relationRowFiller(g, m.kind, m.beam, m.exact, rowSink{
-		row: func(u sgraph.NodeID) []uint64 { return st.rowWords(m.stride, u) },
-		setDist: func(u, v sgraph.NodeID, d int32) error {
-			if wide {
-				st.dist32[int(u)*n+int(v)] = d
-				return nil
-			}
-			if d > maxDist8 {
-				return errDistOverflow
-			}
-			st.dist8[int(u)*n+int(v)] = uint8(d)
-			return nil
-		},
-	})
 }
 
 // symmetrise rewrites the lower triangle from the upper one, turning

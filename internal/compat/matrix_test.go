@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/balance"
+	"repro/internal/datasets"
 	"repro/internal/sgraph"
 )
 
@@ -22,14 +23,28 @@ func rowCount(words []uint64) int {
 // TestMatrixAgreesWithLazy: on random signed graphs, the packed matrix
 // must answer every Compatible and Distance query exactly as the lazy
 // relation of the same kind — including SBPH's canonicalised symmetry.
+// The blockGraphs inputs run the multi-source build over several
+// 64-row blocks, disconnected parts and BFS levels past 64.
 func TestMatrixAgreesWithLazy(t *testing.T) {
 	rng := rand.New(rand.NewSource(301))
 	// Cap the exact SBP enumeration (identically on both engines, so
 	// they must still agree) to keep the test fast.
 	opts := Options{Exact: balance.ExactOptions{MaxLen: 7}}
+	var graphs []*sgraph.Graph
 	for trial := 0; trial < 8; trial++ {
 		n := 5 + rng.Intn(14)
-		g := randomSignedGraph(rng, n, n+rng.Intn(4*n), 0.3)
+		graphs = append(graphs, randomSignedGraph(rng, n, n+rng.Intn(4*n), 0.3))
+	}
+	small := len(graphs)
+	for _, bg := range blockGraphs(rng) {
+		graphs = append(graphs, bg.g)
+	}
+	for trial, g := range graphs {
+		n := g.NumNodes()
+		opts := opts
+		if trial >= small {
+			opts = blockOpts
+		}
 		for _, k := range Kinds() {
 			lazy := MustNew(k, g, opts)
 			m, err := NewMatrix(k, g, MatrixOptions{Options: opts})
@@ -58,6 +73,62 @@ func TestMatrixAgreesWithLazy(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestPackedSweepMatchesLazyEpinions: on the bench-scale Epinions
+// stand-in (≈1,150 users, 18 sweep blocks), the multi-source-built
+// rows and distances of the packed engines — the full matrix, and a
+// sharded matrix whose 100-row shards cut the 64-row blocks — must
+// match the lazy engine's per-source rows bit for bit, for every kind
+// the sweep builds.
+func TestPackedSweepMatchesLazyEpinions(t *testing.T) {
+	d, err := datasets.EpinionsSim(1, 0.04)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := d.Graph
+	n := g.NumNodes()
+	want := make([]uint64, (n+63)/64)
+	var dist []int32
+	for _, k := range []Kind{SPA, SPO, DPE, NNE} {
+		// The lazy engine's per-source row computation, uncached.
+		lazy := MustNew(k, g, Options{}).(interface {
+			computeRow(sgraph.NodeID) (row, error)
+		})
+		full := MustNewMatrix(k, g, MatrixOptions{})
+		sharded := MustNewSharded(k, g, ShardedOptions{ShardRows: 100})
+		for u := sgraph.NodeID(0); int(u) < n; u++ {
+			lazyRow, err := lazy.computeRow(u)
+			if err != nil {
+				t.Fatal(err)
+			}
+			clear(want)
+			for v := sgraph.NodeID(0); int(v) < n; v++ {
+				if lazyRow.compatible(v) {
+					setWordBit(want, v)
+				}
+			}
+			setWordBit(want, u) // Relation.Compatible is reflexive
+			for name, p := range map[string]PackedRelation{"matrix": full, "sharded": sharded} {
+				got := p.RowWords(u)
+				for w := range want {
+					if got[w] != want[w] {
+						t.Fatalf("%v %s: row %d word %d = %#x, lazy %#x", k, name, u, w, got[w], want[w])
+					}
+				}
+				dist = p.DistanceRowInto(u, dist)
+				for v := sgraph.NodeID(0); int(v) < n; v++ {
+					wd, wok := lazyRow.distance(v)
+					if (dist[v] != NoDistance) != wok || (wok && dist[v] != wd) {
+						t.Fatalf("%v %s: distance(%d,%d) = %d, lazy (%d,%v)", k, name, u, v, dist[v], wd, wok)
+					}
+				}
+			}
+		}
+		if err := sharded.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

@@ -110,16 +110,20 @@ type mutEngine struct {
 
 // buildMutEngines constructs every mutable engine configuration over g.
 // Shard heights cover the degenerate single-row shard, a height that
-// straddles shard boundaries, one larger than the graph (single-shard),
-// and spilling/prefetching/no-mmap variants with only two resident
-// shards.
+// straddles shard boundaries, one 64-row sweep block, the whole graph
+// (single-shard), and spilling/prefetching/no-mmap variants with only
+// two resident shards.
 func buildMutEngines(t *testing.T, k Kind, g *sgraph.Graph, opts Options) []mutEngine {
 	t.Helper()
 	engines := []mutEngine{
 		{"lazy", MustNew(k, g, opts).(MutableRelation)},
 		{"matrix", MustNewMatrix(k, g, MatrixOptions{Options: opts})},
 	}
-	for _, rows := range []int{1, 7, 64} {
+	heights := []int{1, 7, 64}
+	if n := g.NumNodes(); n > 64 {
+		heights = append(heights, n)
+	}
+	for _, rows := range heights {
 		engines = append(engines, mutEngine{
 			fmt.Sprintf("sharded-%dr", rows),
 			MustNewSharded(k, g, ShardedOptions{Options: opts, ShardRows: rows}),
@@ -139,31 +143,55 @@ func buildMutEngines(t *testing.T, k Kind, g *sgraph.Graph, opts Options) []mutE
 	return engines
 }
 
-// checkAgainstOracle compares one engine against the fresh-built
-// oracle on every ordered pair, plus the packed row fast paths.
-func checkAgainstOracle(t *testing.T, step int, name string, eng MutableRelation, oracle Relation) {
+// pairTable is a fresh-built oracle's answer to every ordered pair,
+// taken once so several engines are checked without re-asking it.
+type pairTable struct {
+	n   int
+	ok  []bool
+	d   []int32
+	def []bool
+}
+
+// oracleTable asks the oracle every ordered pair once.
+func oracleTable(t *testing.T, oracle Relation) *pairTable {
 	t.Helper()
 	n := oracle.Graph().NumNodes()
+	tab := &pairTable{n: n, ok: make([]bool, n*n), d: make([]int32, n*n), def: make([]bool, n*n)}
+	for u := sgraph.NodeID(0); int(u) < n; u++ {
+		for v := sgraph.NodeID(0); int(v) < n; v++ {
+			i := int(u)*n + int(v)
+			var err error
+			if tab.ok[i], err = oracle.Compatible(u, v); err != nil {
+				t.Fatalf("oracle Compatible(%d,%d): %v", u, v, err)
+			}
+			if tab.d[i], tab.def[i], err = oracle.Distance(u, v); err != nil {
+				t.Fatalf("oracle Distance(%d,%d): %v", u, v, err)
+			}
+		}
+	}
+	return tab
+}
+
+// checkAgainstOracle compares one engine against the fresh-built
+// oracle's answers on every ordered pair, plus the packed row fast
+// paths.
+func checkAgainstOracle(t *testing.T, step int, name string, eng MutableRelation, want *pairTable) {
+	t.Helper()
+	n := want.n
 	var rowBuf []int32
 	for u := sgraph.NodeID(0); int(u) < n; u++ {
 		if packed, ok := eng.(PackedRelation); ok {
 			rowBuf = packed.DistanceRowInto(u, rowBuf)
 		}
 		for v := sgraph.NodeID(0); int(v) < n; v++ {
-			wantOK, err := oracle.Compatible(u, v)
-			if err != nil {
-				t.Fatalf("step %d %s: oracle Compatible: %v", step, name, err)
-			}
+			i := int(u)*n + int(v)
+			wantOK, wantD, wantDef := want.ok[i], want.d[i], want.def[i]
 			gotOK, err := eng.Compatible(u, v)
 			if err != nil {
 				t.Fatalf("step %d %s: Compatible(%d,%d): %v", step, name, u, v, err)
 			}
 			if gotOK != wantOK {
 				t.Fatalf("step %d %s: Compatible(%d,%d) = %v, oracle %v", step, name, u, v, gotOK, wantOK)
-			}
-			wantD, wantDef, err := oracle.Distance(u, v)
-			if err != nil {
-				t.Fatalf("step %d %s: oracle Distance: %v", step, name, err)
 			}
 			gotD, gotDef, err := eng.Distance(u, v)
 			if err != nil {
@@ -186,53 +214,67 @@ func checkAgainstOracle(t *testing.T, step int, name string, eng MutableRelation
 
 // TestMutationOracle drives every engine configuration through the
 // same seeded mutation sequence and asserts exact agreement with a
-// fresh build after every step.
+// fresh build after every step: a long sequence on a small random
+// graph, then a few steps on each blockGraphs input, whose stale-shard
+// rebuilds span several 64-row sweep blocks.
 func TestMutationOracle(t *testing.T) {
 	opts := Options{Exact: balance.ExactOptions{MaxLen: 6}}
-	const n, steps = 14, 24
+	const n, steps, blockSteps = 14, 24, 2
 	for _, k := range Kinds() {
 		k := k
 		t.Run(k.String(), func(t *testing.T) {
 			t.Parallel()
 			rng := rand.New(rand.NewSource(700 + int64(k)))
 			g := randomSignedGraph(rng, n, 2*n, 0.3)
-			engines := buildMutEngines(t, k, g, opts)
-			defer func() {
-				for _, e := range engines {
-					if sm, ok := e.rel.(*ShardedMatrix); ok {
-						sm.Close()
-					}
-				}
-			}()
-			es := newEdgeSet(g)
-			for step := 0; step < steps; step++ {
-				mut := es.randomMutation(rng)
-				es.apply(mut)
-				oracle := MustNew(k, es.graph(), opts)
-				for _, e := range engines {
-					res, err := e.rel.Mutate(mut)
-					if err != nil {
-						t.Fatalf("step %d %s: Mutate(%v): %v", step, e.name, mut, err)
-					}
-					if res.Epoch != uint64(step+1) {
-						t.Fatalf("step %d %s: epoch = %d, want %d", step, e.name, res.Epoch, step+1)
-					}
-					checkAgainstOracle(t, step, e.name, e.rel, oracle)
-				}
-			}
-			// Rejected mutations must not move the epoch or disturb data.
-			bad := sgraph.Mutation{Op: sgraph.MutAdd, U: 0, V: 0, Sign: sgraph.Positive}
-			oracle := MustNew(k, es.graph(), opts)
-			for _, e := range engines {
-				if _, err := e.rel.Mutate(bad); err == nil {
-					t.Fatalf("%s: self-loop add must fail", e.name)
-				}
-				if got := e.rel.Epoch(); got != steps {
-					t.Fatalf("%s: failed mutation moved epoch to %d", e.name, got)
-				}
-				checkAgainstOracle(t, steps, e.name, e.rel, oracle)
+			runMutationOracle(t, "", k, g, opts, steps, rng)
+			for _, bg := range blockGraphs(rng) {
+				runMutationOracle(t, bg.name+" ", k, bg.g, blockOpts, blockSteps, rng)
 			}
 		})
+	}
+}
+
+// runMutationOracle is one TestMutationOracle sequence: steps random
+// mutations of g, each checked on every engine against a fresh build,
+// then a rejected mutation that must change nothing. label prefixes
+// failure messages.
+func runMutationOracle(t *testing.T, label string, k Kind, g *sgraph.Graph, opts Options, steps int, rng *rand.Rand) {
+	t.Helper()
+	engines := buildMutEngines(t, k, g, opts)
+	defer func() {
+		for _, e := range engines {
+			if sm, ok := e.rel.(*ShardedMatrix); ok {
+				sm.Close()
+			}
+		}
+	}()
+	es := newEdgeSet(g)
+	for step := 0; step < steps; step++ {
+		mut := es.randomMutation(rng)
+		es.apply(mut)
+		oracle := oracleTable(t, MustNew(k, es.graph(), opts))
+		for _, e := range engines {
+			res, err := e.rel.Mutate(mut)
+			if err != nil {
+				t.Fatalf("%sstep %d %s: Mutate(%v): %v", label, step, e.name, mut, err)
+			}
+			if res.Epoch != uint64(step+1) {
+				t.Fatalf("%sstep %d %s: epoch = %d, want %d", label, step, e.name, res.Epoch, step+1)
+			}
+			checkAgainstOracle(t, step, label+e.name, e.rel, oracle)
+		}
+	}
+	// Rejected mutations must not move the epoch or disturb data.
+	bad := sgraph.Mutation{Op: sgraph.MutAdd, U: 0, V: 0, Sign: sgraph.Positive}
+	oracle := oracleTable(t, MustNew(k, es.graph(), opts))
+	for _, e := range engines {
+		if _, err := e.rel.Mutate(bad); err == nil {
+			t.Fatalf("%s%s: self-loop add must fail", label, e.name)
+		}
+		if got := e.rel.Epoch(); got != uint64(steps) {
+			t.Fatalf("%s%s: failed mutation moved epoch to %d", label, e.name, got)
+		}
+		checkAgainstOracle(t, steps, label+e.name, e.rel, oracle)
 	}
 }
 

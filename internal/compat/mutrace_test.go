@@ -215,7 +215,7 @@ func TestConcurrentMutationReaders(t *testing.T) {
 			}
 			// 120 flips across 20 edge slots: compare against fresh build.
 			oracle := MustNew(SPO, m.Graph(), Options{})
-			checkAgainstOracle(t, -1, "post-race", m, oracle)
+			checkAgainstOracle(t, -1, "post-race", m, oracleTable(t, oracle))
 			m.Close()
 		}
 	}

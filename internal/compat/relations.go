@@ -93,15 +93,19 @@ func (c *rowCache) invalidate() {
 }
 
 // rowScratch bundles the reusable per-worker buffers of the all-pairs
-// sweeps (Precompute, ComputeStats, CompatMatrix construction): the
-// BFS scratch plus result/row storage that streaming consumers reuse
-// between sources.
+// sweeps (Precompute, ComputeStats, the packed builds): the BFS scratch
+// plus result/row storage that streaming consumers reuse between
+// sources, and the multi-source sweep with its block of sources that
+// the packed builds run (allocated on first use).
 type rowScratch struct {
 	bfs     *signedbfs.Scratch
 	res     signedbfs.Result
 	dist    []int32
 	edgeRow edgeRow
 	spRow   spRow
+
+	sweep *signedbfs.MultiSweep
+	srcs  []sgraph.NodeID
 
 	// reach, when non-nil, makes the relation fillers OR each source
 	// row's plain-BFS reachable set into it (a node bitset of the given
@@ -113,6 +117,21 @@ type rowScratch struct {
 
 func newRowScratch(n int) *rowScratch {
 	return &rowScratch{bfs: signedbfs.NewScratch(n)}
+}
+
+// recordReach ORs one row's plain-BFS reachable set into the reach
+// accumulator when it is armed; every relation's search only traverses
+// graph edges, so this is a superset of any vertex the row's
+// computation could have relaxed through.
+func (s *rowScratch) recordReach(dist []int32) {
+	if s.reach == nil {
+		return
+	}
+	for v, d := range dist {
+		if d != signedbfs.Unreachable {
+			s.reach[v>>6] |= 1 << uint(v&63)
+		}
+	}
 }
 
 // resetReach arms (or rezeroes) the reach accumulator for one shard

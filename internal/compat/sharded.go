@@ -459,11 +459,9 @@ func (m *ShardedMatrix) rebuildShard(g *sgraph.Graph, epoch uint64, s int, worke
 	for _, sc := range scratches {
 		sc.resetReach(m.stride)
 	}
-	fill := relationRowFiller(g, m.kind, m.beam, m.exact, m.slabSink(slab, base))
-	err := parallelSweep(rows, workers, func(w, i int) error {
-		return fill(sgraph.NodeID(base+i), scratches[w])
-	})
-	if err != nil {
+	sink := slabSink(slab.bits, slab.dist8, slab.dist32, m.stride, m.n, base)
+	fill, height := relationFiller(g, m.kind, m.beam, m.exact, sink)
+	if err := fillRows(base, rows, height, workers, scratches, fill); err != nil {
 		return err
 	}
 	touched := make([]uint64, m.stride)
@@ -1134,10 +1132,9 @@ func (m *ShardedMatrix) buildShard(s int, workers int, scratches []*rowScratch) 
 	for _, sc := range scratches {
 		sc.resetReach(m.stride)
 	}
-	fill := relationRowFiller(m.g, m.kind, m.beam, m.exact, m.shardSink(sh, base))
-	err := parallelSweep(sh.rows, workers, func(w, i int) error {
-		return fill(sgraph.NodeID(base+i), scratches[w])
-	})
+	sink := slabSink(sh.bits, sh.dist8, sh.dist32, m.stride, m.n, base)
+	fill, height := relationFiller(m.g, m.kind, m.beam, m.exact, sink)
+	err := fillRows(base, sh.rows, height, workers, scratches, fill)
 
 	touched := make([]uint64, m.stride)
 	for _, sc := range scratches {
@@ -1152,54 +1149,6 @@ func (m *ShardedMatrix) buildShard(s int, workers int, scratches []*rowScratch) 
 	m.unpinLocked(s)
 	m.mu.Unlock()
 	return err
-}
-
-// shardSink adapts the shared relation filler to one shard's slabs.
-// Row indices arrive as global node ids and are rebased onto the
-// shard; the caller guarantees they fall inside it.
-func (m *ShardedMatrix) shardSink(sh *shardState, base int) rowSink {
-	return rowSink{
-		row: func(u sgraph.NodeID) []uint64 {
-			r := int(u) - base
-			return sh.bits[r*m.stride : (r+1)*m.stride]
-		},
-		setDist: func(u, v sgraph.NodeID, d int32) error {
-			r := int(u) - base
-			if m.wide {
-				sh.dist32[r*m.n+int(v)] = d
-				return nil
-			}
-			if d > maxDist8 {
-				return errDistOverflow
-			}
-			sh.dist8[r*m.n+int(v)] = uint8(d)
-			return nil
-		},
-	}
-}
-
-// slabSink is shardSink for a detached rebuild slab: the shard's
-// replacement buffers are filled before they are swapped into the
-// shard table, so concurrent readers never observe a half-built row.
-func (m *ShardedMatrix) slabSink(slab shardSlabs, base int) rowSink {
-	return rowSink{
-		row: func(u sgraph.NodeID) []uint64 {
-			r := int(u) - base
-			return slab.bits[r*m.stride : (r+1)*m.stride]
-		},
-		setDist: func(u, v sgraph.NodeID, d int32) error {
-			r := int(u) - base
-			if slab.dist32 != nil {
-				slab.dist32[r*m.n+int(v)] = d
-				return nil
-			}
-			if d > maxDist8 {
-				return errDistOverflow
-			}
-			slab.dist8[r*m.n+int(v)] = uint8(d)
-			return nil
-		},
-	}
 }
 
 // symmetrise rewrites the lower triangle from the upper one in

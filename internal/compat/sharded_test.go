@@ -16,20 +16,34 @@ import (
 // aligned) and n (single shard), with a residency bound small enough
 // that most shards live in the spill file and rows are served across
 // spill/reload cycles — under both the mmap and the ReadAt spill
-// backend (trials alternate so the whole grid covers both).
+// backend (trials alternate so the whole grid covers both). The
+// blockGraphs inputs span several 64-row sweep blocks, so shard
+// heights below, at and above a block all cut them differently.
 func TestShardedAgreesAcrossShardSizes(t *testing.T) {
 	rng := rand.New(rand.NewSource(401))
 	opts := Options{Exact: balance.ExactOptions{MaxLen: 7}}
+	var graphs []*sgraph.Graph
 	for trial := 0; trial < 4; trial++ {
 		n := 9 + rng.Intn(16)
-		g := randomSignedGraph(rng, n, n+rng.Intn(4*n), 0.3)
-		for _, shardRows := range []int{1, 7, 64, n} {
-			for ki, k := range Kinds() {
+		graphs = append(graphs, randomSignedGraph(rng, n, n+rng.Intn(4*n), 0.3))
+	}
+	small := len(graphs)
+	for _, bg := range blockGraphs(rng) {
+		graphs = append(graphs, bg.g)
+	}
+	for trial, g := range graphs {
+		n := g.NumNodes()
+		opts := opts
+		if trial >= small {
+			opts = blockOpts
+		}
+		for ki, k := range Kinds() {
+			lazy := MustNew(k, g, opts)
+			full := MustNewMatrix(k, g, MatrixOptions{Options: opts})
+			for _, shardRows := range []int{1, 7, 64, n} {
 				// Alternate the spill backend across the grid; every
 				// (shard size, backend) pair is still exercised.
 				noMmap := (trial+shardRows+ki)%2 == 0 || !spillMmapSupported
-				lazy := MustNew(k, g, opts)
-				full := MustNewMatrix(k, g, MatrixOptions{Options: opts})
 				sharded, err := NewSharded(k, g, ShardedOptions{
 					Options:           opts,
 					ShardRows:         shardRows,
@@ -41,8 +55,14 @@ func TestShardedAgreesAcrossShardSizes(t *testing.T) {
 					t.Fatalf("trial %d %v rows=%d: NewSharded: %v", trial, k, shardRows, err)
 				}
 				// Interleave sources so consecutive queries hop between
-				// shards and force spill/reload churn.
-				for off := 0; off < 2; off++ {
+				// shards and force spill/reload churn. The blockGraphs
+				// inputs, with far more shards than the bound, churn
+				// enough in one pass.
+				passes := 2
+				if trial >= small {
+					passes = 1
+				}
+				for off := 0; off < passes; off++ {
 					for i := 0; i < n; i++ {
 						u := sgraph.NodeID((i*5 + off*3) % n)
 						for v := sgraph.NodeID(0); int(v) < n; v++ {

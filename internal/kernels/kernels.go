@@ -136,10 +136,18 @@ func ArgminMaxU8(rows [][]uint8, holder, mask []uint64) (int, uint8, bool) {
 			for w != 0 {
 				idx := base + bits.TrailingZeros64(w)
 				w &= w - 1
+				// Stop at the first row whose lane is ≥ best: the max can
+				// only grow, so the candidate cannot win (ties go to the
+				// earlier index), and an Undefined lane fails the same
+				// test because best never exceeds Undefined.
 				score := uint8(0)
 				for r := range rows {
 					d := rows[r][idx]
-					if d >= score { // Undefined poisons the max
+					if d >= best {
+						score = best
+						break
+					}
+					if d > score {
 						score = d
 					}
 				}
@@ -207,20 +215,21 @@ func ArgminSumU8(rows [][]uint8, holder, mask []uint64) (int, uint32, bool) {
 		for w != 0 {
 			idx := base + bits.TrailingZeros64(w)
 			w &= w - 1
+			// Once a candidate has scored, stop as soon as the partial
+			// sum reaches best: sums only grow, and ties go to the
+			// earlier index. An Undefined lane rejects the candidate
+			// either way.
 			score := uint32(0)
-			defined := true
+			ok := true
 			for r := range rows {
 				d := rows[r][idx]
-				if d == Undefined {
-					defined = false
+				score += uint32(d)
+				if d == Undefined || (bestIdx >= 0 && score >= best) {
+					ok = false
 					break
 				}
-				score += uint32(d)
 			}
-			if !defined {
-				continue
-			}
-			if bestIdx < 0 || score < best {
+			if ok && (bestIdx < 0 || score < best) {
 				best, bestIdx = score, idx
 			}
 		}

@@ -104,6 +104,15 @@ func (g *Graph) NeighborSigns(u NodeID) []Sign {
 	return g.signs[g.offsets[u]:g.offsets[u+1]]
 }
 
+// CSR returns the graph's compressed adjacency: the neighbours of u
+// are neigh[offsets[u]:offsets[u+1]], with their signs at the same
+// positions of signs. Hot traversal loops hold the three slices in
+// locals instead of re-deriving them through NeighborIDs per node.
+// The caller must not modify them.
+func (g *Graph) CSR() (offsets []int32, neigh []NodeID, signs []Sign) {
+	return g.offsets, g.neigh, g.signs
+}
+
 // smallDegreeScan is the degree below which EdgeSign scans the sorted
 // adjacency list linearly: for a handful of neighbours the scan beats
 // sort.Search's closure-call overhead.

@@ -17,16 +17,32 @@
 // exposes. CountPathsBig is an exact math/big variant used by tests
 // and the path-counting ablation to cross-check.
 //
+// # Many sources at once
+//
+// SPA and SPO ask only whether some positive (negative) shortest path
+// exists, and that yes/no answer spreads one BFS level at a time as a
+// bitwise OR. MultiSweep exploits this: up to 64 sources share one
+// traversal as the bits of a machine word, with a positive and a
+// negative frontier word per node, swapped across negative edges. It
+// reports, level by level, the nodes each source first reaches and
+// the sign bits of its shortest paths there — the same Dist, Pos>0
+// and Neg>0 CountPathsInto computes, one traversal per 64 sources.
+// The sweep is frontier-driven, so it never scans more edges than its
+// sources would one by one. It cannot count paths, so SPM's majority
+// test stays on CountPathsInto. The compat package's packed builds
+// run one sweep per block of 64 rows.
+//
 // # Allocation discipline
 //
 // CountPaths and Distances allocate per call; the *Into variants
 // write into caller-owned result storage and take a Scratch for all
 // transient traversal state (queue, epoch-stamped discovery marks),
-// so a warm (result, Scratch) pair performs no heap allocations. The
-// all-pairs sweeps in the compat package — Precompute, ComputeStats,
-// the CompatMatrix build and the per-shard builds of ShardedMatrix —
-// rely on this: each worker owns one Scratch and reuses it across all
-// sources it is handed, whether those sources span the whole graph or
-// one row shard at a time. CI's alloc-regression smoke test keeps the
-// warm path at 0 allocs/op.
+// so a warm (result, Scratch) pair performs no heap allocations; a
+// warm MultiSweep likewise. The all-pairs sweeps in the compat package
+// — Precompute, ComputeStats, the CompatMatrix build and the
+// per-shard builds of ShardedMatrix — rely on this: each worker owns
+// one Scratch (and one MultiSweep) and reuses it across all sources it
+// is handed, whether those sources span the whole graph or one row
+// shard at a time. CI's alloc-regression smoke test keeps both warm
+// paths at 0 allocs/op.
 package signedbfs
