@@ -467,7 +467,7 @@ func BenchmarkMatrixBuild(b *testing.B) {
 		b.Run(k.String(), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := compat.NewMatrix(k, d.Graph, compat.MatrixOptions{}); err != nil {
+				if _, err := compat.NewSharded(k, d.Graph, compat.ShardedOptions{ShardRows: d.Graph.NumNodes()}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -515,7 +515,7 @@ func BenchmarkFormTeamEngines(b *testing.B) {
 		run(b, rel)
 	})
 	b.Run("matrix", func(b *testing.B) {
-		rel := compat.MustNewMatrix(compat.SPM, d.Graph, compat.MatrixOptions{})
+		rel := mustMatrix(compat.SPM, d.Graph)
 		b.ResetTimer()
 		run(b, rel)
 	})
@@ -531,7 +531,7 @@ func BenchmarkSolverForm(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rel := compat.MustNewMatrix(compat.SPM, d.Graph, compat.MatrixOptions{})
+	rel := mustMatrix(compat.SPM, d.Graph)
 	task, err := skills.RandomTask(rand.New(rand.NewSource(3)), d.Assign, 5)
 	if err != nil {
 		b.Fatal(err)
@@ -580,7 +580,7 @@ func BenchmarkPlanCacheServe(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rel := compat.MustNewMatrix(compat.SPM, d.Graph, compat.MatrixOptions{})
+	rel := mustMatrix(compat.SPM, d.Graph)
 	rng := rand.New(rand.NewSource(3))
 	var tasks []skills.Task
 	for i := 0; i < 16; i++ {
@@ -638,7 +638,7 @@ func BenchmarkFormBatchRepeated(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rel := compat.MustNewMatrix(compat.SPM, d.Graph, compat.MatrixOptions{})
+	rel := mustMatrix(compat.SPM, d.Graph)
 	rng := rand.New(rand.NewSource(3))
 	var distinct []skills.Task
 	for i := 0; i < 16; i++ {
@@ -766,7 +766,7 @@ func BenchmarkFormBatch(b *testing.B) {
 			return rel
 		}},
 		{"matrix", func() compat.Relation {
-			return compat.MustNewMatrix(compat.SPM, d.Graph, compat.MatrixOptions{})
+			return mustMatrix(compat.SPM, d.Graph)
 		}},
 		{"sharded", func() compat.Relation {
 			return compat.MustNewSharded(compat.SPM, d.Graph, compat.ShardedOptions{})
@@ -803,18 +803,10 @@ func BenchmarkFormBatch(b *testing.B) {
 // benchmark: a sequential full-row sweep (RowWords + DistanceRow per
 // source, the ComputeStats/export access pattern) over a ShardedMatrix
 // whose residency bound keeps most shards spilled, so every shard
-// boundary pays a reload. Variants select the spill read backend and
-// the async prefetcher:
+// boundary pays a reload. Variants select the spill read backend:
 //
-//   - readback         — ReadAt into a scratch buffer, no prefetch:
-//     the PR 4 baseline behaviour.
-//   - mmap             — reloads decode straight out of the mapping.
-//   - mmap+prefetch    — the -prefetch serving configuration; on a
-//     multi-core host the next shard decodes concurrently with the
-//     current shard's scan, on one core it degrades to early loading.
-//   - readback+prefetch — prefetch over the portable backend.
-//
-// The bar (BENCH_form.json): mmap+prefetch ≥ 1.3× readback.
+//   - readback — ReadAt into a scratch buffer.
+//   - mmap     — reloads decode straight out of the mapping.
 func BenchmarkShardedSweep(b *testing.B) {
 	d, err := datasets.EpinionsSim(1, 0.04)
 	if err != nil {
@@ -822,21 +814,17 @@ func BenchmarkShardedSweep(b *testing.B) {
 	}
 	n := d.Graph.NumNodes()
 	variants := []struct {
-		name     string
-		prefetch bool
-		noMmap   bool
+		name   string
+		noMmap bool
 	}{
-		{"readback", false, true},
-		{"mmap", false, false},
-		{"mmap+prefetch", true, false},
-		{"readback+prefetch", true, true},
+		{"readback", true},
+		{"mmap", false},
 	}
 	for _, v := range variants {
 		b.Run(v.name, func(b *testing.B) {
 			m := compat.MustNewSharded(compat.SPM, d.Graph, compat.ShardedOptions{
 				ShardRows:         64,
 				MaxResidentShards: 4,
-				Prefetch:          v.prefetch,
 				DisableMmap:       v.noMmap,
 			})
 			defer m.Close()
@@ -857,11 +845,6 @@ func BenchmarkShardedSweep(b *testing.B) {
 				b.Fatal("sweep read nothing")
 			}
 			b.ReportMetric(float64(b.N)*float64(n)/b.Elapsed().Seconds(), "rows/s")
-			st := m.PrefetchStats()
-			b.ReportMetric(float64(st.Hits), "prefetch-hits")
-			if v.prefetch && st.Issued == 0 {
-				b.Fatal("prefetch variant issued no prefetches")
-			}
 		})
 	}
 }
@@ -879,7 +862,7 @@ func BenchmarkDistRowMinScan(b *testing.B) {
 		b.Fatal(err)
 	}
 	n := d.Graph.NumNodes()
-	m := compat.MustNewMatrix(compat.SPM, d.Graph, compat.MatrixOptions{})
+	m := mustMatrix(compat.SPM, d.Graph)
 	var scalarSink, kernelSink int64
 	b.Run("scalar", func(b *testing.B) {
 		scalarSink = 0
@@ -913,39 +896,54 @@ func BenchmarkDistRowMinScan(b *testing.B) {
 	_, _ = scalarSink, kernelSink
 }
 
-// BenchmarkShardedResidentRow pins the serving fast path of the
-// mmap+prefetch configuration: rows of a resident shard (reloaded out
-// of the mapping once, during warm-up) must serve RowWords and
-// DistanceRow with zero allocations — the CI alloc smoke greps the
-// "warm" sub-benchmark.
+// BenchmarkShardedResidentRow pins the serving fast paths of the
+// packed engine: rows must serve RowWords and DistanceRow with zero
+// allocations — the CI alloc smoke greps the "warm" sub-benchmarks.
+// "warm" reads a resident shard of a spilling engine (reloaded out of
+// the mapping once, during warm-up; the locked path), and
+// "warm_allresident" a single-shard, fully resident engine — the
+// matrix configuration, read lock-free through the published table.
 func BenchmarkShardedResidentRow(b *testing.B) {
 	d, err := datasets.EpinionsSim(1, 0.04)
 	if err != nil {
 		b.Fatal(err)
 	}
-	m := compat.MustNewSharded(compat.SPM, d.Graph, compat.ShardedOptions{
+	n := d.Graph.NumNodes()
+	spilling := compat.MustNewSharded(compat.SPM, d.Graph, compat.ShardedOptions{
 		ShardRows:         64,
 		MaxResidentShards: 4,
-		Prefetch:          true,
 	})
-	defer m.Close()
-	b.Run("warm", func(b *testing.B) {
-		const rows = 64 // stay inside shard 0: resident after the first touch
-		for u := sgraph.NodeID(0); int(u) < rows; u++ {
-			m.RowWords(u) // warm-up: reload shard 0 (an mmap decode)
-		}
-		var sink uint64
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			u := sgraph.NodeID(i % rows)
-			sink += m.RowWords(u)[0]
-			if dist, ok := m.DistanceRow(u).At(0); ok {
-				sink += uint64(dist)
+	defer spilling.Close()
+	resident := compat.MustNewSharded(compat.SPM, d.Graph, compat.ShardedOptions{
+		ShardRows:         n,
+		MaxResidentShards: 0,
+	})
+	defer resident.Close()
+	for _, c := range []struct {
+		name string
+		m    *compat.ShardedMatrix
+		rows int
+	}{
+		{"warm", spilling, 64}, // stay inside shard 0: resident after the first touch
+		{"warm_allresident", resident, n},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			for u := sgraph.NodeID(0); int(u) < c.rows; u++ {
+				c.m.RowWords(u) // warm-up: reload shard 0 (an mmap decode) when spilled
 			}
-		}
-		_ = sink
-	})
+			var sink uint64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				u := sgraph.NodeID(i % c.rows)
+				sink += c.m.RowWords(u)[0]
+				if dist, ok := c.m.DistanceRow(u).At(0); ok {
+					sink += uint64(dist)
+				}
+			}
+			_ = sink
+		})
+	}
 }
 
 func BenchmarkSignedBFSRow(b *testing.B) {
@@ -1060,4 +1058,11 @@ func BenchmarkMutateThenQuery(b *testing.B) {
 			m.Close()
 		}
 	})
+}
+
+// mustMatrix builds the matrix configuration of the packed engine —
+// one shard holding every row, all resident — the engine -engine
+// matrix selects.
+func mustMatrix(k compat.Kind, g *sgraph.Graph) *compat.ShardedMatrix {
+	return compat.MustNewSharded(k, g, compat.ShardedOptions{ShardRows: g.NumNodes()})
 }

@@ -40,7 +40,6 @@ func main() {
 		engine            = flag.String("engine", "lazy", "relation engine: lazy (cached rows, on demand), matrix (packed all-pairs precompute) or sharded (packed rows in spillable shards)")
 		shardRows         = flag.Int("shard-rows", 0, "sharded engine: rows per shard (0 = default)")
 		maxResidentShards = flag.Int("max-resident-shards", 0, "sharded engine: shards kept in memory, rest spilled to disk (0 = all resident)")
-		prefetch          = flag.Bool("prefetch", false, "sharded engine: async-prefetch the next shard during sequential sweeps")
 		mmapSpill         = flag.Bool("mmap-spill", true, "sharded engine: serve spill reloads from a read-only mmap of the spill file (false = portable read-back)")
 		markdown          = flag.Bool("markdown", false, "emit Markdown tables")
 		reps              = flag.Int("reps", 1, "repetitions with consecutive seeds for -figure 2a / -table 3 (mean ± std)")
@@ -70,7 +69,6 @@ func main() {
 		Engine:            *engine,
 		ShardRows:         *shardRows,
 		MaxResidentShards: *maxResidentShards,
-		Prefetch:          *prefetch,
 		DisableMmap:       !*mmapSpill,
 	}
 	var names []string

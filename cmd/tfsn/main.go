@@ -337,11 +337,6 @@ func runBatch(ctx context.Context, cfg config, d *datasets.Dataset, rel compat.R
 		fmt.Printf("plans    %d cached (cap %d): %d hits / %d misses (%.1f%% hit rate), %d evictions\n",
 			st.Size, st.Capacity, st.Hits, st.Misses, 100*st.HitRate(), st.Evictions)
 	}
-	if m, ok := rel.(*compat.ShardedMatrix); ok && cfg.eng.Prefetch {
-		pf := m.PrefetchStats()
-		fmt.Printf("prefetch %d issued: %d hits / %d wasted (%d spill reloads total)\n",
-			pf.Issued, pf.Hits, pf.Wasted, m.SpillLoads())
-	}
 	return nil
 }
 

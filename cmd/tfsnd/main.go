@@ -15,7 +15,7 @@
 //	tfsnd -dataset epinions -relation SPO -engine matrix \
 //	    -plan-cache 256 -deadline 500ms -queue 128 -addr 127.0.0.1:8080
 //	tfsnd -dataset wikipedia -relation SPM -engine sharded \
-//	    -max-resident-shards 8 -prefetch -coalesce-wait 2ms -coalesce-batch 16
+//	    -max-resident-shards 8 -coalesce-wait 2ms -coalesce-batch 16
 //
 // On SIGTERM the daemon stops admitting (healthz flips to draining),
 // finishes every admitted request within -drain-timeout, closes the

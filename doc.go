@@ -34,21 +34,22 @@
 //
 // # Choosing a relation engine
 //
-// Three engines implement the Relation interface; they agree answer
-// for answer and differ only in how rows are computed and stored:
+// Two engines implement the Relation interface; they agree answer for
+// answer and differ only in how rows are computed and stored:
 //
 //   - NewRelation (lazy): rows are computed on demand by a signed BFS
 //     and held in a bounded cache. No precomputation, O(cache) memory.
 //     The default, and the only choice for very large graphs or
 //     single-task workloads.
-//   - NewMatrixRelation (matrix): the whole relation is packed up
-//     front into bitset rows plus a distance matrix — Θ(n²) bits +
-//     bytes resident — and batch team formation runs on word-parallel
-//     AND/popcount operations, ~3–4× faster at bench scale. For
-//     all-pairs statistics and repeated-task serving at moderate n.
-//   - NewShardedRelation (sharded): the same packed rows partitioned
-//     into row shards with at most MaxResidentShards in memory and
-//     cold shards spilled to a temporary file. Packed-row speed with
+//   - NewShardedRelation (packed): the whole relation is packed up
+//     front into bitset rows plus distance rows, in row shards, and
+//     batch team formation runs on word-parallel AND/popcount
+//     operations, ~3–4× faster at bench scale. Two configurations:
+//     "matrix" (ShardRows ≥ NumNodes: one resident shard, Θ(n²)
+//     bits and bytes, lock-free reads) for all-pairs statistics and
+//     repeated-task serving at moderate n; and "sharded"
+//     (MaxResidentShards > 0: at most that many shards in memory, cold
+//     shards spilled to a temporary file) for packed-row speed with
 //     bounded resident memory, for graphs whose full matrix does not
 //     fit. Remember to Close it.
 //

@@ -70,7 +70,7 @@ func ExampleTeamSolver() {
 	assign.MustAdd(3, 2) // ml
 	assign.MustAdd(4, 1) // sql — but a foe of user 0
 
-	rel, err := signedteams.NewMatrixRelation(signedteams.SPO, g, signedteams.MatrixRelationOptions{})
+	rel, err := signedteams.NewShardedRelation(signedteams.SPO, g, signedteams.ShardedRelationOptions{ShardRows: g.NumNodes()})
 	if err != nil {
 		panic(err)
 	}
@@ -133,7 +133,7 @@ func ExampleTeamSolver_planCache() {
 	assign.MustAdd(3, 2) // ml
 	assign.MustAdd(4, 1) // sql — but a foe of user 0
 
-	rel, err := signedteams.NewMatrixRelation(signedteams.SPO, g, signedteams.MatrixRelationOptions{})
+	rel, err := signedteams.NewShardedRelation(signedteams.SPO, g, signedteams.ShardedRelationOptions{ShardRows: g.NumNodes()})
 	if err != nil {
 		panic(err)
 	}
@@ -163,16 +163,17 @@ func ExampleTeamSolver_planCache() {
 	// 3 hits / 1 misses, 1 plan cached
 }
 
-// ExampleNewMatrixRelation precomputes the packed all-pairs engine:
-// the same answers as the lazy relation, served from bitset rows.
-func ExampleNewMatrixRelation() {
+// ExampleNewShardedRelation_matrix precomputes the packed all-pairs
+// engine in its matrix configuration — one resident shard holding every row: the
+// same answers as the lazy relation, served from bitset rows.
+func ExampleNewShardedRelation_matrix() {
 	g := signedteams.MustFromEdges(5, []signedteams.Edge{
 		{U: 0, V: 1, Sign: signedteams.Positive},
 		{U: 1, V: 2, Sign: signedteams.Positive},
 		{U: 2, V: 3, Sign: signedteams.Positive},
 		{U: 0, V: 4, Sign: signedteams.Negative},
 	})
-	rel, err := signedteams.NewMatrixRelation(signedteams.SPO, g, signedteams.MatrixRelationOptions{})
+	rel, err := signedteams.NewShardedRelation(signedteams.SPO, g, signedteams.ShardedRelationOptions{ShardRows: g.NumNodes()})
 	if err != nil {
 		panic(err)
 	}

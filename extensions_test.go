@@ -158,10 +158,11 @@ func TestTeamSolverFacade(t *testing.T) {
 		tasks = append(tasks, task)
 	}
 	lazy := signedteams.MustNewRelation(signedteams.SPO, d.Graph, signedteams.RelationOptions{})
-	packed, err := signedteams.NewMatrixRelation(signedteams.SPO, d.Graph, signedteams.MatrixRelationOptions{})
+	packed, err := signedteams.NewShardedRelation(signedteams.SPO, d.Graph, signedteams.ShardedRelationOptions{ShardRows: d.Graph.NumNodes()})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer packed.Close()
 	opts := signedteams.FormOptions{
 		Skill: signedteams.LeastCompatibleFirst,
 		User:  signedteams.MinDistance,

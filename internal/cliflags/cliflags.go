@@ -9,7 +9,7 @@ import "fmt"
 
 // ShardedOnly lists the flag names that configure the sharded
 // relation engine and mean nothing under -engine=lazy|matrix.
-var ShardedOnly = []string{"shard-rows", "max-resident-shards", "prefetch", "mmap-spill"}
+var ShardedOnly = []string{"shard-rows", "max-resident-shards", "mmap-spill"}
 
 // ValidateEngine rejects sharded-only flags passed with another
 // engine. set holds the names of flags explicitly present on the

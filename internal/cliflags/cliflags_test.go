@@ -50,7 +50,7 @@ func TestEngineValidate(t *testing.T) {
 		t.Fatal("sharded-only flag under -engine=lazy not rejected")
 	}
 	e = Engine{}
-	set = parseSet(t, e.Register, "-engine=sharded", "-shard-rows=8", "-prefetch")
+	set = parseSet(t, e.Register, "-engine=sharded", "-shard-rows=8", "-mmap-spill=false")
 	if err := e.Validate(set); err != nil {
 		t.Fatalf("valid sharded flags rejected: %v", err)
 	}
@@ -85,6 +85,13 @@ func TestEngineBuild(t *testing.T) {
 		}
 		if got != tc.want {
 			t.Fatalf("Build(%s, %v) built %q, want %q", tc.engine, tc.kind, got, tc.want)
+		}
+		// The matrix engine is the packed engine as one resident shard.
+		if got == "matrix" {
+			sm := rel.(*compat.ShardedMatrix)
+			if sm.NumShards() != 1 || sm.ResidentShards() != 1 {
+				t.Fatalf("matrix engine: %d shards, %d resident, want 1 and 1", sm.NumShards(), sm.ResidentShards())
+			}
 		}
 		if c, ok := rel.(interface{ Close() error }); ok {
 			c.Close()

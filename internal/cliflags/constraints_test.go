@@ -117,7 +117,7 @@ func fuzzSolveFixture() (compat.Relation, *skills.Assignment, skills.Task) {
 				a.MustAdd(sgraph.NodeID(u), 1)
 			}
 		}
-		fuzzInstance.rel = compat.MustNewMatrix(compat.NNE, g, compat.MatrixOptions{})
+		fuzzInstance.rel = mustMatrix(compat.NNE, g)
 		fuzzInstance.assign = a
 		fuzzInstance.task = skills.NewTask(0, 1)
 	})
@@ -219,4 +219,10 @@ func FuzzConstraintSpec(f *testing.F) {
 			t.Fatalf("%d members exceed cap %d", len(tm.Members), cons.MaxTeamSize)
 		}
 	})
+}
+
+// mustMatrix builds the matrix configuration of the packed engine: one
+// shard holding every row, all resident.
+func mustMatrix(k compat.Kind, g *sgraph.Graph) *compat.ShardedMatrix {
+	return compat.MustNewSharded(k, g, compat.ShardedOptions{ShardRows: g.NumNodes()})
 }

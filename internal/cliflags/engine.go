@@ -20,15 +20,14 @@ import (
 // relation.
 type Engine struct {
 	// Name is the backend: "lazy" (cached rows, on demand), "matrix"
-	// (packed all-pairs precompute) or "sharded" (packed rows in
-	// spillable shards).
+	// (packed all-pairs precompute, one resident shard) or "sharded"
+	// (packed rows in spillable shards).
 	Name string
-	// ShardRows, MaxResidentShards, Prefetch and MmapSpill mirror
+	// ShardRows, MaxResidentShards and MmapSpill mirror
 	// compat.ShardedOptions; they mean nothing unless Name is
 	// "sharded" (Validate rejects them otherwise).
 	ShardRows         int
 	MaxResidentShards int
-	Prefetch          bool
 	MmapSpill         bool
 }
 
@@ -38,7 +37,6 @@ func (e *Engine) Register(fs *flag.FlagSet) {
 	fs.StringVar(&e.Name, "engine", "lazy", "relation engine: lazy (cached rows, on demand), matrix (packed all-pairs precompute) or sharded (packed rows in spillable shards)")
 	fs.IntVar(&e.ShardRows, "shard-rows", 0, "sharded engine: rows per shard (0 = default)")
 	fs.IntVar(&e.MaxResidentShards, "max-resident-shards", 0, "sharded engine: shards kept in memory, rest spilled to disk (0 = all resident)")
-	fs.BoolVar(&e.Prefetch, "prefetch", false, "sharded engine: async-prefetch the next shard during sequential sweeps")
 	fs.BoolVar(&e.MmapSpill, "mmap-spill", true, "sharded engine: serve spill reloads from a read-only mmap of the spill file (false = portable read-back)")
 }
 
@@ -58,8 +56,9 @@ func (e *Engine) Validate(set map[string]bool) error {
 // Build constructs the selected engine over g. Exact SBP stays on the
 // lazy engine regardless of the selection: its per-source enumeration
 // is budgeted and exponential, so an all-pairs packed build would
-// abort where lazy point queries succeed. The returned name is the
-// engine actually built ("lazy" under that override), for reporting.
+// abort where lazy point queries succeed. "matrix" is the packed
+// engine as a single resident shard. The returned name is the engine
+// actually built ("lazy" under that override), for reporting.
 func (e *Engine) Build(kind compat.Kind, g *sgraph.Graph, opts compat.Options) (compat.Relation, string, error) {
 	switch e.Name {
 	case "", "lazy":
@@ -70,24 +69,20 @@ func (e *Engine) Build(kind compat.Kind, g *sgraph.Graph, opts compat.Options) (
 			rel, err := compat.New(kind, g, opts)
 			return rel, "lazy", err
 		}
+		sopts := compat.ShardedOptions{Options: opts, ShardRows: g.NumNodes()}
 		if e.Name == "sharded" {
-			m, err := compat.NewSharded(kind, g, compat.ShardedOptions{
+			sopts = compat.ShardedOptions{
 				Options:           opts,
 				ShardRows:         e.ShardRows,
 				MaxResidentShards: e.MaxResidentShards,
-				Prefetch:          e.Prefetch,
 				DisableMmap:       !e.MmapSpill,
-			})
-			if err != nil {
-				return nil, "", err
 			}
-			return m, "sharded", nil
 		}
-		m, err := compat.NewMatrix(kind, g, compat.MatrixOptions{Options: opts})
+		m, err := compat.NewSharded(kind, g, sopts)
 		if err != nil {
 			return nil, "", err
 		}
-		return m, "matrix", nil
+		return m, e.Name, nil
 	default:
 		return nil, "", fmt.Errorf("unknown engine %q (want lazy, matrix or sharded)", e.Name)
 	}

@@ -1,7 +1,7 @@
 // The packed distance-row accessor. PairDistance answers one ordered
 // pair per call, which means the team solver's MinDistance picker —
-// the hottest loop of batch serving — pays a full lookup (and, on the
-// sharded engine, a mutex acquisition and shard resolution) for every
+// the hottest loop of batch serving — pays a full lookup (a shard
+// resolution and, on a spilling engine, a mutex acquisition) for every
 // (candidate, member) pair. DistanceRow instead resolves a source row
 // once and hands back a DistRow view whose At is a plain slice index,
 // so scanning one candidate against the whole team touches the shard
@@ -18,8 +18,8 @@ const NoDistance = noDist32
 // DistRow is one source node's packed distance row: the relation
 // distance from the source to every node, in whichever packing the
 // engine built (uint8 with a sentinel, or int32 after overflow). It is
-// an immutable view — valid even after the owning shard is evicted on
-// the sharded engine — and At never locks, so hot loops resolve the
+// an immutable view — valid even after the owning shard is evicted or
+// rebuilt — and At never locks, so hot loops resolve the
 // row once and then index freely. It aliases engine-owned (possibly
 // mmap-backed) memory and must not outlive the engine's Close.
 //
@@ -50,8 +50,8 @@ func (r DistRow) Len() int {
 }
 
 // distRowInto widens a packed row into dst as int32 with NoDistance
-// for undefined entries, growing dst as needed — the shared
-// implementation behind both engines' DistanceRowInto.
+// for undefined entries, growing dst as needed — the implementation
+// behind DistanceRowInto.
 func (r DistRow) distRowInto(dst []int32) []int32 {
 	n := r.Len()
 	if cap(dst) < n {
@@ -72,40 +72,27 @@ func (r DistRow) distRowInto(dst []int32) []int32 {
 	return dst
 }
 
-// DistanceRow returns u's packed distance row as an immutable view.
-// The view is frozen at its epoch: it stays valid (with its old
-// values) across later mutations.
-func (m *CompatMatrix) DistanceRow(u sgraph.NodeID) DistRow {
-	st := m.curPacked()
-	if st.dist32 != nil {
-		return DistRow{d32: st.dist32[int(u)*m.n : (int(u)+1)*m.n]}
+// DistanceRow returns u's packed distance row, reloading the owning
+// shard if it is cold — one shard resolution for the whole row, where
+// per-pair PairDistance calls would resolve once per pair. Like
+// RowWords, it panics if a spilled shard cannot be reloaded (or a
+// post-mutation rebuild fails), and the returned view is frozen at its
+// epoch: it stays valid after the shard is evicted or rebuilt — until
+// Close unmaps the spill file that zero-copy rows alias.
+func (m *ShardedMatrix) DistanceRow(u sgraph.NodeID) DistRow {
+	if sl, r := m.tableRow(u); sl != nil {
+		return sl.distRow(r, m.n)
 	}
-	return DistRow{d8: st.dist8[int(u)*m.n : (int(u)+1)*m.n]}
+	_, dist, err := m.rowView(u)
+	if err != nil {
+		panic(err)
+	}
+	return dist
 }
 
 // DistanceRowInto widens u's distance row into dst (reusing its
 // backing array when it is large enough) with NoDistance marking
 // undefined pairs, and returns the filled slice.
-func (m *CompatMatrix) DistanceRowInto(u sgraph.NodeID, dst []int32) []int32 {
-	return m.DistanceRow(u).distRowInto(dst)
-}
-
-// DistanceRow returns u's packed distance row, reloading the owning
-// shard if it is cold — one shard resolution for the whole row, where
-// per-pair PairDistance calls would lock once per pair. Like RowWords,
-// it panics if a spilled shard cannot be reloaded, and the returned
-// view stays valid after the shard is evicted again — until Close
-// unmaps the spill file that zero-copy rows alias.
-func (m *ShardedMatrix) DistanceRow(u sgraph.NodeID) DistRow {
-	_, d8, d32, err := m.rowView(u)
-	if err != nil {
-		panic(err)
-	}
-	return DistRow{d8: d8, d32: d32}
-}
-
-// DistanceRowInto widens u's distance row into dst with NoDistance
-// marking undefined pairs; see CompatMatrix.DistanceRowInto.
 func (m *ShardedMatrix) DistanceRowInto(u sgraph.NodeID, dst []int32) []int32 {
 	return m.DistanceRow(u).distRowInto(dst)
 }

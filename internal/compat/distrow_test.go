@@ -23,7 +23,7 @@ func TestDistanceRowAgreesAcrossShardSizes(t *testing.T) {
 		g := randomSignedGraph(rng, n, n+rng.Intn(4*n), 0.3)
 		for _, shardRows := range []int{1, 7, 64, n} {
 			for _, k := range Kinds() {
-				full := MustNewMatrix(k, g, MatrixOptions{Options: opts})
+				full := mustMatrix(k, g, opts)
 				sharded, err := NewSharded(k, g, ShardedOptions{
 					Options:           opts,
 					ShardRows:         shardRows,
@@ -91,7 +91,7 @@ func TestDistanceRowWidePacking(t *testing.T) {
 		edges = append(edges, sgraph.Edge{U: sgraph.NodeID(i), V: sgraph.NodeID(i + 1), Sign: sgraph.Positive})
 	}
 	g := sgraph.MustFromEdges(n, edges)
-	full := MustNewMatrix(NNE, g, MatrixOptions{})
+	full := mustMatrix(NNE, g, Options{})
 	sharded := MustNewSharded(NNE, g, ShardedOptions{ShardRows: 64, MaxResidentShards: 2})
 	defer sharded.Close()
 	for _, u := range []sgraph.NodeID{0, 150, 299} {

@@ -30,7 +30,7 @@
 //
 // # Engines
 //
-// Three engines implement the Relation interface and agree answer for
+// Two engines implement the Relation interface and agree answer for
 // answer; they differ in how rows are computed and stored:
 //
 //   - The lazy engine (relations.go, New) answers point queries from
@@ -38,29 +38,26 @@
 //     is cheap inside the greedy team formation loop and scales to
 //     large graphs; the bulk statistics in stats.go bypass the cache
 //     and stream rows out of per-worker scratch instead.
-//   - The matrix engine (matrix.go, NewMatrix) precomputes the whole
-//     relation into packed bitset rows plus a packed distance matrix,
-//     so all-pairs and batch-query workloads run on word-level
-//     operations; see CompatMatrix for the Θ(n²) memory trade-off.
-//   - The sharded engine (sharded.go, spill.go, NewSharded) keeps the
-//     packed row layout but partitions it into row shards with bounded
-//     residency: cold shards spill to a compact temporary file and
-//     come back on demand, so packed-row speed survives graphs whose
-//     full matrix does not fit. Where the platform supports it the
-//     spill file is memory-mapped and a reload is a zero-copy view
-//     into the mapping (spill_mmap.go; ShardedOptions.DisableMmap
-//     forces the portable ReadAt fallback), and ShardedOptions.Prefetch
-//     arms a sequential-sweep detector plus a background prefetcher
-//     (prefetch.go) that prepares the predicted next shard — counted
-//     by PrefetchStats — while the current one is scanned; see
-//     ShardedMatrix.
+//   - The packed engine (sharded.go, spill.go, NewSharded)
+//     precomputes the whole relation into packed bitset rows plus
+//     packed distance rows, so all-pairs and batch-query workloads run
+//     on word-level operations, at Θ(n²) memory (n²/8 + n² bytes).
+//     The rows are partitioned into row shards; with every shard
+//     resident — in particular the "matrix" configuration, one shard
+//     of NumNodes rows — reads take no lock, loading the published
+//     shard table through an atomic pointer. A MaxResidentShards bound
+//     makes cold shards spill to a compact temporary file and come
+//     back on demand, so packed-row speed survives graphs whose full
+//     matrix does not fit. Where the platform supports it the spill
+//     file is memory-mapped and a reload is a zero-copy view into the
+//     mapping (spill_mmap.go; ShardedOptions.DisableMmap forces the
+//     portable ReadAt fallback); see ShardedMatrix.
 //
 // # Packed construction
 //
-// Both packed engines fill rows through one block filler (fill.go):
-// the matrix build, each shard build and each stale-shard rebuild hand
-// out blocks of consecutive rows, never straddling a shard, to a
-// worker pool. SPA, SPO, DPE and NNE fill up to 64 rows from a single
+// The packed engine fills rows through one block filler (fill.go):
+// each shard build and each stale-shard rebuild hands out blocks of
+// consecutive rows, never straddling a shard, to a worker pool. SPA, SPO, DPE and NNE fill up to 64 rows from a single
 // signedbfs.MultiSweep, whose per-source positive/negative bits are
 // exactly Algorithm 1's Pos>0 / Neg>0 and whose levels give every
 // distance (DPE and NNE keep their neighbour-list bits and take only
@@ -70,31 +67,32 @@
 // on-demand rows stay on CountPathsInto/DistancesInto, the reference
 // the engine-agreement suites hold the packed builds to.
 //
-// The packed engines expose their rows through the PackedRelation
+// The packed engine exposes its rows through the PackedRelation
 // capability, which the team package's pickers and cost functions
 // detect to switch to word-parallel AND/popcount fast paths. Beyond
 // the bit rows (RowWords) and the error-free point lookup
 // (PairDistance), the capability includes DistanceRow/DistanceRowInto:
 // one source's whole packed distance row as an immutable DistRow view,
-// resolved with a single shard touch on the sharded engine — the
-// accessor the team solver's MinDistance picker and cost functions
-// scan instead of paying a per-pair lookup (and, on sharded, a lock)
-// for every (candidate, member) pair.
+// resolved with a single shard touch — the accessor the team solver's
+// MinDistance picker and cost functions scan instead of paying a
+// per-pair lookup (and, on a spilling engine, a lock) for every
+// (candidate, member) pair.
 //
 // # Mutations
 //
-// All three engines additionally implement MutableRelation: live edge
+// Both engines additionally implement MutableRelation: live edge
 // mutations (add / remove / flip, sgraph.Mutation) against a serving
 // engine. Mutate derives a fresh immutable graph through an
 // epoch-versioned sgraph.Dynamic and invalidates only the derived
 // state the mutation can have perturbed: the lazy engine drops its row
-// cache, the matrix engine stales its monolithic slab (one shard) and
-// rebuilds it on the next read, and the sharded engine marks only
-// shards whose rows the mutation can have changed *stale* — a row's
-// BFS answers can only change if the search visited an endpoint of the
-// mutated edge, so each shard records the vertex set its rows' BFS
-// traversals touched and shards that miss both endpoints keep serving
-// without rebuild; stale ones rebuild on first access (flip+re-query
+// cache, and the packed engine marks only shards whose rows the
+// mutation can have changed *stale* and drops them from its lock-free
+// table — a row's BFS answers can only change if the search visited an
+// endpoint of the mutated edge, so each shard of a multi-shard engine
+// records the vertex set its rows' BFS traversals touched and shards
+// that miss both endpoints keep serving without rebuild (a single
+// shard is staled by every mutation); stale ones rebuild on first
+// access (flip+re-query
 // is ~460× cheaper than a full rebuild at bench scale,
 // BenchmarkMutateThenQuery). Concurrent
 // readers are protected by AcquireSnapshot: a Snapshot pins the
@@ -111,7 +109,7 @@
 // while the search from v misses u. The Relation interface restores
 // the symmetry the Comp relation requires by canonicalising queries
 // (entry (u,v) is the search from min(u,v) to max(u,v)), and the
-// packed engines materialise exactly that symmetrised relation.
+// packed engine materialises exactly that symmetrised relation.
 // ComputeStats measures the same symmetrised relation on every
 // engine — on a full scan the lazy engine reads directed SBPH rows
 // over their canonical upper triangle, so full-scan SBPH statistics

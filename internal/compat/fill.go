@@ -1,6 +1,7 @@
 package compat
 
 import (
+	"errors"
 	"fmt"
 	"math/bits"
 
@@ -9,11 +10,23 @@ import (
 	"repro/internal/signedbfs"
 )
 
+// Distance-matrix packing: distances are stored as uint8 with noDist8
+// meaning "undefined"; any value above maxDist8 forces the int32
+// fallback, where noDist32 marks undefined entries.
+const (
+	noDist8  = 0xFF
+	maxDist8 = 0xFE
+	noDist32 = int32(-1)
+)
+
+// errDistOverflow aborts a uint8 build when a relation distance
+// exceeds maxDist8; the builder retries with int32 storage.
+var errDistOverflow = errors.New("compat: distance exceeds uint8 packing")
+
 // blockView is where a packed-relation build lands a run of
 // consecutive source rows: their bit words (stride words per row) and
-// their distance lanes (n entries per row), both owned by the backend
-// — the full matrix slab or a shard slab, which store rows
-// contiguously. Exactly one of d8 (uint8 packing) and d32 (wide
+// their distance lanes (n entries per row), both owned by a shard slab,
+// which stores rows contiguously. Exactly one of d8 (uint8 packing) and d32 (wide
 // packing) is non-nil.
 type blockView struct {
 	stride, n int
@@ -26,9 +39,8 @@ type blockView struct {
 // backend.
 type rowSink func(lo, hi sgraph.NodeID) blockView
 
-// slabSink maps source rows onto a packed slab that stores rows base,
-// base+1, … contiguously: the full matrix (base 0) or one shard's
-// slabs. Exactly one of d8 and d32 is non-nil; undefined entries keep
+// slabSink maps source rows onto a shard slab that stores rows base,
+// base+1, … contiguously. Exactly one of d8 and d32 is non-nil; undefined entries keep
 // the sentinel the caller prefilled.
 func slabSink(bits []uint64, d8 []uint8, d32 []int32, stride, n, base int) rowSink {
 	return func(lo, hi sgraph.NodeID) blockView {
@@ -80,8 +92,8 @@ func (b blockView) setDists(i int, dist []int32) error {
 type blockFiller func(lo, hi sgraph.NodeID, s *rowScratch) error
 
 // relationFiller returns the block computation for one relation kind,
-// shared by every packed backend (CompatMatrix fills a single slab,
-// ShardedMatrix the owning shard), and the tallest block it accepts.
+// shared by shard builds and rebuilds, and the tallest block it
+// accepts.
 // Every filler overwrites its rows completely (bits and defined
 // distances), sets the diagonal, and keeps tail bits (≥ n) zero so row
 // popcounts are exact. Undefined distances keep whatever sentinel the
@@ -140,7 +152,7 @@ func relationFiller(g *sgraph.Graph, kind Kind, beam int, exact balance.ExactOpt
 			if s.reach != nil {
 				// The balance searches keep no plain-distance output, so
 				// the footprint takes one extra BFS per row — only when
-				// reach tracking is armed (sharded builds and rebuilds).
+				// reach tracking is armed (multi-shard builds and rebuilds).
 				s.dist = signedbfs.DistancesInto(g, u, s.dist, s.bfs)
 				s.recordReach(s.dist)
 			}
@@ -250,4 +262,26 @@ func fillRows(base, rows, height, workers int, scratches []*rowScratch, fill blo
 		hi := min(lo+height, base+rows)
 		return fill(sgraph.NodeID(lo), sgraph.NodeID(hi), scratches[w])
 	})
+}
+
+// Word-slice bit helpers (rows are raw []uint64, not container.Bitset,
+// to keep a shard's rows a single allocation).
+
+func setWordBit(words []uint64, i sgraph.NodeID)   { words[int(i)>>6] |= 1 << uint(int(i)&63) }
+func clearWordBit(words []uint64, i sgraph.NodeID) { words[int(i)>>6] &^= 1 << uint(int(i)&63) }
+
+func zeroWords(words []uint64) {
+	for i := range words {
+		words[i] = 0
+	}
+}
+
+// fillWords sets bits [0, n) and keeps the tail zero.
+func fillWords(words []uint64, n int) {
+	for i := range words {
+		words[i] = ^uint64(0)
+	}
+	if tail := n & 63; tail != 0 {
+		words[len(words)-1] = (1 << uint(tail)) - 1
+	}
 }

@@ -11,6 +11,22 @@ import (
 	"repro/internal/sgraph"
 )
 
+// newMatrix builds the matrix configuration of the packed engine —
+// one shard holding every row, all resident, the engine -engine matrix
+// selects.
+func newMatrix(k Kind, g *sgraph.Graph, opts Options) (*ShardedMatrix, error) {
+	return NewSharded(k, g, ShardedOptions{Options: opts, ShardRows: g.NumNodes()})
+}
+
+// mustMatrix is newMatrix that fails loudly, for known-good inputs.
+func mustMatrix(k Kind, g *sgraph.Graph, opts Options) *ShardedMatrix {
+	m, err := newMatrix(k, g, opts)
+	if err != nil {
+		panic(err)
+	}
+	return m
+}
+
 // rowCount is a popcount over a packed row.
 func rowCount(words []uint64) int {
 	c := 0
@@ -20,8 +36,8 @@ func rowCount(words []uint64) int {
 	return c
 }
 
-// TestMatrixAgreesWithLazy: on random signed graphs, the packed matrix
-// must answer every Compatible and Distance query exactly as the lazy
+// TestMatrixAgreesWithLazy: on random signed graphs, the single-shard
+// packed matrix must answer every Compatible and Distance query exactly as the lazy
 // relation of the same kind — including SBPH's canonicalised symmetry.
 // The blockGraphs inputs run the multi-source build over several
 // 64-row blocks, disconnected parts and BFS levels past 64.
@@ -47,9 +63,9 @@ func TestMatrixAgreesWithLazy(t *testing.T) {
 		}
 		for _, k := range Kinds() {
 			lazy := MustNew(k, g, opts)
-			m, err := NewMatrix(k, g, MatrixOptions{Options: opts})
+			m, err := newMatrix(k, g, opts)
 			if err != nil {
-				t.Fatalf("trial %d %v: NewMatrix: %v", trial, k, err)
+				t.Fatalf("trial %d %v: newMatrix: %v", trial, k, err)
 			}
 			for u := sgraph.NodeID(0); int(u) < n; u++ {
 				for v := sgraph.NodeID(0); int(v) < n; v++ {
@@ -79,8 +95,8 @@ func TestMatrixAgreesWithLazy(t *testing.T) {
 
 // TestPackedSweepMatchesLazyEpinions: on the bench-scale Epinions
 // stand-in (≈1,150 users, 18 sweep blocks), the multi-source-built
-// rows and distances of the packed engines — the full matrix, and a
-// sharded matrix whose 100-row shards cut the 64-row blocks — must
+// rows and distances of the packed engine — the single-shard matrix,
+// and a sharded matrix whose 100-row shards cut the 64-row blocks — must
 // match the lazy engine's per-source rows bit for bit, for every kind
 // the sweep builds.
 func TestPackedSweepMatchesLazyEpinions(t *testing.T) {
@@ -97,7 +113,7 @@ func TestPackedSweepMatchesLazyEpinions(t *testing.T) {
 		lazy := MustNew(k, g, Options{}).(interface {
 			computeRow(sgraph.NodeID) (row, error)
 		})
-		full := MustNewMatrix(k, g, MatrixOptions{})
+		full := mustMatrix(k, g, Options{})
 		sharded := MustNewSharded(k, g, ShardedOptions{ShardRows: 100})
 		for u := sgraph.NodeID(0); int(u) < n; u++ {
 			lazyRow, err := lazy.computeRow(u)
@@ -142,13 +158,13 @@ func TestMatrixRowInvariants(t *testing.T) {
 	for _, k := range Kinds() {
 		// Cap the exact SBP enumeration: the invariants are internal to
 		// the matrix, so a truncated relation is as good as the full one.
-		m := MustNewMatrix(k, g, MatrixOptions{Options: Options{Exact: balance.ExactOptions{MaxLen: 5}}})
+		m := mustMatrix(k, g, Options{Exact: balance.ExactOptions{MaxLen: 5}})
 		if m.WordsPerRow() != (g.NumNodes()+63)/64 {
 			t.Fatalf("%v: WordsPerRow = %d", k, m.WordsPerRow())
 		}
 		for u := sgraph.NodeID(0); int(u) < g.NumNodes(); u++ {
 			row := m.RowWords(u)
-			if !m.bitAt(u, u) {
+			if row[int(u)>>6]&(1<<uint(int(u)&63)) == 0 {
 				t.Fatalf("%v: diagonal bit %d unset", k, u)
 			}
 			want := 0
@@ -175,8 +191,8 @@ func TestMatrixDistanceOverflowFallback(t *testing.T) {
 	}
 	g := b.MustBuild()
 	for _, k := range []Kind{SPA, NNE} {
-		m := MustNewMatrix(k, g, MatrixOptions{})
-		if m.state.Load().dist32 == nil {
+		m := mustMatrix(k, g, Options{})
+		if m.DistanceRow(0).d32 == nil {
 			t.Fatalf("%v: expected int32 distance fallback", k)
 		}
 		d, ok, _ := m.Distance(0, n-1)
@@ -203,11 +219,9 @@ func TestMatrixDistanceOverflowFallback(t *testing.T) {
 func TestMatrixBuildPropagatesErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(303))
 	g := randomSignedGraph(rng, 24, 120, 0.3)
-	_, err := NewMatrix(SBP, g, MatrixOptions{
-		Options: Options{Exact: balance.ExactOptions{MaxExpanded: 1}},
-	})
+	_, err := newMatrix(SBP, g, Options{Exact: balance.ExactOptions{MaxExpanded: 1}})
 	if !errors.Is(err, balance.ErrBudgetExceeded) {
-		t.Fatalf("NewMatrix(SBP, budget=1) err = %v, want ErrBudgetExceeded", err)
+		t.Fatalf("newMatrix(SBP, budget=1) err = %v, want ErrBudgetExceeded", err)
 	}
 }
 
@@ -216,7 +230,7 @@ func TestMatrixBuildPropagatesErrors(t *testing.T) {
 func TestMatrixPrecomputeNoOp(t *testing.T) {
 	rng := rand.New(rand.NewSource(304))
 	g := randomSignedGraph(rng, 12, 40, 0.3)
-	m := MustNewMatrix(SPO, g, MatrixOptions{})
+	m := mustMatrix(SPO, g, Options{})
 	if err := Precompute(m, 4); err != nil {
 		t.Fatalf("Precompute on matrix: %v", err)
 	}
@@ -236,7 +250,7 @@ func TestMatrixStatsMatchLazy(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: lazy stats: %v", k, err)
 		}
-		matStats, err := ComputeStats(MustNewMatrix(k, g, MatrixOptions{Options: opts}), StatsOptions{Workers: 2})
+		matStats, err := ComputeStats(mustMatrix(k, g, opts), StatsOptions{Workers: 2})
 		if err != nil {
 			t.Fatalf("%v: matrix stats: %v", k, err)
 		}
@@ -252,11 +266,11 @@ func TestMatrixStatsMatchLazy(t *testing.T) {
 // TestMatrixEmptyGraph: degenerate sizes must not panic.
 func TestMatrixEmptyGraph(t *testing.T) {
 	g := sgraph.NewBuilder(0).MustBuild()
-	if _, err := NewMatrix(SPM, g, MatrixOptions{}); err != nil {
+	if _, err := newMatrix(SPM, g, Options{}); err != nil {
 		t.Fatalf("empty graph: %v", err)
 	}
 	g1 := sgraph.NewBuilder(1).MustBuild()
-	m := MustNewMatrix(SPM, g1, MatrixOptions{})
+	m := mustMatrix(SPM, g1, Options{})
 	if ok, _ := m.Compatible(0, 0); !ok {
 		t.Fatal("single node must be self-compatible")
 	}

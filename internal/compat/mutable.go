@@ -1,8 +1,8 @@
-// The mutation surface of the relation engines. All three engines
-// (lazy, matrix, sharded) wrap their graph in an sgraph.Dynamic and
-// implement MutableRelation: mutations publish a new graph epoch and
-// invalidate derived state (cached rows, matrix slabs, shards), which
-// is recomputed lazily on next access. Readers that need a consistent
+// The mutation surface of the relation engines. Both engines (lazy and
+// packed) wrap their graph in an sgraph.Dynamic and implement
+// MutableRelation: mutations publish a new graph epoch and invalidate
+// derived state (cached rows, shards), which is recomputed lazily on
+// next access. Readers that need a consistent
 // multi-query view across concurrent mutators acquire a Snapshot — a
 // read lock that holds mutations off until released. Unpinned reads
 // remain race-free (each engine's internal state is independently
@@ -17,8 +17,10 @@ import (
 )
 
 // MutationResult reports an applied mutation: the epoch it published
-// and how many shards it invalidated (0 on the lazy engine, 1 on the
-// matrix engine's single slab, shard-granular on the sharded engine).
+// and how many shards it newly invalidated — 0 on the lazy engine; on
+// the packed engine the shards whose rows the mutation can have
+// changed, which in the single-shard matrix configuration is the one
+// shard unless an earlier mutation already staled it.
 type MutationResult struct {
 	Epoch       uint64
 	DirtyShards int
@@ -34,13 +36,14 @@ type MutationStats struct {
 	// StaleShards is the number of shards currently awaiting a lazy
 	// rebuild (always 0 once reads have caught up).
 	StaleShards int
-	// ShardRebuilds counts lazy shard (or whole-matrix) rebuilds
-	// triggered by reads after mutations.
+	// ShardRebuilds counts lazy shard rebuilds triggered by reads after
+	// mutations (a whole-matrix rebuild in the single-shard
+	// configuration).
 	ShardRebuilds int64
 }
 
 // MutableRelation is a Relation whose graph accepts edge mutations.
-// All engines returned by New, NewMatrix and NewSharded implement it.
+// Every engine returned by New and NewSharded implements it.
 //
 // Mutate applies one edge change and returns the new epoch; on error
 // (unknown edge, duplicate add, bad endpoints) nothing changes and the

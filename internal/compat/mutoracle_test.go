@@ -1,9 +1,9 @@
-// The relation-level mutation oracle: every mutable engine — lazy,
-// full matrix, and sharded across shard geometries including the
-// spill, prefetch and no-mmap configurations — is driven through the
-// same seeded mutation sequence, and after every step each engine must
-// agree pair-for-pair (Compatible, Distance, and the packed engines'
-// DistanceRow) with a relation built from scratch on the mutated edge
+// The relation-level mutation oracle: every mutable engine — lazy, and
+// packed across shard geometries from the single-shard matrix through
+// fully resident multi-shard ones to the spill and no-mmap
+// configurations — is driven through the same seeded mutation
+// sequence, and after every step each engine must agree pair-for-pair
+// (Compatible, Distance, and the packed engine's DistanceRow) with a relation built from scratch on the mutated edge
 // set. This is the correctness contract of the whole epoch/dirty-shard
 // machinery: lazy rebuilds, touched-set invalidation, spill epoch tags
 // and view relocation are all observable only through disagreement
@@ -109,15 +109,17 @@ type mutEngine struct {
 }
 
 // buildMutEngines constructs every mutable engine configuration over g.
-// Shard heights cover the degenerate single-row shard, a height that
-// straddles shard boundaries, one 64-row sweep block, the whole graph
-// (single-shard), and spilling/prefetching/no-mmap variants with only
-// two resident shards.
+// Shard heights cover the matrix configuration (one shard, all
+// resident), the degenerate single-row shard, a height that straddles
+// shard boundaries, one 64-row sweep block — all fully resident, so
+// they read through the lock-free table and republish it on every
+// invalidating mutation — and spilling (mmap and ReadAt) variants with
+// only two resident shards.
 func buildMutEngines(t *testing.T, k Kind, g *sgraph.Graph, opts Options) []mutEngine {
 	t.Helper()
 	engines := []mutEngine{
 		{"lazy", MustNew(k, g, opts).(MutableRelation)},
-		{"matrix", MustNewMatrix(k, g, MatrixOptions{Options: opts})},
+		{"matrix", mustMatrix(k, g, opts)},
 	}
 	heights := []int{1, 7, 64}
 	if n := g.NumNodes(); n > 64 {
@@ -133,8 +135,8 @@ func buildMutEngines(t *testing.T, k Kind, g *sgraph.Graph, opts Options) []mutE
 		mutEngine{"sharded-spill", MustNewSharded(k, g, ShardedOptions{
 			Options: opts, ShardRows: 3, MaxResidentShards: 2, SpillDir: t.TempDir(),
 		})},
-		mutEngine{"sharded-prefetch", MustNewSharded(k, g, ShardedOptions{
-			Options: opts, ShardRows: 3, MaxResidentShards: 2, Prefetch: true, SpillDir: t.TempDir(),
+		mutEngine{"sharded-resident", MustNewSharded(k, g, ShardedOptions{
+			Options: opts, ShardRows: 64, MaxResidentShards: 0,
 		})},
 		mutEngine{"sharded-nommap", MustNewSharded(k, g, ShardedOptions{
 			Options: opts, ShardRows: 3, MaxResidentShards: 2, DisableMmap: true, SpillDir: t.TempDir(),

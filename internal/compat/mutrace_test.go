@@ -118,12 +118,12 @@ func TestShardedMutationOverflowPromotion(t *testing.T) {
 	}
 
 	t.Run("matrix", func(t *testing.T) {
-		m := MustNewMatrix(SPA, g, MatrixOptions{})
-		if m.state.Load().dist32 != nil {
+		m := mustMatrix(SPA, g, Options{})
+		if m.DistanceRow(0).d32 != nil {
 			t.Fatal("chorded path should pack into uint8 at build time")
 		}
 		check(t, m)
-		if m.state.Load().dist32 == nil {
+		if m.DistanceRow(0).d32 == nil {
 			t.Fatal("expected int32 promotion after the mutation")
 		}
 	})
@@ -155,69 +155,78 @@ func TestShardedMutationOverflowPromotion(t *testing.T) {
 
 // TestConcurrentMutationReaders: mutators flipping signs race readers
 // doing point queries and row scans across every configured shard
-// height; every read must be answerable (no errors, no panics) and the
-// final state must agree with a fresh build. Run under -race in CI.
+// height, both spilling (two resident shards, the locked path) and
+// fully resident (the lock-free table, republished by every
+// invalidating mutation and rebuild), plus the single-shard matrix
+// configuration; every read must be answerable (no errors, no panics)
+// and the final state must agree with a fresh build. Run under -race
+// in CI.
 func TestConcurrentMutationReaders(t *testing.T) {
 	rng := rand.New(rand.NewSource(733))
 	const n = 40
 	g := randomSignedGraph(rng, n, 140, 0.3)
+	type config struct{ rows, maxRes int }
+	var configs []config
 	for _, rows := range parseShardRows(t) {
-		for _, prefetch := range []bool{false, true} {
-			m := MustNewSharded(SPO, g, ShardedOptions{
-				ShardRows: rows, MaxResidentShards: 2, Prefetch: prefetch,
-				SpillDir: t.TempDir(),
-			})
-			// Flips keep the edge set fixed, so every interleaving of
-			// mutators needs no cross-goroutine ground-truth bookkeeping:
-			// the final graph is fully determined by the flip counts.
-			edges := collectEdges(g)
-			var mutWG, readWG sync.WaitGroup
-			var stop atomic.Bool
-			errc := make(chan error, 8)
-			for w := 0; w < 2; w++ {
-				mutWG.Add(1)
-				go func(w int) {
-					defer mutWG.Done()
-					for i := 0; i < 60; i++ {
-						e := edges[(i*2+w)%len(edges)]
-						if _, err := flipSign(m, e.U, e.V); err != nil {
-							errc <- err
-							return
-						}
+		configs = append(configs, config{rows, 2}, config{rows, 0})
+	}
+	configs = append(configs, config{n, 0})
+	for _, c := range configs {
+		rows, maxRes := c.rows, c.maxRes
+		m := MustNewSharded(SPO, g, ShardedOptions{
+			ShardRows: rows, MaxResidentShards: maxRes,
+			SpillDir: t.TempDir(),
+		})
+		// Flips keep the edge set fixed, so every interleaving of
+		// mutators needs no cross-goroutine ground-truth bookkeeping:
+		// the final graph is fully determined by the flip counts.
+		edges := collectEdges(g)
+		var mutWG, readWG sync.WaitGroup
+		var stop atomic.Bool
+		errc := make(chan error, 8)
+		for w := 0; w < 2; w++ {
+			mutWG.Add(1)
+			go func(w int) {
+				defer mutWG.Done()
+				for i := 0; i < 60; i++ {
+					e := edges[(i*2+w)%len(edges)]
+					if _, err := flipSign(m, e.U, e.V); err != nil {
+						errc <- err
+						return
 					}
-				}(w)
-			}
-			for r := 0; r < 3; r++ {
-				readWG.Add(1)
-				go func(r int) {
-					defer readWG.Done()
-					var buf []int32
-					for i := 0; !stop.Load(); i++ {
-						u := sgraph.NodeID((i + r*13) % n)
-						if _, err := m.Compatible(u, sgraph.NodeID((i*7)%n)); err != nil {
-							errc <- err
-							return
-						}
-						buf = m.DistanceRowInto(u, buf)
-						if len(buf) != n {
-							errc <- errTruncatedRow
-							return
-						}
-					}
-				}(r)
-			}
-			mutWG.Wait()
-			stop.Store(true)
-			readWG.Wait()
-			close(errc)
-			for err := range errc {
-				t.Fatalf("rows=%d prefetch=%v: %v", rows, prefetch, err)
-			}
-			// 120 flips across 20 edge slots: compare against fresh build.
-			oracle := MustNew(SPO, m.Graph(), Options{})
-			checkAgainstOracle(t, -1, "post-race", m, oracleTable(t, oracle))
-			m.Close()
+				}
+			}(w)
 		}
+		for r := 0; r < 3; r++ {
+			readWG.Add(1)
+			go func(r int) {
+				defer readWG.Done()
+				var buf []int32
+				for i := 0; !stop.Load(); i++ {
+					u := sgraph.NodeID((i + r*13) % n)
+					if _, err := m.Compatible(u, sgraph.NodeID((i*7)%n)); err != nil {
+						errc <- err
+						return
+					}
+					buf = m.DistanceRowInto(u, buf)
+					if len(buf) != n {
+						errc <- errTruncatedRow
+						return
+					}
+				}
+			}(r)
+		}
+		mutWG.Wait()
+		stop.Store(true)
+		readWG.Wait()
+		close(errc)
+		for err := range errc {
+			t.Fatalf("rows=%d maxRes=%d: %v", rows, maxRes, err)
+		}
+		// 120 flips across 20 edge slots: compare against fresh build.
+		oracle := MustNew(SPO, m.Graph(), Options{})
+		checkAgainstOracle(t, -1, "post-race", m, oracleTable(t, oracle))
+		m.Close()
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 // workers ≤ 0 uses GOMAXPROCS. The first row-computation error aborts
 // the sweep.
 //
-// Matrix-backed relations (CompatMatrix) are fully materialised at
+// Packed relations (ShardedMatrix) are fully materialised at
 // construction, so precomputing them is an immediate no-op.
 func Precompute(rel Relation, workers int) error {
 	if _, ok := rel.(PackedRelation); ok {
@@ -78,7 +78,7 @@ func newWorkerScratches(workers, count int) ([]*rowScratch, int) {
 // the given number of workers, handing out indices from a shared
 // atomic counter; the first error aborts the sweep and is returned.
 // It is the one worker-pool implementation behind Precompute,
-// ComputeStats and the CompatMatrix build.
+// ComputeStats and the packed builds.
 func parallelSweep(count, workers int, fn func(w, i int) error) error {
 	if workers > count {
 		workers = count

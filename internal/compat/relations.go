@@ -109,9 +109,9 @@ type rowScratch struct {
 
 	// reach, when non-nil, makes the relation fillers OR each source
 	// row's plain-BFS reachable set into it (a node bitset of the given
-	// word count) — the conservative search footprint the sharded
+	// word count) — the conservative search footprint the packed
 	// engine's mutation invalidation keys on. Nil everywhere else, so
-	// the lazy and full-matrix sweeps pay nothing.
+	// the lazy sweeps and single-shard builds pay nothing.
 	reach []uint64
 }
 

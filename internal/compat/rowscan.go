@@ -1,9 +1,9 @@
-// Bulk row scans over the packed engines, built on internal/kernels:
-// the batched AND/popcount the team planner's degree passes use (one
-// engine-state resolution — and, on the sharded engine, one lock —
-// for a whole run of rows, instead of one per row), and DistRows, the
-// distance-row collection behind the solver's fused MinDistance pick
-// and cost scans.
+// Bulk row scans over the packed engine, built on internal/kernels:
+// the batched AND/popcount the team planner's degree passes use
+// (lock-free table reads, or on a spilling engine one lock for a whole
+// run of rows instead of one per row), and DistRows, the distance-row
+// collection behind the solver's fused MinDistance pick and cost
+// scans.
 
 package compat
 
@@ -30,12 +30,12 @@ const (
 func KernelsVariant() string { return kernels.Variant() }
 
 // RowAndCounter is the bulk AND/popcount capability of the packed
-// engines. Both methods compute popcount(row(u) AND mask) per row
-// with the engine state resolved once for the whole call: on
-// CompatMatrix that skips one atomic load plus epoch check per row,
-// on ShardedMatrix one mutex acquisition per row — the dominant cost
-// of the plan-compile degree passes, which call this instead of
-// iterating RowWords. mask must have at least WordsPerRow words.
+// engine. Both methods compute popcount(row(u) AND mask) per row
+// without a per-row call through RowWords: lock-free table reads on a
+// fully resident engine, one mutex acquisition for the whole call on a
+// spilling one instead of one per row — the dominant cost of the
+// plan-compile degree passes. mask must have at least WordsPerRow
+// words.
 type RowAndCounter interface {
 	// AndCountRows returns Σ_u popcount(row(u) AND mask).
 	AndCountRows(us []sgraph.NodeID, mask []uint64) (int64, error)
@@ -44,46 +44,30 @@ type RowAndCounter interface {
 	AndCountRowsEach(us []sgraph.NodeID, mask []uint64, counts []int32) error
 }
 
-// AndCountRows implements RowAndCounter: the epoch check and (after a
-// mutation) the rebuild happen once, then every row is a slice
-// expression into the published slab.
-func (m *CompatMatrix) AndCountRows(us []sgraph.NodeID, mask []uint64) (int64, error) {
-	st, err := m.cur()
-	if err != nil {
-		return 0, err
-	}
-	var total int64
-	for _, u := range us {
-		total += int64(kernels.AndCount(st.rowWords(m.stride, u), mask))
-	}
-	return total, nil
-}
-
-// AndCountRowsEach implements RowAndCounter; see AndCountRows.
-func (m *CompatMatrix) AndCountRowsEach(us []sgraph.NodeID, mask []uint64, counts []int32) error {
-	st, err := m.cur()
-	if err != nil {
-		return err
-	}
-	for i, u := range us {
-		counts[i] = int32(kernels.AndCount(st.rowWords(m.stride, u), mask))
-	}
-	return nil
-}
-
-// andCountRowsFunc is the shared sharded implementation: one mutex
-// acquisition for the whole batch, with rows resolved shard by shard
-// (consecutive us usually land in the same shard — holder and pool
-// slices are sorted). Stale shards rebuild exactly as rowView does;
-// the sweep-prefetch bookkeeping is deliberately skipped, because a
-// degree pass is random access, not the sequential sweep the detector
-// predicts. emit receives (i, count) per row.
+// andCountRows is the shared implementation. Rows of fresh shards come
+// out of the lock-free table; from the first row whose shard is absent
+// (stale, or the engine spills) the rest run under one mutex
+// acquisition, resolved shard by shard (consecutive us usually land in
+// the same shard — holder and pool slices are sorted), with stale
+// shards rebuilding exactly as rowView does. emit receives (i, count)
+// per row.
 func (m *ShardedMatrix) andCountRows(us []sgraph.NodeID, mask []uint64, emit func(i int, c int)) error {
+	i := 0
+	for ; i < len(us); i++ {
+		sl, r := m.tableRow(us[i])
+		if sl == nil {
+			break
+		}
+		emit(i, kernels.AndCount(sl.bits[r*m.stride:(r+1)*m.stride], mask))
+	}
+	if i == len(us) {
+		return nil
+	}
 	m.mu.Lock()
 	lastShard := -1
 	var cur *shardState
-	for i, u := range us {
-		s := int(u) / m.shardRows
+	for ; i < len(us); i++ {
+		s, r := m.shardOf(us[i])
 		if s != lastShard {
 			for m.shards[s].stale {
 				m.mu.Unlock()
@@ -99,7 +83,6 @@ func (m *ShardedMatrix) andCountRows(us []sgraph.NodeID, mask []uint64, emit fun
 			}
 			lastShard, cur = s, sh
 		}
-		r := int(u) - s*m.shardRows
 		emit(i, kernels.AndCount(cur.bits[r*m.stride:(r+1)*m.stride], mask))
 	}
 	m.mu.Unlock()

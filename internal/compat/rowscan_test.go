@@ -21,7 +21,7 @@ func TestAndCountRowsMatchPerRow(t *testing.T) {
 			name string
 			rel  PackedRelation
 		}{
-			{"matrix", MustNewMatrix(SPO, g, MatrixOptions{})},
+			{"matrix", mustMatrix(SPO, g, Options{})},
 			{"sharded", MustNewSharded(SPO, g, ShardedOptions{ShardRows: 7, MaxResidentShards: 2})},
 		}
 		// A random mask with zeroed tail bits, like the holder sets the
@@ -77,7 +77,7 @@ func TestAndCountRowsMatchPerRow(t *testing.T) {
 func TestDistRowMin(t *testing.T) {
 	rng := rand.New(rand.NewSource(802))
 	g := randomSignedGraph(rng, 90, 360, 0.3)
-	m := MustNewMatrix(SPA, g, MatrixOptions{})
+	m := mustMatrix(SPA, g, Options{})
 	n := g.NumNodes()
 	for u := sgraph.NodeID(0); int(u) < n; u++ {
 		row := m.DistanceRow(u)
@@ -112,7 +112,7 @@ func TestDistRowMin(t *testing.T) {
 	for i := 0; i < 299; i++ {
 		b.AddEdge(sgraph.NodeID(i), sgraph.NodeID(i+1), sgraph.Positive)
 	}
-	wide := MustNewMatrix(SPA, b.MustBuild(), MatrixOptions{})
+	wide := mustMatrix(SPA, b.MustBuild(), Options{})
 	row := wide.DistanceRow(299)
 	if d, v, ok := row.Min(); !ok || d != 0 || v != 299 {
 		t.Fatalf("promoted Min = (%d,%d,%v), want (0,299,true)", d, v, ok)
@@ -129,7 +129,7 @@ func TestDistRowsPickMinMatchesScalar(t *testing.T) {
 	for trial := 0; trial < 6; trial++ {
 		n := 30 + rng.Intn(100)
 		g := randomSignedGraph(rng, n, 3*n, 0.35)
-		m := MustNewMatrix(SPO, g, MatrixOptions{})
+		m := mustMatrix(SPO, g, Options{})
 		var rs DistRows
 		for k := 0; k < 1+rng.Intn(4); k++ {
 			rs.Append(m.DistanceRow(sgraph.NodeID(rng.Intn(n))))
@@ -174,7 +174,7 @@ func TestDistRowsPickMinMatchesScalar(t *testing.T) {
 func TestDistRowsClearDropsViews(t *testing.T) {
 	rng := rand.New(rand.NewSource(804))
 	g := randomSignedGraph(rng, 20, 60, 0.3)
-	m := MustNewMatrix(SPA, g, MatrixOptions{})
+	m := mustMatrix(SPA, g, Options{})
 	var rs DistRows
 	for i := 0; i < 5; i++ {
 		rs.Append(m.DistanceRow(sgraph.NodeID(i)))
@@ -241,7 +241,7 @@ func TestStatsDirectedSBPH(t *testing.T) {
 			dir.CompatiblePairs, dir.DistSum, dir.DistCount, wantCompat, wantDistSum, wantDistCount)
 	}
 	// The symmetrised run must agree with the packed engine bit for bit.
-	mat, err := ComputeStats(MustNewMatrix(SBPH, g, MatrixOptions{}), StatsOptions{Workers: 2})
+	mat, err := ComputeStats(mustMatrix(SBPH, g, Options{}), StatsOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

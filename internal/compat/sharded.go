@@ -1,20 +1,31 @@
-// The sharded packed engine. CompatMatrix (matrix.go) materialises the
-// whole relation into one Θ(n²) slab, which stops scaling long before
-// full-size Epinions/Wikipedia. ShardedMatrix keeps the same packed row
-// layout but partitions it into fixed-height row shards: each shard is
-// built independently by the shared worker-pool sweep (one
-// signedbfs.Scratch per worker, reused across shards), at most
-// MaxResidentShards shards stay in memory behind an LRU, and cold
-// shards spill to a compact temporary file that is read back on demand.
-// It implements Relation and PackedRelation, so the team pickers,
-// CostWith, Precompute and ComputeStats all run on it unchanged.
+// The packed all-pairs engine. The lazy relations in relations.go
+// answer point queries from a bounded row cache; ShardedMatrix instead
+// materialises the whole relation up front — one bit per ordered node
+// pair plus a packed distance matrix — so that the all-pairs workloads
+// (Table 2 statistics, batch team formation, the Figure 2 sweeps) run
+// on word-level operations with no per-query interface dispatch. The
+// team package recognises packed relations and switches its candidate
+// filtering and pool-degree counting to bitset AND/popcount over rows.
 //
-// The SBPH symmetrisation that CompatMatrix performs with a full
-// transient copy of the bit matrix (n²/8 bytes) is replaced here by a
-// blocked two-pass scheme over shard-pair tiles: only the diagonal tile
-// needs a snapshot, and only of its own shard, so the peak transient
-// memory during symmetrise is bounded by a single shard's bit slab on
-// top of the two resident shards the tile pass holds.
+// Memory is 1 bit per ordered pair for compatibility plus 1 byte per
+// ordered pair for distances (n²/8 + n² bytes); distances are uint8
+// with a sentinel and promote to int32 (4n² bytes) only on graphs
+// whose relation distances exceed 254. The rows are partitioned into
+// fixed-height row shards: each shard is built independently by the
+// shared worker-pool sweep (one signedbfs.Scratch per worker, reused
+// across shards), at most MaxResidentShards shards stay in memory
+// behind an LRU, and cold shards spill to a compact temporary file
+// that is read back on demand. A single shard holding every row
+// (ShardRows ≥ NumNodes) is the "matrix" configuration: one slab, all
+// resident. It implements Relation and PackedRelation, so the team
+// pickers, CostWith, Precompute and ComputeStats all run on it
+// unchanged.
+//
+// SBPH symmetrisation runs as a blocked two-pass scheme over
+// shard-pair tiles: only the diagonal tile needs a snapshot, and only
+// of its own shard, so the peak transient memory during symmetrise is
+// bounded by a single shard's bit slab on top of the two resident
+// shards the tile pass holds.
 
 package compat
 
@@ -41,8 +52,8 @@ type ShardedOptions struct {
 	// Workers bounds the build parallelism; ≤0 uses GOMAXPROCS.
 	Workers int
 	// ShardRows is the number of relation rows per shard; ≤0 selects
-	// DefaultShardRows. Values ≥ NumNodes degenerate to a single
-	// shard (a CompatMatrix layout without the monolithic slab).
+	// DefaultShardRows. Values ≥ NumNodes give a single shard: the
+	// whole relation in one slab.
 	ShardRows int
 	// MaxResidentShards bounds how many shards stay in memory; ≤0 (or
 	// a value ≥ the shard count) keeps everything resident and never
@@ -52,56 +63,50 @@ type ShardedOptions struct {
 	// SpillDir is where the cold-shard file is created; "" uses the
 	// system temporary directory.
 	SpillDir string
-	// Prefetch enables the async prefetcher: when point queries walk
-	// shards sequentially (the last two demand-touched shards were
-	// consecutive), a single background goroutine decodes the predicted
-	// next shard into a standby slab while the current one is scanned,
-	// so a sequential sweep over a spilled matrix rarely waits for a
-	// reload. Adds at most one shard slab of memory on top of
-	// MaxResidentShards. On a single-processor host (GOMAXPROCS 1),
-	// where a background decode cannot overlap anything, predictions
-	// decode inline at issue time instead — same accounting, no
-	// scheduler overhead. See PrefetchStats.
-	Prefetch bool
 	// DisableMmap forces the portable ReadAt spill read path even on
 	// platforms that support memory-mapping the spill file. Mostly for
 	// tests and measurement; mapped reloads are strictly faster.
 	DisableMmap bool
 }
 
-// ShardedMatrix is the packed all-pairs compatibility relation split
-// into row shards with bounded residency: the same bitset rows and
-// packed distances as CompatMatrix, but only MaxResidentShards shards
-// held in memory while the rest live in a compact spill file. Point
-// queries transparently reload cold shards (counting each reload in
+// ShardedMatrix is the fully precomputed compatibility relation: row u
+// is a bitset over all nodes (bit v set ⇔ Compatible(u,v)) and the
+// distance rows pack the relation-distance of every ordered pair,
+// split into row shards of which at most MaxResidentShards are held in
+// memory while the rest live in a compact spill file. Point queries
+// transparently reload cold shards (counting each reload in
 // SpillLoads), so it serves graphs whose full Θ(n²) matrix does not
 // fit while keeping the word-parallel fast paths of PackedRelation.
 //
-// Rows agree with CompatMatrix and the lazy relation of the same kind
-// on every pair, including SBPH's canonicalised symmetry, and
-// ComputeStats measures that same symmetrised relation on every
-// engine (see Stats).
+// Rows agree with the lazy relation of the same kind on every pair,
+// including SBPH's canonicalised symmetry (entry (u,v) is the
+// heuristic search from min(u,v) to max(u,v)), and ComputeStats
+// measures that same symmetrised relation on every engine (see
+// Stats). The diagonal is always compatible at distance 0, mirroring
+// Relation's reflexivity.
 //
 // Concurrency: all shard bookkeeping is guarded by one mutex, so the
 // type is safe for concurrent use; row slices returned by RowWords
-// remain valid after eviction (buffers are immutable once exposed —
-// heap slabs are never recycled after exposure, and mapping-backed
-// views stay mapped until Close). Where the platform supports it the
-// spill file is memory-mapped read-only and cold shards are served as
-// zero-copy views straight into the mapping — a reload is pointer
-// arithmetic, not a decode, and view-backed resident shards occupy no
-// heap (ShardedOptions.DisableMmap forces the portable ReadAt
-// fallback). ShardedOptions.Prefetch adds a sequential-sweep detector
-// plus a single background prefetcher that prepares — decodes, or
-// prefaults the mapped pages of — the predicted next shard while the
-// current one is scanned. Spill I/O failures after construction are
-// reported as errors from Compatible/Distance and as panics from the
-// error-free PackedRelation fast paths (RowWords, PairDistance).
+// remain valid after eviction or a mutation (buffers are immutable
+// once exposed — rebuilds fill fresh slabs, and mapping-backed views
+// stay mapped until Close). When every shard stays resident (no
+// MaxResidentShards bound) reads take no lock at all: the fresh
+// shards' slabs are published as an immutable table through an atomic
+// pointer, and only a shard a mutation invalidated goes through the
+// locked rebuild path. Where the platform supports it the spill file
+// is memory-mapped read-only and cold shards are served as zero-copy
+// views straight into the mapping — a reload is pointer arithmetic,
+// not a decode, and view-backed resident shards occupy no heap
+// (ShardedOptions.DisableMmap forces the portable ReadAt fallback).
+// Spill I/O failures and failed post-mutation rebuilds (only possible
+// for the budgeted exact SBP relation) are reported as errors from
+// Compatible/Distance and as panics from the error-free PackedRelation
+// fast paths (RowWords, PairDistance).
 //
-// Call Close to release the spill file and stop the prefetcher; Close
-// is idempotent. Close unmaps the spill file, so on mapped-spill
-// matrices every row or distance view previously handed out dies with
-// it — Close only after the matrix's consumers are done.
+// Call Close to release the spill file; Close is idempotent. Close
+// unmaps the spill file, so on mapped-spill matrices every row or
+// distance view previously handed out dies with it — Close only after
+// the matrix's consumers are done.
 type ShardedMatrix struct {
 	g         *sgraph.Graph // construction-time snapshot; post-build readers use dyn
 	dyn       *sgraph.Dynamic
@@ -117,9 +122,13 @@ type ShardedMatrix struct {
 	exact   balance.ExactOptions
 	workers int // build parallelism, reused by post-mutation shard rebuilds
 
-	prefetch     bool // ShardedOptions.Prefetch
-	syncPrefetch bool // single-P host: decode predictions inline (prefetch.go)
-	noMmap       bool // ShardedOptions.DisableMmap
+	noMmap bool // ShardedOptions.DisableMmap
+
+	// table is the lock-free read side of a fully resident engine
+	// (maxRes == numShards): the slabs of every fresh shard, republished
+	// under mu whenever a shard goes stale or a rebuild lands. Nil on a
+	// spilling engine, whose readers always take mu.
+	table atomic.Pointer[shardTable]
 
 	mu       sync.Mutex
 	shards   []shardState
@@ -154,30 +163,11 @@ type ShardedMatrix struct {
 	views bool
 
 	// readScratch is the demand path's decode buffer for the ReadAt
-	// spill fallback; guarded by mu (the prefetcher owns its own).
+	// spill fallback; guarded by mu.
 	readScratch []byte
 
-	// Sequential-sweep detection and the async prefetcher state
-	// (prefetch.go). All fields are guarded by mu; the channel and
-	// WaitGroup outlive individual requests and are only created and
-	// torn down under the documented Close ordering.
-	lastShard     int // most recent shard demand-touched by rowView
-	prevShard     int // distinct shard touched before lastShard
-	inflight      int // shard the prefetcher is decoding; -1 when idle
-	lastPredicted int // most recent prediction handed to the prefetcher; -1 none
-	standbyShard  int // decoded shard awaiting adoption; -1 when empty
-	standby       shardSlabs
-	slabPool      *container.SlabPool[shardSlabs]
-	prefetchCh    chan int
-	prefetchWG    sync.WaitGroup
-
-	// Observability counters. These are atomics — written under mu on
-	// their mutation paths but loaded lock-free — so a live /stats
-	// scrape never contends with the query path's lock and sees no
-	// torn values while builds or prefetches are in flight.
-	pfIssued   atomic.Int64
-	pfHits     atomic.Int64
-	pfWasted   atomic.Int64
+	// spillLoads is written under mu but loaded lock-free, so a live
+	// /stats scrape never contends with the query path's lock.
 	spillLoads atomic.Int64
 
 	// Test hooks, mutated and read under mu.
@@ -185,15 +175,43 @@ type ShardedMatrix struct {
 	symSnapshotPeak int // bytes of the largest symmetrise snapshot
 }
 
-// shardState is one row shard: rows [index*shardRows, …) of the packed
-// matrix. bits == nil means the shard is spilled.
-type shardState struct {
-	rows   int
+// shardSlabs is one shard's buffers: heap slabs, or zero-copy slices
+// into the spill mapping. Exactly one of dist8/dist32 is non-nil,
+// matching the active packing; bits == nil means no slabs.
+type shardSlabs struct {
 	bits   []uint64
 	dist8  []uint8
 	dist32 []int32
-	dirty  bool // resident content newer than the spilled copy
-	pins   int  // build/tile passes holding the shard in place
+}
+
+// row slices row r (shard-relative) out of the slabs.
+func (sl *shardSlabs) row(r, stride, n int) ([]uint64, DistRow) {
+	return sl.bits[r*stride : (r+1)*stride], sl.distRow(r, n)
+}
+
+// distRow slices row r's distances out of the slabs.
+func (sl *shardSlabs) distRow(r, n int) DistRow {
+	if sl.dist32 != nil {
+		return DistRow{d32: sl.dist32[r*n : (r+1)*n]}
+	}
+	return DistRow{d8: sl.dist8[r*n : (r+1)*n]}
+}
+
+// shardTable is one immutable publication of the resident shards'
+// slabs: entry s holds shard s's slabs while it is fresh, and is empty
+// while it is stale (its readers fall back to the locked path, which
+// rebuilds it).
+type shardTable struct {
+	slabs []shardSlabs
+}
+
+// shardState is one row shard: rows [index*shardRows, …) of the packed
+// matrix. bits == nil means the shard is spilled.
+type shardState struct {
+	shardSlabs
+	rows  int
+	dirty bool // resident content newer than the spilled copy
+	pins  int  // build/tile passes holding the shard in place
 
 	// epoch is the graph epoch the shard's data was computed at; stale
 	// marks data invalidated by a later mutation (rebuilt lazily by the
@@ -207,7 +225,9 @@ type shardState struct {
 	// shard is invalidated iff touched∩{u,v} ≠ ∅. The set stays valid
 	// while the shard is clean: any mutation that could change the
 	// shard's reachable sets would itself have hit touched and marked
-	// the shard stale.
+	// the shard stale. A single-shard engine records no set (nil): every
+	// mutation stales its one shard, and the tracking would only slow
+	// the build.
 	epoch   uint64
 	stale   bool
 	touched []uint64
@@ -217,8 +237,10 @@ type shardState struct {
 // build sweeps one shard at a time with the shared worker pool (one
 // BFS scratch per worker, reused across shards) and spills finished
 // shards as the residency bound fills; the first row error aborts the
-// build. Like NewMatrix, a relation distance beyond uint8 packing
-// transparently rebuilds with int32 distance storage.
+// build. Construction cost is one relation row per node (a signed BFS
+// for the SP family, a plain BFS for DPE/NNE, a beam search for SBPH,
+// the budgeted enumeration for SBP). A relation distance beyond uint8
+// packing transparently rebuilds with int32 distance storage.
 func NewSharded(k Kind, g *sgraph.Graph, opts ShardedOptions) (*ShardedMatrix, error) {
 	if k < 0 || k >= numKinds {
 		return nil, fmt.Errorf("compat: unknown relation kind %d", int(k))
@@ -253,11 +275,7 @@ func NewSharded(k Kind, g *sgraph.Graph, opts ShardedOptions) (*ShardedMatrix, e
 		beam:      opts.BeamWidth,
 		exact:     opts.Exact,
 		spillDir:  opts.SpillDir,
-		prefetch:  opts.Prefetch,
 		noMmap:    opts.DisableMmap,
-		// With one processor a background decode cannot overlap the
-		// demand scan; prefetch predictions decode inline instead.
-		syncPrefetch: opts.Prefetch && runtime.GOMAXPROCS(0) == 1,
 	}
 	if m.beam <= 0 {
 		m.beam = balance.DefaultBeamWidth
@@ -301,12 +319,13 @@ func (m *ShardedMatrix) Epoch() uint64 { return m.dyn.Epoch() }
 // Mutate applies one edge mutation and invalidates only the shards it
 // can affect: a shard is marked stale iff its touched-vertex set
 // intersects the mutated edge's endpoints (see shardState.touched for
-// the soundness argument). For SBPH, whose symmetrised lower triangle
-// mirrors the directed rows of earlier shards, staleness propagates to
-// every later shard, so the stale region is always a suffix. Stale
-// shards rebuild lazily on next access via the same worker-pool fill
-// path as construction; exposed row and distance views keep aliasing
-// their pre-mutation slabs.
+// the soundness argument; a single shard is always staled). For SBPH,
+// whose symmetrised lower triangle mirrors the directed rows of earlier
+// shards, staleness propagates to every later shard, so the stale
+// region is always a suffix. Stale shards leave the lock-free table and
+// rebuild lazily on next access via the same worker-pool fill path as
+// construction; exposed row and distance views keep aliasing their
+// pre-mutation slabs.
 func (m *ShardedMatrix) Mutate(mut sgraph.Mutation) (MutationResult, error) {
 	m.pin.Lock()
 	defer m.pin.Unlock()
@@ -353,18 +372,30 @@ func (m *ShardedMatrix) invalidateLocked(mut sgraph.Mutation, epoch uint64) int 
 		}
 	}
 	if marked > 0 {
-		// A standby slab or in-flight prefetch may hold pre-mutation
-		// data for a now-stale shard; the epoch tags on the spill slots
-		// backstop this, but dropping the standby keeps the fast path
-		// simple. (Never-exposed slabs recycle; views just drop.)
-		m.dropStandbyLocked()
+		m.publishLocked()
 	}
 	return marked
 }
 
+// publishLocked republishes the lock-free shard table from the shard
+// states — every fresh resident shard's slabs — on a fully resident
+// engine; a no-op on a spilling one. Requires m.mu.
+func (m *ShardedMatrix) publishLocked() {
+	if m.maxRes < m.numShards {
+		return
+	}
+	t := &shardTable{slabs: make([]shardSlabs, m.numShards)}
+	for s := range m.shards {
+		if sh := &m.shards[s]; !sh.stale {
+			t.slabs[s] = sh.shardSlabs
+		}
+	}
+	m.table.Store(t)
+}
+
 // shardTouchedLocked reports whether shard s's touched-vertex set
-// contains either endpoint of mut. A missing set (never the case after
-// a successful build) is conservatively treated as touched.
+// contains either endpoint of mut. A missing set — a single-shard
+// engine records none — is conservatively treated as touched.
 func (m *ShardedMatrix) shardTouchedLocked(s int, mut sgraph.Mutation) bool {
 	t := m.shards[s].touched
 	if t == nil {
@@ -401,8 +432,9 @@ func (m *ShardedMatrix) AcquireSnapshot() Snapshot {
 // re-checks). Non-SBPH kinds rebuild exactly shard s; SBPH rebuilds
 // every stale shard up to s in ascending order, because shard s's
 // lower-triangle tiles read the directed rows of all earlier shards.
-// Rebuilds fill entirely fresh slabs and swap them in under the lock,
-// so concurrent readers of other shards proceed and old views survive.
+// Rebuilds fill entirely fresh slabs and swap them in under the lock
+// (republishing the lock-free table), so concurrent readers of other
+// shards proceed and old views survive.
 func (m *ShardedMatrix) freshen(s int) error {
 	m.freshMu.Lock()
 	defer m.freshMu.Unlock()
@@ -446,30 +478,14 @@ func (m *ShardedMatrix) freshen(s int) error {
 func (m *ShardedMatrix) rebuildShard(g *sgraph.Graph, epoch uint64, s int, workers int, scratches []*rowScratch) error {
 	rows := m.shardLen(s)
 	base := s * m.shardRows
-	slab := m.newSlab(rows)
-	if m.wide {
-		for i := range slab.dist32 {
-			slab.dist32[i] = noDist32
-		}
-	} else {
-		for i := range slab.dist8 {
-			slab.dist8[i] = noDist8
-		}
-	}
-	for _, sc := range scratches {
-		sc.resetReach(m.stride)
-	}
+	slab := m.newBlankSlab(rows)
+	m.armReach(scratches)
 	sink := slabSink(slab.bits, slab.dist8, slab.dist32, m.stride, m.n, base)
 	fill, height := relationFiller(g, m.kind, m.beam, m.exact, sink)
 	if err := fillRows(base, rows, height, workers, scratches, fill); err != nil {
 		return err
 	}
-	touched := make([]uint64, m.stride)
-	for _, sc := range scratches {
-		for i, w := range sc.reach {
-			touched[i] |= w
-		}
-	}
+	touched := m.mergeReach(scratches)
 
 	if m.kind == SBPH {
 		if err := m.symmetriseSlab(workers, slab, rows, base, s); err != nil {
@@ -486,7 +502,7 @@ func (m *ShardedMatrix) rebuildShard(g *sgraph.Graph, epoch uint64, s int, worke
 			return err
 		}
 	}
-	sh.bits, sh.dist8, sh.dist32 = slab.bits, slab.dist8, slab.dist32
+	sh.shardSlabs = slab
 	if !wasResident {
 		m.admitLocked()
 		if sh.pins == 0 {
@@ -507,8 +523,36 @@ func (m *ShardedMatrix) rebuildShard(g *sgraph.Graph, epoch uint64, s int, worke
 	if !sh.stale {
 		m.staleCount--
 	}
+	m.publishLocked()
 	m.rebuilds.Add(1)
 	return nil
+}
+
+// armReach arms (or rezeroes) the workers' reach accumulators before a
+// multi-shard fill; a single shard records no touched set.
+func (m *ShardedMatrix) armReach(scratches []*rowScratch) {
+	if m.numShards < 2 {
+		return
+	}
+	for _, sc := range scratches {
+		sc.resetReach(m.stride)
+	}
+}
+
+// mergeReach unions the workers' reach accumulators into the filled
+// shard's touched set; nil on a single shard, where armReach left them
+// unarmed.
+func (m *ShardedMatrix) mergeReach(scratches []*rowScratch) []uint64 {
+	if m.numShards < 2 {
+		return nil
+	}
+	touched := make([]uint64, m.stride)
+	for _, sc := range scratches {
+		for i, w := range sc.reach {
+			touched[i] |= w
+		}
+	}
+	return touched
 }
 
 // symmetriseSlab runs the SBPH lower-triangle tile passes for one
@@ -516,13 +560,15 @@ func (m *ShardedMatrix) rebuildShard(g *sgraph.Graph, epoch uint64, s int, worke
 // slabs of shards 0..s-1 plus the diagonal snapshot of the slab
 // itself. The sources are pinned exactly like the build-time pass.
 func (m *ShardedMatrix) symmetriseSlab(workers int, slab shardSlabs, rows, base, s int) error {
-	dst := shardTile{bits: slab.bits, dist8: slab.dist8, dist32: slab.dist32, base: base, rows: rows}
+	dst := shardTile{shardSlabs: slab, base: base, rows: rows}
 	for a := 0; a <= s; a++ {
 		var err error
 		if a == s {
 			snap := append([]uint64(nil), slab.bits...)
 			err = m.symmetriseTile(workers, dst, shardTile{
-				bits: snap, dist8: slab.dist8, dist32: slab.dist32, base: base, rows: rows,
+				shardSlabs: shardSlabs{bits: snap, dist8: slab.dist8, dist32: slab.dist32},
+				base:       base,
+				rows:       rows,
 			})
 		} else {
 			m.mu.Lock()
@@ -532,8 +578,7 @@ func (m *ShardedMatrix) symmetriseSlab(workers int, slab shardSlabs, rows, base,
 				return pinErr
 			}
 			err = m.symmetriseTile(workers, dst, shardTile{
-				bits: shA.bits, dist8: shA.dist8, dist32: shA.dist32,
-				base: a * m.shardRows, rows: shA.rows,
+				shardSlabs: shA.shardSlabs, base: a * m.shardRows, rows: shA.rows,
 			})
 			m.mu.Lock()
 			m.unpinLocked(a)
@@ -561,8 +606,6 @@ func (m *ShardedMatrix) promoteWide(g *sgraph.Graph, epoch uint64) error {
 		m.retired = append(m.retired, m.spill)
 		m.spill = nil
 	}
-	m.dropStandbyLocked()
-	m.lastPredicted = -1
 	// The narrow slabs are useless now: drop unpinned resident shards
 	// and stale-mark everything for the rebuild loop below. (Pins are
 	// impossible here: tile passes only pin fresh shards, and freshMu
@@ -570,7 +613,7 @@ func (m *ShardedMatrix) promoteWide(g *sgraph.Graph, epoch uint64) error {
 	for s := range m.shards {
 		sh := &m.shards[s]
 		if sh.bits != nil {
-			sh.bits, sh.dist8, sh.dist32 = nil, nil, nil
+			sh.shardSlabs = shardSlabs{}
 			m.resident--
 			m.lru.Remove(s)
 		}
@@ -580,6 +623,7 @@ func (m *ShardedMatrix) promoteWide(g *sgraph.Graph, epoch uint64) error {
 			m.staleCount++
 		}
 	}
+	m.publishLocked()
 	m.mu.Unlock()
 
 	// Wide slabs are 4× the distance bytes: re-derive worker scratches
@@ -597,8 +641,9 @@ func (m *ShardedMatrix) promoteWide(g *sgraph.Graph, epoch uint64) error {
 // NumNodes returns the node count of the underlying graph.
 func (m *ShardedMatrix) NumNodes() int { return m.n }
 
-// WordsPerRow returns the uint64 word length of each bit row, the
-// container.NewBitset(NumNodes) layout, like CompatMatrix.
+// WordsPerRow returns the uint64 word length of each bit row —
+// (NumNodes+63)/64, the same layout container.NewBitset(NumNodes)
+// uses, so rows and bitsets compose in word-parallel operations.
 func (m *ShardedMatrix) WordsPerRow() int { return m.stride }
 
 // NumShards returns the number of row shards.
@@ -619,22 +664,21 @@ func (m *ShardedMatrix) ResidentShards() int {
 
 // SpillLoads returns how many shard reloads the matrix has performed —
 // zero when everything stayed resident. Lock-free, safe to scrape
-// while queries, builds and prefetches are in flight.
+// while queries and builds are in flight.
 func (m *ShardedMatrix) SpillLoads() int64 { return m.spillLoads.Load() }
 
-// EngineStats is the sharded engine's live observability snapshot: the
-// shard geometry, current residency, spill-reload count and prefetcher
-// counters, gathered for serving-time scrapes (/stats). The counters
-// are atomics, so taking a snapshot barely touches the engine lock
-// (one brief acquisition for the residency gauge) and never blocks a
-// build or prefetch in flight.
+// EngineStats is the packed engine's live observability snapshot: the
+// shard geometry, current residency and spill-reload count, gathered
+// for serving-time scrapes (/stats). The counters are atomics, so
+// taking a snapshot barely touches the engine lock (one brief
+// acquisition for the residency and staleness gauges) and never blocks
+// a build in flight.
 type EngineStats struct {
 	NumShards         int
 	ShardRows         int
 	ResidentShards    int
 	MaxResidentShards int
 	SpillLoads        int64
-	Prefetch          PrefetchStats
 
 	// Mutation counters: the current graph epoch, mutations applied,
 	// shards currently invalidated and awaiting rebuild, and lazy shard
@@ -656,7 +700,6 @@ func (m *ShardedMatrix) LiveStats() EngineStats {
 		ResidentShards:    resident,
 		MaxResidentShards: m.maxRes,
 		SpillLoads:        m.spillLoads.Load(),
-		Prefetch:          m.PrefetchStats(),
 		Epoch:             m.dyn.Epoch(),
 		Mutations:         m.mutCount.Load(),
 		StaleShards:       stale,
@@ -664,29 +707,16 @@ func (m *ShardedMatrix) LiveStats() EngineStats {
 	}
 }
 
-// Close stops the prefetcher and releases the spill file. Resident
-// shards stay queryable, but a query touching a spilled shard after
-// Close errors (or panics on the PackedRelation fast paths). Close is
-// idempotent.
+// Close releases the spill file. Resident shards stay queryable, but a
+// query touching a spilled shard after Close errors (or panics on the
+// PackedRelation fast paths). Close is idempotent.
 func (m *ShardedMatrix) Close() error {
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	if m.closed {
-		m.mu.Unlock()
 		return nil
 	}
 	m.closed = true
-	ch := m.prefetchCh
-	m.prefetchCh = nil
-	m.mu.Unlock()
-	// Drain the prefetcher outside the lock (its loop body takes it);
-	// only then is the spill file safe to unmap and close.
-	if ch != nil {
-		close(ch)
-		m.prefetchWG.Wait()
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.dropStandbyLocked()
 	var err error
 	for _, sp := range m.retired {
 		if cerr := sp.close(); err == nil {
@@ -706,7 +736,7 @@ func (m *ShardedMatrix) Close() error {
 // Compatible reports whether u and v are compatible. It errors only
 // when a spilled shard cannot be reloaded.
 func (m *ShardedMatrix) Compatible(u, v sgraph.NodeID) (bool, error) {
-	words, _, _, err := m.rowView(u)
+	words, _, err := m.rowView(u)
 	if err != nil {
 		return false, err
 	}
@@ -716,32 +746,19 @@ func (m *ShardedMatrix) Compatible(u, v sgraph.NodeID) (bool, error) {
 // Distance returns the relation distance of (u,v) and whether it is
 // defined. It errors only when a spilled shard cannot be reloaded.
 func (m *ShardedMatrix) Distance(u, v sgraph.NodeID) (int32, bool, error) {
-	_, d8, d32, err := m.rowView(u)
+	_, dist, err := m.rowView(u)
 	if err != nil {
 		return 0, false, err
 	}
-	if d32 != nil {
-		d := d32[v]
-		return d, d != noDist32, nil
-	}
-	d := d8[v]
-	return int32(d), d != noDist8, nil
+	d, ok := dist.At(v)
+	return d, ok, nil
 }
 
 // PairDistance is Distance without the error, for hot loops that have
 // already recognised the packed backend; it panics if a spilled shard
 // cannot be reloaded.
 func (m *ShardedMatrix) PairDistance(u, v sgraph.NodeID) (int32, bool) {
-	_, d8, d32, err := m.rowView(u)
-	if err != nil {
-		panic(err)
-	}
-	if d32 != nil {
-		d := d32[v]
-		return d, d != noDist32
-	}
-	d := d8[v]
-	return int32(d), d != noDist8
+	return m.DistanceRow(u).At(v)
 }
 
 // RowWords returns u's packed compatibility row (bit v set ⇔
@@ -750,7 +767,10 @@ func (m *ShardedMatrix) PairDistance(u, v sgraph.NodeID) (int32, bool) {
 // which unmaps the spill file that zero-copy rows alias; it panics if
 // a spilled shard cannot be reloaded. The caller must not modify it.
 func (m *ShardedMatrix) RowWords(u sgraph.NodeID) []uint64 {
-	words, _, _, err := m.rowView(u)
+	if sl, r := m.tableRow(u); sl != nil {
+		return sl.bits[r*m.stride : (r+1)*m.stride]
+	}
+	words, _, err := m.rowView(u)
 	if err != nil {
 		panic(err)
 	}
@@ -761,90 +781,98 @@ func (m *ShardedMatrix) RowWords(u sgraph.NodeID) []uint64 {
 // relation's: one shard touch per source row, then lock-free scans
 // over the returned views.
 func (m *ShardedMatrix) computeRow(u sgraph.NodeID) (row, error) {
-	words, d8, d32, err := m.rowView(u)
+	words, dist, err := m.rowView(u)
 	if err != nil {
 		return nil, err
 	}
-	return shardedRowView{words: words, dist8: d8, dist32: d32}, nil
+	return shardedRowView{words: words, dist: dist}, nil
 }
 
 // shardedRowView is one source row detached from shard bookkeeping:
 // plain slices, no locking per query.
+//
+//tfsn:viewtype
 type shardedRowView struct {
-	words  []uint64
-	dist8  []uint8
-	dist32 []int32
+	words []uint64
+	dist  DistRow
 }
 
 func (r shardedRowView) compatible(v sgraph.NodeID) bool {
 	return r.words[int(v)>>6]&(1<<uint(int(v)&63)) != 0
 }
 
-func (r shardedRowView) distance(v sgraph.NodeID) (int32, bool) {
-	if r.dist32 != nil {
-		d := r.dist32[v]
-		return d, d != noDist32
-	}
-	d := r.dist8[v]
-	return int32(d), d != noDist8
-}
+func (r shardedRowView) distance(v sgraph.NodeID) (int32, bool) { return r.dist.At(v) }
 
-// rowView resolves row u to its bit words and packed distance row,
-// reloading the owning shard if it is cold. When the sweep detector
-// issues a prefetch, the goroutine scheduler is nudged once after the
-// lock is released so the background decode starts promptly even on a
-// single CPU (a pure-CPU demand sweep would otherwise starve it until
-// async preemption). With the shard resident (the serving steady
+// rowView resolves row u to its bit words and packed distance row. On
+// a fully resident engine a fresh shard's row comes straight out of the
+// published table, without a lock; otherwise (a spilling engine, or a
+// shard a mutation invalidated) the locked path rebuilds a stale shard
+// and reloads a cold one. With the shard resident (the serving steady
 // state) the call allocates nothing.
 //
 //tfsn:noalloc
-func (m *ShardedMatrix) rowView(u sgraph.NodeID) ([]uint64, []uint8, []int32, error) {
+func (m *ShardedMatrix) rowView(u sgraph.NodeID) ([]uint64, DistRow, error) {
+	if sl, r := m.tableRow(u); sl != nil {
+		words, dist := sl.row(r, m.stride, m.n)
+		return words, dist, nil
+	}
+	s, r := m.shardOf(u)
 	m.mu.Lock()
-	s := int(u) / m.shardRows
 	// A shard invalidated by a mutation rebuilds before it serves; the
 	// loop (rather than a single check) covers a mutation racing in
 	// behind the rebuild, which leaves the shard stale again.
 	for m.shards[s].stale {
 		m.mu.Unlock()
 		if err := m.freshen(s); err != nil {
-			return nil, nil, nil, err
+			return nil, DistRow{}, err
 		}
 		m.mu.Lock()
 	}
 	sh, err := m.residentLocked(s)
 	if err != nil {
 		m.mu.Unlock()
-		return nil, nil, nil, err
+		return nil, DistRow{}, err
 	}
-	issued := false
-	if m.prefetch {
-		issued = m.noteAccessLocked(s)
-	}
-	r := int(u) - s*m.shardRows
-	words := sh.bits[r*m.stride : (r+1)*m.stride]
-	var d8 []uint8
-	var d32 []int32
-	if m.wide {
-		d32 = sh.dist32[r*m.n : (r+1)*m.n]
-	} else {
-		d8 = sh.dist8[r*m.n : (r+1)*m.n]
-	}
+	words, dist := sh.row(r, m.stride, m.n)
 	m.mu.Unlock()
-	if issued {
-		runtime.Gosched()
+	return words, dist, nil
+}
+
+// tableRow returns the published slabs holding row u and u's row
+// within them — nil when u's shard is not in the lock-free table (a
+// spilling engine, or a shard a mutation staled). Table entries are
+// immutable, so the slabs stay valid for as long as the caller holds
+// them.
+func (m *ShardedMatrix) tableRow(u sgraph.NodeID) (*shardSlabs, int) {
+	t := m.table.Load()
+	if t == nil {
+		return nil, 0
 	}
-	return words, d8, d32, nil
+	s, r := m.shardOf(u)
+	if sl := &t.slabs[s]; sl.bits != nil {
+		return sl, r
+	}
+	return nil, 0
+}
+
+// shardOf returns the shard holding row u and u's row within it; the
+// single-shard matrix configuration skips the division.
+func (m *ShardedMatrix) shardOf(u sgraph.NodeID) (s, r int) {
+	if m.numShards == 1 {
+		return 0, int(u)
+	}
+	s = int(u) / m.shardRows
+	return s, int(u) - s*m.shardRows
 }
 
 // ---------------------------------------------------------------------------
 // Residency bookkeeping. All helpers below require m.mu held.
 
-// residentLocked returns shard s, materialising it if it is cold: a
-// shard the prefetcher already prepared is adopted from the standby
-// slab (a prefetch hit); otherwise the spill file serves it — as a
-// zero-copy view into the mapping when views are enabled, by decoding
-// into fresh heap slabs when not. Room is made before the load, so
-// residency never exceeds the bound (pinned shards excepted). The
+// residentLocked returns shard s, materialising it if it is cold: the
+// spill file serves it — as a zero-copy view into the mapping when
+// views are enabled, by decoding into fresh heap slabs when not. Room
+// is made before the load, so residency never exceeds the bound
+// (pinned shards excepted). The
 // resident fast path (sh.bits != nil) allocates nothing; only cold
 // loads and the closed-spill error path do.
 //
@@ -852,36 +880,26 @@ func (m *ShardedMatrix) rowView(u sgraph.NodeID) ([]uint64, []uint8, []int32, er
 func (m *ShardedMatrix) residentLocked(s int) (*shardState, error) {
 	sh := &m.shards[s]
 	if sh.bits == nil {
-		if m.standbyShard == s {
-			if err := m.makeRoomLocked(); err != nil {
-				return nil, err
-			}
-			sh.bits, sh.dist8, sh.dist32 = m.standby.bits, m.standby.dist8, m.standby.dist32
-			m.standby, m.standbyShard = shardSlabs{}, -1
-			m.pfHits.Add(1)
-			m.admitLocked()
-		} else {
-			if m.spill == nil {
-				//tfsn:allow-alloc(cold error path: spill closed underneath a resident miss)
-				return nil, fmt.Errorf("compat: shard %d is spilled but the spill file is closed", s)
-			}
-			if err := m.makeRoomLocked(); err != nil {
-				return nil, err
-			}
-			if slab, ok := m.viewSlabLocked(s); ok {
-				sh.bits, sh.dist8, sh.dist32 = slab.bits, slab.dist8, slab.dist32
-			} else {
-				m.allocShard(sh)
-				var err error
-				m.readScratch, err = m.spill.read(s, sh.epoch, sh.bits, sh.dist8, sh.dist32, m.readScratch)
-				if err != nil {
-					sh.bits, sh.dist8, sh.dist32 = nil, nil, nil
-					return nil, err
-				}
-			}
-			m.spillLoads.Add(1)
-			m.admitLocked()
+		if m.spill == nil {
+			//tfsn:allow-alloc(cold error path: spill closed underneath a resident miss)
+			return nil, fmt.Errorf("compat: shard %d is spilled but the spill file is closed", s)
 		}
+		if err := m.makeRoomLocked(); err != nil {
+			return nil, err
+		}
+		if slab, ok := m.viewSlabLocked(s); ok {
+			sh.shardSlabs = slab
+		} else {
+			sh.shardSlabs = m.newSlab(sh.rows)
+			var err error
+			m.readScratch, err = m.spill.read(s, sh.epoch, sh.bits, sh.dist8, sh.dist32, m.readScratch)
+			if err != nil {
+				sh.shardSlabs = shardSlabs{}
+				return nil, err
+			}
+		}
+		m.spillLoads.Add(1)
+		m.admitLocked()
 	}
 	if sh.pins == 0 {
 		m.lru.Touch(s)
@@ -904,7 +922,7 @@ func (m *ShardedMatrix) viewSlabLocked(s int) (shardSlabs, bool) {
 	if !ok {
 		return shardSlabs{}, false
 	}
-	return shardSlabs{bits: bits, dist8: d8, dist32: d32, view: true}, true
+	return shardSlabs{bits: bits, dist8: d8, dist32: d32}, true
 }
 
 // admitLocked counts one freshly materialised shard.
@@ -972,7 +990,7 @@ func (m *ShardedMatrix) makeRoomLocked() error {
 			}
 			sh.dirty = false
 		}
-		sh.bits, sh.dist8, sh.dist32 = nil, nil, nil
+		sh.shardSlabs = shardSlabs{}
 		m.resident--
 	}
 	return nil
@@ -997,7 +1015,7 @@ func (m *ShardedMatrix) ensureSpillLocked() error {
 
 // newSlab allocates heap buffers shaped for a shard of the given row
 // count under the active packing — the one place that knows the slab
-// shape, shared by demand reloads, the build path and the prefetcher.
+// shape, shared by demand reloads, the build path and rebuilds.
 func (m *ShardedMatrix) newSlab(rows int) shardSlabs {
 	slab := shardSlabs{bits: make([]uint64, rows*m.stride)}
 	if m.wide {
@@ -1008,11 +1026,18 @@ func (m *ShardedMatrix) newSlab(rows int) shardSlabs {
 	return slab
 }
 
-// allocShard allocates the resident buffers for one shard (contents
-// overwritten by the build filler or the spill read).
-func (m *ShardedMatrix) allocShard(sh *shardState) {
-	slab := m.newSlab(sh.rows)
-	sh.bits, sh.dist8, sh.dist32 = slab.bits, slab.dist8, slab.dist32
+// newBlankSlab is newSlab with every distance preset to the packing's
+// "undefined" sentinel — the state the relation fillers expect, since
+// they write only defined distances.
+func (m *ShardedMatrix) newBlankSlab(rows int) shardSlabs {
+	slab := m.newSlab(rows)
+	for i := range slab.dist8 {
+		slab.dist8[i] = noDist8
+	}
+	for i := range slab.dist32 {
+		slab.dist32[i] = noDist32
+	}
+	return slab
 }
 
 // shardLen returns the row count of shard s (the last may be short).
@@ -1062,18 +1087,6 @@ func (m *ShardedMatrix) build(workers int, wide bool) error {
 	m.peakResident = 0
 	m.symSnapshotPeak = 0
 	m.views = false // build-time reloads are written into; no views yet
-	// Prefetcher state. The goroutine never runs during build (only
-	// rowView feeds the detector), so a plain reset is race-free; the
-	// slab pool holds at most the in-flight slab plus one standby.
-	m.lastShard, m.prevShard = -1, -1
-	m.inflight = -1
-	m.lastPredicted = -1
-	m.standbyShard = -1
-	m.standby = shardSlabs{}
-	m.slabPool = container.NewSlabPool[shardSlabs](2)
-	m.pfIssued.Store(0)
-	m.pfHits.Store(0)
-	m.pfWasted.Store(0)
 	m.mu.Unlock()
 	if m.n == 0 {
 		return nil
@@ -1094,9 +1107,11 @@ func (m *ShardedMatrix) build(workers int, wide bool) error {
 	}
 	// The relation is immutable from here on, so cold shards can be
 	// served as zero-copy views into the mapping (when it exists and
-	// matches the host byte order).
+	// matches the host byte order), and a fully resident engine's
+	// readers can go lock-free.
 	m.mu.Lock()
 	m.views = m.spill != nil && m.spill.canView()
+	m.publishLocked()
 	m.mu.Unlock()
 	return nil
 }
@@ -1111,37 +1126,20 @@ func (m *ShardedMatrix) buildShard(s int, workers int, scratches []*rowScratch) 
 		m.mu.Unlock()
 		return err
 	}
-	m.allocShard(sh)
+	sh.shardSlabs = m.newBlankSlab(sh.rows)
 	m.admitLocked()
 	sh.pins++
 	m.mu.Unlock()
 
 	base := s * m.shardRows
-	if !m.wide {
-		for i := range sh.dist8 {
-			sh.dist8[i] = noDist8
-		}
-	} else {
-		for i := range sh.dist32 {
-			sh.dist32[i] = noDist32
-		}
-	}
 	// Arm reach tracking: the fillers accumulate each row's plain-BFS
 	// reachable set per worker, merged below into the shard's touched
 	// bitset — what mutation invalidation tests edge endpoints against.
-	for _, sc := range scratches {
-		sc.resetReach(m.stride)
-	}
+	m.armReach(scratches)
 	sink := slabSink(sh.bits, sh.dist8, sh.dist32, m.stride, m.n, base)
 	fill, height := relationFiller(m.g, m.kind, m.beam, m.exact, sink)
 	err := fillRows(base, sh.rows, height, workers, scratches, fill)
-
-	touched := make([]uint64, m.stride)
-	for _, sc := range scratches {
-		for i, w := range sc.reach {
-			touched[i] |= w
-		}
-	}
+	touched := m.mergeReach(scratches)
 	m.mu.Lock()
 	sh.dirty = true
 	sh.epoch = m.dyn.Epoch() // construction runs at epoch 0
@@ -1154,10 +1152,10 @@ func (m *ShardedMatrix) buildShard(s int, workers int, scratches []*rowScratch) 
 // symmetrise rewrites the lower triangle from the upper one in
 // shard-pair tiles, turning the directed SBPH rows into the
 // canonicalised relation (entry (u,v) becomes row min(u,v)'s view of
-// max(u,v)) exactly as CompatMatrix.symmetrise does — but without the
-// full-matrix snapshot. For an off-diagonal tile (a < b) the writes
-// touch only shard b and the reads only shard a's upper-triangle
-// entries, which no tile ever modifies, so no copy is needed at all;
+// max(u,v)) without a full-matrix snapshot. For an off-diagonal tile
+// (a < b) the writes touch only shard b and the reads only shard a's
+// upper-triangle entries, which no tile ever modifies, so no copy is
+// needed at all;
 // the diagonal tile snapshots its own shard's bit slab (one word can
 // mix lower- and upper-triangle bits of two rows being processed in
 // parallel). Peak transient memory is therefore one shard bit slab on
@@ -1183,11 +1181,11 @@ func (m *ShardedMatrix) symmetrise(workers int) error {
 				snap := snapshot[:len(shB.bits)]
 				copy(snap, shB.bits)
 				err = m.symmetriseTile(workers, shardTile{
-					bits: shB.bits, dist8: shB.dist8, dist32: shB.dist32,
-					base: bBase, rows: shB.rows,
+					shardSlabs: shB.shardSlabs, base: bBase, rows: shB.rows,
 				}, shardTile{
-					bits: snap, dist8: shB.dist8, dist32: shB.dist32, base: bBase,
-					rows: shB.rows,
+					shardSlabs: shardSlabs{bits: snap, dist8: shB.dist8, dist32: shB.dist32},
+					base:       bBase,
+					rows:       shB.rows,
 				})
 			} else {
 				m.mu.Lock()
@@ -1197,11 +1195,9 @@ func (m *ShardedMatrix) symmetrise(workers int) error {
 					return pinErr
 				}
 				err = m.symmetriseTile(workers, shardTile{
-					bits: shB.bits, dist8: shB.dist8, dist32: shB.dist32,
-					base: bBase, rows: shB.rows,
+					shardSlabs: shB.shardSlabs, base: bBase, rows: shB.rows,
 				}, shardTile{
-					bits: shA.bits, dist8: shA.dist8, dist32: shA.dist32,
-					base: a * m.shardRows, rows: shA.rows,
+					shardSlabs: shA.shardSlabs, base: a * m.shardRows, rows: shA.rows,
 				})
 				m.mu.Lock()
 				m.unpinLocked(a)
@@ -1224,11 +1220,9 @@ func (m *ShardedMatrix) symmetrise(workers int) error {
 // global row base — detached from the shard table so the tile pass can
 // target buffers that are not swapped in yet.
 type shardTile struct {
-	bits   []uint64
-	dist8  []uint8
-	dist32 []int32
-	base   int
-	rows   int
+	shardSlabs
+	base int
+	rows int
 }
 
 // symmetriseTile rewrites, for every row u of tile dst, the columns

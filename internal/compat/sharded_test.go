@@ -2,12 +2,36 @@ package compat
 
 import (
 	"errors"
+	"flag"
 	"math/rand"
+	"strconv"
+	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/balance"
 	"repro/internal/sgraph"
 )
+
+// raceShardRows selects the shard heights for the interleaving tests
+// (eviction, concurrent mutation); CI runs them under -race with tiny
+// heights (1 and 3) so that every query crosses shard boundaries and
+// the demand path, eviction and rebuilds constantly interleave.
+var raceShardRows = flag.String("shard-rows", "1,3", "comma-separated shard heights for the eviction/mutation interleaving tests")
+
+func parseShardRows(t *testing.T) []int {
+	t.Helper()
+	var heights []int
+	for _, part := range strings.Split(*raceShardRows, ",") {
+		h, err := strconv.Atoi(strings.TrimSpace(part))
+		if err != nil || h <= 0 {
+			t.Fatalf("bad -shard-rows entry %q", part)
+		}
+		heights = append(heights, h)
+	}
+	return heights
+}
 
 // TestShardedAgreesAcrossShardSizes: the sharded engine must answer
 // every Compatible and Distance query exactly as the full matrix and
@@ -39,7 +63,7 @@ func TestShardedAgreesAcrossShardSizes(t *testing.T) {
 		}
 		for ki, k := range Kinds() {
 			lazy := MustNew(k, g, opts)
-			full := MustNewMatrix(k, g, MatrixOptions{Options: opts})
+			full := mustMatrix(k, g, opts)
 			for _, shardRows := range []int{1, 7, 64, n} {
 				// Alternate the spill backend across the grid; every
 				// (shard size, backend) pair is still exercised.
@@ -117,7 +141,7 @@ func TestShardedRowsMatchMatrixRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(402))
 	g := randomSignedGraph(rng, 61, 240, 0.3) // 61 rows: shards of 7 straddle words
 	for ki, k := range []Kind{SPO, SBPH, NNE} {
-		full := MustNewMatrix(k, g, MatrixOptions{})
+		full := mustMatrix(k, g, Options{})
 		sharded := MustNewSharded(k, g, ShardedOptions{
 			ShardRows: 7, MaxResidentShards: 2,
 			DisableMmap: ki%2 == 0, // cover both spill backends
@@ -153,8 +177,7 @@ func TestShardedRowsMatchMatrixRows(t *testing.T) {
 // TestShardedSymmetriseTransientBound: the blocked SBPH symmetrise
 // must never snapshot more than one shard's bit slab, so its peak
 // transient memory — snapshot plus the two resident tile shards — is
-// bounded by two shards, unlike CompatMatrix's full-matrix copy
-// (n²/8 bytes). Residency during the whole build must also respect
+// bounded by two shards, unlike a full-matrix copy (n²/8 bytes). Residency during the whole build must also respect
 // the configured bound.
 func TestShardedSymmetriseTransientBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(403))
@@ -178,7 +201,7 @@ func TestShardedSymmetriseTransientBound(t *testing.T) {
 		t.Fatalf("peak residency %d exceeded the bound %d during build", m.peakResident, maxResident)
 	}
 	// And the symmetrised result must still agree with the full matrix.
-	full := MustNewMatrix(SBPH, g, MatrixOptions{})
+	full := mustMatrix(SBPH, g, Options{})
 	for u := sgraph.NodeID(0); int(u) < g.NumNodes(); u += 7 {
 		for v := sgraph.NodeID(0); int(v) < g.NumNodes(); v++ {
 			want, _ := full.Compatible(u, v)
@@ -194,14 +217,14 @@ func TestShardedSymmetriseTransientBound(t *testing.T) {
 }
 
 // TestShardedStatsMatchMatrix: ComputeStats streamed over sharded rows
-// must agree with the full matrix for every kind — including SBPH,
-// where both packed engines measure the symmetrised relation.
+// must agree with the single-shard matrix for every kind — including
+// SBPH, where both configurations measure the symmetrised relation.
 func TestShardedStatsMatchMatrix(t *testing.T) {
 	rng := rand.New(rand.NewSource(404))
 	g := randomSignedGraph(rng, 50, 220, 0.3)
 	opts := Options{Exact: balance.ExactOptions{MaxLen: 6}}
 	for _, k := range Kinds() {
-		matStats, err := ComputeStats(MustNewMatrix(k, g, MatrixOptions{Options: opts}), StatsOptions{Workers: 2})
+		matStats, err := ComputeStats(mustMatrix(k, g, opts), StatsOptions{Workers: 2})
 		if err != nil {
 			t.Fatalf("%v: matrix stats: %v", k, err)
 		}
@@ -312,7 +335,7 @@ func TestShardedEvictionWriteFailureKeepsVictimResident(t *testing.T) {
 	rng := rand.New(rand.NewSource(413))
 	n := 24
 	g := randomSignedGraph(rng, n, 100, 0.3)
-	full := MustNewMatrix(SPO, g, MatrixOptions{})
+	full := mustMatrix(SPO, g, Options{})
 	m := MustNewSharded(SPO, g, ShardedOptions{ShardRows: 3, MaxResidentShards: 2})
 	defer m.Close()
 
@@ -389,7 +412,7 @@ func TestShardedConcurrentQueries(t *testing.T) {
 	rng := rand.New(rand.NewSource(407))
 	n := 48
 	g := randomSignedGraph(rng, n, 200, 0.3)
-	full := MustNewMatrix(SPO, g, MatrixOptions{})
+	full := mustMatrix(SPO, g, Options{})
 	m := MustNewSharded(SPO, g, ShardedOptions{ShardRows: 5, MaxResidentShards: 2})
 	defer m.Close()
 	errc := make(chan error, 4)
@@ -416,5 +439,235 @@ func TestShardedConcurrentQueries(t *testing.T) {
 		if err := <-errc; err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestShardedEvictionInterleavings is the dedicated -race workout for
+// the spilling configuration: for every configured tiny shard height
+// and both spill backends, sequential sweepers and random-access
+// workers hammer a matrix with a residency bound of 2, so reload and
+// eviction interleave in every order. Results must stay identical to
+// the full matrix throughout.
+func TestShardedEvictionInterleavings(t *testing.T) {
+	rng := rand.New(rand.NewSource(410))
+	n := 40
+	g := randomSignedGraph(rng, n, 170, 0.3)
+	full := mustMatrix(SPO, g, Options{})
+	for _, shardRows := range parseShardRows(t) {
+		for _, noMmap := range spillBackends(t) {
+			m := MustNewSharded(SPO, g, ShardedOptions{
+				ShardRows: shardRows, MaxResidentShards: 2,
+				DisableMmap: noMmap, SpillDir: t.TempDir(),
+			})
+			var wg sync.WaitGroup
+			errc := make(chan error, 4)
+			for w := 0; w < 2; w++ { // sequential sweepers
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for pass := 0; pass < 3; pass++ {
+						for u := sgraph.NodeID(0); int(u) < n; u++ {
+							v := sgraph.NodeID((int(u)*7 + w) % n)
+							want, _ := full.Compatible(u, v)
+							got, err := m.Compatible(u, v)
+							if err != nil {
+								errc <- err
+								return
+							}
+							if got != want {
+								errc <- errors.New("sweeper diverged from full matrix")
+								return
+							}
+						}
+					}
+				}(w)
+			}
+			for w := 0; w < 2; w++ { // random access
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					r := rand.New(rand.NewSource(int64(500 + w)))
+					for i := 0; i < 3*n; i++ {
+						u := sgraph.NodeID(r.Intn(n))
+						v := sgraph.NodeID(r.Intn(n))
+						wantD, wantOK := full.PairDistance(u, v)
+						gotD, gotOK := m.PairDistance(u, v)
+						if gotOK != wantOK || (gotOK && gotD != wantD) {
+							errc <- errors.New("random worker diverged from full matrix")
+							return
+						}
+					}
+				}(w)
+			}
+			wg.Wait()
+			close(errc)
+			for err := range errc {
+				t.Fatalf("rows=%d noMmap=%v: %v", shardRows, noMmap, err)
+			}
+			if got := m.ResidentShards(); got > m.MaxResidentShards() {
+				t.Fatalf("rows=%d noMmap=%v: %d shards resident, bound %d", shardRows, noMmap, got, m.MaxResidentShards())
+			}
+			if err := m.Close(); err != nil {
+				t.Fatalf("rows=%d noMmap=%v: Close: %v", shardRows, noMmap, err)
+			}
+			if err := m.Close(); err != nil {
+				t.Fatalf("rows=%d noMmap=%v: second Close: %v", shardRows, noMmap, err)
+			}
+		}
+	}
+}
+
+// TestShardedLiveStatsScrape: a /stats scrape must be safe while
+// queries are running — the serving daemon reads LiveStats from its
+// HTTP handler with solves in flight. Run under -race: the counters
+// are atomics, the residency gauge takes the lock briefly, so no torn
+// reads and no contention with the demand path.
+func TestShardedLiveStatsScrape(t *testing.T) {
+	rng := rand.New(rand.NewSource(413))
+	n := 64
+	g := randomSignedGraph(rng, n, 280, 0.3)
+	m := MustNewSharded(SPO, g, ShardedOptions{
+		ShardRows: 4, MaxResidentShards: 2,
+		SpillDir: t.TempDir(),
+	})
+	defer m.Close()
+
+	stop := make(chan struct{})
+	var scraper, traffic sync.WaitGroup
+	scraper.Add(1)
+	go func() { // the scraper
+		defer scraper.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			st := m.LiveStats()
+			if st.NumShards != m.NumShards() || st.ShardRows != 4 ||
+				st.MaxResidentShards != m.MaxResidentShards() {
+				t.Errorf("snapshot geometry wrong: %+v", st)
+				return
+			}
+			if st.ResidentShards > st.MaxResidentShards {
+				t.Errorf("snapshot residency %d over bound %d", st.ResidentShards, st.MaxResidentShards)
+				return
+			}
+		}
+	}()
+	for workers := 0; workers < 2; workers++ { // the traffic
+		traffic.Add(1)
+		go func(seed int64) {
+			defer traffic.Done()
+			r := rand.New(rand.NewSource(seed))
+			for i := 0; i < 4*n; i++ {
+				u := sgraph.NodeID(r.Intn(n))
+				if i%2 == 0 {
+					u = sgraph.NodeID(i % n)
+				}
+				if _, err := m.Compatible(u, sgraph.NodeID(r.Intn(n))); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(int64(414 + workers))
+	}
+	traffic.Wait()
+	close(stop)
+	scraper.Wait()
+	if st := m.LiveStats(); st.SpillLoads == 0 {
+		t.Fatal("traffic over a spilled matrix recorded no spill loads")
+	}
+}
+
+// TestShardedResidentTable: a fully resident engine — multi-shard, or
+// the single-shard matrix configuration — serves fresh rows from its
+// published table without taking the engine mutex; a mutation drops
+// exactly the shards it stales from the table (their readers fall back
+// to the locked rebuild path), and the rebuild republishes them. A
+// spilling engine publishes no table. The single shard records no
+// touched set, so every mutation stales it.
+func TestShardedResidentTable(t *testing.T) {
+	rng := rand.New(rand.NewSource(415))
+	n := 90
+	g := randomSignedGraph(rng, n, 110, 0.3) // sparse: some mutations miss some shards
+	spilling := MustNewSharded(SPO, g, ShardedOptions{ShardRows: 16, MaxResidentShards: 2, SpillDir: t.TempDir()})
+	defer spilling.Close()
+	if spilling.table.Load() != nil {
+		t.Fatal("a spilling engine published a lock-free table")
+	}
+	edges := collectEdges(g)
+	for _, rows := range []int{16, n} {
+		m := MustNewSharded(SPO, g, ShardedOptions{ShardRows: rows})
+		oracle := MustNew(SPO, g, Options{})
+		// With m.mu held by the test, every read must still complete.
+		done := make(chan error, 1)
+		m.mu.Lock()
+		go func() {
+			var buf []int32
+			mask := make([]uint64, m.WordsPerRow())
+			fillWords(mask, n)
+			us := make([]sgraph.NodeID, n)
+			for u := range us {
+				us[u] = sgraph.NodeID(u)
+			}
+			for u := sgraph.NodeID(0); int(u) < n; u++ {
+				_ = m.RowWords(u)
+				buf = m.DistanceRowInto(u, buf)
+				if _, err := m.Compatible(u, 0); err != nil {
+					done <- err
+					return
+				}
+			}
+			_, err := m.AndCountRows(us, mask)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("rows=%d: resident reads blocked on the engine mutex", rows)
+		}
+		m.mu.Unlock()
+		if rows == n && m.shards[0].touched != nil {
+			t.Fatal("single-shard build recorded a touched set")
+		}
+
+		for i, e := range edges[:6] {
+			res, err := flipSign(m, e.U, e.V)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := flipSign(oracle.(MutableRelation), e.U, e.V); err != nil {
+				t.Fatal(err)
+			}
+			if rows == n && res.DirtyShards != 1 {
+				t.Fatalf("flip %d: single shard reported %d dirty shards, want 1", i, res.DirtyShards)
+			}
+			tab := m.table.Load()
+			m.mu.Lock()
+			for s := range m.shards {
+				if inTable := tab.slabs[s].bits != nil; inTable == m.shards[s].stale {
+					t.Fatalf("rows=%d flip %d: shard %d stale=%v but in table=%v", rows, i, s, m.shards[s].stale, inTable)
+				}
+			}
+			m.mu.Unlock()
+			for u := sgraph.NodeID(0); int(u) < n; u++ {
+				for v := sgraph.NodeID(0); int(v) < n; v += 7 {
+					want, _ := oracle.Compatible(u, v)
+					if got, _ := m.Compatible(u, v); got != want {
+						t.Fatalf("rows=%d flip %d: Compatible(%d,%d) = %v, want %v", rows, i, u, v, got, want)
+					}
+				}
+			}
+			for s, sl := range m.table.Load().slabs {
+				if sl.bits == nil {
+					t.Fatalf("rows=%d flip %d: shard %d missing from the table after every row was read", rows, i, s)
+				}
+			}
+		}
+		m.Close()
 	}
 }

@@ -17,9 +17,8 @@ var hostLittleEndian = func() bool {
 
 // slotHeaderBytes is the fixed per-slot header: the graph epoch the
 // slot's payload was computed at, little-endian. Readers hand write and
-// read the epoch they expect; a mismatch means the slot predates (or,
-// for a racing prefetch, postdates) the shard's current data and must
-// not be served. Eight bytes keeps every payload 8-byte aligned for
+// read the epoch they expect; a mismatch means the slot predates the
+// shard's current data and must not be served. Eight bytes keeps every payload 8-byte aligned for
 // the zero-copy mapping views.
 const slotHeaderBytes = 8
 
@@ -42,10 +41,9 @@ const slotHeaderBytes = 8
 // afterwards), read decodes out of the mapping into caller buffers;
 // with no mapping at all (ShardedOptions.DisableMmap, non-unix
 // builds) it falls back to ReadAt into a caller-owned scratch buffer.
-// None of the read paths hold spill-internal mutable state, so the
-// demand path and the async prefetcher can reload different shards
-// concurrently; write keeps a private encode buffer and relies on its
-// callers holding one lock.
+// None of the read paths hold spill-internal mutable state; write
+// keeps a private encode buffer and relies on its callers holding one
+// lock.
 //
 // Mutations make slots rewritable, which collides with the zero-copy
 // views: the mapping is MAP_SHARED, so overwriting a slot that ever

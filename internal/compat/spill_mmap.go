@@ -2,8 +2,7 @@
 // creation turns every shard reload into a decode straight out of the
 // mapping: no ReadAt syscall, no intermediate copy into a scratch
 // buffer, and — because the mapping is immutable shared state — no
-// lock-ordering constraint between concurrent readers (the demand
-// path under the matrix lock and the async prefetcher outside it).
+// lock-ordering constraint between concurrent readers.
 // Eviction writes keep going through WriteAt on the descriptor, which
 // the unified page cache keeps coherent with a MAP_SHARED mapping and
 // which reports disk-full as an ordinary error instead of a fault.

@@ -45,12 +45,6 @@ type Stats struct {
 	Skills          *SkillMatrix // nil unless requested
 	SourcesScanned  int
 	TotalSources    int
-	// Prefetch snapshots the sharded engine's async-prefetcher
-	// counters as of the end of the scan (a stats sweep is exactly the
-	// sequential access pattern the prefetcher targets); zero for the
-	// other engines and for sharded matrices built without
-	// ShardedOptions.Prefetch.
-	Prefetch PrefetchStats
 	// Kernels names the compiled-in internal/kernels variant
 	// ("portable" or "amd64v3") the scan — and everything else in the
 	// process — ran on, so recorded numbers stay attributable to a
@@ -230,9 +224,6 @@ func ComputeStats(rel Relation, opts StatsOptions) (*Stats, error) {
 		if total.Skills != nil {
 			total.Skills.merge(accs[w].skills)
 		}
-	}
-	if sm, ok := rel.(*ShardedMatrix); ok {
-		total.Prefetch = sm.PrefetchStats()
 	}
 	return total, nil
 }

@@ -54,9 +54,10 @@ type Config struct {
 	Dataset string
 	// Engine selects the relation backend: "lazy" (the default —
 	// bounded row cache, rows computed on demand), "matrix" (packed
-	// all-pairs precompute; every row is materialised up front, so
-	// combine with moderate scales, and note that SampleSources no
-	// longer saves row computations) or "sharded" (the packed rows
+	// all-pairs precompute in one resident shard; every row is
+	// materialised up front, so combine with moderate scales, and note
+	// that SampleSources no longer saves row computations) or
+	// "sharded" (the packed rows
 	// partitioned into row shards with bounded residency and cold
 	// shards spilled to disk — all-pairs speed without the Θ(n²)
 	// resident footprint). Exact SBP always stays on the lazy engine:
@@ -69,9 +70,6 @@ type Config struct {
 	// MaxResidentShards bounds how many shards the sharded engine
 	// keeps in memory (0 = all, never spill); ignored otherwise.
 	MaxResidentShards int
-	// Prefetch enables the sharded engine's async next-shard
-	// prefetcher for sequential sweeps; ignored by the other engines.
-	Prefetch bool
 	// DisableMmap forces the sharded engine's portable ReadAt spill
 	// path instead of the memory-mapped spill file; ignored otherwise.
 	DisableMmap bool
@@ -150,24 +148,16 @@ func newRelation(cfg Config, k compat.Kind, g *sgraph.Graph) (compat.Relation, e
 			// SBP on the lazy engine regardless of the flag.
 			return compat.New(k, g, opts)
 		}
+		// The matrix engine is the packed engine as one resident shard.
+		sopts := compat.ShardedOptions{Options: opts, Workers: cfg.Workers, ShardRows: g.NumNodes()}
 		if cfg.Engine == "sharded" {
-			m, err := compat.NewSharded(k, g, compat.ShardedOptions{
-				Options:           opts,
-				Workers:           cfg.Workers,
-				ShardRows:         cfg.ShardRows,
-				MaxResidentShards: cfg.MaxResidentShards,
-				Prefetch:          cfg.Prefetch,
-				DisableMmap:       cfg.DisableMmap,
-			})
-			if err != nil {
-				// A true nil interface, not a typed-nil *ShardedMatrix.
-				return nil, err
-			}
-			return m, nil
+			sopts.ShardRows = cfg.ShardRows
+			sopts.MaxResidentShards = cfg.MaxResidentShards
+			sopts.DisableMmap = cfg.DisableMmap
 		}
-		m, err := compat.NewMatrix(k, g, compat.MatrixOptions{Options: opts, Workers: cfg.Workers})
+		m, err := compat.NewSharded(k, g, sopts)
 		if err != nil {
-			// A true nil interface, not a typed-nil *CompatMatrix.
+			// A true nil interface, not a typed-nil *ShardedMatrix.
 			return nil, err
 		}
 		return m, nil

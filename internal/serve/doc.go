@@ -66,8 +66,8 @@
 // down its http.Server, which waits for in-flight handlers; finally
 // Wait blocks until background batch runners are done (or its context
 // expires, which hard-cancels them) — only then is it safe to Close
-// the engine, preserving the engine's Close-drains-prefetcher
-// discipline one level up.
+// the engine, whose spill-file unmapping invalidates any row view a
+// runner still holds.
 //
 // # Observability
 //

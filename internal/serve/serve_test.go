@@ -44,7 +44,7 @@ func fixtureGraph(t testing.TB) (*sgraph.Graph, *skills.Assignment) {
 
 func matrixRel(t testing.TB, g *sgraph.Graph) compat.Relation {
 	t.Helper()
-	return compat.MustNewMatrix(compat.NNE, g, compat.MatrixOptions{})
+	return mustMatrix(compat.NNE, g)
 }
 
 // get performs one request against the server's handler.
@@ -182,7 +182,7 @@ func TestNoTeamIsFoundFalse(t *testing.T) {
 	a := skills.NewAssignment(u, 2)
 	a.MustAdd(0, 0)
 	a.MustAdd(1, 1)
-	s := New(compat.MustNewMatrix(compat.NNE, g, compat.MatrixOptions{}), a, Options{PlanCache: 4})
+	s := New(mustMatrix(compat.NNE, g), a, Options{PlanCache: 4})
 	defer s.Wait(context.Background())
 
 	res, body := get(t, s, "/form?task=A,B")
@@ -784,4 +784,10 @@ func BenchmarkServeSolve(b *testing.B) {
 		}
 	})
 	s.teams.Put(tm)
+}
+
+// mustMatrix builds the matrix configuration of the packed engine: one
+// shard holding every row, all resident.
+func mustMatrix(k compat.Kind, g *sgraph.Graph) *compat.ShardedMatrix {
+	return compat.MustNewSharded(k, g, compat.ShardedOptions{ShardRows: g.NumNodes()})
 }

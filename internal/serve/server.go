@@ -586,15 +586,15 @@ type statsPayload struct {
 	// Mutation carries the engine's epoch and invalidation counters;
 	// present whenever /mutate is enabled.
 	Mutation *compat.MutationStats `json:"mutation,omitempty"`
-	// Sharded carries the sharded engine's live counters; omitted on
-	// the other engines.
+	// Sharded carries the packed engine's live counters (matrix and
+	// sharded configurations alike); omitted on the lazy engine.
 	Sharded *compat.EngineStats `json:"sharded,omitempty"`
 	// Relation is the optional startup scan (Options.Relation).
 	Relation *RelationStats `json:"relation,omitempty"`
 }
 
 // handleStats snapshots every counter surface. All reads are safe
-// while solves, builds and prefetches are in flight — that is the
+// while solves and builds are in flight — that is the
 // point of the atomic counters underneath.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	p := statsPayload{

@@ -39,8 +39,8 @@
 // transient traversal state (queue, epoch-stamped discovery marks),
 // so a warm (result, Scratch) pair performs no heap allocations; a
 // warm MultiSweep likewise. The all-pairs sweeps in the compat package
-// — Precompute, ComputeStats, the CompatMatrix build and the
-// per-shard builds of ShardedMatrix — rely on this: each worker owns
+// — Precompute, ComputeStats and the per-shard builds of
+// ShardedMatrix — rely on this: each worker owns
 // one Scratch (and one MultiSweep) and reuses it across all sources it
 // is handed, whether those sources span the whole graph or one row
 // shard at a time. CI's alloc-regression smoke test keeps both warm

@@ -11,7 +11,7 @@ import (
 // an epoch-stamped discovery array (so no O(n) clear is needed between
 // runs) and the FIFO queue. A warm Scratch makes CountPathsInto and
 // DistancesInto allocation-free, which is what the all-pairs sweeps
-// (CompatMatrix construction, ComputeStats, Precompute) rely on — each
+// (packed-engine construction, ComputeStats, Precompute) rely on — each
 // worker owns one Scratch and reuses it across its sources.
 //
 // A Scratch is not safe for concurrent use; give every goroutine its
@@ -20,6 +20,12 @@ type Scratch struct {
 	epoch int32
 	seen  []int32 // seen[v] == epoch ⇔ v was discovered this traversal
 	queue container.IntQueue
+	// The parallel sweeps allocate one Scratch per worker back to back,
+	// and every push and pop writes the queue indices: padding to two
+	// whole cache lines (128 bytes, a size class the allocator aligns
+	// to 128) keeps two workers' scratches off a shared line, where the
+	// false sharing measurably slowed whole builds.
+	_ [48]byte
 }
 
 // NewScratch returns a Scratch sized for graphs of up to n nodes. It

@@ -3,6 +3,7 @@ package signedbfs
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"repro/internal/sgraph"
 )
@@ -121,5 +122,16 @@ func TestScratchGrowsAcrossGraphs(t *testing.T) {
 		if got.Dist[v] != want.Dist[v] || got.Pos[v] != want.Pos[v] || got.Neg[v] != want.Neg[v] {
 			t.Fatalf("node %d mismatch after scratch growth", v)
 		}
+	}
+}
+
+// TestScratchSpansWholeCacheLines: per-worker scratches are allocated
+// back to back and their queue indices are written on every push and
+// pop, so a Scratch must fill whole cache lines (and land in the
+// 128-byte size class, whose slots the allocator aligns) to keep two
+// workers off a shared line.
+func TestScratchSpansWholeCacheLines(t *testing.T) {
+	if size := unsafe.Sizeof(Scratch{}); size != 128 {
+		t.Fatalf("Scratch is %d bytes, want 128 (two cache lines)", size)
 	}
 }

@@ -20,7 +20,7 @@ func BenchmarkPickMinDistancePacked(b *testing.B) {
 	const n, numSkills = 512, 12
 	g := randomTeamGraph(rng, n, 8*n, 0.2)
 	assign := randomAssignment(b, rng, n, numSkills)
-	m, err := compat.NewMatrix(compat.SPO, g, compat.MatrixOptions{})
+	m, err := compat.NewSharded(compat.SPO, g, compat.ShardedOptions{ShardRows: g.NumNodes()})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func BenchmarkConstrainedFormInto(b *testing.B) {
 	const n, numSkills = 512, 12
 	g := randomTeamGraph(rng, n, 8*n, 0.2)
 	assign := randomAssignment(b, rng, n, numSkills)
-	m, err := compat.NewMatrix(compat.SPO, g, compat.MatrixOptions{})
+	m, err := compat.NewSharded(compat.SPO, g, compat.ShardedOptions{ShardRows: g.NumNodes()})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func BenchmarkPlanCompileUnique(b *testing.B) {
 	if h := len(assign.SkillsWithHolders()); h*(h-1)/2 <= 1<<16 {
 		b.Fatalf("only %d skills have holders: %d pairs do not exceed 2^16", h, h*(h-1)/2)
 	}
-	m, err := compat.NewMatrix(compat.SPM, g, compat.MatrixOptions{})
+	m, err := compat.NewSharded(compat.SPM, g, compat.ShardedOptions{ShardRows: g.NumNodes()})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -94,10 +94,10 @@
 //
 // # Relation engines
 //
-// Every algorithm takes a compat.Relation and works with any of the
-// three engines (lazy, matrix, sharded). When the relation also
-// implements compat.PackedRelation — the matrix and sharded engines
-// do — the candidate filter, the pool-degree counts of the
+// Every algorithm takes a compat.Relation and works with either engine
+// (lazy, or packed in its matrix or sharded configuration). When the
+// relation also implements compat.PackedRelation — the packed engine
+// does — the candidate filter, the pool-degree counts of the
 // MostCompatible policy and the cost functions switch to word-parallel
 // bitset AND/popcount over packed rows instead of per-pair interface
 // calls, which is what makes batch team formation several times

@@ -29,7 +29,7 @@ func ExampleSolver_constraints() {
 	assign.MustAdd(2, 1) // sql
 	assign.MustAdd(3, 2) // ops
 	assign.MustAdd(4, 2) // ops
-	rel := compat.MustNewMatrix(compat.NNE, g, compat.MatrixOptions{})
+	rel := compat.MustNewSharded(compat.NNE, g, compat.ShardedOptions{ShardRows: g.NumNodes()})
 
 	s := NewSolver(rel, assign, SolverOptions{})
 	task := skills.NewTask(0, 1, 2)

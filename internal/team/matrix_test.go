@@ -33,7 +33,7 @@ func TestFormPackedMatchesLazy(t *testing.T) {
 				MaxResidentShards: 2,
 			})
 			packed := map[string]compat.Relation{
-				"matrix":  compat.MustNewMatrix(k, g, compat.MatrixOptions{}),
+				"matrix":  mustMatrix(k, g),
 				"sharded": sharded,
 			}
 			for _, sp := range []SkillPolicy{RarestFirst, LeastCompatibleFirst} {
@@ -107,4 +107,10 @@ func randomAssignment(t testing.TB, rng *rand.Rand, n, numSkills int) *skills.As
 		}
 	}
 	return a
+}
+
+// mustMatrix builds the matrix configuration of the packed engine: one
+// shard holding every row, all resident.
+func mustMatrix(k compat.Kind, g *sgraph.Graph) *compat.ShardedMatrix {
+	return compat.MustNewSharded(k, g, compat.ShardedOptions{ShardRows: g.NumNodes()})
 }

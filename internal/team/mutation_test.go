@@ -27,7 +27,7 @@ func mutableSolverEngines(t *testing.T, k compat.Kind, g *sgraph.Graph) map[stri
 	t.Helper()
 	engines := map[string]compat.MutableRelation{
 		"lazy":   compat.MustNew(k, g, compat.Options{}).(compat.MutableRelation),
-		"matrix": compat.MustNewMatrix(k, g, compat.MatrixOptions{}),
+		"matrix": mustMatrix(k, g),
 		"sharded": compat.MustNewSharded(k, g, compat.ShardedOptions{
 			ShardRows: 4,
 		}),
@@ -122,7 +122,7 @@ func TestPlanCacheNegativeEntryEpochKeying(t *testing.T) {
 	for v := 0; v < n; v++ {
 		assign.MustAdd(sgraph.NodeID(v), skills.SkillID(v%2)) // skill 2 has no holders
 	}
-	rel := compat.MustNewMatrix(compat.SPO, g, compat.MatrixOptions{})
+	rel := mustMatrix(compat.SPO, g)
 	s := NewSolver(rel, assign, SolverOptions{Workers: 1, PlanCache: 4})
 	task := skills.NewTask(0, 2)
 	mustNoTeam := func(stage string) {
@@ -244,7 +244,7 @@ func TestConstrainedInfeasibleStubEpochKeying(t *testing.T) {
 	}
 	assign.MustAdd(0, 1) // skill 1 held only by users 0 and 1
 	assign.MustAdd(1, 1)
-	rel := compat.MustNewMatrix(compat.SPO, g, compat.MatrixOptions{})
+	rel := mustMatrix(compat.SPO, g)
 	s := NewSolver(rel, assign, SolverOptions{Workers: 1, PlanCache: 4})
 	task := skills.NewTask(0, 1)
 	opts := Options{Constraints: Constraints{MustExclude: []sgraph.NodeID{0, 1}}}

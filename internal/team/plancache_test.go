@@ -209,7 +209,7 @@ func TestPlanCacheConcurrentMixed(t *testing.T) {
 		}
 		tasks = append(tasks, task)
 	}
-	rel := compat.MustNewMatrix(compat.SPM, g, compat.MatrixOptions{})
+	rel := mustMatrix(compat.SPM, g)
 	opts := Options{Skill: LeastCompatibleFirst, User: MinDistance}
 	plain := NewSolver(rel, assign, SolverOptions{Workers: 1})
 	want := make([]*Team, len(tasks))
@@ -295,7 +295,7 @@ func TestPlanCacheWarmHitDoesNotAllocate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel := compat.MustNewMatrix(compat.SPM, g, compat.MatrixOptions{})
+	rel := mustMatrix(compat.SPM, g)
 	s := NewSolver(rel, assign, SolverOptions{Workers: 1, PlanCache: 8})
 	for _, opts := range []Options{
 		{Skill: LeastCompatibleFirst, User: MinDistance},

@@ -148,8 +148,8 @@ func taskHolderWords(assign *skills.Assignment, m compat.PackedRelation, s skill
 // across a solver's plan compilations. Each relation epoch gets its
 // own dense triangular table — one slot per unordered pair of skill
 // IDs below the memo's bound, holding cd+1 (0 = not yet computed) —
-// published through an atomic pointer, the pattern matrixState uses
-// for the packed rows. A lookup is a pointer load, an epoch compare
+// published through an atomic pointer, the pattern the packed
+// engine's shard table uses for its rows. A lookup is a pointer load, an epoch compare
 // and a slot load, with no lock and no hashing, and a workload
 // touching every pair of the universe computes each cd(s,s') once per
 // epoch. A graph mutation moves the epoch, every

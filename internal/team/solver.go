@@ -68,8 +68,8 @@ type SolverOptions struct {
 type Solver struct {
 	rel     compat.Relation
 	assign  *skills.Assignment
-	packed  compat.PackedRelation  // non-nil on matrix/sharded engines
-	matrix  *compat.CompatMatrix   // non-nil on the monolithic matrix engine
+	packed  compat.PackedRelation  // non-nil on the packed engine
+	matrix  *compat.ShardedMatrix  // the packed engine's concrete type, for devirtualised row loads
 	mutable compat.MutableRelation // non-nil on mutable engines: epoch-keys the plan cache
 	n       int                    // node count of the relation's graph
 
@@ -108,10 +108,10 @@ func NewSolver(rel compat.Relation, assign *skills.Assignment, opts SolverOption
 	if rc, ok := rel.(compat.RowAndCounter); ok {
 		s.rowCounter = rc
 	}
-	// Devirtualise the hottest lookup: distance queries against the
-	// monolithic matrix go through the concrete (inlinable) method
-	// instead of interface dispatch.
-	if cm, ok := rel.(*compat.CompatMatrix); ok {
+	// Devirtualise the hottest lookup: distance rows of the packed
+	// engine go through the concrete method instead of interface
+	// dispatch.
+	if cm, ok := rel.(*compat.ShardedMatrix); ok {
 		s.matrix = cm
 	}
 	if mr, ok := rel.(compat.MutableRelation); ok {
@@ -886,8 +886,8 @@ func (sc *scratch) addMember(p *TaskPlan, u sgraph.NodeID) {
 		} else {
 			sc.mask.And(p.s.packed.RowWords(u))
 		}
-		// Devirtualised on the monolithic matrix: its DistanceRow is a
-		// slice expression and inlines.
+		// Devirtualised on the packed engine: a resident row is one
+		// table load and a slice expression.
 		if p.s.matrix != nil {
 			sc.rows.Append(p.s.matrix.DistanceRow(u))
 		} else {

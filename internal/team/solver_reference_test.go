@@ -410,7 +410,7 @@ func constrainedEngines(t *testing.T, k compat.Kind, g *sgraph.Graph) map[string
 	t.Helper()
 	engines := map[string]compat.Relation{
 		"lazy":   compat.MustNew(k, g, compat.Options{}),
-		"matrix": compat.MustNewMatrix(k, g, compat.MatrixOptions{}),
+		"matrix": mustMatrix(k, g),
 	}
 	for _, rows := range []int{1, 7, 64, g.NumNodes()} {
 		sm := compat.MustNewSharded(k, g, compat.ShardedOptions{ShardRows: rows, MaxResidentShards: 2})

@@ -274,7 +274,7 @@ func solverEngines(k compat.Kind, g *sgraph.Graph) (map[string]compat.Relation, 
 	sharded := compat.MustNewSharded(k, g, compat.ShardedOptions{ShardRows: 4, MaxResidentShards: 2})
 	return map[string]compat.Relation{
 		"lazy":    compat.MustNew(k, g, compat.Options{}),
-		"matrix":  compat.MustNewMatrix(k, g, compat.MatrixOptions{}),
+		"matrix":  mustMatrix(k, g),
 		"sharded": sharded,
 	}, func() { sharded.Close() }
 }
@@ -371,7 +371,7 @@ func TestSolverRandomUserMatchesReference(t *testing.T) {
 		if len(task) == 0 {
 			continue
 		}
-		rel := compat.MustNewMatrix(compat.SPO, g, compat.MatrixOptions{})
+		rel := mustMatrix(compat.SPO, g)
 		want, wantErr := referenceForm(rel, assign, task, Options{User: RandomUser, Rng: rand.New(rand.NewSource(500 + int64(trial)))})
 		// Several workers: RandomUser must still serialise.
 		s := NewSolver(rel, assign, SolverOptions{Workers: 4})
@@ -523,7 +523,7 @@ func TestFormBatchRandomUserSequential(t *testing.T) {
 		}
 		tasks = append(tasks, task)
 	}
-	rel := compat.MustNewMatrix(compat.NNE, g, compat.MatrixOptions{})
+	rel := mustMatrix(compat.NNE, g)
 	var want []*Team
 	loopRng := rand.New(rand.NewSource(9000))
 	for _, task := range tasks {
@@ -583,7 +583,7 @@ func TestSkillCompatDegreesWordMismatch(t *testing.T) {
 	assign := randomAssignment(t, rng, 60, 5)
 	task := skills.NewTask(0, 1, 2, 3)
 	lazy := compat.MustNew(compat.NNE, g, compat.Options{})
-	packed := compat.MustNewMatrix(compat.NNE, g, compat.MatrixOptions{})
+	packed := mustMatrix(compat.NNE, g)
 	want, err := SkillCompatDegrees(lazy, assign, task)
 	if err != nil {
 		t.Fatal(err)
@@ -652,7 +652,7 @@ func TestWarmFormIntoDoesNotAllocate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel := compat.MustNewMatrix(compat.SPM, g, compat.MatrixOptions{})
+	rel := mustMatrix(compat.SPM, g)
 	s := NewSolver(rel, assign, SolverOptions{Workers: 1})
 	for _, opts := range []Options{
 		{Skill: LeastCompatibleFirst, User: MinDistance},

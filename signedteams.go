@@ -1,5 +1,5 @@
 // The root package API: graph construction, compatibility relations
-// (all three engines) and team formation. Package documentation lives
+// (both engines) and team formation. Package documentation lives
 // in doc.go.
 
 package signedteams
@@ -62,14 +62,8 @@ type (
 	// exact-SBP budgets, row-cache capacity).
 	RelationOptions = compat.Options
 	// RelationStats aggregates compatible-pair fractions and average
-	// distances, as in the paper's Table 2. On a prefetching sharded
-	// relation it also snapshots the PrefetchStats counters at the end
-	// of the scan.
+	// distances, as in the paper's Table 2.
 	RelationStats = compat.Stats
-	// PrefetchStats counts the sharded engine's async shard
-	// prefetcher: background reloads issued, adopted by demand queries
-	// (hits) and discarded unused (wasted).
-	PrefetchStats = compat.PrefetchStats
 	// StatsOptions controls ComputeRelationStats.
 	StatsOptions = compat.StatsOptions
 	// SkillMatrix records which skill pairs have compatible holders.
@@ -108,49 +102,33 @@ func MustNewRelation(kind RelationKind, g *Graph, opts RelationOptions) Relation
 	return compat.MustNew(kind, g, opts)
 }
 
-// MatrixRelationOptions tunes NewMatrixRelation (relation parameters
-// plus build parallelism).
-type MatrixRelationOptions = compat.MatrixOptions
-
-// NewMatrixRelation precomputes the packed all-pairs engine for the
-// given relation kind: one bit per node pair plus a packed distance
-// matrix, built in parallel. The result implements Relation, answers
-// point queries without ever erroring, and makes batch team formation
-// and all-pairs statistics run on word-level operations. Memory is
-// Θ(n²) bits + bytes, so prefer the lazy NewRelation on very large
-// graphs.
-func NewMatrixRelation(kind RelationKind, g *Graph, opts MatrixRelationOptions) (Relation, error) {
-	m, err := compat.NewMatrix(kind, g, opts)
-	if err != nil {
-		// Return a true nil interface, not a typed-nil *CompatMatrix.
-		return nil, err
-	}
-	return m, nil
-}
-
 // ShardedRelationOptions tunes NewShardedRelation: the relation
-// parameters plus build parallelism, shard height (ShardRows), the
-// resident-shard bound (MaxResidentShards) that triggers disk spill,
-// async next-shard prefetching for sequential sweeps (Prefetch) and
-// the spill read backend (DisableMmap forces the portable ReadAt path
-// instead of the memory-mapped spill file).
+// parameters plus build parallelism, shard height (ShardRows; at
+// least the node count gives the single-shard matrix configuration),
+// the resident-shard bound (MaxResidentShards) that triggers disk
+// spill, and the spill read backend (DisableMmap forces the portable
+// ReadAt path instead of the memory-mapped spill file).
 type ShardedRelationOptions = compat.ShardedOptions
 
-// ShardedRelation is the sharded packed engine returned by
+// ShardedRelation is the packed engine returned by
 // NewShardedRelation, exposed concretely so callers can reach its
-// observability methods (NumShards, ResidentShards, SpillLoads,
-// PrefetchStats) and Close.
+// observability methods (NumShards, ResidentShards, SpillLoads) and
+// Close.
 type ShardedRelation = compat.ShardedMatrix
 
-// NewShardedRelation precomputes the packed all-pairs engine in
-// row shards with bounded memory: each shard is built by a worker
-// pool, at most MaxResidentShards shards stay in memory behind an
-// LRU, and cold shards spill to a compact temporary file that point
-// queries transparently read back. The result implements Relation
-// with the same word-parallel fast paths as NewMatrixRelation, so
-// team formation and statistics run on it unchanged — use it when
-// the full Θ(n²) matrix does not fit but packed-row speed is still
-// wanted. Call Close on the result to release the spill file.
+// NewShardedRelation precomputes the packed all-pairs engine: one bit
+// per node pair plus a packed distance row per node, built in row
+// shards by a worker pool. The result implements Relation and makes
+// batch team formation and all-pairs statistics run on word-level
+// operations. Memory is Θ(n²) bits + bytes while every shard is
+// resident — with ShardRows ≥ g.NumNodes() it is one shard, the
+// "matrix" configuration, whose reads take no lock. A
+// MaxResidentShards bound keeps at most that many shards in memory
+// behind an LRU and spills cold shards to a compact temporary file
+// that point queries transparently read back — use it when the full
+// matrix does not fit but packed-row speed is still wanted. Prefer the
+// lazy NewRelation on very large graphs. Call Close on the result to
+// release the spill file.
 func NewShardedRelation(kind RelationKind, g *Graph, opts ShardedRelationOptions) (*ShardedRelation, error) {
 	return compat.NewSharded(kind, g, opts)
 }
