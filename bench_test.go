@@ -418,8 +418,10 @@ func BenchmarkCountPaths(b *testing.B) {
 
 // BenchmarkMultiSweep times one bit-parallel signed BFS from 64
 // sources — the unit of work the packed SPA/SPO/DPE/NNE builds run per
-// block of rows. The warm sub-bench reuses one MultiSweep and must
-// report 0 allocs/op (the CI smoke test watches this).
+// block of rows — and, as warm_counts, the same sweep in counting mode,
+// the unit of the packed SPM build. The warm sub-benches reuse one
+// MultiSweep and must report 0 allocs/op (the CI smoke test watches
+// them).
 func BenchmarkMultiSweep(b *testing.B) {
 	d, err := datasets.EpinionsSim(1, 0.04)
 	if err != nil {
@@ -453,11 +455,23 @@ func BenchmarkMultiSweep(b *testing.B) {
 			}
 		}
 	})
+	b.Run("warm_counts", func(b *testing.B) {
+		sw := signedbfs.NewMultiSweep(n)
+		for ok := sw.StartCounting(g, block(0)); ok; ok = sw.Next() {
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for ok := sw.StartCounting(g, block(i)); ok; ok = sw.Next() {
+			}
+		}
+	})
 }
 
-// BenchmarkMatrixBuild times the full packed-matrix build: SPO fills
-// 64 rows per multi-source sweep, SPM (which needs the path counts
-// themselves) one CountPathsInto per row.
+// BenchmarkMatrixBuild times the full packed-matrix build. Both kinds
+// fill 64 rows per multi-source sweep: SPO from the plain sweep's sign
+// bits, SPM from the counting sweep, whose per-source path counters
+// settle the majority test where both signs reach a node.
 func BenchmarkMatrixBuild(b *testing.B) {
 	d, err := datasets.EpinionsSim(1, 0.04)
 	if err != nil {

@@ -111,23 +111,34 @@ func TestFigure1aRelationVerdicts(t *testing.T) {
 var blockOpts = Options{BeamWidth: 2, Exact: balance.ExactOptions{MaxLen: 4}}
 
 // blockGraph is one agreement-suite input taller than a single
-// 64-source sweep block.
+// 64-source sweep block. sweepOnly inputs target the kinds the
+// multi-source sweep builds; suites skip them for SBP and SBPH, whose
+// one-row searches they exercise no differently and on which those
+// searches would dominate the suites' run time.
 type blockGraph struct {
-	name string
-	g    *sgraph.Graph
+	name      string
+	g         *sgraph.Graph
+	sweepOnly bool
 }
+
+// runs reports whether suites check kind k on the input.
+func (bg blockGraph) runs(k Kind) bool { return !bg.sweepOnly || (k != SBP && k != SBPH) }
 
 // blockGraphs returns the inputs the engine-agreement suites add on
 // top of their small random graphs, so the packed builds run several
 // 64-row sweep blocks (and partial last blocks): random graphs of 65,
 // 130 and 200 nodes; a graph of several components plus isolated
-// nodes; and a long path with mixed signs, whose BFS levels run far
-// past 64. Suites run them under blockOpts.
+// nodes; a long path with mixed signs, whose BFS levels run far past
+// 64; a mixed-sign chain of 66 diamonds, whose shortest-path counts
+// pass 2^64 and saturate without ever tying; and a mixed-sign path of 300 nodes, whose
+// distances beyond uint8 packing force the wide retry. Suites run
+// them under blockOpts. The last two draw from their own fixed seed,
+// so they leave rng where the earlier inputs did, and are sweepOnly.
 func blockGraphs(rng *rand.Rand) []blockGraph {
 	out := []blockGraph{
-		{"n65", randomSignedGraph(rng, 65, 130, 0.3)},
-		{"n130", randomSignedGraph(rng, 130, 260, 0.3)},
-		{"n200", randomSignedGraph(rng, 200, 400, 0.3)},
+		{"n65", randomSignedGraph(rng, 65, 130, 0.3), false},
+		{"n130", randomSignedGraph(rng, 130, 260, 0.3), false},
+		{"n200", randomSignedGraph(rng, 200, 400, 0.3), false},
 	}
 	// Three random components of 40 nodes (ids interleaved, so every
 	// block mixes them) and 30 isolated nodes.
@@ -146,17 +157,51 @@ func blockGraphs(rng *rand.Rand) []blockGraph {
 		}
 		split.AddEdge(u, v, s)
 	}
-	out = append(out, blockGraph{"split", split.MustBuild()})
-	const pathLen = 150
-	path := sgraph.NewBuilder(pathLen)
-	for i := 0; i+1 < pathLen; i++ {
+	out = append(out, blockGraph{"split", split.MustBuild(), false})
+	own := rand.New(rand.NewSource(1501))
+	return append(out,
+		blockGraph{"path", mixedPath(rng, 150), false},
+		blockGraph{"diamonds", diamondChain(own, 66), true},
+		blockGraph{"widepath", mixedPath(own, 300), true})
+}
+
+// diamondChain builds a chain of k diamonds, each a fan of three
+// parallel two-edge branches from one join node to the next, a
+// branch's first edge negative with probability 0.35. A fan with a
+// positive and b negative branches maps a source's counts (P, N) at
+// its entry to (aP+bN, aN+bP) at its exit, so P−N is multiplied by
+// a−b, which is odd and never zero: counts never tie, and they pass
+// 2^64 (and saturate) after 41 diamonds, where only saturating
+// arithmetic keeps the majority verdicts of the packed and lazy
+// engines equal.
+func diamondChain(rng *rand.Rand, k int) *sgraph.Graph {
+	b := sgraph.NewBuilder(4*k + 1)
+	for i := 0; i < k; i++ {
+		in, out := sgraph.NodeID(4*i), sgraph.NodeID(4*i+4)
+		for mid := in + 1; mid < out; mid++ {
+			s := sgraph.Positive
+			if rng.Float64() < 0.35 {
+				s = sgraph.Negative
+			}
+			b.AddEdge(in, mid, s)
+			b.AddEdge(mid, out, sgraph.Positive)
+		}
+	}
+	return b.MustBuild()
+}
+
+// mixedPath builds a path of n nodes, each edge negative with
+// probability 0.25.
+func mixedPath(rng *rand.Rand, n int) *sgraph.Graph {
+	b := sgraph.NewBuilder(n)
+	for i := 0; i+1 < n; i++ {
 		s := sgraph.Positive
 		if rng.Intn(4) == 0 {
 			s = sgraph.Negative
 		}
-		path.AddEdge(sgraph.NodeID(i), sgraph.NodeID(i+1), s)
+		b.AddEdge(sgraph.NodeID(i), sgraph.NodeID(i+1), s)
 	}
-	return append(out, blockGraph{"path", path.MustBuild()})
+	return b.MustBuild()
 }
 
 func randomSignedGraph(rng *rand.Rand, n, m int, negFrac float64) *sgraph.Graph {

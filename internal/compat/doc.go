@@ -57,12 +57,15 @@
 //
 // The packed engine fills rows through one block filler (fill.go):
 // each shard build and each stale-shard rebuild hands out blocks of
-// consecutive rows, never straddling a shard, to a worker pool. SPA, SPO, DPE and NNE fill up to 64 rows from a single
+// consecutive rows, never straddling a shard, to a worker pool. SPA,
+// SPO, SPM, DPE and NNE fill up to 64 rows from a single
 // signedbfs.MultiSweep, whose per-source positive/negative bits are
 // exactly Algorithm 1's Pos>0 / Neg>0 and whose levels give every
 // distance (DPE and NNE keep their neighbour-list bits and take only
-// the distances). SPM compares the path counts themselves, which one
-// bit per source cannot carry, so it keeps one CountPathsInto per row;
+// the distances). SPM runs the sweep in counting mode: a source whose
+// shortest paths to a node are all of one sign needs only the bits,
+// and where both signs arrive its per-source (Pos, Neg) counters —
+// saturating, bit-identical to CountPathsInto's — settle Pos ≥ Neg.
 // SBP and SBPH keep one balance search per row. The lazy engine's
 // on-demand rows stay on CountPathsInto/DistancesInto, the reference
 // the engine-agreement suites hold the packed builds to.

@@ -99,35 +99,20 @@ type blockFiller func(lo, hi sgraph.NodeID, s *rowScratch) error
 // popcounts are exact. Undefined distances keep whatever sentinel the
 // sink prefilled.
 //
-// SPA, SPO, DPE and NNE fill up to signedbfs.MaxSources rows from one
-// bit-parallel sweep: SPA and SPO take their bits and distances from
-// it, DPE and NNE keep their neighbour-list bits and take only the
-// distances (a source is at distance d when either frontier bit
-// reaches the node first at level d, so signs drop out). SPM needs the
-// path counts themselves, and SBP/SBPH run their own per-source
+// SPA, SPO, SPM, DPE and NNE fill up to signedbfs.MaxSources rows
+// from one bit-parallel sweep: SPA and SPO take their bits and
+// distances from it, SPM runs it in counting mode and compares each
+// source's path counts where both signs reach a node, DPE and NNE keep
+// their neighbour-list bits and take only the distances (a source is
+// at distance d when either frontier bit reaches the node first at
+// level d, so signs drop out). SBP/SBPH run their own per-source
 // searches, so those kinds fill one row per block.
 func relationFiller(g *sgraph.Graph, kind Kind, beam int, exact balance.ExactOptions, sink rowSink) (blockFiller, int) {
-	n := g.NumNodes()
 	switch kind {
-	case SPA, SPO, DPE, NNE:
+	case SPA, SPO, SPM, DPE, NNE:
 		return func(lo, hi sgraph.NodeID, s *rowScratch) error {
 			return fillSweepBlock(g, kind, sink(lo, hi), lo, hi, s)
 		}, signedbfs.MaxSources
-	case SPM:
-		return func(u, _ sgraph.NodeID, s *rowScratch) error {
-			signedbfs.CountPathsInto(g, u, &s.res, s.bfs)
-			out := sink(u, u+1)
-			row := out.row(0)
-			zeroWords(row)
-			for v := 0; v < n; v++ {
-				if s.res.MajorityPositive(sgraph.NodeID(v)) {
-					setWordBit(row, sgraph.NodeID(v))
-				}
-			}
-			setWordBit(row, u)
-			s.recordReach(s.res.Dist)
-			return out.setDists(0, s.res.Dist)
-		}, 1
 	case SBPH, SBP:
 		return func(u, _ sgraph.NodeID, s *rowScratch) error {
 			var pd *balance.PathDists
@@ -169,8 +154,9 @@ func relationFiller(g *sgraph.Graph, kind Kind, beam int, exact balance.ExactOpt
 }
 
 // fillSweepBlock fills the rows [lo, hi) (at most
-// signedbfs.MaxSources of them, landing in out) of an SPA, SPO, DPE or
-// NNE relation from one multi-source sweep, source lo+j riding bit j.
+// signedbfs.MaxSources of them, landing in out) of an SPA, SPO, SPM,
+// DPE or NNE relation from one multi-source sweep, source lo+j riding
+// bit j.
 func fillSweepBlock(g *sgraph.Graph, kind Kind, out blockView, lo, hi sgraph.NodeID, s *rowScratch) error {
 	if s.sweep == nil {
 		s.sweep = signedbfs.NewMultiSweep(g.NumNodes())
@@ -197,7 +183,7 @@ func fillSweepBlock(g *sgraph.Graph, kind Kind, out blockView, lo, hi sgraph.Nod
 					clearWordBit(row, v)
 				}
 			}
-		default: // SPA, SPO: bits come from the sweep
+		default: // SPA, SPO, SPM: bits come from the sweep
 			zeroWords(row)
 		}
 		setWordBit(row, u) // reflexivity
@@ -205,18 +191,26 @@ func fillSweepBlock(g *sgraph.Graph, kind Kind, out blockView, lo, hi sgraph.Nod
 	}
 
 	// set = (p &^ (q & qm)) & pm picks the sources whose row gains the
-	// level's node: SPO keeps p (some positive shortest path), SPA
-	// p &^ q (every shortest path positive), DPE/NNE nothing.
+	// level's node: SPO keeps p (some positive shortest path), SPA and
+	// SPM p &^ q (every shortest path positive), DPE/NNE nothing. SPM
+	// also gains the node for the sources in p & q whose positive
+	// shortest paths are at least as many as the negative ones.
 	var pm, qm uint64
 	switch kind {
 	case SPO:
 		pm = ^uint64(0)
-	case SPA:
+	case SPA, SPM:
 		pm, qm = ^uint64(0), ^uint64(0)
 	}
 	sw := s.sweep
 	n, stride := out.n, out.stride
-	for ok := sw.Start(g, s.srcs); ok; ok = sw.Next() {
+	var ok bool
+	if kind == SPM {
+		ok = sw.StartCounting(g, s.srcs)
+	} else {
+		ok = sw.Start(g, s.srcs)
+	}
+	for ; ok; ok = sw.Next() {
 		d, level := sw.Level()
 		if out.d32 == nil && d > maxDist8 {
 			return errDistOverflow
@@ -235,6 +229,15 @@ func fillSweepBlock(g *sgraph.Graph, kind Kind, out blockView, lo, hi sgraph.Nod
 			w, m := v>>6, uint64(1)<<uint(v&63)
 			for set := (p &^ (q & qm)) & pm; set != 0; set &= set - 1 {
 				out.bits[bits.TrailingZeros64(set)*stride+w] |= m
+			}
+			if kind == SPM && p&q != 0 {
+				c := sw.Counts(e.Node)
+				for both := p & q; both != 0; both &= both - 1 {
+					j := bits.TrailingZeros64(both)
+					if c[j].Pos >= c[j].Neg {
+						out.bits[j*stride+w] |= m
+					}
+				}
 			}
 		}
 	}

@@ -46,22 +46,24 @@ func TestMatrixAgreesWithLazy(t *testing.T) {
 	// Cap the exact SBP enumeration (identically on both engines, so
 	// they must still agree) to keep the test fast.
 	opts := Options{Exact: balance.ExactOptions{MaxLen: 7}}
-	var graphs []*sgraph.Graph
+	var graphs []blockGraph
 	for trial := 0; trial < 8; trial++ {
 		n := 5 + rng.Intn(14)
-		graphs = append(graphs, randomSignedGraph(rng, n, n+rng.Intn(4*n), 0.3))
+		graphs = append(graphs, blockGraph{g: randomSignedGraph(rng, n, n+rng.Intn(4*n), 0.3)})
 	}
 	small := len(graphs)
-	for _, bg := range blockGraphs(rng) {
-		graphs = append(graphs, bg.g)
-	}
-	for trial, g := range graphs {
+	graphs = append(graphs, blockGraphs(rng)...)
+	for trial, bg := range graphs {
+		g := bg.g
 		n := g.NumNodes()
 		opts := opts
 		if trial >= small {
 			opts = blockOpts
 		}
 		for _, k := range Kinds() {
+			if !bg.runs(k) {
+				continue
+			}
 			lazy := MustNew(k, g, opts)
 			m, err := newMatrix(k, g, opts)
 			if err != nil {
@@ -190,7 +192,7 @@ func TestMatrixDistanceOverflowFallback(t *testing.T) {
 		b.AddEdge(sgraph.NodeID(i), sgraph.NodeID(i+1), sgraph.Positive)
 	}
 	g := b.MustBuild()
-	for _, k := range []Kind{SPA, NNE} {
+	for _, k := range []Kind{SPA, SPM, NNE} {
 		m := mustMatrix(k, g, Options{})
 		if m.DistanceRow(0).d32 == nil {
 			t.Fatalf("%v: expected int32 distance fallback", k)

@@ -230,6 +230,9 @@ func TestMutationOracle(t *testing.T) {
 			g := randomSignedGraph(rng, n, 2*n, 0.3)
 			runMutationOracle(t, "", k, g, opts, steps, rng)
 			for _, bg := range blockGraphs(rng) {
+				if !bg.runs(k) {
+					continue
+				}
 				runMutationOracle(t, bg.name+" ", k, bg.g, blockOpts, blockSteps, rng)
 			}
 		})

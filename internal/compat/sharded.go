@@ -15,11 +15,17 @@
 // shared worker-pool sweep (one signedbfs.Scratch per worker, reused
 // across shards), at most MaxResidentShards shards stay in memory
 // behind an LRU, and cold shards spill to a compact temporary file
-// that is read back on demand. A single shard holding every row
-// (ShardRows ≥ NumNodes) is the "matrix" configuration: one slab, all
-// resident. It implements Relation and PackedRelation, so the team
-// pickers, CostWith, Precompute and ComputeStats all run on it
-// unchanged.
+// that is read back on demand. The bound covers the shards only: each
+// build or rebuild worker also holds graph-sized scratch, about 85
+// bytes per node, and an SPM worker adds its sweep's path counters,
+// 16 bytes per node and row of the block (1 KiB per node for a full
+// 64-row block, about two default shards' worth) — allocated by the
+// first SPM block, freed with the build's scratch, and kept by the
+// engine for reuse once a mutation has made it rebuild a shard. A
+// single shard holding every row (ShardRows ≥ NumNodes) is the
+// "matrix" configuration: one slab, all resident. It implements
+// Relation and PackedRelation, so the team pickers, CostWith,
+// Precompute and ComputeStats all run on it unchanged.
 //
 // SBPH symmetrisation runs as a blocked two-pass scheme over
 // shard-pair tiles: only the diagonal tile needs a snapshot, and only
@@ -59,6 +65,8 @@ type ShardedOptions struct {
 	// a value ≥ the shard count) keeps everything resident and never
 	// spills. Spilling clamps the bound to at least 2: the blocked
 	// symmetrise pass and tile operations need a shard pair resident.
+	// Build and rebuild scratch comes on top, per worker; for SPM up to
+	// 1 KiB per node (see ShardedMatrix).
 	MaxResidentShards int
 	// SpillDir is where the cold-shard file is created; "" uses the
 	// system temporary directory.
@@ -155,6 +163,9 @@ type ShardedMatrix struct {
 	staleCount int
 	mutCount   atomic.Int64
 	rebuilds   atomic.Int64
+	// rebuildScratch (under freshMu) is the rebuilds' worker scratch,
+	// reused across them; see rebuildScratches.
+	rebuildScratch []*rowScratch
 	// views enables zero-copy reloads: post-build, on a mapped spill
 	// whose byte order matches the host, a cold shard is served as
 	// slices straight into the mapping instead of decoded into heap
@@ -456,7 +467,7 @@ func (m *ShardedMatrix) freshen(s int) error {
 	}
 	m.mu.Unlock()
 
-	scratches, workers := newWorkerScratches(m.workers, m.n)
+	scratches, workers := m.rebuildScratches()
 	for _, t := range targets {
 		err := m.rebuildShard(g, epoch, t, workers, scratches)
 		if errors.Is(err, errDistOverflow) {
@@ -469,6 +480,18 @@ func (m *ShardedMatrix) freshen(s int) error {
 		}
 	}
 	return nil
+}
+
+// rebuildScratches returns the post-mutation rebuilds' worker
+// scratches, allocated by the first rebuild and kept for the later
+// ones (their sweeps and SPM counter slabs are graph-sized, so a
+// rebuild of one small shard would otherwise pay for allocating and
+// zeroing them again). Callers hold freshMu.
+func (m *ShardedMatrix) rebuildScratches() ([]*rowScratch, int) {
+	if m.rebuildScratch == nil {
+		m.rebuildScratch, _ = newWorkerScratches(m.workers, m.n)
+	}
+	return m.rebuildScratch, len(m.rebuildScratch)
 }
 
 // rebuildShard recomputes shard s against graph snapshot g into fresh
@@ -626,10 +649,8 @@ func (m *ShardedMatrix) promoteWide(g *sgraph.Graph, epoch uint64) error {
 	m.publishLocked()
 	m.mu.Unlock()
 
-	// Wide slabs are 4× the distance bytes: re-derive worker scratches
-	// rather than reusing the caller's (same shape, but cheap and
-	// clearer), and rebuild ascending so SBPH tiles see fresh sources.
-	scratches, workers := newWorkerScratches(m.workers, m.n)
+	// Rebuild ascending so SBPH tiles see fresh sources.
+	scratches, workers := m.rebuildScratches()
 	for s := 0; s < m.numShards; s++ {
 		if err := m.rebuildShard(g, epoch, s, workers, scratches); err != nil {
 			return err

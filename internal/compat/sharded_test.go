@@ -46,22 +46,24 @@ func parseShardRows(t *testing.T) []int {
 func TestShardedAgreesAcrossShardSizes(t *testing.T) {
 	rng := rand.New(rand.NewSource(401))
 	opts := Options{Exact: balance.ExactOptions{MaxLen: 7}}
-	var graphs []*sgraph.Graph
+	var graphs []blockGraph
 	for trial := 0; trial < 4; trial++ {
 		n := 9 + rng.Intn(16)
-		graphs = append(graphs, randomSignedGraph(rng, n, n+rng.Intn(4*n), 0.3))
+		graphs = append(graphs, blockGraph{g: randomSignedGraph(rng, n, n+rng.Intn(4*n), 0.3)})
 	}
 	small := len(graphs)
-	for _, bg := range blockGraphs(rng) {
-		graphs = append(graphs, bg.g)
-	}
-	for trial, g := range graphs {
+	graphs = append(graphs, blockGraphs(rng)...)
+	for trial, bg := range graphs {
+		g := bg.g
 		n := g.NumNodes()
 		opts := opts
 		if trial >= small {
 			opts = blockOpts
 		}
 		for ki, k := range Kinds() {
+			if !bg.runs(k) {
+				continue
+			}
 			lazy := MustNew(k, g, opts)
 			full := mustMatrix(k, g, opts)
 			for _, shardRows := range []int{1, 7, 64, n} {

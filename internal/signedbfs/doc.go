@@ -28,9 +28,14 @@
 // the sign bits of its shortest paths there — the same Dist, Pos>0
 // and Neg>0 CountPathsInto computes, one traversal per 64 sources.
 // The sweep is frontier-driven, so it never scans more edges than its
-// sources would one by one. It cannot count paths, so SPM's majority
-// test stays on CountPathsInto. The compat package's packed builds
-// run one sweep per block of 64 rows.
+// sources would one by one. For SPM's majority test it also counts:
+// started with StartCounting, it keeps a saturating (Pos, Neg) pair
+// per node and source, summed level by level along each source's
+// shortest-path-DAG edges, and every pair ends bit-identical to
+// CountPathsInto's, saturated or not. The compat package's packed
+// builds run one sweep per block of 64 rows for every kind but
+// SBP/SBPH; CountPathsInto stays the lazy engine's single-row path
+// and the reference the agreement suites compare against.
 //
 // # Allocation discipline
 //
@@ -38,11 +43,12 @@
 // write into caller-owned result storage and take a Scratch for all
 // transient traversal state (queue, epoch-stamped discovery marks),
 // so a warm (result, Scratch) pair performs no heap allocations; a
-// warm MultiSweep likewise. The all-pairs sweeps in the compat package
-// — Precompute, ComputeStats and the per-shard builds of
-// ShardedMatrix — rely on this: each worker owns
-// one Scratch (and one MultiSweep) and reuses it across all sources it
-// is handed, whether those sources span the whole graph or one row
-// shard at a time. CI's alloc-regression smoke test keeps both warm
+// warm MultiSweep likewise, counting or not (its counters, one pair
+// per node and source, are sized by the first counting sweep of that
+// many sources). The all-pairs sweeps in the compat package —
+// Precompute, ComputeStats and the per-shard builds of ShardedMatrix —
+// rely on this: each worker owns one Scratch (and one MultiSweep) and
+// reuses it across all sources it is handed, whether those sources
+// span the whole graph or one row shard at a time. CI's alloc-regression smoke test keeps both warm
 // paths at 0 allocs/op.
 package signedbfs

@@ -1,6 +1,10 @@
 package signedbfs
 
-import "repro/internal/sgraph"
+import (
+	"math/bits"
+
+	"repro/internal/sgraph"
+)
 
 // MaxSources is the number of sources one MultiSweep traversal carries:
 // one per bit of a machine word.
@@ -11,8 +15,9 @@ const MaxSources = 64
 // of every word (the multi-source BFS of Then et al., "The More the
 // Merrier", VLDB 2015, with a sign bit added). It answers the yes/no
 // questions SPA and SPO ask of Algorithm 1 — does some positive
-// (negative) shortest path reach v — and every shortest-path length,
-// but not the path counts themselves; SPM still needs CountPathsInto.
+// (negative) shortest path reach v — and every shortest-path length.
+// Started with StartCounting it also counts the paths, for SPM's
+// majority test; see Counts.
 //
 // Each node keeps three words: the sources that have seen it, and the
 // positive and negative frontier bits of the current level (the latter
@@ -22,6 +27,18 @@ const MaxSources = 64
 // sources at distance d, and the positive (negative) bit of such a
 // source is exactly CountPathsInto's Pos > 0 (Neg > 0), because both
 // are ORs over the same shortest-path predecessors.
+//
+// In counting mode every (node, source) pair also carries a saturating
+// (Pos, Neg) counter, filled by a second pass over the level's edges
+// once the next level is built. An edge u→v lies on source j's
+// shortest-path DAG exactly when j is in u's entry and in v's new one
+// (d(v) = d(u)+1), so the pass does what CountPathsInto does along it:
+// lane j of v starts at zero and adds u's pair, swapped across a
+// negative edge. Saturating addition of non-negative values is
+// order-independent — it equals min(true sum, MaxUint64) — so every
+// lane ends bit-identical to CountPathsInto's Pos[v] and Neg[v],
+// saturated or not. The plain frontier loop stays free of counting
+// work, so the sweeps that only need the bits do not pay for it.
 //
 // The sweep is frontier-driven: only nodes on some source's current
 // frontier push, so a node scans its adjacency at most once per level
@@ -35,8 +52,9 @@ const MaxSources = 64
 //		...
 //	}
 //
-// A warm MultiSweep (sized for the graph) performs no heap
-// allocations. It is not safe for concurrent use.
+// A warm MultiSweep (sized for the graph, and for counting once it
+// has counted) performs no heap allocations. It is not safe for
+// concurrent use.
 type MultiSweep struct {
 	g     *sgraph.Graph
 	depth int32
@@ -51,6 +69,24 @@ type MultiSweep struct {
 
 	// The current level and the spare buffer the next is built in.
 	level, spare []Entry
+
+	// counts holds one path-counter lane per node and source of the
+	// counting sweep, node v's at [v*lanes, (v+1)*lanes) so an edge
+	// reads and writes one contiguous run per endpoint: 16·lanes bytes
+	// per node, grown only when a sweep needs more. Lane j of v
+	// is zeroed and summed at the level source j first reaches v and
+	// only read after, so the slab is never cleared. counting arms
+	// countLevel in Next.
+	counts   []PathCount
+	lanes    int
+	counting bool
+}
+
+// PathCount is one source's shortest-path counters at one node: the
+// numbers of positive and of negative shortest paths, saturating at
+// MaxUint64 — CountPathsInto's Pos[v] and Neg[v].
+type PathCount struct {
+	Pos, Neg uint64
 }
 
 // sweepNode is one node's state, packed so a push touches one cache
@@ -104,6 +140,32 @@ func (s *MultiSweep) grow(n int) {
 //
 //tfsn:noalloc
 func (s *MultiSweep) Start(g *sgraph.Graph, srcs []sgraph.NodeID) bool {
+	return s.start(g, srcs, false)
+}
+
+// StartCounting is Start with path counting armed: every level of the
+// sweep also leaves, in Counts, each source's positive and negative
+// shortest-path counts at the level's nodes. A source's lane starts at
+// (1, 0). The counters take 16·len(srcs) bytes per node of g, kept for
+// later sweeps of at most as many lanes.
+//
+//tfsn:noalloc
+func (s *MultiSweep) StartCounting(g *sgraph.Graph, srcs []sgraph.NodeID) bool {
+	s.lanes = len(srcs)
+	if need := g.NumNodes() * s.lanes; len(s.counts) < need {
+		s.growCounts(need) // cold: a warm counting sweep never grows
+	}
+	return s.start(g, srcs, true)
+}
+
+// growCounts sizes the counter slab for need lanes.
+func (s *MultiSweep) growCounts(need int) { s.counts = make([]PathCount, need) }
+
+// start resets the sweep and lays out level 0, seeding each source's
+// counter lane when counting.
+//
+//tfsn:noalloc
+func (s *MultiSweep) start(g *sgraph.Graph, srcs []sgraph.NodeID, counting bool) bool {
 	if len(srcs) > MaxSources {
 		panic("signedbfs: MultiSweep.Start with more than 64 sources")
 	}
@@ -116,6 +178,7 @@ func (s *MultiSweep) Start(g *sgraph.Graph, srcs []sgraph.NodeID) bool {
 	s.nTouched = 0
 	s.g = g
 	s.depth = 0
+	s.counting = counting
 	st := s.nextStamp()
 	next := s.spare[:cap(s.spare)]
 	k := int32(0)
@@ -127,6 +190,9 @@ func (s *MultiSweep) Start(g *sgraph.Graph, srcs []sgraph.NodeID) bool {
 			s.nTouched++
 		}
 		nd.seen |= bit
+		if counting {
+			s.counts[int(v)*s.lanes+j] = PathCount{Pos: 1}
+		}
 		if nd.stamp != st {
 			nd.stamp, nd.slot = st, k
 			next[k] = Entry{Pos: bit, Node: v}
@@ -146,6 +212,18 @@ func (s *MultiSweep) Start(g *sgraph.Graph, srcs []sgraph.NodeID) bool {
 //
 //tfsn:noalloc
 func (s *MultiSweep) Next() bool {
+	ok := s.pushLevel()
+	if s.counting {
+		s.countLevel()
+	}
+	return ok
+}
+
+// pushLevel is Next's frontier step. It calls nothing inside its loop,
+// which keeps the loop's state in registers.
+//
+//tfsn:noalloc
+func (s *MultiSweep) pushLevel() bool {
 	// The CSR arrays and the sweep's buffers live in locals: the loop's
 	// stores could otherwise alias the structs' slice headers and force
 	// a reload per node.
@@ -204,6 +282,54 @@ func (s *MultiSweep) Next() bool {
 	return k > 0
 }
 
+// countLevel carries the path counters from the level pushLevel just
+// left (now in spare) to the one it built (level, its nodes stamped
+// with the current stamp): each lane a new entry carries starts at
+// zero, then every edge u→v from the old level adds u's pair, swapped
+// across a negative edge, into the lanes of the sources whose
+// shortest-path DAG holds the edge — those at u's distance (u's entry
+// bits) that first reach v one level further (v's new entry bits).
+// These are exactly CountPathsInto's additions along the same edges.
+//
+//tfsn:noalloc
+func (s *MultiSweep) countLevel() {
+	off, adj, sgn := s.g.CSR()
+	nodes, counts, w := s.nodes, s.counts, s.lanes
+	st, level := s.stamp, s.level
+	for _, ev := range level {
+		cv := counts[int(ev.Node)*w:][:w]
+		for b := ev.Pos | ev.Neg; b != 0; b &= b - 1 {
+			cv[bits.TrailingZeros64(b)] = PathCount{}
+		}
+	}
+	for _, eu := range s.spare {
+		at := eu.Pos | eu.Neg
+		cu := counts[int(eu.Node)*w:][:w]
+		lo, hi := off[eu.Node], off[eu.Node+1]
+		ids, signs := adj[lo:hi], sgn[lo:hi]
+		signs = signs[:len(ids)]
+		for e, v := range ids {
+			nd := &nodes[v]
+			if nd.stamp != st {
+				continue // v joined no new entry this level
+			}
+			dag := at & (nd.seen &^ nd.prev) // nd.seen &^ nd.prev: v's new entry bits
+			if dag == 0 {
+				continue
+			}
+			m := uint64(int64(signs[e]) >> 63)
+			cv := counts[int(v)*w:][:w]
+			for b := dag; b != 0; b &= b - 1 {
+				j := bits.TrailingZeros64(b)
+				a := cu[j]
+				y := (a.Pos ^ a.Neg) & m
+				cv[j].Pos, _ = satAdd(cv[j].Pos, a.Pos^y)
+				cv[j].Neg, _ = satAdd(cv[j].Neg, a.Neg^y)
+			}
+		}
+	}
+}
+
 // nextStamp advances the level stamp, clearing every node's stamp on
 // the (practically unreachable) wrap-around.
 func (s *MultiSweep) nextStamp() uint32 {
@@ -221,6 +347,17 @@ func (s *MultiSweep) nextStamp() uint32 {
 // some source first reaches at distance d. The slice is owned by the
 // sweep and valid until the next Start or Next.
 func (s *MultiSweep) Level() (d int32, level []Entry) { return s.depth, s.level }
+
+// Counts returns node v's path counters of a sweep begun with
+// StartCounting, lane j for source j. Once a level has carried bit j
+// for v, lane j holds exactly CountPathsInto's (Pos[v], Neg[v]) from
+// source j; other lanes hold stale values. The slice is owned by the
+// sweep and valid until the next Start or StartCounting.
+//
+//tfsn:noalloc
+func (s *MultiSweep) Counts(v sgraph.NodeID) []PathCount {
+	return s.counts[int(v)*s.lanes:][:s.lanes]
+}
 
 // Reached returns the nodes any source of the current sweep has
 // reached so far, in discovery order. The slice is owned by the sweep

@@ -4,8 +4,8 @@
 package signedbfs
 
 import (
-	"math"
 	"math/big"
+	"math/bits"
 
 	"repro/internal/container"
 	"repro/internal/sgraph"
@@ -61,11 +61,19 @@ func CountPaths(g *sgraph.Graph, src sgraph.NodeID) *Result {
 	return CountPathsInto(g, src, &Result{}, NewScratch(g.NumNodes()))
 }
 
+// satAdd is a+b saturating at MaxUint64, reporting whether it
+// saturated: the one saturation rule of CountPathsInto and the
+// counting MultiSweep.
+func satAdd(a, b uint64) (uint64, bool) {
+	sum, carry := bits.Add64(a, b, 0)
+	return sum | -carry, carry != 0
+}
+
+// satAdd is the package satAdd, recording a saturation in SaturatedAt.
 func (r *Result) satAdd(a, b uint64) uint64 {
-	s := a + b
-	if s < a {
+	s, saturated := satAdd(a, b)
+	if saturated {
 		r.SaturatedAt = true
-		return math.MaxUint64
 	}
 	return s
 }
