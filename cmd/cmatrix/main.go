@@ -1,19 +1,24 @@
-// Command cmatrix materialises a compatibility relation into a dense
-// matrix snapshot and answers queries from it.
+// Command cmatrix builds a compatibility relation into the packed
+// engine, saves it as a file, and answers queries from a built or an
+// opened engine.
 //
 // Build and save (expensive relations — exact SBP — pay off most):
 //
-//	cmatrix -dataset slashdot -relation SBP -out slashdot-sbp.cmx
+//	cmatrix -dataset slashdot -relation SBP -out slashdot-sbp.stpk
 //
-// Inspect and query a snapshot:
+// Open, inspect and query a saved engine. The file is checked against
+// the graph it was saved over, so -in needs the same dataset flags
+// (-dataset, -seed, -scale) as the build; the relation comes from the
+// file:
 //
-//	cmatrix -in slashdot-sbp.cmx -info
-//	cmatrix -in slashdot-sbp.cmx -query 3,17
+//	cmatrix -dataset slashdot -in slashdot-sbp.stpk -info
+//	cmatrix -dataset slashdot -in slashdot-sbp.stpk -query 3,17
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -21,110 +26,95 @@ import (
 	"repro/internal/balance"
 	"repro/internal/compat"
 	"repro/internal/datasets"
-	"repro/internal/matrix"
 )
 
 func main() {
-	var (
-		dataset  = flag.String("dataset", "", "built-in dataset to build from: slashdot, epinions or wikipedia")
-		seed     = flag.Int64("seed", 1, "dataset seed")
-		scale    = flag.Float64("scale", 0, "dataset scale (0 = default)")
-		relation = flag.String("relation", "SPO", "relation to materialise")
-		maxLen   = flag.Int("sbp-maxlen", 14, "exact SBP path length cap (SBP only)")
-		out      = flag.String("out", "", "write the snapshot to this file")
-		in       = flag.String("in", "", "read a snapshot from this file instead of building")
-		info     = flag.Bool("info", false, "print snapshot metadata")
-		query    = flag.String("query", "", "answer one pair query, e.g. -query 3,17")
-		workers  = flag.Int("workers", 0, "build parallelism (0 = GOMAXPROCS)")
-	)
-	flag.Parse()
-	if err := run(*dataset, *seed, *scale, *relation, *maxLen, *out, *in, *info, *query, *workers); err != nil {
+	if err := run(os.Stdout, os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "cmatrix:", err)
 		os.Exit(1)
 	}
 }
 
-func run(dataset string, seed int64, scale float64, relation string, maxLen int, out, in string, info bool, query string, workers int) error {
-	var m *matrix.Matrix
-	switch {
-	case in != "" && dataset != "":
-		return fmt.Errorf("pass either -in or -dataset, not both")
-	case in != "":
-		f, err := os.Open(in)
-		if err != nil {
-			return err
+// run parses the command line args and carries it out, printing to w.
+func run(w io.Writer, args []string) error {
+	fs := flag.NewFlagSet("cmatrix", flag.ExitOnError)
+	var (
+		dataset  = fs.String("dataset", "", "built-in dataset: slashdot, epinions or wikipedia (required, also with -in)")
+		seed     = fs.Int64("seed", 1, "dataset seed")
+		scale    = fs.Float64("scale", 0, "dataset scale (0 = default)")
+		relation = fs.String("relation", "SPO", "relation to build (ignored with -in: the file records it)")
+		maxLen   = fs.Int("sbp-maxlen", 14, "exact SBP path length cap (SBP only)")
+		out      = fs.String("out", "", "save the engine to this file")
+		in       = fs.String("in", "", "open an engine saved over the dataset instead of building")
+		info     = fs.Bool("info", false, "print engine metadata")
+		query    = fs.String("query", "", "answer one pair query, e.g. -query 3,17")
+		workers  = fs.Int("workers", 0, "build parallelism (0 = GOMAXPROCS)")
+	)
+	_ = fs.Parse(args) // ExitOnError: a bad flag exits, as with flag.Parse
+	if *dataset == "" {
+		return fmt.Errorf("pass -dataset (to build, or to check the -in file against)")
+	}
+	d, err := datasets.Load(*dataset, *seed, *scale)
+	if err != nil {
+		return err
+	}
+	var m *compat.ShardedMatrix
+	if *in != "" {
+		m, err = compat.OpenSharded(*in, d.Graph)
+	} else {
+		kind, perr := compat.ParseKind(*relation)
+		if perr != nil {
+			return perr
 		}
-		defer f.Close()
-		m, err = matrix.Read(f, nil)
-		if err != nil {
-			return err
-		}
-	case dataset != "":
-		d, err := datasets.Load(dataset, seed, scale)
-		if err != nil {
-			return err
-		}
-		kind, err := compat.ParseKind(relation)
-		if err != nil {
-			return err
-		}
-		opts := compat.Options{CacheCap: d.Graph.NumNodes() + 1}
+		opts := compat.ShardedOptions{Workers: *workers}
 		if kind == compat.SBP {
-			opts.Exact = balance.ExactOptions{MaxLen: maxLen}
+			opts.Exact = balance.ExactOptions{MaxLen: *maxLen}
 		}
-		rel, err := compat.New(kind, d.Graph, opts)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "materialising %v over %d nodes...\n", kind, d.Graph.NumNodes())
-		m, err = matrix.Build(rel, workers)
-		if err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("pass -dataset (build) or -in (load)")
+		fmt.Fprintf(os.Stderr, "building %v over %d nodes...\n", kind, d.Graph.NumNodes())
+		m, err = compat.NewSharded(kind, d.Graph, opts)
 	}
+	if err != nil {
+		return err
+	}
+	defer m.Close()
 
-	if out != "" {
-		f, err := os.Create(out)
+	if *out != "" {
+		if err := m.Save(*out); err != nil {
+			return err
+		}
+		st, err := os.Stat(*out)
 		if err != nil {
 			return err
 		}
-		n, err := m.WriteTo(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s (%d bytes, %v over %d nodes)\n", out, n, m.Kind(), m.NumNodes())
+		fmt.Fprintf(w, "wrote %s (%d bytes, %v over %d nodes)\n", *out, st.Size(), m.Kind(), m.NumNodes())
 	}
-	if info {
-		fmt.Printf("relation %v\nnodes    %d\n", m.Kind(), m.NumNodes())
+	if *info {
+		fmt.Fprintf(w, "relation %v\nnodes    %d\nshards   %d × %d rows\n", m.Kind(), m.NumNodes(), m.NumShards(), m.ShardRows())
 	}
-	if query != "" {
-		parts := strings.SplitN(query, ",", 2)
-		if len(parts) != 2 {
-			return fmt.Errorf("bad -query %q, want u,v", query)
-		}
-		u, err1 := strconv.Atoi(strings.TrimSpace(parts[0]))
-		v, err2 := strconv.Atoi(strings.TrimSpace(parts[1]))
-		if err1 != nil || err2 != nil {
-			return fmt.Errorf("bad -query %q, want integer pair", query)
-		}
-		ok, err := m.Compatible(int32(u), int32(v))
-		if err != nil {
-			return err
-		}
-		d, defined, err := m.Distance(int32(u), int32(v))
-		if err != nil {
-			return err
-		}
-		if defined {
-			fmt.Printf("compatible(%d,%d) = %v, distance = %d\n", u, v, ok, d)
-		} else {
-			fmt.Printf("compatible(%d,%d) = %v, distance undefined\n", u, v, ok)
-		}
+	if *query == "" {
+		return nil
+	}
+	parts := strings.SplitN(*query, ",", 2)
+	if len(parts) != 2 {
+		return fmt.Errorf("bad -query %q, want u,v", *query)
+	}
+	u, err1 := strconv.ParseInt(strings.TrimSpace(parts[0]), 10, 32)
+	v, err2 := strconv.ParseInt(strings.TrimSpace(parts[1]), 10, 32)
+	if err1 != nil || err2 != nil {
+		return fmt.Errorf("bad -query %q, want a pair of 32-bit integers", *query)
+	}
+	ok, err := m.Compatible(int32(u), int32(v))
+	if err != nil {
+		return err
+	}
+	dist, defined, err := m.Distance(int32(u), int32(v))
+	if err != nil {
+		return err
+	}
+	if defined {
+		fmt.Fprintf(w, "compatible(%d,%d) = %v, distance = %d\n", u, v, ok, dist)
+	} else {
+		fmt.Fprintf(w, "compatible(%d,%d) = %v, distance undefined\n", u, v, ok)
 	}
 	return nil
 }

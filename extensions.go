@@ -1,11 +1,9 @@
 package signedteams
 
 import (
-	"io"
 	"math/rand"
 
 	"repro/internal/cluster"
-	"repro/internal/matrix"
 	"repro/internal/predict"
 	"repro/internal/team"
 )
@@ -125,20 +123,3 @@ func ClusterDisagreements(g *Graph, l ClusterLabels) (int, error) {
 // ClusterAgreement is the pair-counting accuracy (Rand index) between
 // two labellings.
 func ClusterAgreement(a, b ClusterLabels) (float64, error) { return cluster.Agreement(a, b) }
-
-// CompatibilityMatrix is a fully materialised relation: O(1) queries,
-// Θ(n²) memory, binary-serialisable, and itself a Relation — so team
-// formation runs on it unchanged. Build an expensive relation (exact
-// SBP above all) once, snapshot it, query it anywhere.
-type CompatibilityMatrix = matrix.Matrix
-
-// BuildMatrix materialises rel over its whole graph, in parallel.
-func BuildMatrix(rel Relation, workers int) (*CompatibilityMatrix, error) {
-	return matrix.Build(rel, workers)
-}
-
-// ReadMatrix deserialises a snapshot written by
-// CompatibilityMatrix.WriteTo; g may be nil.
-func ReadMatrix(r io.Reader, g *Graph) (*CompatibilityMatrix, error) {
-	return matrix.Read(r, g)
-}

@@ -1,10 +1,10 @@
 package signedteams_test
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"testing"
 
 	signedteams "repro"
@@ -239,44 +239,42 @@ func TestSignPredictionFacade(t *testing.T) {
 	}
 }
 
+// TestMatrixFacade: a packed relation saved through ShardedRelation.Save
+// and reopened with OpenShardedRelation forms teams of the same cost as
+// the built one.
 func TestMatrixFacade(t *testing.T) {
 	d, err := signedteams.LoadDataset("slashdot", 8, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel := signedteams.MustNewRelation(signedteams.SPO, d.Graph, signedteams.RelationOptions{CacheCap: 256})
-	m, err := signedteams.BuildMatrix(rel, 0)
+	built, err := signedteams.NewShardedRelation(signedteams.SPO, d.Graph, signedteams.ShardedRelationOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The matrix is itself a Relation: team formation runs on it.
-	univ := d.Assign.Universe()
-	_ = univ
-	task, err := signedteams.RandomTask(rand.New(rand.NewSource(1)), d.Assign, 3)
+	defer built.Close()
+	path := filepath.Join(t.TempDir(), "slashdot-spo.stpk")
+	if err := built.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	opened, err := signedteams.OpenShardedRelation(path, d.Graph)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t1, err1 := signedteams.FormTeam(rel, d.Assign, task, signedteams.FormOptions{})
-	t2, err2 := signedteams.FormTeam(m, d.Assign, task, signedteams.FormOptions{})
-	if (err1 == nil) != (err2 == nil) {
-		t.Fatalf("live vs matrix feasibility differ: %v / %v", err1, err2)
-	}
-	if err1 == nil && t1.Cost != t2.Cost {
-		t.Fatalf("live cost %d vs matrix cost %d", t1.Cost, t2.Cost)
-	}
-	// Snapshot round trip through the facade.
-	var buf bytes.Buffer
-	if _, err := m.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	m2, err := signedteams.ReadMatrix(&buf, d.Graph)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ok1, _ := m.Compatible(0, 1)
-	ok2, _ := m2.Compatible(0, 1)
-	if ok1 != ok2 {
-		t.Fatal("snapshot changed answers")
+	defer opened.Close()
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 5; i++ {
+		task, err := signedteams.RandomTask(rng, d.Assign, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t1, err1 := signedteams.FormTeam(built, d.Assign, task, signedteams.FormOptions{})
+		t2, err2 := signedteams.FormTeam(opened, d.Assign, task, signedteams.FormOptions{})
+		if (err1 == nil) != (err2 == nil) {
+			t.Fatalf("task %d: built vs opened feasibility differ: %v / %v", i, err1, err2)
+		}
+		if err1 == nil && t1.Cost != t2.Cost {
+			t.Fatalf("task %d: built cost %d vs opened cost %d", i, t1.Cost, t2.Cost)
+		}
 	}
 }
 

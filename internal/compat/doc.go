@@ -52,6 +52,9 @@
 //     file is memory-mapped and a reload is a zero-copy view into the
 //     mapping (spill_mmap.go; ShardedOptions.DisableMmap forces the
 //     portable ReadAt fallback); see ShardedMatrix.
+//     ShardedMatrix.Save writes the engine to one file in the spill
+//     slot layout behind a header, and OpenSharded maps it back as a
+//     fully resident engine of zero-copy views (persist.go).
 //
 // # Packed construction
 //

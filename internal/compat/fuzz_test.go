@@ -9,11 +9,16 @@
 // FuzzSpillRoundTrip fuzzes the epoch-tagged spill slot format:
 // whatever is written must read back exactly, epoch mismatches must be
 // refused, and view/relocate must never tear exposed slots.
+// FuzzOpenSharded fuzzes the saved engine file: any byte string opens
+// as an error or as an engine whose every query answers, never a
+// panic.
 
 package compat
 
 import (
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/sgraph"
@@ -164,3 +169,48 @@ func FuzzSpillRoundTrip(f *testing.F) {
 }
 
 func lenOf[T any](s []T) int { return len(s) }
+
+func FuzzOpenSharded(f *testing.F) {
+	g := randomSignedGraph(rand.New(rand.NewSource(1701)), 9, 14, 0.3)
+	dir := f.TempDir()
+	for i, opts := range []ShardedOptions{{ShardRows: 4}, {ShardRows: 9}} {
+		path := filepath.Join(dir, "seed")
+		m := MustNewSharded(Kind(i)+SPO, g, opts)
+		if err := m.Save(path); err != nil {
+			f.Fatal(err)
+		}
+		m.Close()
+		b, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "engine")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, useMmap := range []bool{true, false} {
+			m, err := openSharded(path, g, useMmap)
+			if err != nil {
+				continue
+			}
+			n := sgraph.NodeID(g.NumNodes())
+			for u := sgraph.NodeID(0); u < n; u++ {
+				if m.RowWords(u)[0]>>uint(n) != 0 {
+					t.Fatalf("opened row %d has bits past n", u)
+				}
+				for v := sgraph.NodeID(0); v < n; v++ {
+					if _, err := m.Compatible(u, v); err != nil {
+						t.Fatal(err)
+					}
+					if _, _, err := m.Distance(u, v); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			m.Close()
+		}
+	})
+}

@@ -1,19 +1,21 @@
 // The relation-level mutation oracle: every mutable engine — lazy, and
 // packed across shard geometries from the single-shard matrix through
 // fully resident multi-shard ones to the spill and no-mmap
-// configurations — is driven through the same seeded mutation
-// sequence, and after every step each engine must agree pair-for-pair
-// (Compatible, Distance, and the packed engine's DistanceRow) with a relation built from scratch on the mutated edge
-// set. This is the correctness contract of the whole epoch/dirty-shard
-// machinery: lazy rebuilds, touched-set invalidation, spill epoch tags
-// and view relocation are all observable only through disagreement
-// with the fresh build.
+// configurations, and engines opened from a saved file — is driven
+// through the same seeded mutation sequence, and after every step each
+// engine must agree pair-for-pair (Compatible, Distance, and the packed
+// engine's DistanceRow) with a relation built from scratch on the
+// mutated edge set. This is the correctness contract of the whole
+// epoch/dirty-shard machinery: lazy rebuilds, touched-set invalidation,
+// spill epoch tags and view relocation are all observable only through
+// disagreement with the fresh build.
 
 package compat
 
 import (
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/balance"
@@ -142,6 +144,28 @@ func buildMutEngines(t *testing.T, k Kind, g *sgraph.Graph, opts Options) []mutE
 			Options: opts, ShardRows: 3, MaxResidentShards: 2, DisableMmap: true, SpillDir: t.TempDir(),
 		})},
 	)
+	// Engines opened from a saved file, mapped and decoded: mutations
+	// rebuild their shards on the heap and must leave the file
+	// byte-identical.
+	for _, useMmap := range []bool{true, false} {
+		saved := MustNewSharded(k, g, ShardedOptions{Options: opts, ShardRows: 7})
+		path := filepath.Join(t.TempDir(), "engine.stpk")
+		if err := saved.Save(path); err != nil {
+			t.Fatal(err)
+		}
+		saved.Close()
+		sum := fileSum(t, path)
+		t.Cleanup(func() {
+			if fileSum(t, path) != sum {
+				t.Errorf("mutating an opened engine rewrote its file %s", path)
+			}
+		})
+		opened, err := openSharded(path, g, useMmap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		engines = append(engines, mutEngine{fmt.Sprintf("opened-mmap=%v", useMmap), opened})
+	}
 	return engines
 }
 

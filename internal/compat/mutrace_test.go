@@ -9,6 +9,7 @@ package compat
 
 import (
 	"math/rand"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -157,26 +158,36 @@ func TestShardedMutationOverflowPromotion(t *testing.T) {
 // doing point queries and row scans across every configured shard
 // height, both spilling (two resident shards, the locked path) and
 // fully resident (the lock-free table, republished by every
-// invalidating mutation and rebuild), plus the single-shard matrix
-// configuration; every read must be answerable (no errors, no panics)
-// and the final state must agree with a fresh build. Run under -race
-// in CI.
+// invalidating mutation and rebuild) and opened from a saved file,
+// plus the single-shard matrix configuration, while the engine is
+// saved; every read and save must succeed (no errors, no panics) and
+// the final state must agree with a fresh build. Run under -race in
+// CI.
 func TestConcurrentMutationReaders(t *testing.T) {
 	rng := rand.New(rand.NewSource(733))
 	const n = 40
 	g := randomSignedGraph(rng, n, 140, 0.3)
-	type config struct{ rows, maxRes int }
+	type config struct {
+		rows, maxRes int
+		opened       bool
+	}
 	var configs []config
 	for _, rows := range parseShardRows(t) {
-		configs = append(configs, config{rows, 2}, config{rows, 0})
+		configs = append(configs, config{rows, 2, false}, config{rows, 0, false}, config{rows, 0, true})
 	}
-	configs = append(configs, config{n, 0})
+	configs = append(configs, config{n, 0, false})
 	for _, c := range configs {
 		rows, maxRes := c.rows, c.maxRes
 		m := MustNewSharded(SPO, g, ShardedOptions{
 			ShardRows: rows, MaxResidentShards: maxRes,
 			SpillDir: t.TempDir(),
 		})
+		if c.opened {
+			opened := saveOpen(t, m, g, true)
+			m.Close()
+			m = opened
+		}
+		savePath := filepath.Join(t.TempDir(), "engine.stpk")
 		// Flips keep the edge set fixed, so every interleaving of
 		// mutators needs no cross-goroutine ground-truth bookkeeping:
 		// the final graph is fully determined by the flip counts.
@@ -197,6 +208,16 @@ func TestConcurrentMutationReaders(t *testing.T) {
 				}
 			}(w)
 		}
+		mutWG.Add(1)
+		go func() { // a saver: Save pins the epoch against the mutators
+			defer mutWG.Done()
+			for i := 0; i < 3; i++ {
+				if err := m.Save(savePath); err != nil {
+					errc <- err
+					return
+				}
+			}
+		}()
 		for r := 0; r < 3; r++ {
 			readWG.Add(1)
 			go func(r int) {
@@ -221,7 +242,7 @@ func TestConcurrentMutationReaders(t *testing.T) {
 		readWG.Wait()
 		close(errc)
 		for err := range errc {
-			t.Fatalf("rows=%d maxRes=%d: %v", rows, maxRes, err)
+			t.Fatalf("rows=%d maxRes=%d opened=%v: %v", rows, maxRes, c.opened, err)
 		}
 		// 120 flips across 20 edge slots: compare against fresh build.
 		oracle := MustNew(SPO, m.Graph(), Options{})

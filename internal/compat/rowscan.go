@@ -64,28 +64,23 @@ func (m *ShardedMatrix) andCountRows(us []sgraph.NodeID, mask []uint64, emit fun
 		return nil
 	}
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	lastShard := -1
 	var cur *shardState
 	for ; i < len(us); i++ {
 		s, r := m.shardOf(us[i])
 		if s != lastShard {
-			for m.shards[s].stale {
-				m.mu.Unlock()
-				if err := m.freshen(s); err != nil {
-					return err
-				}
-				m.mu.Lock()
+			if err := m.freshLocked(s); err != nil {
+				return err
 			}
 			sh, err := m.residentLocked(s)
 			if err != nil {
-				m.mu.Unlock()
 				return err
 			}
 			lastShard, cur = s, sh
 		}
 		emit(i, kernels.AndCount(cur.bits[r*m.stride:(r+1)*m.stride], mask))
 	}
-	m.mu.Unlock()
 	return nil
 }
 

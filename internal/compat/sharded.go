@@ -181,9 +181,10 @@ type ShardedMatrix struct {
 	// /stats scrape never contends with the query path's lock.
 	spillLoads atomic.Int64
 
-	// Test hooks, mutated and read under mu.
+	// Test hooks: peakResident under mu; symSnapshotPeak (bytes of the
+	// largest symmetrise snapshot) by the build and rebuilds (freshMu).
 	peakResident    int
-	symSnapshotPeak int // bytes of the largest symmetrise snapshot
+	symSnapshotPeak int
 }
 
 // shardSlabs is one shard's buffers: heap slabs, or zero-copy slices
@@ -256,6 +257,24 @@ func NewSharded(k Kind, g *sgraph.Graph, opts ShardedOptions) (*ShardedMatrix, e
 	if k < 0 || k >= numKinds {
 		return nil, fmt.Errorf("compat: unknown relation kind %d", int(k))
 	}
+	m := newShardedMatrix(k, g, opts)
+	err := m.build(m.workers, false)
+	if errors.Is(err, errDistOverflow) {
+		// A distance beyond uint8 packing exists: rebuild every shard
+		// with exact int32 storage (fresh spill file, fresh slabs).
+		err = m.build(m.workers, true)
+	}
+	if err != nil {
+		m.Close()
+		return nil, err
+	}
+	return m, nil
+}
+
+// newShardedMatrix returns the engine of kind k over g with the shard
+// geometry and parameters opts selects (defaults applied), holding no
+// shards yet — what NewSharded builds and OpenSharded maps.
+func newShardedMatrix(k Kind, g *sgraph.Graph, opts ShardedOptions) *ShardedMatrix {
 	n := g.NumNodes()
 	shardRows := opts.ShardRows
 	if shardRows <= 0 {
@@ -285,27 +304,17 @@ func NewSharded(k Kind, g *sgraph.Graph, opts ShardedOptions) (*ShardedMatrix, e
 		maxRes:    maxRes,
 		beam:      opts.BeamWidth,
 		exact:     opts.Exact,
+		workers:   opts.Workers,
 		spillDir:  opts.SpillDir,
 		noMmap:    opts.DisableMmap,
 	}
 	if m.beam <= 0 {
 		m.beam = balance.DefaultBeamWidth
 	}
-	m.workers = opts.Workers
 	if m.workers <= 0 {
 		m.workers = runtime.GOMAXPROCS(0)
 	}
-	err := m.build(m.workers, false)
-	if errors.Is(err, errDistOverflow) {
-		// A distance beyond uint8 packing exists: rebuild every shard
-		// with exact int32 storage (fresh spill file, fresh slabs).
-		err = m.build(m.workers, true)
-	}
-	if err != nil {
-		m.Close()
-		return nil, err
-	}
-	return m, nil
+	return m
 }
 
 // MustNewSharded is NewSharded that panics on error, for tests and
@@ -511,7 +520,7 @@ func (m *ShardedMatrix) rebuildShard(g *sgraph.Graph, epoch uint64, s int, worke
 	touched := m.mergeReach(scratches)
 
 	if m.kind == SBPH {
-		if err := m.symmetriseSlab(workers, slab, rows, base, s); err != nil {
+		if err := m.symmetriseSlab(workers, slab, rows, s, new([]uint64)); err != nil {
 			return err
 		}
 	}
@@ -578,40 +587,33 @@ func (m *ShardedMatrix) mergeReach(scratches []*rowScratch) []uint64 {
 	return touched
 }
 
-// symmetriseSlab runs the SBPH lower-triangle tile passes for one
-// detached (not yet swapped-in) shard slab: tiles against the resident
-// slabs of shards 0..s-1 plus the diagonal snapshot of the slab
-// itself. The sources are pinned exactly like the build-time pass.
-func (m *ShardedMatrix) symmetriseSlab(workers int, slab shardSlabs, rows, base, s int) error {
+// symmetriseSlab runs the SBPH lower-triangle tile passes for shard
+// s's slab — resident and pinned at build, detached (not yet swapped
+// in) on a rebuild: tiles against the pinned slabs of shards 0..s-1,
+// then the diagonal tile against a snapshot of the slab's own bits,
+// taken into *snapshot (grown as needed, reused across calls).
+func (m *ShardedMatrix) symmetriseSlab(workers int, slab shardSlabs, rows, s int, snapshot *[]uint64) error {
+	base := s * m.shardRows
 	dst := shardTile{shardSlabs: slab, base: base, rows: rows}
-	for a := 0; a <= s; a++ {
-		var err error
-		if a == s {
-			snap := append([]uint64(nil), slab.bits...)
-			err = m.symmetriseTile(workers, dst, shardTile{
-				shardSlabs: shardSlabs{bits: snap, dist8: slab.dist8, dist32: slab.dist32},
-				base:       base,
-				rows:       rows,
-			})
-		} else {
-			m.mu.Lock()
-			shA, pinErr := m.pinLocked(a)
-			m.mu.Unlock()
-			if pinErr != nil {
-				return pinErr
-			}
-			err = m.symmetriseTile(workers, dst, shardTile{
+	for a := 0; a < s; a++ {
+		err := m.withPinned(a, func(shA *shardState) error {
+			return m.symmetriseTile(workers, dst, shardTile{
 				shardSlabs: shA.shardSlabs, base: a * m.shardRows, rows: shA.rows,
 			})
-			m.mu.Lock()
-			m.unpinLocked(a)
-			m.mu.Unlock()
-		}
+		})
 		if err != nil {
 			return err
 		}
 	}
-	return nil
+	if cap(*snapshot) < len(slab.bits) {
+		*snapshot = make([]uint64, len(slab.bits))
+		m.symSnapshotPeak = max(m.symSnapshotPeak, len(slab.bits)*8)
+	}
+	snap := (*snapshot)[:len(slab.bits)]
+	copy(snap, slab.bits)
+	return m.symmetriseTile(workers, dst, shardTile{
+		shardSlabs: shardSlabs{bits: snap, dist8: slab.dist8, dist32: slab.dist32}, base: base, rows: rows,
+	})
 }
 
 // promoteWide rebuilds every shard with int32 distance storage after a
@@ -754,10 +756,11 @@ func (m *ShardedMatrix) Close() error {
 	return err
 }
 
-// Compatible reports whether u and v are compatible. It errors only
-// when a spilled shard cannot be reloaded.
+// Compatible reports whether u and v are compatible. It errors on an
+// id outside [0, NumNodes), or when a spilled shard cannot be reloaded
+// or a stale one rebuilt.
 func (m *ShardedMatrix) Compatible(u, v sgraph.NodeID) (bool, error) {
-	words, _, err := m.rowView(u)
+	words, _, err := m.pairRow(u, v)
 	if err != nil {
 		return false, err
 	}
@@ -765,14 +768,23 @@ func (m *ShardedMatrix) Compatible(u, v sgraph.NodeID) (bool, error) {
 }
 
 // Distance returns the relation distance of (u,v) and whether it is
-// defined. It errors only when a spilled shard cannot be reloaded.
+// defined. It errors like Compatible.
 func (m *ShardedMatrix) Distance(u, v sgraph.NodeID) (int32, bool, error) {
-	_, dist, err := m.rowView(u)
+	_, dist, err := m.pairRow(u, v)
 	if err != nil {
 		return 0, false, err
 	}
 	d, ok := dist.At(v)
 	return d, ok, nil
+}
+
+// pairRow is rowView(u) for a pair query, which may come from outside
+// the program: it rejects ids outside [0, NumNodes).
+func (m *ShardedMatrix) pairRow(u, v sgraph.NodeID) ([]uint64, DistRow, error) {
+	if uint(u) >= uint(m.n) || uint(v) >= uint(m.n) {
+		return nil, DistRow{}, fmt.Errorf("compat: pair (%d,%d) out of range [0,%d)", u, v, m.n)
+	}
+	return m.rowView(u)
 }
 
 // PairDistance is Distance without the error, for hot loops that have
@@ -839,24 +851,31 @@ func (m *ShardedMatrix) rowView(u sgraph.NodeID) ([]uint64, DistRow, error) {
 	}
 	s, r := m.shardOf(u)
 	m.mu.Lock()
-	// A shard invalidated by a mutation rebuilds before it serves; the
-	// loop (rather than a single check) covers a mutation racing in
-	// behind the rebuild, which leaves the shard stale again.
-	for m.shards[s].stale {
-		m.mu.Unlock()
-		if err := m.freshen(s); err != nil {
-			return nil, DistRow{}, err
-		}
-		m.mu.Lock()
+	defer m.mu.Unlock()
+	if err := m.freshLocked(s); err != nil {
+		return nil, DistRow{}, err
 	}
 	sh, err := m.residentLocked(s)
 	if err != nil {
-		m.mu.Unlock()
 		return nil, DistRow{}, err
 	}
 	words, dist := sh.row(r, m.stride, m.n)
-	m.mu.Unlock()
 	return words, dist, nil
+}
+
+// freshLocked rebuilds shard s if a mutation staled it, looping because
+// a mutation racing in behind the rebuild stales it again. Requires
+// m.mu, which it releases around the rebuild.
+func (m *ShardedMatrix) freshLocked(s int) error {
+	for m.shards[s].stale {
+		m.mu.Unlock()
+		err := m.freshen(s)
+		m.mu.Lock()
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // tableRow returns the published slabs holding row u and u's row
@@ -965,6 +984,22 @@ func (m *ShardedMatrix) pinLocked(s int) (*shardState, error) {
 	return sh, nil
 }
 
+// withPinned runs fn on shard s, made resident and pinned against
+// eviction for the call. Requires m.mu not held.
+func (m *ShardedMatrix) withPinned(s int, fn func(sh *shardState) error) error {
+	m.mu.Lock()
+	sh, err := m.pinLocked(s)
+	m.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	err = fn(sh)
+	m.mu.Lock()
+	m.unpinLocked(s)
+	m.mu.Unlock()
+	return err
+}
+
 // unpinLocked releases a pin, making the shard evictable again.
 func (m *ShardedMatrix) unpinLocked(s int) {
 	sh := &m.shards[s]
@@ -1022,11 +1057,7 @@ func (m *ShardedMatrix) ensureSpillLocked() error {
 	if m.spill != nil {
 		return nil
 	}
-	sizes := make([]int64, m.numShards)
-	for i := range sizes {
-		sizes[i] = m.shardBytes(m.shardLen(i))
-	}
-	sp, err := newShardSpill(m.spillDir, sizes, !m.noMmap)
+	sp, err := newShardSpill(m.spillDir, m.slotSizes(), !m.noMmap)
 	if err != nil {
 		return err
 	}
@@ -1079,6 +1110,16 @@ func (m *ShardedMatrix) shardBytes(rows int) int64 {
 		distBytes *= 4
 	}
 	return (int64(rows)*int64(m.stride)*8 + distBytes + 7) &^ 7
+}
+
+// slotSizes returns every shard's slot payload size, the layout of the
+// spill file and of a saved engine file.
+func (m *ShardedMatrix) slotSizes() []int64 {
+	sizes := make([]int64, m.numShards)
+	for s := range sizes {
+		sizes[s] = m.shardBytes(m.shardLen(s))
+	}
+	return sizes
 }
 
 // ---------------------------------------------------------------------------
@@ -1184,54 +1225,15 @@ func (m *ShardedMatrix) buildShard(s int, workers int, scratches []*rowScratch) 
 func (m *ShardedMatrix) symmetrise(workers int) error {
 	var snapshot []uint64 // diagonal-tile scratch, reused across shards
 	for b := 0; b < m.numShards; b++ {
-		m.mu.Lock()
-		shB, err := m.pinLocked(b)
-		m.mu.Unlock()
+		err := m.withPinned(b, func(shB *shardState) error {
+			m.mu.Lock()
+			shB.dirty = true // about to be rewritten; the pin defers eviction
+			m.mu.Unlock()
+			return m.symmetriseSlab(workers, shB.shardSlabs, shB.rows, b, &snapshot)
+		})
 		if err != nil {
 			return err
 		}
-		bBase := b * m.shardRows
-		for a := 0; a <= b; a++ {
-			if a == b {
-				if cap(snapshot) < len(shB.bits) {
-					snapshot = make([]uint64, len(shB.bits))
-					if bytes := len(snapshot) * 8; bytes > m.symSnapshotPeak {
-						m.symSnapshotPeak = bytes
-					}
-				}
-				snap := snapshot[:len(shB.bits)]
-				copy(snap, shB.bits)
-				err = m.symmetriseTile(workers, shardTile{
-					shardSlabs: shB.shardSlabs, base: bBase, rows: shB.rows,
-				}, shardTile{
-					shardSlabs: shardSlabs{bits: snap, dist8: shB.dist8, dist32: shB.dist32},
-					base:       bBase,
-					rows:       shB.rows,
-				})
-			} else {
-				m.mu.Lock()
-				shA, pinErr := m.pinLocked(a)
-				m.mu.Unlock()
-				if pinErr != nil {
-					return pinErr
-				}
-				err = m.symmetriseTile(workers, shardTile{
-					shardSlabs: shB.shardSlabs, base: bBase, rows: shB.rows,
-				}, shardTile{
-					shardSlabs: shA.shardSlabs, base: a * m.shardRows, rows: shA.rows,
-				})
-				m.mu.Lock()
-				m.unpinLocked(a)
-				m.mu.Unlock()
-			}
-			if err != nil {
-				return err
-			}
-		}
-		m.mu.Lock()
-		shB.dirty = true
-		m.unpinLocked(b)
-		m.mu.Unlock()
 	}
 	return nil
 }

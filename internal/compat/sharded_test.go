@@ -3,6 +3,7 @@ package compat
 import (
 	"errors"
 	"flag"
+	"fmt"
 	"math/rand"
 	"strconv"
 	"strings"
@@ -40,7 +41,9 @@ func parseShardRows(t *testing.T) []int {
 // aligned) and n (single shard), with a residency bound small enough
 // that most shards live in the spill file and rows are served across
 // spill/reload cycles — under both the mmap and the ReadAt spill
-// backend (trials alternate so the whole grid covers both). The
+// backend (trials alternate so the whole grid covers both). Every
+// spilling engine is then saved and reopened, through the same
+// backend, and must answer bit-identically once opened. The
 // blockGraphs inputs span several 64-row sweep blocks, so shard
 // heights below, at and above a block all cut them differently.
 func TestShardedAgreesAcrossShardSizes(t *testing.T) {
@@ -128,6 +131,9 @@ func TestShardedAgreesAcrossShardSizes(t *testing.T) {
 					t.Fatalf("trial %d %v rows=%d: %d shards resident, bound %d",
 						trial, k, shardRows, got, sharded.MaxResidentShards())
 				}
+				opened := saveOpen(t, sharded, g, !noMmap)
+				checkOpenedAgrees(t, fmt.Sprintf("trial %d %v rows=%d opened", trial, k, shardRows), sharded, opened)
+				opened.Close()
 				if err := sharded.Close(); err != nil {
 					t.Fatalf("Close: %v", err)
 				}

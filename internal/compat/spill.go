@@ -22,13 +22,14 @@ var hostLittleEndian = func() bool {
 // the zero-copy mapping views.
 const slotHeaderBytes = 8
 
-// shardSpill is the cold store of a ShardedMatrix: one temporary file
-// holding every shard in a fixed-layout slot — an 8-byte little-endian
-// graph-epoch header, then the row bit words little-endian, then the
-// packed distance entries (raw bytes for uint8 storage, little-endian
-// for the int32 fallback). Slots are written with WriteAt, so the
-// writer (the eviction path, always under the matrix lock) needs no
-// seeking state.
+// shardSpill is a file holding every shard of a ShardedMatrix in a
+// fixed-layout slot: the engine's cold store (a temporary file), or a
+// saved engine file past its header (persist.go). A slot is an 8-byte
+// little-endian graph-epoch header, then the row bit words
+// little-endian, then the packed distance entries (raw bytes for uint8
+// storage, little-endian for the int32 fallback). Slots are written
+// with WriteAt, so the writer (the eviction path, always under the
+// matrix lock) needs no seeking state.
 //
 // Reads come in three flavours. On platforms that support it the
 // whole file is memory-mapped read-only at creation (spill_mmap.go);
@@ -55,10 +56,10 @@ const slotHeaderBytes = 8
 // Relocated slots land beyond the fixed-length mapping, so they are
 // served by the decode paths (ReadAt) — never as views again.
 //
-// The file is unlinked immediately after creation when the platform
-// allows it (the usual unix anonymous-tempfile idiom), so crashed
-// processes leak no disk; close unmaps, releases the descriptor and
-// removes the file if the early unlink was refused. close is
+// A temporary spill file is unlinked immediately after creation when
+// the platform allows it (the usual unix anonymous-tempfile idiom), so
+// crashed processes leak no disk; close unmaps, releases the descriptor
+// and removes the file if the early unlink was refused. close is
 // idempotent.
 type shardSpill struct {
 	f       *os.File
@@ -68,7 +69,7 @@ type shardSpill struct {
 	end     int64   // append cursor for relocating viewed slots
 	viewed  []bool  // slot has served a zero-copy view; never overwritten
 	data    []byte  // read-only mapping of the whole file; nil = ReadAt fallback
-	wbuf    []byte  // write-encode scratch, guarded by the owner's lock
+	wbuf    []byte  // write-encode scratch, sized by the first write, guarded by the owner's lock
 	closed  bool
 
 	failWrite error // test hook: non-nil fails every write with this error
@@ -85,42 +86,50 @@ func newShardSpill(dir string, sizes []int64, useMmap bool) (*shardSpill, error)
 	if err != nil {
 		return nil, fmt.Errorf("compat: creating shard spill file: %w", err)
 	}
-	sp := &shardSpill{f: f}
+	sp := newSlotFile(f, 0, sizes)
 	if err := os.Remove(f.Name()); err != nil {
 		sp.path = f.Name() // e.g. windows: defer removal to close
 	}
-	sp.offsets = make([]int64, len(sizes))
-	sp.sizes = make([]int64, len(sizes))
-	sp.viewed = make([]bool, len(sizes))
-	var off, maxSize int64
-	for i, size := range sizes {
-		size += slotHeaderBytes
-		sp.offsets[i] = off
-		sp.sizes[i] = size
-		off += size
-		if size > maxSize {
-			maxSize = size
-		}
-	}
-	sp.end = off
-	sp.wbuf = make([]byte, maxSize)
-	if useMmap && off > 0 {
+	if useMmap && sp.end > 0 {
 		// The mapping needs the final length up front; WriteAt through
 		// the descriptor stays coherent with a MAP_SHARED mapping of
 		// the same file. Relocated slots grow the file past the mapping
 		// and are served by ReadAt instead.
-		if err := f.Truncate(off); err == nil {
-			if data, err := mmapSpill(f, off); err == nil {
-				sp.data = data
-			}
+		if err := f.Truncate(sp.end); err == nil {
+			sp.mapFile()
 		}
 	}
 	return sp, nil
 }
 
-// mapped reports whether reads decode out of a memory mapping rather
-// than the ReadAt fallback.
-func (sp *shardSpill) mapped() bool { return sp.data != nil }
+// newSlotFile lays out one slot per entry of sizes (payload bytes, plus
+// the epoch header) back to back in f from byte base on: the layout of
+// the temporary spill and of a saved engine file (persist.go). base and
+// the sizes are multiples of 8, keeping every slot aligned for views.
+func newSlotFile(f *os.File, base int64, sizes []int64) *shardSpill {
+	sp := &shardSpill{
+		f:       f,
+		offsets: make([]int64, len(sizes)),
+		sizes:   make([]int64, len(sizes)),
+		viewed:  make([]bool, len(sizes)),
+	}
+	off := base
+	for i, size := range sizes {
+		sp.offsets[i] = off
+		sp.sizes[i] = size + slotHeaderBytes
+		off += sp.sizes[i]
+	}
+	sp.end = off
+	return sp
+}
+
+// mapFile maps the file's first sp.end bytes read-only, keeping the
+// ReadAt fallback when the platform refuses.
+func (sp *shardSpill) mapFile() {
+	if data, err := mmapSpill(sp.f, sp.end); err == nil {
+		sp.data = data
+	}
+}
 
 // canView reports whether slots can be served as zero-copy views:
 // the file is mapped and the host's byte order matches the on-disk
@@ -173,6 +182,9 @@ func (sp *shardSpill) write(i int, epoch uint64, bits []uint64, dist8 []uint8, d
 		sp.offsets[i] = sp.end
 		sp.end += sp.sizes[i]
 		sp.viewed[i] = false // the fresh location has never been exposed
+	}
+	if int64(cap(sp.wbuf)) < sp.sizes[i] {
+		sp.wbuf = make([]byte, 0, sp.sizes[i])
 	}
 	b := binary.LittleEndian.AppendUint64(sp.wbuf[:0], epoch)
 	for _, w := range bits {

@@ -56,10 +56,10 @@ func TestShardSpillBackendsRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !noMmap && spillMmapSupported && !sp.mapped() {
+			if !noMmap && spillMmapSupported && !(sp.data != nil) {
 				t.Fatal("mmap requested and supported but the spill fell back to ReadAt")
 			}
-			if noMmap && sp.mapped() {
+			if noMmap && (sp.data != nil) {
 				t.Fatal("mmap disabled but the spill mapped the file anyway")
 			}
 			type slot struct {

@@ -3,9 +3,11 @@ package team
 import (
 	"errors"
 	"math/rand"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/compat"
+	"repro/internal/datasets"
 	"repro/internal/sgraph"
 	"repro/internal/skills"
 )
@@ -68,6 +70,49 @@ func TestFormPackedMatchesLazy(t *testing.T) {
 				}
 			}
 			sharded.Close()
+		}
+	}
+}
+
+// TestFormOnOpenedMatrix: team formation runs on an engine opened from
+// a saved file and forms the same teams as on the live relation.
+func TestFormOnOpenedMatrix(t *testing.T) {
+	d, err := datasets.EpinionsSim(7, 0.02)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := compat.MustNew(compat.SPO, d.Graph, compat.Options{CacheCap: d.Graph.NumNodes() + 1})
+	path := filepath.Join(t.TempDir(), "spo.stpk")
+	if err := mustMatrix(compat.SPO, d.Graph).Save(path); err != nil {
+		t.Fatal(err)
+	}
+	opened, err := compat.OpenSharded(path, d.Graph)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer opened.Close()
+	rng := rand.New(rand.NewSource(8))
+	for i := 0; i < 5; i++ {
+		task, err := skills.RandomTask(rng, d.Assign, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := Options{Skill: LeastCompatibleFirst, User: MinDistance}
+		t1, err1 := Form(live, d.Assign, task, opts)
+		t2, err2 := Form(opened, d.Assign, task, opts)
+		if errors.Is(err1, ErrNoTeam) != errors.Is(err2, ErrNoTeam) {
+			t.Fatalf("task %d: feasibility differs: %v vs %v", i, err1, err2)
+		}
+		if err1 != nil {
+			continue
+		}
+		if t1.Cost != t2.Cost || len(t1.Members) != len(t2.Members) {
+			t.Fatalf("task %d: teams differ: %+v vs %+v", i, t1, t2)
+		}
+		for j := range t1.Members {
+			if t1.Members[j] != t2.Members[j] {
+				t.Fatalf("task %d: members differ: %v vs %v", i, t1.Members, t2.Members)
+			}
 		}
 	}
 }

@@ -133,6 +133,14 @@ func NewShardedRelation(kind RelationKind, g *Graph, opts ShardedRelationOptions
 	return compat.NewSharded(kind, g, opts)
 }
 
+// OpenShardedRelation opens a file written by ShardedRelation.Save over
+// g, the graph it was saved over, without a rebuild: build an expensive
+// relation (exact SBP above all) once, query it anywhere. Call Close on
+// the result to release the file mapping.
+func OpenShardedRelation(path string, g *Graph) (*ShardedRelation, error) {
+	return compat.OpenSharded(path, g)
+}
+
 // ComputeRelationStats measures compatible-pair fractions, average
 // distances and (optionally) the skill-pair compatibility matrix for
 // one relation — the measurements behind the paper's Table 2.
