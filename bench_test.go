@@ -539,7 +539,10 @@ func BenchmarkFormTeamEngines(b *testing.B) {
 // split: "fresh" pays plan compilation per solve (the package-level
 // Form), "warm" reuses a compiled plan and the solver's scratch — the
 // serving path, which must stay at 0 allocs/op on the matrix engine
-// (the CI alloc smoke watches this).
+// (the CI alloc smoke watches this). "warm-workers2" is the same warm
+// solve on a two-worker solver: a single solve runs its seed loop on
+// the calling goroutine at any worker count, so it must stay at 0
+// allocs/op too.
 func BenchmarkSolverForm(b *testing.B) {
 	d, err := datasets.EpinionsSim(1, 0.04)
 	if err != nil {
@@ -560,25 +563,29 @@ func BenchmarkSolverForm(b *testing.B) {
 			}
 		}
 	})
-	b.Run("warm", func(b *testing.B) {
-		plan, err := solver.Plan(task, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var tm team.Team
-		for i := 0; i < 2; i++ { // fill the scratch pool and buffers
-			if err := plan.FormInto(&tm); err != nil {
+	warm := func(solver *team.Solver) func(b *testing.B) {
+		return func(b *testing.B) {
+			plan, err := solver.Plan(task, opts)
+			if err != nil {
 				b.Fatal(err)
 			}
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := plan.FormInto(&tm); err != nil {
-				b.Fatal(err)
+			var tm team.Team
+			for i := 0; i < 2; i++ { // fill the scratch pool and buffers
+				if err := plan.FormInto(&tm); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := plan.FormInto(&tm); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
-	})
+	}
+	b.Run("warm", warm(solver))
+	b.Run("warm-workers2", warm(team.NewSolver(rel, d.Assign, team.SolverOptions{Workers: 2})))
 }
 
 // BenchmarkPlanCacheServe measures the cross-request serving layer:

@@ -134,7 +134,7 @@ func main() {
 	cfg.srv.RegisterDeadline(flag.CommandLine)
 	cfg.cons.Register(flag.CommandLine)
 	flag.Float64Var(&cfg.diverseL, "diverse-lambda", 0, "top-k diversity: penalise member overlap with already-selected teams by lambda×Jaccard (0 = plain top-k)")
-	flag.IntVar(&cfg.parallel, "parallel", 0, "solver workers for the seed loop and batch mode (0 = GOMAXPROCS)")
+	flag.IntVar(&cfg.parallel, "parallel", 0, "solver workers for batch mode and the -topk seed sweep; a single team's seed loop is sequential (0 = GOMAXPROCS)")
 	flag.IntVar(&cfg.batch, "batch", 0, "batch mode: sample this many random tasks of -k skills and solve them all")
 	flag.IntVar(&cfg.planCache, "plan-cache", 0, "cache up to this many compiled task plans in the solver (0 = no cache); repeated tasks skip plan compilation")
 	flag.StringVar(&cfg.mutate, "mutate", "", "comma-separated graph mutations applied after load, before solving (op:u:v[:sign], e.g. flip:1:2,add:3:4:-)")
@@ -253,6 +253,8 @@ func run(cfg config) error {
 		if cfg.topk > 1 {
 			fmt.Printf("#%d ", rank+1)
 		}
+		// Without -topk a seed "succeeds" only by setting a new best
+		// team: the bounded seed loop abandons the others early.
 		fmt.Printf("team of %d (%v %d; %d/%d seeds succeeded):\n",
 			len(tm.Members), opts.Cost, tm.Cost, tm.SeedsSucceeded, tm.SeedsTried)
 		for _, m := range tm.Members {

@@ -232,25 +232,32 @@ func (rs *DistRows) Contribution(k int, v sgraph.NodeID, sum bool) (int32, bool)
 
 // PickMin is the fused AND-popcount-argmin pick: among the candidate
 // nodes marked in (holder AND mask) — never materialised — it returns
-// the one with the smallest Contribution over all rows, ties to the
-// smallest id, ok=false when no candidate has a defined score. When
-// every row is uint8-packed this is one kernel pass (ArgminMaxU8 /
-// ArgminSumU8); otherwise a scalar scan over the same candidate
-// enumeration, so the picked node is identical either way. holder and
-// mask must be row-word-aligned (WordsPerRow) with zero tail bits.
+// the one with the smallest Contribution over all rows and that
+// score, ties to the smallest id, ok=false when no candidate has a
+// defined score below budget (exclusive; math.MaxInt32 is no limit).
+// When every row is uint8-packed this is one kernel pass (ArgminMaxU8
+// / ArgminSumU8, handed the budget as their ceiling); otherwise a
+// scalar scan over the same candidate enumeration, so the picked node
+// is identical either way. holder and mask must be row-word-aligned
+// (WordsPerRow) with zero tail bits.
 //
 //tfsn:noalloc
-func (rs *DistRows) PickMin(holder, mask []uint64, sum bool) (sgraph.NodeID, bool) {
+func (rs *DistRows) PickMin(holder, mask []uint64, sum bool, budget int32) (sgraph.NodeID, int32, bool) {
+	if budget <= 0 {
+		return 0, 0, false
+	}
 	if rs.notU8 == 0 && len(rs.rows) > 0 {
 		if sum {
-			idx, _, ok := kernels.ArgminSumU8(rs.d8, holder, mask)
-			return sgraph.NodeID(idx), ok
+			idx, score, ok := kernels.ArgminSumU8(rs.d8, holder, mask, uint32(budget))
+			return sgraph.NodeID(idx), int32(score), ok
 		}
-		idx, _, ok := kernels.ArgminMaxU8(rs.d8, holder, mask)
-		return sgraph.NodeID(idx), ok
+		// Every defined u8 score is below Undefined, so larger budgets
+		// are no limit.
+		idx, score, ok := kernels.ArgminMaxU8(rs.d8, holder, mask, uint8(min(budget, kernels.Undefined)))
+		return sgraph.NodeID(idx), int32(score), ok
 	}
 	best := sgraph.NodeID(-1)
-	bestScore := int32(0)
+	bestScore := budget
 	if len(mask) > len(holder) {
 		mask = mask[:len(holder)]
 	}
@@ -261,16 +268,13 @@ func (rs *DistRows) PickMin(holder, mask []uint64, sum bool) (sgraph.NodeID, boo
 			v := sgraph.NodeID(base + bits.TrailingZeros64(w))
 			w &= w - 1
 			score, ok := rs.Contribution(len(rs.rows), v, sum)
-			if !ok {
-				continue
-			}
-			if best == -1 || score < bestScore {
+			if ok && score < bestScore {
 				best, bestScore = v, score
 			}
 		}
 	}
 	if best == -1 {
-		return 0, false
+		return 0, 0, false
 	}
-	return best, true
+	return best, bestScore, true
 }

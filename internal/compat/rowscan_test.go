@@ -1,6 +1,7 @@
 package compat
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -120,19 +121,24 @@ func TestDistRowMin(t *testing.T) {
 }
 
 // TestDistRowsPickMinMatchesScalar: the fused PickMin (kernel path on
-// all-u8 stacks) must pick the same node as a scalar enumeration of
-// (holder AND mask) scored by Contribution — same smallest-id
-// tie-break included — for both the Diameter (max) and SumDistance
-// costs.
+// all-u8 stacks, scalar path on int32 stacks) must pick the same node
+// and score as a scalar enumeration of (holder AND mask) scored by
+// Contribution — same smallest-id tie-break included — for both the
+// Diameter (max) and SumDistance costs, under every budget from none
+// at all to no limit.
 func TestDistRowsPickMinMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(803))
 	for trial := 0; trial < 6; trial++ {
 		n := 30 + rng.Intn(100)
 		g := randomSignedGraph(rng, n, 3*n, 0.35)
 		m := mustMatrix(SPO, g, Options{})
-		var rs DistRows
+		// rs holds the engine's u8 rows, wide the same rows widened to
+		// int32, which sends PickMin down its scalar path.
+		var rs, wide DistRows
 		for k := 0; k < 1+rng.Intn(4); k++ {
-			rs.Append(m.DistanceRow(sgraph.NodeID(rng.Intn(n))))
+			row := m.DistanceRow(sgraph.NodeID(rng.Intn(n)))
+			rs.Append(row)
+			wide.Append(DistRow{d32: row.distRowInto(nil)})
 		}
 		holder := container.NewBitset(n)
 		mask := container.NewBitset(n)
@@ -145,24 +151,29 @@ func TestDistRowsPickMinMatchesScalar(t *testing.T) {
 			}
 		}
 		for _, sum := range []bool{false, true} {
-			// Scalar reference: ascending ids, strict improvement.
-			wantV, wantScore, wantOK := sgraph.NodeID(0), int32(0), false
-			for v := 0; v < n; v++ {
-				if !holder.Contains(v) || !mask.Contains(v) {
-					continue
+			for _, budget := range []int32{-1, 0, 1, 2, 3, 5, 8, 128, 254, 255, 256, math.MaxInt32} {
+				// Scalar reference: ascending ids, strict improvement,
+				// scores below the budget only.
+				wantV, wantScore, wantOK := sgraph.NodeID(0), int32(0), false
+				for v := 0; v < n; v++ {
+					if !holder.Contains(v) || !mask.Contains(v) {
+						continue
+					}
+					score, ok := rs.Contribution(rs.Len(), sgraph.NodeID(v), sum)
+					if !ok || score >= budget {
+						continue
+					}
+					if !wantOK || score < wantScore {
+						wantV, wantScore, wantOK = sgraph.NodeID(v), score, true
+					}
 				}
-				score, ok := rs.Contribution(rs.Len(), sgraph.NodeID(v), sum)
-				if !ok {
-					continue
+				for name, stack := range map[string]*DistRows{"u8": &rs, "int32": &wide} {
+					gotV, gotScore, gotOK := stack.PickMin(holder.Words(), mask.Words(), sum, budget)
+					if gotOK != wantOK || (wantOK && (gotV != wantV || gotScore != wantScore)) {
+						t.Fatalf("trial %d %s sum=%v budget=%d: PickMin = (%d,%d,%v), want (%d,%d,%v)",
+							trial, name, sum, budget, gotV, gotScore, gotOK, wantV, wantScore, wantOK)
+					}
 				}
-				if !wantOK || score < wantScore {
-					wantV, wantScore, wantOK = sgraph.NodeID(v), score, true
-				}
-			}
-			gotV, gotOK := rs.PickMin(holder.Words(), mask.Words(), sum)
-			if gotOK != wantOK || (wantOK && gotV != wantV) {
-				t.Fatalf("trial %d sum=%v: PickMin = (%d,%v), want (%d,%v)",
-					trial, sum, gotV, gotOK, wantV, wantOK)
 			}
 		}
 	}

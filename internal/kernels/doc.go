@@ -19,9 +19,12 @@
 //     with lane value 0xFF meaning "undefined — skip this candidate".
 //     The intermediate candidate mask is never materialised: one pass
 //     over the holder words carries best-score/best-index through the
-//     loop. ArgminMaxU8 rejects eight candidates at a time: a max
+//     loop. Both take an exclusive budget: only scores below it
+//     count, so a caller that needs a score under some bound (the
+//     solver's best team so far) rejects everything else inside the
+//     scan. ArgminMaxU8 rejects eight candidates at a time: a max
 //     improves on the best so far only if every row's lane is below
-//     it, so one borrow-trick compare per row, AND-folded with the
+//     it, so one borrow-safe compare per row, AND-folded with the
 //     candidate flags and short-circuited, kills whole blocks before
 //     any per-byte scoring.
 //   - MinU8: the SWAR min-scan over one uint8 row (8 lanes per word,

@@ -3,6 +3,8 @@
 // row count, packed holder/mask words and row bytes, so the fuzzer
 // explores lengths (including every tail in 0–63), candidate
 // densities and sentinel placements the property suite only samples.
+// The argmin kernels run under every fixed budget of argminCeils plus
+// two drawn from the leftover bytes.
 // CI runs it in the fuzz-smoke job.
 
 package kernels
@@ -69,15 +71,20 @@ func FuzzKernels(f *testing.F) {
 		}
 
 		if nRows > 0 && n > 0 {
-			gi, gs, gok := ArgminMaxU8(rows, holder, mask)
-			wi, ws2, wok := refArgmin(rows, holder, mask, false)
-			if gok != wok || gi != wi || (wok && uint32(gs) != ws2) {
-				t.Fatalf("ArgminMaxU8 got (%d,%d,%v) want (%d,%d,%v)", gi, gs, gok, wi, ws2, wok)
+			ceils := argminCeils(true, nRows)
+			if len(data) > 0 {
+				// Fuzzed budgets on top of the fixed ones (the max
+				// kernel sees ceilings above Undefined as no limit).
+				ceils = append(ceils, uint32(data[0]), uint32(data[len(data)-1])*uint32(nRows))
 			}
-			si, ss, sok := ArgminSumU8(rows, holder, mask)
-			wi, ws2, wok = refArgmin(rows, holder, mask, true)
-			if sok != wok || si != wi || (wok && ss != ws2) {
-				t.Fatalf("ArgminSumU8 got (%d,%d,%v) want (%d,%d,%v)", si, ss, sok, wi, ws2, wok)
+			for _, sum := range []bool{false, true} {
+				for _, ceil := range ceils {
+					gi, gs, gok := runArgmin(rows, holder, mask, sum, ceil)
+					wi, ws, wok := refArgmin(rows, holder, mask, sum, ceil)
+					if gok != wok || gi != wi || (wok && gs != ws) {
+						t.Fatalf("argmin sum=%v ceil=%d got (%d,%d,%v) want (%d,%d,%v)", sum, ceil, gi, gs, gok, wi, ws, wok)
+					}
+				}
 			}
 		}
 		gm, gi, gok := MinU8(rows[0])

@@ -77,9 +77,14 @@ func spreadBits(b uint64) uint64 {
 }
 
 // hasLess returns the high-bit flags of lanes whose byte value is
-// strictly below n — the classic borrow trick. Only valid for n ≤ 128.
+// strictly below n, exact per lane for n ≤ 128. It is the borrow
+// trick made borrow-safe as in maxU8x8: with every lane's high bit
+// forced on, (0x80+lowbits(x))-n cannot borrow into the next lane,
+// and its high bit is clear exactly when lowbits(x) < n. (The classic
+// (x-n)&^x form is only an any-lane test: a lane below n borrows from
+// the next one, so at n = 128 a zero lane above it went unflagged.)
 func hasLess(x uint64, n uint8) uint64 {
-	return (x - uint64(n)*lsb8) & ^x & msb8
+	return ^(((x | msb8) - uint64(n)*lsb8) | x) & msb8
 }
 
 // le64 assembles 8 consecutive bytes into lanes: byte b[i] lands in
@@ -100,9 +105,11 @@ const swarBlockMin = 4
 // ArgminMaxU8 is the fused AND-popcount-argmin kernel. The candidate
 // set is the set bits of (holder AND mask), never materialised; the
 // score of candidate index i is max over r of rows[r][i], and a
-// candidate with any lane equal to Undefined is skipped. It returns
-// the index minimising the score, the score, and whether any
-// candidate scored at all; ties resolve to the smallest index.
+// candidate with any lane equal to Undefined is skipped. ceil is an
+// exclusive budget: only scores below it count, and Undefined (which
+// no defined score reaches) means no limit. It returns the index
+// minimising the score, the score, and whether any candidate scored
+// below ceil at all; ties resolve to the smallest index.
 //
 // Contracts: len(mask) ≥ len(holder); all rows have one common
 // length, and bits of holder AND mask at positions ≥ that length are
@@ -113,13 +120,15 @@ const swarBlockMin = 4
 // so eight candidates are tested with one borrow-trick compare per
 // row, AND-folded and short-circuited — an improving candidate is
 // rare, so most blocks die after one or two row words and never pay
-// per-byte work. (While best is still above the borrow trick's 128
-// ceiling — before the first defined candidate, in practice —
-// candidates are scored bit by bit.)
-func ArgminMaxU8(rows [][]uint8, holder, mask []uint64) (int, uint8, bool) {
+// per-byte work. The bar starts at ceil, so a budget of 128 or less
+// puts the lane-parallel rejection to work from the first word; only
+// while the bar is above hasLess's 128 ceiling — before the
+// first defined candidate of an unbudgeted scan, in practice — are
+// candidates scored bit by bit.
+func ArgminMaxU8(rows [][]uint8, holder, mask []uint64, ceil uint8) (int, uint8, bool) {
 	n := len(rows[0])
 	bestIdx := -1
-	best := uint8(Undefined) // any defined score (≤ 0xFE) beats it
+	best := ceil // a score must beat it; Undefined lanes never do
 	mask = mask[:len(holder)]
 	for wi, hw := range holder {
 		w := hw & mask[wi]
@@ -127,12 +136,12 @@ func ArgminMaxU8(rows [][]uint8, holder, mask []uint64) (int, uint8, bool) {
 			continue
 		}
 		if best == 0 {
-			break // already optimal, and earlier indices win ties
+			break // already optimal (or a zero budget), and earlier indices win ties
 		}
 		base := wi * 64
 		if base+64 > n || best > 128 || bits.OnesCount64(w) < swarBlockMin {
-			// The row tail, the pre-seed phase and sparse words:
-			// score bit by bit.
+			// The row tail, an unbudgeted scan before its first
+			// candidate, and sparse words: score bit by bit.
 			for w != 0 {
 				idx := base + bits.TrailingZeros64(w)
 				w &= w - 1
@@ -201,13 +210,14 @@ func ArgminMaxU8(rows [][]uint8, holder, mask []uint64) (int, uint8, bool) {
 // ArgminSumU8 is ArgminMaxU8's additive sibling: the score of a
 // candidate is the sum over rows of its lanes (as uint32, so deep
 // stacks of rows cannot wrap), candidates with any Undefined lane are
-// skipped, ties resolve to the smallest index. Sums do not fold
-// lane-wise without widening, so this kernel scans candidates bit by
-// bit — it still fuses the AND, the enumeration and the argmin into
-// one pass with no materialised candidate set.
-func ArgminSumU8(rows [][]uint8, holder, mask []uint64) (int, uint32, bool) {
+// skipped, only scores below the exclusive budget ceil count (pass
+// math.MaxUint32 for no limit), ties resolve to the smallest index.
+// Sums do not fold lane-wise without widening, so this kernel scans
+// candidates bit by bit — it still fuses the AND, the enumeration and
+// the argmin into one pass with no materialised candidate set.
+func ArgminSumU8(rows [][]uint8, holder, mask []uint64, ceil uint32) (int, uint32, bool) {
 	bestIdx := -1
-	best := uint32(0)
+	best := ceil
 	mask = mask[:len(holder)]
 	for wi, hw := range holder {
 		w := hw & mask[wi]
@@ -215,21 +225,21 @@ func ArgminSumU8(rows [][]uint8, holder, mask []uint64) (int, uint32, bool) {
 		for w != 0 {
 			idx := base + bits.TrailingZeros64(w)
 			w &= w - 1
-			// Once a candidate has scored, stop as soon as the partial
-			// sum reaches best: sums only grow, and ties go to the
-			// earlier index. An Undefined lane rejects the candidate
-			// either way.
+			// Stop as soon as the partial sum reaches the bar (the
+			// budget, then the best so far): sums only grow, and ties
+			// go to the earlier index. An Undefined lane rejects the
+			// candidate either way.
 			score := uint32(0)
 			ok := true
 			for r := range rows {
 				d := rows[r][idx]
 				score += uint32(d)
-				if d == Undefined || (bestIdx >= 0 && score >= best) {
+				if d == Undefined || score >= best {
 					ok = false
 					break
 				}
 			}
-			if ok && (bestIdx < 0 || score < best) {
+			if ok {
 				best, bestIdx = score, idx
 			}
 		}

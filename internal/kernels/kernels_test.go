@@ -8,6 +8,7 @@
 package kernels
 
 import (
+	"math"
 	"math/bits"
 	"math/rand"
 	"testing"
@@ -33,8 +34,9 @@ func refAndCount(a, b []uint64) int {
 
 // refArgmin scores every candidate bit of holder&mask one by one:
 // max or sum over the rows, Undefined lanes exclude the candidate,
-// first minimum wins.
-func refArgmin(rows [][]uint8, holder, mask []uint64, sum bool) (int, uint32, bool) {
+// scores at or above the exclusive budget ceil do not count, first
+// minimum wins.
+func refArgmin(rows [][]uint8, holder, mask []uint64, sum bool, ceil uint32) (int, uint32, bool) {
 	bestIdx, best := -1, uint32(0)
 	for wi := range holder {
 		w := holder[wi] & mask[wi]
@@ -56,7 +58,7 @@ func refArgmin(rows [][]uint8, holder, mask []uint64, sum bool) (int, uint32, bo
 					score = uint32(d)
 				}
 			}
-			if !defined {
+			if !defined || score >= ceil {
 				continue
 			}
 			if bestIdx < 0 || score < best {
@@ -188,6 +190,29 @@ func TestAndAndIntoMatchReference(t *testing.T) {
 	}
 }
 
+// argminCeils lists the budgets testArgmin and FuzzKernels drive the
+// kernels with: none, the empty budget, both sides of the borrow
+// trick's 128 threshold, the largest defined score, and Undefined (no
+// limit for the max kernel). For the sum kernel, noLimit adds a
+// budget above any sum the rows can reach.
+func argminCeils(sum bool, nRows int) []uint32 {
+	ceils := []uint32{0, 1, 2, 5, 11, 128, 129, 0xFE, Undefined}
+	if sum {
+		ceils = append(ceils, uint32(nRows)*0xFF+1, math.MaxUint32)
+	}
+	return ceils
+}
+
+// runArgmin calls the max or sum kernel with a ceiling clamped to
+// the kernel's budget type, widening the score for comparison.
+func runArgmin(rows [][]uint8, holder, mask []uint64, sum bool, ceil uint32) (int, uint32, bool) {
+	if sum {
+		return ArgminSumU8(rows, holder, mask, ceil)
+	}
+	idx, score, ok := ArgminMaxU8(rows, holder, mask, uint8(min(ceil, Undefined)))
+	return idx, uint32(score), ok
+}
+
 func testArgmin(t *testing.T, sum bool) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(4))
@@ -203,21 +228,13 @@ func testArgmin(t *testing.T, sum bool) {
 				density := []float64{0.02, 0.3, 0.95}[trial%3]
 				holder := randWords(rng, n, density)
 				mask := randWords(rng, n, 0.8)
-
-				var gotIdx int
-				var gotScore uint32
-				var gotOK bool
-				if sum {
-					idx, score, ok := ArgminSumU8(rows, holder, mask)
-					gotIdx, gotScore, gotOK = idx, score, ok
-				} else {
-					idx, score, ok := ArgminMaxU8(rows, holder, mask)
-					gotIdx, gotScore, gotOK = idx, uint32(score), ok
-				}
-				wantIdx, wantScore, wantOK := refArgmin(rows, holder, mask, sum)
-				if gotOK != wantOK || gotIdx != wantIdx || (wantOK && gotScore != wantScore) {
-					t.Fatalf("n=%d rows=%d sum=%v: got (%d,%d,%v) want (%d,%d,%v)",
-						n, nRows, sum, gotIdx, gotScore, gotOK, wantIdx, wantScore, wantOK)
+				for _, ceil := range argminCeils(sum, nRows) {
+					gotIdx, gotScore, gotOK := runArgmin(rows, holder, mask, sum, ceil)
+					wantIdx, wantScore, wantOK := refArgmin(rows, holder, mask, sum, ceil)
+					if gotOK != wantOK || gotIdx != wantIdx || (wantOK && gotScore != wantScore) {
+						t.Fatalf("n=%d rows=%d sum=%v ceil=%d: got (%d,%d,%v) want (%d,%d,%v)",
+							n, nRows, sum, ceil, gotIdx, gotScore, gotOK, wantIdx, wantScore, wantOK)
+					}
 				}
 			}
 		}
@@ -226,6 +243,36 @@ func testArgmin(t *testing.T, sum bool) {
 
 func TestArgminMaxU8MatchesReference(t *testing.T) { testArgmin(t, false) }
 func TestArgminSumU8MatchesReference(t *testing.T) { testArgmin(t, true) }
+
+// TestArgminMaxU8BudgetFromFirstWord: a dense first word under a
+// budget of 128 or less runs the lane-parallel rejection before any
+// candidate has scored. Lanes at or above the budget and Undefined
+// lanes must be rejected there, and the best lane below the budget
+// found, including when it sits behind a rejected lane of its block.
+func TestArgminMaxU8BudgetFromFirstWord(t *testing.T) {
+	const n = 256
+	rows := [][]uint8{make([]uint8, n), make([]uint8, n)}
+	for i := 0; i < n; i++ {
+		rows[0][i], rows[1][i] = 100, 120
+	}
+	rows[0][3] = Undefined // would score 0 on row 1 alone
+	rows[1][3] = 0
+	rows[0][5], rows[1][5] = 7, 9 // the winner: max 9
+	rows[0][6], rows[1][6] = 9, 7 // ties the winner at a later index
+	rows[1][70] = 2               // a later word: max 100, over budget
+	holder := []uint64{^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)}
+	mask := holder
+	for _, ceil := range []uint32{0, 1, 9, 10, 100, 120, 121, 128} {
+		gotIdx, gotScore, gotOK := runArgmin(rows, holder, mask, false, ceil)
+		wantIdx, wantScore, wantOK := refArgmin(rows, holder, mask, false, ceil)
+		if gotOK != wantOK || gotIdx != wantIdx || gotScore != wantScore {
+			t.Fatalf("ceil=%d: got (%d,%d,%v) want (%d,%d,%v)", ceil, gotIdx, gotScore, gotOK, wantIdx, wantScore, wantOK)
+		}
+		if ceil > 9 && (!gotOK || gotIdx != 5 || gotScore != 9) {
+			t.Fatalf("ceil=%d: got (%d,%d,%v), want the index-5 winner at 9", ceil, gotIdx, gotScore, gotOK)
+		}
+	}
+}
 
 // TestArgminMaxU8AllUndefined: a populated candidate set whose every
 // candidate is undefined must report ok=false, not a bogus pick.
@@ -241,10 +288,10 @@ func TestArgminMaxU8AllUndefined(t *testing.T) {
 		mask[i] = ^uint64(0)
 	}
 	mask[len(mask)-1] = (1 << uint(n&63)) - 1
-	if idx, _, ok := ArgminMaxU8([][]uint8{row}, holder, mask); ok {
+	if idx, _, ok := ArgminMaxU8([][]uint8{row}, holder, mask, Undefined); ok {
 		t.Fatalf("all-undefined row produced a pick at %d", idx)
 	}
-	if idx, _, ok := ArgminSumU8([][]uint8{row}, holder, mask); ok {
+	if idx, _, ok := ArgminSumU8([][]uint8{row}, holder, mask, math.MaxUint32); ok {
 		t.Fatalf("all-undefined row produced a sum pick at %d", idx)
 	}
 }
@@ -300,6 +347,24 @@ func TestSWARHelpers(t *testing.T) {
 			flag := hasLess(uint64(v)*lsb8, uint8(n)) != 0
 			if flag != (v < n) {
 				t.Fatalf("hasLess(%d,%d)=%v want %v", v, n, flag, v < n)
+			}
+		}
+	}
+	// Per lane, not just any lane: every lane of mixed words is flagged
+	// exactly when it is below n, whatever its neighbours hold (a lane
+	// below n must not hide or fake a flag in the lane above).
+	rng := rand.New(rand.NewSource(8))
+	for trial := 0; trial < 20000; trial++ {
+		x := rng.Uint64()
+		if trial%2 == 0 {
+			x &= spreadBits(rng.Uint64()) // zero a random half of the lanes
+		}
+		n := uint8(rng.Intn(129))
+		got := hasLess(x, n)
+		for lane := 0; lane < 8; lane++ {
+			want := uint8(x>>(8*lane)) < n
+			if (got>>(8*lane+7))&1 == 1 != want {
+				t.Fatalf("hasLess(%#x,%d) lane %d = %v want %v", x, n, lane, !want, want)
 			}
 		}
 	}
@@ -363,7 +428,7 @@ func BenchmarkArgminMaxU8(b *testing.B) {
 	mask := benchWords(9, 0.5)
 	sink := 0
 	for i := 0; i < b.N; i++ {
-		idx, _, _ := ArgminMaxU8(rows, holder, mask)
+		idx, _, _ := ArgminMaxU8(rows, holder, mask, Undefined)
 		sink += idx
 	}
 	_ = sink

@@ -186,7 +186,10 @@ func (s *Server) Wait(ctx context.Context) error {
 	}
 }
 
-// teamResult is the JSON shape of one formed team.
+// teamResult is the JSON shape of one formed team. seeds_succeeded
+// is team.Team's SeedsSucceeded: on /form, the seeds that set a new
+// best team (the bounded seed loop abandons every other seed); on
+// /formtopk, every seed that grew into a priced team.
 type teamResult struct {
 	Found          bool            `json:"found"`
 	Members        []sgraph.NodeID `json:"members,omitempty"`

@@ -43,11 +43,10 @@
 //     engine collapses one lock per pair into one shard touch per
 //     member. The scratch also holds the plan-compilation buffers
 //     (ranking keys, degree accumulators, the pool bitset), so the
-//     cold plans of a batch compile without re-allocating. On a
-//     single-worker solver, warm TaskPlan.FormInto calls on packed
-//     engines therefore allocate nothing — asserted by the CI alloc
-//     smoke; multi-worker solvers spend per-call goroutine bookkeeping
-//     to parallelise the seed loop instead.
+//     cold plans of a batch compile without re-allocating. Warm
+//     TaskPlan.FormInto calls on packed engines therefore allocate
+//     nothing at any worker count — asserted by the CI alloc smoke at
+//     one and two workers.
 //   - SolverOptions.PlanCache adds the cross-request layer: an LRU of
 //     compiled plans keyed by the canonical task plus the options
 //     fingerprint, so a repeated task skips compilation entirely —
@@ -57,11 +56,18 @@
 //     solve (on the lazy engine the LeastCompatibleFirst degree pass
 //     alone is ~80% of a Form call, see BenchmarkLazyFormDecomposed),
 //     which is exactly what the cache removes for repeated queries.
-//   - The seed loop runs across the solver's bounded worker pool with
-//     a deterministic merge (cost, then seed order), so results are
-//     identical at every worker count; Solver.FormBatch amortises the
-//     solver across a slice of tasks the same way. The RandomUser
-//     policy serialises, consuming Options.Rng in the legacy order.
+//   - A single solve runs Algorithm 2's seed loop sequentially as a
+//     branch and bound: once a team is priced, each later seed is
+//     abandoned as soon as its running cost reaches the best cost, and
+//     the MinDistance kernels take the remaining budget as a ceiling.
+//     Costs only grow as members join and a later seed must be
+//     strictly cheaper to win, so the answer is exactly the full
+//     growth's (pinned against a full-growth oracle in bound_test.go);
+//     RandomUser seeds still grow in full, consuming Options.Rng in
+//     the legacy order. The solver's worker pool runs
+//     Solver.FormBatch's tasks and the top-K seed sweep, with
+//     deterministic merges, so results are identical at every worker
+//     count.
 //   - Team dedup in FormTopK hashes sorted member sets (64-bit FNV
 //     with an exact check on collisions) instead of building string
 //     keys; the tie-break comparator reproduces the legacy decimal

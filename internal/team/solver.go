@@ -6,10 +6,11 @@
 // built once per task; per-worker scratch holds everything a single
 // solve mutates — the covered-skill bitset, the members/candidate
 // buffers and the row-AND mask — so that warm solves on packed engines
-// allocate nothing. The seed loop of Algorithm 2 runs across a bounded
+// allocate nothing. The seed loop of Algorithm 2 is one sequential,
+// branch-and-bound loop: once a team is priced, every later seed is
+// abandoned as soon as its partial cost reaches the best cost. The
 // worker pool (each worker owns its scratch, the compat.Precompute
-// pattern) with results merged deterministically, and FormBatch
-// amortises the solver across a slice of tasks.
+// pattern) runs FormBatch's tasks and top-K's unbounded seed sweep.
 
 package team
 
@@ -19,6 +20,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"sort"
@@ -34,12 +36,13 @@ import (
 
 // SolverOptions configures NewSolver.
 type SolverOptions struct {
-	// Workers bounds the solver's parallelism: the seed loop of a
-	// single Form and the task loop of FormBatch. ≤0 uses GOMAXPROCS;
-	// 1 solves strictly sequentially. Results are identical at every
-	// worker count (the merge is deterministic); the RandomUser policy
-	// always runs sequentially so a shared Options.Rng is consumed in
-	// the legacy order.
+	// Workers bounds the solver's parallelism: the task loop of
+	// FormBatch and the seed sweep of the top-K entry points. A single
+	// Form runs its bounded seed loop on one goroutine at every worker
+	// count. ≤0 uses GOMAXPROCS; 1 solves strictly sequentially.
+	// Results are identical at every worker count (merges are
+	// deterministic); the RandomUser policy always runs sequentially so
+	// a shared Options.Rng is consumed in the legacy order.
 	Workers int
 	// PlanCache, when positive, keeps up to that many compiled plans
 	// in a per-solver LRU keyed by the canonical task and the options
@@ -61,10 +64,9 @@ type SolverOptions struct {
 // the package-level Form pays per-call setup — policy ranking, pool
 // degrees, coverage maps — a Solver compiles that setup into a
 // TaskPlan once and reuses per-worker scratch across calls, so warm
-// solves on packed engines are allocation-free (single-worker
-// solvers) and batches run across a worker pool. A Solver is safe for
-// concurrent use; the relation and assignment must not change
-// underneath it.
+// solves on packed engines are allocation-free and batches run across
+// a worker pool. A Solver is safe for concurrent use; the relation and
+// assignment must not change underneath it.
 type Solver struct {
 	rel     compat.Relation
 	assign  *skills.Assignment
@@ -137,9 +139,10 @@ func (s *Solver) PlanCacheStats() PlanCacheStats {
 }
 
 // Form compiles a plan for task and solves it: Algorithm 2 with the
-// plan's policies, seeds explored in parallel when the solver has
-// workers to spare. Identical to the package-level Form. With a plan
-// cache enabled, repeated tasks reuse the cached plan.
+// plan's policies, its seeds tried in order on one goroutine, each
+// abandoned once it cannot beat the best team so far. Identical to the
+// package-level Form. With a plan cache enabled, repeated tasks reuse
+// the cached plan.
 func (s *Solver) Form(task skills.Task, opts Options) (*Team, error) {
 	return s.FormContext(context.Background(), task, opts)
 }
@@ -159,9 +162,9 @@ func (s *Solver) FormContext(ctx context.Context, task skills.Task, opts Options
 
 // FormInto is Form solving into a caller-owned Team, reusing
 // dst.Members' backing array — the zero-allocation serving entry
-// point: on a single-worker solver over a packed engine, a warm call
-// whose plan is served from the cache performs no allocations at all
-// (the CI alloc smoke asserts this via BenchmarkPlanCacheServe).
+// point: on a packed engine, a warm call whose plan is served from the
+// cache performs no allocations at all, at any worker count (the CI
+// alloc smoke asserts this via BenchmarkPlanCacheServe).
 //
 //tfsn:noalloc
 func (s *Solver) FormInto(task skills.Task, opts Options, dst *Team) error {
@@ -292,7 +295,7 @@ func (s *Solver) formBatch(ctx context.Context, count int, opts Options, at func
 		}
 		out[i] = tm
 		return nil
-	}, nil, nil)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -760,18 +763,18 @@ type scratch struct {
 	// sharded engine — and the stack then feeds the fused MinDistance
 	// pick (compat.DistRows.PickMin, one kernel pass over holder AND
 	// mask words) and the shared Contribution scoring loop of the
-	// pick fallbacks and costMembers.
+	// pick fallback and the running cost.
 	//
 	//tfsn:viewok(putScratch Clears the rows before pooling, so no view outlives the solve that resolved it)
 	rows compat.DistRows
 	cand []sgraph.NodeID
 	best []sgraph.NodeID
-
-	// formPar's worker-local best (the members live in best), merged
-	// into the plan-level minimum by the pool's finish hook.
-	parFound bool
-	parCost  int32
-	parSeed  int
+	// cost is the grown team's running cost, folded in as each member
+	// joins; priced=false marks a seed that failed pricing (an undefined
+	// distance, or the bound reached), which only RandomUser keeps
+	// growing.
+	cost   int32
+	priced bool
 
 	// Plan-compilation buffers, reused across the tasks a worker
 	// compiles (FormBatch's cold plans): the ranking keys and degree
@@ -805,19 +808,17 @@ func (s *Solver) putScratch(sc *scratch) {
 }
 
 // runPool is the one worker-pool implementation behind the parallel
-// paths (formPar, allTeams, FormBatch): it runs fn(sc, i) for every i
-// in [0, count) across the given number of workers, handing out
-// indices from a shared atomic counter, with one scratch per worker.
-// start (optional) initialises a worker's scratch before its first
-// item; finish (optional) runs once per worker before its scratch is
-// released, for merging worker-local state. The first error aborts the
-// sweep; when several workers error, the lowest-indexed item's error
-// is returned, so error reporting is deterministic. The context is
-// checked before every item, so a firing deadline stops all workers at
-// their next item boundary with the typed context error.
+// paths (allTeams, FormBatch): it runs fn(sc, i) for every i in
+// [0, count) across the given number of workers, handing out indices
+// from a shared atomic counter, with one scratch per worker. The first
+// error aborts the sweep; when several workers error, the
+// lowest-indexed item's error is returned, so error reporting is
+// deterministic. The context is checked before every item, so a firing
+// deadline stops all workers at their next item boundary with the
+// typed context error.
 //
 //tfsn:ctxpoll
-func (s *Solver) runPool(ctx context.Context, workers, count int, fn func(sc *scratch, i int) error, start, finish func(sc *scratch)) error {
+func (s *Solver) runPool(ctx context.Context, workers, count int, fn func(sc *scratch, i int) error) error {
 	if workers > count {
 		workers = count
 	}
@@ -835,9 +836,6 @@ func (s *Solver) runPool(ctx context.Context, workers, count int, fn func(sc *sc
 			defer wg.Done()
 			sc := s.getScratch()
 			defer s.putScratch(sc)
-			if start != nil {
-				start(sc)
-			}
 			for !failed.Load() {
 				i := int(atomic.AddInt64(&next, 1))
 				if i >= count {
@@ -859,9 +857,6 @@ func (s *Solver) runPool(ctx context.Context, workers, count int, fn func(sc *sc
 					break
 				}
 			}
-			if finish != nil {
-				finish(sc)
-			}
 		}()
 	}
 	wg.Wait()
@@ -872,7 +867,7 @@ func (s *Solver) runPool(ctx context.Context, workers, count int, fn func(sc *sc
 // skills it covers, ANDs its packed row into the candidate mask (so
 // candidate filtering is one bit test per holder regardless of team
 // size) and caches its packed distance row for the member-by-member
-// scans of pickMinDistance and costMembers.
+// scans of pickMinDistance and contribution.
 func (sc *scratch) addMember(p *TaskPlan, u sgraph.NodeID) {
 	if sc.mask != nil {
 		if len(sc.members) == 0 {
@@ -933,53 +928,140 @@ func (p *TaskPlan) teamCompatible(sc *scratch, u sgraph.NodeID) (bool, error) {
 	return true, nil
 }
 
-// grow runs Algorithm 2's inner loop for one seed into sc.members.
-// ok=false reports a failed seed (no compatible holder of some skill,
-// an include or seed incompatible with the members so far, or the size
-// cap reached with skills uncovered); a non-nil error is a relation
-// failure and aborts the whole solve. Includes join first, in
-// canonical order, each checked against the members before it — so a
-// mutually incompatible include set fails every seed and the solve
-// reports ErrNoTeam.
-func (p *TaskPlan) grow(sc *scratch, seed sgraph.NodeID) (bool, error) {
+// noBound is grow's bound when there is none: before the first
+// priced team, and for top-K, which needs every seed's team.
+const noBound = math.MaxInt32
+
+// grow runs Algorithm 2's inner loop for one seed into sc.members and
+// returns the team's cost, accumulated as each member joins. ok=false
+// reports a failed seed (no compatible holder of some skill, an include
+// or seed incompatible with the members so far, the size cap reached
+// with skills uncovered, or an undefined distance inside the team) or
+// an abandoned one, whose partial cost reached bound; ok=true
+// guarantees cost < bound. Both objectives only grow as members join,
+// so an abandoned seed could not have priced below bound. A non-nil
+// error is a relation failure and aborts the whole solve. Includes
+// join first, in canonical order, each checked against the members
+// before it — so a mutually incompatible include set fails every seed
+// and the solve reports ErrNoTeam.
+func (p *TaskPlan) grow(sc *scratch, seed sgraph.NodeID, bound int32) (int32, bool, error) {
 	sc.members = sc.members[:0]
 	sc.rows.Reset()
 	sc.covered.Grow(len(p.task))
 	sc.nCov = 0
+	sc.cost, sc.priced = 0, true
 	for _, u := range p.includes {
 		ok, err := p.teamCompatible(sc, u)
-		if err != nil || !ok {
-			return false, err
+		if err == nil && ok {
+			ok, err = p.join(sc, u, unpriced, bound)
 		}
-		sc.addMember(p, u)
+		if err != nil || !ok {
+			return 0, false, err
+		}
 	}
 	if !p.seedInc {
 		if p.maxSize > 0 && len(sc.members) >= p.maxSize {
-			return false, nil
+			return 0, false, nil
 		}
 		ok, err := p.teamCompatible(sc, seed)
-		if err != nil || !ok {
-			return false, err
+		if err == nil && ok {
+			ok, err = p.join(sc, seed, unpriced, bound)
 		}
-		sc.addMember(p, seed)
+		if err != nil || !ok {
+			return 0, false, err
+		}
 	}
 	for sc.nCov < len(p.task) {
 		if p.maxSize > 0 && len(sc.members) >= p.maxSize {
-			return false, nil
+			return 0, false, nil
 		}
-		v, ok, err := p.pick(sc, p.nextSkill(sc))
+		v, c, ok, err := p.pick(sc, p.nextSkill(sc), p.budget(sc, bound))
+		if err == nil && ok {
+			ok, err = p.join(sc, v, c, bound)
+		}
 		if err != nil || !ok {
-			return false, err
+			return 0, false, err
 		}
-		sc.addMember(p, v)
 	}
-	return true, nil
+	return sc.cost, sc.priced, nil
+}
+
+// unpriced is join's contribution argument for a member the pick did
+// not price: includes, the seed, and the picks of user policies other
+// than MinDistance.
+const unpriced = -1
+
+// budget is the exclusive ceiling on the next member's contribution:
+// one at or above it brings the running cost to bound.
+func (p *TaskPlan) budget(sc *scratch, bound int32) int32 {
+	if p.opts.Cost == SumDistance {
+		return bound - sc.cost
+	}
+	return bound
+}
+
+// join adds u to the team and folds its contribution c — its largest
+// (Diameter) or total (SumDistance) distance to the members before it,
+// computed here when c is unpriced, and always below the budget — into
+// the running cost, which therefore stays below bound. keep=false
+// abandons the seed: u has no defined distance to some member, or the
+// cost would reach bound. RandomUser keeps growing such a seed,
+// unpriced, so every seed draws from Options.Rng exactly as a full
+// growth does; sc.priced then reports the seed failed when grow ends.
+func (p *TaskPlan) join(sc *scratch, u sgraph.NodeID, c, bound int32) (keep bool, err error) {
+	if sc.priced {
+		if c == unpriced {
+			if c, sc.priced, err = p.contribution(sc, u, p.budget(sc, bound)); err != nil {
+				return false, err
+			}
+		}
+		if p.opts.Cost == SumDistance {
+			sc.cost += c
+		} else if c > sc.cost {
+			sc.cost = c
+		}
+	}
+	sc.addMember(p, u)
+	return sc.priced || p.opts.User == RandomUser, nil
+}
+
+// contribution prices u against the current members: its largest
+// (Diameter) or total (SumDistance) distance to them. ok=false reports
+// an undefined distance or a contribution at or above budget. On
+// packed engines each member's cached distance row answers in one
+// slice index (the shared DistRows.Contribution loop); lazy engines
+// ask the relation pair by pair, member first, and stop at the budget.
+func (p *TaskPlan) contribution(sc *scratch, u sgraph.NodeID, budget int32) (int32, bool, error) {
+	sum := p.opts.Cost == SumDistance
+	if sc.mask != nil {
+		c, ok := sc.rows.Contribution(sc.rows.Len(), u, sum)
+		return c, ok && c < budget, nil
+	}
+	c := int32(0)
+	for _, x := range sc.members {
+		d, ok, err := p.s.rel.Distance(x, u)
+		if err != nil || !ok {
+			return 0, false, err
+		}
+		if sum {
+			c += d
+		} else if d > c {
+			c = d
+		}
+		if c >= budget {
+			return 0, false, nil
+		}
+	}
+	return c, c < budget, nil
 }
 
 // pick selects which compatible holder of skill joins sc.members,
-// according to the user policy. ok=false means no compatible holder
-// (or, under MinDistance, none at a defined distance).
-func (p *TaskPlan) pick(sc *scratch, skill skills.SkillID) (sgraph.NodeID, bool, error) {
+// according to the user policy, and returns its contribution to the
+// cost — under MinDistance the pick's own score, which must lie below
+// budget; unpriced under the other policies, which ignore the budget.
+// ok=false means no compatible holder (or, under MinDistance, none at
+// a defined distance below budget).
+func (p *TaskPlan) pick(sc *scratch, skill skills.SkillID, budget int32) (sgraph.NodeID, int32, bool, error) {
 	if sc.mask != nil && p.opts.User == MinDistance && p.s.holdersPacked {
 		// Fused fast path: candidates are the set bits of
 		// (holder words AND mask), enumerated and priced inside one
@@ -988,8 +1070,8 @@ func (p *TaskPlan) pick(sc *scratch, skill skills.SkillID) (sgraph.NodeID, bool,
 		// smaller-id tie-break match the materialised path exactly
 		// (same ascending enumeration, same strict-improvement rule);
 		// TestSolverMatchesReference pins that against the oracle.
-		v, ok := sc.rows.PickMin(p.s.assign.HolderWords(skill), sc.mask.Words(), p.opts.Cost == SumDistance)
-		return v, ok, nil
+		v, c, ok := sc.rows.PickMin(p.s.assign.HolderWords(skill), sc.mask.Words(), p.opts.Cost == SumDistance, budget)
+		return v, c, ok, nil
 	}
 	sc.cand = sc.cand[:0]
 	if sc.mask != nil {
@@ -1013,7 +1095,7 @@ func (p *TaskPlan) pick(sc *scratch, skill skills.SkillID) (sgraph.NodeID, bool,
 				// stable.
 				ok, err := p.s.rel.Compatible(x, v)
 				if err != nil {
-					return 0, false, err
+					return 0, 0, false, err
 				}
 				if !ok {
 					continue holders
@@ -1023,11 +1105,11 @@ func (p *TaskPlan) pick(sc *scratch, skill skills.SkillID) (sgraph.NodeID, bool,
 		}
 	}
 	if len(sc.cand) == 0 {
-		return 0, false, nil
+		return 0, 0, false, nil
 	}
 	switch p.opts.User {
 	case MinDistance:
-		return p.pickMinDistance(sc)
+		return p.pickMinDistance(sc, budget)
 	case MostCompatible:
 		best := sc.cand[0]
 		bestDeg := p.degreeOf(best)
@@ -1036,55 +1118,42 @@ func (p *TaskPlan) pick(sc *scratch, skill skills.SkillID) (sgraph.NodeID, bool,
 				best, bestDeg = c, d
 			}
 		}
-		return best, true, nil
+		return best, unpriced, true, nil
 	case RandomUser:
-		return sc.cand[p.opts.Rng.Intn(len(sc.cand))], true, nil
+		return sc.cand[p.opts.Rng.Intn(len(sc.cand))], unpriced, true, nil
 	default:
-		return 0, false, fmt.Errorf("team: unknown user policy %d", int(p.opts.User))
+		return 0, 0, false, fmt.Errorf("team: unknown user policy %d", int(p.opts.User))
 	}
 }
 
 // pickMinDistance chooses the candidate with the cheapest contribution
 // to the configured cost — smallest maximum distance to the team for
 // Diameter, smallest total for SumDistance; ties break to the smaller
-// id. Candidates at an undefined distance to some member are skipped.
+// id — and returns it with that contribution. Candidates at an
+// undefined distance to some member, or at or above budget, are
+// skipped.
 //
-// On packed engines the members' distance rows are already cached in
-// scratch (resolved once per member when it joined the team — on the
-// sharded engine one shard touch per member, not one lock per pair),
-// so pricing a candidate is a member-by-member scan of those rows
-// through DistRow.At, a plain slice index. Distances are symmetric for
-// every relation (a property-tested invariant), so reading the member
-// side of each pair returns exactly the values the per-pair
-// PairDistance path read, and candidate order plus tie-break are
-// unchanged — picked members are identical (tested against the
-// pairwise oracle in solver_test.go).
-func (p *TaskPlan) pickMinDistance(sc *scratch) (sgraph.NodeID, bool, error) {
-	if p.s.packed != nil {
-		c, ok := p.pickMinDistancePacked(sc)
-		return c, ok, nil
-	}
+// Scoring is contribution: on packed engines the members' distance
+// rows are already cached in scratch (resolved once per member when it
+// joined the team — on the sharded engine one shard touch per member,
+// not one lock per pair), so pricing a candidate is a member-by-member
+// scan of those rows. This is the packed path only for solvers whose
+// holder words cannot be ANDed against rows (layout mismatch): the
+// aligned case never materialises candidates and goes through
+// DistRows.PickMin in pick. Distances are symmetric for every relation
+// (a property-tested invariant), so reading the member side of each
+// pair returns exactly the values the per-pair PairDistance path read,
+// and candidate order plus tie-break are unchanged — picked members
+// are identical (tested against the pairwise oracle in solver_test.go).
+func (p *TaskPlan) pickMinDistance(sc *scratch, budget int32) (sgraph.NodeID, int32, bool, error) {
 	best := sgraph.NodeID(-1)
 	bestDist := int32(0)
 	for _, c := range sc.cand {
-		contribution := int32(0)
-		defined := true
-		for _, x := range sc.members {
-			d, ok, err := p.s.rel.Distance(c, x)
-			if err != nil {
-				return 0, false, err
-			}
-			if !ok {
-				defined = false
-				break
-			}
-			if p.opts.Cost == SumDistance {
-				contribution += d
-			} else if d > contribution {
-				contribution = d
-			}
+		contribution, ok, err := p.contribution(sc, c, budget)
+		if err != nil {
+			return 0, 0, false, err
 		}
-		if !defined {
+		if !ok {
 			continue
 		}
 		if best == -1 || contribution < bestDist || (contribution == bestDist && c < best) {
@@ -1092,49 +1161,20 @@ func (p *TaskPlan) pickMinDistance(sc *scratch) (sgraph.NodeID, bool, error) {
 		}
 	}
 	if best == -1 {
-		return 0, false, nil
+		return 0, 0, false, nil
 	}
-	return best, true, nil
-}
-
-// pickMinDistancePacked prices the materialised candidate list
-// against the members' cached distance rows — the packed path for
-// solvers whose holder words cannot be ANDed against rows (layout
-// mismatch), since the aligned case never materialises candidates and
-// goes through DistRows.PickMin in pick. Scoring is the shared
-// DistRows.Contribution loop, the same one costMembers uses.
-func (p *TaskPlan) pickMinDistancePacked(sc *scratch) (sgraph.NodeID, bool) {
-	sum := p.opts.Cost == SumDistance
-	k := sc.rows.Len()
-	best := sgraph.NodeID(-1)
-	bestDist := int32(0)
-	for _, c := range sc.cand {
-		contribution, defined := sc.rows.Contribution(k, c, sum)
-		if !defined {
-			continue
-		}
-		if best == -1 || contribution < bestDist || (contribution == bestDist && c < best) {
-			best, bestDist = c, contribution
-		}
-	}
-	if best == -1 {
-		return 0, false
-	}
-	return best, true
+	return best, bestDist, true, nil
 }
 
 // ---------------------------------------------------------------------------
 // Solving a plan.
 
 // FormInto solves the plan into dst, reusing dst.Members' backing
-// array — the warm path for serving repeated queries. Seeds are
-// explored across the solver's worker pool when it has more than one
-// worker (sequentially under RandomUser, so Options.Rng is consumed
-// in seed order); the merge is deterministic, so the result is
-// identical at every worker count. On a single-worker solver over a
-// packed engine, warm calls are allocation-free; multi-worker solvers
-// pay per-call goroutine bookkeeping to parallelise the seed loop
-// instead. It returns ErrNoTeam when every seed fails.
+// array — the warm path for serving repeated queries. Seeds are tried
+// in order by formSeq's bounded loop on the calling goroutine, at
+// every worker count, so the result and the allocation profile do not
+// depend on the solver's workers: on a packed engine, warm calls are
+// allocation-free. It returns ErrNoTeam when every seed fails.
 //
 //tfsn:noalloc
 func (p *TaskPlan) FormInto(dst *Team) error {
@@ -1151,9 +1191,6 @@ func (p *TaskPlan) FormIntoContext(ctx context.Context, dst *Team) error {
 		*dst = Team{Members: dst.Members[:0]}
 		return nil
 	}
-	if p.s.workers > 1 && len(p.seeds) > 1 && p.opts.User != RandomUser {
-		return p.formPar(ctx, dst)
-	}
 	sc := p.s.getScratch()
 	defer p.s.putScratch(sc)
 	return p.formSeq(ctx, sc, dst)
@@ -1168,10 +1205,18 @@ func (p *TaskPlan) Form() (*Team, error) {
 	return &tm, nil
 }
 
-// formSeq is the sequential solve: Algorithm 2's outer loop on one
-// scratch. It keeps the cheapest team (first seed wins ties, as the
-// loop order dictates) in sc.best and copies it into dst at the end.
-// The context is checked once per seed — cooperative cancellation at
+// formSeq is the one solve loop: Algorithm 2's outer loop on one
+// scratch, branch-and-bound. It keeps the cheapest team (first seed
+// wins ties, as the loop order dictates) in sc.best and copies it into
+// dst at the end. Once a team is priced, its cost bounds every later
+// seed's grow, which abandons the seed as soon as its partial cost
+// reaches it: costs only grow as members join and a later seed must be
+// strictly cheaper to win, so the abandoned growth could never have
+// won, and a seed that could win makes the identical picks (every
+// pick's score lies below the budget). SeedsSucceeded therefore counts
+// the seeds that set a new best team. Under RandomUser an abandoned
+// seed still grows in full, unpriced (see join), so Options.Rng is
+// consumed exactly as in a full growth of every seed. The context is checked once per seed — cooperative cancellation at
 // the granularity of one grow-and-price step. The body allocates only
 // on the all-seeds-failed error path; warm wins reuse sc.best and
 // dst.Members in place.
@@ -1183,36 +1228,25 @@ func (p *TaskPlan) formSeq(ctx context.Context, sc *scratch, dst *Team) error {
 		*dst = Team{Members: dst.Members[:0]}
 		return nil
 	}
-	found := false
-	var bestCost int32
+	bestCost := int32(noBound)
 	succeeded := 0
 	sc.best = sc.best[:0]
 	for _, seed := range p.seeds {
 		if err := ctx.Err(); err != nil {
 			return ctxErr(err)
 		}
-		ok, err := p.grow(sc, seed)
+		cost, ok, err := p.grow(sc, seed, bestCost)
 		if err != nil {
 			return err
 		}
 		if !ok {
-			continue
+			continue // failed, or abandoned: it cannot beat bestCost
 		}
-		cost, priced, err := p.costMembers(sc)
-		if err != nil {
-			return err
-		}
-		if !priced {
-			continue // undefined distance inside the team: seed failed
-		}
+		bestCost = cost
 		succeeded++
-		if !found || cost < bestCost {
-			found = true
-			bestCost = cost
-			sc.best = append(sc.best[:0], sc.members...)
-		}
+		sc.best = append(sc.best[:0], sc.members...)
 	}
-	if !found {
+	if succeeded == 0 {
 		//tfsn:allow-alloc(terminal error path: every seed failed, no team to return)
 		return fmt.Errorf("%w: all %d seeds failed for task %v", ErrNoTeam, len(p.seeds), p.task)
 	}
@@ -1220,65 +1254,6 @@ func (p *TaskPlan) formSeq(ctx context.Context, sc *scratch, dst *Team) error {
 	dst.Cost = bestCost
 	dst.SeedsTried = len(p.seeds)
 	dst.SeedsSucceeded = succeeded
-	return nil
-}
-
-// formPar explores the seeds across the worker pool. Each worker keeps
-// a local best (cost, then seed index); the merge picks the global
-// minimum under the same order, so the result equals formSeq's
-// regardless of scheduling. The lowest-seed-index error wins, also for
-// determinism.
-func (p *TaskPlan) formPar(ctx context.Context, dst *Team) error {
-	var (
-		succeeded   int64
-		mu          sync.Mutex
-		found       bool
-		bestCost    int32
-		bestSeed    int
-		bestMembers []sgraph.NodeID
-	)
-	err := p.s.runPool(ctx, p.s.workers, len(p.seeds),
-		func(sc *scratch, i int) error {
-			ok, err := p.grow(sc, p.seeds[i])
-			if err != nil || !ok {
-				return err
-			}
-			cost, priced, err := p.costMembers(sc)
-			if err != nil || !priced {
-				return err
-			}
-			atomic.AddInt64(&succeeded, 1)
-			if !sc.parFound || cost < sc.parCost || (cost == sc.parCost && i < sc.parSeed) {
-				sc.parFound, sc.parCost, sc.parSeed = true, cost, i
-				sc.best = append(sc.best[:0], sc.members...)
-			}
-			return nil
-		},
-		func(sc *scratch) { // start: reset the worker-local best
-			sc.parFound = false
-			sc.best = sc.best[:0]
-		},
-		func(sc *scratch) { // finish: merge into the global minimum
-			if !sc.parFound {
-				return
-			}
-			mu.Lock()
-			if !found || sc.parCost < bestCost || (sc.parCost == bestCost && sc.parSeed < bestSeed) {
-				found, bestCost, bestSeed = true, sc.parCost, sc.parSeed
-				bestMembers = append(bestMembers[:0], sc.best...)
-			}
-			mu.Unlock()
-		})
-	if err != nil {
-		return err
-	}
-	if !found {
-		return fmt.Errorf("%w: all %d seeds failed for task %v", ErrNoTeam, len(p.seeds), p.task)
-	}
-	dst.Members = append(dst.Members[:0], bestMembers...)
-	dst.Cost = bestCost
-	dst.SeedsTried = len(p.seeds)
-	dst.SeedsSucceeded = int(succeeded)
 	return nil
 }
 
@@ -1331,31 +1306,24 @@ func (p *TaskPlan) rankedTeams(ctx context.Context) ([]*Team, [][]sgraph.NodeID,
 	return distinct, sortedSets, succeeded, nil
 }
 
-// allTeams grows every seed and returns the successful teams in seed
-// order (the legacy formAll), using the worker pool for deterministic
-// parallel exploration when available.
+// allTeams grows every seed without a bound — top-K needs every
+// seed's team — and returns the successful teams in seed order (the
+// legacy formAll), using the worker pool for deterministic parallel
+// exploration when available.
 //
 //tfsn:ctxpoll
 func (p *TaskPlan) allTeams(ctx context.Context) ([]*Team, error) {
 	results := make([]*Team, len(p.seeds))
-	collect := func(sc *scratch, i int) (bool, error) {
-		ok, err := p.grow(sc, p.seeds[i])
+	collect := func(sc *scratch, i int) error {
+		cost, ok, err := p.grow(sc, p.seeds[i], noBound)
 		if err != nil || !ok {
-			return false, err
-		}
-		cost, priced, err := p.costMembers(sc)
-		if err != nil || !priced {
-			return false, err
+			return err
 		}
 		results[i] = &Team{Members: append([]sgraph.NodeID(nil), sc.members...), Cost: cost}
-		return true, nil
+		return nil
 	}
 	if p.s.workers > 1 && len(p.seeds) > 1 && p.opts.User != RandomUser {
-		err := p.s.runPool(ctx, p.s.workers, len(p.seeds), func(sc *scratch, i int) error {
-			_, err := collect(sc, i)
-			return err
-		}, nil, nil)
-		if err != nil {
+		if err := p.s.runPool(ctx, p.s.workers, len(p.seeds), collect); err != nil {
 			return nil, err
 		}
 	} else {
@@ -1365,7 +1333,7 @@ func (p *TaskPlan) allTeams(ctx context.Context) ([]*Team, error) {
 			if err := ctx.Err(); err != nil {
 				return nil, ctxErr(err)
 			}
-			if _, err := collect(sc, i); err != nil {
+			if err := collect(sc, i); err != nil {
 				return nil, err
 			}
 		}
@@ -1378,54 +1346,6 @@ func (p *TaskPlan) allTeams(ctx context.Context) ([]*Team, error) {
 		}
 	}
 	return teams, nil
-}
-
-// costMembers prices sc's grown team under the plan's cost objective.
-// priced=false reports an undefined pairwise distance (the seed is
-// treated as failed); errors are relation failures. On packed engines
-// each pair (u,v) reads u's cached distance row at v — the exact entry
-// PairDistance returned, with no per-pair row resolution.
-func (p *TaskPlan) costMembers(sc *scratch) (cost int32, priced bool, err error) {
-	members := sc.members
-	if p.s.packed != nil {
-		// Pair (i, j>i) is priced as rows[i].At(member j) by scoring
-		// each member j against the rows of members 0..j-1 — the
-		// shared Contribution loop — which reads exactly the same
-		// entries as a (row i, later members) sweep.
-		sum := p.opts.Cost == SumDistance
-		for j := 1; j < len(members); j++ {
-			c, ok := sc.rows.Contribution(j, members[j], sum)
-			if !ok {
-				return 0, false, nil
-			}
-			if sum {
-				cost += c
-			} else if c > cost {
-				cost = c
-			}
-		}
-		return cost, true, nil
-	}
-	for i, u := range members {
-		for _, v := range members[i+1:] {
-			d, ok, err := p.s.rel.Distance(u, v)
-			if err != nil {
-				return 0, false, err
-			}
-			if !ok {
-				return 0, false, nil
-			}
-			switch p.opts.Cost {
-			case SumDistance:
-				cost += d
-			default: // Diameter
-				if d > cost {
-					cost = d
-				}
-			}
-		}
-	}
-	return cost, true, nil
 }
 
 // ---------------------------------------------------------------------------

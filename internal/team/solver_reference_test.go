@@ -280,8 +280,9 @@ func referenceConstrainedGrow(rel compat.Relation, assign *skills.Assignment, ta
 }
 
 // referenceConstrainedForm reduces the all-seeds sweep to Form's
-// answer: cheapest team, first seed wins ties, telemetry over the
-// whole sweep.
+// answer: cheapest team, first seed wins ties, SeedsTried over the
+// whole sweep and SeedsSucceeded counting record-setting seeds (see
+// referenceBest).
 func referenceConstrainedForm(rel compat.Relation, assign *skills.Assignment, task skills.Task, opts Options) (*Team, error) {
 	teams, tried, err := referenceConstrainedFormAll(rel, assign, task, opts)
 	if err != nil {
@@ -290,18 +291,7 @@ func referenceConstrainedForm(rel compat.Relation, assign *skills.Assignment, ta
 	if len(skills.NewTask(task...)) == 0 && len(opts.Constraints.canonical().MustInclude) == 0 {
 		return &Team{}, nil
 	}
-	var best *Team
-	for _, tm := range teams {
-		if best == nil || tm.Cost < best.Cost {
-			best = tm
-		}
-	}
-	if best == nil {
-		return nil, ErrNoTeam
-	}
-	best.SeedsTried = tried
-	best.SeedsSucceeded = len(teams)
-	return best, nil
+	return referenceBest(teams, tried)
 }
 
 // referenceTopKDiverse mirrors TaskPlan.FormTopKDiverse: FormTopK's

@@ -201,17 +201,29 @@ func referenceForm(rel compat.Relation, assign *skills.Assignment, task skills.T
 	if len(task) == 0 {
 		return &Team{}, nil
 	}
+	return referenceBest(teams, tried)
+}
+
+// referenceBest reduces a full-growth sweep (every seed grown and
+// priced, successful teams in seed order) to Form's answer: the
+// cheapest team, first seed winning ties. SeedsSucceeded is the number
+// of record-setting seeds — those whose team was strictly cheaper than
+// every earlier one, the first priced team included — because the
+// solver's bounded loop abandons every other seed before it completes.
+func referenceBest(teams []*Team, tried int) (*Team, error) {
 	var best *Team
+	records := 0
 	for _, tm := range teams {
 		if best == nil || tm.Cost < best.Cost {
 			best = tm
+			records++
 		}
 	}
 	if best == nil {
 		return nil, ErrNoTeam
 	}
 	best.SeedsTried = tried
-	best.SeedsSucceeded = len(teams)
+	best.SeedsSucceeded = records
 	return best, nil
 }
 
@@ -638,8 +650,9 @@ func TestSolverPlanValidation(t *testing.T) {
 
 // TestWarmFormIntoDoesNotAllocate: the acceptance criterion for the
 // plan/scratch split — a warm FormInto on the matrix engine must not
-// allocate. (The CI alloc-smoke step asserts the same property via
-// BenchmarkSolverForm/warm.)
+// allocate, at one worker and at two (a single solve never spreads its
+// seeds over the pool). (The CI alloc-smoke step asserts the same
+// property via BenchmarkSolverForm/warm and warm-workers2.)
 func TestWarmFormIntoDoesNotAllocate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; the non-race CI alloc smoke covers this")
@@ -653,32 +666,34 @@ func TestWarmFormIntoDoesNotAllocate(t *testing.T) {
 		t.Fatal(err)
 	}
 	rel := mustMatrix(compat.SPM, g)
-	s := NewSolver(rel, assign, SolverOptions{Workers: 1})
-	for _, opts := range []Options{
-		{Skill: LeastCompatibleFirst, User: MinDistance},
-		{Skill: RarestFirst, User: MostCompatible},
-	} {
-		plan, err := s.Plan(task, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var tm Team
-		// Warm everything (scratch, member buffers) before measuring.
-		if err := plan.FormInto(&tm); err != nil {
-			if errors.Is(err, ErrNoTeam) {
-				continue
-			}
-			t.Fatal(err)
-		}
-		allocs := testing.AllocsPerRun(50, func() {
-			if err := plan.FormInto(&tm); err != nil {
+	for _, workers := range []int{1, 2} {
+		s := NewSolver(rel, assign, SolverOptions{Workers: workers})
+		for _, opts := range []Options{
+			{Skill: LeastCompatibleFirst, User: MinDistance},
+			{Skill: RarestFirst, User: MostCompatible},
+		} {
+			plan, err := s.Plan(task, opts)
+			if err != nil {
 				t.Fatal(err)
 			}
-		})
-		// A GC in mid-run can empty the scratch pool and force one
-		// refill; anything beyond that is a real warm-path allocation.
-		if allocs > 0.5 {
-			t.Fatalf("%v/%v: warm FormInto allocates %.1f allocs/op, want 0", opts.Skill, opts.User, allocs)
+			var tm Team
+			// Warm everything (scratch, member buffers) before measuring.
+			if err := plan.FormInto(&tm); err != nil {
+				if errors.Is(err, ErrNoTeam) {
+					continue
+				}
+				t.Fatal(err)
+			}
+			allocs := testing.AllocsPerRun(50, func() {
+				if err := plan.FormInto(&tm); err != nil {
+					t.Fatal(err)
+				}
+			})
+			// A GC in mid-run can empty the scratch pool and force one
+			// refill; anything beyond that is a real warm-path allocation.
+			if allocs > 0.5 {
+				t.Fatalf("workers=%d %v/%v: warm FormInto allocates %.1f allocs/op, want 0", workers, opts.Skill, opts.User, allocs)
+			}
 		}
 	}
 }

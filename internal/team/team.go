@@ -149,14 +149,20 @@ type Options struct {
 	DiverseLambda float64
 }
 
-// Team is a solution: its members, the diameter cost, and search
-// telemetry.
+// Team is a solution: its members, its cost, and search telemetry.
 type Team struct {
 	Members []sgraph.NodeID
-	// Cost is the largest pairwise relation-distance (0 for teams of
-	// one member).
+	// Cost is the team's cost under Options.Cost: the largest pairwise
+	// relation-distance for Diameter, their sum for SumDistance (0 for
+	// teams of one member either way).
 	Cost int32
-	// SeedsTried and SeedsSucceeded count Algorithm 2's outer loop.
+	// SeedsTried and SeedsSucceeded count Algorithm 2's outer loop:
+	// the seeds tried, and the seeds that grew into a complete priced
+	// team. Form, FormInto and FormBatch abandon a seed once its
+	// partial cost reaches the best team's, so for them SeedsSucceeded
+	// is the number of seeds that set a new best team (the first
+	// priced one included). The top-K entry points grow every seed in
+	// full and stamp whole-search aggregates (see FormTopK).
 	SeedsTried, SeedsSucceeded int
 }
 

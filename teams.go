@@ -43,7 +43,8 @@ func RandomTask(rng *rand.Rand, assign *Assignment, k int) (Task, error) {
 
 // Team formation types.
 type (
-	// Team is a formed team: members, diameter cost, seed telemetry.
+	// Team is a formed team: members, cost under Options.Cost, seed
+	// telemetry.
 	Team = team.Team
 	// FormOptions selects Algorithm 2's skill and user policies.
 	FormOptions = team.Options
@@ -85,8 +86,8 @@ var ErrNoTeam = team.ErrNoTeam
 // a TeamPlan once and reuses per-worker scratch across solves, so
 // repeated queries over one relation — the serving workload — skip the
 // per-call setup FormTeam pays, batches run across a worker pool, and
-// warm plan solves on packed engines are allocation-free when the
-// solver is single-worker. With TeamSolverOptions.PlanCache set, the
+// warm plan solves on packed engines are allocation-free at any worker
+// count. With TeamSolverOptions.PlanCache set, the
 // solver additionally keeps an LRU of compiled plans keyed by the
 // canonical task and the options fingerprint, so repeated tasks skip
 // plan compilation across requests — warm cache-hit solves through
