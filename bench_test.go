@@ -419,9 +419,11 @@ func BenchmarkCountPaths(b *testing.B) {
 // BenchmarkMultiSweep times one bit-parallel signed BFS from 64
 // sources — the unit of work the packed SPA/SPO/DPE/NNE builds run per
 // block of rows — and, as warm_counts, the same sweep in counting mode,
-// the unit of the packed SPM build. The warm sub-benches reuse one
-// MultiSweep and must report 0 allocs/op (the CI smoke test watches
-// them).
+// the unit of the packed SPM build; warm_counts_1src is a one-source
+// counting sweep, the unit of a 1-row SPM shard rebuild (compare
+// BenchmarkCountPaths/warm, the lazy engine's row). The warm
+// sub-benches reuse one MultiSweep and must report 0 allocs/op (the CI
+// smoke test watches them).
 func BenchmarkMultiSweep(b *testing.B) {
 	d, err := datasets.EpinionsSim(1, 0.04)
 	if err != nil {
@@ -463,6 +465,19 @@ func BenchmarkMultiSweep(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for ok := sw.StartCounting(g, block(i)); ok; ok = sw.Next() {
+			}
+		}
+	})
+	b.Run("warm_counts_1src", func(b *testing.B) {
+		sw := signedbfs.NewMultiSweep(n)
+		src := []sgraph.NodeID{0}
+		for ok := sw.StartCounting(g, src); ok; ok = sw.Next() {
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			src[0] = sgraph.NodeID(i % n) // CountPaths/warm's sources
+			for ok := sw.StartCounting(g, src); ok; ok = sw.Next() {
 			}
 		}
 	})

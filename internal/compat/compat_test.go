@@ -2,6 +2,7 @@ package compat
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -119,6 +120,9 @@ type blockGraph struct {
 	name      string
 	g         *sgraph.Graph
 	sweepOnly bool
+	// muts are mutations the mutation oracle applies before its random
+	// ones.
+	muts []sgraph.Mutation
 }
 
 // runs reports whether suites check kind k on the input.
@@ -130,15 +134,19 @@ func (bg blockGraph) runs(k Kind) bool { return !bg.sweepOnly || (k != SBP && k 
 // 130 and 200 nodes; a graph of several components plus isolated
 // nodes; a long path with mixed signs, whose BFS levels run far past
 // 64; a mixed-sign chain of 66 diamonds, whose shortest-path counts
-// pass 2^64 and saturate without ever tying; and a mixed-sign path of 300 nodes, whose
-// distances beyond uint8 packing force the wide retry. Suites run
-// them under blockOpts. The last two draw from their own fixed seed,
-// so they leave rng where the earlier inputs did, and are sweepOnly.
+// pass 2^64 and saturate without ever tying; a mixed-sign path of 300 nodes, whose
+// distances beyond uint8 packing force the wide retry; and chains of
+// 30, 31 and 32 diamonds whose largest shortest-path count is 2^30,
+// 2^31 and 2^32: just below the counting sweep's 32-bit lanes, at
+// their limit, and past it, where a lane's halves carry into each
+// other. Suites run them under blockOpts. The last five are sweepOnly;
+// they use no rng draws (the diamond and path draw from their own
+// fixed seed), so they leave rng where the earlier inputs did.
 func blockGraphs(rng *rand.Rand) []blockGraph {
 	out := []blockGraph{
-		{"n65", randomSignedGraph(rng, 65, 130, 0.3), false},
-		{"n130", randomSignedGraph(rng, 130, 260, 0.3), false},
-		{"n200", randomSignedGraph(rng, 200, 400, 0.3), false},
+		{"n65", randomSignedGraph(rng, 65, 130, 0.3), false, nil},
+		{"n130", randomSignedGraph(rng, 130, 260, 0.3), false, nil},
+		{"n200", randomSignedGraph(rng, 200, 400, 0.3), false, nil},
 	}
 	// Three random components of 40 nodes (ids interleaved, so every
 	// block mixes them) and 30 isolated nodes.
@@ -157,12 +165,46 @@ func blockGraphs(rng *rand.Rand) []blockGraph {
 		}
 		split.AddEdge(u, v, s)
 	}
-	out = append(out, blockGraph{"split", split.MustBuild(), false})
+	out = append(out, blockGraph{"split", split.MustBuild(), false, nil})
 	own := rand.New(rand.NewSource(1501))
 	return append(out,
-		blockGraph{"path", mixedPath(rng, 150), false},
-		blockGraph{"diamonds", diamondChain(own, 66), true},
-		blockGraph{"widepath", mixedPath(own, 300), true})
+		blockGraph{"path", mixedPath(rng, 150), false, nil},
+		blockGraph{"diamonds", diamondChain(own, 66), true, nil},
+		blockGraph{"widepath", mixedPath(own, 300), true, nil},
+		boundaryGraph(29), boundaryGraph(30), boundaryGraph(31))
+}
+
+// boundaryGraph is the blockGraphs input of boundaryChain(k), named
+// for its k+1 diamonds. Its mutation-oracle run first flips edge 0–1,
+// the fan's first branch, turning the counts between the chain's ends
+// from (2^k, 2^(k+1)) to (2^(k+1), 2^k) and so the majority verdict.
+func boundaryGraph(k int) blockGraph {
+	flip := sgraph.Mutation{Op: sgraph.MutFlip, U: 0, V: 1}
+	return blockGraph{fmt.Sprintf("diamonds%d", k+1), boundaryChain(k), true, []sgraph.Mutation{flip}}
+}
+
+// boundaryChain builds a chain of k+1 diamonds from node 0: first a
+// fan of three two-edge branches whose first edges are negative,
+// negative and positive (node 1's, 2's and 3's), mapping a source's
+// counts (1, 0) to (1, 2) at node 4, then k all-positive two-branch
+// diamonds, each doubling both counts. From node 0 the last node is
+// reached along 2^k positive and 2^(k+1) negative shortest paths, the
+// negative count crossing each power of two first.
+func boundaryChain(k int) *sgraph.Graph {
+	b := sgraph.NewBuilder(5 + 3*k)
+	for mid, s := range []sgraph.Sign{sgraph.Negative, sgraph.Negative, sgraph.Positive} {
+		b.AddEdge(0, sgraph.NodeID(mid+1), s)
+		b.AddEdge(sgraph.NodeID(mid+1), 4, sgraph.Positive)
+	}
+	for i := 0; i < k; i++ {
+		in := sgraph.NodeID(4 + 3*i)
+		top, bot, out := in+1, in+2, in+3
+		b.AddEdge(in, top, sgraph.Positive)
+		b.AddEdge(in, bot, sgraph.Positive)
+		b.AddEdge(top, out, sgraph.Positive)
+		b.AddEdge(bot, out, sgraph.Positive)
+	}
+	return b.MustBuild()
 }
 
 // diamondChain builds a chain of k diamonds, each a fan of three

@@ -68,7 +68,9 @@
 // the distances). SPM runs the sweep in counting mode: a source whose
 // shortest paths to a node are all of one sign needs only the bits,
 // and where both signs arrive its per-source (Pos, Neg) counters —
-// saturating, bit-identical to CountPathsInto's — settle Pos ≥ Neg.
+// 32-bit halves of one word, equal to CountPathsInto's while no count
+// reaches 2^31 — settle Pos ≥ Neg. A block whose sweep reports an
+// overflow re-decides those entries with one CountPathsInto per row.
 // SBP and SBPH keep one balance search per row. The lazy engine's
 // on-demand rows stay on CountPathsInto/DistancesInto, the reference
 // the engine-agreement suites hold the packed builds to.

@@ -102,10 +102,11 @@ type blockFiller func(lo, hi sgraph.NodeID, s *rowScratch) error
 // SPA, SPO, SPM, DPE and NNE fill up to signedbfs.MaxSources rows
 // from one bit-parallel sweep: SPA and SPO take their bits and
 // distances from it, SPM runs it in counting mode and compares each
-// source's path counts where both signs reach a node, DPE and NNE keep
-// their neighbour-list bits and take only the distances (a source is
-// at distance d when either frontier bit reaches the node first at
-// level d, so signs drop out). SBP/SBPH run their own per-source
+// source's path counts where both signs reach a node (recounting the
+// block with CountPathsInto if a count outgrew the sweep's lanes), DPE
+// and NNE keep their neighbour-list bits and take only the distances
+// (a source is at distance d when either frontier bit reaches the node
+// first at level d, so signs drop out). SBP/SBPH run their own per-source
 // searches, so those kinds fill one row per block.
 func relationFiller(g *sgraph.Graph, kind Kind, beam int, exact balance.ExactOptions, sink rowSink) (blockFiller, int) {
 	switch kind {
@@ -227,19 +228,17 @@ func fillSweepBlock(g *sgraph.Graph, kind Kind, out blockView, lo, hi sgraph.Nod
 				}
 			}
 			w, m := v>>6, uint64(1)<<uint(v&63)
-			for set := (p &^ (q & qm)) & pm; set != 0; set &= set - 1 {
+			set := (p &^ (q & qm)) & pm
+			if kind == SPM && p&q != 0 {
+				set |= sw.Majority(e.Node, p&q)
+			}
+			for ; set != 0; set &= set - 1 {
 				out.bits[bits.TrailingZeros64(set)*stride+w] |= m
 			}
-			if kind == SPM && p&q != 0 {
-				c := sw.Counts(e.Node)
-				for both := p & q; both != 0; both &= both - 1 {
-					j := bits.TrailingZeros64(both)
-					if c[j].Pos >= c[j].Neg {
-						out.bits[j*stride+w] |= m
-					}
-				}
-			}
 		}
+	}
+	if kind == SPM && sw.Overflowed() {
+		recountBlock(g, out, lo, hi, s)
 	}
 	// The block's footprint: every node any of its sources saw.
 	if s.reach != nil {
@@ -248,6 +247,27 @@ func fillSweepBlock(g *sgraph.Graph, kind Kind, out blockView, lo, hi sgraph.Nod
 		}
 	}
 	return nil
+}
+
+// recountBlock re-decides the both-signs entries of an SPM block whose
+// counting sweep overflowed its 32-bit lane halves: one CountPathsInto
+// per source (the lazy engine's own row path, saturating at 2^64)
+// settles every node reached along shortest paths of both signs. The
+// sweep's other bits, and every distance, are exact regardless.
+func recountBlock(g *sgraph.Graph, out blockView, lo, hi sgraph.NodeID, s *rowScratch) {
+	for u := lo; u < hi; u++ {
+		row := out.row(int(u - lo))
+		signedbfs.CountPathsInto(g, u, &s.res, s.bfs)
+		for v, pos := range s.res.Pos {
+			if neg := s.res.Neg[v]; pos != 0 && neg != 0 {
+				if pos >= neg {
+					setWordBit(row, sgraph.NodeID(v))
+				} else {
+					clearWordBit(row, sgraph.NodeID(v))
+				}
+			}
+		}
+	}
 }
 
 // fillRows runs fill over the rows [base, base+rows) in blocks of at

@@ -252,22 +252,22 @@ func TestMutationOracle(t *testing.T) {
 			t.Parallel()
 			rng := rand.New(rand.NewSource(700 + int64(k)))
 			g := randomSignedGraph(rng, n, 2*n, 0.3)
-			runMutationOracle(t, "", k, g, opts, steps, rng)
+			runMutationOracle(t, "", k, g, opts, steps, rng, nil)
 			for _, bg := range blockGraphs(rng) {
 				if !bg.runs(k) {
 					continue
 				}
-				runMutationOracle(t, bg.name+" ", k, bg.g, blockOpts, blockSteps, rng)
+				runMutationOracle(t, bg.name+" ", k, bg.g, blockOpts, blockSteps, rng, bg.muts)
 			}
 		})
 	}
 }
 
-// runMutationOracle is one TestMutationOracle sequence: steps random
-// mutations of g, each checked on every engine against a fresh build,
-// then a rejected mutation that must change nothing. label prefixes
-// failure messages.
-func runMutationOracle(t *testing.T, label string, k Kind, g *sgraph.Graph, opts Options, steps int, rng *rand.Rand) {
+// runMutationOracle is one TestMutationOracle sequence: the mutations
+// muts, then steps random mutations of g, each checked on every engine
+// against a fresh build, then a rejected mutation that must change
+// nothing. label prefixes failure messages.
+func runMutationOracle(t *testing.T, label string, k Kind, g *sgraph.Graph, opts Options, steps int, rng *rand.Rand, muts []sgraph.Mutation) {
 	t.Helper()
 	engines := buildMutEngines(t, k, g, opts)
 	defer func() {
@@ -278,8 +278,14 @@ func runMutationOracle(t *testing.T, label string, k Kind, g *sgraph.Graph, opts
 		}
 	}()
 	es := newEdgeSet(g)
+	steps += len(muts)
 	for step := 0; step < steps; step++ {
-		mut := es.randomMutation(rng)
+		var mut sgraph.Mutation
+		if step < len(muts) {
+			mut = muts[step]
+		} else {
+			mut = es.randomMutation(rng)
+		}
 		es.apply(mut)
 		oracle := oracleTable(t, MustNew(k, es.graph(), opts))
 		for _, e := range engines {

@@ -18,8 +18,8 @@
 // that is read back on demand. The bound covers the shards only: each
 // build or rebuild worker also holds graph-sized scratch, about 85
 // bytes per node, and an SPM worker adds its sweep's path counters,
-// 16 bytes per node and row of the block (1 KiB per node for a full
-// 64-row block, about two default shards' worth) — allocated by the
+// 8 bytes per node and row of the block (512 bytes per node for a full
+// 64-row block, about one default shard's worth) — allocated by the
 // first SPM block, freed with the build's scratch, and kept by the
 // engine for reuse once a mutation has made it rebuild a shard. A
 // single shard holding every row (ShardRows ≥ NumNodes) is the
@@ -66,7 +66,7 @@ type ShardedOptions struct {
 	// spills. Spilling clamps the bound to at least 2: the blocked
 	// symmetrise pass and tile operations need a shard pair resident.
 	// Build and rebuild scratch comes on top, per worker; for SPM up to
-	// 1 KiB per node (see ShardedMatrix).
+	// 512 bytes per node (see ShardedMatrix).
 	MaxResidentShards int
 	// SpillDir is where the cold-shard file is created; "" uses the
 	// system temporary directory.

@@ -29,10 +29,12 @@
 // and Neg>0 CountPathsInto computes, one traversal per 64 sources.
 // The sweep is frontier-driven, so it never scans more edges than its
 // sources would one by one. For SPM's majority test it also counts:
-// started with StartCounting, it keeps a saturating (Pos, Neg) pair
-// per node and source, summed level by level along each source's
-// shortest-path-DAG edges, and every pair ends bit-identical to
-// CountPathsInto's, saturated or not. The compat package's packed
+// started with StartCounting, it keeps a (Pos, Neg) pair per node and
+// source, packed as the two 32-bit halves of one word and summed level
+// by level along each source's shortest-path-DAG edges.
+// Every pair equals CountPathsInto's exactly unless some count
+// reaches 2^31, which the sweep reports (Overflowed) so the caller can
+// recount with CountPathsInto. The compat package's packed
 // builds run one sweep per block of 64 rows for every kind but
 // SBP/SBPH; CountPathsInto stays the lazy engine's single-row path
 // and the reference the agreement suites compare against.
@@ -43,7 +45,7 @@
 // write into caller-owned result storage and take a Scratch for all
 // transient traversal state (queue, epoch-stamped discovery marks),
 // so a warm (result, Scratch) pair performs no heap allocations; a
-// warm MultiSweep likewise, counting or not (its counters, one pair
+// warm MultiSweep likewise, counting or not (its counters, one word
 // per node and source, are sized by the first counting sweep of that
 // many sources). The all-pairs sweeps in the compat package —
 // Precompute, ComputeStats and the per-shard builds of ShardedMatrix —

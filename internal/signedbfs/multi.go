@@ -17,7 +17,7 @@ const MaxSources = 64
 // questions SPA and SPO ask of Algorithm 1 — does some positive
 // (negative) shortest path reach v — and every shortest-path length.
 // Started with StartCounting it also counts the paths, for SPM's
-// majority test; see Counts.
+// majority test; see Majority.
 //
 // Each node keeps three words: the sources that have seen it, and the
 // positive and negative frontier bits of the current level (the latter
@@ -28,17 +28,22 @@ const MaxSources = 64
 // source is exactly CountPathsInto's Pos > 0 (Neg > 0), because both
 // are ORs over the same shortest-path predecessors.
 //
-// In counting mode every (node, source) pair also carries a saturating
-// (Pos, Neg) counter, filled by a second pass over the level's edges
-// once the next level is built. An edge u→v lies on source j's
-// shortest-path DAG exactly when j is in u's entry and in v's new one
-// (d(v) = d(u)+1), so the pass does what CountPathsInto does along it:
-// lane j of v starts at zero and adds u's pair, swapped across a
-// negative edge. Saturating addition of non-negative values is
-// order-independent — it equals min(true sum, MaxUint64) — so every
-// lane ends bit-identical to CountPathsInto's Pos[v] and Neg[v],
-// saturated or not. The plain frontier loop stays free of counting
-// work, so the sweeps that only need the bits do not pay for it.
+// In counting mode every (node, source) pair also carries a path
+// counter lane, one uint64 packing the positive count in its low 32
+// bits and the negative count in its high 32. Each Next, after the
+// frontier push, runs a counting pass over the level's edges
+// (countLevel): an edge u→v lies on source j's shortest-path DAG
+// exactly when j is in u's entry and v is one level further from j, so
+// there the pass does what CountPathsInto does along the edge — lane j
+// of v starts at zero when j joins v's entry and adds u's lane, its
+// halves swapped across a negative edge (a rotate by 32). While every
+// half stays below 2^31 the halves of a sum stay below 2^32, so no
+// carry crosses them and every lane equals CountPathsInto's Pos[v] and
+// Neg[v] exactly. The sweep ORs every sum into one word and reports,
+// through Overflowed, any half that reached 2^31; past that point its
+// lanes are unspecified and the caller recounts what it needs with
+// CountPathsInto. The frontier loop (pushLevel) has no counting code
+// in it, so the sweeps that only need the bits do not pay for it.
 //
 // The sweep is frontier-driven: only nodes on some source's current
 // frontier push, so a node scans its adjacency at most once per level
@@ -70,23 +75,18 @@ type MultiSweep struct {
 	// The current level and the spare buffer the next is built in.
 	level, spare []Entry
 
-	// counts holds one path-counter lane per node and source of the
-	// counting sweep, node v's at [v*lanes, (v+1)*lanes) so an edge
-	// reads and writes one contiguous run per endpoint: 16·lanes bytes
-	// per node, grown only when a sweep needs more. Lane j of v
-	// is zeroed and summed at the level source j first reaches v and
-	// only read after, so the slab is never cleared. counting arms
-	// countLevel in Next.
-	counts   []PathCount
+	// counts holds one packed path-counter lane (Pos | Neg<<32) per
+	// node and source of the counting sweep, node v's at
+	// [v*lanes, (v+1)*lanes) so an edge reads and writes one contiguous
+	// run per endpoint: 8·lanes bytes per node, grown only when a sweep
+	// needs more. Lane j of v is set when source j first reaches v,
+	// summed over that level's counting pass and only read after, so
+	// the slab is never cleared. counting makes Next run countLevel;
+	// sums ORs every sum the sweep stored, for Overflowed.
+	counts   []uint64
 	lanes    int
 	counting bool
-}
-
-// PathCount is one source's shortest-path counters at one node: the
-// numbers of positive and of negative shortest paths, saturating at
-// MaxUint64 — CountPathsInto's Pos[v] and Neg[v].
-type PathCount struct {
-	Pos, Neg uint64
+	sums     uint64
 }
 
 // sweepNode is one node's state, packed so a push touches one cache
@@ -144,10 +144,11 @@ func (s *MultiSweep) Start(g *sgraph.Graph, srcs []sgraph.NodeID) bool {
 }
 
 // StartCounting is Start with path counting armed: every level of the
-// sweep also leaves, in Counts, each source's positive and negative
-// shortest-path counts at the level's nodes. A source's lane starts at
-// (1, 0). The counters take 16·len(srcs) bytes per node of g, kept for
-// later sweeps of at most as many lanes.
+// sweep also leaves each source's positive and negative shortest-path
+// counts at the level's nodes, for Majority, exact unless Overflowed.
+// A source's lane starts at 1 (one positive path, none negative). The
+// counters take 8·len(srcs) bytes per node of g, kept for later sweeps
+// of at most as many lanes.
 //
 //tfsn:noalloc
 func (s *MultiSweep) StartCounting(g *sgraph.Graph, srcs []sgraph.NodeID) bool {
@@ -159,7 +160,7 @@ func (s *MultiSweep) StartCounting(g *sgraph.Graph, srcs []sgraph.NodeID) bool {
 }
 
 // growCounts sizes the counter slab for need lanes.
-func (s *MultiSweep) growCounts(need int) { s.counts = make([]PathCount, need) }
+func (s *MultiSweep) growCounts(need int) { s.counts = make([]uint64, need) }
 
 // start resets the sweep and lays out level 0, seeding each source's
 // counter lane when counting.
@@ -179,6 +180,7 @@ func (s *MultiSweep) start(g *sgraph.Graph, srcs []sgraph.NodeID, counting bool)
 	s.g = g
 	s.depth = 0
 	s.counting = counting
+	s.sums = 0
 	st := s.nextStamp()
 	next := s.spare[:cap(s.spare)]
 	k := int32(0)
@@ -191,7 +193,7 @@ func (s *MultiSweep) start(g *sgraph.Graph, srcs []sgraph.NodeID, counting bool)
 		}
 		nd.seen |= bit
 		if counting {
-			s.counts[int(v)*s.lanes+j] = PathCount{Pos: 1}
+			s.counts[int(v)*s.lanes+j] = 1
 		}
 		if nd.stamp != st {
 			nd.stamp, nd.slot = st, k
@@ -285,21 +287,23 @@ func (s *MultiSweep) pushLevel() bool {
 // countLevel carries the path counters from the level pushLevel just
 // left (now in spare) to the one it built (level, its nodes stamped
 // with the current stamp): each lane a new entry carries starts at
-// zero, then every edge u→v from the old level adds u's pair, swapped
-// across a negative edge, into the lanes of the sources whose
-// shortest-path DAG holds the edge — those at u's distance (u's entry
-// bits) that first reach v one level further (v's new entry bits).
-// These are exactly CountPathsInto's additions along the same edges.
+// zero, then every edge u→v from the old level adds u's lane, its
+// halves swapped across a negative edge (a rotate by 32), into the
+// lanes of the sources whose shortest-path DAG holds the edge — those
+// at u's distance (u's entry bits) that first reach v one level
+// further (v's new entry bits). These are exactly CountPathsInto's
+// additions along the same edges. Every sum is OR-ed into sums.
 //
 //tfsn:noalloc
 func (s *MultiSweep) countLevel() {
 	off, adj, sgn := s.g.CSR()
 	nodes, counts, w := s.nodes, s.counts, s.lanes
 	st, level := s.stamp, s.level
+	sums := s.sums
 	for _, ev := range level {
 		cv := counts[int(ev.Node)*w:][:w]
 		for b := ev.Pos | ev.Neg; b != 0; b &= b - 1 {
-			cv[bits.TrailingZeros64(b)] = PathCount{}
+			cv[bits.TrailingZeros64(b)] = 0
 		}
 	}
 	for _, eu := range s.spare {
@@ -317,17 +321,17 @@ func (s *MultiSweep) countLevel() {
 			if dag == 0 {
 				continue
 			}
-			m := uint64(int64(signs[e]) >> 63)
+			r := int(32 & uint64(int64(signs[e])>>63)) // a negative edge swaps the halves
 			cv := counts[int(v)*w:][:w]
 			for b := dag; b != 0; b &= b - 1 {
 				j := bits.TrailingZeros64(b)
-				a := cu[j]
-				y := (a.Pos ^ a.Neg) & m
-				cv[j].Pos, _ = satAdd(cv[j].Pos, a.Pos^y)
-				cv[j].Neg, _ = satAdd(cv[j].Neg, a.Neg^y)
+				c := cv[j] + bits.RotateLeft64(cu[j], r)
+				cv[j] = c
+				sums |= c
 			}
 		}
 	}
+	s.sums = sums
 }
 
 // nextStamp advances the level stamp, clearing every node's stamp on
@@ -348,16 +352,31 @@ func (s *MultiSweep) nextStamp() uint32 {
 // sweep and valid until the next Start or Next.
 func (s *MultiSweep) Level() (d int32, level []Entry) { return s.depth, s.level }
 
-// Counts returns node v's path counters of a sweep begun with
-// StartCounting, lane j for source j. Once a level has carried bit j
-// for v, lane j holds exactly CountPathsInto's (Pos[v], Neg[v]) from
-// source j; other lanes hold stale values. The slice is owned by the
-// sweep and valid until the next Start or StartCounting.
+// Majority returns the sources among both — bits of node v's entry in
+// some level of a sweep begun with StartCounting — whose positive
+// shortest paths to v are at least as many as the negative ones: the
+// lanes whose Pos ≥ Neg. Unless the sweep has Overflowed, these are
+// exactly the sources j for which CountPathsInto from j has
+// Pos[v] ≥ Neg[v].
 //
 //tfsn:noalloc
-func (s *MultiSweep) Counts(v sgraph.NodeID) []PathCount {
-	return s.counts[int(v)*s.lanes:][:s.lanes]
+func (s *MultiSweep) Majority(v sgraph.NodeID, both uint64) uint64 {
+	c := s.counts[int(v)*s.lanes:][:s.lanes]
+	var maj uint64
+	for b := both; b != 0; b &= b - 1 {
+		if j := bits.TrailingZeros64(b); uint32(c[j]) >= uint32(c[j]>>32) {
+			maj |= b & -b
+		}
+	}
+	return maj
 }
+
+// Overflowed reports whether a counting sweep has stored a count of
+// 2^31 or more in some lane half so far. Until it does, every count is
+// exact; after, Majority is unspecified for every lane (a half may
+// have carried into its neighbour), and only the sign bits and
+// distances of the levels remain exact.
+func (s *MultiSweep) Overflowed() bool { return s.sums&(1<<31|1<<63) != 0 }
 
 // Reached returns the nodes any source of the current sweep has
 // reached so far, in discovery order. The slice is owned by the sweep

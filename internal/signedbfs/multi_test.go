@@ -13,24 +13,25 @@ import (
 // sweepRows runs one MultiSweep from srcs and unpacks it into
 // per-source rows: dist[j][v] (Unreachable when no level reached it)
 // and the positive/negative shortest-path flags. With counting it runs
-// StartCounting and also returns cnt[j][v], source j's path counters
-// at v read at the level that reached it (zero when none did). It
+// StartCounting and also returns cnt[j][v], source j's packed counter
+// lane at v read at the level that reached it (zero when none did). It
 // checks the sweep's own invariants: levels arrive in depth order, a
-// level's fresh bits are disjoint from everything seen before, a
-// counted lane's non-zero counters are exactly its sign bits, and
-// Reached lists exactly the nodes some source reached.
-func sweepRows(t *testing.T, g *sgraph.Graph, sw *MultiSweep, srcs []sgraph.NodeID, counting bool) (dist [][]int32, pos, neg [][]bool, cnt [][]PathCount) {
+// level's fresh bits are disjoint from everything seen before, while
+// the sweep has not overflowed a counted lane's non-zero halves are
+// exactly its sign bits and Majority holds its lane where Pos ≥ Neg,
+// and Reached lists exactly the nodes some source reached.
+func sweepRows(t *testing.T, g *sgraph.Graph, sw *MultiSweep, srcs []sgraph.NodeID, counting bool) (dist [][]int32, pos, neg [][]bool, cnt [][]uint64) {
 	t.Helper()
 	n := g.NumNodes()
 	dist = make([][]int32, len(srcs))
 	pos = make([][]bool, len(srcs))
 	neg = make([][]bool, len(srcs))
 	if counting {
-		cnt = make([][]PathCount, len(srcs))
+		cnt = make([][]uint64, len(srcs))
 	}
 	for j := range srcs {
 		if counting {
-			cnt[j] = make([]PathCount, n)
+			cnt[j] = make([]uint64, n)
 		}
 		dist[j] = make([]int32, n)
 		for v := range dist[j] {
@@ -63,10 +64,14 @@ func sweepRows(t *testing.T, g *sgraph.Graph, sw *MultiSweep, srcs []sgraph.Node
 				pos[j][v] = e.Pos&(1<<uint(j)) != 0
 				neg[j][v] = e.Neg&(1<<uint(j)) != 0
 				if counting {
-					c := sw.Counts(v)[j]
-					if (c.Pos > 0) != pos[j][v] || (c.Neg > 0) != neg[j][v] {
+					c := sw.counts[int(v)*sw.lanes+j]
+					if !sw.Overflowed() && ((uint32(c) > 0) != pos[j][v] || (c>>32 > 0) != neg[j][v]) {
 						t.Fatalf("depth %d node %d lane %d: counts (%d, %d) disagree with sign bits (+%v, -%v)",
-							d, v, j, c.Pos, c.Neg, pos[j][v], neg[j][v])
+							d, v, j, uint32(c), c>>32, pos[j][v], neg[j][v])
+					}
+					maj := sw.Majority(v, fresh)&(1<<uint(j)) != 0
+					if !sw.Overflowed() && maj != (uint32(c) >= uint32(c>>32)) {
+						t.Fatalf("depth %d node %d lane %d: Majority %v, counts (%d, %d)", d, v, j, maj, uint32(c), c>>32)
 					}
 					cnt[j][v] = c
 				}
@@ -91,18 +96,87 @@ func sweepRows(t *testing.T, g *sgraph.Graph, sw *MultiSweep, srcs []sgraph.Node
 	return dist, pos, neg, cnt
 }
 
-// checkCounts fails unless every counted lane of one sweep equals
-// CountPathsInto's (Pos, Neg) from that lane's source exactly.
-func checkCounts(t *testing.T, label string, g *sgraph.Graph, srcs []sgraph.NodeID, cnt [][]PathCount, res *Result, scratch *Scratch) {
+// checkCounts checks one counting sweep's lanes against
+// CountPathsInto from each lane's source: the sweep must report
+// overflowed exactly when some reached lane's true Pos or Neg is at
+// least 2^31, and unless it did, every lane must equal
+// Pos | Neg<<32 exactly.
+func checkCounts(t *testing.T, label string, g *sgraph.Graph, srcs []sgraph.NodeID, cnt [][]uint64, overflowed bool, res *Result, scratch *Scratch) {
 	t.Helper()
+	big := false
 	for j, u := range srcs {
 		CountPathsInto(g, u, res, scratch)
 		for v := range cnt[j] {
-			if got := cnt[j][v]; got.Pos != res.Pos[v] || got.Neg != res.Neg[v] {
+			big = big || res.Pos[v] >= 1<<31 || res.Neg[v] >= 1<<31
+			if overflowed {
+				continue
+			}
+			if got, want := cnt[j][v], res.Pos[v]|res.Neg[v]<<32; got != want {
 				t.Fatalf("%s src %d: counts at %d = (%d, %d), CountPaths (%d, %d)",
-					label, u, v, got.Pos, got.Neg, res.Pos[v], res.Neg[v])
+					label, u, v, uint32(got), got>>32, res.Pos[v], res.Neg[v])
 			}
 		}
+	}
+	if overflowed != big {
+		t.Fatalf("%s: Overflowed() = %v, but some true count reaches 2^31: %v", label, overflowed, big)
+	}
+}
+
+// boundaryChain builds a chain of k+1 diamonds from node 0: first a
+// fan of three two-edge branches whose first edges are negative,
+// negative and positive, mapping a source's counts (1, 0) to (1, 2),
+// then k all-positive two-branch diamonds, each doubling both counts.
+// From node 0 the last node is reached along 2^k positive and 2^(k+1)
+// negative shortest paths: the negative count crosses 2^31 first.
+func boundaryChain(k int) *sgraph.Graph {
+	b := sgraph.NewBuilder(5 + 3*k)
+	for mid, s := range []sgraph.Sign{sgraph.Negative, sgraph.Negative, sgraph.Positive} {
+		b.AddEdge(0, sgraph.NodeID(mid+1), s)
+		b.AddEdge(sgraph.NodeID(mid+1), 4, sgraph.Positive)
+	}
+	for i := 0; i < k; i++ {
+		in := sgraph.NodeID(4 + 3*i)
+		top, bot, out := in+1, in+2, in+3
+		b.AddEdge(in, top, sgraph.Positive)
+		b.AddEdge(in, bot, sgraph.Positive)
+		b.AddEdge(top, out, sgraph.Positive)
+		b.AddEdge(bot, out, sgraph.Positive)
+	}
+	return b.MustBuild()
+}
+
+// TestMultiSweepOverflowBoundary pins the packed lanes' limit from
+// node 0 of each chain: 2^30 positive paths are counted exactly, 2^31
+// set Overflowed, and so does a negative count of 2^31 beside a
+// positive one of 2^30, while 2^30 negative beside 2^29 positive do
+// not.
+func TestMultiSweepOverflowBoundary(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		g        *sgraph.Graph
+		pos, neg uint64
+		over     bool
+	}{
+		{"pos2^30", diamondChain(30, 0), 1 << 30, 0, false},
+		{"pos2^31", diamondChain(31, 0), 1 << 31, 0, true},
+		{"neg2^30", boundaryChain(29), 1 << 29, 1 << 30, false},
+		{"neg2^31", boundaryChain(30), 1 << 30, 1 << 31, true},
+	} {
+		srcs := []sgraph.NodeID{0}
+		sw := NewMultiSweep(tc.g.NumNodes())
+		_, _, _, cnt := sweepRows(t, tc.g, sw, srcs, true)
+		if sw.Overflowed() != tc.over {
+			t.Fatalf("%s: Overflowed() = %v, want %v", tc.name, sw.Overflowed(), tc.over)
+		}
+		res := CountPaths(tc.g, 0)
+		end := tc.g.NumNodes() - 1
+		if res.Pos[end] != tc.pos || res.Neg[end] != tc.neg {
+			t.Fatalf("%s: CountPaths at the end = (%d, %d), want (%d, %d)", tc.name, res.Pos[end], res.Neg[end], tc.pos, tc.neg)
+		}
+		if !tc.over && cnt[0][end] != tc.pos|tc.neg<<32 {
+			t.Fatalf("%s: lane at the end = %#x, want (%d, %d)", tc.name, cnt[0][end], tc.pos, tc.neg)
+		}
+		checkCounts(t, tc.name, tc.g, srcs, cnt, sw.Overflowed(), &Result{}, NewScratch(tc.g.NumNodes()))
 	}
 }
 
@@ -111,11 +185,15 @@ func checkCounts(t *testing.T, label string, g *sgraph.Graph, srcs []sgraph.Node
 // and the positive/negative shortest-path bits must equal
 // CountPathsInto's Dist, Pos>0 and Neg>0, and the distances
 // DistancesInto's; in counting mode the same sweep's flags must not
-// change and every (source, node) counter pair must equal
-// CountPathsInto's (Pos, Neg) exactly. The inputs are random signed
-// graphs (sparse ones with isolated nodes and several components
-// included), a long path whose levels run far past 64, and 70-diamond
-// chains of mixed signs whose 2^70 paths saturate the counters, for
+// change, the sweep must report Overflowed exactly when some true
+// count reaches 2^31, and unless it does every (source, node) lane
+// must equal CountPathsInto's (Pos, Neg) exactly. The inputs are
+// random signed graphs (sparse ones with isolated nodes and several
+// components included), a long path whose levels run far past 64,
+// 70-diamond chains of mixed signs whose 2^70 paths saturate
+// CountPathsInto's counters, and the chains at the lanes' boundary:
+// 30 and 31 positive diamonds (2^30 paths exact, 2^31 flagged) and a
+// mixed-sign chain whose negative count crosses 2^31 first — for
 // block sizes 1, 2, 63 and 64 with unsorted, non-consecutive sources.
 // One MultiSweep serves every graph and both modes, so reuse across
 // sweeps and modes, growth to larger graphs, and counter lanes laid
@@ -135,6 +213,7 @@ func TestMultiSweepMatchesPerSource(t *testing.T) {
 	for _, negEvery := range []int{0, 2, 3} {
 		graphs = append(graphs, diamondChain(70, negEvery))
 	}
+	graphs = append(graphs, diamondChain(30, 0), diamondChain(31, 0), boundaryChain(30))
 	for trial := 0; trial < 12; trial++ {
 		n := 64 + rng.Intn(140)
 		m := n / 2 // sparse: isolated nodes and many components
@@ -165,7 +244,7 @@ func TestMultiSweepMatchesPerSource(t *testing.T) {
 						}
 					}
 				}
-				checkCounts(t, fmt.Sprintf("graph %d size %d", gi, size), g, srcs, cnt, &res, scratch)
+				checkCounts(t, fmt.Sprintf("graph %d size %d", gi, size), g, srcs, cnt, sw.Overflowed(), &res, scratch)
 				for j, u := range srcs {
 					CountPathsInto(g, u, &res, scratch)
 					plain = DistancesInto(g, u, plain, scratch)
@@ -187,7 +266,7 @@ func TestMultiSweepMatchesPerSource(t *testing.T) {
 
 // TestMultiSweepDuplicateSources: a node listed twice carries both
 // bits, each with the single-source answer — its counters too, on a
-// path and on a saturating diamond chain.
+// path and on a saturating diamond chain (where both lanes overflow).
 func TestMultiSweepDuplicateSources(t *testing.T) {
 	g := pathGraph(5)
 	dist, pos, _, _ := sweepRows(t, g, NewMultiSweep(5), []sgraph.NodeID{2, 0, 2}, false)
@@ -202,8 +281,9 @@ func TestMultiSweepDuplicateSources(t *testing.T) {
 	var res Result
 	for _, g := range []*sgraph.Graph{g, diamondChain(70, 2)} {
 		srcs := []sgraph.NodeID{2, 0, 2, 0}
-		_, _, _, cnt := sweepRows(t, g, NewMultiSweep(g.NumNodes()), srcs, true)
-		checkCounts(t, "duplicates", g, srcs, cnt, &res, NewScratch(g.NumNodes()))
+		sw := NewMultiSweep(g.NumNodes())
+		_, _, _, cnt := sweepRows(t, g, sw, srcs, true)
+		checkCounts(t, "duplicates", g, srcs, cnt, sw.Overflowed(), &res, NewScratch(g.NumNodes()))
 	}
 }
 
@@ -230,7 +310,7 @@ func TestMultiSweepStampWrap(t *testing.T) {
 			}
 		}
 		if counting {
-			checkCounts(t, "stamp wrap", g, srcs, cnt, &Result{}, NewScratch(120))
+			checkCounts(t, "stamp wrap", g, srcs, cnt, sw.Overflowed(), &Result{}, NewScratch(120))
 		}
 	}
 }

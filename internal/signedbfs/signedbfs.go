@@ -62,8 +62,9 @@ func CountPaths(g *sgraph.Graph, src sgraph.NodeID) *Result {
 }
 
 // satAdd is a+b saturating at MaxUint64, reporting whether it
-// saturated: the one saturation rule of CountPathsInto and the
-// counting MultiSweep.
+// saturated: CountPathsInto's saturation rule. (The counting
+// MultiSweep does not saturate: it flags any count reaching 2^31
+// instead; see MultiSweep.Overflowed.)
 func satAdd(a, b uint64) (uint64, bool) {
 	sum, carry := bits.Add64(a, b, 0)
 	return sum | -carry, carry != 0
