@@ -231,29 +231,32 @@ func (rs *DistRows) Contribution(k int, v sgraph.NodeID, sum bool) (int32, bool)
 }
 
 // PickMin is the fused AND-popcount-argmin pick: among the candidate
-// nodes marked in (holder AND mask) — never materialised — it returns
-// the one with the smallest Contribution over all rows and that
-// score, ties to the smallest id, ok=false when no candidate has a
-// defined score below budget (exclusive; math.MaxInt32 is no limit).
-// When every row is uint8-packed this is one kernel pass (ArgminMaxU8
-// / ArgminSumU8, handed the budget as their ceiling); otherwise a
-// scalar scan over the same candidate enumeration, so the picked node
-// is identical either way. holder and mask must be row-word-aligned
-// (WordsPerRow) with zero tail bits.
+// nodes marked in (holder AND mask) over the holder words listed in nz
+// — never materialised — it returns the one with the smallest
+// Contribution over all rows and that score, ties to the smallest id,
+// ok=false when no candidate has a defined score below budget
+// (exclusive; math.MaxInt32 is no limit). When every row is
+// uint8-packed this is one kernel pass (ArgminMaxU8 / ArgminSumU8,
+// handed the budget as their ceiling); otherwise a scalar scan over
+// the same candidate enumeration, so the picked node is identical
+// either way. holder and mask must be row-word-aligned (WordsPerRow)
+// with zero tail bits; nz follows the kernels' word-list contract:
+// ascending, every non-zero holder word listed, zero words allowed —
+// skills.HolderIndex's NonZero is such a list.
 //
 //tfsn:noalloc
-func (rs *DistRows) PickMin(holder, mask []uint64, sum bool, budget int32) (sgraph.NodeID, int32, bool) {
+func (rs *DistRows) PickMin(holder, mask []uint64, nz []int32, sum bool, budget int32) (sgraph.NodeID, int32, bool) {
 	if budget <= 0 {
 		return 0, 0, false
 	}
 	if rs.notU8 == 0 && len(rs.rows) > 0 {
 		if sum {
-			idx, score, ok := kernels.ArgminSumU8(rs.d8, holder, mask, uint32(budget))
+			idx, score, ok := kernels.ArgminSumU8(rs.d8, holder, mask, nz, uint32(budget))
 			return sgraph.NodeID(idx), int32(score), ok
 		}
 		// Every defined u8 score is below Undefined, so larger budgets
 		// are no limit.
-		idx, score, ok := kernels.ArgminMaxU8(rs.d8, holder, mask, uint8(min(budget, kernels.Undefined)))
+		idx, score, ok := kernels.ArgminMaxU8(rs.d8, holder, mask, nz, uint8(min(budget, kernels.Undefined)))
 		return sgraph.NodeID(idx), int32(score), ok
 	}
 	best := sgraph.NodeID(-1)
@@ -261,9 +264,9 @@ func (rs *DistRows) PickMin(holder, mask []uint64, sum bool, budget int32) (sgra
 	if len(mask) > len(holder) {
 		mask = mask[:len(holder)]
 	}
-	for wi, hw := range holder {
-		w := hw & mask[wi]
-		base := wi * 64
+	for _, wi := range nz {
+		w := holder[wi] & mask[wi]
+		base := int(wi) * 64
 		for w != 0 {
 			v := sgraph.NodeID(base + bits.TrailingZeros64(w))
 			w &= w - 1

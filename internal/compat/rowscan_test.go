@@ -125,7 +125,9 @@ func TestDistRowMin(t *testing.T) {
 // and score as a scalar enumeration of (holder AND mask) scored by
 // Contribution — same smallest-id tie-break included — for both the
 // Diameter (max) and SumDistance costs, under every budget from none
-// at all to no limit.
+// at all to no limit, and over both word lists a caller may pass: the
+// holder's exact non-zero words and every word index. An empty list
+// picks nothing.
 func TestDistRowsPickMinMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(803))
 	for trial := 0; trial < 6; trial++ {
@@ -142,13 +144,23 @@ func TestDistRowsPickMinMatchesScalar(t *testing.T) {
 		}
 		holder := container.NewBitset(n)
 		mask := container.NewBitset(n)
+		// Odd trials draw a sparse holder set, so its non-zero word
+		// list leaves words out.
+		holderOdds := []int{2, 40}[trial%2]
 		for v := 0; v < n; v++ {
-			if rng.Intn(2) == 0 {
+			if rng.Intn(holderOdds) == 0 {
 				holder.Set(v)
 			}
 			if rng.Intn(2) == 0 {
 				mask.Set(v)
 			}
+		}
+		lists := map[string][]int32{}
+		for wi, w := range holder.Words() {
+			if w != 0 {
+				lists["nonzero"] = append(lists["nonzero"], int32(wi))
+			}
+			lists["all"] = append(lists["all"], int32(wi))
 		}
 		for _, sum := range []bool{false, true} {
 			for _, budget := range []int32{-1, 0, 1, 2, 3, 5, 8, 128, 254, 255, 256, math.MaxInt32} {
@@ -168,10 +180,15 @@ func TestDistRowsPickMinMatchesScalar(t *testing.T) {
 					}
 				}
 				for name, stack := range map[string]*DistRows{"u8": &rs, "int32": &wide} {
-					gotV, gotScore, gotOK := stack.PickMin(holder.Words(), mask.Words(), sum, budget)
-					if gotOK != wantOK || (wantOK && (gotV != wantV || gotScore != wantScore)) {
-						t.Fatalf("trial %d %s sum=%v budget=%d: PickMin = (%d,%d,%v), want (%d,%d,%v)",
-							trial, name, sum, budget, gotV, gotScore, gotOK, wantV, wantScore, wantOK)
+					for list, nz := range lists {
+						gotV, gotScore, gotOK := stack.PickMin(holder.Words(), mask.Words(), nz, sum, budget)
+						if gotOK != wantOK || (wantOK && (gotV != wantV || gotScore != wantScore)) {
+							t.Fatalf("trial %d %s %s sum=%v budget=%d: PickMin = (%d,%d,%v), want (%d,%d,%v)",
+								trial, name, list, sum, budget, gotV, gotScore, gotOK, wantV, wantScore, wantOK)
+						}
+					}
+					if v, _, ok := stack.PickMin(holder.Words(), mask.Words(), nil, sum, budget); ok {
+						t.Fatalf("trial %d %s sum=%v budget=%d: empty word list picked %d", trial, name, sum, budget, v)
 					}
 				}
 			}

@@ -14,19 +14,25 @@
 //     intersection; AndInto intersects in place and returns the
 //     population in the same pass.
 //   - ArgminMaxU8 / ArgminSumU8: the fused candidate scan. Candidates
-//     are the set bits of (holder AND mask); each candidate's score is
-//     the max (or sum) over a set of packed uint8 rows at its index,
-//     with lane value 0xFF meaning "undefined — skip this candidate".
-//     The intermediate candidate mask is never materialised: one pass
-//     over the holder words carries best-score/best-index through the
-//     loop. Both take an exclusive budget: only scores below it
-//     count, so a caller that needs a score under some bound (the
-//     solver's best team so far) rejects everything else inside the
-//     scan. ArgminMaxU8 rejects eight candidates at a time: a max
-//     improves on the best so far only if every row's lane is below
-//     it, so one borrow-safe compare per row, AND-folded with the
-//     candidate flags and short-circuited, kills whole blocks before
-//     any per-byte scoring.
+//     are the set bits of (holder AND mask) in the holder words a word
+//     list names; each candidate's score is the max (or sum) over a
+//     set of packed uint8 rows at its index, with lane value 0xFF
+//     meaning "undefined — skip this candidate". The intermediate
+//     candidate mask is never materialised: one pass over the listed
+//     holder words carries best-score/best-index through the loop.
+//     The word list must be ascending (candidate order, and so the
+//     smallest-index tie-break, follows it) and name every non-zero
+//     holder word; listing zero words is allowed, so 0..len(holder)-1
+//     is always a valid list. A sparse holder set — a rare skill's,
+//     via skills.HolderIndex.NonZero — is then scanned in a handful
+//     of words, not the row's width. Both take an exclusive budget:
+//     only scores below it count, so a caller that needs a score
+//     under some bound (the solver's best team so far) rejects
+//     everything else inside the scan. ArgminMaxU8 rejects eight
+//     candidates at a time: a max improves on the best so far only if
+//     every row's lane is below it, so one borrow-safe compare per
+//     row, AND-folded with the candidate flags and short-circuited,
+//     kills whole blocks before any per-byte scoring.
 //   - MinU8: the SWAR min-scan over one uint8 row (8 lanes per word,
 //     borrow-trick filter + scalar position recovery on the words
 //     that survive it), again with 0xFF as the undefined sentinel.

@@ -4,7 +4,8 @@
 // explores lengths (including every tail in 0–63), candidate
 // densities and sentinel placements the property suite only samples.
 // The argmin kernels run under every fixed budget of argminCeils plus
-// two drawn from the leftover bytes.
+// two drawn from the leftover bytes, each over both word lists of
+// wordLists.
 // CI runs it in the fuzz-smoke job.
 
 package kernels
@@ -77,12 +78,15 @@ func FuzzKernels(f *testing.F) {
 				// kernel sees ceilings above Undefined as no limit).
 				ceils = append(ceils, uint32(data[0]), uint32(data[len(data)-1])*uint32(nRows))
 			}
+			lists := wordLists(holder)
 			for _, sum := range []bool{false, true} {
 				for _, ceil := range ceils {
-					gi, gs, gok := runArgmin(rows, holder, mask, sum, ceil)
 					wi, ws, wok := refArgmin(rows, holder, mask, sum, ceil)
-					if gok != wok || gi != wi || (wok && gs != ws) {
-						t.Fatalf("argmin sum=%v ceil=%d got (%d,%d,%v) want (%d,%d,%v)", sum, ceil, gi, gs, gok, wi, ws, wok)
+					for list, nz := range lists {
+						gi, gs, gok := runArgmin(rows, holder, mask, nz, sum, ceil)
+						if gok != wok || gi != wi || (wok && gs != ws) {
+							t.Fatalf("argmin sum=%v ceil=%d %s got (%d,%d,%v) want (%d,%d,%v)", sum, ceil, list, gi, gs, gok, wi, ws, wok)
+						}
 					}
 				}
 			}

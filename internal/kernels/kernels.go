@@ -103,17 +103,21 @@ func le64(b []uint8) uint64 {
 const swarBlockMin = 4
 
 // ArgminMaxU8 is the fused AND-popcount-argmin kernel. The candidate
-// set is the set bits of (holder AND mask), never materialised; the
-// score of candidate index i is max over r of rows[r][i], and a
-// candidate with any lane equal to Undefined is skipped. ceil is an
-// exclusive budget: only scores below it count, and Undefined (which
-// no defined score reaches) means no limit. It returns the index
-// minimising the score, the score, and whether any candidate scored
-// below ceil at all; ties resolve to the smallest index.
+// set is the set bits of (holder AND mask) over the words listed in
+// nz, never materialised; the score of candidate index i is max over
+// r of rows[r][i], and a candidate with any lane equal to Undefined is
+// skipped. ceil is an exclusive budget: only scores below it count,
+// and Undefined (which no defined score reaches) means no limit. It
+// returns the index minimising the score, the score, and whether any
+// candidate scored below ceil at all; ties resolve to the smallest
+// index.
 //
-// Contracts: len(mask) ≥ len(holder); all rows have one common
-// length, and bits of holder AND mask at positions ≥ that length are
-// zero (the packed engines' tail convention); len(rows) ≥ 1.
+// Contracts: nz lists word indices of holder in ascending order and
+// includes every non-zero holder word (listing zero words is allowed,
+// so every index 0..len(holder)-1 is always valid); len(mask) ≥
+// len(holder); all rows have one common length, and bits of holder
+// AND mask at positions ≥ that length are zero (the packed engines'
+// tail convention); len(rows) ≥ 1.
 //
 // The SWAR trick is in the rejection, not the scoring: a candidate's
 // max beats the best so far only if *every* row's lane is below it,
@@ -125,20 +129,20 @@ const swarBlockMin = 4
 // while the bar is above hasLess's 128 ceiling — before the
 // first defined candidate of an unbudgeted scan, in practice — are
 // candidates scored bit by bit.
-func ArgminMaxU8(rows [][]uint8, holder, mask []uint64, ceil uint8) (int, uint8, bool) {
+func ArgminMaxU8(rows [][]uint8, holder, mask []uint64, nz []int32, ceil uint8) (int, uint8, bool) {
 	n := len(rows[0])
 	bestIdx := -1
 	best := ceil // a score must beat it; Undefined lanes never do
 	mask = mask[:len(holder)]
-	for wi, hw := range holder {
-		w := hw & mask[wi]
+	for _, wi := range nz {
+		w := holder[wi] & mask[wi]
 		if w == 0 {
 			continue
 		}
 		if best == 0 {
 			break // already optimal (or a zero budget), and earlier indices win ties
 		}
-		base := wi * 64
+		base := int(wi) * 64
 		if base+64 > n || best > 128 || bits.OnesCount64(w) < swarBlockMin {
 			// The row tail, an unbudgeted scan before its first
 			// candidate, and sparse words: score bit by bit.
@@ -207,21 +211,22 @@ func ArgminMaxU8(rows [][]uint8, holder, mask []uint64, ceil uint8) (int, uint8,
 	return bestIdx, best, true
 }
 
-// ArgminSumU8 is ArgminMaxU8's additive sibling: the score of a
-// candidate is the sum over rows of its lanes (as uint32, so deep
-// stacks of rows cannot wrap), candidates with any Undefined lane are
-// skipped, only scores below the exclusive budget ceil count (pass
-// math.MaxUint32 for no limit), ties resolve to the smallest index.
+// ArgminSumU8 is ArgminMaxU8's additive sibling, under the same
+// contracts: the score of a candidate is the sum over rows of its
+// lanes (as uint32, so deep stacks of rows cannot wrap), candidates
+// with any Undefined lane are skipped, only scores below the exclusive
+// budget ceil count (pass math.MaxUint32 for no limit), ties resolve
+// to the smallest index.
 // Sums do not fold lane-wise without widening, so this kernel scans
 // candidates bit by bit — it still fuses the AND, the enumeration and
 // the argmin into one pass with no materialised candidate set.
-func ArgminSumU8(rows [][]uint8, holder, mask []uint64, ceil uint32) (int, uint32, bool) {
+func ArgminSumU8(rows [][]uint8, holder, mask []uint64, nz []int32, ceil uint32) (int, uint32, bool) {
 	bestIdx := -1
 	best := ceil
 	mask = mask[:len(holder)]
-	for wi, hw := range holder {
-		w := hw & mask[wi]
-		base := wi * 64
+	for _, wi := range nz {
+		w := holder[wi] & mask[wi]
+		base := int(wi) * 64
 		for w != 0 {
 			idx := base + bits.TrailingZeros64(w)
 			w &= w - 1

@@ -84,6 +84,22 @@ func refMinU8(xs []uint8) (uint8, int, bool) {
 
 // --- generators -------------------------------------------------------------
 
+// wordLists returns the two word lists the argmin kernels are driven
+// with for one holder set: exactly its non-zero words, and every word
+// index (zero words listed too, which the contract allows). Both must
+// give the reference's answer.
+func wordLists(holder []uint64) map[string][]int32 {
+	var nonZero []int32
+	all := make([]int32, len(holder))
+	for i, w := range holder {
+		all[i] = int32(i)
+		if w != 0 {
+			nonZero = append(nonZero, int32(i))
+		}
+	}
+	return map[string][]int32{"nonzero": nonZero, "all": all}
+}
+
 // randWords builds a word slice for n bits with all bits ≥ n zero —
 // the packed engines' tail convention.
 func randWords(rng *rand.Rand, n int, density float64) []uint64 {
@@ -203,13 +219,14 @@ func argminCeils(sum bool, nRows int) []uint32 {
 	return ceils
 }
 
-// runArgmin calls the max or sum kernel with a ceiling clamped to
-// the kernel's budget type, widening the score for comparison.
-func runArgmin(rows [][]uint8, holder, mask []uint64, sum bool, ceil uint32) (int, uint32, bool) {
+// runArgmin calls the max or sum kernel over the word list nz with a
+// ceiling clamped to the kernel's budget type, widening the score for
+// comparison.
+func runArgmin(rows [][]uint8, holder, mask []uint64, nz []int32, sum bool, ceil uint32) (int, uint32, bool) {
 	if sum {
-		return ArgminSumU8(rows, holder, mask, ceil)
+		return ArgminSumU8(rows, holder, mask, nz, ceil)
 	}
-	idx, score, ok := ArgminMaxU8(rows, holder, mask, uint8(min(ceil, Undefined)))
+	idx, score, ok := ArgminMaxU8(rows, holder, mask, nz, uint8(min(ceil, Undefined)))
 	return idx, uint32(score), ok
 }
 
@@ -229,11 +246,18 @@ func testArgmin(t *testing.T, sum bool) {
 				holder := randWords(rng, n, density)
 				mask := randWords(rng, n, 0.8)
 				for _, ceil := range argminCeils(sum, nRows) {
-					gotIdx, gotScore, gotOK := runArgmin(rows, holder, mask, sum, ceil)
 					wantIdx, wantScore, wantOK := refArgmin(rows, holder, mask, sum, ceil)
-					if gotOK != wantOK || gotIdx != wantIdx || (wantOK && gotScore != wantScore) {
-						t.Fatalf("n=%d rows=%d sum=%v ceil=%d: got (%d,%d,%v) want (%d,%d,%v)",
-							n, nRows, sum, ceil, gotIdx, gotScore, gotOK, wantIdx, wantScore, wantOK)
+					for list, nz := range wordLists(holder) {
+						gotIdx, gotScore, gotOK := runArgmin(rows, holder, mask, nz, sum, ceil)
+						if gotOK != wantOK || gotIdx != wantIdx || (wantOK && gotScore != wantScore) {
+							t.Fatalf("n=%d rows=%d sum=%v ceil=%d %s: got (%d,%d,%v) want (%d,%d,%v)",
+								n, nRows, sum, ceil, list, gotIdx, gotScore, gotOK, wantIdx, wantScore, wantOK)
+						}
+					}
+					// The kernels read only listed words: an empty list
+					// (a holderless skill's) finds no candidate.
+					if idx, _, ok := runArgmin(rows, holder, mask, nil, sum, ceil); ok {
+						t.Fatalf("n=%d rows=%d sum=%v ceil=%d: empty word list picked %d", n, nRows, sum, ceil, idx)
 					}
 				}
 			}
@@ -262,8 +286,9 @@ func TestArgminMaxU8BudgetFromFirstWord(t *testing.T) {
 	rows[1][70] = 2               // a later word: max 100, over budget
 	holder := []uint64{^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)}
 	mask := holder
+	nz := []int32{0, 1, 2, 3}
 	for _, ceil := range []uint32{0, 1, 9, 10, 100, 120, 121, 128} {
-		gotIdx, gotScore, gotOK := runArgmin(rows, holder, mask, false, ceil)
+		gotIdx, gotScore, gotOK := runArgmin(rows, holder, mask, nz, false, ceil)
 		wantIdx, wantScore, wantOK := refArgmin(rows, holder, mask, false, ceil)
 		if gotOK != wantOK || gotIdx != wantIdx || gotScore != wantScore {
 			t.Fatalf("ceil=%d: got (%d,%d,%v) want (%d,%d,%v)", ceil, gotIdx, gotScore, gotOK, wantIdx, wantScore, wantOK)
@@ -288,10 +313,11 @@ func TestArgminMaxU8AllUndefined(t *testing.T) {
 		mask[i] = ^uint64(0)
 	}
 	mask[len(mask)-1] = (1 << uint(n&63)) - 1
-	if idx, _, ok := ArgminMaxU8([][]uint8{row}, holder, mask, Undefined); ok {
+	nz := wordLists(holder)["all"]
+	if idx, _, ok := ArgminMaxU8([][]uint8{row}, holder, mask, nz, Undefined); ok {
 		t.Fatalf("all-undefined row produced a pick at %d", idx)
 	}
-	if idx, _, ok := ArgminSumU8([][]uint8{row}, holder, mask, math.MaxUint32); ok {
+	if idx, _, ok := ArgminSumU8([][]uint8{row}, holder, mask, nz, math.MaxUint32); ok {
 		t.Fatalf("all-undefined row produced a sum pick at %d", idx)
 	}
 }
@@ -422,16 +448,36 @@ func benchRows(nRows int) [][]uint8 {
 	return rows
 }
 
+// BenchmarkArgminMaxU8 runs the max kernel over a dense holder set
+// (every word populated) and a sparse one: a rare skill's holder set
+// as the solver's pick sees it, four holders over the row's 19
+// words, scanned through its non-zero word list.
 func BenchmarkArgminMaxU8(b *testing.B) {
 	rows := benchRows(4)
-	holder := benchWords(8, 0.3)
 	mask := benchWords(9, 0.5)
-	sink := 0
-	for i := 0; i < b.N; i++ {
-		idx, _, _ := ArgminMaxU8(rows, holder, mask, Undefined)
-		sink += idx
+	sparse := make([]uint64, len(mask))
+	rng := rand.New(rand.NewSource(10))
+	for i := 0; i < 4; i++ {
+		u := rng.Intn(benchBits)
+		sparse[u>>6] |= 1 << uint(u&63)
 	}
-	_ = sink
+	for _, c := range []struct {
+		name   string
+		holder []uint64
+	}{
+		{"dense", benchWords(8, 0.3)},
+		{"sparse", sparse},
+	} {
+		nz := wordLists(c.holder)["nonzero"]
+		b.Run(c.name, func(b *testing.B) {
+			sink := 0
+			for i := 0; i < b.N; i++ {
+				idx, _, _ := ArgminMaxU8(rows, c.holder, mask, nz, Undefined)
+				sink += idx
+			}
+			_ = sink
+		})
+	}
 }
 
 // BenchmarkArgminMaxU8Scalar is the pre-kernel shape: materialise the

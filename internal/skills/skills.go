@@ -8,7 +8,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"sync"
+	"sync/atomic"
 
 	"repro/internal/sgraph"
 )
@@ -73,11 +73,21 @@ type Assignment struct {
 	ofUser   [][]SkillID       // sorted, deduplicated
 	holders  [][]sgraph.NodeID // sorted, deduplicated
 
-	// mu guards holderBits, the lazily built packed holder sets that
-	// HolderWords hands to word-parallel consumers (the team solver's
-	// skill ranking above all). Add invalidates the touched skill.
-	mu         sync.Mutex
-	holderBits [][]uint64
+	// index holds each skill's lazily built HolderIndex, published
+	// without a lock; Add clears the touched skill's entry.
+	index []atomic.Pointer[HolderIndex]
+}
+
+// HolderIndex is the packed holder set of one skill: Words has bit u
+// set iff user u holds the skill, in (NumUsers+63)/64 words — the
+// container.Bitset layout, so it composes with packed relation rows of
+// the same universe in word-parallel AND/popcount operations — and
+// NonZero lists the indices of its non-zero words in ascending order,
+// so a scan over a sparse holder set can skip the empty words. Both
+// are shared and must not be modified.
+type HolderIndex struct {
+	Words   []uint64
+	NonZero []int32
 }
 
 // NewAssignment returns an empty assignment for numUsers users over
@@ -87,6 +97,7 @@ func NewAssignment(u *Universe, numUsers int) *Assignment {
 		universe: u,
 		ofUser:   make([][]SkillID, numUsers),
 		holders:  make([][]sgraph.NodeID, u.Len()),
+		index:    make([]atomic.Pointer[HolderIndex], u.Len()),
 	}
 }
 
@@ -109,11 +120,7 @@ func (a *Assignment) Add(u sgraph.NodeID, s SkillID) error {
 	}
 	a.ofUser[u] = insertSorted(a.ofUser[u], s)
 	a.holders[s] = insertSortedNodes(a.holders[s], u)
-	a.mu.Lock()
-	if a.holderBits != nil {
-		a.holderBits[s] = nil // stale packed holder set, rebuilt on demand
-	}
-	a.mu.Unlock()
+	a.index[s].Store(nil) // stale holder index, rebuilt on demand
 	return nil
 }
 
@@ -140,30 +147,30 @@ func (a *Assignment) Holders(s SkillID) []sgraph.NodeID { return a.holders[s] }
 // NumHolders returns the number of users holding s.
 func (a *Assignment) NumHolders(s SkillID) int { return len(a.holders[s]) }
 
-// HolderWords returns the packed holder set of skill s: bit u is set
-// iff user u holds s, in (NumUsers+63)/64 words — the container.Bitset
-// layout, so the result composes with packed relation rows of the same
-// universe in word-parallel AND/popcount operations. The slice is
-// cached per skill (built on first request, invalidated by Add) and
-// must not be modified by the caller. Safe for concurrent use.
-func (a *Assignment) HolderWords(s SkillID) []uint64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.holderBits == nil {
-		a.holderBits = make([][]uint64, a.universe.Len())
+// HolderIndex returns the holder index of skill s. It is built on
+// first request, cached per skill and invalidated by Add; concurrent
+// first requests all receive the one index that was published. Safe
+// for concurrent use, lock-free once built.
+func (a *Assignment) HolderIndex(s SkillID) *HolderIndex {
+	if hi := a.index[s].Load(); hi != nil {
+		return hi
 	}
-	if w := a.holderBits[s]; w != nil {
-		return w
-	}
-	// make never returns nil (even for zero users), so the cache entry
-	// always reads as present once built.
-	w := make([]uint64, (len(a.ofUser)+63)/64)
+	hi := &HolderIndex{Words: make([]uint64, (len(a.ofUser)+63)/64)}
 	for _, u := range a.holders[s] {
-		w[int(u)>>6] |= 1 << uint(int(u)&63)
+		wi := int(u) >> 6
+		if hi.Words[wi] == 0 {
+			hi.NonZero = append(hi.NonZero, int32(wi)) // holders are sorted
+		}
+		hi.Words[wi] |= 1 << uint(int(u)&63)
 	}
-	a.holderBits[s] = w
-	return w
+	if a.index[s].CompareAndSwap(nil, hi) {
+		return hi
+	}
+	return a.index[s].Load()
 }
+
+// HolderWords returns HolderIndex(s).Words.
+func (a *Assignment) HolderWords(s SkillID) []uint64 { return a.HolderIndex(s).Words }
 
 // TotalAssignments returns the number of (user, skill) pairs.
 func (a *Assignment) TotalAssignments() int {

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
+	"sync"
 	"testing"
 
 	"repro/internal/sgraph"
@@ -115,6 +117,67 @@ func TestHolderWords(t *testing.T) {
 	// Empty skill: empty (all-zero) set, still cached.
 	if popcountWords(a.HolderWords(2)) != 0 {
 		t.Fatal("holderless skill has members")
+	}
+}
+
+// TestHolderIndexAddIntoZeroWord: a holder added into a word that was
+// all zero must show up in both the words and the non-zero word list,
+// which stays ascending.
+func TestHolderIndexAddIntoZeroWord(t *testing.T) {
+	a := NewAssignment(GenerateUniverse(2), 300)
+	a.MustAdd(10, 0)
+	a.MustAdd(250, 0)
+	if hi := a.HolderIndex(0); !slices.Equal(hi.NonZero, []int32{0, 3}) {
+		t.Fatalf("NonZero = %v, want [0 3]", hi.NonZero)
+	}
+	a.MustAdd(130, 0) // word 2, all zero until now
+	hi := a.HolderIndex(0)
+	if hi.Words[2] != 1<<(130-128) {
+		t.Fatalf("word 2 = %#x, want holder 130's bit", hi.Words[2])
+	}
+	if !slices.Equal(hi.NonZero, []int32{0, 2, 3}) {
+		t.Fatalf("NonZero = %v, want [0 2 3]", hi.NonZero)
+	}
+	if &a.HolderWords(0)[0] != &hi.Words[0] {
+		t.Fatal("HolderWords is not a view of the holder index")
+	}
+	if empty := a.HolderIndex(1); len(empty.NonZero) != 0 || popcountWords(empty.Words) != 0 {
+		t.Fatalf("holderless skill: NonZero = %v", empty.NonZero)
+	}
+}
+
+// TestHolderIndexConcurrentFirstCall: concurrent first requests for
+// one skill's index (run under -race in CI) must all receive the same
+// published index.
+func TestHolderIndexConcurrentFirstCall(t *testing.T) {
+	a := NewAssignment(GenerateUniverse(1), 1000)
+	for u := 0; u < 1000; u += 7 {
+		a.MustAdd(sgraph.NodeID(u), 0)
+	}
+	const workers = 8
+	got := make([]*HolderIndex, workers)
+	var start, done sync.WaitGroup
+	start.Add(1)
+	for i := range got {
+		done.Add(1)
+		go func() {
+			defer done.Done()
+			start.Wait()
+			got[i] = a.HolderIndex(0)
+		}()
+	}
+	start.Done()
+	done.Wait()
+	for i, hi := range got {
+		if hi != got[0] {
+			t.Fatalf("goroutine %d got a different index than goroutine 0", i)
+		}
+	}
+	if n := popcountWords(got[0].Words); n != a.NumHolders(0) {
+		t.Fatalf("index holds %d users, want %d", n, a.NumHolders(0))
+	}
+	if len(got[0].NonZero) != len(got[0].Words) {
+		t.Fatalf("NonZero lists %d of %d populated words", len(got[0].NonZero), len(got[0].Words))
 	}
 }
 

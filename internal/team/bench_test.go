@@ -1,10 +1,14 @@
 package team
 
 import (
+	"errors"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/compat"
+	"repro/internal/datasets"
 	"repro/internal/sgraph"
 	"repro/internal/skills"
 )
@@ -15,6 +19,11 @@ import (
 // The warm sub-benchmark reuses a single-worker solver's scratch and
 // plan cache, so it must stay 0 allocs/op (asserted by CI's
 // alloc-smoke); cold recompiles the plan every call for scale.
+// warm_zipf is the warm solve on the Epinions stand-in at 4% scale,
+// SPM matrix, LeastCompatibleFirst: cached 5-skill tasks that mix
+// popular and rare skills of its Zipf-skewed assignment, so the picks
+// scan holder sets from a few words to most of the row. It too must
+// stay 0 allocs/op.
 func BenchmarkPickMinDistancePacked(b *testing.B) {
 	rng := rand.New(rand.NewSource(42))
 	const n, numSkills = 512, 12
@@ -52,6 +61,75 @@ func BenchmarkPickMinDistancePacked(b *testing.B) {
 			}
 		}
 	})
+	zipfOpts := Options{Skill: LeastCompatibleFirst, User: MinDistance, Cost: Diameter}
+	var zipfSolver *Solver
+	var zipfTasks []skills.Task
+	b.Run("warm_zipf", func(b *testing.B) {
+		if zipfSolver == nil {
+			zipfSolver, zipfTasks = zipfPickFixture(b, zipfOpts)
+			// Collect the dataset build's garbage now, so no GC cycle
+			// empties the scratch pool during the timed loop.
+			runtime.GC()
+		}
+		var dst Team
+		for _, task := range zipfTasks { // grow dst.Members to the largest team
+			if err := zipfSolver.FormInto(task, zipfOpts, &dst); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := zipfSolver.FormInto(zipfTasks[i%len(zipfTasks)], zipfOpts, &dst); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// zipfPickFixture builds warm_zipf's single-worker solver over the
+// Epinions stand-in at 4% scale and its SPM matrix, and draws eight
+// feasible 5-skill tasks, each two skills from the most-held tenth of
+// the skills and three from the less-held half, solving each once so
+// its plan is cached.
+func zipfPickFixture(b *testing.B, opts Options) (*Solver, []skills.Task) {
+	d, err := datasets.EpinionsSim(1, 0.04)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m, err := compat.NewSharded(compat.SPM, d.Graph, compat.ShardedOptions{ShardRows: d.Graph.NumNodes()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	byHolders := d.Assign.SkillsWithHolders()
+	slices.SortStableFunc(byHolders, func(x, y skills.SkillID) int {
+		return d.Assign.NumHolders(y) - d.Assign.NumHolders(x)
+	})
+	popular, rare := byHolders[:len(byHolders)/10], byHolders[len(byHolders)/2:]
+	s := NewSolver(m, d.Assign, SolverOptions{Workers: 1, PlanCache: 16})
+	var tasks []skills.Task
+	rng := rand.New(rand.NewSource(7))
+	var dst Team
+	for tries := 0; len(tasks) < 8; tries++ {
+		if tries == 1000 {
+			b.Fatalf("only %d feasible tasks in %d draws", len(tasks), tries)
+		}
+		ids := make([]skills.SkillID, 0, 5)
+		for _, from := range [][]skills.SkillID{popular, popular, rare, rare, rare} {
+			ids = append(ids, from[rng.Intn(len(from))])
+		}
+		task := skills.NewTask(ids...)
+		if len(task) < 5 {
+			continue // a repeated draw
+		}
+		switch err := s.FormInto(task, opts, &dst); {
+		case err == nil:
+			tasks = append(tasks, task)
+		case !errors.Is(err, ErrNoTeam):
+			b.Fatal(err)
+		}
+	}
+	return s, tasks
 }
 
 // BenchmarkConstrainedFormInto is BenchmarkPickMinDistancePacked's

@@ -479,6 +479,16 @@ func (s *Solver) planWith(ctx context.Context, task skills.Task, opts Options, s
 	// duplicated input must not reach it.
 	p := &TaskPlan{s: s, opts: opts, task: skills.NewTask(task...)}
 	task = p.task
+	// Every per-skill table below is indexed by skill ID, so an ID
+	// outside the universe is refused first. It is a malformed request,
+	// not an infeasible task: the error is neither ErrNoTeam nor cached.
+	if nu := s.assign.Universe().Len(); len(task) > 0 && (task[0] < 0 || int(task[len(task)-1]) >= nu) {
+		bad := task[0]
+		if bad >= 0 {
+			bad = task[len(task)-1]
+		}
+		return nil, fmt.Errorf("team: skill %d out of range [0,%d)", bad, nu)
+	}
 	p.includes = opts.Constraints.MustInclude
 	p.maxSize = opts.Constraints.MaxTeamSize
 	if len(task) == 0 && len(p.includes) == 0 {
@@ -515,8 +525,8 @@ func (s *Solver) planWith(ctx context.Context, task skills.Task, opts Options, s
 	// is the best-ranked uncovered one.
 	sc.covered.Grow(len(task))
 	for _, u := range p.includes {
-		for _, sk := range s.assign.UserSkills(u) {
-			if i := p.taskIndex(sk); i >= 0 {
+		for i := range task {
+			if p.holds(i, u) {
 				sc.covered.Set(i)
 			}
 		}
@@ -589,9 +599,11 @@ func (p *TaskPlan) Task() skills.Task { return p.task }
 // NumSeeds returns how many seeds Algorithm 2 will try.
 func (p *TaskPlan) NumSeeds() int { return len(p.seeds) }
 
-// rankedSkill pairs a task skill with its policy ranking key.
+// rankedSkill pairs a task skill (and its task position) with its
+// policy ranking key.
 type rankedSkill struct {
 	s   skills.SkillID
+	pos int32
 	key int64
 }
 
@@ -608,7 +620,7 @@ func (p *TaskPlan) rankSkills(sc *scratch) error {
 	switch p.opts.Skill {
 	case RarestFirst:
 		for i, s := range p.task {
-			rankedSkills[i] = rankedSkill{s: s, key: int64(p.s.assign.NumHolders(s))}
+			rankedSkills[i] = rankedSkill{s: s, pos: int32(i), key: int64(p.s.assign.NumHolders(s))}
 		}
 	case LeastCompatibleFirst:
 		if cap(sc.planDeg) < len(p.task) {
@@ -621,7 +633,7 @@ func (p *TaskPlan) rankSkills(sc *scratch) error {
 			return err
 		}
 		for i, s := range p.task {
-			rankedSkills[i] = rankedSkill{s: s, key: deg[i]}
+			rankedSkills[i] = rankedSkill{s: s, pos: int32(i), key: deg[i]}
 		}
 	default:
 		return fmt.Errorf("team: unknown skill policy %d", int(p.opts.Skill))
@@ -636,7 +648,7 @@ func (p *TaskPlan) rankSkills(sc *scratch) error {
 	p.orderPos = make([]int32, len(rankedSkills))
 	for i, rs := range rankedSkills {
 		p.order[i] = rs.s
-		p.orderPos[i] = int32(p.taskIndex(rs.s))
+		p.orderPos[i] = rs.pos
 	}
 	return nil
 }
@@ -713,20 +725,14 @@ func (p *TaskPlan) buildPoolDegrees(sc *scratch) error {
 	return nil
 }
 
-// taskIndex returns the position of sk within the (sorted) task, or
-// -1. Tasks are small (the paper sweeps up to 20 skills), so a linear
-// scan beats binary search and allocates nothing (sort.Search's
-// closure would, in the solve hot path).
-func (p *TaskPlan) taskIndex(sk skills.SkillID) int {
-	for i, t := range p.task {
-		if t == sk {
-			return i
-		}
-		if t > sk {
-			break
-		}
-	}
-	return -1
+// holds reports whether user u holds the skill at task position i: u's
+// bit in that skill's holder words, read lock-free from the
+// assignment's holder index. A user past the words (the graph can
+// have more nodes than the assignment has users) holds no skill.
+func (p *TaskPlan) holds(i int, u sgraph.NodeID) bool {
+	w := p.s.assign.HolderWords(p.task[i])
+	wi := int(u) >> 6
+	return wi < len(w) && w[wi]&(1<<(uint(u)&63)) != 0
 }
 
 // degreeOf returns u's pool compatibility degree (u is always a pool
@@ -863,8 +869,8 @@ func (s *Solver) runPool(ctx context.Context, workers, count int, fn func(sc *sc
 	return firstErr
 }
 
-// addMember grows the current team by u: appends it, marks the task
-// skills it covers, ANDs its packed row into the candidate mask (so
+// addMember grows the current team by u: appends it, marks the
+// uncovered task skills it holds (one bit test per skill), ANDs its packed row into the candidate mask (so
 // candidate filtering is one bit test per holder regardless of team
 // size) and caches its packed distance row for the member-by-member
 // scans of pickMinDistance and contribution.
@@ -890,8 +896,8 @@ func (sc *scratch) addMember(p *TaskPlan, u sgraph.NodeID) {
 		}
 	}
 	sc.members = append(sc.members, u)
-	for _, sk := range p.s.assign.UserSkills(u) {
-		if i := p.taskIndex(sk); i >= 0 && !sc.covered.Contains(i) {
+	for i := range p.task {
+		if !sc.covered.Contains(i) && p.holds(i, u) {
 			sc.covered.Set(i)
 			sc.nCov++
 		}
@@ -1065,12 +1071,14 @@ func (p *TaskPlan) pick(sc *scratch, skill skills.SkillID, budget int32) (sgraph
 	if sc.mask != nil && p.opts.User == MinDistance && p.s.holdersPacked {
 		// Fused fast path: candidates are the set bits of
 		// (holder words AND mask), enumerated and priced inside one
-		// kernel pass — no candidate slice, no per-candidate row
-		// indexing. Candidate order, undefined-skipping and the
-		// smaller-id tie-break match the materialised path exactly
-		// (same ascending enumeration, same strict-improvement rule);
-		// TestSolverMatchesReference pins that against the oracle.
-		v, c, ok := sc.rows.PickMin(p.s.assign.HolderWords(skill), sc.mask.Words(), p.opts.Cost == SumDistance, budget)
+		// kernel pass over only the holder index's non-zero words — no
+		// candidate slice, no per-candidate row indexing. Candidate
+		// order, undefined-skipping and the smaller-id tie-break match
+		// the materialised path exactly (same ascending enumeration,
+		// same strict-improvement rule); TestSolverMatchesReference
+		// pins that against the oracle.
+		hi := p.s.assign.HolderIndex(skill)
+		v, c, ok := sc.rows.PickMin(hi.Words, sc.mask.Words(), hi.NonZero, p.opts.Cost == SumDistance, budget)
 		return v, c, ok, nil
 	}
 	sc.cand = sc.cand[:0]
@@ -1216,7 +1224,9 @@ func (p *TaskPlan) Form() (*Team, error) {
 // pick's score lies below the budget). SeedsSucceeded therefore counts
 // the seeds that set a new best team. Under RandomUser an abandoned
 // seed still grows in full, unpriced (see join), so Options.Rng is
-// consumed exactly as in a full growth of every seed. The context is checked once per seed — cooperative cancellation at
+// consumed exactly as in a full growth of every seed.
+//
+// The context is checked once per seed — cooperative cancellation at
 // the granularity of one grow-and-price step. The body allocates only
 // on the all-seeds-failed error path; warm wins reuse sc.best and
 // dst.Members in place.

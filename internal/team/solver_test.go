@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/compat"
+	"repro/internal/datasets"
 	"repro/internal/sgraph"
 	"repro/internal/skills"
 )
@@ -645,6 +646,38 @@ func TestSolverPlanValidation(t *testing.T) {
 	}
 	if full.NumSeeds() != 1 { // skill A has one holder
 		t.Fatalf("NumSeeds = %d, want 1", full.NumSeeds())
+	}
+}
+
+// TestSolverSkillOutOfRange: a task naming a skill outside the
+// universe, at either bound, is refused with an error before any
+// per-skill table is indexed. The error is not ErrNoTeam (the request
+// is malformed, not infeasible) and is not cached, from every entry
+// point: Plan, Form and FormBatch.
+func TestSolverSkillOutOfRange(t *testing.T) {
+	d, err := datasets.EpinionsSim(7, 0.02)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := mustMatrix(compat.SPM, d.Graph)
+	s := NewSolver(m, d.Assign, SolverOptions{Workers: 2, PlanCache: 8})
+	nu := skills.SkillID(d.Assign.Universe().Len())
+	opts := Options{Skill: LeastCompatibleFirst, User: MinDistance}
+	held := d.Assign.SkillsWithHolders()[0]
+	for _, task := range []skills.Task{{-1}, {nu}, {-1, held}, {held, nu}} {
+		for i := 0; i < 2; i++ { // a cached error would answer the second round
+			_, errPlan := s.Plan(task, opts)
+			_, errForm := s.Form(task, opts)
+			_, errBatch := s.FormBatch([]skills.Task{task}, opts)
+			for name, err := range map[string]error{"Plan": errPlan, "Form": errForm, "FormBatch": errBatch} {
+				if err == nil || errors.Is(err, ErrNoTeam) {
+					t.Fatalf("task %v: %s err = %v, want a non-ErrNoTeam error", task, name, err)
+				}
+			}
+		}
+	}
+	if st := s.PlanCacheStats(); st.Size != 0 || st.Hits != 0 {
+		t.Fatalf("out-of-range tasks reached the plan cache: %+v", st)
 	}
 }
 
