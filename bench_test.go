@@ -11,11 +11,13 @@
 package signedteams_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
 
+	signedteams "repro"
 	"repro/internal/balance"
 	"repro/internal/cluster"
 	"repro/internal/compat"
@@ -293,7 +295,7 @@ func BenchmarkCostObjectives(b *testing.B) {
 			var total int64
 			var solved int
 			for i := 0; i < b.N; i++ {
-				tm, err := team.Form(rel, d.Assign, tasks[i%len(tasks)], team.Options{Cost: kind})
+				tm, err := signedteams.FormTeam(rel, d.Assign, tasks[i%len(tasks)], team.Options{Cost: kind})
 				if err != nil {
 					if errors.Is(err, team.ErrNoTeam) {
 						continue
@@ -526,7 +528,7 @@ func BenchmarkFormTeamEngines(b *testing.B) {
 	}
 	run := func(b *testing.B, rel compat.Relation) {
 		for i := 0; i < b.N; i++ {
-			_, err := team.Form(rel, d.Assign, sampled[i%len(sampled)], team.Options{
+			_, err := signedteams.FormTeam(rel, d.Assign, sampled[i%len(sampled)], team.Options{
 				Skill: team.LeastCompatibleFirst,
 				User:  team.MinDistance,
 			})
@@ -551,8 +553,8 @@ func BenchmarkFormTeamEngines(b *testing.B) {
 }
 
 // BenchmarkSolverForm measures the reusable solver's plan/scratch
-// split: "fresh" pays plan compilation per solve (the package-level
-// Form), "warm" reuses a compiled plan and the solver's scratch — the
+// split: "fresh" pays plan compilation per solve (Solver.FormIntoContext
+// into a fresh Team), "warm" reuses a compiled plan and the solver's scratch — the
 // serving path, which must stay at 0 allocs/op on the matrix engine
 // (the CI alloc smoke watches this). "warm-workers2" is the same warm
 // solve on a two-worker solver: a single solve runs its seed loop on
@@ -573,7 +575,7 @@ func BenchmarkSolverForm(b *testing.B) {
 	b.Run("fresh", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := solver.Form(task, opts); err != nil && !errors.Is(err, team.ErrNoTeam) {
+			if err := solver.FormIntoContext(context.Background(), task, opts, new(team.Team)); err != nil && !errors.Is(err, team.ErrNoTeam) {
 				b.Fatal(err)
 			}
 		}
@@ -586,14 +588,14 @@ func BenchmarkSolverForm(b *testing.B) {
 			}
 			var tm team.Team
 			for i := 0; i < 2; i++ { // fill the scratch pool and buffers
-				if err := plan.FormInto(&tm); err != nil {
+				if err := plan.FormIntoContext(context.Background(), &tm); err != nil {
 					b.Fatal(err)
 				}
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := plan.FormInto(&tm); err != nil {
+				if err := plan.FormIntoContext(context.Background(), &tm); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -604,7 +606,7 @@ func BenchmarkSolverForm(b *testing.B) {
 }
 
 // BenchmarkPlanCacheServe measures the cross-request serving layer:
-// repeated tasks answered through Solver.FormInto. "uncached" pays
+// repeated tasks answered through Solver.FormIntoContext. "uncached" pays
 // plan compilation on every request (the PR 3 serving path);
 // "warm" serves every request from the plan cache — the hit path,
 // which must stay at 0 allocs/op on the matrix engine (the CI alloc
@@ -629,7 +631,7 @@ func BenchmarkPlanCacheServe(b *testing.B) {
 	opts := team.Options{Skill: team.LeastCompatibleFirst, User: team.MinDistance}
 	serve := func(b *testing.B, solver *team.Solver, tm *team.Team) {
 		for i := 0; i < b.N; i++ {
-			err := solver.FormInto(tasks[i%len(tasks)], opts, tm)
+			err := solver.FormIntoContext(context.Background(), tasks[i%len(tasks)], opts, tm)
 			if err != nil && !errors.Is(err, team.ErrNoTeam) {
 				b.Fatal(err)
 			}
@@ -644,7 +646,7 @@ func BenchmarkPlanCacheServe(b *testing.B) {
 		solver := team.NewSolver(rel, d.Assign, team.SolverOptions{Workers: 1, PlanCache: 64})
 		var tm team.Team             // shared with the timed loop so its buffer is warm too
 		for _, task := range tasks { // compile every plan outside the timer
-			if err := solver.FormInto(task, opts, &tm); err != nil && !errors.Is(err, team.ErrNoTeam) {
+			if err := solver.FormIntoContext(context.Background(), task, opts, &tm); err != nil && !errors.Is(err, team.ErrNoTeam) {
 				b.Fatal(err)
 			}
 		}
@@ -706,10 +708,10 @@ func BenchmarkFormBatchRepeated(b *testing.B) {
 	}
 }
 
-// BenchmarkLazyFormDecomposed isolates where a lazy-engine Form call
-// spends its time, to attribute the PR 2 → PR 3 sequential-Form delta
-// recorded in BENCH_form.json: "form" builds a throwaway solver per
-// call (the package-level Form path), "solver-form" reuses the solver
+// BenchmarkLazyFormDecomposed isolates where a lazy-engine one-shot
+// solve spends its time, to attribute the PR 2 → PR 3 sequential-Form
+// delta recorded in BENCH_form.json: "form" builds a throwaway solver
+// per call (the FormTeam path), "solver-form" reuses the solver
 // but compiles a plan per call, and "warm-plan" only solves. The
 // row cache is fully precomputed, so every split measures pure
 // query-path work.
@@ -734,7 +736,7 @@ func BenchmarkLazyFormDecomposed(b *testing.B) {
 	opts := team.Options{Skill: team.LeastCompatibleFirst, User: team.MinDistance}
 	b.Run("form", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := team.Form(rel, d.Assign, tasks[i%len(tasks)], opts); err != nil && !errors.Is(err, team.ErrNoTeam) {
+			if _, err := signedteams.FormTeam(rel, d.Assign, tasks[i%len(tasks)], opts); err != nil && !errors.Is(err, team.ErrNoTeam) {
 				b.Fatal(err)
 			}
 		}
@@ -743,7 +745,7 @@ func BenchmarkLazyFormDecomposed(b *testing.B) {
 		solver := team.NewSolver(rel, d.Assign, team.SolverOptions{Workers: 1})
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := solver.Form(tasks[i%len(tasks)], opts); err != nil && !errors.Is(err, team.ErrNoTeam) {
+			if err := solver.FormIntoContext(context.Background(), tasks[i%len(tasks)], opts, new(team.Team)); err != nil && !errors.Is(err, team.ErrNoTeam) {
 				b.Fatal(err)
 			}
 		}
@@ -764,14 +766,14 @@ func BenchmarkLazyFormDecomposed(b *testing.B) {
 		var tm team.Team
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := plans[i%len(plans)].FormInto(&tm); err != nil && !errors.Is(err, team.ErrNoTeam) {
+			if err := plans[i%len(plans)].FormIntoContext(context.Background(), &tm); err != nil && !errors.Is(err, team.ErrNoTeam) {
 				b.Fatal(err)
 			}
 		}
 	})
 }
 
-// BenchmarkFormBatch races a sequential package-level Form loop
+// BenchmarkFormBatch races a sequential one-shot FormTeam loop
 // against Solver.FormBatch on every engine — the batch-serving
 // speedup the solver exists for (plan/scratch reuse plus the worker
 // pool). The acceptance bar is batch ≥ 2× loop on the matrix engine.
@@ -813,7 +815,7 @@ func BenchmarkFormBatch(b *testing.B) {
 		b.Run(e.name+"/loop", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				for _, task := range tasks {
-					if _, err := team.Form(rel, d.Assign, task, opts); err != nil && !errors.Is(err, team.ErrNoTeam) {
+					if _, err := signedteams.FormTeam(rel, d.Assign, task, opts); err != nil && !errors.Is(err, team.ErrNoTeam) {
 						b.Fatal(err)
 					}
 				}
@@ -883,53 +885,6 @@ func BenchmarkShardedSweep(b *testing.B) {
 			b.ReportMetric(float64(b.N)*float64(n)/b.Elapsed().Seconds(), "rows/s")
 		})
 	}
-}
-
-// BenchmarkDistRowMinScan compares the two ways of finding every
-// node's closest partner (smallest defined distance, self excluded —
-// engine rows carry a reflexive 0 on the diagonal) over a resident
-// packed engine: a scalar At loop, the pre-kernel idiom, versus
-// DistRow.MinExcluding, which on uint8-packed rows runs the SWAR
-// 8-lane min-scan from internal/kernels. Same access pattern, same
-// rows — the delta is the per-row scan kernel alone.
-func BenchmarkDistRowMinScan(b *testing.B) {
-	d, err := datasets.EpinionsSim(1, 0.04)
-	if err != nil {
-		b.Fatal(err)
-	}
-	n := d.Graph.NumNodes()
-	m := mustMatrix(compat.SPM, d.Graph)
-	var scalarSink, kernelSink int64
-	b.Run("scalar", func(b *testing.B) {
-		scalarSink = 0
-		for i := 0; i < b.N; i++ {
-			for u := sgraph.NodeID(0); int(u) < n; u++ {
-				row := m.DistanceRow(u)
-				best, ok := int32(0), false
-				for v := sgraph.NodeID(0); int(v) < n; v++ {
-					if d, def := row.At(v); def && v != u && (!ok || d < best) {
-						best, ok = d, true
-					}
-				}
-				if ok {
-					scalarSink += int64(best)
-				}
-			}
-		}
-		b.ReportMetric(float64(b.N)*float64(n)/b.Elapsed().Seconds(), "rows/s")
-	})
-	b.Run("kernel", func(b *testing.B) {
-		kernelSink = 0
-		for i := 0; i < b.N; i++ {
-			for u := sgraph.NodeID(0); int(u) < n; u++ {
-				if best, _, ok := m.DistanceRow(u).MinExcluding(u); ok {
-					kernelSink += int64(best)
-				}
-			}
-		}
-		b.ReportMetric(float64(b.N)*float64(n)/b.Elapsed().Seconds(), "rows/s")
-	})
-	_, _ = scalarSink, kernelSink
 }
 
 // BenchmarkShardedResidentRow pins the serving fast paths of the
@@ -1037,7 +992,7 @@ func BenchmarkFormTeamLCMD(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, err := team.Form(rel, d.Assign, sampled[i%len(sampled)], team.Options{
+		_, err := signedteams.FormTeam(rel, d.Assign, sampled[i%len(sampled)], team.Options{
 			Skill: team.LeastCompatibleFirst,
 			User:  team.MinDistance,
 		})

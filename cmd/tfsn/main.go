@@ -109,7 +109,7 @@ func validateFlags(cfg config, set map[string]bool) error {
 	if err := cons.Validate(0); err != nil {
 		return err
 	}
-	if cfg.diverseL < 0 || math.IsNaN(cfg.diverseL) {
+	if cfg.diverseL < 0 || math.IsNaN(cfg.diverseL) || math.IsInf(cfg.diverseL, 0) {
 		return fmt.Errorf("-diverse-lambda must be a finite number >= 0, got %v", cfg.diverseL)
 	}
 	return nil
@@ -229,12 +229,7 @@ func run(cfg config) error {
 	}
 	fmt.Printf("relation %v (engine=%s), policies %v/%v, cost %v\n\n", kind, engine, opts.Skill, opts.User, opts.Cost)
 
-	var teams []*team.Team
-	if cfg.diverseL > 0 {
-		teams, err = solver.FormTopKDiverseContext(ctx, task, opts, cfg.topk, cfg.diverseL)
-	} else {
-		teams, err = solver.FormTopKContext(ctx, task, opts, cfg.topk)
-	}
+	teams, err := solver.FormTopKDiverseContext(ctx, task, opts, cfg.topk, cfg.diverseL)
 	if errors.Is(err, team.ErrInfeasible) {
 		fmt.Println("the constraints are infeasible for this task:", err)
 		return nil

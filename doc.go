@@ -32,6 +32,13 @@
 //	assign.MustAdd(2, 1)
 //	team, err := signedteams.FormTeam(rel, assign, signedteams.NewTask(0, 1), signedteams.FormOptions{})
 //
+// FormTeam is the package's one one-shot formation call. Everything
+// else runs on a TeamSolver built once per relation (NewTeamSolver):
+// single teams (FormIntoContext), top-k lists (FormTopKContext),
+// diverse top-k lists (FormTopKDiverseContext, of which top-k is the
+// lambda = 0 case) and batches (FormBatch, FormBatchContext,
+// FormBatchSpecs).
+//
 // # Choosing a relation engine
 //
 // Two engines implement the Relation interface; they agree answer for

@@ -1,6 +1,7 @@
 package signedteams_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -88,7 +89,7 @@ func ExampleTeamSolver() {
 	var warm signedteams.Team
 	solves := 0
 	for i := 0; i < 3; i++ { // warm solves reuse the same buffers
-		if err := plan.FormInto(&warm); err != nil {
+		if err := plan.FormIntoContext(context.Background(), &warm); err != nil {
 			panic(err)
 		}
 		solves++
@@ -118,7 +119,7 @@ func ExampleTeamSolver() {
 // (a miss), every later request — including one spelling the task in
 // a different order, with duplicates — reuses it (hits), skipping
 // policy ranking and pool-degree computation entirely. On packed
-// engines a warm cache-hit FormInto allocates nothing.
+// engines a warm cache-hit FormIntoContext allocates nothing.
 func ExampleTeamSolver_planCache() {
 	g := signedteams.MustFromEdges(5, []signedteams.Edge{
 		{U: 0, V: 1, Sign: signedteams.Positive},
@@ -147,12 +148,12 @@ func ExampleTeamSolver_planCache() {
 	}
 	var tm signedteams.Team
 	for i := 0; i < 3; i++ {
-		if err := solver.FormInto(signedteams.NewTask(0, 1), opts, &tm); err != nil {
+		if err := solver.FormIntoContext(context.Background(), signedteams.NewTask(0, 1), opts, &tm); err != nil {
 			panic(err)
 		}
 	}
 	// A scrambled, duplicated spelling keys to the same canonical task.
-	if err := solver.FormInto(signedteams.Task{1, 0, 1}, opts, &tm); err != nil {
+	if err := solver.FormIntoContext(context.Background(), signedteams.Task{1, 0, 1}, opts, &tm); err != nil {
 		panic(err)
 	}
 	st := solver.PlanCacheStats()

@@ -12,8 +12,9 @@ import (
 // ("we plan to investigate different ways to combine compatibility
 // and communication cost and to exploit compatibility for other
 // tasks, such as link prediction or clustering"): alternative cost
-// objectives, top-k team enumeration, edge sign prediction, and
-// signed-graph clustering.
+// objectives, team constraints, edge sign prediction, and
+// signed-graph clustering. Top-k and diverse top-k team enumeration
+// are TeamSolver methods (FormTopKContext, FormTopKDiverseContext).
 
 // Cost objectives.
 type CostKind = team.CostKind
@@ -31,11 +32,6 @@ func TeamCostWith(rel Relation, members []NodeID, kind CostKind) (int32, error) 
 	return team.CostWith(rel, members, kind)
 }
 
-// FormTopK returns up to k distinct teams in increasing cost order.
-func FormTopK(rel Relation, assign *Assignment, task Task, opts FormOptions, k int) ([]*Team, error) {
-	return team.FormTopK(rel, assign, task, opts, k)
-}
-
 // TeamConstraints restricts which teams formation may return:
 // must-include members, must-exclude members, a team-size cap. Carried
 // on FormOptions.Constraints, so every formation entry point accepts
@@ -47,16 +43,6 @@ type TeamConstraints = team.Constraints
 // skill excluded, a cap below the include count). It wraps ErrNoTeam;
 // test with errors.Is.
 var ErrInfeasibleTeam = team.ErrInfeasible
-
-// FormTopKDiverse returns up to k distinct teams selected greedily by
-// cost + lambda×overlap, where overlap is the maximum Jaccard
-// similarity of the candidate's member set against the teams already
-// selected. lambda = 0 reproduces FormTopK exactly; larger lambdas
-// trade cost for novelty. For repeated queries build a NewTeamSolver
-// and call its FormTopKDiverse method instead.
-func FormTopKDiverse(rel Relation, assign *Assignment, task Task, opts FormOptions, k int, lambda float64) ([]*Team, error) {
-	return team.NewSolver(rel, assign, team.SolverOptions{}).FormTopKDiverse(task, opts, k, lambda)
-}
 
 // Sign prediction.
 type (

@@ -1,6 +1,7 @@
 package signedteams_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -26,7 +27,7 @@ func TestFormTopKFacade(t *testing.T) {
 	// Skill "b" is rarer (one holder), so it seeds the search and
 	// there is a single seed; the task {a} has two holders and must
 	// yield two distinct teams.
-	teams, err := signedteams.FormTopK(rel, assign, signedteams.NewTask(0), signedteams.FormOptions{}, 3)
+	teams, err := signedteams.NewTeamSolver(rel, assign, signedteams.TeamSolverOptions{}).FormTopKContext(context.Background(), signedteams.NewTask(0), signedteams.FormOptions{}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +37,7 @@ func TestFormTopKFacade(t *testing.T) {
 	if teams[0].Cost > teams[1].Cost {
 		t.Fatal("top-k not sorted")
 	}
-	full, err := signedteams.FormTopK(rel, assign, signedteams.NewTask(0, 1), signedteams.FormOptions{}, 3)
+	full, err := signedteams.NewTeamSolver(rel, assign, signedteams.TeamSolverOptions{}).FormTopKContext(context.Background(), signedteams.NewTask(0, 1), signedteams.FormOptions{}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +64,7 @@ func TestFormTopKFacadeTelemetry(t *testing.T) {
 	rel := signedteams.MustNewRelation(signedteams.NNE, g, signedteams.RelationOptions{})
 	// Task {a}: two seeds, two distinct single-member teams; k=1 slices
 	// the list but must keep the 2/2 aggregate on the survivor.
-	teams, err := signedteams.FormTopK(rel, assign, signedteams.NewTask(0), signedteams.FormOptions{}, 1)
+	teams, err := signedteams.NewTeamSolver(rel, assign, signedteams.TeamSolverOptions{}).FormTopKContext(context.Background(), signedteams.NewTask(0), signedteams.FormOptions{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,8 +79,9 @@ func TestFormTopKFacadeTelemetry(t *testing.T) {
 // TestConstraintsFacade: the constrained-formation and diverse-top-k
 // vocabulary is reachable through the public API — constraints ride
 // FormOptions into FormTeam, contradictions surface as
-// ErrInfeasibleTeam (which wraps ErrNoTeam), and FormTopKDiverse at
-// lambda 0 reproduces FormTopK exactly.
+// ErrInfeasibleTeam (which wraps ErrNoTeam), and a TeamSolver's
+// FormTopKDiverseContext at lambda 0 reproduces FormTopKContext
+// exactly.
 func TestConstraintsFacade(t *testing.T) {
 	g := signedteams.MustFromEdges(4, []signedteams.Edge{
 		{U: 0, V: 1, Sign: signedteams.Positive},
@@ -120,23 +122,23 @@ func TestConstraintsFacade(t *testing.T) {
 		t.Fatalf("excluding every holder of a: err = %v, want ErrInfeasibleTeam wrapping ErrNoTeam", err)
 	}
 
-	plain, err := signedteams.FormTopK(rel, assign, task, signedteams.FormOptions{}, 3)
+	plain, err := signedteams.NewTeamSolver(rel, assign, signedteams.TeamSolverOptions{}).FormTopKContext(context.Background(), task, signedteams.FormOptions{}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	diverse, err := signedteams.FormTopKDiverse(rel, assign, task, signedteams.FormOptions{}, 3, 0)
+	diverse, err := signedteams.NewTeamSolver(rel, assign, signedteams.TeamSolverOptions{}).FormTopKDiverseContext(context.Background(), task, signedteams.FormOptions{}, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(plain) != len(diverse) {
-		t.Fatalf("lambda=0 diverse returned %d teams, FormTopK %d", len(diverse), len(plain))
+		t.Fatalf("lambda=0 diverse returned %d teams, FormTopKContext %d", len(diverse), len(plain))
 	}
 	for i := range plain {
 		if fmt.Sprint(plain[i].Members) != fmt.Sprint(diverse[i].Members) || plain[i].Cost != diverse[i].Cost {
 			t.Fatalf("lambda=0 team %d: diverse %+v, plain %+v", i, diverse[i], plain[i])
 		}
 	}
-	if _, err := signedteams.FormTopKDiverse(rel, assign, task, signedteams.FormOptions{}, 3, -1); err == nil {
+	if _, err := signedteams.NewTeamSolver(rel, assign, signedteams.TeamSolverOptions{}).FormTopKDiverseContext(context.Background(), task, signedteams.FormOptions{}, 3, -1); err == nil {
 		t.Fatal("negative lambda accepted")
 	}
 }

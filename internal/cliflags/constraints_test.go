@@ -1,6 +1,7 @@
 package cliflags
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"strings"
@@ -194,8 +195,9 @@ func FuzzConstraintSpec(f *testing.F) {
 		if cons.Validate(assign.NumUsers()) != nil {
 			return
 		}
-		tm, err := team.Form(rel, assign, task, team.Options{Constraints: cons})
-		if err != nil {
+		var tm team.Team
+		s := team.NewSolver(rel, assign, team.SolverOptions{Workers: 1})
+		if err := s.FormIntoContext(context.Background(), task, team.Options{Constraints: cons}, &tm); err != nil {
 			if !errors.Is(err, team.ErrNoTeam) {
 				t.Fatalf("solve failed hard: %v", err)
 			}

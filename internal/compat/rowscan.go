@@ -96,63 +96,6 @@ func (m *ShardedMatrix) AndCountRowsEach(us []sgraph.NodeID, mask []uint64, coun
 	return m.andCountRows(us, mask, func(i, c int) { counts[i] = int32(c) })
 }
 
-// Min returns the smallest defined distance in the row, the node
-// holding it (first occurrence), and whether any entry is defined —
-// the SWAR min-scan (kernels.MinU8) on uint8-packed rows, a scalar
-// scan after int32 promotion.
-func (r DistRow) Min() (int32, sgraph.NodeID, bool) {
-	if r.d32 != nil {
-		best, idx := int32(0), -1
-		for i, d := range r.d32 {
-			if d != noDist32 && (idx < 0 || d < best) {
-				best, idx = d, i
-			}
-		}
-		if idx < 0 {
-			return 0, 0, false
-		}
-		return best, sgraph.NodeID(idx), true
-	}
-	d, i, ok := kernels.MinU8(r.d8)
-	if !ok {
-		return 0, 0, false
-	}
-	return int32(d), sgraph.NodeID(i), true
-}
-
-// MinExcluding is Min with one node excluded — the closest-partner
-// query: engine rows carry the reflexive 0 at the source node itself,
-// so a plain Min over a source's own row always answers (0, source).
-// Excluding a byte lane splits the row into two kernel scans; ties
-// still resolve to the smallest id.
-func (r DistRow) MinExcluding(skip sgraph.NodeID) (int32, sgraph.NodeID, bool) {
-	if r.d32 != nil {
-		best, idx := int32(0), -1
-		for i, d := range r.d32 {
-			if sgraph.NodeID(i) != skip && d != noDist32 && (idx < 0 || d < best) {
-				best, idx = d, i
-			}
-		}
-		if idx < 0 {
-			return 0, 0, false
-		}
-		return best, sgraph.NodeID(idx), true
-	}
-	if int(skip) < 0 || int(skip) >= len(r.d8) {
-		return (DistRow{d8: r.d8}).Min()
-	}
-	lD, lI, lOK := kernels.MinU8(r.d8[:skip])
-	rD, rI, rOK := kernels.MinU8(r.d8[skip+1:])
-	switch {
-	case lOK && (!rOK || lD <= rD):
-		return int32(lD), sgraph.NodeID(lI), true
-	case rOK:
-		return int32(rD), skip + 1 + sgraph.NodeID(rI), true
-	default:
-		return 0, 0, false
-	}
-}
-
 // DistRows is a reusable collection of packed distance rows — the
 // team solver's per-scratch cache of its members' rows. It keeps the
 // raw uint8 lanes alongside the DistRow views so the fused scans can

@@ -72,54 +72,6 @@ func TestAndCountRowsMatchPerRow(t *testing.T) {
 	}
 }
 
-// TestDistRowMin: Min must return the smallest defined distance and
-// its first holder, matching a scalar At sweep, on both the uint8 and
-// the promoted int32 packing.
-func TestDistRowMin(t *testing.T) {
-	rng := rand.New(rand.NewSource(802))
-	g := randomSignedGraph(rng, 90, 360, 0.3)
-	m := mustMatrix(SPA, g, Options{})
-	n := g.NumNodes()
-	for u := sgraph.NodeID(0); int(u) < n; u++ {
-		row := m.DistanceRow(u)
-		wantD, wantV, wantOK := int32(0), sgraph.NodeID(-1), false
-		for v := sgraph.NodeID(0); int(v) < n; v++ {
-			if d, ok := row.At(v); ok && (!wantOK || d < wantD) {
-				wantD, wantV, wantOK = d, v, true
-			}
-		}
-		gotD, gotV, gotOK := row.Min()
-		if gotOK != wantOK || (wantOK && (gotD != wantD || gotV != wantV)) {
-			t.Fatalf("row %d: Min = (%d,%d,%v), want (%d,%d,%v)", u, gotD, gotV, gotOK, wantD, wantV, wantOK)
-		}
-		// MinExcluding(u): the closest partner, skipping the reflexive
-		// diagonal 0 that plain Min always lands on.
-		wantD, wantV, wantOK = 0, -1, false
-		for v := sgraph.NodeID(0); int(v) < n; v++ {
-			if v == u {
-				continue
-			}
-			if d, ok := row.At(v); ok && (!wantOK || d < wantD) {
-				wantD, wantV, wantOK = d, v, true
-			}
-		}
-		gotD, gotV, gotOK = row.MinExcluding(u)
-		if gotOK != wantOK || (wantOK && (gotD != wantD || gotV != wantV)) {
-			t.Fatalf("row %d: MinExcluding = (%d,%d,%v), want (%d,%d,%v)", u, gotD, gotV, gotOK, wantD, wantV, wantOK)
-		}
-	}
-	// Promoted rows: a long path graph forces the int32 fallback.
-	b := sgraph.NewBuilder(300)
-	for i := 0; i < 299; i++ {
-		b.AddEdge(sgraph.NodeID(i), sgraph.NodeID(i+1), sgraph.Positive)
-	}
-	wide := mustMatrix(SPA, b.MustBuild(), Options{})
-	row := wide.DistanceRow(299)
-	if d, v, ok := row.Min(); !ok || d != 0 || v != 299 {
-		t.Fatalf("promoted Min = (%d,%d,%v), want (0,299,true)", d, v, ok)
-	}
-}
-
 // TestDistRowsPickMinMatchesScalar: the fused PickMin (kernel path on
 // all-u8 stacks, scalar path on int32 stacks) must pick the same node
 // and score as a scalar enumeration of (holder AND mask) scored by

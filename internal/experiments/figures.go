@@ -94,7 +94,7 @@ func Figure2ab(cfg Config) ([]AlgoResult, error) {
 
 // runAlgorithm applies one team formation algorithm to every task via
 // a reusable solver — the batch runs across cfg.Workers workers with
-// per-task results identical to a sequential Form loop (RandomUser
+// per-task results identical to a sequential one-team loop (RandomUser
 // serialises so the seeded Rng is consumed in task order) — and
 // aggregates solution rate and average diameter.
 func runAlgorithm(cfg Config, rel compat.Relation, assign *skills.Assignment, tasks []skills.Task, algo string, randSeed int64) (*AlgoResult, error) {

@@ -33,9 +33,6 @@
 //     every row's lane is below it, so one borrow-safe compare per
 //     row, AND-folded with the candidate flags and short-circuited,
 //     kills whole blocks before any per-byte scoring.
-//   - MinU8: the SWAR min-scan over one uint8 row (8 lanes per word,
-//     borrow-trick filter + scalar position recovery on the words
-//     that survive it), again with 0xFF as the undefined sentinel.
 //
 // # Variants
 //

@@ -5,8 +5,8 @@ import "math/bits"
 // Undefined is the uint8 lane sentinel the distance kernels treat as
 // "no defined value": it matches the packed distance encoding of the
 // compat engines (their noDist8). Lanes holding it are skipped by the
-// argmin kernels and MinU8; it can never win a scan, because every
-// defined value is strictly smaller.
+// argmin kernels; it can never win a scan, because every defined value
+// is strictly smaller.
 const Undefined = 0xFF
 
 const (
@@ -253,42 +253,4 @@ func ArgminSumU8(rows [][]uint8, holder, mask []uint64, nz []int32, ceil uint32)
 		return -1, 0, false
 	}
 	return bestIdx, best, true
-}
-
-// MinU8 returns the smallest defined (≠ Undefined) value in xs and
-// the index of its first occurrence; ok=false when xs is empty or
-// holds only Undefined. Eight lanes are tested per step with the
-// borrow-trick filter; only words containing a new minimum pay the
-// scalar position-recovery scan.
-func MinU8(xs []uint8) (min uint8, idx int, ok bool) {
-	best := uint8(Undefined)
-	bestIdx := -1
-	i := 0
-	for ; i+8 <= len(xs); i += 8 {
-		v := le64(xs[i:])
-		if best <= 128 {
-			if hasLess(v, best) == 0 {
-				continue
-			}
-		} else if ^v == 0 {
-			continue
-		}
-		for lane := 0; lane < 8; lane++ {
-			if d := uint8(v >> (lane * 8)); d < best {
-				best, bestIdx = d, i+lane
-			}
-		}
-		if best == 0 {
-			return 0, bestIdx, true
-		}
-	}
-	for ; i < len(xs); i++ {
-		if d := xs[i]; d < best {
-			best, bestIdx = d, i
-		}
-	}
-	if bestIdx < 0 {
-		return 0, -1, false
-	}
-	return best, bestIdx, true
 }

@@ -69,19 +69,6 @@ func refArgmin(rows [][]uint8, holder, mask []uint64, sum bool, ceil uint32) (in
 	return bestIdx, best, bestIdx >= 0
 }
 
-func refMinU8(xs []uint8) (uint8, int, bool) {
-	best, idx := uint8(Undefined), -1
-	for i, d := range xs {
-		if d != Undefined && (idx < 0 || d < best) {
-			best, idx = d, i
-		}
-	}
-	if idx < 0 {
-		return 0, -1, false
-	}
-	return best, idx, true
-}
-
 // --- generators -------------------------------------------------------------
 
 // wordLists returns the two word lists the argmin kernels are driven
@@ -322,28 +309,6 @@ func TestArgminMaxU8AllUndefined(t *testing.T) {
 	}
 }
 
-func TestMinU8MatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	for _, n := range sizes() {
-		for trial := 0; trial < 8; trial++ {
-			row := randRow(rng, n)
-			gm, gi, gok := MinU8(row)
-			wm, wi, wok := refMinU8(row)
-			if gok != wok || gi != wi || (wok && gm != wm) {
-				t.Fatalf("n=%d: MinU8 got (%d,%d,%v) want (%d,%d,%v)", n, gm, gi, gok, wm, wi, wok)
-			}
-		}
-	}
-	// All-undefined and all-zero edges.
-	row := []uint8{Undefined, Undefined, Undefined}
-	if _, _, ok := MinU8(row); ok {
-		t.Fatal("all-undefined MinU8 must report ok=false")
-	}
-	if m, i, ok := MinU8(make([]uint8, 100)); !ok || m != 0 || i != 0 {
-		t.Fatalf("all-zero MinU8 = (%d,%d,%v), want (0,0,true)", m, i, ok)
-	}
-}
-
 // TestSWARHelpers pins the lane arithmetic exhaustively on single
 // lanes (all 256×256 byte pairs for max, all byte values × thresholds
 // for the borrow trick) and on the bit-spread table.
@@ -512,26 +477,6 @@ func BenchmarkArgminMaxU8Scalar(b *testing.B) {
 			}
 		}
 		sink += bestIdx
-	}
-	_ = sink
-}
-
-func BenchmarkMinU8(b *testing.B) {
-	row := benchRows(1)[0]
-	sink := 0
-	for i := 0; i < b.N; i++ {
-		_, idx, _ := MinU8(row)
-		sink += idx
-	}
-	_ = sink
-}
-
-func BenchmarkMinU8Scalar(b *testing.B) {
-	row := benchRows(1)[0]
-	sink := 0
-	for i := 0; i < b.N; i++ {
-		_, idx, _ := refMinU8(row)
-		sink += idx
 	}
 	_ = sink
 }

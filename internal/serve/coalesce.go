@@ -100,7 +100,11 @@ func (co *coalescer) solve(ctx context.Context, task skills.Task, opts team.Opti
 		// flag solves directly rather than opening a window nobody
 		// will ever flush.
 		co.mu.Unlock()
-		return co.s.solver.FormContext(ctx, task, opts)
+		tm := new(team.Team)
+		if err := co.s.solver.FormIntoContext(ctx, task, opts, tm); err != nil {
+			return nil, err
+		}
+		return tm, nil
 	}
 	w := co.windows[k]
 	if w == nil {
@@ -198,7 +202,10 @@ func (co *coalescer) run(k optsKey, w *window) {
 		// A window of one coalesced nothing: plain solve, no batch
 		// bookkeeping, not counted.
 		c := w.callers[0]
-		c.tm, c.err = co.s.solver.FormContext(bctx, c.task, opts)
+		tm := new(team.Team)
+		if c.err = co.s.solver.FormIntoContext(bctx, c.task, opts, tm); c.err == nil {
+			c.tm = tm
+		}
 		close(c.done)
 		return
 	}

@@ -101,7 +101,7 @@ func TestMutateEndpoint(t *testing.T) {
 	}
 	got := decodeTeam(t, body)
 	fresh := compat.MustNew(compat.NNE, rel.Graph(), compat.Options{})
-	want, err := team.Form(fresh, a, mustTask(t, a, "A", "B", "C"), team.Options{})
+	want, err := formOnce(fresh, a, mustTask(t, a, "A", "B", "C"), team.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,6 +48,17 @@ func matrixRel(t testing.TB, g *sgraph.Graph) compat.Relation {
 }
 
 // get performs one request against the server's handler.
+// formOnce is the direct reference solve the endpoints are compared
+// against: one formation on a single-use, single-worker solver.
+func formOnce(rel compat.Relation, a *skills.Assignment, task skills.Task, opts team.Options) (*team.Team, error) {
+	var tm team.Team
+	s := team.NewSolver(rel, a, team.SolverOptions{Workers: 1})
+	if err := s.FormIntoContext(context.Background(), task, opts, &tm); err != nil {
+		return nil, err
+	}
+	return &tm, nil
+}
+
 func get(t testing.TB, s *Server, path string) (*http.Response, []byte) {
 	t.Helper()
 	rec := httptest.NewRecorder()
@@ -122,7 +133,7 @@ func TestFormEndpoint(t *testing.T) {
 		t.Fatalf("no team in %s", body)
 	}
 	// The served result must equal a direct solve.
-	want, err := team.Form(matrixRel(t, g), a, skills.NewTask(0, 1, 2), team.Options{})
+	want, err := formOnce(matrixRel(t, g), a, skills.NewTask(0, 1, 2), team.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +222,7 @@ func TestFormConstraintsEndpoint(t *testing.T) {
 		t.Fatalf("status %d, body %s", res.StatusCode, body)
 	}
 	tr := decodeTeam(t, body)
-	want, err := team.Form(rel, a, skills.NewTask(0, 1, 2), team.Options{
+	want, err := formOnce(rel, a, skills.NewTask(0, 1, 2), team.Options{
 		Constraints: team.Constraints{MustExclude: []sgraph.NodeID{1}, MaxTeamSize: 4},
 	})
 	if err != nil {
@@ -278,7 +289,8 @@ func TestFormConstraintsEndpoint(t *testing.T) {
 
 // TestFormTopKDiverseParam: the lambda query parameter switches
 // /formtopk to diversity re-scoring, matching the direct
-// FormTopKDiverse call; garbage and negative lambdas are 400s.
+// FormTopKDiverseContext call; garbage, negative and infinite lambdas
+// are 400s.
 func TestFormTopKDiverseParam(t *testing.T) {
 	g, a := fixtureGraph(t)
 	rel := matrixRel(t, g)
@@ -288,6 +300,8 @@ func TestFormTopKDiverseParam(t *testing.T) {
 	for _, path := range []string{
 		"/formtopk?task=B,C&k=3&lambda=abc",
 		"/formtopk?task=B,C&k=3&lambda=-1",
+		"/formtopk?task=B,C&k=3&lambda=inf",
+		"/formtopk?task=B,C&k=3&lambda=+Inf",
 	} {
 		if res, body := get(t, s, path); res.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d (%s), want 400", path, res.StatusCode, body)
@@ -305,7 +319,7 @@ func TestFormTopKDiverseParam(t *testing.T) {
 	if err := json.Unmarshal(body, &out); err != nil {
 		t.Fatal(err)
 	}
-	want, err := team.NewSolver(rel, a, team.SolverOptions{}).FormTopKDiverse(skills.NewTask(1, 2), team.Options{}, 3, 0.5)
+	want, err := team.NewSolver(rel, a, team.SolverOptions{}).FormTopKDiverseContext(context.Background(), skills.NewTask(1, 2), team.Options{}, 3, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,7 +438,7 @@ func TestDeadline504(t *testing.T) {
 		t.Fatalf("post-abort status %d (%s), want 200", res.StatusCode, body)
 	}
 	tr := decodeTeam(t, body)
-	want, err := team.Form(base, a, skills.NewTask(0, 1, 2), team.Options{})
+	want, err := formOnce(base, a, skills.NewTask(0, 1, 2), team.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -473,7 +487,7 @@ func TestCoalescing(t *testing.T) {
 	}
 	wg.Wait()
 	for i, task := range []skills.Task{skills.NewTask(0, 1, 2), skills.NewTask(1, 2), skills.NewTask(0, 1, 2)} {
-		want, err := team.Form(rel, a, task, team.Options{})
+		want, err := formOnce(rel, a, task, team.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -460,7 +460,7 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	}
 	lambda := 0.0
 	if v := r.URL.Query().Get("lambda"); v != "" {
-		if lambda, err = strconv.ParseFloat(v, 64); err != nil || math.IsNaN(lambda) || lambda < 0 {
+		if lambda, err = strconv.ParseFloat(v, 64); err != nil || math.IsNaN(lambda) || math.IsInf(lambda, 0) || lambda < 0 {
 			writeJSON(w, http.StatusBadRequest, errorResult{Error: fmt.Sprintf("bad lambda %q (want a finite number >= 0)", v)})
 			return
 		}
@@ -473,12 +473,7 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 
 	snap := s.snapshot()
-	var teams []*team.Team
-	if lambda > 0 {
-		teams, err = s.solver.FormTopKDiverseContext(ctx, task, opts, k, lambda)
-	} else {
-		teams, err = s.solver.FormTopKContext(ctx, task, opts, k)
-	}
+	teams, err := s.solver.FormTopKDiverseContext(ctx, task, opts, k, lambda)
 	snap.Release()
 	if err != nil {
 		s.writeSolveError(w, err)

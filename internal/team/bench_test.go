@@ -1,6 +1,7 @@
 package team
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"runtime"
@@ -39,13 +40,13 @@ func BenchmarkPickMinDistancePacked(b *testing.B) {
 	b.Run("warm", func(b *testing.B) {
 		s := NewSolver(m, assign, SolverOptions{Workers: 1, PlanCache: 8})
 		var dst Team
-		if err := s.FormInto(task, opts, &dst); err != nil {
+		if err := s.FormIntoContext(context.Background(), task, opts, &dst); err != nil {
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := s.FormInto(task, opts, &dst); err != nil {
+			if err := s.FormIntoContext(context.Background(), task, opts, &dst); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -56,7 +57,7 @@ func BenchmarkPickMinDistancePacked(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := s.FormInto(task, opts, &dst); err != nil {
+			if err := s.FormIntoContext(context.Background(), task, opts, &dst); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -73,14 +74,14 @@ func BenchmarkPickMinDistancePacked(b *testing.B) {
 		}
 		var dst Team
 		for _, task := range zipfTasks { // grow dst.Members to the largest team
-			if err := zipfSolver.FormInto(task, zipfOpts, &dst); err != nil {
+			if err := zipfSolver.FormIntoContext(context.Background(), task, zipfOpts, &dst); err != nil {
 				b.Fatal(err)
 			}
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := zipfSolver.FormInto(zipfTasks[i%len(zipfTasks)], zipfOpts, &dst); err != nil {
+			if err := zipfSolver.FormIntoContext(context.Background(), zipfTasks[i%len(zipfTasks)], zipfOpts, &dst); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -122,7 +123,7 @@ func zipfPickFixture(b *testing.B, opts Options) (*Solver, []skills.Task) {
 		if len(task) < 5 {
 			continue // a repeated draw
 		}
-		switch err := s.FormInto(task, opts, &dst); {
+		switch err := s.FormIntoContext(context.Background(), task, opts, &dst); {
 		case err == nil:
 			tasks = append(tasks, task)
 		case !errors.Is(err, ErrNoTeam):
@@ -162,13 +163,13 @@ func BenchmarkConstrainedFormInto(b *testing.B) {
 	b.Run("warm", func(b *testing.B) {
 		s := NewSolver(m, assign, SolverOptions{Workers: 1, PlanCache: 8})
 		var dst Team
-		if err := s.FormInto(task, opts, &dst); err != nil {
+		if err := s.FormIntoContext(context.Background(), task, opts, &dst); err != nil {
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := s.FormInto(task, opts, &dst); err != nil {
+			if err := s.FormIntoContext(context.Background(), task, opts, &dst); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -179,7 +180,7 @@ func BenchmarkConstrainedFormInto(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := s.FormInto(task, opts, &dst); err != nil {
+			if err := s.FormIntoContext(context.Background(), task, opts, &dst); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -1,6 +1,7 @@
 package team
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -73,7 +74,7 @@ func TestBoundedSeedLoopMatchesFullGrowth(t *testing.T) {
 // s agree with the full-growth reference answer (want, wantErr).
 func checkBoundedSolver(t *testing.T, label string, s *Solver, task skills.Task, opts Options, want *Team, wantErr error) {
 	t.Helper()
-	got, gotErr := s.Form(task, opts)
+	got, gotErr := formNew(s, task, opts)
 	batchOpts := opts
 	batchOpts.Constraints = Constraints{}
 	batch, err := s.FormBatchSpecs([]TaskSpec{{Task: task, Constraints: opts.Constraints}}, batchOpts)
@@ -97,7 +98,7 @@ func checkBoundedSolver(t *testing.T, label string, s *Solver, task skills.Task,
 	}
 	var warm Team
 	for i := 0; i < 2; i++ { // the second call runs on warm buffers
-		if err := plan.FormInto(&warm); err != nil {
+		if err := plan.FormIntoContext(context.Background(), &warm); err != nil {
 			t.Fatalf("%s: FormInto: %v", label, err)
 		}
 	}
@@ -133,7 +134,7 @@ func TestBoundedSeedLoopRandomUserRng(t *testing.T) {
 
 					s := NewSolver(rel, assign, SolverOptions{Workers: 2})
 					formRng := rand.New(rand.NewSource(seed))
-					got, gotErr := s.Form(task, Options{User: RandomUser, Rng: formRng, Cost: ck, Constraints: cons})
+					got, gotErr := formNew(s, task, Options{User: RandomUser, Rng: formRng, Cost: ck, Constraints: cons})
 					if sameErrClass(t, label, wantErr, gotErr) {
 						sameTeam(t, label, want, got)
 					}

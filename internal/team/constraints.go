@@ -31,10 +31,10 @@ import (
 // a negative plan entry, epoch-keyed so a graph mutation retires it.
 var ErrInfeasible = fmt.Errorf("%w (infeasible constraints)", ErrNoTeam)
 
-// Constraints restricts which teams Form may return. The zero value is
-// unconstrained. Constraints are carried on Options, so every entry
-// point — Form, FormInto, FormTopK, FormTopKDiverse, FormBatch — and
-// every engine honours them, and the plan cache keys on them.
+// Constraints restricts which teams formation may return. The zero
+// value is unconstrained. Constraints are carried on Options, so every
+// entry point — FormIntoContext, the top-K calls, the batch calls —
+// and every engine honours them, and the plan cache keys on them.
 type Constraints struct {
 	// MustInclude lists users every returned team must contain. They
 	// join the team before the seed, cover the task positions their

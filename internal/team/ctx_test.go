@@ -59,14 +59,11 @@ func TestFormContextAlreadyCanceled(t *testing.T) {
 	s := NewSolver(rel, f.assign, SolverOptions{Workers: 1})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := s.FormContext(ctx, f.task, Options{}); !errors.Is(err, ErrCanceled) {
-		t.Fatalf("canceled ctx: got %v, want ErrCanceled", err)
-	} else if !errors.Is(err, context.Canceled) {
-		t.Fatalf("canceled ctx: %v must also wrap context.Canceled", err)
-	}
 	var tm Team
 	if err := s.FormIntoContext(ctx, f.task, Options{}, &tm); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("FormIntoContext: got %v, want ErrCanceled", err)
+	} else if !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled ctx: %v must also wrap context.Canceled", err)
 	}
 	if _, err := s.FormTopKContext(ctx, f.task, Options{}, 3); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("FormTopKContext: got %v, want ErrCanceled", err)
@@ -85,7 +82,8 @@ func TestFormContextExpiredDeadline(t *testing.T) {
 	s := NewSolver(rel, f.assign, SolverOptions{Workers: 1})
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	_, err := s.FormContext(ctx, f.task, Options{})
+	var tm Team
+	err := s.FormIntoContext(ctx, f.task, Options{}, &tm)
 	if !errors.Is(err, ErrDeadlineExceeded) {
 		t.Fatalf("expired deadline: got %v, want ErrDeadlineExceeded", err)
 	}
@@ -97,7 +95,7 @@ func TestFormContextExpiredDeadline(t *testing.T) {
 	}
 	// A Background solve on the same solver still works: the abort
 	// left scratch and plans intact.
-	if _, err := s.Form(f.task, Options{}); err != nil {
+	if _, err := formNew(s, f.task, Options{}); err != nil {
 		t.Fatalf("solve after deadline abort: %v", err)
 	}
 }
@@ -113,7 +111,8 @@ func TestCancelMidSolveDoesNotPoisonScratch(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		rel := &cancelAfterRel{Relation: base, after: after, fire: cancel}
 		s := NewSolver(rel, f.assign, SolverOptions{Workers: 1})
-		_, err := s.FormContext(ctx, f.task, Options{})
+		var tm Team
+		err := s.FormIntoContext(ctx, f.task, Options{}, &tm)
 		// Depending on where the cancel lands the solve may abort or
 		// (if it fired after the last seed check) still succeed; both
 		// are fine — what matters is the next request.
@@ -121,11 +120,11 @@ func TestCancelMidSolveDoesNotPoisonScratch(t *testing.T) {
 			t.Fatalf("after=%d: got %v, want ErrCanceled or success", after, err)
 		}
 		cancel()
-		want, err := Form(base, f.assign, f.task, Options{})
+		want, err := form(base, f.assign, f.task, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := s.Form(f.task, Options{})
+		got, err := formNew(s, f.task, Options{})
 		if err != nil {
 			t.Fatalf("after=%d: solve after mid-solve abort: %v", after, err)
 		}
@@ -220,7 +219,7 @@ func TestConcurrentCancelAndSolve(t *testing.T) {
 					}
 					cancel()
 				} else {
-					if _, err := s.Form(task, opts); err != nil && !errors.Is(err, ErrNoTeam) {
+					if _, err := formNew(s, task, opts); err != nil && !errors.Is(err, ErrNoTeam) {
 						t.Errorf("worker %d: %v", w, err)
 					}
 				}
@@ -253,7 +252,7 @@ func TestNegativePlanCache(t *testing.T) {
 	feasible := skills.NewTask(0, 1)
 
 	for round := 0; round < 3; round++ {
-		if _, err := s.Form(infeasible, Options{}); !errors.Is(err, ErrNoTeam) {
+		if _, err := formNew(s, infeasible, Options{}); !errors.Is(err, ErrNoTeam) {
 			t.Fatalf("round %d: got %v, want ErrNoTeam", round, err)
 		}
 	}
@@ -270,7 +269,7 @@ func TestNegativePlanCache(t *testing.T) {
 
 	// A permuted spelling of the same infeasible task hits the same
 	// negative entry (canonical keying applies to negatives too).
-	if _, err := s.Form(skills.Task{2, 0, 2}, Options{}); !errors.Is(err, ErrNoTeam) {
+	if _, err := formNew(s, skills.Task{2, 0, 2}, Options{}); !errors.Is(err, ErrNoTeam) {
 		t.Fatalf("permuted spelling: got %v, want ErrNoTeam", err)
 	}
 	if st := s.PlanCacheStats(); st.NegativeHits != 3 {
@@ -298,7 +297,7 @@ func TestNegativePlanCache(t *testing.T) {
 	aNeg.MustAdd(1, 1)
 	sNeg := NewSolver(nne(t, gNeg), aNeg, SolverOptions{Workers: 1, PlanCache: 4})
 	for round := 0; round < 2; round++ {
-		if _, err := sNeg.Form(skills.NewTask(0, 1), Options{}); !errors.Is(err, ErrNoTeam) {
+		if _, err := formNew(sNeg, skills.NewTask(0, 1), Options{}); !errors.Is(err, ErrNoTeam) {
 			t.Fatalf("round %d: got %v, want ErrNoTeam", round, err)
 		}
 	}
@@ -320,10 +319,10 @@ func TestNegativePlanCacheEvicts(t *testing.T) {
 	assign.MustAdd(1, 1)
 	// Skills C and D are holderless: two distinct infeasible tasks.
 	s := NewSolver(nne(t, g), assign, SolverOptions{Workers: 1, PlanCache: 1})
-	if _, err := s.Form(skills.NewTask(0, 2), Options{}); !errors.Is(err, ErrNoTeam) {
+	if _, err := formNew(s, skills.NewTask(0, 2), Options{}); !errors.Is(err, ErrNoTeam) {
 		t.Fatalf("got %v, want ErrNoTeam", err)
 	}
-	if _, err := s.Form(skills.NewTask(0, 3), Options{}); !errors.Is(err, ErrNoTeam) {
+	if _, err := formNew(s, skills.NewTask(0, 3), Options{}); !errors.Is(err, ErrNoTeam) {
 		t.Fatalf("got %v, want ErrNoTeam", err)
 	}
 	st := s.PlanCacheStats()

@@ -44,17 +44,17 @@
 //     member. The scratch also holds the plan-compilation buffers
 //     (ranking keys, degree accumulators, the pool bitset), so the
 //     cold plans of a batch compile without re-allocating. Warm
-//     TaskPlan.FormInto calls on packed engines therefore allocate
-//     nothing at any worker count — asserted by the CI alloc smoke at
-//     one and two workers.
+//     TaskPlan.FormIntoContext calls on packed engines therefore
+//     allocate nothing at any worker count — asserted by the CI alloc
+//     smoke at one and two workers.
 //   - SolverOptions.PlanCache adds the cross-request layer: an LRU of
 //     compiled plans keyed by the canonical task plus the options
 //     fingerprint, so a repeated task skips compilation entirely —
-//     Solver.FormInto on a cache hit is allocation-free end to end on
-//     packed engines, and Solver.PlanCacheStats reports hits, misses
-//     and evictions. Plan compilation is the dominant cost of a cold
+//     Solver.FormIntoContext on a cache hit is allocation-free end to
+//     end on packed engines, and Solver.PlanCacheStats reports hits,
+//     misses and evictions. Plan compilation is the dominant cost of a cold
 //     solve (on the lazy engine the LeastCompatibleFirst degree pass
-//     alone is ~80% of a Form call, see BenchmarkLazyFormDecomposed),
+//     alone is ~80% of a cold solve, see BenchmarkLazyFormDecomposed),
 //     which is exactly what the cache removes for repeated queries.
 //   - A single solve runs Algorithm 2's seed loop sequentially as a
 //     branch and bound: once a team is priced, each later seed is
@@ -68,7 +68,7 @@
 //     Solver.FormBatch's tasks and the top-K seed sweep, with
 //     deterministic merges, so results are identical at every worker
 //     count.
-//   - Team dedup in FormTopK hashes sorted member sets (64-bit FNV
+//   - Team dedup in top-K hashes sorted member sets (64-bit FNV
 //     with an exact check on collisions) instead of building string
 //     keys; the tie-break comparator reproduces the legacy decimal
 //     string order exactly.
@@ -84,19 +84,28 @@
 // required skill excluded, cap below the include count) returns
 // ErrInfeasible, which wraps ErrNoTeam and is cached as a negative
 // plan entry under the canonical constraint fingerprint. Warm
-// constrained FormInto solves on packed engines stay 0 allocs/op
-// (CI-asserted). FormTopKDiverse re-scores FormTopK's candidates by
-// cost + lambda·maxOverlap (maximum Jaccard similarity against the
-// teams already selected, computed word-parallel over member
-// bitsets); lambda = 0 reproduces FormTopK exactly. Both variants are
-// pinned bit-identical to brute-force reference oracles across every
-// engine, policy and worker count in solver_reference_test.go.
+// constrained FormIntoContext solves on packed engines stay 0
+// allocs/op (CI-asserted). FormTopKDiverseContext re-scores the top-K
+// candidate list by cost + lambda·maxOverlap (maximum Jaccard
+// similarity against the teams already selected, computed
+// word-parallel over member bitsets). It is the one top-K routine:
+// FormTopKContext is its lambda = 0 case, which keeps the cost order
+// and packs no member sets. Both are pinned bit-identical to
+// brute-force reference oracles across every engine, policy and
+// worker count in solver_reference_test.go.
 //
-// The package-level Form and FormTopK are thin wrappers over a
-// single-use, single-worker Solver and produce byte-identical results
-// to the pre-solver implementation (asserted against a naive reference
-// implementation across all policy/cost/engine combinations in
-// solver_test.go).
+// # Entry points
+//
+// Formation has one call per kind, on the Solver and, for compiled
+// plans, on the TaskPlan: FormIntoContext (one team, into a
+// caller-owned Team), FormTopKContext and FormTopKDiverseContext
+// (top-K lists), and on the Solver the batch calls FormBatch,
+// FormBatchContext and FormBatchSpecs. There are no package-level
+// one-shot wrappers: a one-shot solve builds a single-worker Solver
+// (the root package's FormTeam does exactly that). The results match
+// the pre-solver implementation byte for byte (asserted against a
+// naive reference implementation across all policy/cost/engine
+// combinations in solver_test.go).
 //
 // # Relation engines
 //

@@ -1,6 +1,7 @@
 package team
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -34,17 +35,18 @@ func ExampleSolver_constraints() {
 	s := NewSolver(rel, assign, SolverOptions{})
 	task := skills.NewTask(0, 1, 2)
 
-	tm, _ := s.Form(task, Options{Constraints: Constraints{
+	var tm Team
+	_ = s.FormIntoContext(context.Background(), task, Options{Constraints: Constraints{
 		MustExclude: []sgraph.NodeID{1}, // unavailable
 		MaxTeamSize: 4,
-	}})
+	}}, &tm)
 	fmt.Println(tm.Members, tm.Cost)
 
 	// Excluding both sql holders leaves the task uncoverable: the
 	// constraints, not the graph, forbid a team.
-	_, err := s.Form(task, Options{Constraints: Constraints{
+	err := s.FormIntoContext(context.Background(), task, Options{Constraints: Constraints{
 		MustExclude: []sgraph.NodeID{1, 2},
-	}})
+	}}, &tm)
 	fmt.Println(errors.Is(err, ErrInfeasible), errors.Is(err, ErrNoTeam))
 	// Output:
 	// [0 2 4] 2

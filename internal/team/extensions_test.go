@@ -43,7 +43,7 @@ func TestCostWithSumDistance(t *testing.T) {
 func TestFormWithSumDistanceCost(t *testing.T) {
 	f := newFixture(t)
 	rel := nne(t, f.g)
-	tm, err := Form(rel, f.assign, f.task, Options{Cost: SumDistance})
+	tm, err := form(rel, f.assign, f.task, Options{Cost: SumDistance})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,8 +69,8 @@ func TestSumDistancePolicySteersSelection(t *testing.T) {
 	// under both costs here, so instead make distances tie on max but
 	// differ on sum with a three-member team.
 	//
-	// Simpler: verify directly that Form(SumDistance) never reports a
-	// cost below Form(Diameter)'s team priced by sum.
+	// Simpler: verify directly that form(SumDistance) never reports a
+	// cost below form(Diameter)'s team priced by sum.
 	rng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 20; trial++ {
 		g, a, task := randomInstance(rng)
@@ -78,14 +78,14 @@ func TestSumDistancePolicySteersSelection(t *testing.T) {
 			continue
 		}
 		rel := compat.MustNew(compat.NNE, g, compat.Options{})
-		sumTeam, err := Form(rel, a, task, Options{Cost: SumDistance})
+		sumTeam, err := form(rel, a, task, Options{Cost: SumDistance})
 		if err != nil {
 			if errors.Is(err, ErrNoTeam) {
 				continue
 			}
 			t.Fatal(err)
 		}
-		diamTeam, err := Form(rel, a, task, Options{Cost: Diameter})
+		diamTeam, err := form(rel, a, task, Options{Cost: Diameter})
 		if err != nil {
 			t.Fatal(err) // sum found one, diameter must too
 		}
@@ -107,7 +107,7 @@ func TestFormTopKOnFixture(t *testing.T) {
 	// fewest holders ties broken by id). Seed 1 → {1,3} cost 2;
 	// seed 2 → {2,3} cost 1.
 	task := skills.NewTask(1, 2)
-	teams, err := FormTopK(rel, f.assign, task, Options{}, 5)
+	teams, err := formTopK(rel, f.assign, task, Options{}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestFormTopKOnFixture(t *testing.T) {
 		t.Fatalf("teams = %v / %v", teams[0].Members, teams[1].Members)
 	}
 	// k=1 truncates.
-	teams, err = FormTopK(rel, f.assign, task, Options{}, 1)
+	teams, err = formTopK(rel, f.assign, task, Options{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,10 +133,10 @@ func TestFormTopKOnFixture(t *testing.T) {
 func TestFormTopKValidation(t *testing.T) {
 	f := newFixture(t)
 	rel := nne(t, f.g)
-	if _, err := FormTopK(rel, f.assign, f.task, Options{}, 0); err == nil {
+	if _, err := formTopK(rel, f.assign, f.task, Options{}, 0); err == nil {
 		t.Fatal("k=0 accepted")
 	}
-	teams, err := FormTopK(rel, f.assign, skills.NewTask(), Options{}, 3)
+	teams, err := formTopK(rel, f.assign, skills.NewTask(), Options{}, 3)
 	if err != nil || len(teams) != 1 || len(teams[0].Members) != 0 {
 		t.Fatalf("empty task top-k: %v, %v", teams, err)
 	}
@@ -164,7 +164,7 @@ func TestFormTopKDeduplicates(t *testing.T) {
 	// B via 2? No — seed 0 covers A, next B → picks 2: {0,2}. Seed 1:
 	// {1,2}. Still distinct. True duplicates need seeds that are both
 	// absorbed; instead verify the dedupe key logic directly.
-	teams, err := FormTopK(compat.MustNew(compat.NNE, g, compat.Options{}), a, skills.NewTask(0, 1), Options{}, 5)
+	teams, err := formTopK(compat.MustNew(compat.NNE, g, compat.Options{}), a, skills.NewTask(0, 1), Options{}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,13 +256,13 @@ func TestGreedyIncompleteWitness(t *testing.T) {
 	}
 
 	// RarestFirst + MinDistance walks into the trap.
-	_, err = Form(rel, a, task, Options{Skill: RarestFirst, User: MinDistance})
+	_, err = form(rel, a, task, Options{Skill: RarestFirst, User: MinDistance})
 	if !errors.Is(err, ErrNoTeam) {
 		t.Fatalf("greedy MinDistance err = %v, want ErrNoTeam (the witness)", err)
 	}
 
 	// MostCompatible escapes it.
-	tm, err := Form(rel, a, task, Options{Skill: RarestFirst, User: MostCompatible})
+	tm, err := form(rel, a, task, Options{Skill: RarestFirst, User: MostCompatible})
 	if err != nil {
 		t.Fatalf("greedy MostCompatible failed too: %v", err)
 	}
@@ -282,17 +282,17 @@ func TestFormTopKFirstEqualsForm(t *testing.T) {
 			continue
 		}
 		rel := compat.MustNew(compat.SPO, g, compat.Options{})
-		best, err := Form(rel, a, task, Options{})
+		best, err := form(rel, a, task, Options{})
 		if err != nil {
 			if errors.Is(err, ErrNoTeam) {
-				if _, err := FormTopK(rel, a, task, Options{}, 3); !errors.Is(err, ErrNoTeam) {
+				if _, err := formTopK(rel, a, task, Options{}, 3); !errors.Is(err, ErrNoTeam) {
 					t.Fatalf("trial %d: Form failed but FormTopK did not", trial)
 				}
 				continue
 			}
 			t.Fatal(err)
 		}
-		teams, err := FormTopK(rel, a, task, Options{}, 3)
+		teams, err := formTopK(rel, a, task, Options{}, 3)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -42,9 +42,9 @@ func TestFormPackedMatchesLazy(t *testing.T) {
 				for _, up := range []UserPolicy{MinDistance, MostCompatible} {
 					for _, ck := range []CostKind{Diameter, SumDistance} {
 						opts := Options{Skill: sp, User: up, Cost: ck}
-						want, wantErr := Form(lazy, assign, task, opts)
+						want, wantErr := form(lazy, assign, task, opts)
 						for engine, rel := range packed {
-							got, gotErr := Form(rel, assign, task, opts)
+							got, gotErr := form(rel, assign, task, opts)
 							if (wantErr == nil) != (gotErr == nil) {
 								t.Fatalf("trial %d %v %v/%v/%v: lazy err=%v %s err=%v",
 									trial, k, sp, up, ck, wantErr, engine, gotErr)
@@ -98,8 +98,8 @@ func TestFormOnOpenedMatrix(t *testing.T) {
 			t.Fatal(err)
 		}
 		opts := Options{Skill: LeastCompatibleFirst, User: MinDistance}
-		t1, err1 := Form(live, d.Assign, task, opts)
-		t2, err2 := Form(opened, d.Assign, task, opts)
+		t1, err1 := form(live, d.Assign, task, opts)
+		t2, err2 := form(opened, d.Assign, task, opts)
 		if errors.Is(err1, ErrNoTeam) != errors.Is(err2, ErrNoTeam) {
 			t.Fatalf("task %d: feasibility differs: %v vs %v", i, err1, err2)
 		}

@@ -9,6 +9,7 @@
 package team
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"sync"
@@ -65,7 +66,7 @@ func TestPlanCacheEpochInvalidation(t *testing.T) {
 		plain := NewSolver(rel, assign, SolverOptions{Workers: 1})
 		cached := NewSolver(rel, assign, SolverOptions{Workers: 1, PlanCache: 8})
 		solve := func(s *Solver) (*Team, error) {
-			tm, err := s.Form(task, opts)
+			tm, err := formNew(s, task, opts)
 			if err != nil && !errors.Is(err, ErrNoTeam) {
 				t.Fatalf("%s: %v", name, err)
 			}
@@ -127,7 +128,7 @@ func TestPlanCacheNegativeEntryEpochKeying(t *testing.T) {
 	task := skills.NewTask(0, 2)
 	mustNoTeam := func(stage string) {
 		t.Helper()
-		if _, err := s.Form(task, Options{}); !errors.Is(err, ErrNoTeam) {
+		if _, err := formNew(s, task, Options{}); !errors.Is(err, ErrNoTeam) {
 			t.Fatalf("%s: err = %v, want ErrNoTeam", stage, err)
 		}
 	}
@@ -213,8 +214,8 @@ func TestSolverMutationOracle(t *testing.T) {
 			}
 		}
 		// Single-task Form must agree too (separate plan path).
-		wantOne, errW := oracle.Form(tasks[0], opts)
-		gotOne, errG := cached.Form(tasks[0], opts)
+		wantOne, errW := formNew(oracle, tasks[0], opts)
+		gotOne, errG := formNew(cached, tasks[0], opts)
 		if (errW == nil) != (errG == nil) {
 			t.Fatalf("step %d: Form err diverged: oracle %v, cached %v", step, errW, errG)
 		}
@@ -250,7 +251,7 @@ func TestConstrainedInfeasibleStubEpochKeying(t *testing.T) {
 	opts := Options{Constraints: Constraints{MustExclude: []sgraph.NodeID{0, 1}}}
 	mustInfeasible := func(stage string) {
 		t.Helper()
-		if _, err := s.Form(task, opts); !errors.Is(err, ErrInfeasible) {
+		if _, err := formNew(s, task, opts); !errors.Is(err, ErrInfeasible) {
 			t.Fatalf("%s: err = %v, want ErrInfeasible", stage, err)
 		}
 	}
@@ -330,8 +331,8 @@ func TestConstrainedSolverMutationOracle(t *testing.T) {
 		// The diverse objective must track mutations too (its own plan
 		// key, its own cached plans).
 		dOpts := Options{Constraints: specs[0].Constraints}
-		wantD, errW := oracle.FormTopKDiverse(specs[0].Task, dOpts, 3, 1.25)
-		gotD, errG := cached.FormTopKDiverse(specs[0].Task, dOpts, 3, 1.25)
+		wantD, errW := oracle.FormTopKDiverseContext(context.Background(), specs[0].Task, dOpts, 3, 1.25)
+		gotD, errG := cached.FormTopKDiverseContext(context.Background(), specs[0].Task, dOpts, 3, 1.25)
 		if (errW == nil) != (errG == nil) {
 			t.Fatalf("step %d: diverse err diverged: oracle %v, cached %v", step, errW, errG)
 		}

@@ -76,7 +76,7 @@ func TestGreedyAgainstExactOracle(t *testing.T) {
 				t.Fatalf("trial %d %v: exact: %v", trial, kind, exactErr)
 			}
 			for _, opts := range combos {
-				greedy, err := Form(rel, a, task, opts)
+				greedy, err := form(rel, a, task, opts)
 				if err != nil {
 					if errors.Is(err, ErrNoTeam) {
 						continue
@@ -112,7 +112,7 @@ func TestRandomPolicyValidity(t *testing.T) {
 			continue
 		}
 		rel := compat.MustNew(compat.SPO, g, compat.Options{})
-		tm, err := Form(rel, a, task, Options{User: RandomUser, Rng: rng})
+		tm, err := form(rel, a, task, Options{User: RandomUser, Rng: rng})
 		if err != nil {
 			if errors.Is(err, ErrNoTeam) {
 				continue

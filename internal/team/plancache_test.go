@@ -1,6 +1,7 @@
 package team
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"sync"
@@ -41,8 +42,8 @@ func TestPlanCacheServesIdenticalResults(t *testing.T) {
 					solvable := 0
 					for round := 0; round < rounds; round++ {
 						for _, task := range tasks {
-							want, wantErr := plain.Form(task, opts)
-							got, gotErr := cached.Form(task, opts)
+							want, wantErr := formNew(plain, task, opts)
+							got, gotErr := formNew(cached, task, opts)
 							if (wantErr == nil) != (gotErr == nil) {
 								t.Fatalf("%s: plain err=%v cached err=%v", engine, wantErr, gotErr)
 							}
@@ -86,14 +87,14 @@ func TestPlanCacheCanonicalKeying(t *testing.T) {
 	rel := nne(t, f.g)
 	s := NewSolver(rel, f.assign, SolverOptions{Workers: 1, PlanCache: 4})
 	base := Options{Skill: LeastCompatibleFirst, User: MinDistance}
-	if _, err := s.Form(skills.NewTask(0, 1, 2), base); err != nil {
+	if _, err := formNew(s, skills.NewTask(0, 1, 2), base); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.PlanCacheStats(); got.Misses != 1 || got.Hits != 0 {
 		t.Fatalf("after first solve: %+v", got)
 	}
 	// Same key, scrambled and duplicated input: a hit.
-	if _, err := s.Form(skills.Task{2, 0, 1, 0, 2}, base); err != nil {
+	if _, err := formNew(s, skills.Task{2, 0, 1, 0, 2}, base); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.PlanCacheStats(); got.Misses != 1 || got.Hits != 1 {
@@ -107,7 +108,7 @@ func TestPlanCacheCanonicalKeying(t *testing.T) {
 		{Skill: LeastCompatibleFirst, User: MinDistance, MaxSeeds: 1},
 	}
 	for i, opts := range variants {
-		if _, err := s.Form(skills.NewTask(0, 1, 2), opts); err != nil {
+		if _, err := formNew(s, skills.NewTask(0, 1, 2), opts); err != nil {
 			t.Fatal(err)
 		}
 		if got := s.PlanCacheStats(); got.Misses != int64(2+i) {
@@ -130,7 +131,7 @@ func TestPlanCacheEviction(t *testing.T) {
 	plain := NewSolver(rel, f.assign, SolverOptions{Workers: 1})
 	want := make([]*Team, len(tasks))
 	for i, task := range tasks {
-		tm, err := plain.Form(task, Options{})
+		tm, err := formNew(plain, task, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,7 +140,7 @@ func TestPlanCacheEviction(t *testing.T) {
 	s := NewSolver(rel, f.assign, SolverOptions{Workers: 1, PlanCache: 2})
 	for round := 0; round < 4; round++ {
 		for i, task := range tasks {
-			got, err := s.Form(task, Options{})
+			got, err := formNew(s, task, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -161,7 +162,7 @@ func TestPlanCacheEviction(t *testing.T) {
 	}
 	// An LRU-friendly access pattern on the same solver still hits.
 	for i := 0; i < 3; i++ {
-		if _, err := s.Form(tasks[0], Options{}); err != nil {
+		if _, err := formNew(s, tasks[0], Options{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -177,11 +178,11 @@ func TestPlanCacheRandomUserBypass(t *testing.T) {
 	f := newFixture(t)
 	rel := nne(t, f.g)
 	s := NewSolver(rel, f.assign, SolverOptions{Workers: 1, PlanCache: 4})
-	want, err := Form(rel, f.assign, f.task, Options{User: RandomUser, Rng: rand.New(rand.NewSource(7))})
+	want, err := form(rel, f.assign, f.task, Options{User: RandomUser, Rng: rand.New(rand.NewSource(7))})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.Form(f.task, Options{User: RandomUser, Rng: rand.New(rand.NewSource(7))})
+	got, err := formNew(s, f.task, Options{User: RandomUser, Rng: rand.New(rand.NewSource(7))})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +215,7 @@ func TestPlanCacheConcurrentMixed(t *testing.T) {
 	plain := NewSolver(rel, assign, SolverOptions{Workers: 1})
 	want := make([]*Team, len(tasks))
 	for i, task := range tasks {
-		tm, err := plain.Form(task, opts)
+		tm, err := formNew(plain, task, opts)
 		if err != nil && !errors.Is(err, ErrNoTeam) {
 			t.Fatal(err)
 		}
@@ -239,9 +240,9 @@ func TestPlanCacheConcurrentMixed(t *testing.T) {
 					err error
 				)
 				if iter%2 == 0 {
-					got, err = s.Form(tasks[i], opts)
+					got, err = formNew(s, tasks[i], opts)
 				} else {
-					err = s.FormInto(tasks[i], opts, &tm)
+					err = s.FormIntoContext(context.Background(), tasks[i], opts, &tm)
 					got = &tm
 				}
 				if err != nil {
@@ -302,14 +303,14 @@ func TestPlanCacheWarmHitDoesNotAllocate(t *testing.T) {
 		{Skill: RarestFirst, User: MostCompatible},
 	} {
 		var tm Team
-		if err := s.FormInto(task, opts, &tm); err != nil {
+		if err := s.FormIntoContext(context.Background(), task, opts, &tm); err != nil {
 			if errors.Is(err, ErrNoTeam) {
 				continue
 			}
 			t.Fatal(err)
 		}
 		allocs := testing.AllocsPerRun(50, func() {
-			if err := s.FormInto(task, opts, &tm); err != nil {
+			if err := s.FormIntoContext(context.Background(), task, opts, &tm); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -350,7 +351,7 @@ func TestPickMinDistanceMatchesPairwise(t *testing.T) {
 						label := engine + "/" + sp.String() + "/" + ck.String()
 						want, wantErr := referenceForm(rel, assign, task, opts)
 						s := NewSolver(rel, assign, SolverOptions{Workers: 1})
-						got, gotErr := s.Form(task, opts)
+						got, gotErr := formNew(s, task, opts)
 						if (wantErr == nil) != (gotErr == nil) {
 							t.Fatalf("%s: oracle err=%v solver err=%v", label, wantErr, gotErr)
 						}

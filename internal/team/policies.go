@@ -1,6 +1,6 @@
 // Plan-time policy helpers: the task-scoped skill compatibility
-// degrees behind the LeastCompatibleFirst ranking and the candidate
-// pool behind the MostCompatible degrees. The per-solve policy logic
+// degrees behind the LeastCompatibleFirst ranking and their
+// epoch-keyed pair memo. The per-solve policy logic
 // (skill selection, candidate filtering, user picking) lives in the
 // solver's TaskPlan/scratch machinery in solver.go.
 
@@ -8,51 +8,26 @@ package team
 
 import (
 	"math"
-	"sort"
 	"sync/atomic"
 
 	"repro/internal/compat"
 	"repro/internal/container"
-	"repro/internal/sgraph"
 	"repro/internal/skills"
 )
 
-// SkillCompatDegrees computes the task-scoped compatibility degree
-// cd(s) = Σ_{s'∈task, s'≠s} cd(s,s') for every task skill, where
-// cd(s,s') counts compatible holder pairs (a single user holding both
-// skills counts, by reflexivity). The paper defines cd over the whole
-// universe; scoping to the task preserves the ranking the policy needs
-// while keeping the cost proportional to the task's holder sets.
-func SkillCompatDegrees(rel compat.Relation, assign *skills.Assignment, task skills.Task) (map[skills.SkillID]int64, error) {
-	deg := make(map[skills.SkillID]int64, len(task))
-	if len(task) == 0 {
-		return deg, nil
-	}
-	byPos := make([]int64, len(task))
-	if err := skillCompatDegreesInto(rel, assign, task, byPos); err != nil {
-		return nil, err
-	}
-	for i, s := range task {
-		deg[s] = byPos[i]
-	}
-	return deg, nil
-}
-
-// skillCompatDegreesInto writes cd(task[i]) into deg[i] — the
-// map-free form SkillCompatDegrees uses (the map assigns were
-// measurable in batch profiles).
-func skillCompatDegreesInto(rel compat.Relation, assign *skills.Assignment, task skills.Task, deg []int64) error {
-	_, err := skillCompatDegreesScratch(rel, assign, task, deg, nil, nil, 0)
-	return err
-}
-
-// skillCompatDegreesScratch is skillCompatDegreesInto with a reusable
+// skillCompatDegreesScratch computes the task-scoped compatibility
+// degree cd(s) = Σ_{s'∈task, s'≠s} cd(s,s') of every task skill into
+// deg (deg[i] for task[i]), where cd(s,s') counts compatible holder
+// pairs (a single user holding both skills counts, by reflexivity).
+// The paper defines cd over the whole universe; scoping to the task
+// preserves the ranking the policy needs while keeping the cost
+// proportional to the task's holder sets. holderBuf is a reusable
 // holder-word buffer (the solver's plan compilation passes its
 // per-worker buffer in, and keeps the possibly grown slice it gets
 // back, so batches of cold plans allocate no degree scratch per task)
-// and an optional epoch-keyed pair memo (nil skips memoisation): the
-// pairwise degrees depend only on the relation and assignment, so a
-// solver serving many tasks computes each pair it encounters once.
+// and memo an optional epoch-keyed pair memo (nil skips memoisation):
+// the pairwise degrees depend only on the relation and assignment, so
+// a solver serving many tasks computes each pair it encounters once.
 func skillCompatDegreesScratch(rel compat.Relation, assign *skills.Assignment, task skills.Task, deg []int64, holderBuf [][]uint64, memo *pairDegreeMemo, epoch uint64) ([][]uint64, error) {
 	for i := range deg {
 		deg[i] = 0
@@ -263,20 +238,4 @@ func skillPairDegree(rel compat.Relation, assign *skills.Assignment, s1, s2 skil
 		}
 	}
 	return cd, nil
-}
-
-// taskPool returns the distinct holders of any task skill, sorted.
-func taskPool(assign *skills.Assignment, task skills.Task) []sgraph.NodeID {
-	seen := map[sgraph.NodeID]bool{}
-	var pool []sgraph.NodeID
-	for _, s := range task {
-		for _, u := range assign.Holders(s) {
-			if !seen[u] {
-				seen[u] = true
-				pool = append(pool, u)
-			}
-		}
-	}
-	sort.Slice(pool, func(i, j int) bool { return pool[i] < pool[j] })
-	return pool
 }

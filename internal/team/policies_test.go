@@ -288,7 +288,7 @@ func TestSolverPairMemoStaysCorrectAcrossMutations(t *testing.T) {
 	warm := NewSolver(rel, assign, SolverOptions{Workers: 1})
 	for step := 0; step < 6; step++ {
 		// Warm the memo at the current epoch, then mutate.
-		if _, err := warm.Form(task, opts); err != nil && !errors.Is(err, ErrNoTeam) {
+		if _, err := formNew(warm, task, opts); err != nil && !errors.Is(err, ErrNoTeam) {
 			t.Fatalf("step %d warmup: %v", step, err)
 		}
 		e := teamGraphEdges(rel.Graph())[step%len(teamGraphEdges(rel.Graph()))]
@@ -296,8 +296,8 @@ func TestSolverPairMemoStaysCorrectAcrossMutations(t *testing.T) {
 			t.Fatalf("step %d: flip: %v", step, err)
 		}
 		fresh := NewSolver(rel, assign, SolverOptions{Workers: 1})
-		want, wantErr := fresh.Form(task, opts)
-		got, gotErr := warm.Form(task, opts)
+		want, wantErr := formNew(fresh, task, opts)
+		got, gotErr := formNew(warm, task, opts)
 		if (wantErr == nil) != (gotErr == nil) {
 			t.Fatalf("step %d: fresh err=%v warm err=%v", step, wantErr, gotErr)
 		}

@@ -38,11 +38,12 @@ import (
 type SolverOptions struct {
 	// Workers bounds the solver's parallelism: the task loop of
 	// FormBatch and the seed sweep of the top-K entry points. A single
-	// Form runs its bounded seed loop on one goroutine at every worker
-	// count. ≤0 uses GOMAXPROCS; 1 solves strictly sequentially.
-	// Results are identical at every worker count (merges are
-	// deterministic); the RandomUser policy always runs sequentially so
-	// a shared Options.Rng is consumed in the legacy order.
+	// FormIntoContext runs its bounded seed loop on one goroutine at
+	// every worker count. ≤0 uses GOMAXPROCS; 1 solves strictly
+	// sequentially. Results are identical at every worker count
+	// (merges are deterministic); the RandomUser policy always runs
+	// sequentially so a shared Options.Rng is consumed in the legacy
+	// order.
 	Workers int
 	// PlanCache, when positive, keeps up to that many compiled plans
 	// in a per-solver LRU keyed by the canonical task and the options
@@ -61,7 +62,7 @@ type SolverOptions struct {
 
 // Solver answers repeated team-formation queries over one fixed
 // (relation, assignment) pair. It exists for serving workloads: where
-// the package-level Form pays per-call setup — policy ranking, pool
+// a one-shot formation pays per-call setup — policy ranking, pool
 // degrees, coverage maps — a Solver compiles that setup into a
 // TaskPlan once and reuses per-worker scratch across calls, so warm
 // solves on packed engines are allocation-free and batches run across
@@ -138,42 +139,21 @@ func (s *Solver) PlanCacheStats() PlanCacheStats {
 	return s.plans.stats()
 }
 
-// Form compiles a plan for task and solves it: Algorithm 2 with the
-// plan's policies, its seeds tried in order on one goroutine, each
-// abandoned once it cannot beat the best team so far. Identical to the
-// package-level Form. With a plan cache enabled, repeated tasks reuse
-// the cached plan.
-func (s *Solver) Form(task skills.Task, opts Options) (*Team, error) {
-	return s.FormContext(context.Background(), task, opts)
-}
-
-// FormContext is Form bounded by ctx: the solve checks the context
-// cooperatively — once per seed (and per worker-pool item) — and
-// aborts with ErrDeadlineExceeded or ErrCanceled when it fires. An
-// abort leaves the solver fully reusable: scratch is pooled as usual
-// and cached plans are unaffected.
-func (s *Solver) FormContext(ctx context.Context, task skills.Task, opts Options) (*Team, error) {
-	var tm Team
-	if err := s.FormIntoContext(ctx, task, opts, &tm); err != nil {
-		return nil, err
-	}
-	return &tm, nil
-}
-
-// FormInto is Form solving into a caller-owned Team, reusing
-// dst.Members' backing array — the zero-allocation serving entry
-// point: on a packed engine, a warm call whose plan is served from the
-// cache performs no allocations at all, at any worker count (the CI
-// alloc smoke asserts this via BenchmarkPlanCacheServe).
+// FormIntoContext compiles a plan for task and solves it into dst,
+// reusing dst.Members' backing array: Algorithm 2 with the plan's
+// policies, its seeds tried in order on one goroutine, each abandoned
+// once it cannot beat the best team so far. With a plan cache enabled,
+// repeated tasks reuse the cached plan. This is the zero-allocation
+// serving entry point: on a packed engine, a warm call whose plan is
+// served from the cache performs no allocations at all, at any worker
+// count (the CI alloc smoke asserts this via BenchmarkPlanCacheServe).
 //
-//tfsn:noalloc
-func (s *Solver) FormInto(task skills.Task, opts Options, dst *Team) error {
-	return s.FormIntoContext(context.Background(), task, opts, dst)
-}
-
-// FormIntoContext is FormInto bounded by ctx (see FormContext). The
-// context check is one Err call per seed, so a warm cache hit under
-// context.Background stays on the zero-allocation path.
+// The solve checks ctx cooperatively — one Err call per seed (and per
+// worker-pool item), so a warm cache hit under context.Background
+// stays allocation-free — and aborts with ErrDeadlineExceeded or
+// ErrCanceled when it fires. An abort leaves the solver fully
+// reusable: scratch is pooled as usual and cached plans are
+// unaffected.
 //
 //tfsn:noalloc
 func (s *Solver) FormIntoContext(ctx context.Context, task skills.Task, opts Options, dst *Team) error {
@@ -184,35 +164,30 @@ func (s *Solver) FormIntoContext(ctx context.Context, task skills.Task, opts Opt
 	return p.FormIntoContext(ctx, dst)
 }
 
-// FormTopK compiles a plan and returns up to k distinct teams in
-// increasing cost order. Identical to the package-level FormTopK,
-// including the aggregate SeedsTried/SeedsSucceeded stamping (see
-// that function's doc).
-func (s *Solver) FormTopK(task skills.Task, opts Options, k int) ([]*Team, error) {
-	return s.FormTopKContext(context.Background(), task, opts, k)
-}
-
-// FormTopKContext is FormTopK bounded by ctx (see FormContext).
+// FormTopKContext compiles a plan and returns up to k distinct teams
+// in increasing cost order (ties broken by member set) — the top-k
+// variant in the spirit of Kargar & An (CIKM 2011), which falls out of
+// Algorithm 2's candidate list L. It is FormTopKDiverseContext at
+// lambda = 0, which keeps the cost order and packs no member sets.
+// SeedsTried and SeedsSucceeded on the returned teams are aggregates
+// of the whole search, not per-team telemetry: every returned team
+// carries the same totals — how many seeds Algorithm 2 tried and how
+// many of them grew into a (not necessarily distinct) priced team —
+// even after the list is deduplicated and sliced to k. It returns
+// ErrNoTeam when no seed produces a team.
 func (s *Solver) FormTopKContext(ctx context.Context, task skills.Task, opts Options, k int) ([]*Team, error) {
-	if k <= 0 {
-		return nil, fmt.Errorf("team: FormTopK k = %d, want > 0", k)
-	}
-	p, err := s.planFor(ctx, task, opts, nil)
-	if err != nil {
-		return nil, err
-	}
-	return p.FormTopKContext(ctx, k)
+	return s.FormTopKDiverseContext(ctx, task, opts, k, 0)
 }
 
 // FormBatch forms one team per task, amortising the solver's scratch
 // across the slice and running tasks across the worker pool (each
 // worker solves whole tasks with its own scratch, so per-task results
-// are identical to Form at any worker count). teams[i] is nil when no
-// compatible team exists for tasks[i] (Form's ErrNoTeam); any other
-// error aborts the batch, reporting the lowest-indexed failure. The
-// RandomUser policy runs the batch sequentially so the shared
-// Options.Rng is consumed in task order, exactly as a sequential Form
-// loop would.
+// are identical to FormIntoContext at any worker count). teams[i] is
+// nil when no compatible team exists for tasks[i] (ErrNoTeam); any
+// other error aborts the batch, reporting the lowest-indexed failure.
+// The RandomUser policy runs the batch sequentially so the shared
+// Options.Rng is consumed in task order, exactly as a sequential
+// FormIntoContext loop would.
 func (s *Solver) FormBatch(tasks []skills.Task, opts Options) ([]*Team, error) {
 	return s.FormBatchContext(context.Background(), tasks, opts)
 }
@@ -247,13 +222,7 @@ type TaskSpec struct {
 // matches FormBatch; each spec's Constraints replaces opts.Constraints
 // for that task.
 func (s *Solver) FormBatchSpecs(specs []TaskSpec, opts Options) ([]*Team, error) {
-	return s.FormBatchSpecsContext(context.Background(), specs, opts)
-}
-
-// FormBatchSpecsContext is FormBatchSpecs bounded by ctx (see
-// FormBatchContext).
-func (s *Solver) FormBatchSpecsContext(ctx context.Context, specs []TaskSpec, opts Options) ([]*Team, error) {
-	return s.formBatch(ctx, len(specs), opts, func(i int) (skills.Task, Options) {
+	return s.formBatch(context.Background(), len(specs), opts, func(i int) (skills.Task, Options) {
 		o := opts
 		o.Constraints = specs[i].Constraints
 		return specs[i].Task, o
@@ -261,7 +230,7 @@ func (s *Solver) FormBatchSpecsContext(ctx context.Context, specs []TaskSpec, op
 }
 
 // formBatch is the one batch implementation behind FormBatchContext
-// and FormBatchSpecsContext: at(i) yields task i with its per-task
+// and FormBatchSpecs: at(i) yields task i with its per-task
 // options (the batch options with, possibly, per-spec constraints).
 //
 //tfsn:ctxpoll
@@ -330,7 +299,7 @@ func (s *Solver) formOne(ctx context.Context, sc *scratch, task skills.Task, opt
 // — for the MostCompatible policy — the task's candidate pool with its
 // precomputed compatibility degrees. Build it once with Solver.Plan
 // and solve it repeatedly; every solve reuses per-worker scratch, so
-// warm FormInto calls on packed engines do not allocate. A plan is
+// warm FormIntoContext calls on packed engines do not allocate. A plan is
 // safe for concurrent use except under the RandomUser policy, whose
 // shared Options.Rng serialises solves.
 type TaskPlan struct {
@@ -382,8 +351,8 @@ func (s *Solver) Plan(task skills.Task, opts Options) (*TaskPlan, error) {
 	return s.planFor(context.Background(), task, opts, nil)
 }
 
-// planFor is the cache-aware plan entry point behind Plan, Form,
-// FormTopK and the batch loop: a cache hit returns the shared compiled
+// planFor is the cache-aware plan entry point behind Plan, the
+// formation entry points and the batch loop: a cache hit returns the shared compiled
 // plan without touching the scratch pool, a miss compiles through
 // planWith and publishes the result. RandomUser plans bypass the cache
 // entirely (their solves consume the caller's Rng, so sharing one
@@ -593,12 +562,6 @@ func (s *Solver) planWith(ctx context.Context, task skills.Task, opts Options, s
 	return p, nil
 }
 
-// Task returns the plan's (canonical) task.
-func (p *TaskPlan) Task() skills.Task { return p.task }
-
-// NumSeeds returns how many seeds Algorithm 2 will try.
-func (p *TaskPlan) NumSeeds() int { return len(p.seeds) }
-
 // rankedSkill pairs a task skill (and its task position) with its
 // policy ranking key.
 type rankedSkill struct {
@@ -657,9 +620,9 @@ func (p *TaskPlan) rankSkills(sc *scratch) error {
 // pool, the number of other pool members it is compatible with — the
 // MostCompatible policy's ranking — using one AND/popcount per member
 // on packed engines. The pool membership bitset is sc's reusable
-// compile buffer: it first dedups the holder union (replacing the
-// map-based taskPool in the compile path), then doubles as the
-// AND/popcount mask.
+// compile buffer: it first dedups the holder union (the map-free form
+// of the tests' taskPool reference), then doubles as the AND/popcount
+// mask.
 func (p *TaskPlan) buildPoolDegrees(sc *scratch) error {
 	m := p.s.packed
 	if sc.planPool == nil {
@@ -1177,21 +1140,15 @@ func (p *TaskPlan) pickMinDistance(sc *scratch, budget int32) (sgraph.NodeID, in
 // ---------------------------------------------------------------------------
 // Solving a plan.
 
-// FormInto solves the plan into dst, reusing dst.Members' backing
-// array — the warm path for serving repeated queries. Seeds are tried
-// in order by formSeq's bounded loop on the calling goroutine, at
-// every worker count, so the result and the allocation profile do not
-// depend on the solver's workers: on a packed engine, warm calls are
-// allocation-free. It returns ErrNoTeam when every seed fails.
-//
-//tfsn:noalloc
-func (p *TaskPlan) FormInto(dst *Team) error {
-	return p.FormIntoContext(context.Background(), dst)
-}
-
-// FormIntoContext is FormInto bounded by ctx: the seed loop checks the
-// context once per seed and aborts with ErrDeadlineExceeded or
-// ErrCanceled, leaving scratch pooled and reusable.
+// FormIntoContext solves the plan into dst, reusing dst.Members'
+// backing array — the warm path for serving repeated queries. Seeds
+// are tried in order by formSeq's bounded loop on the calling
+// goroutine, at every worker count, so the result and the allocation
+// profile do not depend on the solver's workers: on a packed engine,
+// warm calls are allocation-free. The seed loop checks ctx once per
+// seed and aborts with ErrDeadlineExceeded or ErrCanceled, leaving
+// scratch pooled and reusable. It returns ErrNoTeam when every seed
+// fails.
 //
 //tfsn:noalloc
 func (p *TaskPlan) FormIntoContext(ctx context.Context, dst *Team) error {
@@ -1202,15 +1159,6 @@ func (p *TaskPlan) FormIntoContext(ctx context.Context, dst *Team) error {
 	sc := p.s.getScratch()
 	defer p.s.putScratch(sc)
 	return p.formSeq(ctx, sc, dst)
-}
-
-// Form solves the plan into a fresh Team.
-func (p *TaskPlan) Form() (*Team, error) {
-	var tm Team
-	if err := p.FormInto(&tm); err != nil {
-		return nil, err
-	}
-	return &tm, nil
 }
 
 // formSeq is the one solve loop: Algorithm 2's outer loop on one
@@ -1267,35 +1215,11 @@ func (p *TaskPlan) formSeq(ctx context.Context, sc *scratch, dst *Team) error {
 	return nil
 }
 
-// FormTopK solves the plan and returns up to k distinct teams in
-// increasing cost order (the same aggregate telemetry stamping as the
-// package-level FormTopK).
-func (p *TaskPlan) FormTopK(k int) ([]*Team, error) {
-	return p.FormTopKContext(context.Background(), k)
-}
-
-// FormTopKContext is FormTopK bounded by ctx (one context check per
-// seed, like FormIntoContext).
+// FormTopKContext solves the plan and returns up to k distinct teams
+// in increasing cost order: FormTopKDiverseContext at lambda = 0 (see
+// Solver.FormTopKContext).
 func (p *TaskPlan) FormTopKContext(ctx context.Context, k int) ([]*Team, error) {
-	if k <= 0 {
-		return nil, fmt.Errorf("team: FormTopK k = %d, want > 0", k)
-	}
-	if p.empty {
-		return []*Team{{Members: nil, Cost: 0}}, nil
-	}
-	distinct, _, succeeded, err := p.rankedTeams(ctx)
-	if err != nil {
-		return nil, err
-	}
-	if len(distinct) > k {
-		distinct = distinct[:k]
-	}
-	//tfsn:ctxfree(stamping at most k already-computed teams; bounded and allocation-free)
-	for _, tm := range distinct {
-		tm.SeedsTried = len(p.seeds)
-		tm.SeedsSucceeded = succeeded
-	}
-	return distinct, nil
+	return p.FormTopKDiverseContext(ctx, k, 0)
 }
 
 // rankedTeams is the shared prologue of the top-K entry points: grow
@@ -1428,7 +1352,7 @@ func equalMembers(a, b []sgraph.NodeID) bool {
 
 // compareMemberSets orders two sorted member sets exactly as the
 // comma-joined decimal keys of the original implementation compared,
-// so FormTopK's tie-break order is stable across the rewrite: sets are
+// so the top-K tie-break order is stable across the rewrite: sets are
 // compared element-wise by the decimal string of each id (a decimal
 // prefix sorts first, matching ',' < '0'), then by length.
 func compareMemberSets(a, b []sgraph.NodeID) int {

@@ -12,8 +12,10 @@
 package team
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strconv"
@@ -294,7 +296,7 @@ func referenceConstrainedForm(rel compat.Relation, assign *skills.Assignment, ta
 	return referenceBest(teams, tried)
 }
 
-// referenceTopKDiverse mirrors TaskPlan.FormTopKDiverse: FormTopK's
+// referenceTopKDiverse mirrors TaskPlan.FormTopKDiverseContext: top-K's
 // candidate list (dedup in seed order, cost sort with the legacy
 // decimal tie-break), then greedy selection by
 // score = cost + lambda·maxOverlap(Jaccard) with the exact float
@@ -507,7 +509,7 @@ func TestConstrainedSolverMatchesReference(t *testing.T) {
 								want, wantErr := referenceConstrainedForm(rel, assign, task, opts)
 								for _, workers := range []int{1, 4} {
 									s := NewSolver(rel, assign, SolverOptions{Workers: workers, PlanCache: 4})
-									got, gotErr := s.Form(task, opts)
+									got, gotErr := formNew(s, task, opts)
 									if !sameErrClass(t, label, wantErr, gotErr) {
 										continue
 									}
@@ -522,7 +524,7 @@ func TestConstrainedSolverMatchesReference(t *testing.T) {
 									}
 									var warm Team
 									for i := 0; i < 2; i++ {
-										if err := plan.FormInto(&warm); err != nil {
+										if err := plan.FormIntoContext(context.Background(), &warm); err != nil {
 											t.Fatalf("%s: FormInto: %v", label, err)
 										}
 									}
@@ -537,10 +539,13 @@ func TestConstrainedSolverMatchesReference(t *testing.T) {
 	}
 }
 
-// TestTopKDiverseMatchesReference pins FormTopKDiverse to the naive
-// re-implementation of its greedy selection on every engine and shard
-// geometry, constrained and not, and additionally pins lambda = 0 to
-// plain FormTopK (the documented degeneration).
+// TestTopKDiverseMatchesReference pins FormTopKDiverseContext to the
+// naive re-implementation of its greedy selection on every engine and
+// shard geometry, constrained and not. At lambda = 0 the solver skips
+// the greedy scan and truncates the cost-sorted list, so the reference
+// comparison there pins that shortcut to the greedy selection; the
+// test additionally pins lambda = 0 to plain FormTopKContext (the
+// documented degeneration).
 func TestTopKDiverseMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1721))
 	for trial := 0; trial < 6; trial++ {
@@ -558,7 +563,7 @@ func TestTopKDiverseMatchesReference(t *testing.T) {
 						want, wantErr := referenceTopKDiverse(rel, assign, task, opts, k, lambda)
 						for _, workers := range []int{1, 3} {
 							s := NewSolver(rel, assign, SolverOptions{Workers: workers, PlanCache: 4})
-							got, gotErr := s.FormTopKDiverse(task, opts, k, lambda)
+							got, gotErr := s.FormTopKDiverseContext(context.Background(), task, opts, k, lambda)
 							if !sameErrClass(t, label, wantErr, gotErr) {
 								continue
 							}
@@ -571,13 +576,13 @@ func TestTopKDiverseMatchesReference(t *testing.T) {
 							}
 							if lambda == 0 && gotErr == nil {
 								// The degeneration contract: lambda = 0 is
-								// FormTopK in its exact order.
-								plain, err := s.FormTopK(task, opts, k)
+								// FormTopKContext in its exact order.
+								plain, err := s.FormTopKContext(context.Background(), task, opts, k)
 								if err != nil {
-									t.Fatalf("%s: FormTopK: %v", label, err)
+									t.Fatalf("%s: FormTopKContext: %v", label, err)
 								}
 								if len(plain) != len(got) {
-									t.Fatalf("%s: lambda=0 gave %d teams, FormTopK %d", label, len(got), len(plain))
+									t.Fatalf("%s: lambda=0 gave %d teams, FormTopKContext %d", label, len(got), len(plain))
 								}
 								for i := range plain {
 									sameTeam(t, label+"/degenerate", plain[i], got[i])
@@ -596,21 +601,26 @@ func TestTopKDiverseMatchesReference(t *testing.T) {
 func TestFormTopKDiverseValidation(t *testing.T) {
 	f := newFixture(t)
 	s := NewSolver(nne(t, f.g), f.assign, SolverOptions{Workers: 1})
-	if _, err := s.FormTopKDiverse(f.task, Options{}, 0, 1); err == nil {
+	if _, err := s.FormTopKDiverseContext(context.Background(), f.task, Options{}, 0, 1); err == nil {
 		t.Fatal("k = 0 accepted")
 	}
-	if _, err := s.FormTopKDiverse(f.task, Options{}, 3, -0.5); err == nil {
+	if _, err := s.FormTopKDiverseContext(context.Background(), f.task, Options{}, 3, -0.5); err == nil {
 		t.Fatal("negative lambda accepted")
 	}
 	nan := 0.0
-	if _, err := s.FormTopKDiverse(f.task, Options{}, 3, nan/nan); err == nil {
+	if _, err := s.FormTopKDiverseContext(context.Background(), f.task, Options{}, 3, nan/nan); err == nil {
 		t.Fatal("NaN lambda accepted")
+	}
+	// cost + Inf·0 is NaN: an infinite lambda would silently return
+	// plain top-K, so it is refused like NaN.
+	if _, err := s.FormTopKDiverseContext(context.Background(), f.task, Options{}, 3, math.Inf(1)); err == nil {
+		t.Fatal("+Inf lambda accepted")
 	}
 	plan, err := s.Plan(f.task, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := plan.FormTopKDiverse(-1, 1); err == nil {
+	if _, err := plan.FormTopKDiverseContext(context.Background(), -1, 1); err == nil {
 		t.Fatal("plan-level k = -1 accepted")
 	}
 }
@@ -657,7 +667,7 @@ func TestFormBatchSpecsMatchesForm(t *testing.T) {
 				for i, spec := range specs {
 					o := opts
 					o.Constraints = spec.Constraints
-					want, wantErr := s.Form(spec.Task, o)
+					want, wantErr := formNew(s, spec.Task, o)
 					if wantErr != nil {
 						if !errors.Is(wantErr, ErrNoTeam) {
 							t.Fatal(wantErr)
@@ -721,10 +731,10 @@ func TestConstraintsValidateAndFingerprint(t *testing.T) {
 	s := NewSolver(nne(t, f.g), f.assign, SolverOptions{Workers: 1, PlanCache: 8})
 	optsA := Options{Constraints: Constraints{MustExclude: []sgraph.NodeID{3, 1, 3}, MaxTeamSize: 4}}
 	optsB := Options{Constraints: Constraints{MustExclude: []sgraph.NodeID{1, 3}, MaxTeamSize: 4}}
-	if _, err := s.Form(f.task, optsA); err != nil && !errors.Is(err, ErrNoTeam) {
+	if _, err := formNew(s, f.task, optsA); err != nil && !errors.Is(err, ErrNoTeam) {
 		t.Fatal(err)
 	}
-	if _, err := s.Form(f.task, optsB); err != nil && !errors.Is(err, ErrNoTeam) {
+	if _, err := formNew(s, f.task, optsB); err != nil && !errors.Is(err, ErrNoTeam) {
 		t.Fatal(err)
 	}
 	st := s.PlanCacheStats()
@@ -732,7 +742,7 @@ func TestConstraintsValidateAndFingerprint(t *testing.T) {
 		t.Fatalf("spellings did not share a cache entry: %+v", st)
 	}
 	// A different lambda is a different cache key even for one task.
-	if _, err := s.FormTopKDiverse(f.task, optsA, 2, 1.5); err != nil && !errors.Is(err, ErrNoTeam) {
+	if _, err := s.FormTopKDiverseContext(context.Background(), f.task, optsA, 2, 1.5); err != nil && !errors.Is(err, ErrNoTeam) {
 		t.Fatal(err)
 	}
 	if st2 := s.PlanCacheStats(); st2.Misses != 2 {
@@ -764,7 +774,7 @@ func TestConstrainedIncludesOnly(t *testing.T) {
 		task := skills.NewTask(assign.UserSkills(u)...)
 		opts := Options{Constraints: Constraints{MustInclude: []sgraph.NodeID{u}}}
 		s := NewSolver(rel, assign, SolverOptions{Workers: 1})
-		got, err := s.Form(task, opts)
+		got, err := formNew(s, task, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", engine, err)
 		}
@@ -775,7 +785,7 @@ func TestConstrainedIncludesOnly(t *testing.T) {
 			t.Fatalf("%s: telemetry %d/%d, want 1/1", engine, got.SeedsSucceeded, got.SeedsTried)
 		}
 		// Empty task with includes: the team is the includes themselves.
-		empty, err := s.Form(skills.NewTask(), opts)
+		empty, err := formNew(s, skills.NewTask(), opts)
 		if err != nil {
 			t.Fatalf("%s: empty-task include: %v", engine, err)
 		}

@@ -1,6 +1,7 @@
 package team
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"sort"
@@ -90,7 +91,7 @@ func referenceSkillOrder(rel compat.Relation, assign *skills.Assignment, task sk
 			key[s] = int64(assign.NumHolders(s))
 		}
 	case LeastCompatibleFirst:
-		deg, err := SkillCompatDegrees(rel, assign, task)
+		deg, err := skillCompatDegrees(rel, assign, task)
 		if err != nil {
 			return nil, err
 		}
@@ -339,7 +340,7 @@ func TestSolverMatchesReference(t *testing.T) {
 							want, wantErr := referenceForm(rel, assign, task, opts)
 							for _, workers := range []int{1, 4} {
 								s := NewSolver(rel, assign, SolverOptions{Workers: workers})
-								got, gotErr := s.Form(task, opts)
+								got, gotErr := formNew(s, task, opts)
 								if (wantErr == nil) != (gotErr == nil) {
 									t.Fatalf("%s workers=%d: reference err=%v solver err=%v", label, workers, wantErr, gotErr)
 								}
@@ -358,7 +359,7 @@ func TestSolverMatchesReference(t *testing.T) {
 								}
 								var warm Team
 								for i := 0; i < 2; i++ { // twice: second call runs on warm buffers
-									if err := plan.FormInto(&warm); err != nil {
+									if err := plan.FormIntoContext(context.Background(), &warm); err != nil {
 										t.Fatalf("%s: FormInto: %v", label, err)
 									}
 								}
@@ -388,7 +389,7 @@ func TestSolverRandomUserMatchesReference(t *testing.T) {
 		want, wantErr := referenceForm(rel, assign, task, Options{User: RandomUser, Rng: rand.New(rand.NewSource(500 + int64(trial)))})
 		// Several workers: RandomUser must still serialise.
 		s := NewSolver(rel, assign, SolverOptions{Workers: 4})
-		got, gotErr := s.Form(task, Options{User: RandomUser, Rng: rand.New(rand.NewSource(500 + int64(trial)))})
+		got, gotErr := formNew(s, task, Options{User: RandomUser, Rng: rand.New(rand.NewSource(500 + int64(trial)))})
 		if (wantErr == nil) != (gotErr == nil) {
 			t.Fatalf("trial %d: reference err=%v solver err=%v", trial, wantErr, gotErr)
 		}
@@ -415,7 +416,7 @@ func TestSolverTopKMatchesReference(t *testing.T) {
 				want, wantErr := referenceTopK(rel, assign, task, Options{}, 4)
 				for _, workers := range []int{1, 3} {
 					s := NewSolver(rel, assign, SolverOptions{Workers: workers})
-					got, gotErr := s.FormTopK(task, Options{}, 4)
+					got, gotErr := s.FormTopKContext(context.Background(), task, Options{}, 4)
 					if (wantErr == nil) != (gotErr == nil) {
 						t.Fatalf("trial %d %s: reference err=%v solver err=%v", trial, engine, wantErr, gotErr)
 					}
@@ -442,7 +443,7 @@ func TestFormTopKAggregateTelemetry(t *testing.T) {
 	f := newFixture(t)
 	rel := nne(t, f.g)
 	// Task {B, C}: two B-holder seeds, both succeed, two distinct teams.
-	teams, err := FormTopK(rel, f.assign, skills.NewTask(1, 2), Options{}, 5)
+	teams, err := formTopK(rel, f.assign, skills.NewTask(1, 2), Options{}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -457,7 +458,7 @@ func TestFormTopKAggregateTelemetry(t *testing.T) {
 	}
 	// Slicing to k=1 must not change the totals: they describe the
 	// search, not the returned slice.
-	top1, err := FormTopK(rel, f.assign, skills.NewTask(1, 2), Options{}, 1)
+	top1, err := formTopK(rel, f.assign, skills.NewTask(1, 2), Options{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -499,7 +500,7 @@ func TestFormBatchMatchesForm(t *testing.T) {
 						t.Fatalf("%s: %d results for %d tasks", engine, len(batch), len(tasks))
 					}
 					for i, task := range tasks {
-						want, wantErr := Form(rel, assign, task, opts)
+						want, wantErr := form(rel, assign, task, opts)
 						if wantErr != nil {
 							if !errors.Is(wantErr, ErrNoTeam) {
 								t.Fatal(wantErr)
@@ -540,7 +541,7 @@ func TestFormBatchRandomUserSequential(t *testing.T) {
 	var want []*Team
 	loopRng := rand.New(rand.NewSource(9000))
 	for _, task := range tasks {
-		tm, err := Form(rel, assign, task, Options{User: RandomUser, Rng: loopRng})
+		tm, err := form(rel, assign, task, Options{User: RandomUser, Rng: loopRng})
 		if err != nil {
 			if errors.Is(err, ErrNoTeam) {
 				want = append(want, nil)
@@ -573,11 +574,11 @@ func TestPlanCanonicalisesTask(t *testing.T) {
 	f := newFixture(t)
 	rel := nne(t, f.g)
 	s := NewSolver(rel, f.assign, SolverOptions{Workers: 1})
-	want, err := s.Form(skills.NewTask(0, 1, 2), Options{})
+	want, err := formNew(s, skills.NewTask(0, 1, 2), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.Form(skills.Task{2, 0, 1, 0, 2}, Options{})
+	got, err := formNew(s, skills.Task{2, 0, 1, 0, 2}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -597,11 +598,11 @@ func TestSkillCompatDegreesWordMismatch(t *testing.T) {
 	task := skills.NewTask(0, 1, 2, 3)
 	lazy := compat.MustNew(compat.NNE, g, compat.Options{})
 	packed := mustMatrix(compat.NNE, g)
-	want, err := SkillCompatDegrees(lazy, assign, task)
+	want, err := skillCompatDegrees(lazy, assign, task)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := SkillCompatDegrees(packed, assign, task)
+	got, err := skillCompatDegrees(packed, assign, task)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -630,22 +631,23 @@ func TestSolverPlanValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tm, err := plan.Form()
+	var tm Team
+	err = plan.FormIntoContext(context.Background(), &tm)
 	if err != nil || len(tm.Members) != 0 || tm.Cost != 0 {
 		t.Fatalf("empty-task plan: %+v, %v", tm, err)
 	}
-	if plan.NumSeeds() != 0 {
-		t.Fatalf("empty-task NumSeeds = %d", plan.NumSeeds())
+	if len(plan.seeds) != 0 {
+		t.Fatalf("empty-task seeds = %d", len(plan.seeds))
 	}
 	full, err := s.Plan(f.task, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := full.Task(); len(got) != len(f.task) {
-		t.Fatalf("plan task = %v", got)
+	if len(full.task) != len(f.task) {
+		t.Fatalf("plan task = %v", full.task)
 	}
-	if full.NumSeeds() != 1 { // skill A has one holder
-		t.Fatalf("NumSeeds = %d, want 1", full.NumSeeds())
+	if len(full.seeds) != 1 { // skill A has one holder
+		t.Fatalf("seeds = %d, want 1", len(full.seeds))
 	}
 }
 
@@ -667,7 +669,7 @@ func TestSolverSkillOutOfRange(t *testing.T) {
 	for _, task := range []skills.Task{{-1}, {nu}, {-1, held}, {held, nu}} {
 		for i := 0; i < 2; i++ { // a cached error would answer the second round
 			_, errPlan := s.Plan(task, opts)
-			_, errForm := s.Form(task, opts)
+			_, errForm := formNew(s, task, opts)
 			_, errBatch := s.FormBatch([]skills.Task{task}, opts)
 			for name, err := range map[string]error{"Plan": errPlan, "Form": errForm, "FormBatch": errBatch} {
 				if err == nil || errors.Is(err, ErrNoTeam) {
@@ -711,14 +713,14 @@ func TestWarmFormIntoDoesNotAllocate(t *testing.T) {
 			}
 			var tm Team
 			// Warm everything (scratch, member buffers) before measuring.
-			if err := plan.FormInto(&tm); err != nil {
+			if err := plan.FormIntoContext(context.Background(), &tm); err != nil {
 				if errors.Is(err, ErrNoTeam) {
 					continue
 				}
 				t.Fatal(err)
 			}
 			allocs := testing.AllocsPerRun(50, func() {
-				if err := plan.FormInto(&tm); err != nil {
+				if err := plan.FormIntoContext(context.Background(), &tm); err != nil {
 					t.Fatal(err)
 				}
 			})

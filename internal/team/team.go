@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/compat"
 	"repro/internal/sgraph"
-	"repro/internal/skills"
 )
 
 // ErrNoTeam reports that no compatible team covering the task exists
@@ -123,7 +122,7 @@ func (c CostKind) String() string {
 	}
 }
 
-// Options configures Form.
+// Options configures a formation query.
 type Options struct {
 	Skill SkillPolicy
 	User  UserPolicy
@@ -142,10 +141,11 @@ type Options struct {
 	// see Constraints for the semantics and ErrInfeasible for
 	// contradictory sets.
 	Constraints Constraints
-	// DiverseLambda is the overlap penalty weight of FormTopKDiverse.
-	// It is set by that entry point (callers pass lambda explicitly)
-	// and exists on Options so the plan-cache fingerprint covers it;
-	// plain Form/FormTopK ignore it.
+	// DiverseLambda is the overlap penalty weight of the top-K entry
+	// points. FormTopKDiverseContext sets it (callers pass lambda
+	// explicitly; FormTopKContext passes 0) and it exists on Options
+	// so the plan-cache fingerprint covers it; FormIntoContext and the
+	// batch entry points ignore it.
 	DiverseLambda float64
 }
 
@@ -158,42 +158,13 @@ type Team struct {
 	Cost int32
 	// SeedsTried and SeedsSucceeded count Algorithm 2's outer loop:
 	// the seeds tried, and the seeds that grew into a complete priced
-	// team. Form, FormInto and FormBatch abandon a seed once its
-	// partial cost reaches the best team's, so for them SeedsSucceeded
-	// is the number of seeds that set a new best team (the first
-	// priced one included). The top-K entry points grow every seed in
-	// full and stamp whole-search aggregates (see FormTopK).
+	// team. FormIntoContext and the batch entry points abandon a seed
+	// once its partial cost reaches the best team's, so for them
+	// SeedsSucceeded is the number of seeds that set a new best team
+	// (the first priced one included). The top-K entry points grow
+	// every seed in full and stamp whole-search aggregates (see
+	// Solver.FormTopKContext).
 	SeedsTried, SeedsSucceeded int
-}
-
-// Form runs Algorithm 2 of the paper: seed a candidate team with each
-// holder of the first selected skill, grow it greedily — always
-// remaining pairwise compatible — until the task is covered, and
-// return the cheapest grown team.
-//
-// Form is a thin wrapper over a single-use, single-worker Solver;
-// workloads that solve many tasks (or the same task repeatedly)
-// against one relation should build a Solver once and use its Form,
-// FormBatch or plan-level entry points, which reuse the compiled plan
-// and per-worker scratch. The results are identical.
-func Form(rel compat.Relation, assign *skills.Assignment, task skills.Task, opts Options) (*Team, error) {
-	return NewSolver(rel, assign, SolverOptions{Workers: 1}).Form(task, opts)
-}
-
-// FormTopK runs Algorithm 2 and returns up to k distinct teams in
-// increasing cost order (ties broken by member list) — the top-k
-// variant in the spirit of Kargar & An (CIKM 2011), which falls out
-// of Algorithm 2's candidate list L for free. It returns ErrNoTeam
-// when no seed produces a team.
-//
-// SeedsTried and SeedsSucceeded on the returned teams are aggregates
-// of the whole search, not per-team telemetry: every returned team
-// carries the same totals — how many seeds Algorithm 2 tried and how
-// many of them grew into a (not necessarily distinct) priced team —
-// even after the list is deduplicated and sliced to k. Like Form,
-// FormTopK is a thin wrapper over a single-use Solver.
-func FormTopK(rel compat.Relation, assign *skills.Assignment, task skills.Task, opts Options, k int) ([]*Team, error) {
-	return NewSolver(rel, assign, SolverOptions{Workers: 1}).FormTopK(task, opts, k)
 }
 
 // errUndefinedDistance reports a member pair with no relation

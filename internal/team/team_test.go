@@ -51,7 +51,7 @@ func nne(t testing.TB, g *sgraph.Graph) compat.Relation {
 func TestFormLCMDOnFixture(t *testing.T) {
 	f := newFixture(t)
 	rel := nne(t, f.g)
-	tm, err := Form(rel, f.assign, f.task, Options{Skill: RarestFirst, User: MinDistance})
+	tm, err := form(rel, f.assign, f.task, Options{Skill: RarestFirst, User: MinDistance})
 	if err != nil {
 		t.Fatalf("Form: %v", err)
 	}
@@ -94,7 +94,7 @@ func TestExactBeatsGreedyOnFixture(t *testing.T) {
 	if exact.Cost != 2 {
 		t.Fatalf("exact cost = %d, want 2", exact.Cost)
 	}
-	greedy, err := Form(rel, f.assign, f.task, Options{Skill: RarestFirst, User: MinDistance})
+	greedy, err := form(rel, f.assign, f.task, Options{Skill: RarestFirst, User: MinDistance})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestExactBeatsGreedyOnFixture(t *testing.T) {
 
 func TestFormEmptyTask(t *testing.T) {
 	f := newFixture(t)
-	tm, err := Form(nne(t, f.g), f.assign, skills.NewTask(), Options{})
+	tm, err := form(nne(t, f.g), f.assign, skills.NewTask(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestFormHolderlessSkill(t *testing.T) {
 	}
 	a := skills.NewAssignment(u, 5)
 	a.MustAdd(0, 0)
-	_, err = Form(nne(t, f.g), a, skills.NewTask(0, 3), Options{})
+	_, err = form(nne(t, f.g), a, skills.NewTask(0, 3), Options{})
 	if !errors.Is(err, ErrNoTeam) {
 		t.Fatalf("err = %v, want ErrNoTeam", err)
 	}
@@ -139,7 +139,7 @@ func TestFormSingleUserCoversAll(t *testing.T) {
 	a := skills.NewAssignment(u, 2)
 	a.MustAdd(1, 0)
 	a.MustAdd(1, 1)
-	tm, err := Form(nne(t, g), a, skills.NewTask(0, 1), Options{})
+	tm, err := form(nne(t, g), a, skills.NewTask(0, 1), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestFormNoCompatibleTeam(t *testing.T) {
 	a.MustAdd(1, 1)
 	for _, k := range compat.Kinds() {
 		rel := compat.MustNew(k, g, compat.Options{})
-		_, err := Form(rel, a, skills.NewTask(0, 1), Options{})
+		_, err := form(rel, a, skills.NewTask(0, 1), Options{})
 		if !errors.Is(err, ErrNoTeam) {
 			t.Fatalf("%v: err = %v, want ErrNoTeam", k, err)
 		}
@@ -166,10 +166,10 @@ func TestFormNoCompatibleTeam(t *testing.T) {
 
 func TestFormRandomUserNeedsRng(t *testing.T) {
 	f := newFixture(t)
-	if _, err := Form(nne(t, f.g), f.assign, f.task, Options{User: RandomUser}); err == nil {
+	if _, err := form(nne(t, f.g), f.assign, f.task, Options{User: RandomUser}); err == nil {
 		t.Fatal("RandomUser without Rng accepted")
 	}
-	tm, err := Form(nne(t, f.g), f.assign, f.task, Options{User: RandomUser, Rng: rand.New(rand.NewSource(1))})
+	tm, err := form(nne(t, f.g), f.assign, f.task, Options{User: RandomUser, Rng: rand.New(rand.NewSource(1))})
 	if err != nil {
 		t.Fatalf("RandomUser with Rng: %v", err)
 	}
@@ -185,7 +185,7 @@ func TestFormRandomUserNeedsRng(t *testing.T) {
 func TestFormMaxSeeds(t *testing.T) {
 	f := newFixture(t)
 	// Task {B}: two holders (1, 2); MaxSeeds 1 tries only holder 1.
-	tm, err := Form(nne(t, f.g), f.assign, skills.NewTask(1), Options{MaxSeeds: 1})
+	tm, err := form(nne(t, f.g), f.assign, skills.NewTask(1), Options{MaxSeeds: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,11 +205,11 @@ func TestFormDeterministic(t *testing.T) {
 		{Skill: LeastCompatibleFirst, User: MinDistance},
 		{Skill: LeastCompatibleFirst, User: MostCompatible},
 	} {
-		t1, err := Form(rel, f.assign, f.task, opts)
+		t1, err := form(rel, f.assign, f.task, opts)
 		if err != nil {
 			t.Fatalf("%v/%v: %v", opts.Skill, opts.User, err)
 		}
-		t2, err := Form(rel, f.assign, f.task, opts)
+		t2, err := form(rel, f.assign, f.task, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -227,7 +227,7 @@ func TestFormDeterministic(t *testing.T) {
 func TestSkillCompatDegrees(t *testing.T) {
 	f := newFixture(t)
 	rel := nne(t, f.g)
-	deg, err := SkillCompatDegrees(rel, f.assign, f.task)
+	deg, err := skillCompatDegrees(rel, f.assign, f.task)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package signedteams
 
 import (
+	"context"
 	"math/rand"
 
 	"repro/internal/skills"
@@ -91,7 +92,7 @@ var ErrNoTeam = team.ErrNoTeam
 // solver additionally keeps an LRU of compiled plans keyed by the
 // canonical task and the options fingerprint, so repeated tasks skip
 // plan compilation across requests — warm cache-hit solves through
-// TeamSolver.FormInto allocate nothing on packed engines, and
+// TeamSolver.FormIntoContext allocate nothing on packed engines, and
 // TeamSolver.PlanCacheStats reports hits, misses and evictions.
 type (
 	// TeamSolver answers repeated team formation queries over one
@@ -101,7 +102,8 @@ type (
 	// the PlanCache bound for cross-request plan reuse.
 	TeamSolverOptions = team.SolverOptions
 	// TeamPlan is a compiled task query: build once with
-	// TeamSolver.Plan, solve repeatedly with Form/FormInto/FormTopK.
+	// TeamSolver.Plan, solve repeatedly with FormIntoContext,
+	// FormTopKContext or FormTopKDiverseContext.
 	TeamPlan = team.TaskPlan
 	// PlanCacheStats is a snapshot of a TeamSolver's plan-cache
 	// counters (hits, misses, evictions, size, capacity).
@@ -116,11 +118,18 @@ func NewTeamSolver(rel Relation, assign *Assignment, opts TeamSolverOptions) *Te
 	return team.NewSolver(rel, assign, opts)
 }
 
-// FormTeam runs the paper's Algorithm 2: greedy team formation under
-// a compatibility relation. For repeated queries against the same
-// relation, build a NewTeamSolver once instead.
+// FormTeam runs the paper's Algorithm 2 once: greedy team formation
+// under a compatibility relation, on a single-use, single-worker
+// solver. It is the facade's one one-shot call; for repeated queries
+// against the same relation, or for top-k lists, build a NewTeamSolver
+// once instead.
 func FormTeam(rel Relation, assign *Assignment, task Task, opts FormOptions) (*Team, error) {
-	return team.Form(rel, assign, task, opts)
+	var tm Team
+	s := team.NewSolver(rel, assign, team.SolverOptions{Workers: 1})
+	if err := s.FormIntoContext(context.Background(), task, opts, &tm); err != nil {
+		return nil, err
+	}
+	return &tm, nil
 }
 
 // ExactTeam finds a minimum-cost compatible team by exhaustive search
