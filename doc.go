@@ -62,9 +62,8 @@
 //
 // ComputeRelationStats measures the symmetrised relation the
 // Relation interface exposes on every engine — including SBPH, whose
-// directed lazy rows are scanned over their canonical upper triangle;
-// the directed heuristic measurement remains available through
-// StatsOptions.DirectedSBPH. See RelationStats.
+// directed lazy rows are scanned over their canonical upper triangle.
+// See RelationStats.
 //
 // The subpackages used by the paper's evaluation — synthetic dataset
 // stand-ins, the experiment harness regenerating every table and

@@ -159,27 +159,24 @@ func MustNew(k Kind, g *sgraph.Graph, opts Options) Relation {
 	return r
 }
 
-// PackedRelation is the optional capability a fully materialised
-// relation backend (ShardedMatrix) offers on top of Relation:
-// word-packed compatibility rows and error-free distance lookups.
-// Consumers (the team package's pickers and cost functions) detect it
-// with a type assertion and switch to bitset AND/popcount fast paths.
-// A PackedRelation is precomputed by construction; Precompute on one
-// is a no-op.
+// PackedRelation is the row-level view of the packed engine
+// (ShardedMatrix) on top of Relation: word-packed compatibility rows
+// and whole distance rows, both error-free. The team solver binds to
+// *ShardedMatrix itself; this interface serves callers that only need
+// the row accessors.
 //
 // DistanceRow resolves one source's whole distance row (one shard
-// touch per row, not per pair), so loops
-// that price one node against many resolve the row once and index it
-// through DistRow.At instead of paying a PairDistance lookup per pair.
-// DistanceRowInto widens the row into a caller-reused []int32 with
-// NoDistance for undefined pairs, for consumers that want a uniform
-// representation independent of the engine's packing.
+// touch per row, not per pair), so loops that price one node against
+// many resolve the row once and index it through DistRow.At instead of
+// paying a Distance lookup per pair. DistanceRowInto widens the row
+// into a caller-reused []int32 with NoDistance for undefined pairs,
+// for consumers that want a uniform representation independent of the
+// engine's packing.
 type PackedRelation interface {
 	Relation
 	NumNodes() int
 	WordsPerRow() int
 	RowWords(u sgraph.NodeID) []uint64
-	PairDistance(u, v sgraph.NodeID) (int32, bool)
 	DistanceRow(u sgraph.NodeID) DistRow
 	DistanceRowInto(u sgraph.NodeID, dst []int32) []int32
 }

@@ -1,6 +1,6 @@
-// The packed distance-row accessor. PairDistance answers one ordered
-// pair per call, which means the team solver's MinDistance picker —
-// the hottest loop of batch serving — pays a full lookup (a shard
+// The packed distance-row accessor. Distance answers one ordered pair
+// per call, which would make the team solver's MinDistance picker —
+// the hottest loop of batch serving — pay a full lookup (a shard
 // resolution and, on a spilling engine, a mutex acquisition) for every
 // (candidate, member) pair. DistanceRow instead resolves a source row
 // once and hands back a DistRow view whose At is a plain slice index,
@@ -30,7 +30,7 @@ type DistRow struct {
 }
 
 // At returns the packed distance to v and whether it is defined,
-// exactly as PairDistance(source, v) would.
+// exactly as Distance(source, v) would.
 func (r DistRow) At(v sgraph.NodeID) (int32, bool) {
 	if r.d32 != nil {
 		d := r.d32[v]
@@ -74,7 +74,7 @@ func (r DistRow) distRowInto(dst []int32) []int32 {
 
 // DistanceRow returns u's packed distance row, reloading the owning
 // shard if it is cold — one shard resolution for the whole row, where
-// per-pair PairDistance calls would resolve once per pair. Like
+// per-pair Distance calls would resolve once per pair. Like
 // RowWords, it panics if a spilled shard cannot be reloaded (or a
 // post-mutation rebuild fails), and the returned view is frozen at its
 // epoch: it stays valid after the shard is evicted or rebuilt — until

@@ -10,7 +10,7 @@ import (
 
 // TestDistanceRowAgreesAcrossShardSizes: DistanceRow and
 // DistanceRowInto must agree entry-for-entry with the point-query
-// Distance/PairDistance on both packed engines, for shard heights 1
+// Distance on both packed engines, for shard heights 1
 // (every row its own shard), 7 (rows straddling shard boundaries), 64
 // (word aligned) and n (single shard), with a residency bound of 2 so
 // most rows are served across spill/reload cycles. Two interleaved
@@ -47,7 +47,10 @@ func TestDistanceRowAgreesAcrossShardSizes(t *testing.T) {
 								trial, k, shardRows, fullRow.Len(), shardRow.Len(), len(intoFull), len(intoSharded), n)
 						}
 						for v := sgraph.NodeID(0); int(v) < n; v++ {
-							wantD, wantOK := full.PairDistance(u, v)
+							wantD, wantOK, err := full.Distance(u, v)
+							if err != nil {
+								t.Fatalf("trial %d %v rows=%d: Distance(%d,%d): %v", trial, k, shardRows, u, v, err)
+							}
 							for label, row := range map[string]DistRow{"matrix": fullRow, "sharded": shardRow} {
 								d, ok := row.At(v)
 								if ok != wantOK || (ok && d != wantD) {

@@ -75,16 +75,16 @@
 // on-demand rows stay on CountPathsInto/DistancesInto, the reference
 // the engine-agreement suites hold the packed builds to.
 //
-// The packed engine exposes its rows through the PackedRelation
-// capability, which the team package's pickers and cost functions
-// detect to switch to word-parallel AND/popcount fast paths. Beyond
-// the bit rows (RowWords) and the error-free point lookup
-// (PairDistance), the capability includes DistanceRow/DistanceRowInto:
-// one source's whole packed distance row as an immutable DistRow view,
-// resolved with a single shard touch — the accessor the team solver's
-// MinDistance picker and cost functions scan instead of paying a
-// per-pair lookup (and, on a spilling engine, a lock) for every
-// (candidate, member) pair.
+// The packed engine exposes its rows, which the team solver binds to
+// (it holds the *ShardedMatrix itself) for word-parallel AND/popcount
+// fast paths: the bit rows (RowWords), the bulk AndCountRows and
+// AndCountRowsEach of its degree passes, and DistanceRow/
+// DistanceRowInto: one source's whole packed distance row as an
+// immutable DistRow view, resolved with a single shard touch — the
+// accessor the team solver's MinDistance picker and running cost scan
+// instead of paying a per-pair lookup (and, on a spilling engine, a
+// lock) for every (candidate, member) pair. The PackedRelation
+// interface names these row accessors.
 //
 // # Mutations
 //
@@ -125,8 +125,7 @@
 // directed row as a proxy (the canonical entry of a (v<u, u) pair
 // lives in a row the sample may not include), so sampled SBPH
 // estimates can differ from a packed engine's in the second decimal.
-// The directed measurement, what the paper's algorithm emits row by
-// row, remains available via StatsOptions.DirectedSBPH. See Stats.
+// See Stats.
 //
 // # Kernels
 //

@@ -21,7 +21,7 @@ import (
 // Packed relations (ShardedMatrix) are fully materialised at
 // construction, so precomputing them is an immediate no-op.
 func Precompute(rel Relation, workers int) error {
-	if _, ok := rel.(PackedRelation); ok {
+	if _, ok := rel.(*ShardedMatrix); ok {
 		return nil
 	}
 	b, ok := rel.(interface {

@@ -218,7 +218,7 @@ func (b *baseRelation) supportsRowScratch() bool {
 // which the Relation interface only serves after canonicalisation —
 // true exactly for the relations with canonical set (SBPH). It is the
 // ComputeStats hook for measuring the symmetrised relation off
-// directed row streams; see StatsOptions.DirectedSBPH.
+// directed row streams; see Stats.
 func (b *baseRelation) streamsDirectedRows() bool { return b.canonical }
 
 func (b *baseRelation) Compatible(u, v sgraph.NodeID) (bool, error) {

@@ -29,22 +29,13 @@ const (
 // daemon's /stats so recorded numbers stay attributable.
 func KernelsVariant() string { return kernels.Variant() }
 
-// RowAndCounter is the bulk AND/popcount capability of the packed
-// engine. Both methods compute popcount(row(u) AND mask) per row
-// without a per-row call through RowWords: lock-free table reads on a
-// fully resident engine, one mutex acquisition for the whole call on a
-// spilling one instead of one per row — the dominant cost of the
-// plan-compile degree passes. mask must have at least WordsPerRow
-// words.
-type RowAndCounter interface {
-	// AndCountRows returns Σ_u popcount(row(u) AND mask).
-	AndCountRows(us []sgraph.NodeID, mask []uint64) (int64, error)
-	// AndCountRowsEach writes popcount(row(us[i]) AND mask) into
-	// counts[i]; counts must be at least as long as us.
-	AndCountRowsEach(us []sgraph.NodeID, mask []uint64, counts []int32) error
-}
-
-// andCountRows is the shared implementation. Rows of fresh shards come
+// andCountRows is the bulk AND/popcount behind AndCountRows and
+// AndCountRowsEach: popcount(row(u) AND mask) per row without a
+// per-row call through RowWords — the dominant cost of the team
+// planner's degree passes. Each row is ANDed against mask over their
+// common prefix, min(WordsPerRow, len(mask)) words; row words past the
+// end of mask count as zero, so a holder set over fewer users than the
+// graph has nodes is a valid mask. Rows of fresh shards come
 // out of the lock-free table; from the first row whose shard is absent
 // (stale, or the engine spills) the rest run under one mutex
 // acquisition, resolved shard by shard (consecutive us usually land in
@@ -52,13 +43,14 @@ type RowAndCounter interface {
 // shards rebuilding exactly as rowView does. emit receives (i, count)
 // per row.
 func (m *ShardedMatrix) andCountRows(us []sgraph.NodeID, mask []uint64, emit func(i int, c int)) error {
+	k := min(m.stride, len(mask))
 	i := 0
 	for ; i < len(us); i++ {
 		sl, r := m.tableRow(us[i])
 		if sl == nil {
 			break
 		}
-		emit(i, kernels.AndCount(sl.bits[r*m.stride:(r+1)*m.stride], mask))
+		emit(i, kernels.AndCount(sl.bits[r*m.stride:r*m.stride+k], mask))
 	}
 	if i == len(us) {
 		return nil
@@ -79,19 +71,22 @@ func (m *ShardedMatrix) andCountRows(us []sgraph.NodeID, mask []uint64, emit fun
 			}
 			lastShard, cur = s, sh
 		}
-		emit(i, kernels.AndCount(cur.bits[r*m.stride:(r+1)*m.stride], mask))
+		emit(i, kernels.AndCount(cur.bits[r*m.stride:r*m.stride+k], mask))
 	}
 	return nil
 }
 
-// AndCountRows implements RowAndCounter; see andCountRows.
+// AndCountRows returns Σ_u popcount(row(u) AND mask); see andCountRows
+// for the mask contract.
 func (m *ShardedMatrix) AndCountRows(us []sgraph.NodeID, mask []uint64) (int64, error) {
 	var total int64
 	err := m.andCountRows(us, mask, func(_, c int) { total += int64(c) })
 	return total, err
 }
 
-// AndCountRowsEach implements RowAndCounter; see andCountRows.
+// AndCountRowsEach writes popcount(row(us[i]) AND mask) into
+// counts[i]; counts must be at least as long as us. See andCountRows
+// for the mask contract.
 func (m *ShardedMatrix) AndCountRowsEach(us []sgraph.NodeID, mask []uint64, counts []int32) error {
 	return m.andCountRows(us, mask, func(i, c int) { counts[i] = int32(c) })
 }
@@ -182,10 +177,12 @@ func (rs *DistRows) Contribution(k int, v sgraph.NodeID, sum bool) (int32, bool)
 // uint8-packed this is one kernel pass (ArgminMaxU8 / ArgminSumU8,
 // handed the budget as their ceiling); otherwise a scalar scan over
 // the same candidate enumeration, so the picked node is identical
-// either way. holder and mask must be row-word-aligned (WordsPerRow)
-// with zero tail bits; nz follows the kernels' word-list contract:
-// ascending, every non-zero holder word listed, zero words allowed —
-// skills.HolderIndex's NonZero is such a list.
+// either way. Candidates are ANDed over the holder words only, so
+// len(holder) ≤ len(mask) is required and a holder set over fewer
+// users than the graph has nodes qualifies; bits of holder AND mask at
+// positions ≥ the row length must be zero. nz follows the kernels'
+// word-list contract: ascending, every non-zero holder word listed,
+// zero words allowed — skills.HolderIndex's NonZero is such a list.
 //
 //tfsn:noalloc
 func (rs *DistRows) PickMin(holder, mask []uint64, nz []int32, sum bool, budget int32) (sgraph.NodeID, int32, bool) {

@@ -1,6 +1,7 @@
 package compat
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -9,10 +10,13 @@ import (
 	"repro/internal/sgraph"
 )
 
-// TestAndCountRowsMatchPerRow: the bulk RowAndCounter methods must
+// TestAndCountRowsMatchPerRow: the bulk AndCountRows methods must
 // return exactly what a per-row RowWords + container.AndCount loop
 // does, on both packed engines — including sharded configurations
-// where the row batch crosses shard boundaries and evicts residents.
+// where the row batch crosses shard boundaries and evicts residents —
+// for a row-length mask and for a one-word mask, whose missing words
+// count as zero (a holder set over fewer users than the graph has
+// nodes).
 func TestAndCountRowsMatchPerRow(t *testing.T) {
 	rng := rand.New(rand.NewSource(801))
 	for trial := 0; trial < 4; trial++ {
@@ -20,7 +24,7 @@ func TestAndCountRowsMatchPerRow(t *testing.T) {
 		g := randomSignedGraph(rng, n, 4*n, 0.3)
 		engines := []struct {
 			name string
-			rel  PackedRelation
+			m    *ShardedMatrix
 		}{
 			{"matrix", mustMatrix(SPO, g, Options{})},
 			{"sharded", MustNewSharded(SPO, g, ShardedOptions{ShardRows: 7, MaxResidentShards: 2})},
@@ -40,32 +44,31 @@ func TestAndCountRowsMatchPerRow(t *testing.T) {
 			us = append(us, sgraph.NodeID(rng.Intn(n)))
 		}
 		for _, e := range engines {
-			rc, ok := e.rel.(RowAndCounter)
-			if !ok {
-				t.Fatalf("trial %d %s: engine does not implement RowAndCounter", trial, e.name)
-			}
-			var wantSum int64
-			want := make([]int32, len(us))
-			for i, u := range us {
-				c := int32(container.AndCount(e.rel.RowWords(u), mask.Words()))
-				want[i] = c
-				wantSum += int64(c)
-			}
-			gotSum, err := rc.AndCountRows(us, mask.Words())
-			if err != nil {
-				t.Fatalf("trial %d %s: AndCountRows: %v", trial, e.name, err)
-			}
-			if gotSum != wantSum {
-				t.Fatalf("trial %d %s: AndCountRows = %d, want %d", trial, e.name, gotSum, wantSum)
-			}
-			got := make([]int32, len(us))
-			if err := rc.AndCountRowsEach(us, mask.Words(), got); err != nil {
-				t.Fatalf("trial %d %s: AndCountRowsEach: %v", trial, e.name, err)
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("trial %d %s: AndCountRowsEach[%d] (row %d) = %d, want %d",
-						trial, e.name, i, us[i], got[i], want[i])
+			for _, mk := range [][]uint64{mask.Words(), mask.Words()[:1]} {
+				label := fmt.Sprintf("trial %d %s mask words %d", trial, e.name, len(mk))
+				var wantSum int64
+				want := make([]int32, len(us))
+				for i, u := range us {
+					c := int32(container.AndCount(e.m.RowWords(u)[:len(mk)], mk))
+					want[i] = c
+					wantSum += int64(c)
+				}
+				gotSum, err := e.m.AndCountRows(us, mk)
+				if err != nil {
+					t.Fatalf("%s: AndCountRows: %v", label, err)
+				}
+				if gotSum != wantSum {
+					t.Fatalf("%s: AndCountRows = %d, want %d", label, gotSum, wantSum)
+				}
+				got := make([]int32, len(us))
+				if err := e.m.AndCountRowsEach(us, mk, got); err != nil {
+					t.Fatalf("%s: AndCountRowsEach: %v", label, err)
+				}
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("%s: AndCountRowsEach[%d] (row %d) = %d, want %d",
+							label, i, us[i], got[i], want[i])
+					}
 				}
 			}
 		}
@@ -176,10 +179,11 @@ func TestDistRowsClearDropsViews(t *testing.T) {
 	}
 }
 
-// TestStatsDirectedSBPH: the DirectedSBPH escape hatch must restore
-// the lazy engine's directed full-pair scan — different numbers from
-// the default symmetrised measurement whenever the hop bound actually
-// breaks symmetry, and n² pairs instead of the upper triangle's.
+// TestStatsDirectedSBPH: SBPH stats on the lazy engine, whose rows
+// stream directed. A full scan measures the symmetrised relation and
+// must match the packed engine bit for bit; a sampled scan streams
+// whole directed rows and must match the directed measurement over the
+// same sources, scored from each source's own row.
 func TestStatsDirectedSBPH(t *testing.T) {
 	rng := rand.New(rand.NewSource(805))
 	g := randomSignedGraph(rng, 40, 200, 0.4)
@@ -187,38 +191,6 @@ func TestStatsDirectedSBPH(t *testing.T) {
 	sym, err := ComputeStats(rel, StatsOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
-	}
-	dir, err := ComputeStats(rel, StatsOptions{Workers: 2, DirectedSBPH: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sym.Pairs != dir.Pairs {
-		t.Fatalf("pair universes diverge: sym %d, directed %d", sym.Pairs, dir.Pairs)
-	}
-	// Directed reference: every ordered pair scored from its own
-	// source row, the historical measurement.
-	n := g.NumNodes()
-	var wantCompat, wantDistSum, wantDistCount int64
-	rp := rel.(rowProvider)
-	for u := sgraph.NodeID(0); int(u) < n; u++ {
-		r, err := rp.computeRow(u)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for v := sgraph.NodeID(0); int(v) < n; v++ {
-			if v == u || !r.compatible(v) {
-				continue
-			}
-			wantCompat++
-			if d, ok := r.distance(v); ok {
-				wantDistSum += int64(d)
-				wantDistCount++
-			}
-		}
-	}
-	if dir.CompatiblePairs != wantCompat || dir.DistSum != wantDistSum || dir.DistCount != wantDistCount {
-		t.Fatalf("directed stats (%d,%d,%d) diverge from reference (%d,%d,%d)",
-			dir.CompatiblePairs, dir.DistSum, dir.DistCount, wantCompat, wantDistSum, wantDistCount)
 	}
 	// The symmetrised run must agree with the packed engine bit for bit.
 	mat, err := ComputeStats(mustMatrix(SBPH, g, Options{}), StatsOptions{Workers: 2})
@@ -234,22 +206,37 @@ func TestStatsDirectedSBPH(t *testing.T) {
 	// Sampled scans stream the whole directed row as a proxy — the
 	// canonical entry of a (v<u, u) pair lives in row v, which the
 	// sample may not include — so a sampled scan must match the
-	// directed measurement over the same sources exactly (and cover
+	// directed reference over the same sources exactly (and cover
 	// len(sources)·(n-1) pairs, not a halved upper triangle).
+	n := g.NumNodes()
 	sources := []sgraph.NodeID{3, 17, 38}
-	sampled, err := ComputeStats(rel, StatsOptions{Workers: 2, Sources: sources})
-	if err != nil {
-		t.Fatal(err)
+	var wantCompat, wantDistSum, wantDistCount int64
+	rp := rel.(rowProvider)
+	for _, u := range sources {
+		r, err := rp.computeRow(u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v := sgraph.NodeID(0); int(v) < n; v++ {
+			if v == u || !r.compatible(v) {
+				continue
+			}
+			wantCompat++
+			if d, ok := r.distance(v); ok {
+				wantDistSum += int64(d)
+				wantDistCount++
+			}
+		}
 	}
-	sampledDir, err := ComputeStats(rel, StatsOptions{Workers: 2, Sources: sources, DirectedSBPH: true})
+	sampled, err := ComputeStats(rel, StatsOptions{Workers: 2, Sources: sources})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if wantPairs := int64(len(sources) * (n - 1)); sampled.Pairs != wantPairs {
 		t.Fatalf("sampled Pairs = %d, want %d", sampled.Pairs, wantPairs)
 	}
-	if sampled.CompatiblePairs != sampledDir.CompatiblePairs ||
-		sampled.DistSum != sampledDir.DistSum || sampled.DistCount != sampledDir.DistCount {
-		t.Fatalf("sampled scan %+v diverges from directed proxy %+v", sampled, sampledDir)
+	if sampled.CompatiblePairs != wantCompat || sampled.DistSum != wantDistSum || sampled.DistCount != wantDistCount {
+		t.Fatalf("sampled scan (%d,%d,%d) diverges from directed reference (%d,%d,%d)",
+			sampled.CompatiblePairs, sampled.DistSum, sampled.DistCount, wantCompat, wantDistSum, wantDistCount)
 	}
 }

@@ -109,7 +109,7 @@ type ShardedOptions struct {
 // Spill I/O failures and failed post-mutation rebuilds (only possible
 // for the budgeted exact SBP relation) are reported as errors from
 // Compatible/Distance and as panics from the error-free PackedRelation
-// fast paths (RowWords, PairDistance).
+// fast paths (RowWords, DistanceRow).
 //
 // Call Close to release the spill file; Close is idempotent. Close
 // unmaps the spill file, so on mapped-spill matrices every row or
@@ -785,13 +785,6 @@ func (m *ShardedMatrix) pairRow(u, v sgraph.NodeID) ([]uint64, DistRow, error) {
 		return nil, DistRow{}, fmt.Errorf("compat: pair (%d,%d) out of range [0,%d)", u, v, m.n)
 	}
 	return m.rowView(u)
-}
-
-// PairDistance is Distance without the error, for hot loops that have
-// already recognised the packed backend; it panics if a spilled shard
-// cannot be reloaded.
-func (m *ShardedMatrix) PairDistance(u, v sgraph.NodeID) (int32, bool) {
-	return m.DistanceRow(u).At(v)
 }
 
 // RowWords returns u's packed compatibility row (bit v set ⇔

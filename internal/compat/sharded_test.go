@@ -170,10 +170,13 @@ func TestShardedRowsMatchMatrixRows(t *testing.T) {
 					}
 				}
 				for v := sgraph.NodeID(0); int(v) < g.NumNodes(); v++ {
-					wantD, wantOK := full.PairDistance(u, v)
-					gotD, gotOK := sharded.PairDistance(u, v)
+					wantD, wantOK, wantErr := full.Distance(u, v)
+					gotD, gotOK, gotErr := sharded.Distance(u, v)
+					if wantErr != nil || gotErr != nil {
+						t.Fatalf("%v pass %d: Distance(%d,%d) errors: matrix %v, sharded %v", k, pass, u, v, wantErr, gotErr)
+					}
 					if gotOK != wantOK || (gotOK && gotD != wantD) {
-						t.Fatalf("%v pass %d: PairDistance(%d,%d) = (%d,%v), want (%d,%v)",
+						t.Fatalf("%v pass %d: Distance(%d,%d) = (%d,%v), want (%d,%v)",
 							k, pass, u, v, gotD, gotOK, wantD, wantOK)
 					}
 				}
@@ -498,8 +501,12 @@ func TestShardedEvictionInterleavings(t *testing.T) {
 					for i := 0; i < 3*n; i++ {
 						u := sgraph.NodeID(r.Intn(n))
 						v := sgraph.NodeID(r.Intn(n))
-						wantD, wantOK := full.PairDistance(u, v)
-						gotD, gotOK := m.PairDistance(u, v)
+						wantD, wantOK, wantErr := full.Distance(u, v)
+						gotD, gotOK, gotErr := m.Distance(u, v)
+						if wantErr != nil || gotErr != nil {
+							errc <- fmt.Errorf("random worker: Distance(%d,%d): matrix %v, sharded %v", u, v, wantErr, gotErr)
+							return
+						}
 						if gotOK != wantOK || (gotOK && gotD != wantD) {
 							errc <- errors.New("random worker diverged from full matrix")
 							return

@@ -33,9 +33,7 @@ import (
 // scans therefore stream the whole directed row as a proxy for the
 // symmetrised relation, whose estimates can differ from a packed
 // engine's in the second decimal (asymmetric SBPH pairs are rare).
-// The historical directed measurement — what the paper's algorithm
-// emits — remains available through StatsOptions.DirectedSBPH. Every
-// other kind has symmetric rows, and the option is a no-op for them.
+// Every other kind has symmetric rows.
 type Stats struct {
 	Kind            Kind
 	Pairs           int64 // ordered pairs scanned
@@ -80,14 +78,6 @@ type StatsOptions struct {
 	// Assign, when non-nil, requests the skill-pair compatibility
 	// matrix over this assignment.
 	Assign *skills.Assignment
-	// DirectedSBPH restores the pre-unification SBPH measurement on
-	// the lazy engine: count the directed heuristic rows as streamed
-	// ("the search from u reaches v") instead of the symmetrised
-	// relation the Relation interface serves and the packed engines
-	// store. No effect on any other kind or engine, and none on
-	// sampled scans, which stream directed rows regardless; see the
-	// Stats doc.
-	DirectedSBPH bool
 }
 
 // ComputeStats scans one relation row per source and aggregates pair,
@@ -132,14 +122,13 @@ func ComputeStats(rel Relation, opts StatsOptions) (*Stats, error) {
 	// Relations whose streamed rows are directed (lazy SBPH) are
 	// measured on their canonical upper triangle so the reported
 	// numbers describe the symmetrised relation the interface serves,
-	// exactly like the packed engines — unless the caller asked for
-	// the directed heuristic. Only full scans canonicalise: a sampled
-	// scan cannot reach the canonical entry of a (v<u, u) pair without
-	// row v, so it streams the whole directed row as a proxy instead
-	// of halving its sample. See the Stats doc.
+	// exactly like the packed engines. Only full scans canonicalise:
+	// a sampled scan cannot reach the canonical entry of a (v<u, u)
+	// pair without row v, so it streams the whole directed row as a
+	// proxy instead of halving its sample. See the Stats doc.
 	canonicalise := false
 	if dr, ok := rel.(interface{ streamsDirectedRows() bool }); ok {
-		canonicalise = dr.streamsDirectedRows() && !opts.DirectedSBPH && opts.Sources == nil
+		canonicalise = dr.streamsDirectedRows() && opts.Sources == nil
 	}
 
 	type acc struct {

@@ -78,8 +78,8 @@ func decodeTeam(t testing.TB, body []byte) teamResult {
 
 // gatedRel wraps a relation so Compatible/Distance block until the
 // gate channel closes — the in-flight request holder for admission and
-// drain tests. Wrapping hides the PackedRelation fast path, which is
-// fine: these tests are about the request lifecycle, not the solve.
+// drain tests. Wrapping hides the packed engine from the solver, which
+// is fine: these tests are about the request lifecycle, not the solve.
 type gatedRel struct {
 	compat.Relation
 	gate    <-chan struct{}

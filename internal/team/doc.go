@@ -39,7 +39,7 @@
 //     recomputing the whole intersection), and the members' cached
 //     packed distance rows — the MinDistance picker and the cost
 //     functions scan those rows by plain indexing (compat.DistRow.At)
-//     instead of per-pair PairDistance lookups, which on the sharded
+//     instead of per-pair Distance lookups, which on the sharded
 //     engine collapses one lock per pair into one shard touch per
 //     member. The scratch also holds the plan-compilation buffers
 //     (ranking keys, degree accumulators, the pool bitset), so the
@@ -111,12 +111,14 @@
 //
 // Every algorithm takes a compat.Relation and works with either engine
 // (lazy, or packed in its matrix or sharded configuration). When the
-// relation also implements compat.PackedRelation — the packed engine
-// does — the candidate filter, the pool-degree counts of the
-// MostCompatible policy and the cost functions switch to word-parallel
-// bitset AND/popcount over packed rows instead of per-pair interface
-// calls, which is what makes batch team formation several times
-// faster on packed backends. The produced teams are identical across
+// relation is the packed engine, *compat.ShardedMatrix, NewSolver
+// binds to it, and the candidate filter, the MinDistance pick, the
+// skill and pool degree counts and the running cost switch to
+// word-parallel bitset AND/popcount and distance-row scans instead of
+// per-pair interface calls, which is what makes batch team formation
+// several times faster on packed backends. The assignment may have
+// fewer users than the graph has nodes, never more: the solver refuses
+// such a query with an error. The produced teams are identical across
 // engines for every deterministic policy combination (see
 // matrix_test.go).
 package team

@@ -11,39 +11,24 @@ import (
 	"sync/atomic"
 
 	"repro/internal/compat"
-	"repro/internal/container"
 	"repro/internal/skills"
 )
 
-// skillCompatDegreesScratch computes the task-scoped compatibility
-// degree cd(s) = Σ_{s'∈task, s'≠s} cd(s,s') of every task skill into
-// deg (deg[i] for task[i]), where cd(s,s') counts compatible holder
-// pairs (a single user holding both skills counts, by reflexivity).
-// The paper defines cd over the whole universe; scoping to the task
+// taskSkillDegrees computes the task-scoped compatibility degree
+// cd(s) = Σ_{s'∈task, s'≠s} cd(s,s') of every task skill into deg
+// (deg[i] for task[i]), where cd(s,s') counts compatible holder pairs
+// (a single user holding both skills counts, by reflexivity). The
+// paper defines cd over the whole universe; scoping to the task
 // preserves the ranking the policy needs while keeping the cost
-// proportional to the task's holder sets. holderBuf is a reusable
-// holder-word buffer (the solver's plan compilation passes its
-// per-worker buffer in, and keeps the possibly grown slice it gets
-// back, so batches of cold plans allocate no degree scratch per task)
-// and memo an optional epoch-keyed pair memo (nil skips memoisation):
-// the pairwise degrees depend only on the relation and assignment, so
-// a solver serving many tasks computes each pair it encounters once.
-func skillCompatDegreesScratch(rel compat.Relation, assign *skills.Assignment, task skills.Task, deg []int64, holderBuf [][]uint64, memo *pairDegreeMemo, epoch uint64) ([][]uint64, error) {
+// proportional to the task's holder sets. m is the packed engine
+// behind rel, nil on the lazy one, and memo an optional epoch-keyed
+// pair memo (nil skips memoisation): the pairwise degrees depend only
+// on the relation and assignment, so a solver serving many tasks
+// computes each pair it encounters once.
+func taskSkillDegrees(rel compat.Relation, m *compat.ShardedMatrix, assign *skills.Assignment, task skills.Task, deg []int64, memo *pairDegreeMemo, epoch uint64) error {
 	for i := range deg {
 		deg[i] = 0
 	}
-	m, packed := rel.(compat.PackedRelation)
-	var holderWords [][]uint64
-	if packed {
-		if cap(holderBuf) < len(task) {
-			holderBuf = make([][]uint64, len(task))
-		}
-		holderWords = holderBuf[:len(task)]
-		for i := range holderWords {
-			holderWords[i] = nil // reset: entries fill lazily on memo misses
-		}
-	}
-	rc, bulk := rel.(compat.RowAndCounter)
 	for i, s1 := range task {
 		for jo, s2 := range task[i+1:] {
 			j := i + 1 + jo
@@ -53,70 +38,35 @@ func skillCompatDegreesScratch(rel compat.Relation, assign *skills.Assignment, t
 				continue
 			}
 			var cd int64
-			if packed {
-				// Word-parallel: the assignment's cached packed holder
-				// set per skill, then one AND/popcount of u's row
-				// against the other skill's holder set replaces
-				// |holders| interface calls per source. Diagonal bits
-				// are set, so a dual holder counts, as in the slow
-				// path. cd is symmetric (packed rows are), so iterate
-				// the smaller holder set and mask with the larger — on
-				// Zipf-skewed assignments, where tasks routinely
-				// contain one very popular skill, this cuts the row
-				// scans from the popular side to the rare side.
-				iter, maskPos := s1, j
+			var err error
+			if m != nil {
+				// Word-parallel: one AND/popcount of each holder's row
+				// against the other skill's packed holder set, summed in
+				// one bulk call (one engine-state resolution, and one
+				// lock on a spilling engine, for the whole holder set).
+				// Diagonal bits are set, so a dual holder counts, as in
+				// the pairwise path. cd is symmetric (packed rows are),
+				// so iterate the smaller holder set and mask with the
+				// larger — on Zipf-skewed assignments, where tasks
+				// routinely contain one very popular skill, this cuts
+				// the row scans from the popular side to the rare side.
+				iter, other := s1, s2
 				if assign.NumHolders(s2) < assign.NumHolders(s1) {
-					iter, maskPos = s2, i
+					iter, other = s2, s1
 				}
-				maskWords := holderWords[maskPos]
-				if maskWords == nil {
-					maskWords = taskHolderWords(assign, m, task[maskPos])
-					holderWords[maskPos] = maskWords
-				}
-				if bulk {
-					// One engine-state resolution (and one sharded
-					// lock) for the whole holder set, instead of one
-					// RowWords call per holder — the plan-compile
-					// profile's hottest edge.
-					var err error
-					cd, err = rc.AndCountRows(assign.Holders(iter), maskWords)
-					if err != nil {
-						return holderBuf, err
-					}
-				} else {
-					for _, u := range assign.Holders(iter) {
-						cd += int64(container.AndCount(m.RowWords(u), maskWords))
-					}
-				}
+				cd, err = m.AndCountRows(assign.Holders(iter), assign.HolderWords(other))
 			} else {
-				var err error
 				cd, err = skillPairDegree(rel, assign, s1, s2)
-				if err != nil {
-					return holderBuf, err
-				}
+			}
+			if err != nil {
+				return err
 			}
 			memo.put(epoch, s1, s2, cd)
 			deg[i] += cd
 			deg[j] += cd
 		}
 	}
-	return holderBuf, nil
-}
-
-// taskHolderWords resolves one skill's holder set as row-aligned
-// packed words: the assignment's cached set when its word layout
-// matches the relation's rows, a freshly built row-sized set when the
-// two straddle a 64-bit word boundary (a misconfiguration more than a
-// real layout — see holderWordsMatch).
-func taskHolderWords(assign *skills.Assignment, m compat.PackedRelation, s skills.SkillID) []uint64 {
-	if holderWordsMatch(assign, m) {
-		return assign.HolderWords(s)
-	}
-	set := container.NewBitset(m.NumNodes())
-	for _, u := range assign.Holders(s) {
-		set.Set(int(u))
-	}
-	return set.Words()
+	return nil
 }
 
 // pairDegreeMemo caches pairwise skill compatibility degrees cd(s,s')
@@ -213,15 +163,6 @@ func (pm *pairDegreeMemo) put(epoch uint64, s1, s2 skills.SkillID, cd int64) {
 	if t.epoch == epoch {
 		t.slots[i].Store(uint32(cd + 1))
 	}
-}
-
-// holderWordsMatch reports whether the assignment's packed holder sets
-// have the packed relation's row word length, i.e. whether they can be
-// ANDed against its rows directly. They diverge only when the
-// assignment's user count and the graph's node count straddle a
-// 64-bit word boundary — a misconfiguration more than a real layout.
-func holderWordsMatch(assign *skills.Assignment, m compat.PackedRelation) bool {
-	return (assign.NumUsers()+63)/64 == m.WordsPerRow() && assign.NumUsers() <= m.NumNodes()
 }
 
 func skillPairDegree(rel compat.Relation, assign *skills.Assignment, s1, s2 skills.SkillID) (int64, error) {

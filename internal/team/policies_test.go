@@ -128,7 +128,7 @@ func TestPairDegreeMemoCoversUniverse(t *testing.T) {
 		all[i] = skills.SkillID(i)
 	}
 	memo := newPairDegreeMemo(numSkills)
-	if _, err := skillCompatDegreesScratch(rel, assign, all, make([]int64, numSkills), nil, memo, 0); err != nil {
+	if err := taskSkillDegrees(rel, packedOf(rel), assign, all, make([]int64, numSkills), memo, 0); err != nil {
 		t.Fatal(err)
 	}
 	want := make([]int64, 2)
@@ -165,7 +165,7 @@ func TestSkillCompatDegreesPastMemoBudget(t *testing.T) {
 	}
 	for pass := 0; pass < 2; pass++ {
 		got := make([]int64, len(task))
-		if _, err := skillCompatDegreesScratch(rel, assign, task, got, nil, memo, 0); err != nil {
+		if err := taskSkillDegrees(rel, packedOf(rel), assign, task, got, memo, 0); err != nil {
 			t.Fatal(err)
 		}
 		for i := range want {
@@ -255,7 +255,7 @@ func TestSkillCompatDegreesMemoised(t *testing.T) {
 			}
 			for pass := 0; pass < 2; pass++ { // cold fills the memo, warm reads it
 				got := make([]int64, len(task))
-				if _, err := skillCompatDegreesScratch(rel, assign, task, got, nil, memo, 5); err != nil {
+				if err := taskSkillDegrees(rel, packedOf(rel), assign, task, got, memo, 5); err != nil {
 					t.Fatal(err)
 				}
 				for i := range want {

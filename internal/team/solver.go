@@ -71,19 +71,9 @@ type SolverOptions struct {
 type Solver struct {
 	rel     compat.Relation
 	assign  *skills.Assignment
-	packed  compat.PackedRelation  // non-nil on the packed engine
-	matrix  *compat.ShardedMatrix  // the packed engine's concrete type, for devirtualised row loads
+	matrix  *compat.ShardedMatrix  // the packed engine; nil on the lazy one
 	mutable compat.MutableRelation // non-nil on mutable engines: epoch-keys the plan cache
 	n       int                    // node count of the relation's graph
-
-	// rowCounter is the packed engines' bulk AND/popcount capability:
-	// the plan-compile degree passes resolve the engine state (and,
-	// sharded, the lock) once per row batch instead of once per row.
-	rowCounter compat.RowAndCounter
-	// holdersPacked reports that the assignment's cached holder-word
-	// sets can be ANDed directly against packed rows and the scratch
-	// mask — the precondition of the fused MinDistance pick.
-	holdersPacked bool
 
 	// pairDeg memoises the task-independent pairwise skill degrees
 	// cd(s,s') across plan compilations, one table per relation epoch
@@ -104,18 +94,8 @@ func NewSolver(rel compat.Relation, assign *skills.Assignment, opts SolverOption
 		pairDeg: newPairDegreeMemo(assign.Universe().Len()),
 		workers: opts.Workers,
 	}
-	if m, ok := rel.(compat.PackedRelation); ok {
-		s.packed = m
-		s.holdersPacked = holderWordsMatch(assign, m)
-	}
-	if rc, ok := rel.(compat.RowAndCounter); ok {
-		s.rowCounter = rc
-	}
-	// Devirtualise the hottest lookup: distance rows of the packed
-	// engine go through the concrete method instead of interface
-	// dispatch.
-	if cm, ok := rel.(*compat.ShardedMatrix); ok {
-		s.matrix = cm
+	if m, ok := rel.(*compat.ShardedMatrix); ok {
+		s.matrix = m
 	}
 	if mr, ok := rel.(compat.MutableRelation); ok {
 		s.mutable = mr
@@ -365,6 +345,13 @@ func (s *Solver) Plan(task skills.Task, opts Options) (*TaskPlan, error) {
 // PlanCacheStats.NegativeHits. Other plan errors (unknown policy, a
 // missing Rng, context aborts) stay uncached.
 func (s *Solver) planFor(ctx context.Context, task skills.Task, opts Options, sc *scratch) (*TaskPlan, error) {
+	// Every user id indexes the relation's rows, so an assignment with
+	// more users than the graph has nodes is refused before anything is
+	// looked up. Like an out-of-range skill, it is a malformed request
+	// rather than an infeasible task: neither ErrNoTeam nor cached.
+	if nu := s.assign.NumUsers(); nu > s.n {
+		return nil, fmt.Errorf("team: assignment has %d users, more than the graph's %d nodes", nu, s.n)
+	}
 	if s.plans == nil || opts.User == RandomUser {
 		return s.planWith(ctx, task, opts, sc)
 	}
@@ -402,15 +389,6 @@ func (s *Solver) planFor(ctx context.Context, task skills.Task, opts Options, sc
 	return s.plans.insert(p), nil
 }
 
-// userLimit bounds the constraint-user universe: ids must index both
-// the relation's rows and the assignment's user table.
-func (s *Solver) userLimit() int {
-	if nu := s.assign.NumUsers(); nu < s.n {
-		return nu
-	}
-	return s.n
-}
-
 // relEpoch returns the relation's current mutation epoch, or 0 when
 // the backing engine is immutable (epoch keying then degenerates to a
 // constant and the cache behaves exactly as before mutability).
@@ -437,7 +415,7 @@ func (s *Solver) planWith(ctx context.Context, task skills.Task, opts Options, s
 		return nil, errors.New("team: RandomUser policy requires Options.Rng")
 	}
 	if !opts.Constraints.IsZero() {
-		if err := opts.Constraints.Validate(s.userLimit()); err != nil {
+		if err := opts.Constraints.Validate(s.assign.NumUsers()); err != nil {
 			return nil, err
 		}
 		opts.Constraints = opts.Constraints.canonical()
@@ -474,7 +452,7 @@ func (s *Solver) planWith(ctx context.Context, task skills.Task, opts Options, s
 		for _, u := range excl {
 			p.exclSet.Set(int(u))
 		}
-		if s.packed != nil {
+		if s.matrix != nil {
 			// The allow mask (complement of the exclusions) is sized to
 			// the packed row words; set tail bits past n are harmless
 			// because row tails are always zero.
@@ -590,9 +568,7 @@ func (p *TaskPlan) rankSkills(sc *scratch) error {
 			sc.planDeg = make([]int64, len(p.task))
 		}
 		deg := sc.planDeg[:len(p.task)]
-		var err error
-		sc.planHolders, err = skillCompatDegreesScratch(p.s.rel, p.s.assign, p.task, deg, sc.planHolders, p.s.pairDeg, p.s.relEpoch())
-		if err != nil {
+		if err := taskSkillDegrees(p.s.rel, p.s.matrix, p.s.assign, p.task, deg, p.s.pairDeg, p.s.relEpoch()); err != nil {
 			return err
 		}
 		for i, s := range p.task {
@@ -619,22 +595,16 @@ func (p *TaskPlan) rankSkills(sc *scratch) error {
 // buildPoolDegrees computes, for every user in the task's candidate
 // pool, the number of other pool members it is compatible with — the
 // MostCompatible policy's ranking — using one AND/popcount per member
-// on packed engines. The pool membership bitset is sc's reusable
+// on the packed engine. The pool membership bitset is sc's reusable
 // compile buffer: it first dedups the holder union (the map-free form
 // of the tests' taskPool reference), then doubles as the AND/popcount
 // mask.
 func (p *TaskPlan) buildPoolDegrees(sc *scratch) error {
-	m := p.s.packed
 	if sc.planPool == nil {
 		sc.planPool = container.NewBitset(0)
 	}
 	poolSet := sc.planPool
-	if m != nil {
-		// Exactly the row word length, so rows AND against it directly.
-		poolSet.Grow(m.NumNodes())
-	} else {
-		poolSet.Grow(p.s.assign.NumUsers())
-	}
+	poolSet.Grow(p.s.assign.NumUsers())
 	members := 0
 	for _, s := range p.task {
 		for _, u := range p.s.assign.Holders(s) {
@@ -650,22 +620,14 @@ func (p *TaskPlan) buildPoolDegrees(sc *scratch) error {
 	p.pool = make([]sgraph.NodeID, 0, members)
 	poolSet.ForEach(func(u int) { p.pool = append(p.pool, sgraph.NodeID(u)) })
 	p.poolDegree = make([]int32, len(p.pool))
-	if m != nil {
+	if m := p.s.matrix; m != nil {
 		// Every row has its own bit set (reflexivity) and u is in the
 		// pool, so subtract the self hit to match the v≠u count.
-		if rc := p.s.rowCounter; rc != nil {
-			// Bulk form: engine state (and the sharded lock) resolved
-			// once for the whole pool, not once per member.
-			if err := rc.AndCountRowsEach(p.pool, poolSet.Words(), p.poolDegree); err != nil {
-				return err
-			}
-			for i := range p.poolDegree {
-				p.poolDegree[i]--
-			}
-			return nil
+		if err := m.AndCountRowsEach(p.pool, poolSet.Words(), p.poolDegree); err != nil {
+			return err
 		}
-		for i, u := range p.pool {
-			p.poolDegree[i] = int32(container.AndCount(m.RowWords(u), poolSet.Words()) - 1)
+		for i := range p.poolDegree {
+			p.poolDegree[i]--
 		}
 		return nil
 	}
@@ -747,19 +709,17 @@ type scratch struct {
 
 	// Plan-compilation buffers, reused across the tasks a worker
 	// compiles (FormBatch's cold plans): the ranking keys and degree
-	// accumulators of rankSkills, the cached holder-word slices of the
-	// LeastCompatibleFirst degree computation, and the pool-membership
-	// bitset of buildPoolDegrees. Only a plan's retained slices
-	// (order, seeds, pool, degrees) are allocated per task.
-	planRanked  []rankedSkill
-	planDeg     []int64
-	planHolders [][]uint64
-	planPool    *container.Bitset
+	// accumulators of rankSkills and the pool-membership bitset of
+	// buildPoolDegrees. Only a plan's retained slices (order, seeds,
+	// pool, degrees) are allocated per task.
+	planRanked []rankedSkill
+	planDeg    []int64
+	planPool   *container.Bitset
 }
 
 func (s *Solver) newScratch() *scratch {
 	sc := &scratch{covered: container.NewBitset(0)}
-	if s.packed != nil {
+	if s.matrix != nil {
 		sc.mask = container.NewBitset(s.n)
 	}
 	return sc
@@ -835,12 +795,12 @@ func (s *Solver) runPool(ctx context.Context, workers, count int, fn func(sc *sc
 // addMember grows the current team by u: appends it, marks the
 // uncovered task skills it holds (one bit test per skill), ANDs its packed row into the candidate mask (so
 // candidate filtering is one bit test per holder regardless of team
-// size) and caches its packed distance row for the member-by-member
-// scans of pickMinDistance and contribution.
+// size) and caches its packed distance row for the fused pick and
+// contribution.
 func (sc *scratch) addMember(p *TaskPlan, u sgraph.NodeID) {
-	if sc.mask != nil {
+	if m := p.s.matrix; m != nil {
 		if len(sc.members) == 0 {
-			sc.mask.CopyFrom(p.s.packed.RowWords(u))
+			sc.mask.CopyFrom(m.RowWords(u))
 			if p.allowWords != nil {
 				// Fold the exclusion complement in once; every later
 				// member ANDs on top, so excluded users stay masked out
@@ -848,15 +808,9 @@ func (sc *scratch) addMember(p *TaskPlan, u sgraph.NodeID) {
 				sc.mask.And(p.allowWords)
 			}
 		} else {
-			sc.mask.And(p.s.packed.RowWords(u))
+			sc.mask.And(m.RowWords(u))
 		}
-		// Devirtualised on the packed engine: a resident row is one
-		// table load and a slice expression.
-		if p.s.matrix != nil {
-			sc.rows.Append(p.s.matrix.DistanceRow(u))
-		} else {
-			sc.rows.Append(p.s.packed.DistanceRow(u))
-		}
+		sc.rows.Append(m.DistanceRow(u))
 	}
 	sc.members = append(sc.members, u)
 	for i := range p.task {
@@ -1031,15 +985,17 @@ func (p *TaskPlan) contribution(sc *scratch, u sgraph.NodeID, budget int32) (int
 // ok=false means no compatible holder (or, under MinDistance, none at
 // a defined distance below budget).
 func (p *TaskPlan) pick(sc *scratch, skill skills.SkillID, budget int32) (sgraph.NodeID, int32, bool, error) {
-	if sc.mask != nil && p.opts.User == MinDistance && p.s.holdersPacked {
+	if sc.mask != nil && p.opts.User == MinDistance {
 		// Fused fast path: candidates are the set bits of
 		// (holder words AND mask), enumerated and priced inside one
 		// kernel pass over only the holder index's non-zero words — no
-		// candidate slice, no per-candidate row indexing. Candidate
+		// candidate slice, no per-candidate row indexing. The holder
+		// words may be shorter than the mask (fewer users than graph
+		// nodes); PickMin ANDs over the holder words only. Candidate
 		// order, undefined-skipping and the smaller-id tie-break match
-		// the materialised path exactly (same ascending enumeration,
-		// same strict-improvement rule); TestSolverMatchesReference
-		// pins that against the oracle.
+		// the lazy engine's pickMinDistance exactly (same ascending
+		// enumeration, same strict-improvement rule);
+		// TestSolverMatchesReference pins that against the oracle.
 		hi := p.s.assign.HolderIndex(skill)
 		v, c, ok := sc.rows.PickMin(hi.Words, sc.mask.Words(), hi.NonZero, p.opts.Cost == SumDistance, budget)
 		return v, c, ok, nil
@@ -1104,18 +1060,11 @@ func (p *TaskPlan) pick(sc *scratch, skill skills.SkillID, budget int32) (sgraph
 // undefined distance to some member, or at or above budget, are
 // skipped.
 //
-// Scoring is contribution: on packed engines the members' distance
-// rows are already cached in scratch (resolved once per member when it
-// joined the team — on the sharded engine one shard touch per member,
-// not one lock per pair), so pricing a candidate is a member-by-member
-// scan of those rows. This is the packed path only for solvers whose
-// holder words cannot be ANDed against rows (layout mismatch): the
-// aligned case never materialises candidates and goes through
-// DistRows.PickMin in pick. Distances are symmetric for every relation
-// (a property-tested invariant), so reading the member side of each
-// pair returns exactly the values the per-pair PairDistance path read,
-// and candidate order plus tie-break are unchanged — picked members
-// are identical (tested against the pairwise oracle in solver_test.go).
+// It runs on the lazy engine only, pricing each candidate pair by pair
+// through contribution; the packed engine never materialises
+// candidates and picks through DistRows.PickMin in pick, with the
+// same candidate order and tie-break (both are tested against the
+// pairwise oracle in solver_test.go).
 func (p *TaskPlan) pickMinDistance(sc *scratch, budget int32) (sgraph.NodeID, int32, bool, error) {
 	best := sgraph.NodeID(-1)
 	bestDist := int32(0)

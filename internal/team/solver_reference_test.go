@@ -480,22 +480,27 @@ func sameErrClass(t *testing.T, label string, wantErr, gotErr error) bool {
 // {user policy} × {cost} × {engine, including sharded at shard heights
 // 1, 7, 64 and n} × {1, 4 workers}, the solver's answer — team, cost,
 // telemetry, or error class — equals the naive reference's, through
-// Form and the warm FormInto path.
+// Form and the warm FormInto path. The last trial has fewer users than
+// graph nodes, with holder sets one word shorter than the packed rows.
 func TestConstrainedSolverMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1709))
-	for trial := 0; trial < 3; trial++ {
+	for trial := 0; trial < 4; trial++ {
 		n := 12 + rng.Intn(16)
+		users := n
+		if trial == 3 {
+			n, users = 70, 60 // 1 holder word against 2 row words
+		}
 		g := randomTeamGraph(rng, n, 4*n, 0.25)
-		assign := randomAssignment(t, rng, n, 6)
+		assign := randomAssignment(t, rng, users, 6)
 		task, err := skills.RandomTask(rng, assign, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
 		consList := []Constraints{
 			{}, // unconstrained rides along as the regression anchor
-			randomConstraints(rng, n),
-			randomConstraints(rng, n),
-			{MustInclude: []sgraph.NodeID{sgraph.NodeID(rng.Intn(n))}, MaxTeamSize: 2},
+			randomConstraints(rng, users),
+			randomConstraints(rng, users),
+			{MustInclude: []sgraph.NodeID{sgraph.NodeID(rng.Intn(users))}, MaxTeamSize: 2},
 			{MustExclude: assign.Holders(task[0])}, // every holder of a task skill
 		}
 		for _, kind := range []compat.Kind{compat.SPO, compat.NNE} {
@@ -545,16 +550,24 @@ func TestConstrainedSolverMatchesReference(t *testing.T) {
 // the greedy scan and truncates the cost-sorted list, so the reference
 // comparison there pins that shortcut to the greedy selection; the
 // test additionally pins lambda = 0 to plain FormTopKContext (the
-// documented degeneration).
+// documented degeneration). The last trial has 60 users over 70 graph
+// nodes: holder sets one word shorter than the packed rows.
 func TestTopKDiverseMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1721))
-	for trial := 0; trial < 6; trial++ {
+	for trial := 0; trial < 7; trial++ {
 		g, assign, task := randomInstance(rng)
+		if trial == 6 {
+			g = randomTeamGraph(rng, 70, 4*70, 0.25)
+			assign = randomAssignment(t, rng, 60, 5)
+			var err error
+			if task, err = skills.RandomTask(rng, assign, 3); err != nil {
+				t.Fatal(err)
+			}
+		}
 		if len(task) == 0 {
 			continue
 		}
-		n := g.NumNodes()
-		for _, cons := range []Constraints{{}, randomConstraints(rng, n)} {
+		for _, cons := range []Constraints{{}, randomConstraints(rng, assign.NumUsers())} {
 			opts := Options{Constraints: cons}
 			for engine, rel := range constrainedEngines(t, compat.SPO, g) {
 				for _, lambda := range []float64{0, 0.75, 3} {

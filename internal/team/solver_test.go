@@ -587,8 +587,8 @@ func TestPlanCanonicalisesTask(t *testing.T) {
 
 // TestSkillCompatDegreesWordMismatch: an assignment whose user count
 // straddles a word boundary below the graph's node count must still
-// agree with the lazy computation (it takes the row-sized local bitset
-// path instead of the cached holder words).
+// agree with the lazy computation (the packed rows are ANDed against
+// the shorter holder words over their common prefix).
 func TestSkillCompatDegreesWordMismatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(151))
 	n := 70
@@ -680,6 +680,43 @@ func TestSolverSkillOutOfRange(t *testing.T) {
 	}
 	if st := s.PlanCacheStats(); st.Size != 0 || st.Hits != 0 {
 		t.Fatalf("out-of-range tasks reached the plan cache: %+v", st)
+	}
+}
+
+// TestSolverMoreUsersThanNodes: an assignment over more users than the
+// graph has nodes cannot index the relation's rows, so every entry
+// point refuses it on both engines, under both the fused MinDistance
+// pick and MostCompatible, with an error that is neither ErrNoTeam nor
+// cached.
+func TestSolverMoreUsersThanNodes(t *testing.T) {
+	rng := rand.New(rand.NewSource(163))
+	g := randomTeamGraph(rng, 130, 4*130, 0.25)
+	assign := randomAssignment(t, rng, 200, 5)
+	task := skills.NewTask(0, 1, 2, 3)
+	engines := map[string]compat.Relation{
+		"lazy":   compat.MustNew(compat.SPM, g, compat.Options{}),
+		"matrix": mustMatrix(compat.SPM, g),
+	}
+	for engine, rel := range engines {
+		s := NewSolver(rel, assign, SolverOptions{Workers: 2, PlanCache: 8})
+		for _, up := range []UserPolicy{MinDistance, MostCompatible} {
+			opts := Options{Skill: LeastCompatibleFirst, User: up}
+			for i := 0; i < 2; i++ { // a cached error would answer the second round
+				_, errPlan := s.Plan(task, opts)
+				var tm Team
+				errForm := s.FormIntoContext(context.Background(), task, opts, &tm)
+				_, errTopK := s.FormTopKContext(context.Background(), task, opts, 3)
+				_, errBatch := s.FormBatch([]skills.Task{task}, opts)
+				for name, err := range map[string]error{"Plan": errPlan, "FormIntoContext": errForm, "FormTopKContext": errTopK, "FormBatch": errBatch} {
+					if err == nil || errors.Is(err, ErrNoTeam) {
+						t.Fatalf("%s/%v: %s err = %v, want a non-ErrNoTeam error", engine, up, name, err)
+					}
+				}
+			}
+		}
+		if st := s.PlanCacheStats(); st.Size != 0 || st.Hits != 0 {
+			t.Fatalf("%s: refused queries reached the plan cache: %+v", engine, st)
+		}
 	}
 }
 

@@ -177,23 +177,16 @@ func Cost(rel compat.Relation, members []sgraph.NodeID) (int32, error) {
 	return CostWith(rel, members, Diameter)
 }
 
-// CostWith prices a team under the chosen objective. Matrix-backed
-// relations are priced with direct packed-distance lookups.
+// CostWith prices a team under the chosen objective. A relation
+// failure (on the packed engine, a spilled shard that cannot be
+// reloaded) is returned as an error.
 func CostWith(rel compat.Relation, members []sgraph.NodeID, kind CostKind) (int32, error) {
-	matrix, _ := rel.(compat.PackedRelation)
 	var cost int32
 	for i, u := range members {
 		for _, v := range members[i+1:] {
-			var d int32
-			var ok bool
-			if matrix != nil {
-				d, ok = matrix.PairDistance(u, v)
-			} else {
-				var err error
-				d, ok, err = rel.Distance(u, v)
-				if err != nil {
-					return 0, err
-				}
+			d, ok, err := rel.Distance(u, v)
+			if err != nil {
+				return 0, err
 			}
 			if !ok {
 				return 0, fmt.Errorf("%w: pair (%d,%d)", errUndefinedDistance, u, v)

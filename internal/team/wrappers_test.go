@@ -56,8 +56,14 @@ func skillCompatDegrees(rel compat.Relation, assign *skills.Assignment, task ski
 // skillCompatDegreesInto writes cd(task[i]) into deg[i] with no memo
 // and no reusable buffer.
 func skillCompatDegreesInto(rel compat.Relation, assign *skills.Assignment, task skills.Task, deg []int64) error {
-	_, err := skillCompatDegreesScratch(rel, assign, task, deg, nil, nil, 0)
-	return err
+	return taskSkillDegrees(rel, packedOf(rel), assign, task, deg, nil, 0)
+}
+
+// packedOf returns rel's packed engine, nil on the lazy one: what
+// NewSolver binds.
+func packedOf(rel compat.Relation) *compat.ShardedMatrix {
+	m, _ := rel.(*compat.ShardedMatrix)
+	return m
 }
 
 // taskPool returns the distinct holders of any task skill, sorted: the
