@@ -173,10 +173,14 @@ func (rs *DistRows) Contribution(k int, v sgraph.NodeID, sum bool) (int32, bool)
 // — never materialised — it returns the one with the smallest
 // Contribution over all rows and that score, ties to the smallest id,
 // ok=false when no candidate has a defined score below budget
-// (exclusive; math.MaxInt32 is no limit). When every row is
-// uint8-packed this is one kernel pass (ArgminMaxU8 / ArgminSumU8,
-// handed the budget as their ceiling); otherwise a scalar scan over
-// the same candidate enumeration, so the picked node is identical
+// (exclusive; math.MaxInt32 is no limit). floor ≥ 0 is an inclusive
+// lower bound on every candidate's score that the caller has proven (0
+// always holds): a budget at or below it answers ok=false at once,
+// and the kernels return at the first candidate that scores it. When
+// every row is uint8-packed this is one kernel pass (ArgminMaxU8 /
+// ArgminSumU8, handed the floor and the budget as their ceiling);
+// otherwise a scalar scan over the same candidate enumeration, which
+// needs no floor to stay exact, so the picked node is identical
 // either way. Candidates are ANDed over the holder words only, so
 // len(holder) ≤ len(mask) is required and a holder set over fewer
 // users than the graph has nodes qualifies; bits of holder AND mask at
@@ -185,18 +189,19 @@ func (rs *DistRows) Contribution(k int, v sgraph.NodeID, sum bool) (int32, bool)
 // zero words allowed — skills.HolderIndex's NonZero is such a list.
 //
 //tfsn:noalloc
-func (rs *DistRows) PickMin(holder, mask []uint64, nz []int32, sum bool, budget int32) (sgraph.NodeID, int32, bool) {
-	if budget <= 0 {
+func (rs *DistRows) PickMin(holder, mask []uint64, nz []int32, sum bool, floor, budget int32) (sgraph.NodeID, int32, bool) {
+	if budget <= floor {
 		return 0, 0, false
 	}
 	if rs.notU8 == 0 && len(rs.rows) > 0 {
 		if sum {
-			idx, score, ok := kernels.ArgminSumU8(rs.d8, holder, mask, nz, uint32(budget))
+			idx, score, ok := kernels.ArgminSumU8(rs.d8, holder, mask, nz, uint32(floor), uint32(budget))
 			return sgraph.NodeID(idx), int32(score), ok
 		}
 		// Every defined u8 score is below Undefined, so larger budgets
-		// are no limit.
-		idx, score, ok := kernels.ArgminMaxU8(rs.d8, holder, mask, nz, uint8(min(budget, kernels.Undefined)))
+		// are no limit, and a floor clamped to Undefined still admits
+		// no candidate, as a floor that high proves.
+		idx, score, ok := kernels.ArgminMaxU8(rs.d8, holder, mask, nz, uint8(min(floor, kernels.Undefined)), uint8(min(budget, kernels.Undefined)))
 		return sgraph.NodeID(idx), int32(score), ok
 	}
 	best := sgraph.NodeID(-1)

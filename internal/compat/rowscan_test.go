@@ -80,7 +80,8 @@ func TestAndCountRowsMatchPerRow(t *testing.T) {
 // and score as a scalar enumeration of (holder AND mask) scored by
 // Contribution — same smallest-id tie-break included — for both the
 // Diameter (max) and SumDistance costs, under every budget from none
-// at all to no limit, and over both word lists a caller may pass: the
+// at all to no limit, under every valid floor (0 up to the smallest
+// defined score), and over both word lists a caller may pass: the
 // holder's exact non-zero words and every word index. An empty list
 // picks nothing.
 func TestDistRowsPickMinMatchesScalar(t *testing.T) {
@@ -92,8 +93,11 @@ func TestDistRowsPickMinMatchesScalar(t *testing.T) {
 		// rs holds the engine's u8 rows, wide the same rows widened to
 		// int32, which sends PickMin down its scalar path.
 		var rs, wide DistRows
+		var sources []int
 		for k := 0; k < 1+rng.Intn(4); k++ {
-			row := m.DistanceRow(sgraph.NodeID(rng.Intn(n)))
+			u := rng.Intn(n)
+			sources = append(sources, u)
+			row := m.DistanceRow(sgraph.NodeID(u))
 			rs.Append(row)
 			wide.Append(DistRow{d32: row.distRowInto(nil)})
 		}
@@ -110,6 +114,14 @@ func TestDistRowsPickMinMatchesScalar(t *testing.T) {
 				mask.Set(v)
 			}
 		}
+		if trial >= 3 {
+			// As in the solver, no row's source is a candidate, so no
+			// score is 0 and the floors above 0 get a candidate to
+			// stop at.
+			for _, u := range sources {
+				mask.Clear(u)
+			}
+		}
 		lists := map[string][]int32{}
 		for wi, w := range holder.Words() {
 			if w != 0 {
@@ -118,6 +130,12 @@ func TestDistRowsPickMinMatchesScalar(t *testing.T) {
 			lists["all"] = append(lists["all"], int32(wi))
 		}
 		for _, sum := range []bool{false, true} {
+			// The largest valid floor: the smallest defined score of
+			// any candidate (a few small floors when there is none).
+			top := int32(3)
+			if _, score, ok := rs.PickMin(holder.Words(), mask.Words(), lists["all"], sum, 0, math.MaxInt32); ok {
+				top = score
+			}
 			for _, budget := range []int32{-1, 0, 1, 2, 3, 5, 8, 128, 254, 255, 256, math.MaxInt32} {
 				// Scalar reference: ascending ids, strict improvement,
 				// scores below the budget only.
@@ -135,14 +153,16 @@ func TestDistRowsPickMinMatchesScalar(t *testing.T) {
 					}
 				}
 				for name, stack := range map[string]*DistRows{"u8": &rs, "int32": &wide} {
-					for list, nz := range lists {
-						gotV, gotScore, gotOK := stack.PickMin(holder.Words(), mask.Words(), nz, sum, budget)
-						if gotOK != wantOK || (wantOK && (gotV != wantV || gotScore != wantScore)) {
-							t.Fatalf("trial %d %s %s sum=%v budget=%d: PickMin = (%d,%d,%v), want (%d,%d,%v)",
-								trial, name, list, sum, budget, gotV, gotScore, gotOK, wantV, wantScore, wantOK)
+					for floor := int32(0); floor <= top; floor++ {
+						for list, nz := range lists {
+							gotV, gotScore, gotOK := stack.PickMin(holder.Words(), mask.Words(), nz, sum, floor, budget)
+							if gotOK != wantOK || (wantOK && (gotV != wantV || gotScore != wantScore)) {
+								t.Fatalf("trial %d %s %s sum=%v floor=%d budget=%d: PickMin = (%d,%d,%v), want (%d,%d,%v)",
+									trial, name, list, sum, floor, budget, gotV, gotScore, gotOK, wantV, wantScore, wantOK)
+							}
 						}
 					}
-					if v, _, ok := stack.PickMin(holder.Words(), mask.Words(), nil, sum, budget); ok {
+					if v, _, ok := stack.PickMin(holder.Words(), mask.Words(), nil, sum, 0, budget); ok {
 						t.Fatalf("trial %d %s sum=%v budget=%d: empty word list picked %d", trial, name, sum, budget, v)
 					}
 				}

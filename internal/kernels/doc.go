@@ -28,7 +28,15 @@
 //     of words, not the row's width. Both take an exclusive budget:
 //     only scores below it count, so a caller that needs a score
 //     under some bound (the solver's best team so far) rejects
-//     everything else inside the scan. ArgminMaxU8 rejects eight
+//     everything else inside the scan. Both also take an inclusive
+//     floor, a score the caller has proven no candidate beats (0
+//     always holds): the scan returns at the first candidate, in
+//     index order, that scores it, since nothing can do better and
+//     every later candidate loses the tie, and a budget at or below
+//     the floor finds nothing. A floor that does not hold can cost
+//     exactness but never reads out of bounds. The team solver proves
+//     its floor from the graph (a candidate is never a member, so
+//     every distance is at least 1). ArgminMaxU8 rejects eight
 //     candidates at a time: a max improves on the best so far only if
 //     every row's lane is below it, so one borrow-safe compare per
 //     row, AND-folded with the candidate flags and short-circuited,

@@ -5,7 +5,8 @@
 // densities and sentinel placements the property suite only samples.
 // The argmin kernels run under every fixed budget of argminCeils plus
 // two drawn from the leftover bytes, each over both word lists of
-// wordLists.
+// wordLists and under every valid floor, 0 up to the reference
+// minimum.
 // CI runs it in the fuzz-smoke job.
 
 package kernels
@@ -80,12 +81,15 @@ func FuzzKernels(f *testing.F) {
 			}
 			lists := wordLists(holder)
 			for _, sum := range []bool{false, true} {
+				top := maxFloor(rows, holder, mask, sum)
 				for _, ceil := range ceils {
 					wi, ws, wok := refArgmin(rows, holder, mask, sum, ceil)
-					for list, nz := range lists {
-						gi, gs, gok := runArgmin(rows, holder, mask, nz, sum, ceil)
-						if gok != wok || gi != wi || (wok && gs != ws) {
-							t.Fatalf("argmin sum=%v ceil=%d %s got (%d,%d,%v) want (%d,%d,%v)", sum, ceil, list, gi, gs, gok, wi, ws, wok)
+					for floor := uint32(0); floor <= top; floor++ {
+						for list, nz := range lists {
+							gi, gs, gok := runArgmin(rows, holder, mask, nz, sum, floor, ceil)
+							if gok != wok || gi != wi || (wok && gs != ws) {
+								t.Fatalf("argmin sum=%v floor=%d ceil=%d %s got (%d,%d,%v) want (%d,%d,%v)", sum, floor, ceil, list, gi, gs, gok, wi, ws, wok)
+							}
 						}
 					}
 				}

@@ -112,6 +112,13 @@ const swarBlockMin = 4
 // candidate scored below ceil at all; ties resolve to the smallest
 // index.
 //
+// floor is an inclusive lower bound the caller has proven: no
+// candidate scores below it (0 always holds). The scan returns at the
+// first candidate, in index order, that scores floor — nothing can
+// beat it and every later candidate loses the tie — and a ceil at or
+// below floor answers "none" without reading a row. A floor that does
+// not hold can cost exactness, never memory safety.
+//
 // Contracts: nz lists word indices of holder in ascending order and
 // includes every non-zero holder word (listing zero words is allowed,
 // so every index 0..len(holder)-1 is always valid); len(mask) ≥
@@ -129,7 +136,10 @@ const swarBlockMin = 4
 // while the bar is above hasLess's 128 ceiling — before the
 // first defined candidate of an unbudgeted scan, in practice — are
 // candidates scored bit by bit.
-func ArgminMaxU8(rows [][]uint8, holder, mask []uint64, nz []int32, ceil uint8) (int, uint8, bool) {
+func ArgminMaxU8(rows [][]uint8, holder, mask []uint64, nz []int32, floor, ceil uint8) (int, uint8, bool) {
+	if ceil <= floor {
+		return -1, 0, false // no candidate scores below ceil
+	}
 	n := len(rows[0])
 	bestIdx := -1
 	best := ceil // a score must beat it; Undefined lanes never do
@@ -138,9 +148,6 @@ func ArgminMaxU8(rows [][]uint8, holder, mask []uint64, nz []int32, ceil uint8) 
 		w := holder[wi] & mask[wi]
 		if w == 0 {
 			continue
-		}
-		if best == 0 {
-			break // already optimal (or a zero budget), and earlier indices win ties
 		}
 		base := int(wi) * 64
 		if base+64 > n || best > 128 || bits.OnesCount64(w) < swarBlockMin {
@@ -166,8 +173,8 @@ func ArgminMaxU8(rows [][]uint8, holder, mask []uint64, nz []int32, ceil uint8) 
 				}
 				if score < best {
 					best, bestIdx = score, idx
-					if best == 0 {
-						return bestIdx, 0, true
+					if best <= floor {
+						return bestIdx, best, true
 					}
 				}
 			}
@@ -198,10 +205,10 @@ func ArgminMaxU8(rows [][]uint8, holder, mask []uint64, nz []int32, ceil uint8) 
 				}
 				if score < best {
 					best, bestIdx = score, idx
+					if best <= floor {
+						return bestIdx, best, true
+					}
 				}
-			}
-			if best == 0 {
-				return bestIdx, 0, true
 			}
 		}
 	}
@@ -216,11 +223,15 @@ func ArgminMaxU8(rows [][]uint8, holder, mask []uint64, nz []int32, ceil uint8) 
 // lanes (as uint32, so deep stacks of rows cannot wrap), candidates
 // with any Undefined lane are skipped, only scores below the exclusive
 // budget ceil count (pass math.MaxUint32 for no limit), ties resolve
-// to the smallest index.
+// to the smallest index, and the scan returns at the first candidate
+// that scores the inclusive, caller-proven floor.
 // Sums do not fold lane-wise without widening, so this kernel scans
 // candidates bit by bit — it still fuses the AND, the enumeration and
 // the argmin into one pass with no materialised candidate set.
-func ArgminSumU8(rows [][]uint8, holder, mask []uint64, nz []int32, ceil uint32) (int, uint32, bool) {
+func ArgminSumU8(rows [][]uint8, holder, mask []uint64, nz []int32, floor, ceil uint32) (int, uint32, bool) {
+	if ceil <= floor {
+		return -1, 0, false // no candidate scores below ceil
+	}
 	bestIdx := -1
 	best := ceil
 	mask = mask[:len(holder)]
@@ -246,6 +257,9 @@ func ArgminSumU8(rows [][]uint8, holder, mask []uint64, nz []int32, ceil uint32)
 			}
 			if ok {
 				best, bestIdx = score, idx
+				if best <= floor {
+					return bestIdx, best, true
+				}
 			}
 		}
 	}

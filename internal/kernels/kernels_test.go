@@ -69,6 +69,17 @@ func refArgmin(rows [][]uint8, holder, mask []uint64, sum bool, ceil uint32) (in
 	return bestIdx, best, bestIdx >= 0
 }
 
+// maxFloor returns the largest floor valid for a candidate set: the
+// reference minimum score over its defined candidates, ignoring any
+// budget. With no defined candidate every floor holds, and a few
+// small ones are tried.
+func maxFloor(rows [][]uint8, holder, mask []uint64, sum bool) uint32 {
+	if _, score, ok := refArgmin(rows, holder, mask, sum, math.MaxUint32); ok {
+		return score
+	}
+	return 3
+}
+
 // --- generators -------------------------------------------------------------
 
 // wordLists returns the two word lists the argmin kernels are driven
@@ -207,13 +218,13 @@ func argminCeils(sum bool, nRows int) []uint32 {
 }
 
 // runArgmin calls the max or sum kernel over the word list nz with a
-// ceiling clamped to the kernel's budget type, widening the score for
-// comparison.
-func runArgmin(rows [][]uint8, holder, mask []uint64, nz []int32, sum bool, ceil uint32) (int, uint32, bool) {
+// floor and a ceiling clamped to the kernel's score type, widening the
+// score for comparison.
+func runArgmin(rows [][]uint8, holder, mask []uint64, nz []int32, sum bool, floor, ceil uint32) (int, uint32, bool) {
 	if sum {
-		return ArgminSumU8(rows, holder, mask, nz, ceil)
+		return ArgminSumU8(rows, holder, mask, nz, floor, ceil)
 	}
-	idx, score, ok := ArgminMaxU8(rows, holder, mask, nz, uint8(min(ceil, Undefined)))
+	idx, score, ok := ArgminMaxU8(rows, holder, mask, nz, uint8(min(floor, Undefined)), uint8(min(ceil, Undefined)))
 	return idx, uint32(score), ok
 }
 
@@ -226,24 +237,36 @@ func testArgmin(t *testing.T, sum bool) {
 				rows := make([][]uint8, nRows)
 				for r := range rows {
 					rows[r] = randRow(rng, n)
+					if trial >= 3 {
+						// No lane reads 0, as no member-to-candidate
+						// distance does in the solver: the floors
+						// above 0 get candidates to stop at.
+						for i, d := range rows[r] {
+							rows[r][i] = max(d, 1)
+						}
+					}
 				}
 				// Mix sparse and dense candidate sets so both the
 				// bit-by-bit and the 8-lane paths are exercised.
 				density := []float64{0.02, 0.3, 0.95}[trial%3]
 				holder := randWords(rng, n, density)
 				mask := randWords(rng, n, 0.8)
+				top := maxFloor(rows, holder, mask, sum)
 				for _, ceil := range argminCeils(sum, nRows) {
 					wantIdx, wantScore, wantOK := refArgmin(rows, holder, mask, sum, ceil)
-					for list, nz := range wordLists(holder) {
-						gotIdx, gotScore, gotOK := runArgmin(rows, holder, mask, nz, sum, ceil)
-						if gotOK != wantOK || gotIdx != wantIdx || (wantOK && gotScore != wantScore) {
-							t.Fatalf("n=%d rows=%d sum=%v ceil=%d %s: got (%d,%d,%v) want (%d,%d,%v)",
-								n, nRows, sum, ceil, list, gotIdx, gotScore, gotOK, wantIdx, wantScore, wantOK)
+					// Every valid floor must give the floor-0 answer.
+					for floor := uint32(0); floor <= top; floor++ {
+						for list, nz := range wordLists(holder) {
+							gotIdx, gotScore, gotOK := runArgmin(rows, holder, mask, nz, sum, floor, ceil)
+							if gotOK != wantOK || gotIdx != wantIdx || (wantOK && gotScore != wantScore) {
+								t.Fatalf("n=%d rows=%d sum=%v floor=%d ceil=%d %s: got (%d,%d,%v) want (%d,%d,%v)",
+									n, nRows, sum, floor, ceil, list, gotIdx, gotScore, gotOK, wantIdx, wantScore, wantOK)
+							}
 						}
 					}
 					// The kernels read only listed words: an empty list
 					// (a holderless skill's) finds no candidate.
-					if idx, _, ok := runArgmin(rows, holder, mask, nil, sum, ceil); ok {
+					if idx, _, ok := runArgmin(rows, holder, mask, nil, sum, 0, ceil); ok {
 						t.Fatalf("n=%d rows=%d sum=%v ceil=%d: empty word list picked %d", n, nRows, sum, ceil, idx)
 					}
 				}
@@ -275,7 +298,7 @@ func TestArgminMaxU8BudgetFromFirstWord(t *testing.T) {
 	mask := holder
 	nz := []int32{0, 1, 2, 3}
 	for _, ceil := range []uint32{0, 1, 9, 10, 100, 120, 121, 128} {
-		gotIdx, gotScore, gotOK := runArgmin(rows, holder, mask, nz, false, ceil)
+		gotIdx, gotScore, gotOK := runArgmin(rows, holder, mask, nz, false, 0, ceil)
 		wantIdx, wantScore, wantOK := refArgmin(rows, holder, mask, false, ceil)
 		if gotOK != wantOK || gotIdx != wantIdx || gotScore != wantScore {
 			t.Fatalf("ceil=%d: got (%d,%d,%v) want (%d,%d,%v)", ceil, gotIdx, gotScore, gotOK, wantIdx, wantScore, wantOK)
@@ -301,10 +324,10 @@ func TestArgminMaxU8AllUndefined(t *testing.T) {
 	}
 	mask[len(mask)-1] = (1 << uint(n&63)) - 1
 	nz := wordLists(holder)["all"]
-	if idx, _, ok := ArgminMaxU8([][]uint8{row}, holder, mask, nz, Undefined); ok {
+	if idx, _, ok := ArgminMaxU8([][]uint8{row}, holder, mask, nz, 0, Undefined); ok {
 		t.Fatalf("all-undefined row produced a pick at %d", idx)
 	}
-	if idx, _, ok := ArgminSumU8([][]uint8{row}, holder, mask, nz, math.MaxUint32); ok {
+	if idx, _, ok := ArgminSumU8([][]uint8{row}, holder, mask, nz, 0, math.MaxUint32); ok {
 		t.Fatalf("all-undefined row produced a sum pick at %d", idx)
 	}
 }
@@ -437,7 +460,7 @@ func BenchmarkArgminMaxU8(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			sink := 0
 			for i := 0; i < b.N; i++ {
-				idx, _, _ := ArgminMaxU8(rows, c.holder, mask, nz, Undefined)
+				idx, _, _ := ArgminMaxU8(rows, c.holder, mask, nz, 0, Undefined)
 				sink += idx
 			}
 			_ = sink

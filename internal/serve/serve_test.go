@@ -448,17 +448,23 @@ func TestDeadline504(t *testing.T) {
 }
 
 // TestServerDeadlineCap: the request deadline can lower the server
-// default but never raise it.
+// default but never raise it — nor drop it, as a deadline_ms too large
+// for time.Duration would if its conversion wrapped negative.
 func TestServerDeadlineCap(t *testing.T) {
 	g, a := fixtureGraph(t)
 	base := compat.MustNew(compat.NNE, g, compat.Options{})
-	s := New(&slowRel{Relation: base, delay: 2 * time.Millisecond}, a, Options{Deadline: time.Millisecond})
-	defer s.Wait(context.Background())
-
-	// deadline_ms=10000 must not override the 1ms server default.
-	res, body := get(t, s, "/form?task=A,B,C&deadline_ms=10000")
-	if res.StatusCode != http.StatusGatewayTimeout {
-		t.Fatalf("status %d (%s), want 504 under the server default deadline", res.StatusCode, body)
+	// None of these may override the 1ms server default. Each runs on
+	// a fresh server: the first solve's slow plan compile is what
+	// outlasts the deadline, and a cached plan would skip it.
+	for _, ms := range []string{"10000", "9300000000000", "10000000000000", "9223372036854775807"} {
+		s := New(&slowRel{Relation: base, delay: 2 * time.Millisecond}, a, Options{Deadline: time.Millisecond})
+		res, body := get(t, s, "/form?task=A,B,C&deadline_ms="+ms)
+		if res.StatusCode != http.StatusGatewayTimeout {
+			t.Fatalf("deadline_ms=%s: status %d (%s), want 504 under the server default deadline", ms, res.StatusCode, body)
+		}
+		if err := s.Wait(context.Background()); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

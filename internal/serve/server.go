@@ -334,8 +334,12 @@ func (s *Server) requestCtx(r *http.Request) (context.Context, context.CancelFun
 		if err != nil || ms <= 0 {
 			return nil, nil, fmt.Errorf("bad deadline_ms %q", v)
 		}
-		if rd := time.Duration(ms) * time.Millisecond; d == 0 || rd < d {
-			d = rd
+		// A value past time.Duration's range would wrap negative when
+		// converted, so it is compared first: it lowers no deadline.
+		if int64(ms) <= math.MaxInt64/int64(time.Millisecond) {
+			if rd := time.Duration(ms) * time.Millisecond; d == 0 || rd < d {
+				d = rd
+			}
 		}
 	}
 	if d > 0 {

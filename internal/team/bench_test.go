@@ -23,8 +23,9 @@ import (
 // warm_zipf is the warm solve on the Epinions stand-in at 4% scale,
 // SPM matrix, LeastCompatibleFirst: cached 5-skill tasks that mix
 // popular and rare skills of its Zipf-skewed assignment, so the picks
-// scan holder sets from a few words to most of the row. It too must
-// stay 0 allocs/op.
+// scan holder sets from a few words to most of the row. warm_zipf_sum
+// is the same solve under SumDistance, whose pick runs the sum kernel.
+// Both must stay 0 allocs/op.
 func BenchmarkPickMinDistancePacked(b *testing.B) {
 	rng := rand.New(rand.NewSource(42))
 	const n, numSkills = 512, 12
@@ -62,30 +63,35 @@ func BenchmarkPickMinDistancePacked(b *testing.B) {
 			}
 		}
 	})
-	zipfOpts := Options{Skill: LeastCompatibleFirst, User: MinDistance, Cost: Diameter}
-	var zipfSolver *Solver
-	var zipfTasks []skills.Task
-	b.Run("warm_zipf", func(b *testing.B) {
-		if zipfSolver == nil {
-			zipfSolver, zipfTasks = zipfPickFixture(b, zipfOpts)
-			// Collect the dataset build's garbage now, so no GC cycle
-			// empties the scratch pool during the timed loop.
-			runtime.GC()
-		}
-		var dst Team
-		for _, task := range zipfTasks { // grow dst.Members to the largest team
-			if err := zipfSolver.FormIntoContext(context.Background(), task, zipfOpts, &dst); err != nil {
-				b.Fatal(err)
+	for _, c := range []struct {
+		name string
+		cost CostKind
+	}{{"warm_zipf", Diameter}, {"warm_zipf_sum", SumDistance}} {
+		zipfOpts := Options{Skill: LeastCompatibleFirst, User: MinDistance, Cost: c.cost}
+		var zipfSolver *Solver
+		var zipfTasks []skills.Task
+		b.Run(c.name, func(b *testing.B) {
+			if zipfSolver == nil {
+				zipfSolver, zipfTasks = zipfPickFixture(b, zipfOpts)
+				// Collect the dataset build's garbage now, so no GC cycle
+				// empties the scratch pool during the timed loop.
+				runtime.GC()
 			}
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := zipfSolver.FormIntoContext(context.Background(), zipfTasks[i%len(zipfTasks)], zipfOpts, &dst); err != nil {
-				b.Fatal(err)
+			var dst Team
+			for _, task := range zipfTasks { // grow dst.Members to the largest team
+				if err := zipfSolver.FormIntoContext(context.Background(), task, zipfOpts, &dst); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := zipfSolver.FormIntoContext(context.Background(), zipfTasks[i%len(zipfTasks)], zipfOpts, &dst); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // zipfPickFixture builds warm_zipf's single-worker solver over the

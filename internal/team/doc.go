@@ -64,7 +64,24 @@
 //     strictly cheaper to win, so the answer is exactly the full
 //     growth's (pinned against a full-growth oracle in bound_test.go);
 //     RandomUser seeds still grow in full, consuming Options.Rng in
-//     the legacy order. The solver's worker pool runs
+//     the legacy order.
+//   - The packed MinDistance pick starts at a proven floor. A
+//     candidate is never a member (addMember covers every task skill
+//     a member holds), so each member's distance to it is at least 1:
+//     a Diameter score is at least 1, a SumDistance score over R
+//     members at least R. A score meets that structural floor exactly
+//     when every distance is 1, which makes the candidate a common
+//     graph neighbour of the members, because a length-1 path is an
+//     edge under every relation kind. The pick walks the sorted
+//     adjacency of the member with the fewest neighbours (from the
+//     engine's current graph), and the first neighbour that qualifies
+//     is the exact answer: the minimum score at the smallest id. If
+//     none does, the floor rises by one, so a budget at or below it
+//     answers none without a kernel call (Diameter's budget 2 after a
+//     priced team of cost 2), and the kernels return at the first
+//     candidate that scores it. Every pick is checked against a
+//     brute-force scan in floor_test.go.
+//   - The solver's worker pool runs
 //     Solver.FormBatch's tasks and the top-K seed sweep, with
 //     deterministic merges, so results are identical at every worker
 //     count.

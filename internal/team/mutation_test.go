@@ -11,7 +11,9 @@ package team
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -153,18 +155,21 @@ func TestPlanCacheNegativeEntryEpochKeying(t *testing.T) {
 	}
 }
 
-// TestSolverMutationOracle interleaves sign flips and edge removals
-// with Form and FormBatch on a cached solver over a mutable sharded
-// engine, pinning every answer to a fresh solver built from scratch on
-// the mutated graph — the end-to-end correctness contract from
-// sgraph.Dynamic through dirty-shard rebuilds to plan-cache epochs.
+// TestSolverMutationOracle interleaves sign flips, edge removals and
+// additions of new edges with Form and FormBatch on a cached solver
+// over a mutable sharded engine, pinning every answer to a fresh
+// solver built from scratch on the mutated graph — the end-to-end
+// correctness contract from sgraph.Dynamic through dirty-shard
+// rebuilds to plan-cache epochs. Removals and additions change the
+// edge set, so a solver that read a stale adjacency (the MinDistance
+// pick walks it) would diverge.
 func TestSolverMutationOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(831))
-	const n, steps = 20, 10
-	g := randomTeamGraph(rng, n, 5*n, 0.25)
+	const n, steps = 20, 60
+	g := randomTeamGraph(rng, n, 3*n, 0.25)
 	assign := randomAssignment(t, rng, n, 5)
 	var tasks []skills.Task
-	for i := 0; i < 3; i++ {
+	for i := 0; i < 12; i++ {
 		task, err := skills.RandomTask(rng, assign, 2+rng.Intn(2))
 		if err != nil {
 			t.Fatal(err)
@@ -178,39 +183,61 @@ func TestSolverMutationOracle(t *testing.T) {
 	defer rel.Close()
 	cached := NewSolver(rel, assign, SolverOptions{Workers: 2, PlanCache: 4})
 
+	// edges tracks the live edge set: a flip changes an edge's sign, a
+	// removal drops an edge, and an addition joins a pair that had no
+	// edge, so the adjacency changes at every removal and addition.
 	edges := teamGraphEdges(g)
 	for step := 0; step < steps; step++ {
-		e := edges[(step*7)%len(edges)]
-		mut := sgraph.Mutation{Op: sgraph.MutFlip, U: e.U, V: e.V}
-		if step%3 == 2 {
-			// Remove then re-add keeps the oracle edge list bookkeeping
-			// trivial: the edge set only ever changes by sign.
-			if _, err := rel.Mutate(sgraph.Mutation{Op: sgraph.MutRemove, U: e.U, V: e.V}); err != nil {
-				t.Fatalf("step %d: remove: %v", step, err)
+		i := (step * 7) % len(edges)
+		e := edges[i]
+		var mut sgraph.Mutation
+		switch step % 3 {
+		case 0:
+			mut = sgraph.Mutation{Op: sgraph.MutFlip, U: e.U, V: e.V}
+			edges[i].Sign = -e.Sign
+		case 1:
+			mut = sgraph.Mutation{Op: sgraph.MutRemove, U: e.U, V: e.V}
+			edges = slices.Delete(edges, i, i+1)
+		default:
+			u, v := sgraph.NodeID(rng.Intn(n)), sgraph.NodeID(rng.Intn(n))
+			for u == v || rel.Graph().HasEdge(u, v) {
+				u, v = sgraph.NodeID(rng.Intn(n)), sgraph.NodeID(rng.Intn(n))
 			}
-			mut = sgraph.Mutation{Op: sgraph.MutAdd, U: e.U, V: e.V, Sign: sgraph.Negative}
+			sign := sgraph.Positive
+			if rng.Intn(4) == 0 {
+				sign = sgraph.Negative
+			}
+			mut = sgraph.Mutation{Op: sgraph.MutAdd, U: min(u, v), V: max(u, v), Sign: sign}
+			edges = append(edges, sgraph.Edge{U: mut.U, V: mut.V, Sign: sign})
 		}
 		if _, err := rel.Mutate(mut); err != nil {
-			t.Fatalf("step %d: %v", step, err)
+			t.Fatalf("step %d: %v: %v", step, mut, err)
+		}
+		if got := len(teamGraphEdges(rel.Graph())); got != len(edges) {
+			t.Fatalf("step %d: the graph has %d edges, the bookkeeping %d", step, got, len(edges))
 		}
 
 		fresh := compat.MustNew(compat.SPO, rel.Graph(), compat.Options{})
 		oracle := NewSolver(fresh, assign, SolverOptions{Workers: 1})
-		want, err := oracle.FormBatch(tasks, opts)
-		if err != nil {
-			t.Fatalf("step %d: oracle batch: %v", step, err)
-		}
-		got, err := cached.FormBatch(tasks, opts)
-		if err != nil {
-			t.Fatalf("step %d: cached batch: %v", step, err)
-		}
-		for i := range tasks {
-			if (want[i] == nil) != (got[i] == nil) {
-				t.Fatalf("step %d task %d: solvability diverged (oracle %v, cached %v)",
-					step, i, want[i] != nil, got[i] != nil)
+		for _, ck := range []CostKind{Diameter, SumDistance} {
+			o := opts
+			o.Cost = ck
+			want, err := oracle.FormBatch(tasks, o)
+			if err != nil {
+				t.Fatalf("step %d: oracle batch: %v", step, err)
 			}
-			if want[i] != nil {
-				sameTeam(t, "batch", want[i], got[i])
+			got, err := cached.FormBatch(tasks, o)
+			if err != nil {
+				t.Fatalf("step %d: cached batch: %v", step, err)
+			}
+			for i := range tasks {
+				if (want[i] == nil) != (got[i] == nil) {
+					t.Fatalf("step %d task %d %v: solvability diverged (oracle %v, cached %v)",
+						step, i, ck, want[i] != nil, got[i] != nil)
+				}
+				if want[i] != nil {
+					sameTeam(t, fmt.Sprintf("step %d task %d %v batch", step, i, ck), want[i], got[i])
+				}
 			}
 		}
 		// Single-task Form must agree too (separate plan path).

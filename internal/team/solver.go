@@ -793,10 +793,12 @@ func (s *Solver) runPool(ctx context.Context, workers, count int, fn func(sc *sc
 }
 
 // addMember grows the current team by u: appends it, marks the
-// uncovered task skills it holds (one bit test per skill), ANDs its packed row into the candidate mask (so
-// candidate filtering is one bit test per holder regardless of team
-// size) and caches its packed distance row for the fused pick and
-// contribution.
+// uncovered task skills it holds (one bit test per skill), ANDs its
+// packed row into the candidate mask (so candidate filtering is one
+// bit test per holder regardless of team size) and caches its packed
+// distance row for the fused pick and contribution. Because every task
+// skill a member holds is covered here, no member is ever a candidate
+// of a later pick, which is what gives pickNearest its floor.
 func (sc *scratch) addMember(p *TaskPlan, u sgraph.NodeID) {
 	if m := p.s.matrix; m != nil {
 		if len(sc.members) == 0 {
@@ -986,18 +988,7 @@ func (p *TaskPlan) contribution(sc *scratch, u sgraph.NodeID, budget int32) (int
 // a defined distance below budget).
 func (p *TaskPlan) pick(sc *scratch, skill skills.SkillID, budget int32) (sgraph.NodeID, int32, bool, error) {
 	if sc.mask != nil && p.opts.User == MinDistance {
-		// Fused fast path: candidates are the set bits of
-		// (holder words AND mask), enumerated and priced inside one
-		// kernel pass over only the holder index's non-zero words — no
-		// candidate slice, no per-candidate row indexing. The holder
-		// words may be shorter than the mask (fewer users than graph
-		// nodes); PickMin ANDs over the holder words only. Candidate
-		// order, undefined-skipping and the smaller-id tie-break match
-		// the lazy engine's pickMinDistance exactly (same ascending
-		// enumeration, same strict-improvement rule);
-		// TestSolverMatchesReference pins that against the oracle.
-		hi := p.s.assign.HolderIndex(skill)
-		v, c, ok := sc.rows.PickMin(hi.Words, sc.mask.Words(), hi.NonZero, p.opts.Cost == SumDistance, budget)
+		v, c, ok, _ := p.pickNearest(sc, skill, budget)
 		return v, c, ok, nil
 	}
 	sc.cand = sc.cand[:0]
@@ -1053,6 +1044,107 @@ func (p *TaskPlan) pick(sc *scratch, skill skills.SkillID, budget int32) (sgraph
 	}
 }
 
+// adjacencyPerWord bounds pickNearest's neighbour pass: it runs while
+// the walked member has at most this many neighbours per non-zero
+// holder word of the skill. Past it, one kernel pass from the
+// structural floor costs less than the walk plus a kernel pass from
+// the raised floor. Timing both on the same picks of the Epinions
+// stand-in (scale 0.2, SPM), the crossover lay near 6 neighbours per
+// word under Diameter and near 2 under SumDistance; 4 splits them.
+const adjacencyPerWord = 4
+
+// pickRoute names the way pickNearest answered; the pick-level oracle
+// test counts them to show that every branch ran.
+type pickRoute uint8
+
+const (
+	// routeFloor: the budget is at or below the structural floor, so
+	// no candidate can meet it.
+	routeFloor pickRoute = iota
+	// routeAdjacent: a common neighbour of the members scored the
+	// structural floor.
+	routeAdjacent
+	// routeRaised: no common neighbour qualified, so the floor rose by
+	// one; a budget at or below it answered none, any other ran the
+	// kernel from it.
+	routeRaised
+	// routeSkipped: the shortest adjacency was too long for the pass,
+	// so the kernel ran from the structural floor.
+	routeSkipped
+)
+
+// pickNearest is pick under MinDistance on the packed engine. Its
+// candidates are the set bits of (holder words AND mask), priced by
+// one fused kernel pass over only the holder index's non-zero words
+// (DistRows.PickMin) — no candidate slice, no per-candidate row
+// indexing — and it starts that pass at a proven floor:
+//
+//   - A candidate is never a member (addMember covers every task skill
+//     a member holds), so each member's distance to it is at least 1:
+//     a Diameter score is at least 1, a SumDistance score over R
+//     members at least R — the structural floor.
+//   - A score meets that floor exactly when every distance is 1, and a
+//     length-1 path is an edge under every relation kind: the
+//     candidate is a common graph neighbour of the members. Walking the
+//     sorted adjacency of the member with the fewest neighbours finds
+//     such candidates in id order, so the first one that qualifies is
+//     the exact answer — the minimum score at the smallest id.
+//   - When none qualifies, no candidate scores the structural floor
+//     and the floor rises by one: a budget at or below it answers none
+//     without a kernel call, and the kernel returns at the first
+//     candidate that scores it.
+//
+// grow joins the seed or an include before any pick, so the team has
+// at least one member. The walk skips when even the shortest adjacency
+// is long against the skill's holder words (adjacencyPerWord), keeping
+// the structural floor. The adjacency is read from the engine's
+// current graph, which mutations replace. Candidate order,
+// undefined-skipping and the smaller-id tie-break match the lazy
+// engine's pickMinDistance exactly; TestSolverMatchesReference and
+// TestFloorPickMatchesReference pin that against the oracles.
+func (p *TaskPlan) pickNearest(sc *scratch, skill skills.SkillID, budget int32) (sgraph.NodeID, int32, bool, pickRoute) {
+	hi := p.s.assign.HolderIndex(skill)
+	mask := sc.mask.Words()
+	sum := p.opts.Cost == SumDistance
+	r := sc.rows.Len()
+	floor := int32(1)
+	if sum {
+		floor = int32(r)
+	}
+	if budget <= floor {
+		return 0, 0, false, routeFloor
+	}
+	g := p.s.matrix.Graph()
+	walk := sc.members[0]
+	for _, u := range sc.members[1:] {
+		if g.Degree(u) < g.Degree(walk) {
+			walk = u
+		}
+	}
+	route := routeSkipped
+	if nb := g.NeighborIDs(walk); len(nb) <= adjacencyPerWord*len(hi.NonZero) {
+		for _, v := range nb {
+			wi := int(v) >> 6
+			if wi >= len(hi.Words) {
+				break // ascending ids: every later neighbour is past the holders too
+			}
+			if hi.Words[wi]&mask[wi]&(1<<(uint(v)&63)) == 0 {
+				continue
+			}
+			if c, ok := sc.rows.Contribution(r, v, sum); ok && c == floor {
+				return v, c, true, routeAdjacent
+			}
+		}
+		floor++
+		if budget <= floor {
+			return 0, 0, false, routeRaised
+		}
+		route = routeRaised
+	}
+	v, c, ok := sc.rows.PickMin(hi.Words, mask, hi.NonZero, sum, floor, budget)
+	return v, c, ok, route
+}
+
 // pickMinDistance chooses the candidate with the cheapest contribution
 // to the configured cost — smallest maximum distance to the team for
 // Diameter, smallest total for SumDistance; ties break to the smaller
@@ -1062,9 +1154,9 @@ func (p *TaskPlan) pick(sc *scratch, skill skills.SkillID, budget int32) (sgraph
 //
 // It runs on the lazy engine only, pricing each candidate pair by pair
 // through contribution; the packed engine never materialises
-// candidates and picks through DistRows.PickMin in pick, with the
-// same candidate order and tie-break (both are tested against the
-// pairwise oracle in solver_test.go).
+// candidates and picks through pickNearest, with the same candidate
+// order and tie-break (both are tested against the pairwise oracle in
+// solver_test.go).
 func (p *TaskPlan) pickMinDistance(sc *scratch, budget int32) (sgraph.NodeID, int32, bool, error) {
 	best := sgraph.NodeID(-1)
 	bestDist := int32(0)
