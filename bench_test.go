@@ -203,7 +203,10 @@ func BenchmarkPolicyGrid(b *testing.B) {
 	b.ReportMetric(lcmdDiam, "LCMD-diameter")
 }
 
-// --- Ablations (E10, E11) ------------------------------------------
+// --- Ablations (E10) -----------------------------------------------
+//
+// E11 (BenchmarkPathCounting) lives in internal/signedbfs, next to the
+// exact-arithmetic counter it compares against.
 
 func BenchmarkSBPHBeamWidth(b *testing.B) {
 	// E10: how the SBPH beam width trades recall for work, against
@@ -244,33 +247,6 @@ func BenchmarkSBPHBeamWidth(b *testing.B) {
 			b.ReportMetric(100*recall, "recall-%")
 		})
 	}
-}
-
-func BenchmarkPathCounting(b *testing.B) {
-	// E11: saturating uint64 counters vs exact big.Int (Algorithm 1).
-	d, err := datasets.EpinionsSim(1, 0.04)
-	if err != nil {
-		b.Fatal(err)
-	}
-	g := d.Graph
-	rng := rand.New(rand.NewSource(9))
-	sources := make([]sgraph.NodeID, 64)
-	for i := range sources {
-		sources[i] = sgraph.NodeID(rng.Intn(g.NumNodes()))
-	}
-	b.Run("saturating", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			r := signedbfs.CountPaths(g, sources[i%len(sources)])
-			if r.SaturatedAt {
-				b.Fatal("unexpected saturation")
-			}
-		}
-	})
-	b.Run("bigint", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			signedbfs.CountPathsBig(g, sources[i%len(sources)])
-		}
-	})
 }
 
 func BenchmarkCostObjectives(b *testing.B) {
@@ -546,7 +522,7 @@ func BenchmarkFormTeamEngines(b *testing.B) {
 		run(b, rel)
 	})
 	b.Run("matrix", func(b *testing.B) {
-		rel := mustMatrix(compat.SPM, d.Graph)
+		rel := mustMatrix(b, compat.SPM, d.Graph)
 		b.ResetTimer()
 		run(b, rel)
 	})
@@ -565,7 +541,7 @@ func BenchmarkSolverForm(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rel := mustMatrix(compat.SPM, d.Graph)
+	rel := mustMatrix(b, compat.SPM, d.Graph)
 	task, err := skills.RandomTask(rand.New(rand.NewSource(3)), d.Assign, 5)
 	if err != nil {
 		b.Fatal(err)
@@ -618,7 +594,7 @@ func BenchmarkPlanCacheServe(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rel := mustMatrix(compat.SPM, d.Graph)
+	rel := mustMatrix(b, compat.SPM, d.Graph)
 	rng := rand.New(rand.NewSource(3))
 	var tasks []skills.Task
 	for i := 0; i < 16; i++ {
@@ -676,7 +652,7 @@ func BenchmarkFormBatchRepeated(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rel := mustMatrix(compat.SPM, d.Graph)
+	rel := mustMatrix(b, compat.SPM, d.Graph)
 	rng := rand.New(rand.NewSource(3))
 	var distinct []skills.Task
 	for i := 0; i < 16; i++ {
@@ -804,10 +780,10 @@ func BenchmarkFormBatch(b *testing.B) {
 			return rel
 		}},
 		{"matrix", func() compat.Relation {
-			return mustMatrix(compat.SPM, d.Graph)
+			return mustMatrix(b, compat.SPM, d.Graph)
 		}},
 		{"sharded", func() compat.Relation {
-			return compat.MustNewSharded(compat.SPM, d.Graph, compat.ShardedOptions{})
+			return mustSharded(b, compat.SPM, d.Graph, compat.ShardedOptions{})
 		}},
 	}
 	for _, e := range engines {
@@ -860,7 +836,7 @@ func BenchmarkShardedSweep(b *testing.B) {
 	}
 	for _, v := range variants {
 		b.Run(v.name, func(b *testing.B) {
-			m := compat.MustNewSharded(compat.SPM, d.Graph, compat.ShardedOptions{
+			m := mustSharded(b, compat.SPM, d.Graph, compat.ShardedOptions{
 				ShardRows:         64,
 				MaxResidentShards: 4,
 				DisableMmap:       v.noMmap,
@@ -900,12 +876,12 @@ func BenchmarkShardedResidentRow(b *testing.B) {
 		b.Fatal(err)
 	}
 	n := d.Graph.NumNodes()
-	spilling := compat.MustNewSharded(compat.SPM, d.Graph, compat.ShardedOptions{
+	spilling := mustSharded(b, compat.SPM, d.Graph, compat.ShardedOptions{
 		ShardRows:         64,
 		MaxResidentShards: 4,
 	})
 	defer spilling.Close()
-	resident := compat.MustNewSharded(compat.SPM, d.Graph, compat.ShardedOptions{
+	resident := mustSharded(b, compat.SPM, d.Graph, compat.ShardedOptions{
 		ShardRows:         n,
 		MaxResidentShards: 0,
 	})
@@ -1031,7 +1007,7 @@ func BenchmarkMutateThenQuery(b *testing.B) {
 	var buf []int32
 
 	b.Run("flip-requery", func(b *testing.B) {
-		m := compat.MustNewSharded(compat.SPO, g, shardOpts)
+		m := mustSharded(b, compat.SPO, g, shardOpts)
 		defer m.Close()
 		buf = m.DistanceRowInto(row, buf) // warm build outside the loop
 		b.ResetTimer()
@@ -1044,7 +1020,7 @@ func BenchmarkMutateThenQuery(b *testing.B) {
 	})
 	b.Run("rebuild-requery", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			m := compat.MustNewSharded(compat.SPO, g, shardOpts)
+			m := mustSharded(b, compat.SPO, g, shardOpts)
 			buf = m.DistanceRowInto(row, buf)
 			m.Close()
 		}
@@ -1054,6 +1030,17 @@ func BenchmarkMutateThenQuery(b *testing.B) {
 // mustMatrix builds the matrix configuration of the packed engine —
 // one shard holding every row, all resident — the engine -engine
 // matrix selects.
-func mustMatrix(k compat.Kind, g *sgraph.Graph) *compat.ShardedMatrix {
-	return compat.MustNewSharded(k, g, compat.ShardedOptions{ShardRows: g.NumNodes()})
+func mustMatrix(tb testing.TB, k compat.Kind, g *sgraph.Graph) *compat.ShardedMatrix {
+	tb.Helper()
+	return mustSharded(tb, k, g, compat.ShardedOptions{ShardRows: g.NumNodes()})
+}
+
+// mustSharded builds a packed engine, failing tb on error.
+func mustSharded(tb testing.TB, k compat.Kind, g *sgraph.Graph, opts compat.ShardedOptions) *compat.ShardedMatrix {
+	tb.Helper()
+	m, err := compat.NewSharded(k, g, opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return m
 }

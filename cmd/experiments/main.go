@@ -25,33 +25,32 @@ import (
 )
 
 func main() {
+	var eng cliflags.Engine
+	eng.Register(flag.CommandLine)
 	var (
-		table             = flag.String("table", "", "regenerate a table: 1, 2 or 3")
-		figure            = flag.String("figure", "", "regenerate a figure: 2a, 2b, 2c, 2d or policies")
-		all               = flag.Bool("all", false, "regenerate every table and figure")
-		dataset           = flag.String("dataset", "", "restrict tables 1/2 to one dataset (slashdot, epinions, wikipedia)")
-		seed              = flag.Int64("seed", 1, "seed for datasets, tasks and RANDOM")
-		scale             = flag.Float64("scale", 0, "dataset scale (0 = defaults: epinions 0.1, wikipedia 0.2)")
-		tasks             = flag.Int("tasks", 50, "random tasks per experiment point")
-		taskSize          = flag.Int("tasksize", 5, "task size for table 3 and figures 2a/2b")
-		sample            = flag.Int("sample", 0, "table 2: sample this many source nodes (0 = exact)")
-		maxSeeds          = flag.Int("maxseeds", 0, "cap Algorithm 2 seeds (0 = all)")
-		workers           = flag.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
-		engine            = flag.String("engine", "lazy", "relation engine: lazy (cached rows, on demand), matrix (packed all-pairs precompute) or sharded (packed rows in spillable shards)")
-		shardRows         = flag.Int("shard-rows", 0, "sharded engine: rows per shard (0 = default)")
-		maxResidentShards = flag.Int("max-resident-shards", 0, "sharded engine: shards kept in memory, rest spilled to disk (0 = all resident)")
-		mmapSpill         = flag.Bool("mmap-spill", true, "sharded engine: serve spill reloads from a read-only mmap of the spill file (false = portable read-back)")
-		markdown          = flag.Bool("markdown", false, "emit Markdown tables")
-		reps              = flag.Int("reps", 1, "repetitions with consecutive seeds for -figure 2a / -table 3 (mean ± std)")
+		table    = flag.String("table", "", "regenerate a table: 1, 2 or 3")
+		figure   = flag.String("figure", "", "regenerate a figure: 2a, 2b, 2c, 2d or policies")
+		all      = flag.Bool("all", false, "regenerate every table and figure")
+		dataset  = flag.String("dataset", "", "restrict tables 1/2 to one dataset (slashdot, epinions, wikipedia)")
+		seed     = flag.Int64("seed", 1, "seed for datasets, tasks and RANDOM")
+		scale    = flag.Float64("scale", 0, "dataset scale (0 = defaults: epinions 0.1, wikipedia 0.2)")
+		tasks    = flag.Int("tasks", 50, "random tasks per experiment point")
+		taskSize = flag.Int("tasksize", 5, "task size for table 3 and figures 2a/2b")
+		sample   = flag.Int("sample", 0, "table 2: sample this many source nodes (0 = exact)")
+		maxSeeds = flag.Int("maxseeds", 0, "cap Algorithm 2 seeds (0 = all)")
+		workers  = flag.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
+		markdown = flag.Bool("markdown", false, "emit Markdown tables")
+		reps     = flag.Int("reps", 1, "repetitions with consecutive seeds for -figure 2a / -table 3 (mean ± std)")
 	)
 	flag.Parse()
 
-	// The sharded-engine knobs silently doing nothing under another
-	// engine has bitten before: reject the combination outright (the
-	// flag vocabulary is shared with cmd/tfsn via internal/cliflags).
+	// An unknown engine, or the sharded-engine knobs silently doing
+	// nothing under another engine, has bitten before: reject both
+	// outright (the flag vocabulary is shared with cmd/tfsn and
+	// cmd/tfsnd via internal/cliflags).
 	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if err := cliflags.ValidateEngine(*engine, set); err != nil {
+	if err := eng.Validate(set); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		flag.Usage()
 		os.Exit(2)
@@ -66,10 +65,10 @@ func main() {
 		MaxSeeds:          *maxSeeds,
 		Workers:           *workers,
 		Dataset:           *dataset, // team formation experiments; empty = epinions
-		Engine:            *engine,
-		ShardRows:         *shardRows,
-		MaxResidentShards: *maxResidentShards,
-		DisableMmap:       !*mmapSpill,
+		Engine:            eng.Name,
+		ShardRows:         eng.ShardRows,
+		MaxResidentShards: eng.MaxResidentShards,
+		DisableMmap:       !eng.MmapSpill,
 	}
 	var names []string
 	if *dataset != "" {
@@ -85,7 +84,7 @@ func main() {
 		// Name the engine under every table so results stay
 		// attributable (the packed engines measure the symmetrised
 		// SBPH relation, the lazy engine the directed heuristic).
-		fmt.Printf("(engine=%s, %.1fs)\n\n", *engine, elapsed.Seconds())
+		fmt.Printf("(engine=%s, %.1fs)\n\n", eng.Name, elapsed.Seconds())
 	}
 	runTable := func(which string) error {
 		start := time.Now()

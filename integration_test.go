@@ -7,8 +7,6 @@ import (
 
 	signedteams "repro"
 
-	"repro/internal/compat"
-	"repro/internal/experiments"
 	"repro/internal/team"
 )
 
@@ -103,25 +101,6 @@ func TestCrossRelationTeamConsistency(t *testing.T) {
 	}
 	if formed == 0 {
 		t.Fatal("no SPA teams formed at all; test vacuous")
-	}
-}
-
-// TestHarnessSelfCheck runs a miniature of the full experiment
-// pipeline and verifies the headline shapes programmatically.
-func TestHarnessSelfCheck(t *testing.T) {
-	cfg := experiments.Config{Seed: 3, Scale: 0.02, Tasks: 10, TaskSize: 4, SBPMaxLen: 8}
-	series, err := experiments.Figure2aRepeated(cfg, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Solution rate must respect the relation chain for each algorithm.
-	for _, algo := range []string{experiments.AlgoLCMD, experiments.AlgoLCMC, experiments.AlgoMax} {
-		err := experiments.MonotoneInChain(series, func(k compat.Kind) string {
-			return k.String() + "/" + algo
-		}, 0.15)
-		if err != nil {
-			t.Fatalf("%s: %v", algo, err)
-		}
 	}
 }
 

@@ -165,31 +165,3 @@ func BestCamps(g *sgraph.Graph) (camps []uint8, violations int) {
 	}
 	return camp, total
 }
-
-// IsBalancedSubgraph reports whether the subgraph of g induced by the
-// given node set is structurally balanced. Nodes must be distinct.
-func IsBalancedSubgraph(g *sgraph.Graph, nodes []sgraph.NodeID) bool {
-	index := make(map[sgraph.NodeID]int32, len(nodes))
-	for i, u := range nodes {
-		index[u] = int32(i)
-	}
-	uf := container.NewSignedUnionFind(len(nodes))
-	for i, u := range nodes {
-		ids := g.NeighborIDs(u)
-		signs := g.NeighborSigns(u)
-		for k, v := range ids {
-			j, ok := index[v]
-			if !ok || int32(i) >= j {
-				continue
-			}
-			rel := uint8(0)
-			if signs[k] == sgraph.Negative {
-				rel = 1
-			}
-			if _, ok := uf.Union(int32(i), j, rel); !ok {
-				return false
-			}
-		}
-	}
-	return true
-}

@@ -26,9 +26,6 @@ type PathDists struct {
 // requested sign exists.
 const NoPath = int32(-1)
 
-// HasPositive reports whether a balanced positive path reaches v.
-func (p *PathDists) HasPositive(v sgraph.NodeID) bool { return p.PosDist[v] != NoPath }
-
 // ErrBudgetExceeded is returned by ExactSBP when the exploration
 // budget runs out before the search space is exhausted. Results are
 // then incomplete and must not be used; the paper hits the same wall,

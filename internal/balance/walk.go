@@ -47,13 +47,6 @@ func (w *Walk) Sign() sgraph.Sign { return w.sign }
 // Head returns the current endpoint of the walk.
 func (w *Walk) Head() sgraph.NodeID { return w.nodes[len(w.nodes)-1] }
 
-// Nodes returns the walk's nodes in order as a shared slice; the
-// caller must not modify or retain it across Extend/Retract.
-func (w *Walk) Nodes() []sgraph.NodeID { return w.nodes }
-
-// Contains reports whether v is on the walk.
-func (w *Walk) Contains(v sgraph.NodeID) bool { return w.pos[v] >= 0 }
-
 // CanExtend reports whether appending v keeps the walk a simple,
 // structurally balanced path. It requires an edge (Head, v).
 func (w *Walk) CanExtend(v sgraph.NodeID) bool {
@@ -117,20 +110,4 @@ func (w *Walk) Retract() {
 	w.pos[head] = -1
 	w.nodes = w.nodes[:last]
 	w.camp = w.camp[:last]
-}
-
-// IsBalancedPath reports whether the given node sequence is a simple
-// path in g whose induced subgraph is balanced, together with the
-// path's sign. Used by tests and by callers validating external paths.
-func IsBalancedPath(g *sgraph.Graph, path []sgraph.NodeID) (ok bool, sign sgraph.Sign) {
-	if len(path) == 0 {
-		return false, 0
-	}
-	w := NewWalk(g, path[0])
-	for _, v := range path[1:] {
-		if !w.Extend(v) {
-			return false, 0
-		}
-	}
-	return true, w.Sign()
 }

@@ -1,27 +1,9 @@
 // Package cliflags holds the flag vocabulary the serving and
 // experiment binaries share, so a knob added to one cannot silently
-// drift out of the other's validation: both cmd/tfsn and
-// cmd/experiments define the sharded-engine flags by these names and
-// reject them under any other engine through the same check.
+// drift out of the others' validation. cmd/tfsn, cmd/tfsnd and
+// cmd/experiments all register the relation-engine flags through
+// Engine and reject an unknown engine, or sharded-only flags under
+// another engine, through Engine.Validate. The serving flags (Serve),
+// the constraint flags (ConstraintSpec), the policy and cost parsers
+// and the mutation grammar (ParseMutation) are shared the same way.
 package cliflags
-
-import "fmt"
-
-// ShardedOnly lists the flag names that configure the sharded
-// relation engine and mean nothing under -engine=lazy|matrix.
-var ShardedOnly = []string{"shard-rows", "max-resident-shards", "mmap-spill"}
-
-// ValidateEngine rejects sharded-only flags passed with another
-// engine. set holds the names of flags explicitly present on the
-// command line (collect with flag.Visit).
-func ValidateEngine(engine string, set map[string]bool) error {
-	if engine == "sharded" {
-		return nil
-	}
-	for _, name := range ShardedOnly {
-		if set[name] {
-			return fmt.Errorf("-%s only applies to -engine=sharded (got -engine=%s)", name, engine)
-		}
-	}
-	return nil
-}

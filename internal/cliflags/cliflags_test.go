@@ -10,25 +10,6 @@ import (
 	"repro/internal/team"
 )
 
-func TestValidateEngine(t *testing.T) {
-	for _, name := range ShardedOnly {
-		if err := ValidateEngine("sharded", map[string]bool{name: true}); err != nil {
-			t.Errorf("-%s under -engine=sharded must pass, got %v", name, err)
-		}
-		for _, engine := range []string{"lazy", "matrix", ""} {
-			if err := ValidateEngine(engine, map[string]bool{name: true}); err == nil {
-				t.Errorf("-%s under -engine=%q must be rejected", name, engine)
-			}
-		}
-	}
-	if err := ValidateEngine("lazy", map[string]bool{"seed": true}); err != nil {
-		t.Errorf("engine-agnostic flags must pass under any engine, got %v", err)
-	}
-	if err := ValidateEngine("lazy", nil); err != nil {
-		t.Errorf("no flags set must pass, got %v", err)
-	}
-}
-
 // parse runs a throwaway FlagSet over args and returns the explicitly
 // set flag names, mirroring what the binaries collect with Visit.
 func parseSet(t *testing.T, reg func(*flag.FlagSet), args ...string) map[string]bool {
@@ -54,10 +35,33 @@ func TestEngineValidate(t *testing.T) {
 	if err := e.Validate(set); err != nil {
 		t.Fatalf("valid sharded flags rejected: %v", err)
 	}
-	e = Engine{}
-	set = parseSet(t, e.Register, "-engine=quantum")
-	if err := e.Validate(set); err == nil {
-		t.Fatal("unknown engine name not rejected")
+	for _, name := range []string{"quantum", "bogus"} {
+		e = Engine{}
+		set = parseSet(t, e.Register, "-engine="+name)
+		if err := e.Validate(set); err == nil {
+			t.Fatalf("unknown engine name %q not rejected", name)
+		}
+	}
+}
+
+// TestValidateEngine: each sharded-only flag passes under -engine=sharded
+// and is rejected under every other engine; other flags pass anywhere.
+func TestValidateEngine(t *testing.T) {
+	for _, name := range []string{"shard-rows", "max-resident-shards", "mmap-spill"} {
+		if err := (&Engine{Name: "sharded"}).Validate(map[string]bool{name: true}); err != nil {
+			t.Errorf("-%s under -engine=sharded must pass, got %v", name, err)
+		}
+		for _, engine := range []string{"lazy", "matrix", ""} {
+			if err := (&Engine{Name: engine}).Validate(map[string]bool{name: true}); err == nil {
+				t.Errorf("-%s under -engine=%q must be rejected", name, engine)
+			}
+		}
+	}
+	if err := (&Engine{Name: "lazy"}).Validate(map[string]bool{"seed": true}); err != nil {
+		t.Errorf("engine-agnostic flags must pass under any engine, got %v", err)
+	}
+	if err := (&Engine{Name: "lazy"}).Validate(nil); err != nil {
+		t.Errorf("no flags set must pass, got %v", err)
 	}
 }
 

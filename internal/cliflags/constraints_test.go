@@ -101,7 +101,7 @@ var fuzzInstance struct {
 	task   skills.Task
 }
 
-func fuzzSolveFixture() (compat.Relation, *skills.Assignment, skills.Task) {
+func fuzzSolveFixture(tb testing.TB) (compat.Relation, *skills.Assignment, skills.Task) {
 	fuzzInstance.once.Do(func() {
 		const n = 8
 		var edges []sgraph.Edge
@@ -118,7 +118,7 @@ func fuzzSolveFixture() (compat.Relation, *skills.Assignment, skills.Task) {
 				a.MustAdd(sgraph.NodeID(u), 1)
 			}
 		}
-		fuzzInstance.rel = mustMatrix(compat.NNE, g)
+		fuzzInstance.rel = mustMatrix(tb, compat.NNE, g)
 		fuzzInstance.assign = a
 		fuzzInstance.task = skills.NewTask(0, 1)
 	})
@@ -191,7 +191,7 @@ func FuzzConstraintSpec(f *testing.F) {
 		// When the constraints fit the tiny fixture, solve for real: the
 		// solver must never panic, and a returned team must satisfy the
 		// constraints to the letter.
-		rel, assign, task := fuzzSolveFixture()
+		rel, assign, task := fuzzSolveFixture(t)
 		if cons.Validate(assign.NumUsers()) != nil {
 			return
 		}
@@ -225,6 +225,17 @@ func FuzzConstraintSpec(f *testing.F) {
 
 // mustMatrix builds the matrix configuration of the packed engine: one
 // shard holding every row, all resident.
-func mustMatrix(k compat.Kind, g *sgraph.Graph) *compat.ShardedMatrix {
-	return compat.MustNewSharded(k, g, compat.ShardedOptions{ShardRows: g.NumNodes()})
+func mustMatrix(tb testing.TB, k compat.Kind, g *sgraph.Graph) *compat.ShardedMatrix {
+	tb.Helper()
+	return mustSharded(tb, k, g, compat.ShardedOptions{ShardRows: g.NumNodes()})
+}
+
+// mustSharded builds a packed engine, failing tb on error.
+func mustSharded(tb testing.TB, k compat.Kind, g *sgraph.Graph, opts compat.ShardedOptions) *compat.ShardedMatrix {
+	tb.Helper()
+	m, err := compat.NewSharded(k, g, opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return m
 }

@@ -1,8 +1,9 @@
 // The relation-engine flag group. Engine bundles the -engine knob and
 // its sharded-only satellites into one registerable, validatable,
-// buildable unit, so cmd/tfsn and cmd/tfsnd select relation backends
-// through identical flags, identical rejection rules and an identical
-// construction path (including the exact-SBP-stays-lazy override).
+// buildable unit, so cmd/tfsn, cmd/tfsnd and cmd/experiments select
+// relation backends through identical flags and identical rejection
+// rules, and the serving binaries through an identical construction
+// path (including the exact-SBP-stays-lazy override).
 
 package cliflags
 
@@ -31,8 +32,8 @@ type Engine struct {
 	MmapSpill         bool
 }
 
-// Register defines the engine flags on fs. The names are the shared
-// vocabulary (ShardedOnly); defaults match the historical tfsn flags.
+// Register defines the engine flags on fs; defaults match the
+// historical tfsn flags.
 func (e *Engine) Register(fs *flag.FlagSet) {
 	fs.StringVar(&e.Name, "engine", "lazy", "relation engine: lazy (cached rows, on demand), matrix (packed all-pairs precompute) or sharded (packed rows in spillable shards)")
 	fs.IntVar(&e.ShardRows, "shard-rows", 0, "sharded engine: rows per shard (0 = default)")
@@ -46,11 +47,18 @@ func (e *Engine) Register(fs *flag.FlagSet) {
 // FlagSet.Visit).
 func (e *Engine) Validate(set map[string]bool) error {
 	switch e.Name {
-	case "", "lazy", "matrix", "sharded":
+	case "sharded":
+		return nil
+	case "", "lazy", "matrix":
 	default:
 		return fmt.Errorf("unknown engine %q (want lazy, matrix or sharded)", e.Name)
 	}
-	return ValidateEngine(e.Name, set)
+	for _, name := range []string{"shard-rows", "max-resident-shards", "mmap-spill"} {
+		if set[name] {
+			return fmt.Errorf("-%s only applies to -engine=sharded (got -engine=%s)", name, e.Name)
+		}
+	}
+	return nil
 }
 
 // Build constructs the selected engine over g. Exact SBP stays on the

@@ -169,7 +169,7 @@ func MustNew(k Kind, g *sgraph.Graph, opts Options) Relation {
 // touch per row, not per pair), so loops that price one node against
 // many resolve the row once and index it through DistRow.At instead of
 // paying a Distance lookup per pair. DistanceRowInto widens the row
-// into a caller-reused []int32 with NoDistance for undefined pairs,
+// into a caller-reused []int32 with -1 for undefined pairs,
 // for consumers that want a uniform representation independent of the
 // engine's packing.
 type PackedRelation interface {

@@ -11,10 +11,6 @@ package compat
 
 import "repro/internal/sgraph"
 
-// NoDistance marks an undefined entry in a DistanceRowInto result:
-// the relation defines no distance for the pair (Distance's ok=false).
-const NoDistance = noDist32
-
 // DistRow is one source node's packed distance row: the relation
 // distance from the source to every node, in whichever packing the
 // engine built (uint8 with a sentinel, or int32 after overflow). It is
@@ -49,8 +45,8 @@ func (r DistRow) Len() int {
 	return len(r.d8)
 }
 
-// distRowInto widens a packed row into dst as int32 with NoDistance
-// for undefined entries, growing dst as needed — the implementation
+// distRowInto widens a packed row into dst as int32 with -1 for
+// undefined entries, growing dst as needed — the implementation
 // behind DistanceRowInto.
 func (r DistRow) distRowInto(dst []int32) []int32 {
 	n := r.Len()
@@ -91,8 +87,8 @@ func (m *ShardedMatrix) DistanceRow(u sgraph.NodeID) DistRow {
 }
 
 // DistanceRowInto widens u's distance row into dst (reusing its
-// backing array when it is large enough) with NoDistance marking
-// undefined pairs, and returns the filled slice.
+// backing array when it is large enough) with -1 marking undefined
+// pairs (Distance's ok=false), and returns the filled slice.
 func (m *ShardedMatrix) DistanceRowInto(u sgraph.NodeID, dst []int32) []int32 {
 	return m.DistanceRow(u).distRowInto(dst)
 }

@@ -64,8 +64,8 @@ func TestDistanceRowAgreesAcrossShardSizes(t *testing.T) {
 									t.Fatalf("trial %d %v rows=%d: %s DistanceRowInto(%d)[%d] = %d, want %d",
 										trial, k, shardRows, label, u, v, got, wantD)
 								}
-								if !wantOK && got != NoDistance {
-									t.Fatalf("trial %d %v rows=%d: %s DistanceRowInto(%d)[%d] = %d, want NoDistance",
+								if !wantOK && got != noDist32 {
+									t.Fatalf("trial %d %v rows=%d: %s DistanceRowInto(%d)[%d] = %d, want -1",
 										trial, k, shardRows, label, u, v, got)
 								}
 							}
@@ -95,7 +95,7 @@ func TestDistanceRowWidePacking(t *testing.T) {
 	}
 	g := sgraph.MustFromEdges(n, edges)
 	full := mustMatrix(NNE, g, Options{})
-	sharded := MustNewSharded(NNE, g, ShardedOptions{ShardRows: 64, MaxResidentShards: 2})
+	sharded := mustSharded(t, NNE, g, ShardedOptions{ShardRows: 64, MaxResidentShards: 2})
 	defer sharded.Close()
 	for _, u := range []sgraph.NodeID{0, 150, 299} {
 		fullRow := full.DistanceRow(u)

@@ -54,7 +54,7 @@ func FuzzMutationSequence(f *testing.F) {
 		}
 		rng := rand.New(rand.NewSource(911))
 		g := randomSignedGraph(rng, n, 16, 0.3)
-		eng := MustNewSharded(SPO, g, ShardedOptions{ShardRows: 3})
+		eng := mustSharded(t, SPO, g, ShardedOptions{ShardRows: 3})
 		defer eng.Close()
 		es := newEdgeSet(g)
 		var applied uint64
@@ -175,7 +175,7 @@ func FuzzOpenSharded(f *testing.F) {
 	dir := f.TempDir()
 	for i, opts := range []ShardedOptions{{ShardRows: 4}, {ShardRows: 9}} {
 		path := filepath.Join(dir, "seed")
-		m := MustNewSharded(Kind(i)+SPO, g, opts)
+		m := mustSharded(f, Kind(i)+SPO, g, opts)
 		if err := m.Save(path); err != nil {
 			f.Fatal(err)
 		}

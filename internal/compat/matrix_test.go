@@ -116,7 +116,7 @@ func TestPackedSweepMatchesLazyEpinions(t *testing.T) {
 			computeRow(sgraph.NodeID) (row, error)
 		})
 		full := mustMatrix(k, g, Options{})
-		sharded := MustNewSharded(k, g, ShardedOptions{ShardRows: 100})
+		sharded := mustSharded(t, k, g, ShardedOptions{ShardRows: 100})
 		for u := sgraph.NodeID(0); int(u) < n; u++ {
 			lazyRow, err := lazy.computeRow(u)
 			if err != nil {
@@ -139,7 +139,7 @@ func TestPackedSweepMatchesLazyEpinions(t *testing.T) {
 				dist = p.DistanceRowInto(u, dist)
 				for v := sgraph.NodeID(0); int(v) < n; v++ {
 					wd, wok := lazyRow.distance(v)
-					if (dist[v] != NoDistance) != wok || (wok && dist[v] != wd) {
+					if (dist[v] != noDist32) != wok || (wok && dist[v] != wd) {
 						t.Fatalf("%v %s: distance(%d,%d) = %d, lazy (%d,%v)", k, name, u, v, dist[v], wd, wok)
 					}
 				}

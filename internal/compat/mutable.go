@@ -78,9 +78,6 @@ type Snapshot struct {
 	epoch uint64
 }
 
-// Epoch returns the epoch the snapshot pinned.
-func (s Snapshot) Epoch() uint64 { return s.epoch }
-
 // Release drops the pin. Each acquired snapshot must be released
 // exactly once; releasing the zero Snapshot is a no-op.
 func (s Snapshot) Release() {

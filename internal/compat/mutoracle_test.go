@@ -130,17 +130,17 @@ func buildMutEngines(t *testing.T, k Kind, g *sgraph.Graph, opts Options) []mutE
 	for _, rows := range heights {
 		engines = append(engines, mutEngine{
 			fmt.Sprintf("sharded-%dr", rows),
-			MustNewSharded(k, g, ShardedOptions{Options: opts, ShardRows: rows}),
+			mustSharded(t, k, g, ShardedOptions{Options: opts, ShardRows: rows}),
 		})
 	}
 	engines = append(engines,
-		mutEngine{"sharded-spill", MustNewSharded(k, g, ShardedOptions{
+		mutEngine{"sharded-spill", mustSharded(t, k, g, ShardedOptions{
 			Options: opts, ShardRows: 3, MaxResidentShards: 2, SpillDir: t.TempDir(),
 		})},
-		mutEngine{"sharded-resident", MustNewSharded(k, g, ShardedOptions{
+		mutEngine{"sharded-resident", mustSharded(t, k, g, ShardedOptions{
 			Options: opts, ShardRows: 64, MaxResidentShards: 0,
 		})},
-		mutEngine{"sharded-nommap", MustNewSharded(k, g, ShardedOptions{
+		mutEngine{"sharded-nommap", mustSharded(t, k, g, ShardedOptions{
 			Options: opts, ShardRows: 3, MaxResidentShards: 2, DisableMmap: true, SpillDir: t.TempDir(),
 		})},
 	)
@@ -148,7 +148,7 @@ func buildMutEngines(t *testing.T, k Kind, g *sgraph.Graph, opts Options) []mutE
 	// rebuild their shards on the heap and must leave the file
 	// byte-identical.
 	for _, useMmap := range []bool{true, false} {
-		saved := MustNewSharded(k, g, ShardedOptions{Options: opts, ShardRows: 7})
+		saved := mustSharded(t, k, g, ShardedOptions{Options: opts, ShardRows: 7})
 		path := filepath.Join(t.TempDir(), "engine.stpk")
 		if err := saved.Save(path); err != nil {
 			t.Fatal(err)
@@ -229,7 +229,7 @@ func checkAgainstOracle(t *testing.T, step int, name string, eng MutableRelation
 			}
 			if rowBuf != nil {
 				rd := rowBuf[v]
-				if (rd != NoDistance) != wantDef || (wantDef && rd != wantD) {
+				if (rd != noDist32) != wantDef || (wantDef && rd != wantD) {
 					t.Fatalf("step %d %s: DistanceRow(%d)[%d] = %d, oracle (%d,%v)",
 						step, name, u, v, rd, wantD, wantDef)
 				}
@@ -320,7 +320,7 @@ func runMutationOracle(t *testing.T, label string, k Kind, g *sgraph.Graph, opts
 func TestMutationStatsCounters(t *testing.T) {
 	rng := rand.New(rand.NewSource(711))
 	g := randomSignedGraph(rng, 20, 50, 0.3)
-	m := MustNewSharded(SPO, g, ShardedOptions{ShardRows: 4})
+	m := mustSharded(t, SPO, g, ShardedOptions{ShardRows: 4})
 	defer m.Close()
 	es := newEdgeSet(g)
 	mut := es.randomMutation(rng)

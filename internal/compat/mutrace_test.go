@@ -129,7 +129,7 @@ func TestShardedMutationOverflowPromotion(t *testing.T) {
 		}
 	})
 	t.Run("sharded-spill", func(t *testing.T) {
-		m := MustNewSharded(SPA, g, ShardedOptions{
+		m := mustSharded(t, SPA, g, ShardedOptions{
 			ShardRows: 64, MaxResidentShards: 2, SpillDir: t.TempDir(),
 		})
 		defer m.Close()
@@ -178,7 +178,7 @@ func TestConcurrentMutationReaders(t *testing.T) {
 	configs = append(configs, config{n, 0, false})
 	for _, c := range configs {
 		rows, maxRes := c.rows, c.maxRes
-		m := MustNewSharded(SPO, g, ShardedOptions{
+		m := mustSharded(t, SPO, g, ShardedOptions{
 			ShardRows: rows, MaxResidentShards: maxRes,
 			SpillDir: t.TempDir(),
 		})
@@ -284,13 +284,13 @@ func TestSnapshotLifetime(t *testing.T) {
 	rng := rand.New(rand.NewSource(737))
 	const n = 30
 	g := randomSignedGraph(rng, n, 90, 0.3)
-	m := MustNewSharded(SPO, g, ShardedOptions{ShardRows: 4, MaxResidentShards: 2, SpillDir: t.TempDir()})
+	m := mustSharded(t, SPO, g, ShardedOptions{ShardRows: 4, MaxResidentShards: 2, SpillDir: t.TempDir()})
 	defer m.Close()
 	edges := collectEdges(g)
 
 	snap := m.AcquireSnapshot()
-	if snap.Epoch() != 0 {
-		t.Fatalf("snapshot epoch = %d, want 0", snap.Epoch())
+	if m.Epoch() != 0 {
+		t.Fatalf("snapshot epoch = %d, want 0", m.Epoch())
 	}
 	preRow := m.DistanceRow(0)
 	mutated := make(chan struct{})

@@ -123,7 +123,7 @@ func TestOpenedMatchesLiveRelation(t *testing.T) {
 	g := randomSignedGraph(rand.New(rand.NewSource(1605)), n, 160, 0.25)
 	for ki, k := range []Kind{DPE, SPA, SPM, SPO, SBPH, NNE} {
 		live := MustNew(k, g, Options{CacheCap: 64})
-		built := MustNewSharded(k, g, ShardedOptions{ShardRows: 16})
+		built := mustSharded(t, k, g, ShardedOptions{ShardRows: 16})
 		opened := saveOpen(t, built, g, ki%2 == 0)
 		built.Close()
 		if opened.Kind() != k || opened.NumNodes() != n || opened.NumShards() != 3 || opened.Graph() != g {
@@ -177,7 +177,7 @@ func TestSaveOpenEmptyGraph(t *testing.T) {
 func TestShardedRangeChecks(t *testing.T) {
 	g := randomSignedGraph(rand.New(rand.NewSource(1601)), 5, 8, 0.3)
 	matrix := mustMatrix(NNE, g, Options{})
-	spill := MustNewSharded(NNE, g, ShardedOptions{ShardRows: 1, MaxResidentShards: 2, SpillDir: t.TempDir()})
+	spill := mustSharded(t, NNE, g, ShardedOptions{ShardRows: 1, MaxResidentShards: 2, SpillDir: t.TempDir()})
 	defer spill.Close()
 	opened := saveOpen(t, spill, g, true)
 	defer opened.Close()
@@ -204,7 +204,7 @@ func TestOpenShardedViewsAliasMapping(t *testing.T) {
 		t.Skip("no zero-copy views on this platform")
 	}
 	g := randomSignedGraph(rand.New(rand.NewSource(1602)), 90, 300, 0.3)
-	built := MustNewSharded(SPO, g, ShardedOptions{ShardRows: 32})
+	built := mustSharded(t, SPO, g, ShardedOptions{ShardRows: 32})
 	opened := saveOpen(t, built, g, true)
 	defer opened.Close()
 	data := opened.spill.data
@@ -232,7 +232,7 @@ func TestOpenShardedViewsAliasMapping(t *testing.T) {
 func TestOpenShardedRejectsBadFiles(t *testing.T) {
 	rng := rand.New(rand.NewSource(1603))
 	g := randomSignedGraph(rng, 13, 30, 0.3)
-	m := MustNewSharded(SPO, g, ShardedOptions{ShardRows: 5})
+	m := mustSharded(t, SPO, g, ShardedOptions{ShardRows: 5})
 	defer m.Close()
 	dir := t.TempDir()
 	path := filepath.Join(dir, "good")
@@ -291,7 +291,7 @@ func TestOpenShardedRejectsBadFiles(t *testing.T) {
 	try("other graph", good, randomSignedGraph(rng, 13, 30, 0.3))
 	e := g.Edges()[0]
 	flipped := sgraph.NewDynamic(g)
-	if _, err := flipped.FlipSign(e.U, e.V); err != nil {
+	if _, _, err := flipped.Apply(sgraph.Mutation{Op: sgraph.MutFlip, U: e.U, V: e.V}); err != nil {
 		t.Fatal(err)
 	}
 	try("flipped sign", good, flipped.Graph())

@@ -142,9 +142,6 @@ func (rs *DistRows) Clear() {
 	rs.rows, rs.d8, rs.notU8 = rows[:0], d8[:0], 0
 }
 
-// At indexes row i at v, as DistRow.At.
-func (rs *DistRows) At(i int, v sgraph.NodeID) (int32, bool) { return rs.rows[i].At(v) }
-
 // Contribution scores node v against the first k rows: the maximum
 // distance (sum=false, the Diameter cost) or the total (sum=true,
 // SumDistance), with ok=false when any of those rows has no defined

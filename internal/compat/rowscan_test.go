@@ -27,7 +27,7 @@ func TestAndCountRowsMatchPerRow(t *testing.T) {
 			m    *ShardedMatrix
 		}{
 			{"matrix", mustMatrix(SPO, g, Options{})},
-			{"sharded", MustNewSharded(SPO, g, ShardedOptions{ShardRows: 7, MaxResidentShards: 2})},
+			{"sharded", mustSharded(t, SPO, g, ShardedOptions{ShardRows: 7, MaxResidentShards: 2})},
 		}
 		// A random mask with zeroed tail bits, like the holder sets the
 		// degree passes pass in.
@@ -119,7 +119,7 @@ func TestDistRowsPickMinMatchesScalar(t *testing.T) {
 			// score is 0 and the floors above 0 get a candidate to
 			// stop at.
 			for _, u := range sources {
-				mask.Clear(u)
+				mask.Words()[u>>6] &^= 1 << uint(u&63)
 			}
 		}
 		lists := map[string][]int32{}

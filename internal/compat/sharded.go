@@ -317,16 +317,6 @@ func newShardedMatrix(k Kind, g *sgraph.Graph, opts ShardedOptions) *ShardedMatr
 	return m
 }
 
-// MustNewSharded is NewSharded that panics on error, for tests and
-// benchmarks with known-good arguments.
-func MustNewSharded(k Kind, g *sgraph.Graph, opts ShardedOptions) *ShardedMatrix {
-	m, err := NewSharded(k, g, opts)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
 // Kind returns the relation kind the matrix materialises.
 func (m *ShardedMatrix) Kind() Kind { return m.kind }
 

@@ -21,6 +21,16 @@ import (
 // the demand path, eviction and rebuilds constantly interleave.
 var raceShardRows = flag.String("shard-rows", "1,3", "comma-separated shard heights for the eviction/mutation interleaving tests")
 
+// mustSharded builds a packed engine, failing tb on error.
+func mustSharded(tb testing.TB, k Kind, g *sgraph.Graph, opts ShardedOptions) *ShardedMatrix {
+	tb.Helper()
+	m, err := NewSharded(k, g, opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return m
+}
+
 func parseShardRows(t *testing.T) []int {
 	t.Helper()
 	var heights []int
@@ -150,7 +160,7 @@ func TestShardedRowsMatchMatrixRows(t *testing.T) {
 	g := randomSignedGraph(rng, 61, 240, 0.3) // 61 rows: shards of 7 straddle words
 	for ki, k := range []Kind{SPO, SBPH, NNE} {
 		full := mustMatrix(k, g, Options{})
-		sharded := MustNewSharded(k, g, ShardedOptions{
+		sharded := mustSharded(t, k, g, ShardedOptions{
 			ShardRows: 7, MaxResidentShards: 2,
 			DisableMmap: ki%2 == 0, // cover both spill backends
 		})
@@ -194,7 +204,7 @@ func TestShardedSymmetriseTransientBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(403))
 	g := randomSignedGraph(rng, 160, 700, 0.3)
 	const shardRows, maxResident = 16, 3
-	m := MustNewSharded(SBPH, g, ShardedOptions{ShardRows: shardRows, MaxResidentShards: maxResident})
+	m := mustSharded(t, SBPH, g, ShardedOptions{ShardRows: shardRows, MaxResidentShards: maxResident})
 	defer m.Close()
 	shardSlabBytes := shardRows * m.WordsPerRow() * 8
 	if m.symSnapshotPeak == 0 {
@@ -239,7 +249,7 @@ func TestShardedStatsMatchMatrix(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: matrix stats: %v", k, err)
 		}
-		sharded := MustNewSharded(k, g, ShardedOptions{Options: opts, ShardRows: 9, MaxResidentShards: 2})
+		sharded := mustSharded(t, k, g, ShardedOptions{Options: opts, ShardRows: 9, MaxResidentShards: 2})
 		shardStats, err := ComputeStats(sharded, StatsOptions{Workers: 2})
 		if err != nil {
 			t.Fatalf("%v: sharded stats: %v", k, err)
@@ -261,7 +271,7 @@ func TestShardedDistanceOverflowFallback(t *testing.T) {
 		b.AddEdge(sgraph.NodeID(i), sgraph.NodeID(i+1), sgraph.Positive)
 	}
 	g := b.MustBuild()
-	m := MustNewSharded(SPA, g, ShardedOptions{ShardRows: 64, MaxResidentShards: 2})
+	m := mustSharded(t, SPA, g, ShardedOptions{ShardRows: 64, MaxResidentShards: 2})
 	defer m.Close()
 	if !m.wide {
 		t.Fatal("expected int32 distance fallback")
@@ -301,7 +311,7 @@ func TestShardedBuildPropagatesErrors(t *testing.T) {
 func TestShardedPrecomputeNoOp(t *testing.T) {
 	rng := rand.New(rand.NewSource(406))
 	g := randomSignedGraph(rng, 20, 70, 0.3)
-	m := MustNewSharded(SPO, g, ShardedOptions{ShardRows: 4, MaxResidentShards: 2})
+	m := mustSharded(t, SPO, g, ShardedOptions{ShardRows: 4, MaxResidentShards: 2})
 	defer m.Close()
 	if err := Precompute(m, 4); err != nil {
 		t.Fatalf("Precompute on sharded matrix: %v", err)
@@ -319,7 +329,7 @@ func TestShardedDegenerateSizes(t *testing.T) {
 	m0.Close()
 
 	g1 := sgraph.NewBuilder(1).MustBuild()
-	m1 := MustNewSharded(SPM, g1, ShardedOptions{ShardRows: 1000})
+	m1 := mustSharded(t, SPM, g1, ShardedOptions{ShardRows: 1000})
 	defer m1.Close()
 	if m1.NumShards() != 1 {
 		t.Fatalf("NumShards = %d, want 1", m1.NumShards())
@@ -347,7 +357,7 @@ func TestShardedEvictionWriteFailureKeepsVictimResident(t *testing.T) {
 	n := 24
 	g := randomSignedGraph(rng, n, 100, 0.3)
 	full := mustMatrix(SPO, g, Options{})
-	m := MustNewSharded(SPO, g, ShardedOptions{ShardRows: 3, MaxResidentShards: 2})
+	m := mustSharded(t, SPO, g, ShardedOptions{ShardRows: 3, MaxResidentShards: 2})
 	defer m.Close()
 
 	errBoom := errors.New("injected spill write failure")
@@ -424,7 +434,7 @@ func TestShardedConcurrentQueries(t *testing.T) {
 	n := 48
 	g := randomSignedGraph(rng, n, 200, 0.3)
 	full := mustMatrix(SPO, g, Options{})
-	m := MustNewSharded(SPO, g, ShardedOptions{ShardRows: 5, MaxResidentShards: 2})
+	m := mustSharded(t, SPO, g, ShardedOptions{ShardRows: 5, MaxResidentShards: 2})
 	defer m.Close()
 	errc := make(chan error, 4)
 	for w := 0; w < 4; w++ {
@@ -466,7 +476,7 @@ func TestShardedEvictionInterleavings(t *testing.T) {
 	full := mustMatrix(SPO, g, Options{})
 	for _, shardRows := range parseShardRows(t) {
 		for _, noMmap := range spillBackends(t) {
-			m := MustNewSharded(SPO, g, ShardedOptions{
+			m := mustSharded(t, SPO, g, ShardedOptions{
 				ShardRows: shardRows, MaxResidentShards: 2,
 				DisableMmap: noMmap, SpillDir: t.TempDir(),
 			})
@@ -541,7 +551,7 @@ func TestShardedLiveStatsScrape(t *testing.T) {
 	rng := rand.New(rand.NewSource(413))
 	n := 64
 	g := randomSignedGraph(rng, n, 280, 0.3)
-	m := MustNewSharded(SPO, g, ShardedOptions{
+	m := mustSharded(t, SPO, g, ShardedOptions{
 		ShardRows: 4, MaxResidentShards: 2,
 		SpillDir: t.TempDir(),
 	})
@@ -606,14 +616,14 @@ func TestShardedResidentTable(t *testing.T) {
 	rng := rand.New(rand.NewSource(415))
 	n := 90
 	g := randomSignedGraph(rng, n, 110, 0.3) // sparse: some mutations miss some shards
-	spilling := MustNewSharded(SPO, g, ShardedOptions{ShardRows: 16, MaxResidentShards: 2, SpillDir: t.TempDir()})
+	spilling := mustSharded(t, SPO, g, ShardedOptions{ShardRows: 16, MaxResidentShards: 2, SpillDir: t.TempDir()})
 	defer spilling.Close()
 	if spilling.table.Load() != nil {
 		t.Fatal("a spilling engine published a lock-free table")
 	}
 	edges := collectEdges(g)
 	for _, rows := range []int{16, n} {
-		m := MustNewSharded(SPO, g, ShardedOptions{ShardRows: rows})
+		m := mustSharded(t, SPO, g, ShardedOptions{ShardRows: rows})
 		oracle := MustNew(SPO, g, Options{})
 		// With m.mu held by the test, every read must still complete.
 		done := make(chan error, 1)

@@ -11,7 +11,6 @@ import (
 // the cache footprint.
 type Bitset struct {
 	words []uint64
-	n     int
 }
 
 // NewBitset returns a bitset able to hold values in [0, n).
@@ -19,30 +18,14 @@ func NewBitset(n int) *Bitset {
 	if n < 0 {
 		panic("container: NewBitset with negative size")
 	}
-	return &Bitset{words: make([]uint64, (n+63)/64), n: n}
+	return &Bitset{words: make([]uint64, (n+63)/64)}
 }
-
-// Len returns the capacity n the set was created with.
-func (b *Bitset) Len() int { return b.n }
 
 // Set marks i as a member.
 func (b *Bitset) Set(i int) { b.words[i>>6] |= 1 << uint(i&63) }
 
-// Clear removes i from the set.
-func (b *Bitset) Clear(i int) { b.words[i>>6] &^= 1 << uint(i&63) }
-
 // Contains reports whether i is a member.
 func (b *Bitset) Contains(i int) bool { return b.words[i>>6]&(1<<uint(i&63)) != 0 }
-
-// Count returns the number of members.
-func (b *Bitset) Count() int { return kernels.Count(b.words) }
-
-// Reset clears every member while keeping the allocation.
-func (b *Bitset) Reset() {
-	for i := range b.words {
-		b.words[i] = 0
-	}
-}
 
 // Grow reshapes the set to hold values in [0, n) and clears it,
 // reusing the backing array whenever it already has the capacity — the
@@ -61,12 +44,12 @@ func (b *Bitset) Grow(n int) {
 			b.words[i] = 0
 		}
 	}
-	b.n = n
 }
 
 // Words exposes the backing word slice (bit i of word i/64 is member
 // 64*(i/64)+i%64). Callers may read it for word-parallel operations but
-// must not resize it; bits at positions ≥ Len are always zero.
+// must not resize it; bits at positions ≥ the set's size are always
+// zero.
 func (b *Bitset) Words() []uint64 { return b.words }
 
 // CopyFrom overwrites the set with the given words, which must have
@@ -88,31 +71,11 @@ func (b *Bitset) And(words []uint64) {
 	kernels.And(b.words, words)
 }
 
-// AndInto intersects the set in place with the given words and
-// returns the resulting member count in the same pass — the fused
-// form of And+Count (same length contract as CopyFrom).
-func (b *Bitset) AndInto(words []uint64) int {
-	if len(words) != len(b.words) {
-		panic("container: Bitset.AndInto word-length mismatch")
-	}
-	return kernels.AndInto(b.words, words)
-}
-
-// AndCount returns the size of the intersection of the set with the
-// given words — popcount(set AND words) — without materialising or
-// mutating anything (same length contract as CopyFrom).
-func (b *Bitset) AndCount(words []uint64) int {
-	if len(words) != len(b.words) {
-		panic("container: Bitset.AndCount word-length mismatch")
-	}
-	return kernels.AndCount(b.words, words)
-}
-
 // AndCount returns the size of the intersection of two word slices —
 // popcount(a AND b) — without materialising it. Slices must have equal
-// length. Count, And and both AndCount forms share the one kernel
-// entry point per operation (internal/kernels), so tail handling and
-// unrolling live in exactly one place.
+// length. And and AndCount share the one kernel entry point per
+// operation (internal/kernels), so tail handling and unrolling live in
+// exactly one place.
 func AndCount(a, b []uint64) int {
 	if len(a) != len(b) {
 		panic("container: AndCount word-length mismatch")

@@ -35,8 +35,8 @@ func TestBitsetWordOps(t *testing.T) {
 	c := NewBitset(n)
 	c.CopyFrom(a.Words())
 	c.And(b.Words())
-	if c.Count() != wantBoth {
-		t.Fatalf("And count = %d, want %d", c.Count(), wantBoth)
+	if count(c) != wantBoth {
+		t.Fatalf("And count = %d, want %d", count(c), wantBoth)
 	}
 	for i := 0; i < n; i++ {
 		if c.Contains(i) != (inA[i] && inB[i]) {
@@ -50,35 +50,42 @@ func TestBitsetWordOps(t *testing.T) {
 func TestBitsetGrow(t *testing.T) {
 	b := NewBitset(0)
 	b.Grow(130)
-	if b.Len() != 130 || len(b.Words()) != 3 {
-		t.Fatalf("after Grow(130): Len=%d words=%d", b.Len(), len(b.Words()))
+	if len(b.Words()) != 3 {
+		t.Fatalf("after Grow(130): words=%d", len(b.Words()))
 	}
 	b.Set(0)
 	b.Set(129)
 	backing := &b.Words()[0]
 	b.Grow(70) // shrink: reuse the array, clear everything
-	if b.Len() != 70 || len(b.Words()) != 2 {
-		t.Fatalf("after Grow(70): Len=%d words=%d", b.Len(), len(b.Words()))
+	if len(b.Words()) != 2 {
+		t.Fatalf("after Grow(70): words=%d", len(b.Words()))
 	}
 	if &b.Words()[0] != backing {
 		t.Fatal("shrinking Grow reallocated the backing array")
 	}
-	if b.Count() != 0 {
-		t.Fatalf("Grow left %d stale members", b.Count())
+	if count(b) != 0 {
+		t.Fatalf("Grow left %d stale members", count(b))
 	}
 	b.Set(69)
 	b.Grow(128) // within capacity: reuse and clear again
-	if &b.Words()[0] != backing || b.Count() != 0 {
+	if &b.Words()[0] != backing || count(b) != 0 {
 		t.Fatal("Grow within capacity must reuse and clear")
 	}
 	b.Grow(500) // beyond capacity: fresh, zeroed array
-	if b.Len() != 500 || b.Count() != 0 {
-		t.Fatalf("after Grow(500): Len=%d count=%d", b.Len(), b.Count())
+	if len(b.Words()) != 8 || count(b) != 0 {
+		t.Fatalf("after Grow(500): words=%d count=%d", len(b.Words()), count(b))
 	}
 	b.Set(499)
 	if !b.Contains(499) {
 		t.Fatal("grown bitset lost a member")
 	}
+}
+
+// count is the set's member count.
+func count(b *Bitset) int {
+	c := 0
+	b.ForEach(func(int) { c++ })
+	return c
 }
 
 func TestBitsetWordOpsLengthMismatchPanics(t *testing.T) {

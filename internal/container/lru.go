@@ -66,12 +66,6 @@ func (l *IndexLRU) Touch(i int) {
 	}
 }
 
-// Back returns the least recently used tracked handle, or -1 when
-// nothing is tracked.
-func (l *IndexLRU) Back() int {
-	return int(l.tail)
-}
-
 // PopBack removes and returns the least recently used handle, or -1
 // when nothing is tracked.
 func (l *IndexLRU) PopBack() int {

@@ -20,9 +20,6 @@ func TestIndexLRUOrder(t *testing.T) {
 		t.Fatalf("Len = %d, want 4", l.Len())
 	}
 	for _, want := range []int{0, 2, 3, 1} {
-		if got := l.Back(); got != want {
-			t.Fatalf("Back = %d, want %d", got, want)
-		}
 		if got := l.PopBack(); got != want {
 			t.Fatalf("PopBack = %d, want %d", got, want)
 		}
@@ -98,13 +95,6 @@ func TestIndexLRUAgainstModel(t *testing.T) {
 		}
 		if l.Len() != len(model) {
 			t.Fatalf("step %d: Len = %d, model %d", step, l.Len(), len(model))
-		}
-		wantBack := -1
-		if len(model) > 0 {
-			wantBack = model[len(model)-1]
-		}
-		if got := l.Back(); got != wantBack {
-			t.Fatalf("step %d: Back = %d, want %d", step, got, wantBack)
 		}
 	}
 }

@@ -1,7 +1,7 @@
 // Package container provides the small, allocation-conscious data
 // structures shared by the graph algorithms in this repository: a FIFO
-// queue over int32 identifiers, a bitset, a union-find with parity
-// (signed union-find), and an indexed binary min-heap.
+// queue over int32 identifiers, a bitset, a union-find and a
+// union-find with parity (signed union-find), and an index LRU.
 //
 // All structures are deliberately monomorphic over int32 node
 // identifiers: the signed-graph core stores nodes as int32, and keeping
@@ -25,9 +25,6 @@ func NewIntQueue(n int) *IntQueue {
 	}
 	return &IntQueue{buf: make([]int32, n)}
 }
-
-// Len reports the number of queued elements.
-func (q *IntQueue) Len() int { return q.size }
 
 // Empty reports whether the queue holds no elements.
 func (q *IntQueue) Empty() bool { return q.size == 0 }

@@ -5,7 +5,6 @@ package container
 type UnionFind struct {
 	parent []int32
 	rank   []uint8
-	sets   int
 }
 
 // NewUnionFind returns n singleton sets {0}..{n-1}.
@@ -13,7 +12,6 @@ func NewUnionFind(n int) *UnionFind {
 	uf := &UnionFind{
 		parent: make([]int32, n),
 		rank:   make([]uint8, n),
-		sets:   n,
 	}
 	for i := range uf.parent {
 		uf.parent[i] = int32(i)
@@ -47,12 +45,8 @@ func (uf *UnionFind) Union(x, y int32) bool {
 	if uf.rank[rx] == uf.rank[ry] {
 		uf.rank[rx]++
 	}
-	uf.sets--
 	return true
 }
-
-// Sets returns the current number of disjoint sets.
-func (uf *UnionFind) Sets() int { return uf.sets }
 
 // Connected reports whether x and y are in the same set.
 func (uf *UnionFind) Connected(x, y int32) bool { return uf.Find(x) == uf.Find(y) }
@@ -68,7 +62,6 @@ type SignedUnionFind struct {
 	parent []int32
 	rank   []uint8
 	parity []uint8 // parity of the path to parent (0 same side, 1 opposite)
-	sets   int
 }
 
 // NewSignedUnionFind returns n singleton sets with parity 0.
@@ -77,18 +70,11 @@ func NewSignedUnionFind(n int) *SignedUnionFind {
 		parent: make([]int32, n),
 		rank:   make([]uint8, n),
 		parity: make([]uint8, n),
-		sets:   n,
 	}
 	for i := range uf.parent {
 		uf.parent[i] = int32(i)
 	}
 	return uf
-}
-
-// Find returns the representative of x's set and the parity of x
-// relative to that representative.
-func (uf *SignedUnionFind) Find(x int32) (root int32, parity uint8) {
-	return uf.find(x)
 }
 
 // Parity returns the parity of x relative to its set representative.
@@ -129,20 +115,5 @@ func (uf *SignedUnionFind) Union(x, y int32, rel uint8) (merged, ok bool) {
 	if uf.rank[rx] == uf.rank[ry] {
 		uf.rank[rx]++
 	}
-	uf.sets--
 	return true, true
 }
-
-// Connected reports whether x and y share a set, and if so the relative
-// parity between them (0: same side / positive relation, 1: opposite).
-func (uf *SignedUnionFind) Connected(x, y int32) (connected bool, rel uint8) {
-	rx, px := uf.find(x)
-	ry, py := uf.find(y)
-	if rx != ry {
-		return false, 0
-	}
-	return true, px ^ py
-}
-
-// Sets returns the current number of disjoint sets.
-func (uf *SignedUnionFind) Sets() int { return uf.sets }

@@ -7,8 +7,8 @@ import (
 
 func TestUnionFindBasic(t *testing.T) {
 	uf := NewUnionFind(10)
-	if uf.Sets() != 10 {
-		t.Fatalf("Sets = %d, want 10", uf.Sets())
+	if sets(uf) != 10 {
+		t.Fatalf("sets = %d, want 10", sets(uf))
 	}
 	if !uf.Union(0, 1) {
 		t.Fatal("first Union(0,1) should merge")
@@ -18,8 +18,8 @@ func TestUnionFindBasic(t *testing.T) {
 	}
 	uf.Union(2, 3)
 	uf.Union(1, 3)
-	if uf.Sets() != 7 {
-		t.Fatalf("Sets = %d, want 7", uf.Sets())
+	if sets(uf) != 7 {
+		t.Fatalf("sets = %d, want 7", sets(uf))
 	}
 	for _, pair := range [][2]int32{{0, 1}, {0, 2}, {0, 3}, {1, 2}} {
 		if !uf.Connected(pair[0], pair[1]) {
@@ -189,6 +189,28 @@ func bruteForceBalanced(n int, edges []sufEdge) bool {
 		}
 	}
 	return true
+}
+
+// sets counts the disjoint sets: one representative each.
+func sets(uf *UnionFind) int {
+	c := 0
+	for x := range uf.parent {
+		if uf.Find(int32(x)) == int32(x) {
+			c++
+		}
+	}
+	return c
+}
+
+// Connected reports whether x and y share a set, and if so the relative
+// parity between them (0: same side / positive relation, 1: opposite).
+func (uf *SignedUnionFind) Connected(x, y int32) (connected bool, rel uint8) {
+	rx, px := uf.find(x)
+	ry, py := uf.find(y)
+	if rx != ry {
+		return false, 0
+	}
+	return true, px ^ py
 }
 
 func mustUnion(t *testing.T, uf *SignedUnionFind, x, y int32, rel uint8) {

@@ -258,26 +258,3 @@ func (d *Dataset) Save(dir string) error {
 	defer sf.Close()
 	return skills.WriteTSV(sf, d.Assign)
 }
-
-// LoadDir reads a dataset saved by Save.
-func LoadDir(dir, name string) (*Dataset, error) {
-	ef, err := os.Open(filepath.Join(dir, name+".edges"))
-	if err != nil {
-		return nil, fmt.Errorf("datasets: load: %w", err)
-	}
-	defer ef.Close()
-	g, _, err := sgraph.ReadEdgeList(ef)
-	if err != nil {
-		return nil, err
-	}
-	sf, err := os.Open(filepath.Join(dir, name+".skills"))
-	if err != nil {
-		return nil, fmt.Errorf("datasets: load: %w", err)
-	}
-	defer sf.Close()
-	assign, err := skills.ReadTSV(sf, g.NumNodes())
-	if err != nil {
-		return nil, err
-	}
-	return &Dataset{Name: name, Graph: g, Assign: assign}, nil
-}

@@ -1,12 +1,14 @@
 package datasets
 
 import (
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"repro/internal/sgraph"
+	"repro/internal/skills"
 )
 
 func TestSlashdotSimShape(t *testing.T) {
@@ -196,6 +198,29 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if got.Assign.TotalAssignments() != d.Assign.TotalAssignments() {
 		t.Fatal("skill assignments changed through snapshot")
 	}
+}
+
+// LoadDir reads a dataset saved by Save.
+func LoadDir(dir, name string) (*Dataset, error) {
+	ef, err := os.Open(filepath.Join(dir, name+".edges"))
+	if err != nil {
+		return nil, fmt.Errorf("datasets: load: %w", err)
+	}
+	defer ef.Close()
+	g, _, err := sgraph.ReadEdgeList(ef)
+	if err != nil {
+		return nil, err
+	}
+	sf, err := os.Open(filepath.Join(dir, name+".skills"))
+	if err != nil {
+		return nil, fmt.Errorf("datasets: load: %w", err)
+	}
+	defer sf.Close()
+	assign, err := skills.ReadTSV(sf, g.NumNodes())
+	if err != nil {
+		return nil, err
+	}
+	return &Dataset{Name: name, Graph: g, Assign: assign}, nil
 }
 
 func TestLoadDirMissing(t *testing.T) {

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-
-	"repro/internal/compat"
 )
 
 // Series summarises one metric across repetitions with different
@@ -114,25 +112,4 @@ func SortedKeys(m map[string]Series) []string {
 	}
 	sort.Strings(keys)
 	return keys
-}
-
-// MonotoneInChain checks that a per-relation metric respects the
-// containment chain within tolerance — the cross-repetition shape
-// assertion used by tests and the harness self-check. key builds the
-// map key for a relation; missing keys are skipped.
-func MonotoneInChain(m map[string]Series, key func(compat.Kind) string, tolerance float64) error {
-	chain := []compat.Kind{compat.SPA, compat.SPM, compat.SPO, compat.SBPH, compat.NNE}
-	prev := -math.MaxFloat64
-	prevKind := compat.SPA
-	for _, k := range chain {
-		s, ok := m[key(k)]
-		if !ok {
-			continue
-		}
-		if s.Mean+tolerance < prev {
-			return fmt.Errorf("experiments: %v mean %.4f below %v mean %.4f", k, s.Mean, prevKind, prev)
-		}
-		prev, prevKind = s.Mean, k
-	}
-	return nil
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -135,4 +136,44 @@ func TestMonotoneInChainDetectsViolation(t *testing.T) {
 	if err := MonotoneInChain(m, func(k compat.Kind) string { return k.String() }, 0.8); err != nil {
 		t.Fatalf("tolerance not applied: %v", err)
 	}
+}
+
+// TestHarnessSelfCheck runs a miniature of the full experiment
+// pipeline and verifies the headline shapes programmatically.
+func TestHarnessSelfCheck(t *testing.T) {
+	cfg := Config{Seed: 3, Scale: 0.02, Tasks: 10, TaskSize: 4, SBPMaxLen: 8}
+	series, err := Figure2aRepeated(cfg, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Solution rate must respect the relation chain for each algorithm.
+	for _, algo := range []string{AlgoLCMD, AlgoLCMC, AlgoMax} {
+		err := MonotoneInChain(series, func(k compat.Kind) string {
+			return k.String() + "/" + algo
+		}, 0.15)
+		if err != nil {
+			t.Fatalf("%s: %v", algo, err)
+		}
+	}
+}
+
+// MonotoneInChain checks that a per-relation metric respects the
+// containment chain within tolerance — the cross-repetition shape
+// assertion used by tests and the harness self-check. key builds the
+// map key for a relation; missing keys are skipped.
+func MonotoneInChain(m map[string]Series, key func(compat.Kind) string, tolerance float64) error {
+	chain := []compat.Kind{compat.SPA, compat.SPM, compat.SPO, compat.SBPH, compat.NNE}
+	prev := -math.MaxFloat64
+	prevKind := compat.SPA
+	for _, k := range chain {
+		s, ok := m[key(k)]
+		if !ok {
+			continue
+		}
+		if s.Mean+tolerance < prev {
+			return fmt.Errorf("experiments: %v mean %.4f below %v mean %.4f", k, s.Mean, prevKind, prev)
+		}
+		prev, prevKind = s.Mean, k
+	}
+	return nil
 }

@@ -9,10 +9,9 @@
 //
 // # Kernels
 //
-//   - Count / AndCount / And / AndInto: unrolled popcount accumulation
-//     over []uint64 rows. AndCount never materialises the
-//     intersection; AndInto intersects in place and returns the
-//     population in the same pass.
+//   - AndCount / And: word loops over []uint64 rows. AndCount is an
+//     unrolled popcount of the intersection that never materialises
+//     it; And intersects in place.
 //   - ArgminMaxU8 / ArgminSumU8: the fused candidate scan. Candidates
 //     are the set bits of (holder AND mask) in the holder words a word
 //     list names; each candidate's score is the max (or sum) over a
@@ -44,7 +43,7 @@
 //
 // # Variants
 //
-// Two implementations of the word kernels are selected at compile
+// Two implementations of AndCount's word loop are selected at compile
 // time by build tags (never at run time — no dispatch on the hot
 // path): kernels_generic.go is the portable path, and
 // kernels_amd64v3.go takes over when the binary is compiled with

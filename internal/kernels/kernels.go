@@ -14,9 +14,6 @@ const (
 	msb8 = 0x8080808080808080 // high bit of every byte lane
 )
 
-// Count returns the population count of ws.
-func Count(ws []uint64) int { return countWords(ws) }
-
 // AndCount returns popcount(a AND b) over the first len(a) words
 // without materialising the intersection. b must be at least as long
 // as a.
@@ -29,20 +26,6 @@ func And(dst, src []uint64) {
 	for i := range dst {
 		dst[i] &= src[i]
 	}
-}
-
-// AndInto intersects dst with src in place and returns the population
-// count of the result in the same pass — the fused form of
-// And+Count. src must be at least as long as dst.
-func AndInto(dst, src []uint64) int {
-	src = src[:len(dst)]
-	c := 0
-	for i := range dst {
-		w := dst[i] & src[i]
-		dst[i] = w
-		c += bits.OnesCount64(w)
-	}
-	return c
 }
 
 // maxU8x8 returns the lane-wise unsigned max of two 8×uint8 vectors

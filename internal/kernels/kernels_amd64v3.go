@@ -8,28 +8,11 @@ import "math/bits"
 // kernels_generic.go for the portable twin.
 func Variant() string { return "amd64v3" }
 
-// countWords under GOAMD64=v3: OnesCount64 compiles to an
+// andCountWords under GOAMD64=v3: OnesCount64 compiles to an
 // unconditional POPCNT (no feature-check branch), so the win left on
-// the table is POPCNT's false output-register dependency — an 8-wide
-// unroll over four independent accumulators keeps four dependency
-// chains in flight.
-func countWords(ws []uint64) int {
-	c0, c1, c2, c3 := 0, 0, 0, 0
-	i := 0
-	for ; i+8 <= len(ws); i += 8 {
-		c0 += bits.OnesCount64(ws[i]) + bits.OnesCount64(ws[i+1])
-		c1 += bits.OnesCount64(ws[i+2]) + bits.OnesCount64(ws[i+3])
-		c2 += bits.OnesCount64(ws[i+4]) + bits.OnesCount64(ws[i+5])
-		c3 += bits.OnesCount64(ws[i+6]) + bits.OnesCount64(ws[i+7])
-	}
-	for ; i < len(ws); i++ {
-		c0 += bits.OnesCount64(ws[i])
-	}
-	return (c0 + c1) + (c2 + c3)
-}
-
-// andCountWords under GOAMD64=v3: fused AND+POPCNT, 8-wide, four
-// accumulators; see countWords for why.
+// the table is POPCNT's false output-register dependency — a fused
+// AND+POPCNT 8-wide unroll over four independent accumulators keeps
+// four dependency chains in flight.
 func andCountWords(a, b []uint64) int {
 	b = b[:len(a)]
 	c0, c1, c2, c3 := 0, 0, 0, 0

@@ -9,25 +9,10 @@ import "math/bits"
 // recorded numbers are attributable to a kernel path.
 func Variant() string { return "portable" }
 
-// countWords is the portable popcount accumulator: 4-wide unrolled
+// andCountWords is the portable fused AND+popcount: 4-wide unrolled
 // with two independent accumulators, so the loop overhead and (on
 // pre-v3 amd64) the OnesCount64 feature-check branch amortise over
-// four words.
-func countWords(ws []uint64) int {
-	c0, c1 := 0, 0
-	i := 0
-	for ; i+4 <= len(ws); i += 4 {
-		c0 += bits.OnesCount64(ws[i]) + bits.OnesCount64(ws[i+1])
-		c1 += bits.OnesCount64(ws[i+2]) + bits.OnesCount64(ws[i+3])
-	}
-	for ; i < len(ws); i++ {
-		c0 += bits.OnesCount64(ws[i])
-	}
-	return c0 + c1
-}
-
-// andCountWords is the portable fused AND+popcount: same 4-wide
-// unroll, intersection never materialised.
+// four words; the intersection is never materialised.
 func andCountWords(a, b []uint64) int {
 	b = b[:len(a)]
 	c0, c1 := 0, 0

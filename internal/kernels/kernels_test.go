@@ -16,14 +16,6 @@ import (
 
 // --- naive references -------------------------------------------------------
 
-func refCount(ws []uint64) int {
-	c := 0
-	for _, w := range ws {
-		c += bits.OnesCount64(w)
-	}
-	return c
-}
-
 func refAndCount(a, b []uint64) int {
 	c := 0
 	for i := range a {
@@ -148,18 +140,6 @@ func TestVariantNonEmpty(t *testing.T) {
 	t.Logf("compiled kernel variant: %s", Variant())
 }
 
-func TestCountMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for _, n := range sizes() {
-		for trial := 0; trial < 8; trial++ {
-			ws := randWords(rng, n, rng.Float64())
-			if got, want := Count(ws), refCount(ws); got != want {
-				t.Fatalf("n=%d: Count=%d want %d", n, got, want)
-			}
-		}
-	}
-}
-
 func TestAndCountMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for _, n := range sizes() {
@@ -180,25 +160,19 @@ func TestAndCountMatchesReference(t *testing.T) {
 	}
 }
 
-func TestAndAndIntoMatchReference(t *testing.T) {
+func TestAndMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, n := range sizes() {
 		for trial := 0; trial < 8; trial++ {
 			a := randWords(rng, n, rng.Float64())
 			b := randWords(rng, n, rng.Float64())
-			wantCount := refAndCount(a, b)
 
-			got1 := append([]uint64(nil), a...)
-			And(got1, b)
-			got2 := append([]uint64(nil), a...)
-			c := AndInto(got2, b)
-			for i := range got1 {
-				if want := a[i] & b[i]; got1[i] != want || got2[i] != want {
-					t.Fatalf("n=%d word %d: And=%x AndInto=%x want %x", n, i, got1[i], got2[i], want)
+			got := append([]uint64(nil), a...)
+			And(got, b)
+			for i := range got {
+				if want := a[i] & b[i]; got[i] != want {
+					t.Fatalf("n=%d word %d: And=%x want %x", n, i, got[i], want)
 				}
-			}
-			if c != wantCount {
-				t.Fatalf("n=%d: AndInto count=%d want %d", n, c, wantCount)
 			}
 		}
 	}
@@ -402,17 +376,6 @@ const benchBits = 1154 // the Epinions stand-in's row width at 4% scale
 
 func benchWords(seed int64, density float64) []uint64 {
 	return randWords(rand.New(rand.NewSource(seed)), benchBits, density)
-}
-
-func BenchmarkCount(b *testing.B) {
-	ws := benchWords(1, 0.3)
-	sink := 0
-	for i := 0; i < b.N; i++ {
-		sink += Count(ws)
-	}
-	if sink == 0 {
-		b.Fatal("empty")
-	}
 }
 
 func BenchmarkAndCount(b *testing.B) {

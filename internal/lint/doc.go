@@ -48,6 +48,20 @@
 // is flagged: the repo wraps errors (%w), so only errors.Is matches
 // reliably.
 //
+// testonly — an exported package-level name or method of a package
+// under an internal/ directory must be referenced by some non-test
+// file of the load; a reference from its own package counts. Such a
+// name is reachable only from inside the module, so one that no
+// production file uses is a test helper (move it into a _test.go
+// file) or dead (delete it). Struct fields and interface methods are
+// not checked. A method is exempt when its type's method set
+// satisfies an interface visible in the load (fmt.Stringer,
+// sort.Interface, compat.Relation, interface literals) and the method
+// supplies one of that interface's methods, or when its type is
+// referenced by the package's facade — the parent of its internal
+// directory, the root package for the module's internal packages —
+// whose aliases make those methods public API.
+//
 // # Directives
 //
 //	//tfsn:noalloc              func doc: body must not allocate
@@ -63,10 +77,11 @@
 //
 // # Scope and caveats
 //
-// viewlife and atomicmix gather cross-package facts from the packages
-// in the current load only, so run tfsnvet over the whole module
-// (./...) as CI does — a single-package invocation sees fewer facts
-// and can only under-report. Embedded-field promotion and
+// viewlife, atomicmix and testonly gather cross-package facts from the
+// packages in the current load only, so run tfsnvet over the whole
+// module (./...) as CI does. On a partial load viewlife and atomicmix
+// can only under-report, while testonly over-reports: it flags names
+// whose only users were left out of the load. Embedded-field promotion and
 // multi-value assignments may fail open (no diagnostic), never
 // spuriously. Test files are not analyzed.
 package lint

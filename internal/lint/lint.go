@@ -48,6 +48,7 @@ var All = []*Analyzer{
 	AtomicMix,
 	CtxPoll,
 	SentinelCmp,
+	TestOnly,
 }
 
 // ByName resolves an analyzer by its Name, or nil.
@@ -62,10 +63,11 @@ func ByName(name string) *Analyzer {
 
 // Facts is the cross-package state gathered in one pass over every
 // loaded package before any analyzer runs: the directive-declared view
-// types and audited fields (viewlife) and the fields observed under
-// sync/atomic calls anywhere in the load (atomicmix). Keys are
-// qualified names — "pkgpath.TypeName" for types,
-// "pkgpath.StructName.field" for fields — so they survive the
+// types and audited fields (viewlife), the fields observed under
+// sync/atomic calls anywhere in the load (atomicmix), and the objects
+// the load references (testonly). Keys are qualified names —
+// "pkgpath.Name" for package-level objects, "pkgpath.Type.Method" for
+// methods, "pkgpath.StructName.field" for fields — so they survive the
 // source/export-data boundary between packages.
 type Facts struct {
 	// ViewTypes holds the types annotated //tfsn:viewtype: values of
@@ -77,22 +79,37 @@ type Facts struct {
 	// AtomicFields maps struct fields that appear as &x.f arguments of
 	// sync/atomic calls to one such call site (for the diagnostic).
 	AtomicFields map[string]token.Position
+	// Referenced holds every package-level object and method some
+	// loaded (non-test) file references.
+	Referenced map[string]bool
+	// FacadeTypes holds the internal types their facade package (the
+	// parent of their internal directory) references: their methods are
+	// public API through the facade's aliases.
+	FacadeTypes map[string]bool
+	// Implementing holds the methods of internal types that supply a
+	// method of an interface visible in the load.
+	Implementing map[string]bool
 }
 
 // GatherFacts builds the cross-package Facts for one load. Analyzers
 // that depend on cross-package directives (viewlife) or cross-package
-// usage (atomicmix) only see what this load saw, so tfsnvet should run
-// over the whole module (./...) — CI does.
+// usage (atomicmix, testonly) only see what this load saw, so tfsnvet
+// should run over the whole module (./...) — CI does.
 func GatherFacts(pkgs []*Package) *Facts {
 	f := &Facts{
 		ViewTypes:    map[string]bool{},
 		ViewOK:       map[string]string{},
 		AtomicFields: map[string]token.Position{},
+		Referenced:   map[string]bool{},
+		FacadeTypes:  map[string]bool{},
+		Implementing: map[string]bool{},
 	}
 	for _, p := range pkgs {
 		gatherViewDirectives(p, f)
 		gatherAtomicFields(p, f)
+		gatherTestOnlyFacts(p, f)
 	}
+	markImplementing(pkgs, f)
 	return f
 }
 

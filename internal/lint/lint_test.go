@@ -9,10 +9,11 @@ import (
 	"testing"
 )
 
-// fixtures maps each fixture package under testdata/src to the one
-// analyzer it exercises. Muting an analyzer (or breaking its
-// detection) leaves its fixture's want comments unmatched, so every
-// analyzer is pinned by at least one positive and one negative case.
+// fixtures maps each fixture directory under testdata/src to the one
+// analyzer it exercises; the directory and every package below it load
+// together. Muting an analyzer (or breaking its detection) leaves its
+// fixture's want comments unmatched, so every analyzer is pinned by at
+// least one positive and one negative case.
 var fixtures = map[string]string{
 	"noalloc":          "noalloc",
 	"viewlife":         "viewlife",
@@ -21,6 +22,7 @@ var fixtures = map[string]string{
 	"atomicmix":        "atomicmix",
 	"ctxpoll":          "ctxpoll",
 	"sentinelcmp":      "sentinelcmp",
+	"testonly":         "testonly",
 }
 
 // expectation is one `// want` comment: a regexp that some diagnostic
@@ -51,7 +53,7 @@ func TestFixtures(t *testing.T) {
 			if dir != "kernelparity" && len(wants) == 0 {
 				t.Fatalf("fixture %s has no want comments", dir)
 			}
-			pkgs, err := Load(".", "./"+filepath.ToSlash(fixDir))
+			pkgs, err := Load(".", "./"+filepath.ToSlash(fixDir)+"/...")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -69,19 +71,23 @@ func TestFixtures(t *testing.T) {
 	}
 }
 
-// parseWants scans every fixture file for // want comments.
+// parseWants scans every fixture file under dir for // want comments.
 func parseWants(t *testing.T, dir string) []*expectation {
 	t.Helper()
-	entries, err := os.ReadDir(dir)
+	var paths []string
+	err := filepath.WalkDir(dir, func(path string, e os.DirEntry, err error) error {
+		if err == nil && !e.IsDir() && strings.HasSuffix(path, ".go") {
+			paths = append(paths, path)
+		}
+		return err
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var out []*expectation
-	for _, e := range entries {
-		if !strings.HasSuffix(e.Name(), ".go") {
-			continue
-		}
-		src, err := os.ReadFile(filepath.Join(dir, e.Name()))
+	for _, path := range paths {
+		name := filepath.Base(path)
+		src, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,26 +100,26 @@ func parseWants(t *testing.T, dir string) []*expectation {
 			if m[1] != "" {
 				off, err := strconv.Atoi(m[1][1 : len(m[1])-1])
 				if err != nil {
-					t.Fatalf("%s:%d: bad want offset %q", e.Name(), i+1, m[1])
+					t.Fatalf("%s:%d: bad want offset %q", name, i+1, m[1])
 				}
 				wantLine += off
 			}
 			quoted := quotedRe.FindAllString(m[2], -1)
 			if len(quoted) == 0 {
-				t.Fatalf("%s:%d: want comment without a quoted pattern", e.Name(), i+1)
+				t.Fatalf("%s:%d: want comment without a quoted pattern", name, i+1)
 			}
 			for _, q := range quoted {
 				pat := q[1 : len(q)-1]
 				if q[0] == '"' {
 					if pat, err = strconv.Unquote(q); err != nil {
-						t.Fatalf("%s:%d: bad want pattern %s: %v", e.Name(), i+1, q, err)
+						t.Fatalf("%s:%d: bad want pattern %s: %v", name, i+1, q, err)
 					}
 				}
 				re, err := regexp.Compile(pat)
 				if err != nil {
-					t.Fatalf("%s:%d: bad want regexp %q: %v", e.Name(), i+1, pat, err)
+					t.Fatalf("%s:%d: bad want regexp %q: %v", name, i+1, pat, err)
 				}
-				out = append(out, &expectation{file: e.Name(), line: wantLine, re: re})
+				out = append(out, &expectation{file: name, line: wantLine, re: re})
 			}
 		}
 	}

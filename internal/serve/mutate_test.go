@@ -56,7 +56,7 @@ func decodeMutate(t testing.TB, body []byte) mutateResult {
 
 func TestMutateEndpoint(t *testing.T) {
 	g, a := fixtureGraph(t)
-	rel := compat.MustNewSharded(compat.NNE, g, compat.ShardedOptions{ShardRows: 2})
+	rel := mustSharded(t, compat.NNE, g, compat.ShardedOptions{ShardRows: 2})
 	defer rel.Close()
 	s := New(rel, a, Options{PlanCache: 8, Engine: "sharded", EnableMutations: true})
 	defer s.Wait(context.Background())
@@ -153,7 +153,7 @@ func TestMutateGating(t *testing.T) {
 // accepted mutations. Run under -race in CI.
 func TestConcurrentMutateAndFormHTTP(t *testing.T) {
 	g, a := fixtureGraph(t)
-	rel := compat.MustNewSharded(compat.NNE, g, compat.ShardedOptions{ShardRows: 1})
+	rel := mustSharded(t, compat.NNE, g, compat.ShardedOptions{ShardRows: 1})
 	defer rel.Close()
 	s := New(rel, a, Options{PlanCache: 8, Engine: "sharded", EnableMutations: true, Queue: 64})
 	defer s.Wait(context.Background())

@@ -44,7 +44,7 @@ func fixtureGraph(t testing.TB) (*sgraph.Graph, *skills.Assignment) {
 
 func matrixRel(t testing.TB, g *sgraph.Graph) compat.Relation {
 	t.Helper()
-	return mustMatrix(compat.NNE, g)
+	return mustMatrix(t, compat.NNE, g)
 }
 
 // get performs one request against the server's handler.
@@ -153,7 +153,7 @@ func TestFormEndpoint(t *testing.T) {
 
 	// A warm repeat is a plan-cache hit.
 	get(t, s, "/form?task=A,B,C")
-	if st := s.Solver().PlanCacheStats(); st.Hits == 0 {
+	if st := s.solver.PlanCacheStats(); st.Hits == 0 {
 		t.Fatalf("no plan-cache hits after repeat: %+v", st)
 	}
 }
@@ -193,7 +193,7 @@ func TestNoTeamIsFoundFalse(t *testing.T) {
 	a := skills.NewAssignment(u, 2)
 	a.MustAdd(0, 0)
 	a.MustAdd(1, 1)
-	s := New(mustMatrix(compat.NNE, g), a, Options{PlanCache: 4})
+	s := New(mustMatrix(t, compat.NNE, g), a, Options{PlanCache: 4})
 	defer s.Wait(context.Background())
 
 	res, body := get(t, s, "/form?task=A,B")
@@ -702,7 +702,7 @@ func TestWaitGracePeriod(t *testing.T) {
 
 func TestStatsEndpoint(t *testing.T) {
 	g, a := fixtureGraph(t)
-	m := compat.MustNewSharded(compat.NNE, g, compat.ShardedOptions{ShardRows: 2, MaxResidentShards: 2, SpillDir: t.TempDir()})
+	m := mustSharded(t, compat.NNE, g, compat.ShardedOptions{ShardRows: 2, MaxResidentShards: 2, SpillDir: t.TempDir()})
 	defer m.Close()
 	scan, err := compat.ComputeStats(m, compat.StatsOptions{Workers: 1})
 	if err != nil {
@@ -808,6 +808,17 @@ func BenchmarkServeSolve(b *testing.B) {
 
 // mustMatrix builds the matrix configuration of the packed engine: one
 // shard holding every row, all resident.
-func mustMatrix(k compat.Kind, g *sgraph.Graph) *compat.ShardedMatrix {
-	return compat.MustNewSharded(k, g, compat.ShardedOptions{ShardRows: g.NumNodes()})
+func mustMatrix(tb testing.TB, k compat.Kind, g *sgraph.Graph) *compat.ShardedMatrix {
+	tb.Helper()
+	return mustSharded(tb, k, g, compat.ShardedOptions{ShardRows: g.NumNodes()})
+}
+
+// mustSharded builds a packed engine, failing tb on error.
+func mustSharded(tb testing.TB, k compat.Kind, g *sgraph.Graph, opts compat.ShardedOptions) *compat.ShardedMatrix {
+	tb.Helper()
+	m, err := compat.NewSharded(k, g, opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return m
 }

@@ -139,12 +139,6 @@ func (s *Server) snapshot() compat.Snapshot {
 // Handler returns the server's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Solver exposes the owned solver (benchmarks, stats).
-func (s *Server) Solver() *team.Solver { return s.solver }
-
-// Draining reports whether BeginDrain has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // BeginDrain stops admission — new requests answer 503, /healthz flips
 // to draining — and flushes open coalescing windows so no request
 // waits for a timer that no longer matters. It does not wait for

@@ -1,6 +1,6 @@
 // Dynamic signed graphs: an epoch-versioned mutable wrapper over the
 // immutable CSR Graph. Graph itself stays immutable — every mutation
-// derives a fresh Graph by structural sharing (FlipSign copies only the
+// derives a fresh Graph by structural sharing (a flip copies only the
 // sign slab; add/remove splice the CSR arrays once, O(V+E)) and
 // publishes it atomically together with a monotonically increasing
 // epoch. Readers therefore never observe a half-applied mutation: a
@@ -26,10 +26,10 @@ import (
 // layer's /mutate endpoint, the CLI mutation scripts) can map them to
 // client-error responses rather than 5xx.
 var (
-	// ErrEdgeExists reports AddEdge on a pair that already has an edge
-	// (flip the sign with FlipSign instead of re-adding).
+	// ErrEdgeExists reports MutAdd on a pair that already has an edge
+	// (flip the sign with MutFlip instead of re-adding).
 	ErrEdgeExists = errors.New("sgraph: edge already exists")
-	// ErrNoSuchEdge reports RemoveEdge or FlipSign on a pair with no
+	// ErrNoSuchEdge reports MutRemove or MutFlip on a pair with no
 	// edge.
 	ErrNoSuchEdge = errors.New("sgraph: no such edge")
 )
@@ -56,20 +56,6 @@ func (op MutOp) String() string {
 		return "flip"
 	default:
 		return fmt.Sprintf("MutOp(%d)", uint8(op))
-	}
-}
-
-// ParseMutOp resolves a wire name produced by MutOp.String.
-func ParseMutOp(name string) (MutOp, error) {
-	switch name {
-	case "add":
-		return MutAdd, nil
-	case "remove":
-		return MutRemove, nil
-	case "flip":
-		return MutFlip, nil
-	default:
-		return 0, fmt.Errorf("sgraph: unknown mutation op %q (want add, remove or flip)", name)
 	}
 }
 
@@ -168,25 +154,6 @@ func (d *Dynamic) Apply(m Mutation) (*Graph, uint64, error) {
 	epoch := cur.epoch + 1
 	d.cur.Store(&graphEpoch{g: next, epoch: epoch})
 	return next, epoch, nil
-}
-
-// AddEdge inserts the signed edge (u,v) and returns the new epoch.
-func (d *Dynamic) AddEdge(u, v NodeID, s Sign) (uint64, error) {
-	_, e, err := d.Apply(Mutation{Op: MutAdd, U: u, V: v, Sign: s})
-	return e, err
-}
-
-// RemoveEdge deletes the edge (u,v) and returns the new epoch.
-func (d *Dynamic) RemoveEdge(u, v NodeID) (uint64, error) {
-	_, e, err := d.Apply(Mutation{Op: MutRemove, U: u, V: v})
-	return e, err
-}
-
-// FlipSign negates the sign of the edge (u,v) and returns the new
-// epoch.
-func (d *Dynamic) FlipSign(u, v NodeID) (uint64, error) {
-	_, e, err := d.Apply(Mutation{Op: MutFlip, U: u, V: v})
-	return e, err
 }
 
 func validateEndpoints(g *Graph, u, v NodeID) error {

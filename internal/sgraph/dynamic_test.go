@@ -55,17 +55,17 @@ func TestDynamicMutations(t *testing.T) {
 		t.Fatalf("fresh Dynamic epoch = %d, want 0", d.Epoch())
 	}
 
-	e, err := d.AddEdge(0, 3, Negative)
+	_, e, err := d.Apply(Mutation{Op: MutAdd, U: 0, V: 3, Sign: Negative})
 	if err != nil || e != 1 {
-		t.Fatalf("AddEdge: epoch %d err %v", e, err)
+		t.Fatalf("add: epoch %d err %v", e, err)
 	}
 	if s, ok := d.Graph().EdgeSign(3, 0); !ok || s != Negative {
 		t.Fatalf("added edge not visible: sign=%v ok=%v", s, ok)
 	}
 
-	e, err = d.FlipSign(1, 2)
+	_, e, err = d.Apply(Mutation{Op: MutFlip, U: 1, V: 2})
 	if err != nil || e != 2 {
-		t.Fatalf("FlipSign: epoch %d err %v", e, err)
+		t.Fatalf("flip: epoch %d err %v", e, err)
 	}
 	if s, _ := d.Graph().EdgeSign(1, 2); s != Positive {
 		t.Fatalf("flip(1,2): sign=%v, want +", s)
@@ -74,9 +74,9 @@ func TestDynamicMutations(t *testing.T) {
 		t.Fatalf("negative count after flip = %d, want 2", got)
 	}
 
-	e, err = d.RemoveEdge(4, 5)
+	_, e, err = d.Apply(Mutation{Op: MutRemove, U: 4, V: 5})
 	if err != nil || e != 3 {
-		t.Fatalf("RemoveEdge: epoch %d err %v", e, err)
+		t.Fatalf("remove: epoch %d err %v", e, err)
 	}
 	if d.Graph().HasEdge(4, 5) {
 		t.Fatal("removed edge still present")
@@ -139,21 +139,16 @@ func TestDynamicRandomAgainstBuilder(t *testing.T) {
 			continue
 		}
 		cur := d.Graph()
-		var err error
+		m := Mutation{Op: MutAdd, U: u, V: v, Sign: Positive}
 		if cur.HasEdge(u, v) {
+			m.Op = MutRemove
 			if rng.Intn(2) == 0 {
-				_, err = d.FlipSign(u, v)
-			} else {
-				_, err = d.RemoveEdge(u, v)
+				m.Op = MutFlip
 			}
-		} else {
-			s := Positive
-			if rng.Intn(2) == 0 {
-				s = Negative
-			}
-			_, err = d.AddEdge(u, v, s)
+		} else if rng.Intn(2) == 0 {
+			m.Sign = Negative
 		}
-		if err != nil {
+		if _, _, err := d.Apply(m); err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
 		got := d.Graph()
@@ -161,17 +156,5 @@ func TestDynamicRandomAgainstBuilder(t *testing.T) {
 		if !graphsEqual(got, want) {
 			t.Fatalf("step %d: spliced graph disagrees with Builder rebuild\ngot:  %v\nwant: %v", step, got, want)
 		}
-	}
-}
-
-func TestMutOpRoundTrip(t *testing.T) {
-	for _, op := range []MutOp{MutAdd, MutRemove, MutFlip} {
-		got, err := ParseMutOp(op.String())
-		if err != nil || got != op {
-			t.Fatalf("ParseMutOp(%v) = %v, %v", op, got, err)
-		}
-	}
-	if _, err := ParseMutOp("bogus"); err == nil {
-		t.Fatal("ParseMutOp(bogus) succeeded")
 	}
 }

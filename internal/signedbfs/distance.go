@@ -14,18 +14,6 @@ func Distances(g *sgraph.Graph, src sgraph.NodeID) []int32 {
 	return DistancesInto(g, src, nil, NewScratch(g.NumNodes()))
 }
 
-// Eccentricity returns the largest finite distance from src, i.e. the
-// eccentricity of src within its connected component.
-func Eccentricity(g *sgraph.Graph, src sgraph.NodeID) int32 {
-	ecc := int32(0)
-	for _, d := range Distances(g, src) {
-		if d > ecc {
-			ecc = d
-		}
-	}
-	return ecc
-}
-
 // Diameter computes the exact diameter of g — the largest shortest-path
 // distance between any two nodes in the same component — by running a
 // BFS from every node, fanned out over all CPUs.
@@ -80,29 +68,6 @@ func Diameter(g *sgraph.Graph) int32 {
 		}
 	}
 	return diam
-}
-
-// ApproxDiameter lower-bounds the diameter with the double-sweep
-// heuristic repeated rounds times from distinct start nodes: BFS from a
-// start node, then BFS again from the farthest node found. On many
-// real-world graphs the bound is tight. starts selects the initial
-// nodes; the function deduplicates the sweeps' work only trivially, so
-// cost is 2*rounds BFS runs.
-func ApproxDiameter(g *sgraph.Graph, starts []sgraph.NodeID) int32 {
-	best := int32(0)
-	for _, s := range starts {
-		dist := Distances(g, s)
-		far := s
-		for v, d := range dist {
-			if d > dist[far] {
-				far = sgraph.NodeID(v)
-			}
-		}
-		if e := Eccentricity(g, far); e > best {
-			best = e
-		}
-	}
-	return best
 }
 
 // AverageDistance returns the mean shortest-path distance over all

@@ -14,8 +14,8 @@
 // Zero/non-zero tests (all the SPA/SPO compatibility logic needs) are
 // always exact; the SPM majority comparison can be inexact only when
 // both counters of the same node saturate, which Result.Saturated
-// exposes. CountPathsBig is an exact math/big variant used by tests
-// and the path-counting ablation to cross-check.
+// exposes. The package tests cross-check the saturating counters
+// against CountPathsBig, an exact math/big variant kept in the tests.
 //
 // # Many sources at once
 //

@@ -43,7 +43,7 @@ func TestCountPathsTriangle(t *testing.T) {
 	if r.Dist[2] != 1 || r.Pos[2] != 0 || r.Neg[2] != 1 {
 		t.Fatalf("node 2: dist=%d pos=%d neg=%d, want 1/0/1", r.Dist[2], r.Pos[2], r.Neg[2])
 	}
-	if r.HasPositive(2) || !r.HasNegative(2) || r.AllPositive(2) {
+	if r.HasPositive(2) || r.Neg[2] == 0 || r.AllPositive(2) {
 		t.Fatal("sign predicates wrong for node 2")
 	}
 	if !r.MajorityPositive(1) || r.MajorityPositive(2) {
@@ -244,7 +244,7 @@ func TestCountPathsSaturates(t *testing.T) {
 		t.Fatalf("saturated count = %d, want MaxUint64", r.Pos[end])
 	}
 	// Zero/non-zero predicates stay exact under saturation.
-	if !r.HasPositive(end) || r.HasNegative(end) {
+	if !r.HasPositive(end) || r.Neg[end] != 0 {
 		t.Fatal("sign predicates corrupted by saturation")
 	}
 }

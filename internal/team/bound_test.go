@@ -122,7 +122,7 @@ func TestBoundedSeedLoopRandomUserRng(t *testing.T) {
 		}
 		for engine, rel := range map[string]compat.Relation{
 			"lazy":   compat.MustNew(compat.SPM, g, compat.Options{}),
-			"matrix": mustMatrix(compat.SPM, g),
+			"matrix": mustMatrix(t, compat.SPM, g),
 		} {
 			for _, ck := range []CostKind{Diameter, SumDistance} {
 				for ci, cons := range []Constraints{{}, {MaxTeamSize: 3}} {

@@ -189,7 +189,7 @@ func TestConcurrentCancelAndSolve(t *testing.T) {
 	n := 20
 	g := randomTeamGraph(rng, n, 3*n, 0.2)
 	assign := randomAssignment(t, rng, n, 5)
-	rel := mustMatrix(compat.NNE, g)
+	rel := mustMatrix(t, compat.NNE, g)
 	s := NewSolver(rel, assign, SolverOptions{Workers: 2, PlanCache: 16})
 	opts := Options{Skill: RarestFirst, User: MinDistance}
 	var tasks []skills.Task

@@ -30,7 +30,11 @@ func ExampleSolver_constraints() {
 	assign.MustAdd(2, 1) // sql
 	assign.MustAdd(3, 2) // ops
 	assign.MustAdd(4, 2) // ops
-	rel := compat.MustNewSharded(compat.NNE, g, compat.ShardedOptions{ShardRows: g.NumNodes()})
+	rel, err := compat.NewSharded(compat.NNE, g, compat.ShardedOptions{ShardRows: g.NumNodes()})
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
 
 	s := NewSolver(rel, assign, SolverOptions{})
 	task := skills.NewTask(0, 1, 2)
@@ -44,7 +48,7 @@ func ExampleSolver_constraints() {
 
 	// Excluding both sql holders leaves the task uncoverable: the
 	// constraints, not the graph, forbid a team.
-	err := s.FormIntoContext(context.Background(), task, Options{Constraints: Constraints{
+	err = s.FormIntoContext(context.Background(), task, Options{Constraints: Constraints{
 		MustExclude: []sgraph.NodeID{1, 2},
 	}}, &tm)
 	fmt.Println(errors.Is(err, ErrInfeasible), errors.Is(err, ErrNoTeam))

@@ -30,12 +30,12 @@ func TestFormPackedMatchesLazy(t *testing.T) {
 		}
 		for _, k := range []compat.Kind{compat.SPA, compat.SPM, compat.SPO, compat.SBPH, compat.NNE} {
 			lazy := compat.MustNew(k, g, compat.Options{})
-			sharded := compat.MustNewSharded(k, g, compat.ShardedOptions{
+			sharded := mustSharded(t, k, g, compat.ShardedOptions{
 				ShardRows:         3,
 				MaxResidentShards: 2,
 			})
 			packed := map[string]compat.Relation{
-				"matrix":  mustMatrix(k, g),
+				"matrix":  mustMatrix(t, k, g),
 				"sharded": sharded,
 			}
 			for _, sp := range []SkillPolicy{RarestFirst, LeastCompatibleFirst} {
@@ -83,7 +83,7 @@ func TestFormOnOpenedMatrix(t *testing.T) {
 	}
 	live := compat.MustNew(compat.SPO, d.Graph, compat.Options{CacheCap: d.Graph.NumNodes() + 1})
 	path := filepath.Join(t.TempDir(), "spo.stpk")
-	if err := mustMatrix(compat.SPO, d.Graph).Save(path); err != nil {
+	if err := mustMatrix(t, compat.SPO, d.Graph).Save(path); err != nil {
 		t.Fatal(err)
 	}
 	opened, err := compat.OpenSharded(path, d.Graph)
@@ -156,6 +156,17 @@ func randomAssignment(t testing.TB, rng *rand.Rand, n, numSkills int) *skills.As
 
 // mustMatrix builds the matrix configuration of the packed engine: one
 // shard holding every row, all resident.
-func mustMatrix(k compat.Kind, g *sgraph.Graph) *compat.ShardedMatrix {
-	return compat.MustNewSharded(k, g, compat.ShardedOptions{ShardRows: g.NumNodes()})
+func mustMatrix(tb testing.TB, k compat.Kind, g *sgraph.Graph) *compat.ShardedMatrix {
+	tb.Helper()
+	return mustSharded(tb, k, g, compat.ShardedOptions{ShardRows: g.NumNodes()})
+}
+
+// mustSharded builds a packed engine, failing tb on error.
+func mustSharded(tb testing.TB, k compat.Kind, g *sgraph.Graph, opts compat.ShardedOptions) *compat.ShardedMatrix {
+	tb.Helper()
+	m, err := compat.NewSharded(k, g, opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return m
 }

@@ -30,11 +30,11 @@ func mutableSolverEngines(t *testing.T, k compat.Kind, g *sgraph.Graph) map[stri
 	t.Helper()
 	engines := map[string]compat.MutableRelation{
 		"lazy":   compat.MustNew(k, g, compat.Options{}).(compat.MutableRelation),
-		"matrix": mustMatrix(k, g),
-		"sharded": compat.MustNewSharded(k, g, compat.ShardedOptions{
+		"matrix": mustMatrix(t, k, g),
+		"sharded": mustSharded(t, k, g, compat.ShardedOptions{
 			ShardRows: 4,
 		}),
-		"sharded-spill": compat.MustNewSharded(k, g, compat.ShardedOptions{
+		"sharded-spill": mustSharded(t, k, g, compat.ShardedOptions{
 			ShardRows: 3, MaxResidentShards: 2, SpillDir: t.TempDir(),
 		}),
 	}
@@ -125,7 +125,7 @@ func TestPlanCacheNegativeEntryEpochKeying(t *testing.T) {
 	for v := 0; v < n; v++ {
 		assign.MustAdd(sgraph.NodeID(v), skills.SkillID(v%2)) // skill 2 has no holders
 	}
-	rel := mustMatrix(compat.SPO, g)
+	rel := mustMatrix(t, compat.SPO, g)
 	s := NewSolver(rel, assign, SolverOptions{Workers: 1, PlanCache: 4})
 	task := skills.NewTask(0, 2)
 	mustNoTeam := func(stage string) {
@@ -177,7 +177,7 @@ func TestSolverMutationOracle(t *testing.T) {
 		tasks = append(tasks, task)
 	}
 	opts := Options{Skill: LeastCompatibleFirst, User: MinDistance}
-	rel := compat.MustNewSharded(compat.SPO, g, compat.ShardedOptions{
+	rel := mustSharded(t, compat.SPO, g, compat.ShardedOptions{
 		ShardRows: 3, MaxResidentShards: 2, SpillDir: t.TempDir(),
 	})
 	defer rel.Close()
@@ -272,7 +272,7 @@ func TestConstrainedInfeasibleStubEpochKeying(t *testing.T) {
 	}
 	assign.MustAdd(0, 1) // skill 1 held only by users 0 and 1
 	assign.MustAdd(1, 1)
-	rel := mustMatrix(compat.SPO, g)
+	rel := mustMatrix(t, compat.SPO, g)
 	s := NewSolver(rel, assign, SolverOptions{Workers: 1, PlanCache: 4})
 	task := skills.NewTask(0, 1)
 	opts := Options{Constraints: Constraints{MustExclude: []sgraph.NodeID{0, 1}}}
@@ -322,7 +322,7 @@ func TestConstrainedSolverMutationOracle(t *testing.T) {
 		specs = append(specs, TaskSpec{Task: task, Constraints: randomConstraints(rng, n)})
 	}
 	opts := Options{Skill: LeastCompatibleFirst, User: MinDistance}
-	rel := compat.MustNewSharded(compat.SPO, g, compat.ShardedOptions{
+	rel := mustSharded(t, compat.SPO, g, compat.ShardedOptions{
 		ShardRows: 3, MaxResidentShards: 2, SpillDir: t.TempDir(),
 	})
 	defer rel.Close()
@@ -396,7 +396,7 @@ func TestConstrainedFormBatchVsMutators(t *testing.T) {
 		}
 		specs = append(specs, TaskSpec{Task: task, Constraints: randomConstraints(rng, n)})
 	}
-	rel := compat.MustNewSharded(compat.SPO, g, compat.ShardedOptions{ShardRows: 1})
+	rel := mustSharded(t, compat.SPO, g, compat.ShardedOptions{ShardRows: 1})
 	defer rel.Close()
 	s := NewSolver(rel, assign, SolverOptions{Workers: 4, PlanCache: 4})
 	edges := teamGraphEdges(g)

@@ -30,7 +30,7 @@ func TestPlanCacheServesIdenticalResults(t *testing.T) {
 			tasks = append(tasks, task)
 		}
 		for _, k := range []compat.Kind{compat.SPM, compat.NNE} {
-			engines, cleanup := solverEngines(k, g)
+			engines, cleanup := solverEngines(t, k, g)
 			for engine, rel := range engines {
 				for _, opts := range []Options{
 					{Skill: LeastCompatibleFirst, User: MinDistance},
@@ -210,7 +210,7 @@ func TestPlanCacheConcurrentMixed(t *testing.T) {
 		}
 		tasks = append(tasks, task)
 	}
-	rel := mustMatrix(compat.SPM, g)
+	rel := mustMatrix(t, compat.SPM, g)
 	opts := Options{Skill: LeastCompatibleFirst, User: MinDistance}
 	plain := NewSolver(rel, assign, SolverOptions{Workers: 1})
 	want := make([]*Team, len(tasks))
@@ -296,7 +296,7 @@ func TestPlanCacheWarmHitDoesNotAllocate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel := mustMatrix(compat.SPM, g)
+	rel := mustMatrix(t, compat.SPM, g)
 	s := NewSolver(rel, assign, SolverOptions{Workers: 1, PlanCache: 8})
 	for _, opts := range []Options{
 		{Skill: LeastCompatibleFirst, User: MinDistance},
@@ -343,7 +343,7 @@ func TestPickMinDistanceMatchesPairwise(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, k := range kinds {
-			engines, cleanup := solverEngines(k, g)
+			engines, cleanup := solverEngines(t, k, g)
 			for engine, rel := range engines {
 				for _, sp := range []SkillPolicy{RarestFirst, LeastCompatibleFirst} {
 					for _, ck := range []CostKind{Diameter, SumDistance} {

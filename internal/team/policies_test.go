@@ -122,7 +122,7 @@ func TestPairDegreeMemoCoversUniverse(t *testing.T) {
 	const n, numSkills = 48, 600
 	g := randomTeamGraph(rng, n, 6*n, 0.3)
 	assign := wideAssignment(rng, n, numSkills)
-	rel := mustMatrix(compat.SPM, g)
+	rel := mustMatrix(t, compat.SPM, g)
 	all := make(skills.Task, numSkills)
 	for i := range all {
 		all[i] = skills.SkillID(i)
@@ -156,7 +156,7 @@ func TestSkillCompatDegreesPastMemoBudget(t *testing.T) {
 	const n, numSkills = 40, pairMemoMaxSkills + 64
 	g := randomTeamGraph(rng, n, 6*n, 0.3)
 	assign := wideAssignment(rng, n, numSkills)
-	rel := mustMatrix(compat.SPO, g)
+	rel := mustMatrix(t, compat.SPO, g)
 	memo := newPairDegreeMemo(numSkills)
 	task := skills.Task{7, pairMemoMaxSkills - 2, pairMemoMaxSkills - 1, pairMemoMaxSkills, numSkills - 1}
 	want := make([]int64, len(task))
@@ -240,7 +240,7 @@ func TestSkillCompatDegreesMemoised(t *testing.T) {
 	assign := randomAssignment(t, rng, n, 8)
 	rels := map[string]compat.Relation{
 		"lazy":   compat.MustNew(compat.SPO, g, compat.Options{}),
-		"matrix": mustMatrix(compat.SPO, g),
+		"matrix": mustMatrix(t, compat.SPO, g),
 	}
 	for name, rel := range rels {
 		memo := newPairDegreeMemo(assign.Universe().Len())
@@ -284,7 +284,7 @@ func TestSolverPairMemoStaysCorrectAcrossMutations(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := Options{Skill: LeastCompatibleFirst, User: MinDistance}
-	rel := mustMatrix(compat.SPO, g)
+	rel := mustMatrix(t, compat.SPO, g)
 	warm := NewSolver(rel, assign, SolverOptions{Workers: 1})
 	for step := 0; step < 6; step++ {
 		// Warm the memo at the current epoch, then mutate.

@@ -402,10 +402,10 @@ func constrainedEngines(t *testing.T, k compat.Kind, g *sgraph.Graph) map[string
 	t.Helper()
 	engines := map[string]compat.Relation{
 		"lazy":   compat.MustNew(k, g, compat.Options{}),
-		"matrix": mustMatrix(k, g),
+		"matrix": mustMatrix(t, k, g),
 	}
 	for _, rows := range []int{1, 7, 64, g.NumNodes()} {
-		sm := compat.MustNewSharded(k, g, compat.ShardedOptions{ShardRows: rows, MaxResidentShards: 2})
+		sm := mustSharded(t, k, g, compat.ShardedOptions{ShardRows: rows, MaxResidentShards: 2})
 		engines[fmt.Sprintf("sharded-%d", rows)] = sm
 		t.Cleanup(func() { sm.Close() })
 	}
@@ -663,7 +663,7 @@ func TestFormBatchSpecsMatchesForm(t *testing.T) {
 	}
 	specs = append(specs, TaskSpec{Task: infTask, Constraints: Constraints{MustExclude: assign.Holders(infTask[0])}})
 	for _, kind := range []compat.Kind{compat.SPM, compat.NNE} {
-		engines, cleanup := solverEngines(kind, g)
+		engines, cleanup := solverEngines(t, kind, g)
 		for engine, rel := range engines {
 			// The batch options carry their own constraints, which every
 			// spec must replace — even the zero spec.

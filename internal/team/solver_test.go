@@ -284,11 +284,11 @@ func referenceTopK(rel compat.Relation, assign *skills.Assignment, task skills.T
 
 // solverEngines builds the three engines over one graph; the caller
 // must call the returned cleanup.
-func solverEngines(k compat.Kind, g *sgraph.Graph) (map[string]compat.Relation, func()) {
-	sharded := compat.MustNewSharded(k, g, compat.ShardedOptions{ShardRows: 4, MaxResidentShards: 2})
+func solverEngines(tb testing.TB, k compat.Kind, g *sgraph.Graph) (map[string]compat.Relation, func()) {
+	sharded := mustSharded(tb, k, g, compat.ShardedOptions{ShardRows: 4, MaxResidentShards: 2})
 	return map[string]compat.Relation{
 		"lazy":    compat.MustNew(k, g, compat.Options{}),
-		"matrix":  mustMatrix(k, g),
+		"matrix":  mustMatrix(tb, k, g),
 		"sharded": sharded,
 	}, func() { sharded.Close() }
 }
@@ -330,7 +330,7 @@ func TestSolverMatchesReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, k := range kinds {
-			engines, cleanup := solverEngines(k, g)
+			engines, cleanup := solverEngines(t, k, g)
 			for engine, rel := range engines {
 				for _, sp := range []SkillPolicy{RarestFirst, LeastCompatibleFirst} {
 					for _, up := range []UserPolicy{MinDistance, MostCompatible} {
@@ -385,7 +385,7 @@ func TestSolverRandomUserMatchesReference(t *testing.T) {
 		if len(task) == 0 {
 			continue
 		}
-		rel := mustMatrix(compat.SPO, g)
+		rel := mustMatrix(t, compat.SPO, g)
 		want, wantErr := referenceForm(rel, assign, task, Options{User: RandomUser, Rng: rand.New(rand.NewSource(500 + int64(trial)))})
 		// Several workers: RandomUser must still serialise.
 		s := NewSolver(rel, assign, SolverOptions{Workers: 4})
@@ -411,7 +411,7 @@ func TestSolverTopKMatchesReference(t *testing.T) {
 			continue
 		}
 		for _, k := range []compat.Kind{compat.SPO, compat.NNE} {
-			engines, cleanup := solverEngines(k, g)
+			engines, cleanup := solverEngines(t, k, g)
 			for engine, rel := range engines {
 				want, wantErr := referenceTopK(rel, assign, task, Options{}, 4)
 				for _, workers := range []int{1, 3} {
@@ -484,7 +484,7 @@ func TestFormBatchMatchesForm(t *testing.T) {
 		tasks = append(tasks, task)
 	}
 	for _, k := range []compat.Kind{compat.SPM, compat.NNE} {
-		engines, cleanup := solverEngines(k, g)
+		engines, cleanup := solverEngines(t, k, g)
 		for engine, rel := range engines {
 			for _, opts := range []Options{
 				{Skill: LeastCompatibleFirst, User: MinDistance},
@@ -537,7 +537,7 @@ func TestFormBatchRandomUserSequential(t *testing.T) {
 		}
 		tasks = append(tasks, task)
 	}
-	rel := mustMatrix(compat.NNE, g)
+	rel := mustMatrix(t, compat.NNE, g)
 	var want []*Team
 	loopRng := rand.New(rand.NewSource(9000))
 	for _, task := range tasks {
@@ -597,7 +597,7 @@ func TestSkillCompatDegreesWordMismatch(t *testing.T) {
 	assign := randomAssignment(t, rng, 60, 5)
 	task := skills.NewTask(0, 1, 2, 3)
 	lazy := compat.MustNew(compat.NNE, g, compat.Options{})
-	packed := mustMatrix(compat.NNE, g)
+	packed := mustMatrix(t, compat.NNE, g)
 	want, err := skillCompatDegrees(lazy, assign, task)
 	if err != nil {
 		t.Fatal(err)
@@ -661,7 +661,7 @@ func TestSolverSkillOutOfRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := mustMatrix(compat.SPM, d.Graph)
+	m := mustMatrix(t, compat.SPM, d.Graph)
 	s := NewSolver(m, d.Assign, SolverOptions{Workers: 2, PlanCache: 8})
 	nu := skills.SkillID(d.Assign.Universe().Len())
 	opts := Options{Skill: LeastCompatibleFirst, User: MinDistance}
@@ -695,7 +695,7 @@ func TestSolverMoreUsersThanNodes(t *testing.T) {
 	task := skills.NewTask(0, 1, 2, 3)
 	engines := map[string]compat.Relation{
 		"lazy":   compat.MustNew(compat.SPM, g, compat.Options{}),
-		"matrix": mustMatrix(compat.SPM, g),
+		"matrix": mustMatrix(t, compat.SPM, g),
 	}
 	for engine, rel := range engines {
 		s := NewSolver(rel, assign, SolverOptions{Workers: 2, PlanCache: 8})
@@ -737,7 +737,7 @@ func TestWarmFormIntoDoesNotAllocate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel := mustMatrix(compat.SPM, g)
+	rel := mustMatrix(t, compat.SPM, g)
 	for _, workers := range []int{1, 2} {
 		s := NewSolver(rel, assign, SolverOptions{Workers: workers})
 		for _, opts := range []Options{

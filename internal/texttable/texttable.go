@@ -33,9 +33,6 @@ func (t *Table) AddRow(cells ...string) *Table {
 	return t
 }
 
-// NumRows returns the number of data rows added.
-func (t *Table) NumRows() int { return len(t.rows) }
-
 // String renders the table as aligned plain text.
 func (t *Table) String() string {
 	var b strings.Builder

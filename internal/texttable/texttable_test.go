@@ -30,8 +30,8 @@ func TestStringAlignment(t *testing.T) {
 
 func TestTitleAndNumRows(t *testing.T) {
 	tbl := New("x").SetTitle("Table 1").AddRow("1").AddRow("2")
-	if tbl.NumRows() != 2 {
-		t.Fatalf("NumRows = %d", tbl.NumRows())
+	if got := strings.Count(tbl.String(), "\n"); got != 5 {
+		t.Fatalf("%d lines, want title, header, rule and 2 rows:\n%s", got, tbl.String())
 	}
 	if !strings.HasPrefix(tbl.String(), "Table 1\n") {
 		t.Fatalf("missing title:\n%s", tbl.String())
