@@ -13,9 +13,6 @@ import (
 	"os"
 )
 
-// spillMmapSupported reports whether this build can map spill files.
-const spillMmapSupported = false
-
 var errMmapUnsupported = errors.New("compat: spill mmap unsupported on this platform")
 
 // mmapSpill always fails on this platform; newShardSpill falls back to

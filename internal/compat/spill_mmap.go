@@ -16,10 +16,6 @@ import (
 	"syscall"
 )
 
-// spillMmapSupported reports whether this build can map spill files;
-// the portable fallback (spill_fallback.go) reports false.
-const spillMmapSupported = true
-
 // mmapSpill maps size bytes of f read-only and shared. The caller has
 // already grown the file to its final length.
 func mmapSpill(f *os.File, size int64) ([]byte, error) {

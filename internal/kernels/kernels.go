@@ -28,21 +28,6 @@ func And(dst, src []uint64) {
 	}
 }
 
-// maxU8x8 returns the lane-wise unsigned max of two 8×uint8 vectors
-// packed in uint64s. Branch-free: a byte-wise x≥y mask is built from
-// the sign bits of a borrow-safe subtract, widened to full lanes, and
-// used to blend.
-func maxU8x8(x, y uint64) uint64 {
-	// Per lane, (0x80+lowbits(x))-lowbits(y) stays in [0x01,0xFF], so
-	// lanes cannot borrow into each other; its high bit is
-	// lowbits(x) ≥ lowbits(y), which decides x≥y when the original
-	// high bits tie.
-	z := (x | msb8) - (y &^ msb8)
-	ge := ((x &^ y) | (^(x ^ y) & z)) & msb8
-	m := ge | (ge - (ge >> 7)) // widen 0x80 → 0xFF per lane
-	return (x & m) | (y &^ m)
-}
-
 // spreadFlags expands the low 8 bits of b into byte-lane flags: lane
 // j's high bit is set when bit j is set — the flag form hasLess
 // produces, so candidate bits AND distance predicates compose with
@@ -52,20 +37,14 @@ func spreadFlags(b uint64) uint64 {
 	return (x + ^uint64(msb8)) & msb8
 }
 
-// spreadBits expands the low 8 bits of b into byte lanes: lane j is
-// 0xFF when bit j is set, 0x00 otherwise.
-func spreadBits(b uint64) uint64 {
-	hi := spreadFlags(b)
-	return hi | (hi - (hi >> 7))
-}
-
 // hasLess returns the high-bit flags of lanes whose byte value is
 // strictly below n, exact per lane for n ≤ 128. It is the borrow
-// trick made borrow-safe as in maxU8x8: with every lane's high bit
-// forced on, (0x80+lowbits(x))-n cannot borrow into the next lane,
-// and its high bit is clear exactly when lowbits(x) < n. (The classic
-// (x-n)&^x form is only an any-lane test: a lane below n borrows from
-// the next one, so at n = 128 a zero lane above it went unflagged.)
+// trick made borrow-safe: with every lane's high bit forced on,
+// (0x80+lowbits(x))-n stays in [0x00,0xFF] per lane, so it cannot
+// borrow into the next lane, and its high bit is clear exactly when
+// lowbits(x) < n. (The classic (x-n)&^x form is only an any-lane
+// test: a lane below n borrows from the next one, so at n = 128 a
+// zero lane above it went unflagged.)
 func hasLess(x uint64, n uint8) uint64 {
 	return ^(((x | msb8) - uint64(n)*lsb8) | x) & msb8
 }

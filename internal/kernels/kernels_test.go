@@ -306,6 +306,28 @@ func TestArgminMaxU8AllUndefined(t *testing.T) {
 	}
 }
 
+// maxU8x8 returns the lane-wise unsigned max of two 8×uint8 vectors
+// packed in uint64s. Branch-free: a byte-wise x≥y mask is built from
+// the sign bits of a borrow-safe subtract, widened to full lanes, and
+// used to blend.
+func maxU8x8(x, y uint64) uint64 {
+	// Per lane, (0x80+lowbits(x))-lowbits(y) stays in [0x01,0xFF], so
+	// lanes cannot borrow into each other; its high bit is
+	// lowbits(x) ≥ lowbits(y), which decides x≥y when the original
+	// high bits tie.
+	z := (x | msb8) - (y &^ msb8)
+	ge := ((x &^ y) | (^(x ^ y) & z)) & msb8
+	m := ge | (ge - (ge >> 7)) // widen 0x80 → 0xFF per lane
+	return (x & m) | (y &^ m)
+}
+
+// spreadBits expands the low 8 bits of b into byte lanes: lane j is
+// 0xFF when bit j is set, 0x00 otherwise.
+func spreadBits(b uint64) uint64 {
+	hi := spreadFlags(b)
+	return hi | (hi - (hi >> 7))
+}
+
 // TestSWARHelpers pins the lane arithmetic exhaustively on single
 // lanes (all 256×256 byte pairs for max, all byte values × thresholds
 // for the borrow trick) and on the bit-spread table.

@@ -56,7 +56,8 @@
 // file) or dead (delete it). Struct fields and interface methods are
 // not checked. A method is exempt when its type's method set
 // satisfies an interface visible in the load (fmt.Stringer,
-// sort.Interface, compat.Relation, interface literals) and the method
+// sort.Interface, compat.Relation, interface literals, error and the
+// Unwrap method errors.Is follows) and the method
 // supplies one of that interface's methods, or when its type is
 // referenced by the package's facade — the parent of its internal
 // directory, the root package for the module's internal packages —

@@ -51,6 +51,16 @@ func release(v any) error {
 
 var handle = Handle{}
 
+// Failure's Error implements error, and its Unwrap is what errors.Is
+// follows: both are called only through interfaces.
+type Failure struct{ cause error }
+
+func (f *Failure) Error() string { return "failure" }
+
+func (f *Failure) Unwrap() error { return f.cause }
+
+func fail() error { return &Failure{} }
+
 // Graph is re-exported by the facade: its methods are public API.
 type Graph struct {
 	Nodes int

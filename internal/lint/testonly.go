@@ -9,6 +9,7 @@ package lint
 
 import (
 	"fmt"
+	"go/token"
 	"go/types"
 	"strings"
 )
@@ -160,6 +161,15 @@ func markImplementing(pkgs []*Package, f *Facts) {
 			visit(imp)
 		}
 	}
+	// The error interface lives in the universe scope, and errors.Is
+	// and errors.As find Unwrap through an interface literal in the
+	// errors package's own source, which the load sees only as export
+	// data: an error type's Error and Unwrap are called through them.
+	errType := types.Universe.Lookup("error").Type()
+	add(errType)
+	unwrap := types.NewFunc(token.NoPos, nil, "Unwrap", types.NewSignatureType(nil, nil, nil,
+		nil, types.NewTuple(types.NewVar(token.NoPos, nil, "", errType)), false))
+	add(types.NewInterfaceType([]*types.Func{unwrap}, nil).Complete())
 	for _, p := range pkgs {
 		visit(p.Types)
 		for _, tv := range p.Info.Types {

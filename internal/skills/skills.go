@@ -2,6 +2,16 @@
 // a universe of skills, the user→skills assignment with its inverted
 // (skill→holders) index, task sampling, and the Zipf-distributed
 // synthetic assignment the paper uses for the Wikipedia dataset.
+//
+// Two lock-free indexes are built lazily on the assignment and read
+// by the team solver. HolderIndex packs one skill's holders as a node
+// bitset. ReachIndex packs, for every node of a graph snapshot, the
+// skills held within one and within two hops as skill bitsets. The
+// solver uses it to drop a seed that cannot beat its bound before the
+// seed joins. Both are published through atomic pointers and cleared
+// by Add. The reach index is also keyed by the graph it was built
+// from, so a graph mutation, which publishes a new snapshot, retires
+// it without any epoch bookkeeping.
 package skills
 
 import (
@@ -76,6 +86,9 @@ type Assignment struct {
 	// index holds each skill's lazily built HolderIndex, published
 	// without a lock; Add clears the touched skill's entry.
 	index []atomic.Pointer[HolderIndex]
+	// reach holds the lazily built ReachIndex of the last graph it was
+	// asked for, published the same way; Add clears it.
+	reach atomic.Pointer[ReachIndex]
 }
 
 // HolderIndex is the packed holder set of one skill: Words has bit u
@@ -121,6 +134,7 @@ func (a *Assignment) Add(u sgraph.NodeID, s SkillID) error {
 	a.ofUser[u] = insertSorted(a.ofUser[u], s)
 	a.holders[s] = insertSortedNodes(a.holders[s], u)
 	a.index[s].Store(nil) // stale holder index, rebuilt on demand
+	a.reach.Store(nil)    // stale reach index, likewise
 	return nil
 }
 

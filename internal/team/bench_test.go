@@ -237,3 +237,66 @@ func BenchmarkPlanCompileUnique(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkFormBatchUnique is the in-process solve loop of a
+// unique-task batch: FormBatch at one worker, with no plan cache, over
+// chunks of 128 distinct seeded 5-skill tasks on the Epinions stand-in
+// at 20% scale and its SPM matrix, LeastCompatibleFirst, MinDistance,
+// Diameter. Each op is one chunk; ns/task is the time per task. Before
+// timing, it replays the seed loop of every task once and reports
+// seeds/solve, the seeds Algorithm 2 tries, and grows/solve, those the
+// bounded loop's screen lets join and grow.
+func BenchmarkFormBatchUnique(b *testing.B) {
+	const chunk, numTasks = 128, 128 * 32
+	d, err := datasets.EpinionsSim(1, 0.2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m := mustMatrix(b, compat.SPM, d.Graph)
+	rng := rand.New(rand.NewSource(1))
+	tasks := make([]skills.Task, 0, numTasks)
+	seen := make(map[[5]skills.SkillID]bool, numTasks)
+	for len(tasks) < numTasks {
+		task, err := skills.RandomTask(rng, d.Assign, 5)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if key := [5]skills.SkillID(task); !seen[key] {
+			seen[key] = true
+			tasks = append(tasks, task)
+		}
+	}
+	s := NewSolver(m, d.Assign, SolverOptions{Workers: 1})
+	opts := Options{Skill: LeastCompatibleFirst, User: MinDistance, Cost: Diameter}
+	seeds, grows := 0, 0
+	sc := s.getScratch()
+	for _, task := range tasks {
+		p, err := s.Plan(task, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		visits, _, _, err := replaySeeds(p, sc)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, v := range visits {
+			seeds++
+			if !v.screened {
+				grows++
+			}
+		}
+	}
+	s.putScratch(sc)
+	runtime.GC()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		at := i * chunk % numTasks
+		if _, err := s.FormBatch(tasks[at:at+chunk], opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*chunk), "ns/task")
+	b.ReportMetric(float64(seeds)/numTasks, "seeds/solve")
+	b.ReportMetric(float64(grows)/numTasks, "grows/solve")
+}

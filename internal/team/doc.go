@@ -64,7 +64,14 @@
 //     strictly cheaper to win, so the answer is exactly the full
 //     growth's (pinned against a full-growth oracle in bound_test.go);
 //     RandomUser seeds still grow in full, consuming Options.Rng in
-//     the legacy order.
+//     the legacy order. At bounds up to 3 a seed is screened before it
+//     joins: each cost is at least the seed's distance to every other
+//     member, and a relation distance is at least the unsigned hop
+//     distance, so a seed with some task skill held by no node within
+//     bound−1 hops cannot win and is dropped without a grow. Radius 0
+//     is the seed's own skills; radii 1 and 2 come from the
+//     assignment's skill-reach index (skills.Assignment.Reach), built
+//     once per graph snapshot and shared by every solver.
 //   - The packed MinDistance pick starts at a proven floor. A
 //     candidate is never a member (addMember covers every task skill
 //     a member holds), so each member's distance to it is at least 1:

@@ -706,6 +706,13 @@ type scratch struct {
 	// growing.
 	cost   int32
 	priced bool
+	// reach is the graph's skill-reach index and taskWords the task's
+	// skills as a bitset of the same width, both set by the first seed
+	// screen of a solve that needs them (see canBeat); formSeq resets
+	// reach, so every solve reads the graph snapshot current at its
+	// start.
+	reach     *skills.ReachIndex
+	taskWords []uint64
 
 	// Plan-compilation buffers, reused across the tasks a worker
 	// compiles (FormBatch's cold plans): the ranking keys and degree
@@ -733,6 +740,7 @@ func (s *Solver) putScratch(sc *scratch) {
 	// a pooled scratch holding them would pin evicted slabs past the
 	// engine's residency bound until some unrelated GC clears the pool.
 	sc.rows.Clear()
+	sc.reach = nil // nor pin a retired graph's reach index
 	s.scratch.Put(sc)
 }
 
@@ -1215,6 +1223,13 @@ func (p *TaskPlan) FormIntoContext(ctx context.Context, dst *Team) error {
 // seed still grows in full, unpriced (see join), so Options.Rng is
 // consumed exactly as in a full growth of every seed.
 //
+// A small bound also screens each seed before it joins (canBeat): a
+// seed that has some task skill held by no node within bound−1 hops
+// cannot price below bound, so it is dropped without a grow. It would
+// have been abandoned anyway, so the answer and SeedsSucceeded do not
+// change. RandomUser seeds are never screened, since each must draw
+// from Options.Rng.
+//
 // The context is checked once per seed — cooperative cancellation at
 // the granularity of one grow-and-price step. The body allocates only
 // on the all-seeds-failed error path; warm wins reuse sc.best and
@@ -1230,9 +1245,14 @@ func (p *TaskPlan) formSeq(ctx context.Context, sc *scratch, dst *Team) error {
 	bestCost := int32(noBound)
 	succeeded := 0
 	sc.best = sc.best[:0]
+	sc.reach = nil
+	screen := p.opts.User != RandomUser
 	for _, seed := range p.seeds {
 		if err := ctx.Err(); err != nil {
 			return ctxErr(err)
+		}
+		if screen && bestCost <= screenBound && !p.canBeat(sc, seed, bestCost) {
+			continue // it cannot price below bestCost
 		}
 		cost, ok, err := p.grow(sc, seed, bestCost)
 		if err != nil {
@@ -1247,7 +1267,7 @@ func (p *TaskPlan) formSeq(ctx context.Context, sc *scratch, dst *Team) error {
 	}
 	if succeeded == 0 {
 		//tfsn:allow-alloc(terminal error path: every seed failed, no team to return)
-		return fmt.Errorf("%w: all %d seeds failed for task %v", ErrNoTeam, len(p.seeds), p.task)
+		return &seedsFailedError{seeds: len(p.seeds), task: p.task}
 	}
 	dst.Members = append(dst.Members[:0], sc.best...)
 	dst.Cost = bestCost
@@ -1255,6 +1275,69 @@ func (p *TaskPlan) formSeq(ctx context.Context, sc *scratch, dst *Team) error {
 	dst.SeedsSucceeded = succeeded
 	return nil
 }
+
+// screenBound is the largest bound canBeat screens at. Its reach
+// index covers radii 1 and 2, so bounds up to 3.
+const screenBound = 3
+
+// canBeat is the seed screen: it reports false only when seed cannot
+// grow a team priced below bound, for 0 < bound ≤ screenBound. Both
+// costs are at least the distance from the seed to every other member,
+// and a relation distance, the length of a path in the graph, is at
+// least the unsigned hop distance. Every member of a team priced below
+// bound therefore lies within bound−1 hops of the seed, and together
+// the members hold every task skill. At bound 1 the seed alone must
+// hold them; at bounds 2 and 3 the task's skill bits must lie inside
+// the seed's reach at radius bound−1. A bound ≤ 0 admits no team.
+//
+//tfsn:noalloc
+func (p *TaskPlan) canBeat(sc *scratch, seed sgraph.NodeID, bound int32) bool {
+	switch {
+	case bound <= 0:
+		return false
+	case bound == 1:
+		for i := range p.task {
+			if !p.holds(i, seed) {
+				return false
+			}
+		}
+		return true
+	}
+	if sc.reach == nil {
+		sc.reach = p.s.assign.Reach(p.s.rel.Graph())
+		w := (p.s.assign.Universe().Len() + 63) / 64
+		if cap(sc.taskWords) < w {
+			//tfsn:allow-alloc(amortised growth of the pooled scratch to the universe width)
+			sc.taskWords = make([]uint64, w)
+		}
+		sc.taskWords = sc.taskWords[:w]
+		clear(sc.taskWords)
+		for _, sk := range p.task {
+			sc.taskWords[sk>>6] |= 1 << uint(sk&63)
+		}
+	}
+	within := sc.reach.Within(seed, int(bound-1))
+	for i, w := range sc.taskWords {
+		if w&^within[i] != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// seedsFailedError is the ErrNoTeam of a solve in which every seed
+// failed. The message is formatted only when read, because batch
+// solves discard the error.
+type seedsFailedError struct {
+	seeds int
+	task  skills.Task
+}
+
+func (e *seedsFailedError) Error() string {
+	return fmt.Sprintf("%v: all %d seeds failed for task %v", ErrNoTeam, e.seeds, e.task)
+}
+
+func (e *seedsFailedError) Unwrap() error { return ErrNoTeam }
 
 // FormTopKContext solves the plan and returns up to k distinct teams
 // in increasing cost order: FormTopKDiverseContext at lambda = 0 (see
@@ -1274,7 +1357,7 @@ func (p *TaskPlan) rankedTeams(ctx context.Context) ([]*Team, [][]sgraph.NodeID,
 	}
 	succeeded := len(teams)
 	if succeeded == 0 {
-		return nil, nil, 0, fmt.Errorf("%w: all %d seeds failed for task %v", ErrNoTeam, len(p.seeds), p.task)
+		return nil, nil, 0, &seedsFailedError{seeds: len(p.seeds), task: p.task}
 	}
 	distinct, sortedSets := dedupTeams(teams)
 	sort.Sort(&teamsByCost{teams: distinct, keys: sortedSets})
