@@ -1,6 +1,6 @@
 // Constrained formation: the must-include / must-exclude / max-size
 // vocabulary of Rangapuram et al.'s realistic team formation, compiled
-// into the existing TaskPlan machinery (see solver.go). Constraints
+// into the existing TaskPlan machinery (see compile.go). Constraints
 // ride on Options, so plan caching, epoch invalidation, FormBatch and
 // the packed kernels apply to constrained solves unchanged: includes
 // become pre-covered task positions seeded into every grow, exclusions

@@ -298,3 +298,20 @@ func (c *planCache) stats() PlanCacheStats {
 		Capacity:     len(c.slots),
 	}
 }
+
+// fnvOffset/fnvPrime are the FNV-1a 64-bit parameters shared by the
+// package's hashes (member-set dedup, plan-cache keys).
+const (
+	fnvOffset = uint64(14695981039346656037)
+	fnvPrime  = uint64(1099511628211)
+)
+
+// fnvMix folds the low n bytes of x into h, FNV-1a style.
+func fnvMix(h, x uint64, n int) uint64 {
+	for i := 0; i < n; i++ {
+		h ^= x & 0xff
+		h *= fnvPrime
+		x >>= 8
+	}
+	return h
+}

@@ -2,7 +2,7 @@
 // degrees behind the LeastCompatibleFirst ranking and their
 // epoch-keyed pair memo. The per-solve policy logic
 // (skill selection, candidate filtering, user picking) lives in the
-// solver's TaskPlan/scratch machinery in solver.go.
+// solver's TaskPlan/scratch machinery in grow.go.
 
 package team
 
