@@ -134,7 +134,7 @@ func main() {
 	cfg.srv.RegisterDeadline(flag.CommandLine)
 	cfg.cons.Register(flag.CommandLine)
 	flag.Float64Var(&cfg.diverseL, "diverse-lambda", 0, "top-k diversity: penalise member overlap with already-selected teams by lambda×Jaccard (0 = plain top-k)")
-	flag.IntVar(&cfg.parallel, "parallel", 0, "solver workers for batch mode and the -topk seed sweep; a single team's seed loop is sequential (0 = GOMAXPROCS)")
+	flag.IntVar(&cfg.parallel, "parallel", 0, "solver workers for batch mode (0 = GOMAXPROCS); a single task, with or without -topk, is solved on one goroutine")
 	flag.IntVar(&cfg.batch, "batch", 0, "batch mode: sample this many random tasks of -k skills and solve them all")
 	flag.IntVar(&cfg.planCache, "plan-cache", 0, "cache up to this many compiled task plans in the solver (0 = no cache); repeated tasks skip plan compilation")
 	flag.StringVar(&cfg.mutate, "mutate", "", "comma-separated graph mutations applied after load, before solving (op:u:v[:sign], e.g. flip:1:2,add:3:4:-)")
@@ -229,7 +229,7 @@ func run(cfg config) error {
 	}
 	fmt.Printf("relation %v (engine=%s), policies %v/%v, cost %v\n\n", kind, engine, opts.Skill, opts.User, opts.Cost)
 
-	teams, err := solver.FormTopKDiverseContext(ctx, task, opts, cfg.topk, cfg.diverseL)
+	teams, err := solve(ctx, solver, task, opts, cfg.topk, cfg.diverseL)
 	if errors.Is(err, team.ErrInfeasible) {
 		fmt.Println("the constraints are infeasible for this task:", err)
 		return nil
@@ -263,6 +263,19 @@ func run(cfg config) error {
 		}
 	}
 	return nil
+}
+
+// solve is FormIntoContext at k = 1, the team /form, FormTeam and
+// -batch give (the first seed keeps a cost tie), and top-K above it.
+func solve(ctx context.Context, solver *team.Solver, task skills.Task, opts team.Options, k int, lambda float64) ([]*team.Team, error) {
+	if k == 1 {
+		var tm team.Team
+		if err := solver.FormIntoContext(ctx, task, opts, &tm); err != nil {
+			return nil, err
+		}
+		return []*team.Team{&tm}, nil
+	}
+	return solver.FormTopKDiverseContext(ctx, task, opts, k, lambda)
 }
 
 // applyMutations parses and applies a -mutate spec against the built

@@ -1,8 +1,15 @@
 package main
 
 import (
+	"context"
 	"math"
+	"slices"
 	"testing"
+
+	"repro/internal/compat"
+	"repro/internal/sgraph"
+	"repro/internal/skills"
+	"repro/internal/team"
 )
 
 // TestValidateFlagsDiverseLambda: -diverse-lambda accepts finite
@@ -20,5 +27,50 @@ func TestValidateFlagsDiverseLambda(t *testing.T) {
 		if err := validateFlags(config{diverseL: l}, set); err == nil {
 			t.Errorf("lambda %v accepted", l)
 		}
+	}
+}
+
+// TestSolveTopOneIsForm: without -topk, tfsn must print the team
+// FormIntoContext gives. The instance has two seeds whose cost-1 teams
+// tie: FormIntoContext keeps the first seed's {2, 3}, while top-K at
+// k = 1 breaks the tie by member set and returns {10, 11}.
+func TestSolveTopOneIsForm(t *testing.T) {
+	g := sgraph.MustFromEdges(12, []sgraph.Edge{
+		{U: 2, V: 3, Sign: sgraph.Positive},
+		{U: 10, V: 11, Sign: sgraph.Positive},
+	})
+	u, err := skills.NewUniverse([]string{"x", "y"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := skills.NewAssignment(u, 12)
+	a.MustAdd(2, 0)
+	a.MustAdd(10, 0)
+	a.MustAdd(3, 1)
+	a.MustAdd(11, 1)
+	s := team.NewSolver(compat.MustNew(compat.SPO, g, compat.Options{}), a, team.SolverOptions{Workers: 1})
+	task := skills.NewTask(0, 1)
+	ctx := context.Background()
+
+	got, err := solve(ctx, s, task, team.Options{}, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || !slices.Equal(got[0].Members, []sgraph.NodeID{2, 3}) || got[0].Cost != 1 {
+		t.Fatalf("solve at k = 1 = %+v, want the first seed's team [2 3] at cost 1", got)
+	}
+	top, err := s.FormTopKContext(ctx, task, team.Options{}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(top[0].Members, []sgraph.NodeID{10, 11}) {
+		t.Fatalf("top-1 = %v, want [10 11]: the instance no longer tells the two apart", top[0].Members)
+	}
+	got, err = solve(ctx, s, task, team.Options{}, 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 || !slices.Equal(got[0].Members, []sgraph.NodeID{10, 11}) || !slices.Equal(got[1].Members, []sgraph.NodeID{2, 3}) {
+		t.Fatalf("solve at k = 2 = %v, %v, want top-K's [10 11], [2 3]", got[0].Members, got[1].Members)
 	}
 }

@@ -80,7 +80,7 @@ func main() {
 	flag.Float64Var(&cfg.scale, "scale", 0, "built-in dataset scale (0 = default)")
 	flag.StringVar(&cfg.relation, "relation", "SPO", "compatibility relation: DPE, SPA, SPM, SPO, SBPH, SBP, NNE")
 	flag.StringVar(&cfg.addr, "addr", "127.0.0.1:8080", "listen address (port 0 picks a free port)")
-	flag.IntVar(&cfg.parallel, "parallel", 0, "solver workers for coalesced batches and top-k seeds (0 = GOMAXPROCS)")
+	flag.IntVar(&cfg.parallel, "parallel", 0, "solver workers for coalesced batches, also used by the -relation-stats scan (0 = GOMAXPROCS); a /formtopk solve runs on one goroutine")
 	flag.IntVar(&cfg.planCache, "plan-cache", 256, "cache up to this many compiled task plans (0 = no cache)")
 	flag.BoolVar(&cfg.relationStats, "relation-stats", false, "scan the relation at startup and surface Table 2 numbers on /stats (costs a full all-pairs sweep)")
 	flag.BoolVar(&cfg.mutations, "mutations", false, "expose POST /mutate for live graph mutations (requires a mutable engine)")

@@ -182,8 +182,10 @@ func (s *Server) Wait(ctx context.Context) error {
 
 // teamResult is the JSON shape of one formed team. seeds_succeeded
 // is team.Team's SeedsSucceeded: on /form, the seeds that set a new
-// best team (the bounded seed loop abandons every other seed); on
-// /formtopk, every seed that grew into a priced team.
+// best team; on /formtopk, the seeds priced below the bound, set by
+// the k cheapest teams held, of top-K's sequential loop. Both loops
+// skip seeds that cannot win, and with them any lazy-engine relation
+// error that only a skipped seed's growth would meet.
 type teamResult struct {
 	Found          bool            `json:"found"`
 	Members        []sgraph.NodeID `json:"members,omitempty"`

@@ -125,21 +125,18 @@ func (s *Solver) formOne(ctx context.Context, sc *scratch, task skills.Task, opt
 	return &tm, nil
 }
 
-// runPool is the one worker-pool implementation behind the parallel
-// paths (allTeams, FormBatch): it runs fn(sc, i) for every i in
-// [0, count) across the given number of workers, handing out indices
-// from a shared atomic counter, with one scratch per worker. The first
-// error aborts the sweep; when several workers error, the
-// lowest-indexed item's error is returned, so error reporting is
-// deterministic. The context is checked before every item, so a firing
-// deadline stops all workers at their next item boundary with the
-// typed context error.
+// runPool is the worker pool behind FormBatch, the solver's one
+// parallel path: it runs fn(sc, i) for every i in [0, count) across
+// the given number of workers (at most count, which its caller
+// ensures), handing out indices from a shared atomic counter, with one
+// scratch per worker. The first error aborts the sweep; when several
+// workers error, the lowest-indexed item's error is returned, so error
+// reporting is deterministic. The context is checked before every
+// item, so a firing deadline stops all workers at their next item
+// boundary with the typed context error.
 //
 //tfsn:ctxpoll
 func (s *Solver) runPool(ctx context.Context, workers, count int, fn func(sc *scratch, i int) error) error {
-	if workers > count {
-		workers = count
-	}
 	var (
 		next     int64 = -1
 		failed   atomic.Bool

@@ -3,6 +3,7 @@ package team
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -299,4 +300,95 @@ func BenchmarkFormBatchUnique(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*chunk), "ns/task")
 	b.ReportMetric(float64(seeds)/numTasks, "seeds/solve")
 	b.ReportMetric(float64(grows)/numTasks, "grows/solve")
+}
+
+// BenchmarkFormTopK is the in-process top-3 solve: warm plans of 2,048
+// seeded 5-skill tasks on the Epinions stand-in at 20% scale and its
+// SPM matrix, LeastCompatibleFirst, MinDistance, Diameter, solved by
+// TaskPlan.FormTopKDiverseContext at one and two workers, plainly
+// (lambda 0) and diversely (lambda 0.5). Each op is one plan; it
+// reports ns/plan and grows/plan, the seeds the top-K loop grows
+// rather than screens, counted once before timing.
+func BenchmarkFormTopK(b *testing.B) {
+	const k, numTasks = 3, 2048
+	d, err := datasets.EpinionsSim(1, 0.2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m := mustMatrix(b, compat.SPM, d.Graph)
+	rng := rand.New(rand.NewSource(1))
+	tasks := make([]skills.Task, numTasks)
+	for i := range tasks {
+		if tasks[i], err = skills.RandomTask(rng, d.Assign, 5); err != nil {
+			b.Fatal(err)
+		}
+	}
+	opts := Options{Skill: LeastCompatibleFirst, User: MinDistance, Cost: Diameter}
+	for _, workers := range []int{1, 2} {
+		s := NewSolver(m, d.Assign, SolverOptions{Workers: workers})
+		plans := make([]*TaskPlan, numTasks)
+		for i, task := range tasks {
+			if plans[i], err = s.Plan(task, opts); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for _, lambda := range []float64{0, 0.5} {
+			b.Run(fmt.Sprintf("workers=%d/lambda=%v", workers, lambda), func(b *testing.B) {
+				grows := 0
+				for _, p := range plans {
+					n, err := topKGrows(p, k, lambda)
+					if err != nil {
+						b.Fatal(err)
+					}
+					grows += n
+				}
+				runtime.GC()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := plans[i%numTasks].FormTopKDiverseContext(context.Background(), k, lambda); err != nil && !errors.Is(err, ErrNoTeam) {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/plan")
+				b.ReportMetric(float64(grows)/numTasks, "grows/plan")
+			})
+		}
+	}
+}
+
+// topKGrows replays topKSeq's seed loop for p at k and lambda and
+// counts the seeds it grows, those the screen does not drop.
+func topKGrows(p *TaskPlan, k int, lambda float64) (int, error) {
+	if p.empty {
+		return 0, nil
+	}
+	sc := p.s.getScratch()
+	defer p.s.putScratch(sc)
+	sc.reach = nil
+	bound := int32(noBound)
+	var keys [][]sgraph.NodeID
+	var costs []int32
+	grows := 0
+	for _, seed := range p.seeds {
+		if p.opts.User != RandomUser && bound <= screenBound && !p.canBeat(sc, seed, bound) {
+			continue
+		}
+		grows++
+		cost, ok, err := p.grow(sc, seed, bound)
+		if err != nil {
+			return 0, err
+		}
+		key := slices.Sorted(slices.Values(sc.members))
+		if !ok || slices.ContainsFunc(keys, func(h []sgraph.NodeID) bool { return slices.Equal(h, key) }) {
+			continue
+		}
+		keys = append(keys, key)
+		costs = append(costs, cost)
+		slices.Sort(costs)
+		if len(costs) >= k {
+			bound = topKBound(costs[k-1], lambda)
+		}
+	}
+	return grows, nil
 }

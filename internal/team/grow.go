@@ -73,7 +73,7 @@ func (p *TaskPlan) teamCompatible(sc *scratch, u sgraph.NodeID) (bool, error) {
 }
 
 // noBound is grow's bound when there is none: before the first
-// priced team, and for top-K, which needs every seed's team.
+// priced team, and for top-K until k distinct teams are held.
 const noBound = math.MaxInt32
 
 // grow runs Algorithm 2's inner loop for one seed into sc.members and

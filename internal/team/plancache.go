@@ -299,8 +299,8 @@ func (c *planCache) stats() PlanCacheStats {
 	}
 }
 
-// fnvOffset/fnvPrime are the FNV-1a 64-bit parameters shared by the
-// package's hashes (member-set dedup, plan-cache keys).
+// fnvOffset/fnvPrime are the FNV-1a 64-bit parameters of the
+// plan-cache key hash.
 const (
 	fnvOffset = uint64(14695981039346656037)
 	fnvPrime  = uint64(1099511628211)

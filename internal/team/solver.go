@@ -8,9 +8,10 @@
 // buffers and the row-AND mask — so that warm solves on packed engines
 // allocate nothing. The seed loop of Algorithm 2 is one sequential,
 // branch-and-bound loop: once a team is priced, every later seed is
-// abandoned as soon as its partial cost reaches the best cost. The
+// abandoned as soon as its partial cost reaches the best cost; top-K
+// runs the same loop with a bound from its k cheapest teams. The
 // worker pool (each worker owns its scratch, the compat.Precompute
-// pattern) runs FormBatch's tasks and top-K's unbounded seed sweep.
+// pattern) runs FormBatch's tasks.
 
 package team
 
@@ -27,14 +28,13 @@ import (
 
 // SolverOptions configures NewSolver.
 type SolverOptions struct {
-	// Workers bounds the solver's parallelism: the task loop of
-	// FormBatch and the seed sweep of the top-K entry points. A single
-	// FormIntoContext runs its bounded seed loop on one goroutine at
-	// every worker count. ≤0 uses GOMAXPROCS; 1 solves strictly
-	// sequentially. Results are identical at every worker count
-	// (merges are deterministic); the RandomUser policy always runs
-	// sequentially so a shared Options.Rng is consumed in the legacy
-	// order.
+	// Workers bounds the solver's parallelism, which is the task loop
+	// of FormBatch. A single FormIntoContext or top-K call runs its
+	// bounded seed loop on one goroutine at every worker count. ≤0
+	// uses GOMAXPROCS; 1 solves strictly sequentially. Results are
+	// identical at every worker count (merges are deterministic); the
+	// RandomUser policy always runs sequentially so a shared
+	// Options.Rng is consumed in the legacy order.
 	Workers int
 	// PlanCache, when positive, keeps up to that many compiled plans
 	// in a per-solver LRU keyed by the canonical task and the options

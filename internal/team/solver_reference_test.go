@@ -4,7 +4,7 @@
 // deliberately naive map-and-slice implementations of the documented
 // semantics — includes join in canonical order, exclusions vanish from
 // seeds and candidate sets, the size cap gates the seed and every
-// pick, and the diverse selection repeats diverse.go's float
+// pick, and the diverse selection repeats topk.go's float
 // arithmetic verbatim — and the optimised paths must reproduce them
 // bit-for-bit on every engine, at every shard geometry, at every
 // worker count.
@@ -300,8 +300,9 @@ func referenceConstrainedForm(rel compat.Relation, assign *skills.Assignment, ta
 // candidate list (dedup in seed order, cost sort with the legacy
 // decimal tie-break), then greedy selection by
 // score = cost + lambda·maxOverlap(Jaccard) with the exact float
-// arithmetic of diverse.go — integer intersection and union, one
+// arithmetic of topk.go — integer intersection and union, one
 // float64 division per pair, strict-improvement first-wins scan.
+// SeedsSucceeded replays the bound schedule (referenceTopKSucceeded).
 func referenceTopKDiverse(rel compat.Relation, assign *skills.Assignment, task skills.Task, opts Options, k int, lambda float64) ([]*Team, error) {
 	teams, tried, err := referenceConstrainedFormAll(rel, assign, task, opts)
 	if err != nil {
@@ -339,6 +340,7 @@ func referenceTopKDiverse(rel compat.Relation, assign *skills.Assignment, task s
 		}
 		return key(distinct[i].Members) < key(distinct[j].Members)
 	})
+	succeeded := referenceTopKSucceeded(teams, k, lambda, key)
 	if k > len(distinct) {
 		k = len(distinct)
 	}
@@ -385,9 +387,35 @@ func referenceTopKDiverse(rel compat.Relation, assign *skills.Assignment, task s
 	}
 	for _, tm := range selected {
 		tm.SeedsTried = tried
-		tm.SeedsSucceeded = len(teams)
+		tm.SeedsSucceeded = succeeded
 	}
 	return selected, nil
+}
+
+// referenceTopKSucceeded is top-K's SeedsSucceeded, replayed over a
+// full-growth sweep (the successful teams in seed order, key giving
+// each one's member set): a team counts when fewer than k distinct
+// member sets are held, or when, c being the k-th cheapest held cost,
+// it costs at most c or less than c + lambda. A counted team is held
+// unless its member set already is.
+func referenceTopKSucceeded(teams []*Team, k int, lambda float64, key func([]sgraph.NodeID) string) int {
+	held := map[string]bool{}
+	var costs []int32
+	succeeded := 0
+	for _, tm := range teams {
+		if len(costs) >= k {
+			if over := tm.Cost - costs[k-1]; over > 0 && float64(over) >= lambda {
+				continue
+			}
+		}
+		succeeded++
+		if s := key(tm.Members); !held[s] {
+			held[s] = true
+			costs = append(costs, tm.Cost)
+			sort.Slice(costs, func(i, j int) bool { return costs[i] < costs[j] })
+		}
+	}
+	return succeeded
 }
 
 // ---------------------------------------------------------------------------
@@ -546,19 +574,31 @@ func TestConstrainedSolverMatchesReference(t *testing.T) {
 
 // TestTopKDiverseMatchesReference pins FormTopKDiverseContext to the
 // naive re-implementation of its greedy selection on every engine and
-// shard geometry, constrained and not. At lambda = 0 the solver skips
-// the greedy scan and truncates the cost-sorted list, so the reference
-// comparison there pins that shortcut to the greedy selection; the
-// test additionally pins lambda = 0 to plain FormTopKContext (the
-// documented degeneration). The last trial has 60 users over 70 graph
-// nodes: holder sets one word shorter than the packed rows.
+// shard geometry of constrainedEngines and solverEngines, constrained
+// and not. At lambda = 0 the solver skips the greedy scan and
+// truncates the cost-sorted list, so the reference comparison there
+// pins that shortcut to the greedy selection; the test additionally
+// pins lambda = 0 to plain FormTopKContext (the documented
+// degeneration). The lambdas cover the bound's edges: the smallest
+// positive float, which a float ceiling of c + lambda would round
+// away, and the integer 2, whose teams at exactly c + 2 tie with the
+// bound; k = 10 exceeds the distinct teams of trials 0 to 5, whose
+// loops then never bound, and some larger trials reach it. Trial 6 has
+// 60 users over 70 graph nodes: holder sets one word shorter than the
+// packed rows. Trials 7 to 12 are sparse 40-node graphs, whose many
+// seeds grow teams of spread costs, so the bound drops teams that tie
+// with or trail the k-th.
 func TestTopKDiverseMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1721))
-	for trial := 0; trial < 7; trial++ {
+	for trial := 0; trial < 13; trial++ {
 		g, assign, task := randomInstance(rng)
-		if trial == 6 {
-			g = randomTeamGraph(rng, 70, 4*70, 0.25)
-			assign = randomAssignment(t, rng, 60, 5)
+		if trial >= 6 {
+			nodes, users, edges := 70, 60, 4*70
+			if trial > 6 {
+				nodes, users, edges = 40, 40, 2*40
+			}
+			g = randomTeamGraph(rng, nodes, edges, 0.25)
+			assign = randomAssignment(t, rng, users, 5)
 			var err error
 			if task, err = skills.RandomTask(rng, assign, 3); err != nil {
 				t.Fatal(err)
@@ -567,11 +607,15 @@ func TestTopKDiverseMatchesReference(t *testing.T) {
 		if len(task) == 0 {
 			continue
 		}
+		engines := constrainedEngines(t, compat.SPO, g)
+		more, cleanup := solverEngines(t, compat.SPO, g)
+		t.Cleanup(cleanup)
+		engines["sharded-4/2"] = more["sharded"]
 		for _, cons := range []Constraints{{}, randomConstraints(rng, assign.NumUsers())} {
 			opts := Options{Constraints: cons}
-			for engine, rel := range constrainedEngines(t, compat.SPO, g) {
-				for _, lambda := range []float64{0, 0.75, 3} {
-					for _, k := range []int{1, 3} {
+			for engine, rel := range engines {
+				for _, lambda := range []float64{0, math.SmallestNonzeroFloat64, 0.5, 0.75, 2, 3} {
+					for _, k := range []int{1, 3, 10} {
 						label := fmt.Sprintf("t%d/%s/l%v/k%d", trial, engine, lambda, k)
 						want, wantErr := referenceTopKDiverse(rel, assign, task, opts, k, lambda)
 						for _, workers := range []int{1, 3} {

@@ -231,7 +231,8 @@ func referenceBest(teams []*Team, tried int) (*Team, error) {
 
 // referenceTopK reproduces the legacy FormTopK: dedup by member set in
 // seed order (string keys), sort by (cost, comma-joined decimal key),
-// slice to k, stamp aggregates.
+// slice to k, stamp aggregates, SeedsSucceeded replaying the bound
+// schedule (referenceTopKSucceeded).
 func referenceTopK(rel compat.Relation, assign *skills.Assignment, task skills.Task, opts Options, k int) ([]*Team, error) {
 	teams, tried, err := referenceFormAll(rel, assign, task, opts)
 	if err != nil {
@@ -272,9 +273,10 @@ func referenceTopK(rel compat.Relation, assign *skills.Assignment, task skills.T
 	if len(distinct) > k {
 		distinct = distinct[:k]
 	}
+	succeeded := referenceTopKSucceeded(teams, k, 0, key)
 	for _, tm := range distinct {
 		tm.SeedsTried = tried
-		tm.SeedsSucceeded = len(teams)
+		tm.SeedsSucceeded = succeeded
 	}
 	return distinct, nil
 }
@@ -438,7 +440,9 @@ func TestSolverTopKMatchesReference(t *testing.T) {
 
 // TestFormTopKAggregateTelemetry pins the documented semantics: every
 // returned team carries the same SeedsTried/SeedsSucceeded totals of
-// the whole search, even after dedup and slicing to k.
+// the whole search, even after dedup and slicing to k, and
+// SeedsSucceeded counts the seeds that priced below the bound in force
+// when they ran, so it depends on k and lambda.
 func TestFormTopKAggregateTelemetry(t *testing.T) {
 	f := newFixture(t)
 	rel := nne(t, f.g)
@@ -456,14 +460,52 @@ func TestFormTopKAggregateTelemetry(t *testing.T) {
 				i, tm.SeedsSucceeded, tm.SeedsTried)
 		}
 	}
-	// Slicing to k=1 must not change the totals: they describe the
-	// search, not the returned slice.
+	// Slicing to k=1 keeps the totals: the first seed's team costs 2,
+	// so the second grows under bound 3 and its cost-1 team succeeds.
 	top1, err := formTopK(rel, f.assign, skills.NewTask(1, 2), Options{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if top1[0].SeedsTried != 2 || top1[0].SeedsSucceeded != 2 {
 		t.Fatalf("top-1 telemetry = %d/%d, want 2/2", top1[0].SeedsSucceeded, top1[0].SeedsTried)
+	}
+
+	// On the path 0-1-2-3-4, task {x, y} seeds at the x-holders 1 and
+	// 4: seed 1 holds both skills (cost 0), seed 4 joins y-holder 2
+	// (cost 2). Once k teams are held, seed 4 grows under bound
+	// 0 + max(1, ⌈lambda⌉) and succeeds only when that exceeds 2.
+	g := sgraph.MustFromEdges(5, []sgraph.Edge{
+		{U: 0, V: 1, Sign: sgraph.Positive},
+		{U: 1, V: 2, Sign: sgraph.Positive},
+		{U: 2, V: 3, Sign: sgraph.Positive},
+		{U: 3, V: 4, Sign: sgraph.Positive},
+	})
+	u, err := skills.NewUniverse([]string{"x", "y"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := skills.NewAssignment(u, 5)
+	a.MustAdd(1, 0)
+	a.MustAdd(4, 0)
+	a.MustAdd(0, 1)
+	a.MustAdd(1, 1)
+	a.MustAdd(2, 1)
+	s := NewSolver(nne(t, g), a, SolverOptions{Workers: 1})
+	for _, c := range []struct {
+		k         int
+		lambda    float64
+		succeeded int
+	}{{1, 0, 1}, {1, 2, 1}, {1, 2.5, 2}, {2, 0, 2}} {
+		got, err := s.FormTopKDiverseContext(context.Background(), skills.NewTask(0, 1), Options{}, c.k, c.lambda)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, tm := range got {
+			if tm.SeedsTried != 2 || tm.SeedsSucceeded != c.succeeded {
+				t.Fatalf("k=%d lambda=%v team %d telemetry = %d/%d, want %d/2",
+					c.k, c.lambda, i, tm.SeedsSucceeded, tm.SeedsTried, c.succeeded)
+			}
+		}
 	}
 }
 

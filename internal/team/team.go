@@ -157,13 +157,14 @@ type Team struct {
 	// teams of one member either way).
 	Cost int32
 	// SeedsTried and SeedsSucceeded count Algorithm 2's outer loop:
-	// the seeds tried, and the seeds that grew into a complete priced
-	// team. FormIntoContext and the batch entry points abandon a seed
-	// once its partial cost reaches the best team's, so for them
-	// SeedsSucceeded is the number of seeds that set a new best team
-	// (the first priced one included). The top-K entry points grow
-	// every seed in full and stamp whole-search aggregates (see
-	// Solver.FormTopKContext).
+	// the seeds tried, and the seeds that grew into a complete team
+	// priced below the bound in force when they ran. Every entry point
+	// runs one sequential bounded loop, which never sees a lazy-engine
+	// relation error met only by a seed it skips. FormIntoContext and
+	// the batch entry points bound by the best team, so SeedsSucceeded
+	// counts the seeds that set a new best (the first priced one
+	// included); the top-K entry points bound by their k cheapest
+	// teams and stamp whole-search aggregates (Solver.FormTopKContext).
 	SeedsTried, SeedsSucceeded int
 }
 

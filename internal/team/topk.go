@@ -1,17 +1,17 @@
 // Top-K team selection, plain and diverse: the one routine behind
 // FormTopKContext and FormTopKDiverseContext. The candidate list is
-// every distinct grown team, cost-sorted — Algorithm 2's list L.
-// Plain top-K (lambda = 0) returns its first k. The diverse variant,
-// in the spirit of Gajewar & Das Sarma's density objectives, selects
-// greedily by score = cost + lambda·maxOverlap instead, where
-// maxOverlap is the largest Jaccard similarity between a candidate's
-// member set and any already-selected team. Member sets are packed
-// into row-width bitsets so each Jaccard is one word-parallel
-// AND/popcount pass (kernels.AndCount via container.AndCount) — the
-// penalty is near-free next to the solve itself. The greedy scan at
-// lambda = 0 would select the same cost order (ties resolve to the
-// earlier, cost-sorted candidate), so that case skips the packing and
-// truncates.
+// Algorithm 2's list L, the distinct grown teams in cost order, as
+// topKSeq's bounded seed loop collects it. Plain top-K (lambda = 0)
+// returns its first k. The diverse variant, in the spirit of Gajewar &
+// Das Sarma's density objectives, selects greedily by score = cost +
+// lambda·maxOverlap instead, where maxOverlap is the largest Jaccard
+// similarity between a candidate's member set and any already-selected
+// team. Member sets are packed into row-width bitsets so each Jaccard
+// is one word-parallel AND/popcount pass (kernels.AndCount via
+// container.AndCount) — the penalty is near-free next to the solve
+// itself. The greedy scan at lambda = 0 would select the same cost
+// order (ties resolve to the earlier, cost-sorted candidate), so that
+// case skips the packing and truncates.
 
 package team
 
@@ -20,6 +20,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -76,13 +77,13 @@ func (p *TaskPlan) FormTopKDiverseContext(ctx context.Context, k int, lambda flo
 	if p.empty {
 		return []*Team{{Members: nil, Cost: 0}}, nil
 	}
-	distinct, keys, succeeded, err := p.rankedTeams(ctx)
+	sc := p.s.getScratch()
+	defer p.s.putScratch(sc)
+	distinct, keys, succeeded, err := p.topKSeq(ctx, sc, k, lambda)
 	if err != nil {
 		return nil, err
 	}
-	if k > len(distinct) {
-		k = len(distinct)
-	}
+	k = min(k, len(distinct))
 	selected := distinct[:k]
 	if lambda > 0 {
 		if selected, err = selectDiverse(ctx, distinct, keys, k, lambda, p.s.n); err != nil {
@@ -108,7 +109,7 @@ func selectDiverse(ctx context.Context, distinct []*Team, keys [][]sgraph.NodeID
 	// intersections below are word-parallel.
 	words := (n + 63) / 64
 	sets := make([][]uint64, len(distinct))
-	//tfsn:ctxfree(one pass over the already-computed member sets; bounded by rankedTeams output)
+	//tfsn:ctxfree(one pass over the already-computed member sets; bounded by topKSeq output)
 	for i, key := range keys {
 		w := make([]uint64, words)
 		for _, u := range key {
@@ -164,12 +165,17 @@ func selectDiverse(ctx context.Context, distinct []*Team, keys [][]sgraph.NodeID
 // variant in the spirit of Kargar & An (CIKM 2011), which falls out of
 // Algorithm 2's candidate list L. It is FormTopKDiverseContext at
 // lambda = 0, which keeps the cost order and packs no member sets.
-// SeedsTried and SeedsSucceeded on the returned teams are aggregates
-// of the whole search, not per-team telemetry: every returned team
-// carries the same totals — how many seeds Algorithm 2 tried and how
-// many of them grew into a (not necessarily distinct) priced team —
-// even after the list is deduplicated and sliced to k. It returns
-// ErrNoTeam when no seed produces a team.
+// Seeds run in order on the calling goroutine, each under a bound set
+// by the k cheapest teams held so far, which no selectable team
+// reaches. SeedsTried and SeedsSucceeded on the returned teams are
+// aggregates of the whole search, not per-team telemetry: every
+// returned team carries the same totals — how many seeds Algorithm 2
+// tried and how many of them grew into a (not necessarily distinct)
+// team priced below the bound in force, a count that depends on k and
+// lambda — even after the list is deduplicated and sliced to k. As in
+// FormIntoContext, a lazy-engine relation error met only by a skipped
+// seed is never seen. It returns ErrNoTeam when no seed produces a
+// team.
 func (s *Solver) FormTopKContext(ctx context.Context, task skills.Task, opts Options, k int) ([]*Team, error) {
 	return s.FormTopKDiverseContext(ctx, task, opts, k, 0)
 }
@@ -181,112 +187,83 @@ func (p *TaskPlan) FormTopKContext(ctx context.Context, k int) ([]*Team, error) 
 	return p.FormTopKDiverseContext(ctx, k, 0)
 }
 
-// rankedTeams is the shared prologue of the top-K entry points: grow
-// every seed, drop duplicate member sets, and sort by cost (legacy
-// member-set tie-break). It returns the distinct teams, their aligned
-// sorted member sets, and how many seeds grew into a priced team.
-func (p *TaskPlan) rankedTeams(ctx context.Context) ([]*Team, [][]sgraph.NodeID, int, error) {
-	teams, err := p.allTeams(ctx)
-	if err != nil {
-		return nil, nil, 0, err
+// topKSeq is top-K's seed loop: formSeq's branch and bound, keeping
+// every distinct team where formSeq keeps the cheapest. A team priced
+// below the bound in force is inserted into the held list, sorted by
+// (cost, member set), unless an earlier seed grew the same member set.
+// Once k teams are held, each seed grows under topKBound(c, lambda), c
+// the k-th held cost, and canBeat screens it first at bounds up to
+// screenBound (RandomUser excepted). It returns the held teams, their
+// sorted member sets (sc.best holds each grown one) and top-K's
+// SeedsSucceeded, the seeds that priced below the bound in force.
+//
+// The bound is exact. c only falls, so every bound was at least
+// c* + s, c* the k-th cheapest distinct cost of the full sweep and
+// s = max(1, ⌈lambda⌉). A grow completing under a bound makes an
+// unbounded grow's picks (see formSeq), so every team below c* + s is
+// held. A team T costing at least c* + s, as any dropped team does, is
+// never selected. At lambda = 0 the first k held cost at most c* <
+// cost(T); a team at c* itself prices below c* + 1 and can still enter
+// by the member-set tie-break. At lambda > 0, while fewer than k are
+// selected, some unchosen U among the k cheapest scores
+// cost(U) + lambda·overlap ≤ fl(c* + lambda) ≤ cost(T) under monotone
+// float64 rounding (overlap ≤ 1, and cost(T) is exact in float64). T
+// scores at least cost(T), and a tie goes to U, earlier in cost order.
+//
+//tfsn:ctxpoll
+func (p *TaskPlan) topKSeq(ctx context.Context, sc *scratch, k int, lambda float64) (teams []*Team, keys [][]sgraph.NodeID, succeeded int, err error) {
+	bound := int32(noBound)
+	sc.reach = nil
+	screen := p.opts.User != RandomUser
+	for _, seed := range p.seeds {
+		if err := ctx.Err(); err != nil {
+			return nil, nil, 0, ctxErr(err)
+		}
+		if screen && bound <= screenBound && !p.canBeat(sc, seed, bound) {
+			continue // it cannot price below bound
+		}
+		cost, ok, err := p.grow(sc, seed, bound)
+		if err != nil {
+			return nil, nil, 0, err
+		}
+		if !ok {
+			continue // failed, or abandoned: it could not be selected
+		}
+		succeeded++
+		sc.best = append(sc.best[:0], sc.members...)
+		slices.Sort(sc.best)
+		i := sort.Search(len(teams), func(j int) bool {
+			if c := teams[j].Cost; c != cost {
+				return c > cost
+			}
+			return compareMemberSets(keys[j], sc.best) >= 0
+		})
+		if i < len(teams) && teams[i].Cost == cost && compareMemberSets(keys[i], sc.best) == 0 {
+			continue // an earlier seed grew this team
+		}
+		teams = slices.Insert(teams, i, &Team{Members: slices.Clone(sc.members), Cost: cost})
+		keys = slices.Insert(keys, i, slices.Clone(sc.best))
+		if len(teams) >= k {
+			bound = topKBound(teams[k-1].Cost, lambda)
+		}
 	}
-	succeeded := len(teams)
 	if succeeded == 0 {
 		return nil, nil, 0, &seedsFailedError{seeds: len(p.seeds), task: p.task}
 	}
-	distinct, sortedSets := dedupTeams(teams)
-	sort.Sort(&teamsByCost{teams: distinct, keys: sortedSets})
-	return distinct, sortedSets, succeeded, nil
+	return teams, keys, succeeded, nil
 }
 
-// allTeams grows every seed without a bound — top-K needs every
-// seed's team — and returns the successful teams in seed order (the
-// legacy formAll), using the worker pool for deterministic parallel
-// exploration when available.
-//
-//tfsn:ctxpoll
-func (p *TaskPlan) allTeams(ctx context.Context) ([]*Team, error) {
-	results := make([]*Team, len(p.seeds))
-	collect := func(sc *scratch, i int) error {
-		cost, ok, err := p.grow(sc, p.seeds[i], noBound)
-		if err != nil || !ok {
-			return err
-		}
-		results[i] = &Team{Members: append([]sgraph.NodeID(nil), sc.members...), Cost: cost}
-		return nil
+// topKBound is topKSeq's bound once k distinct teams are held and c is
+// the k-th cheapest of their costs: c + max(1, ⌈lambda⌉), clamped to
+// noBound. The slack is rounded up on lambda alone and added as an
+// integer: ⌈float64(c) + lambda⌉ would round a tiny lambda away and
+// give c, dropping the teams tied at c.
+func topKBound(c int32, lambda float64) int32 {
+	slack := max(1, math.Ceil(lambda))
+	if slack >= float64(noBound-c) {
+		return noBound
 	}
-	if p.s.workers > 1 && len(p.seeds) > 1 && p.opts.User != RandomUser {
-		if err := p.s.runPool(ctx, p.s.workers, len(p.seeds), collect); err != nil {
-			return nil, err
-		}
-	} else {
-		sc := p.s.getScratch()
-		defer p.s.putScratch(sc)
-		for i := range p.seeds {
-			if err := ctx.Err(); err != nil {
-				return nil, ctxErr(err)
-			}
-			if err := collect(sc, i); err != nil {
-				return nil, err
-			}
-		}
-	}
-	teams := results[:0]
-	//tfsn:ctxfree(in-place compaction of the already-grown results; bounded by the seed count)
-	for _, tm := range results {
-		if tm != nil {
-			teams = append(teams, tm)
-		}
-	}
-	return teams, nil
-}
-
-// dedupTeams drops teams whose member set already appeared (several
-// seeds can grow into the same team), keeping first occurrences in
-// order. Sets are compared by a 64-bit order-insensitive hash with an
-// exact member-wise check on hash collisions — no string keys. It
-// returns the surviving teams and, aligned, each team's sorted member
-// set for use as a sort key.
-func dedupTeams(teams []*Team) ([]*Team, [][]sgraph.NodeID) {
-	distinct := teams[:0]
-	sortedSets := make([][]sgraph.NodeID, 0, len(teams))
-	byHash := make(map[uint64][]int, len(teams))
-next:
-	for _, tm := range teams {
-		set := append([]sgraph.NodeID(nil), tm.Members...)
-		sort.Slice(set, func(i, j int) bool { return set[i] < set[j] })
-		h := membersHash(set)
-		for _, j := range byHash[h] {
-			if equalMembers(sortedSets[j], set) {
-				continue next
-			}
-		}
-		byHash[h] = append(byHash[h], len(distinct))
-		distinct = append(distinct, tm)
-		sortedSets = append(sortedSets, set)
-	}
-	return distinct, sortedSets
-}
-
-// membersHash hashes a sorted member set (FNV-1a over the ids).
-func membersHash(sorted []sgraph.NodeID) uint64 {
-	h := fnvOffset
-	for _, m := range sorted {
-		h = fnvMix(h, uint64(uint32(m)), 4)
-	}
-	return h
-}
-
-func equalMembers(a, b []sgraph.NodeID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return c + int32(slack)
 }
 
 // compareMemberSets orders two sorted member sets exactly as the
@@ -310,23 +287,4 @@ func compareMemberSets(a, b []sgraph.NodeID) int {
 		return 1
 	}
 	return 0
-}
-
-// teamsByCost sorts teams by cost, ties broken by the legacy
-// member-set order; keys holds each team's sorted member set.
-type teamsByCost struct {
-	teams []*Team
-	keys  [][]sgraph.NodeID
-}
-
-func (t *teamsByCost) Len() int { return len(t.teams) }
-func (t *teamsByCost) Less(i, j int) bool {
-	if t.teams[i].Cost != t.teams[j].Cost {
-		return t.teams[i].Cost < t.teams[j].Cost
-	}
-	return compareMemberSets(t.keys[i], t.keys[j]) < 0
-}
-func (t *teamsByCost) Swap(i, j int) {
-	t.teams[i], t.teams[j] = t.teams[j], t.teams[i]
-	t.keys[i], t.keys[j] = t.keys[j], t.keys[i]
 }
