@@ -2,7 +2,6 @@ package compat
 
 import (
 	"errors"
-	"fmt"
 	"math/bits"
 
 	"repro/internal/balance"
@@ -23,11 +22,10 @@ const (
 // exceeds maxDist8; the builder retries with int32 storage.
 var errDistOverflow = errors.New("compat: distance exceeds uint8 packing")
 
-// blockView is where a packed-relation build lands a run of
-// consecutive source rows: their bit words (stride words per row) and
-// their distance lanes (n entries per row), both owned by a shard slab,
-// which stores rows contiguously. Exactly one of d8 (uint8 packing) and d32 (wide
-// packing) is non-nil.
+// blockView is one block of consecutive source rows of a shard slab,
+// where a packed-relation fill lands them: their bit words (stride
+// words per row) and their distance lanes (n entries per row). Exactly
+// one of d8 (uint8 packing) and d32 (wide packing) is non-nil.
 type blockView struct {
 	stride, n int
 	bits      []uint64
@@ -35,24 +33,15 @@ type blockView struct {
 	d32       []int32
 }
 
-// rowSink maps the source rows [lo, hi) to their storage in the
-// backend.
-type rowSink func(lo, hi sgraph.NodeID) blockView
-
-// slabSink maps source rows onto a shard slab that stores rows base,
-// base+1, … contiguously. Exactly one of d8 and d32 is non-nil; undefined entries keep
-// the sentinel the caller prefilled.
-func slabSink(bits []uint64, d8 []uint8, d32 []int32, stride, n, base int) rowSink {
-	return func(lo, hi sgraph.NodeID) blockView {
-		a, b := int(lo)-base, int(hi)-base
-		out := blockView{stride: stride, n: n, bits: bits[a*stride : b*stride]}
-		if d32 != nil {
-			out.d32 = d32[a*n : b*n]
-		} else {
-			out.d8 = d8[a*n : b*n]
-		}
-		return out
+// block views the slab rows [lo, hi) (slab-relative) as a blockView.
+func (sl shardSlabs) block(lo, hi, stride, n int) blockView {
+	out := blockView{stride: stride, n: n, bits: sl.bits[lo*stride : hi*stride]}
+	if sl.dist32 != nil {
+		out.d32 = sl.dist32[lo*n : hi*n]
+	} else {
+		out.d8 = sl.dist8[lo*n : hi*n]
 	}
+	return out
 }
 
 // row returns the bit words of the block's i-th row.
@@ -87,17 +76,15 @@ func (b blockView) setDists(i int, dist []int32) error {
 	return nil
 }
 
-// blockFiller fills the consecutive source rows [lo, hi) of a packed
-// relation, using s for all transient state.
-type blockFiller func(lo, hi sgraph.NodeID, s *rowScratch) error
-
-// relationFiller returns the block computation for one relation kind,
-// shared by shard builds and rebuilds, and the tallest block it
-// accepts.
-// Every filler overwrites its rows completely (bits and defined
+// fillRows fills slab with the rows [base, base+rows) of the engine's
+// relation over g, in blocks of consecutive rows spread over the
+// workers (one scratch each). Blocks shrink when the range is too
+// short to give every worker a full one, so a small shard still fills
+// in parallel, and a block never leaves the range.
+// Every block overwrites its rows completely (bits and defined
 // distances), sets the diagonal, and keeps tail bits (≥ n) zero so row
-// popcounts are exact. Undefined distances keep whatever sentinel the
-// sink prefilled.
+// popcounts are exact. Undefined distances keep the sentinel the slab
+// was prefilled with.
 //
 // SPA, SPO, SPM, DPE and NNE fill up to signedbfs.MaxSources rows
 // from one bit-parallel sweep: SPA and SPO take their bits and
@@ -108,50 +95,57 @@ type blockFiller func(lo, hi sgraph.NodeID, s *rowScratch) error
 // (a source is at distance d when either frontier bit reaches the node
 // first at level d, so signs drop out). SBP/SBPH run their own per-source
 // searches, so those kinds fill one row per block.
-func relationFiller(g *sgraph.Graph, kind Kind, beam int, exact balance.ExactOptions, sink rowSink) (blockFiller, int) {
-	switch kind {
-	case SPA, SPO, SPM, DPE, NNE:
-		return func(lo, hi sgraph.NodeID, s *rowScratch) error {
-			return fillSweepBlock(g, kind, sink(lo, hi), lo, hi, s)
-		}, signedbfs.MaxSources
-	case SBPH, SBP:
-		return func(u, _ sgraph.NodeID, s *rowScratch) error {
-			var pd *balance.PathDists
-			var err error
-			if kind == SBPH {
-				pd = balance.SBPH(g, u, beam)
-			} else {
-				pd, err = balance.ExactSBP(g, u, exact)
-				if err != nil {
-					return err
-				}
-			}
-			out := sink(u, u+1)
-			row := out.row(0)
-			zeroWords(row)
-			for v, d := range pd.PosDist {
-				if d != balance.NoPath {
-					setWordBit(row, sgraph.NodeID(v))
-				}
-			}
-			setWordBit(row, u)
-			if s.reach != nil {
-				// The balance searches keep no plain-distance output, so
-				// the footprint takes one extra BFS per row — only when
-				// reach tracking is armed (multi-shard builds and rebuilds).
-				s.dist = signedbfs.DistancesInto(g, u, s.dist, s.bfs)
-				s.recordReach(s.dist)
-			}
-			if err := out.setDists(0, pd.PosDist); err != nil {
-				return err
-			}
-			return out.setDist(0, u, 0)
-		}, 1
-	default:
-		return func(sgraph.NodeID, sgraph.NodeID, *rowScratch) error {
-			return fmt.Errorf("compat: unhandled packed relation kind %v", kind)
-		}, 1
+func (m *ShardedMatrix) fillRows(g *sgraph.Graph, slab shardSlabs, base, rows, workers int, scratches []*rowScratch) error {
+	balanced := m.kind == SBPH || m.kind == SBP
+	height := signedbfs.MaxSources
+	if balanced {
+		height = 1
 	}
+	if per := (rows + workers - 1) / workers; per < height {
+		height = max(per, 1)
+	}
+	blocks := (rows + height - 1) / height
+	return parallelSweep(blocks, workers, func(w, b int) error {
+		lo, hi := b*height, min((b+1)*height, rows)
+		out := slab.block(lo, hi, m.stride, m.n)
+		if balanced {
+			return m.fillBalanceRow(g, out, sgraph.NodeID(base+lo), scratches[w])
+		}
+		return fillSweepBlock(g, m.kind, out, sgraph.NodeID(base+lo), sgraph.NodeID(base+hi), scratches[w])
+	})
+}
+
+// fillBalanceRow fills row u of an SBPH or SBP relation, out's one row,
+// from one balance search.
+func (m *ShardedMatrix) fillBalanceRow(g *sgraph.Graph, out blockView, u sgraph.NodeID, s *rowScratch) error {
+	var pd *balance.PathDists
+	if m.kind == SBPH {
+		pd = balance.SBPH(g, u, m.beam)
+	} else {
+		var err error
+		if pd, err = balance.ExactSBP(g, u, m.exact); err != nil {
+			return err
+		}
+	}
+	row := out.row(0)
+	zeroWords(row)
+	for v, d := range pd.PosDist {
+		if d != balance.NoPath {
+			setWordBit(row, sgraph.NodeID(v))
+		}
+	}
+	setWordBit(row, u)
+	if s.reach != nil {
+		// The balance searches keep no plain-distance output, so the
+		// footprint takes one extra BFS per row — only when reach
+		// tracking is armed (multi-shard engines).
+		s.dist = signedbfs.DistancesInto(g, u, s.dist, s.bfs)
+		s.recordReach(s.dist)
+	}
+	if err := out.setDists(0, pd.PosDist); err != nil {
+		return err
+	}
+	return out.setDist(0, u, 0)
 }
 
 // fillSweepBlock fills the rows [lo, hi) (at most
@@ -268,23 +262,6 @@ func recountBlock(g *sgraph.Graph, out blockView, lo, hi sgraph.NodeID, s *rowSc
 			}
 		}
 	}
-}
-
-// fillRows runs fill over the rows [base, base+rows) in blocks of at
-// most height rows, spread over the workers (one scratch each). Blocks
-// shrink when the range is too short to give every worker a full one,
-// so a small shard still fills in parallel. A block never leaves the
-// range, so a shard's rows are filled by blocks of that shard alone.
-func fillRows(base, rows, height, workers int, scratches []*rowScratch, fill blockFiller) error {
-	if per := (rows + workers - 1) / workers; per < height {
-		height = max(per, 1)
-	}
-	blocks := (rows + height - 1) / height
-	return parallelSweep(blocks, workers, func(w, b int) error {
-		lo := base + b*height
-		hi := min(lo+height, base+rows)
-		return fill(sgraph.NodeID(lo), sgraph.NodeID(hi), scratches[w])
-	})
 }
 
 // Word-slice bit helpers (rows are raw []uint64, not container.Bitset,

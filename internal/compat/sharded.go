@@ -27,11 +27,22 @@
 // Relation and PackedRelation, so the team pickers, CostWith,
 // Precompute and ComputeStats all run on it unchanged.
 //
-// SBPH symmetrisation runs as a blocked two-pass scheme over
-// shard-pair tiles: only the diagonal tile needs a snapshot, and only
-// of its own shard, so the peak transient memory during symmetrise is
-// bounded by a single shard's bit slab on top of the two resident
-// shards the tile pass holds.
+// Every shard is filled one way, by fillShard: construction, the
+// lazy rebuild of a shard a mutation staled, and the wide promotion
+// all fill a detached slab, whose residency slot is claimed before it
+// is allocated, and swap it in. For SBPH the fill runs the directed
+// rows, then symmetrises the slab in shard-pair tiles against the
+// earlier shards: only the diagonal tile needs a snapshot, and only of
+// the slab's own bits, so the transient memory on top of the slabs is
+// one shard's bit slab.
+//
+// The engine's code is split by concern: sharded.go (types and
+// accessors), sharded_build.go (construction, fillShard and the
+// symmetrise tiles), sharded_resident.go (residency, spill reloads,
+// eviction), sharded_mutate.go (invalidation, stale-shard rebuilds and
+// wide promotion) and
+// sharded_read.go (queries and the lock-free shard table); fill.go
+// computes a slab's rows.
 
 package compat
 
@@ -113,7 +124,6 @@ type ShardedOptions struct {
 // distance view previously handed out dies with it — Close only after
 // the matrix's consumers are done.
 type ShardedMatrix struct {
-	g         *sgraph.Graph // construction-time snapshot; post-build readers use dyn
 	dyn       *sgraph.Dynamic
 	kind      Kind
 	n         int
@@ -166,8 +176,8 @@ type ShardedMatrix struct {
 	// views enables zero-copy reloads: post-build, on a mapped spill
 	// whose byte order matches the host, a cold shard is served as
 	// slices straight into the mapping instead of decoded into heap
-	// slabs. Off during build — build-time reloads (the SBPH tile
-	// pass) write into shard buffers, which a read-only view forbids.
+	// slabs. Off during construction: its narrow→wide retry closes
+	// the spill file, which a view into the mapping would outlive.
 	views bool
 
 	// readScratch is the demand path's decode buffer for the ReadAt
@@ -179,7 +189,8 @@ type ShardedMatrix struct {
 	spillLoads atomic.Int64
 
 	// Test hooks: peakResident under mu; symSnapshotPeak (bytes of the
-	// largest symmetrise snapshot) by the build and rebuilds (freshMu).
+	// largest symmetrise snapshot) by the shard fills (under freshMu
+	// after construction).
 	peakResident    int
 	symSnapshotPeak int
 }
@@ -220,7 +231,7 @@ type shardState struct {
 	shardSlabs
 	rows  int
 	dirty bool // resident content newer than the spilled copy
-	pins  int  // build/tile passes holding the shard in place
+	pins  int  // tile passes and Save holding the shard in place
 
 	// epoch is the graph epoch the shard's data was computed at; stale
 	// marks data invalidated by a later mutation (rebuilt lazily by the

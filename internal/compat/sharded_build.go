@@ -1,5 +1,6 @@
-// ShardedMatrix construction: NewSharded, the per-shard build sweep
-// and the blocked SBPH symmetrise tile passes.
+// ShardedMatrix construction and the one shard fill path: NewSharded,
+// fillShard — which construction, stale-shard rebuilds and wide
+// promotion all run — and the blocked SBPH symmetrise tile passes.
 
 package compat
 
@@ -26,13 +27,7 @@ func NewSharded(k Kind, g *sgraph.Graph, opts ShardedOptions) (*ShardedMatrix, e
 		return nil, fmt.Errorf("compat: unknown relation kind %d", int(k))
 	}
 	m := newShardedMatrix(k, g, opts)
-	err := m.build(m.workers, false)
-	if errors.Is(err, errDistOverflow) {
-		// A distance beyond uint8 packing exists: rebuild every shard
-		// with exact int32 storage (fresh spill file, fresh slabs).
-		err = m.build(m.workers, true)
-	}
-	if err != nil {
+	if err := m.build(); err != nil {
 		m.Close()
 		return nil, err
 	}
@@ -62,7 +57,6 @@ func newShardedMatrix(k Kind, g *sgraph.Graph, opts ShardedOptions) *ShardedMatr
 		maxRes = 2 // tile passes need a resident shard pair
 	}
 	m := &ShardedMatrix{
-		g:         g,
 		dyn:       sgraph.NewDynamic(g),
 		kind:      k,
 		n:         n,
@@ -85,125 +79,171 @@ func newShardedMatrix(k Kind, g *sgraph.Graph, opts ShardedOptions) *ShardedMatr
 	return m
 }
 
-// build fills every shard, spilling as the residency bound fills, then
-// runs the blocked symmetrise pass for SBPH. wide selects int32
-// distance storage; a uint8 build returns errDistOverflow on the first
-// too-large distance and NewSharded retries wide.
-func (m *ShardedMatrix) build(workers int, wide bool) error {
-	m.mu.Lock()
-	// Reset any previous attempt (the uint8 → int32 retry).
-	if m.spill != nil {
-		m.spill.close()
-		m.spill = nil
-	}
-	m.wide = wide
+// build fills every shard, in ascending order, through fillShard —
+// the path stale-shard rebuilds and wide promotion take — spilling as
+// the residency bound fills. A uint8 fill returns errDistOverflow on
+// the first too-large distance; build then closes the narrow spill
+// file and refills wide. The fill's worker scratch goes with the
+// build: the engine keeps rebuild scratch only once a mutation has
+// made it rebuild a shard.
+func (m *ShardedMatrix) build() error {
 	m.shards = make([]shardState, m.numShards)
 	for s := range m.shards {
 		m.shards[s].rows = m.shardLen(s)
 	}
 	m.lru = container.NewIndexLRU(m.numShards)
-	m.resident = 0
-	m.curEpoch = m.dyn.Epoch()
-	m.staleCount = 0
-	m.spillLoads.Store(0)
-	m.peakResident = 0
-	m.symSnapshotPeak = 0
-	m.views = false // build-time reloads are written into; no views yet
-	m.mu.Unlock()
-	if m.n == 0 {
-		return nil
-	}
-
-	// One scratch per worker, shared across every shard sweep: the
-	// BFS state is sized for the whole graph, not the shard.
-	scratches, workers := newWorkerScratches(workers, m.n)
-	for s := 0; s < m.numShards; s++ {
-		if err := m.buildShard(s, workers, scratches); err != nil {
-			return err
+	g, epoch := m.dyn.Snapshot()
+	scratches, workers := newWorkerScratches(m.workers, m.n)
+	err := m.refill(g, epoch, false, workers, scratches)
+	if errors.Is(err, errDistOverflow) {
+		m.mu.Lock()
+		if m.spill != nil {
+			m.spill.close()
+			m.spill = nil
 		}
+		m.mu.Unlock()
+		err = m.refill(g, epoch, true, workers, scratches)
 	}
-	if m.kind == SBPH {
-		if err := m.symmetrise(workers); err != nil {
-			return err
-		}
+	if err != nil {
+		return err
 	}
 	// The relation is immutable from here on, so cold shards can be
 	// served as zero-copy views into the mapping (when it exists and
-	// matches the host byte order), and a fully resident engine's
-	// readers can go lock-free.
+	// matches the host byte order). Construction's fills are not
+	// mutation rebuilds.
 	m.mu.Lock()
 	m.views = m.spill != nil && m.spill.canView()
-	m.publishLocked()
 	m.mu.Unlock()
+	m.rebuilds.Store(0)
 	return nil
 }
 
-// buildShard computes shard s's directed rows with the worker pool.
-// The shard is materialised fresh (it has no spilled copy yet) and
-// pinned for the duration of the sweep.
-func (m *ShardedMatrix) buildShard(s int, workers int, scratches []*rowScratch) error {
+// refill marks every shard stale and refills them all from graph
+// snapshot g at the given distance packing, in ascending order so that
+// SBPH tiles see fresh sources: construction, its narrow→wide retry
+// and a post-mutation wide promotion. A shard's old slabs go when its
+// own fill claims its residency slot.
+func (m *ShardedMatrix) refill(g *sgraph.Graph, epoch uint64, wide bool, workers int, scratches []*rowScratch) error {
 	m.mu.Lock()
-	sh := &m.shards[s]
-	if err := m.makeRoomLocked(); err != nil {
-		m.mu.Unlock()
-		return err
+	m.wide = wide
+	for s := range m.shards {
+		if sh := &m.shards[s]; !sh.stale {
+			sh.stale = true
+			m.staleCount++
+		}
 	}
-	sh.shardSlabs = m.newBlankSlab(sh.rows)
-	m.admitLocked()
-	sh.pins++
+	m.publishLocked()
 	m.mu.Unlock()
-
-	base := s * m.shardRows
-	// Arm reach tracking: the fillers accumulate each row's plain-BFS
-	// reachable set per worker, merged below into the shard's touched
-	// bitset — what mutation invalidation tests edge endpoints against.
-	m.armReach(scratches)
-	sink := slabSink(sh.bits, sh.dist8, sh.dist32, m.stride, m.n, base)
-	fill, height := relationFiller(m.g, m.kind, m.beam, m.exact, sink)
-	err := fillRows(base, sh.rows, height, workers, scratches, fill)
-	touched := m.mergeReach(scratches)
-	m.mu.Lock()
-	sh.dirty = true
-	sh.epoch = m.dyn.Epoch() // construction runs at epoch 0
-	sh.touched = touched
-	m.unpinLocked(s)
-	m.mu.Unlock()
-	return err
-}
-
-// symmetrise rewrites the lower triangle from the upper one in
-// shard-pair tiles, turning the directed SBPH rows into the
-// canonicalised relation (entry (u,v) becomes row min(u,v)'s view of
-// max(u,v)) without a full-matrix snapshot. For an off-diagonal tile
-// (a < b) the writes touch only shard b and the reads only shard a's
-// upper-triangle entries, which no tile ever modifies, so no copy is
-// needed at all;
-// the diagonal tile snapshots its own shard's bit slab (one word can
-// mix lower- and upper-triangle bits of two rows being processed in
-// parallel). Peak transient memory is therefore one shard bit slab on
-// top of the two pinned shards.
-func (m *ShardedMatrix) symmetrise(workers int) error {
-	var snapshot []uint64 // diagonal-tile scratch, reused across shards
-	for b := 0; b < m.numShards; b++ {
-		err := m.withPinned(b, func(shB *shardState) error {
-			m.mu.Lock()
-			shB.dirty = true // about to be rewritten; the pin defers eviction
-			m.mu.Unlock()
-			return m.symmetriseSlab(workers, shB.shardSlabs, shB.rows, b, &snapshot)
-		})
-		if err != nil {
+	for s := 0; s < m.numShards; s++ {
+		if err := m.fillShard(g, epoch, s, workers, scratches); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// symmetriseSlab runs the SBPH lower-triangle tile passes for shard
-// s's slab — resident and pinned at build, detached (not yet swapped
-// in) on a rebuild: tiles against the pinned slabs of shards 0..s-1,
-// then the diagonal tile against a snapshot of the slab's own bits,
-// taken into *snapshot (grown as needed, reused across calls).
-func (m *ShardedMatrix) symmetriseSlab(workers int, slab shardSlabs, rows, s int, snapshot *[]uint64) error {
+// fillShard recomputes stale shard s against graph snapshot g into
+// fresh slabs (never into exposed ones) and swaps them in — the one
+// fill path behind construction, stale-shard rebuilds and wide
+// promotion. A stale shard is out of the lock-free table, never
+// pinned, and its locked readers wait on freshMu, so its old slabs are
+// dropped up front and its residency slot is claimed before the new
+// slab is allocated: a spilling engine never holds more than
+// MaxResidentShards slabs, the one being filled included. For
+// SBPH the directed fill is followed by the lower-triangle tile passes
+// against shards 0..s-1, which are fresh by the caller's ascending
+// order.
+func (m *ShardedMatrix) fillShard(g *sgraph.Graph, epoch uint64, s int, workers int, scratches []*rowScratch) error {
+	m.mu.Lock()
+	sh := &m.shards[s]
+	if sh.bits != nil {
+		sh.shardSlabs = shardSlabs{}
+		sh.dirty = false
+		m.resident--
+		m.lru.Remove(s)
+	}
+	err := m.makeRoomLocked()
+	if err == nil {
+		m.admitLocked()
+	}
+	m.mu.Unlock()
+	if err != nil {
+		return err
+	}
+
+	slab := m.newBlankSlab(sh.rows)
+	m.armReach(scratches)
+	err = m.fillRows(g, slab, s*m.shardRows, sh.rows, workers, scratches)
+	touched := m.mergeReach(scratches)
+	if err == nil && m.kind == SBPH {
+		err = m.symmetriseSlab(workers, slab, sh.rows, s)
+	}
+
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if err != nil {
+		m.resident-- // release the claimed slot
+		return err
+	}
+	sh.shardSlabs = slab
+	m.lru.Touch(s)
+	sh.epoch = epoch
+	sh.touched = touched
+	sh.dirty = true // newer than any spilled copy
+	// Clear staleness only if no mutation was applied after the graph
+	// snapshot this fill used; otherwise the shard stays stale and the
+	// next access rebuilds again (conservative, and rare: it needs a
+	// mutation racing the rebuild).
+	if epoch == m.curEpoch {
+		sh.stale = false
+		m.staleCount--
+	}
+	m.publishLocked()
+	m.rebuilds.Add(1)
+	return nil
+}
+
+// armReach arms (or rezeroes) the workers' reach accumulators before a
+// multi-shard fill; a single shard records no touched set. The fillers
+// accumulate each row's plain-BFS reachable set per worker, and
+// mergeReach unions them into the shard's touched bitset — what
+// mutation invalidation tests edge endpoints against.
+func (m *ShardedMatrix) armReach(scratches []*rowScratch) {
+	if m.numShards < 2 {
+		return
+	}
+	for _, sc := range scratches {
+		sc.resetReach(m.stride)
+	}
+}
+
+// mergeReach unions the workers' reach accumulators into the filled
+// shard's touched set; nil on a single shard, where armReach left them
+// unarmed.
+func (m *ShardedMatrix) mergeReach(scratches []*rowScratch) []uint64 {
+	if m.numShards < 2 {
+		return nil
+	}
+	touched := make([]uint64, m.stride)
+	for _, sc := range scratches {
+		for i, w := range sc.reach {
+			touched[i] |= w
+		}
+	}
+	return touched
+}
+
+// symmetriseSlab rewrites shard s's freshly filled, detached slab from
+// directed SBPH rows into the canonicalised relation (entry (u,v)
+// becomes row min(u,v)'s view of max(u,v)): tiles against the pinned
+// slabs of shards 0..s-1, then the diagonal tile against a snapshot of
+// the slab's own bits. An off-diagonal tile writes only the slab and
+// reads only shard a's upper-triangle entries, which no tile ever
+// modifies, so it needs no copy; the diagonal tile does (one word can
+// mix lower- and upper-triangle bits of two rows being processed in
+// parallel). Peak transient memory is therefore one shard bit slab on
+// top of the slab and the one pinned shard.
+func (m *ShardedMatrix) symmetriseSlab(workers int, slab shardSlabs, rows, s int) error {
 	base := s * m.shardRows
 	dst := shardTile{shardSlabs: slab, base: base, rows: rows}
 	for a := 0; a < s; a++ {
@@ -216,21 +256,19 @@ func (m *ShardedMatrix) symmetriseSlab(workers int, slab shardSlabs, rows, s int
 			return err
 		}
 	}
-	if cap(*snapshot) < len(slab.bits) {
-		*snapshot = make([]uint64, len(slab.bits))
-		m.symSnapshotPeak = max(m.symSnapshotPeak, len(slab.bits)*8)
-	}
-	snap := (*snapshot)[:len(slab.bits)]
+	snap := make([]uint64, len(slab.bits))
+	m.symSnapshotPeak = max(m.symSnapshotPeak, len(snap)*8)
 	copy(snap, slab.bits)
 	return m.symmetriseTile(workers, dst, shardTile{
 		shardSlabs: shardSlabs{bits: snap, dist8: slab.dist8, dist32: slab.dist32}, base: base, rows: rows,
 	})
 }
 
-// shardTile is one side of a symmetrise tile: a shard's slabs (resident
-// state, a detached rebuild slab, or the diagonal snapshot) with its
-// global row base — detached from the shard table so the tile pass can
-// target buffers that are not swapped in yet.
+// shardTile is one side of a symmetrise tile: a shard's slabs (a
+// pinned resident shard, the detached slab being filled, or the
+// diagonal snapshot) with its global row base — detached from the shard
+// table so the tile pass can target buffers that are not swapped in
+// yet.
 type shardTile struct {
 	shardSlabs
 	base int

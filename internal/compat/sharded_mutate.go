@@ -1,5 +1,6 @@
 // ShardedMatrix mutation: stale-shard invalidation, the lazy
-// post-mutation shard rebuilds and the wide promotion.
+// post-mutation shard rebuilds and the wide promotion, all of which
+// refill shards through fillShard (sharded_build.go).
 
 package compat
 
@@ -135,7 +136,7 @@ func (m *ShardedMatrix) freshen(s int) error {
 
 	scratches, workers := m.rebuildScratches()
 	for _, t := range targets {
-		err := m.rebuildShard(g, epoch, t, workers, scratches)
+		err := m.fillShard(g, epoch, t, workers, scratches)
 		if errors.Is(err, errDistOverflow) {
 			// The mutation stretched a relation distance beyond uint8
 			// packing: promote the whole engine to int32 storage.
@@ -160,90 +161,6 @@ func (m *ShardedMatrix) rebuildScratches() ([]*rowScratch, int) {
 	return m.rebuildScratch, len(m.rebuildScratch)
 }
 
-// rebuildShard recomputes shard s against graph snapshot g into fresh
-// slabs (never into exposed ones) and swaps them in. For SBPH the
-// directed fill is followed by the lower-triangle tile passes against
-// shards 0..s, which are fresh by the caller's ascending order.
-func (m *ShardedMatrix) rebuildShard(g *sgraph.Graph, epoch uint64, s int, workers int, scratches []*rowScratch) error {
-	rows := m.shardLen(s)
-	base := s * m.shardRows
-	slab := m.newBlankSlab(rows)
-	m.armReach(scratches)
-	sink := slabSink(slab.bits, slab.dist8, slab.dist32, m.stride, m.n, base)
-	fill, height := relationFiller(g, m.kind, m.beam, m.exact, sink)
-	if err := fillRows(base, rows, height, workers, scratches, fill); err != nil {
-		return err
-	}
-	touched := m.mergeReach(scratches)
-
-	if m.kind == SBPH {
-		if err := m.symmetriseSlab(workers, slab, rows, s, new([]uint64)); err != nil {
-			return err
-		}
-	}
-
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	sh := &m.shards[s]
-	wasResident := sh.bits != nil
-	if !wasResident {
-		if err := m.makeRoomLocked(); err != nil {
-			return err
-		}
-	}
-	sh.shardSlabs = slab
-	if !wasResident {
-		m.admitLocked()
-		if sh.pins == 0 {
-			m.lru.Touch(s)
-		}
-	}
-	sh.epoch = epoch
-	sh.touched = touched
-	sh.dirty = true // newer than any spilled copy
-	// Clear staleness only if no mutation was applied after the graph
-	// snapshot this rebuild used; otherwise the shard stays stale and
-	// the next access rebuilds again (conservative, and rare: it needs
-	// a mutation racing the rebuild).
-	if !sh.stale {
-		m.staleCount++ // keep the gauge balanced before the decrement below
-	}
-	sh.stale = epoch != m.curEpoch
-	if !sh.stale {
-		m.staleCount--
-	}
-	m.publishLocked()
-	m.rebuilds.Add(1)
-	return nil
-}
-
-// armReach arms (or rezeroes) the workers' reach accumulators before a
-// multi-shard fill; a single shard records no touched set.
-func (m *ShardedMatrix) armReach(scratches []*rowScratch) {
-	if m.numShards < 2 {
-		return
-	}
-	for _, sc := range scratches {
-		sc.resetReach(m.stride)
-	}
-}
-
-// mergeReach unions the workers' reach accumulators into the filled
-// shard's touched set; nil on a single shard, where armReach left them
-// unarmed.
-func (m *ShardedMatrix) mergeReach(scratches []*rowScratch) []uint64 {
-	if m.numShards < 2 {
-		return nil
-	}
-	touched := make([]uint64, m.stride)
-	for _, sc := range scratches {
-		for i, w := range sc.reach {
-			touched[i] |= w
-		}
-	}
-	return touched
-}
-
 // promoteWide rebuilds every shard with int32 distance storage after a
 // mutation pushed a relation distance beyond uint8 packing. The old
 // spill file's slots no longer match the engine's slab shape, so it is
@@ -253,38 +170,12 @@ func (m *ShardedMatrix) mergeReach(scratches []*rowScratch) []uint64 {
 // fully rewritten spill, and wide promotion is a once-per-graph event.
 func (m *ShardedMatrix) promoteWide(g *sgraph.Graph, epoch uint64) error {
 	m.mu.Lock()
-	m.wide = true
 	m.views = false
 	if m.spill != nil {
 		m.retired = append(m.retired, m.spill)
 		m.spill = nil
 	}
-	// The narrow slabs are useless now: drop unpinned resident shards
-	// and stale-mark everything for the rebuild loop below. (Pins are
-	// impossible here: tile passes only pin fresh shards, and freshMu
-	// serialises us against them.)
-	for s := range m.shards {
-		sh := &m.shards[s]
-		if sh.bits != nil {
-			sh.shardSlabs = shardSlabs{}
-			m.resident--
-			m.lru.Remove(s)
-		}
-		sh.dirty = false
-		if !sh.stale {
-			sh.stale = true
-			m.staleCount++
-		}
-	}
-	m.publishLocked()
 	m.mu.Unlock()
-
-	// Rebuild ascending so SBPH tiles see fresh sources.
 	scratches, workers := m.rebuildScratches()
-	for s := 0; s < m.numShards; s++ {
-		if err := m.rebuildShard(g, epoch, s, workers, scratches); err != nil {
-			return err
-		}
-	}
-	return nil
+	return m.refill(g, epoch, true, workers, scratches)
 }

@@ -237,6 +237,66 @@ func TestShardedSymmetriseTransientBound(t *testing.T) {
 	}
 }
 
+// TestShardedOverflowWideRetryAtBuild: on a 300-node positive path the
+// SBPH distances reach 299, past uint8 packing, so a spilling build
+// overflows and refills every shard wide. The refilled rows must equal
+// the lazy engine's; afterwards zero-copy views are on exactly when the
+// spill file allows them, and the engine reports a fresh construction:
+// no rebuilds, no stale shards, epoch 0, and no rebuild scratch kept.
+func TestShardedOverflowWideRetryAtBuild(t *testing.T) {
+	const n = 300
+	b := sgraph.NewBuilder(n)
+	for i := 0; i < n-1; i++ {
+		b.AddEdge(sgraph.NodeID(i), sgraph.NodeID(i+1), sgraph.Positive)
+	}
+	g := b.MustBuild()
+	m := mustSharded(t, SBPH, g, ShardedOptions{ShardRows: 64, MaxResidentShards: 2})
+	defer m.Close()
+	if st := m.LiveStats(); st.ShardRebuilds != 0 || st.StaleShards != 0 || st.Epoch != 0 {
+		t.Fatalf("after NewSharded: rebuilds %d, stale %d, epoch %d; want 0, 0, 0",
+			st.ShardRebuilds, st.StaleShards, st.Epoch)
+	}
+	m.mu.Lock()
+	wide, spill, views, scratch := m.wide, m.spill, m.views, m.rebuildScratch
+	m.mu.Unlock()
+	if !wide {
+		t.Fatal("a distance of 299 did not promote the build to int32 storage")
+	}
+	if spill == nil {
+		t.Fatal("a 5-shard build with 2 resident shards never spilled")
+	}
+	if views != spill.canView() {
+		t.Fatalf("views = %v, want spill.canView() = %v", views, spill.canView())
+	}
+	if scratch != nil {
+		t.Fatal("construction kept rebuild scratch")
+	}
+	if m.peakResident > m.MaxResidentShards() {
+		t.Fatalf("peak residency %d exceeded the bound %d", m.peakResident, m.MaxResidentShards())
+	}
+	lazy := MustNew(SBPH, g, Options{})
+	for u := sgraph.NodeID(0); int(u) < n; u++ {
+		words := m.RowWords(u)
+		dist := m.DistanceRow(u)
+		for v := sgraph.NodeID(0); int(v) < n; v++ {
+			want, err := lazy.Compatible(u, v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := words[int(v)>>6]&(1<<uint(int(v)&63)) != 0; got != want {
+				t.Fatalf("Compatible(%d,%d) = %v, lazy %v", u, v, got, want)
+			}
+			wantD, wantOK, err := lazy.Distance(u, v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gotD, gotOK := dist.At(v); gotOK != wantOK || (gotOK && gotD != wantD) {
+				t.Fatalf("Distance(%d,%d) = (%d,%v), lazy (%d,%v)", u, v, gotD, gotOK, wantD, wantOK)
+			}
+		}
+	}
+}
+
 // TestShardedStatsMatchMatrix: ComputeStats streamed over sharded rows
 // must agree with the single-shard matrix for every kind — including
 // SBPH, where both configurations measure the symmetrised relation.

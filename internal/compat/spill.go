@@ -38,8 +38,9 @@ const slotHeaderBytes = 8
 // shard's []uint64 / distance slices (slots are 8-byte aligned for
 // exactly this), so a reload costs no decode at all and resident
 // view-backed shards occupy no heap. Where views do not apply (mapped
-// big-endian hosts, or build-time reloads whose buffers are written
-// afterwards), read decodes out of the mapping into caller buffers;
+// big-endian hosts, or reloads during construction, whose narrow→wide
+// retry may close the file under them), read decodes out of the
+// mapping into caller buffers;
 // with no mapping at all (ShardedOptions.DisableMmap, non-unix
 // builds) it falls back to ReadAt into a caller-owned scratch buffer.
 // None of the read paths hold spill-internal mutable state; write
