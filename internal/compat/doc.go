@@ -38,7 +38,7 @@
 //     is cheap inside the greedy team formation loop and scales to
 //     large graphs; the bulk statistics in stats.go bypass the cache
 //     and stream rows out of per-worker scratch instead.
-//   - The packed engine (sharded.go, spill.go, NewSharded)
+//   - The packed engine (sharded*.go, fill.go, spill.go, NewSharded)
 //     precomputes the whole relation into packed bitset rows plus
 //     packed distance rows, so all-pairs and batch-query workloads run
 //     on word-level operations, at Θ(n²) memory (n²/8 + n² bytes).
@@ -58,14 +58,18 @@
 //
 // # Packed construction
 //
-// The packed engine fills rows through one block filler (fill.go):
-// each shard build and each stale-shard rebuild hands out blocks of
-// consecutive rows, never straddling a shard, to a worker pool. SPA,
-// SPO, SPM, DPE and NNE fill up to 64 rows from a single
-// signedbfs.MultiSweep, whose per-source positive/negative bits are
-// exactly Algorithm 1's Pos>0 / Neg>0 and whose levels give every
-// distance (DPE and NNE keep their neighbour-list bits and take only
-// the distances). SPM runs the sweep in counting mode: a source whose
+// The packed engine fills every shard one way: construction, the lazy
+// rebuild of a shard a mutation staled, and the wide promotion after a
+// distance outgrows uint8 packing all claim the shard's residency
+// slot, fill a fresh slab and swap it in (sharded_build.go). The
+// fill (fill.go) hands out blocks of consecutive rows, never
+// straddling a shard, to a worker pool and writes each block straight
+// into the slab's rows; SBPH then symmetrises the slab against the
+// earlier shards in shard-pair tiles. SPA, SPO, SPM, DPE and NNE fill
+// up to 64 rows from a single signedbfs.MultiSweep, whose per-source
+// positive/negative bits are exactly Algorithm 1's Pos>0 / Neg>0 and
+// whose levels give every distance (DPE and NNE keep their
+// neighbour-list bits and take only the distances). SPM runs the sweep in counting mode: a source whose
 // shortest paths to a node are all of one sign needs only the bits,
 // and where both signs arrive its per-source (Pos, Neg) counters —
 // 32-bit halves of one word, equal to CountPathsInto's while no count

@@ -27,22 +27,10 @@
 // Relation and PackedRelation, so the team pickers, CostWith,
 // Precompute and ComputeStats all run on it unchanged.
 //
-// Every shard is filled one way, by fillShard: construction, the
-// lazy rebuild of a shard a mutation staled, and the wide promotion
-// all fill a detached slab, whose residency slot is claimed before it
-// is allocated, and swap it in. For SBPH the fill runs the directed
-// rows, then symmetrises the slab in shard-pair tiles against the
-// earlier shards: only the diagonal tile needs a snapshot, and only of
-// the slab's own bits, so the transient memory on top of the slabs is
-// one shard's bit slab.
-//
-// The engine's code is split by concern: sharded.go (types and
-// accessors), sharded_build.go (construction, fillShard and the
-// symmetrise tiles), sharded_resident.go (residency, spill reloads,
-// eviction), sharded_mutate.go (invalidation, stale-shard rebuilds and
-// wide promotion) and
-// sharded_read.go (queries and the lock-free shard table); fill.go
-// computes a slab's rows.
+// SBPH symmetrisation runs inside each shard's fill, as shard-pair
+// tiles against the earlier shards: only the diagonal tile needs a
+// snapshot, and only of the slab's own bits, so the transient memory
+// on top of the slabs is one shard's bit slab.
 
 package compat
 
@@ -71,8 +59,9 @@ type ShardedOptions struct {
 	ShardRows int
 	// MaxResidentShards bounds how many shards stay in memory; ≤0 (or
 	// a value ≥ the shard count) keeps everything resident and never
-	// spills. Spilling clamps the bound to at least 2: the blocked
-	// symmetrise pass and tile operations need a shard pair resident.
+	// spills. Spilling clamps the bound to at least 2: an SBPH shard
+	// fill holds its slab and one earlier shard for its symmetrise
+	// tiles.
 	// Build and rebuild scratch comes on top, per worker; for SPM up to
 	// 512 bytes per node (see ShardedMatrix).
 	MaxResidentShards int
@@ -118,6 +107,13 @@ type ShardedOptions struct {
 // for the budgeted exact SBP relation) are reported as errors from
 // Compatible/Distance and as panics from the error-free PackedRelation
 // fast paths (RowWords, DistanceRow).
+//
+// Construction, the rebuild of a shard a mutation staled, and the
+// promotion to int32 distances all fill shards one way: each claims the
+// shard's residency slot, fills a fresh slab and swaps it in, so a
+// spilling engine never holds more than MaxResidentShards slabs
+// (sharded_build.go; residency in sharded_resident.go, mutation in
+// sharded_mutate.go, reads in sharded_read.go).
 //
 // Call Close to release the spill file; Close is idempotent. Close
 // unmaps the spill file, so on mapped-spill matrices every row or

@@ -19,6 +19,7 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"time"
 
@@ -219,11 +220,24 @@ func (co *coalescer) run(k optsKey, w *window) {
 		case err != nil:
 			c.err = err
 		case teams[i] == nil:
-			c.err = team.ErrNoTeam
+			c.err = co.noTeamErr(c.task, opts)
 		default:
 			c.tm = teams[i]
 		}
 		close(c.done)
 	}
 	co.s.counters.coalesced.Add(int64(len(w.callers)))
+}
+
+// noTeamErr is the error the direct path answers for a task the batch
+// found no team for. FormBatch reports every such task as nil, but only
+// plan compilation can fail with ErrInfeasible (or a plan-time
+// ErrNoTeam), so Plan — a plan-cache hit once the batch has compiled
+// the task — recovers that cause; a plan that compiled means the seed
+// loop found no team.
+func (co *coalescer) noTeamErr(task skills.Task, opts team.Options) error {
+	if _, err := co.s.solver.Plan(task, opts); errors.Is(err, team.ErrNoTeam) {
+		return err
+	}
+	return team.ErrNoTeam
 }

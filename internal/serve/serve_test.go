@@ -376,6 +376,45 @@ func TestCoalescingConstraintSplit(t *testing.T) {
 	}
 }
 
+// TestCoalescingKeepsInfeasible: a coalesced caller whose constraints
+// rule its task out answers as the direct path does — found false,
+// flagged infeasible and counted — although the batch reports it as a
+// nil team. Excluding users 1 and 2 removes every B holder, so A,B is
+// infeasible while A,C still has a team; the count trigger puts both
+// in one window.
+func TestCoalescingKeepsInfeasible(t *testing.T) {
+	g, a := fixtureGraph(t)
+	s := New(matrixRel(t, g), a, Options{PlanCache: 8, CoalesceWait: time.Hour, CoalesceBatch: 2})
+	defer s.Wait(context.Background())
+
+	paths := []string{"/form?task=A,B&exclude=1,2", "/form?task=A,C&exclude=1,2"}
+	results := make([]teamResult, len(paths))
+	var wg sync.WaitGroup
+	for i, path := range paths {
+		wg.Add(1)
+		go func(i int, path string) {
+			defer wg.Done()
+			res, body := get(t, s, path)
+			if res.StatusCode != http.StatusOK {
+				t.Errorf("%s: status %d (%s)", path, res.StatusCode, body)
+				return
+			}
+			results[i] = decodeTeam(t, body)
+		}(i, path)
+	}
+	wg.Wait()
+	if tr := results[0]; tr.Found || !tr.Infeasible {
+		t.Fatalf("infeasible caller answered %+v, want found=false infeasible=true", tr)
+	}
+	if tr := results[1]; !tr.Found || tr.Infeasible {
+		t.Fatalf("feasible caller answered %+v, want a team", tr)
+	}
+	st := s.counters.snapshot()
+	if st.Coalesced != 2 || st.Infeasible != 1 {
+		t.Fatalf("coalesced %d, infeasible %d; want 2 and 1", st.Coalesced, st.Infeasible)
+	}
+}
+
 // TestAdmissionOverflow429: with a single admission slot held by a
 // blocked solve, the next request is shed instantly with 429 and
 // Retry-After, never queued.

@@ -19,9 +19,9 @@ import (
 // are identical to FormIntoContext at any worker count). teams[i] is
 // nil when no compatible team exists for tasks[i] (ErrNoTeam); any
 // other error aborts the batch, reporting the lowest-indexed failure.
-// The RandomUser policy runs the batch sequentially so the shared
-// Options.Rng is consumed in task order, exactly as a sequential
-// FormIntoContext loop would.
+// The RandomUser policy runs the batch on one worker, which takes the
+// tasks in index order, so the shared Options.Rng is consumed exactly
+// as a sequential FormIntoContext loop would.
 func (s *Solver) FormBatch(tasks []skills.Task, opts Options) ([]*Team, error) {
 	return s.FormBatchContext(context.Background(), tasks, opts)
 }
@@ -71,30 +71,15 @@ func (s *Solver) FormBatchSpecs(specs []TaskSpec, opts Options) ([]*Team, error)
 func (s *Solver) formBatch(ctx context.Context, count int, opts Options, at func(i int) (skills.Task, Options)) ([]*Team, error) {
 	out := make([]*Team, count)
 	workers := s.workers
-	if workers > count {
-		workers = count
+	if opts.User == RandomUser {
+		workers = 1
 	}
-	if opts.User == RandomUser || workers <= 1 {
-		sc := s.getScratch()
-		defer s.putScratch(sc)
-		for i := 0; i < count; i++ {
-			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("team: batch task %d: %w", i, ctxErr(err))
-			}
-			task, o := at(i)
-			tm, err := s.formOne(ctx, sc, task, o)
-			if err != nil {
-				return nil, fmt.Errorf("team: batch task %d: %w", i, err)
-			}
-			out[i] = tm
-		}
-		return out, nil
-	}
+	workers = min(workers, count)
 	err := s.runPool(ctx, workers, count, func(sc *scratch, i int) error {
 		task, o := at(i)
 		tm, err := s.formOne(ctx, sc, task, o)
 		if err != nil {
-			return fmt.Errorf("team: batch task %d: %w", i, err)
+			return err
 		}
 		out[i] = tm
 		return nil
@@ -129,11 +114,12 @@ func (s *Solver) formOne(ctx context.Context, sc *scratch, task skills.Task, opt
 // parallel path: it runs fn(sc, i) for every i in [0, count) across
 // the given number of workers (at most count, which its caller
 // ensures), handing out indices from a shared atomic counter, with one
-// scratch per worker. The first error aborts the sweep; when several
-// workers error, the lowest-indexed item's error is returned, so error
-// reporting is deterministic. The context is checked before every
-// item, so a firing deadline stops all workers at their next item
-// boundary with the typed context error.
+// scratch per worker; one worker takes the items in index order. The
+// first error aborts the sweep; when several workers error, the
+// lowest-indexed item's error is returned as "team: batch task i: …",
+// so error reporting is deterministic. The context is checked before
+// every item, so a firing deadline stops all workers at their next
+// item boundary with the typed context error.
 //
 //tfsn:ctxpoll
 func (s *Solver) runPool(ctx context.Context, workers, count int, fn func(sc *scratch, i int) error) error {
@@ -165,7 +151,7 @@ func (s *Solver) runPool(ctx context.Context, workers, count int, fn func(sc *sc
 				if err != nil {
 					mu.Lock()
 					if i < errIdx {
-						firstErr, errIdx = err, i
+						firstErr, errIdx = fmt.Errorf("team: batch task %d: %w", i, err), i
 					}
 					mu.Unlock()
 					failed.Store(true)

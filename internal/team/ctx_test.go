@@ -76,6 +76,29 @@ func TestFormContextAlreadyCanceled(t *testing.T) {
 	}
 }
 
+// TestFormBatchCanceledErrorIsWorkerIndependent: a cancelled batch
+// reports the same error at every worker count — the typed context
+// error wrapped in the lowest-indexed task's batch error, as
+// FormBatchContext documents.
+func TestFormBatchCanceledErrorIsWorkerIndependent(t *testing.T) {
+	f := newFixture(t)
+	rel := nne(t, f.g)
+	tasks := []skills.Task{f.task, f.task, f.task}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	const want = "team: batch task 0: team: solve canceled: context canceled"
+	for _, workers := range []int{1, 2} {
+		s := NewSolver(rel, f.assign, SolverOptions{Workers: workers})
+		_, err := s.FormBatchContext(ctx, tasks, Options{})
+		if !errors.Is(err, ErrCanceled) {
+			t.Fatalf("Workers %d: got %v, want ErrCanceled", workers, err)
+		}
+		if err.Error() != want {
+			t.Fatalf("Workers %d: error %q, want %q", workers, err, want)
+		}
+	}
+}
+
 func TestFormContextExpiredDeadline(t *testing.T) {
 	f := newFixture(t)
 	rel := nne(t, f.g)
