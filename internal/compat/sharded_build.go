@@ -122,7 +122,9 @@ func (m *ShardedMatrix) build() error {
 // snapshot g at the given distance packing, in ascending order so that
 // SBPH tiles see fresh sources: construction, its narrow→wide retry
 // and a post-mutation wide promotion. A shard's old slabs go when its
-// own fill claims its residency slot.
+// own fill claims its residency slot. The lock-free table is
+// republished once the loop ends, not per shard: until then a filled
+// shard's readers take the locked path.
 func (m *ShardedMatrix) refill(g *sgraph.Graph, epoch uint64, wide bool, workers int, scratches []*rowScratch) error {
 	m.mu.Lock()
 	m.wide = wide
@@ -134,18 +136,21 @@ func (m *ShardedMatrix) refill(g *sgraph.Graph, epoch uint64, wide bool, workers
 	}
 	m.publishLocked()
 	m.mu.Unlock()
-	for s := 0; s < m.numShards; s++ {
-		if err := m.fillShard(g, epoch, s, workers, scratches); err != nil {
-			return err
-		}
+	var err error
+	for s := 0; s < m.numShards && err == nil; s++ {
+		err = m.fillShard(g, epoch, s, workers, scratches)
 	}
-	return nil
+	m.mu.Lock()
+	m.publishLocked()
+	m.mu.Unlock()
+	return err
 }
 
 // fillShard recomputes stale shard s against graph snapshot g into
 // fresh slabs (never into exposed ones) and swaps them in — the one
 // fill path behind construction, stale-shard rebuilds and wide
-// promotion. A stale shard is out of the lock-free table, never
+// promotion; the caller republishes the lock-free table afterwards.
+// A stale shard is out of the lock-free table, never
 // pinned, and its locked readers wait on freshMu, so its old slabs are
 // dropped up front and its residency slot is claimed before the new
 // slab is allocated: a spilling engine never holds more than
@@ -198,7 +203,6 @@ func (m *ShardedMatrix) fillShard(g *sgraph.Graph, epoch uint64, s int, workers 
 		sh.stale = false
 		m.staleCount--
 	}
-	m.publishLocked()
 	m.rebuilds.Add(1)
 	return nil
 }

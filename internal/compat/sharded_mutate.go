@@ -110,9 +110,9 @@ func (m *ShardedMatrix) AcquireSnapshot() Snapshot {
 // re-checks). Non-SBPH kinds rebuild exactly shard s; SBPH rebuilds
 // every stale shard up to s in ascending order, because shard s's
 // lower-triangle tiles read the directed rows of all earlier shards.
-// Rebuilds fill entirely fresh slabs and swap them in under the lock
-// (republishing the lock-free table), so concurrent readers of other
-// shards proceed and old views survive.
+// Rebuilds fill entirely fresh slabs and swap them in under the lock,
+// then republish the lock-free table once, so concurrent readers of
+// other shards proceed and old views survive.
 func (m *ShardedMatrix) freshen(s int) error {
 	m.freshMu.Lock()
 	defer m.freshMu.Unlock()
@@ -135,18 +135,21 @@ func (m *ShardedMatrix) freshen(s int) error {
 	m.mu.Unlock()
 
 	scratches, workers := m.rebuildScratches()
+	var err error
 	for _, t := range targets {
-		err := m.fillShard(g, epoch, t, workers, scratches)
-		if errors.Is(err, errDistOverflow) {
-			// The mutation stretched a relation distance beyond uint8
-			// packing: promote the whole engine to int32 storage.
-			return m.promoteWide(g, epoch)
-		}
-		if err != nil {
-			return err
+		if err = m.fillShard(g, epoch, t, workers, scratches); err != nil {
+			break
 		}
 	}
-	return nil
+	if errors.Is(err, errDistOverflow) {
+		// The mutation stretched a relation distance beyond uint8
+		// packing: promote the whole engine to int32 storage.
+		return m.promoteWide(g, epoch)
+	}
+	m.mu.Lock()
+	m.publishLocked()
+	m.mu.Unlock()
+	return err
 }
 
 // rebuildScratches returns the post-mutation rebuilds' worker
