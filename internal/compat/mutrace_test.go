@@ -8,6 +8,7 @@
 package compat
 
 import (
+	"fmt"
 	"math/rand"
 	"path/filepath"
 	"sync"
@@ -152,6 +153,89 @@ func TestShardedMutationOverflowPromotion(t *testing.T) {
 			t.Fatalf("post-promotion stats %+v", st)
 		}
 	})
+}
+
+// TestShardedOverflowPromotionColdReaders: readers of shards a
+// mutation left fresh, but spilled to disk, race the wide promotion
+// that mutation forces. The promotion retires the spill file, so it
+// must stale every shard in the same critical section: a fresh cold
+// shard seen without a spill file fails its reload. The graph is a
+// chorded 300-node path, whose chord removal stretches a distance to
+// 299, beside a separate ring, whose shards' touched sets miss the
+// chord's endpoints. Run under -race in CI.
+func TestShardedOverflowPromotionColdReaders(t *testing.T) {
+	const path, ring = 300, 256
+	const n = path + ring
+	b := sgraph.NewBuilder(n)
+	for i := 0; i < path-1; i++ {
+		b.AddEdge(sgraph.NodeID(i), sgraph.NodeID(i+1), sgraph.Positive)
+	}
+	b.AddEdge(0, path-1, sgraph.Positive)
+	for i := 0; i < ring; i++ {
+		b.AddEdge(sgraph.NodeID(path+i), sgraph.NodeID(path+(i+1)%ring), sgraph.Positive)
+	}
+	g := b.MustBuild()
+	remove := sgraph.Mutation{Op: sgraph.MutRemove, U: 0, V: path - 1}
+	ringDist := func(i, j int) int32 {
+		d := (i - j + ring) % ring
+		return int32(min(d, ring-d))
+	}
+	for _, rows := range append(parseShardRows(t), 64) {
+		for trial := 0; trial < 4; trial++ {
+			m := mustSharded(t, SPA, g, ShardedOptions{
+				ShardRows: rows, MaxResidentShards: 2, SpillDir: t.TempDir(),
+			})
+			res, err := m.Mutate(remove)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.DirtyShards >= m.NumShards() {
+				t.Fatalf("rows=%d: the chord removal staled all %d shards; the ring's must stay fresh", rows, res.DirtyShards)
+			}
+			var wg sync.WaitGroup
+			var stop atomic.Bool
+			errc := make(chan error, 4)
+			for r := 0; r < 3; r++ {
+				wg.Add(1)
+				go func(r int) {
+					defer wg.Done()
+					for i := 0; !stop.Load(); i++ {
+						// Stride through the ring so that consecutive reads
+						// land on different shards and reload cold ones.
+						a, c := (i*67+r*29)%ring, (i*31+r)%ring
+						d, ok, err := m.Distance(sgraph.NodeID(path+a), sgraph.NodeID(path+c))
+						if err != nil {
+							errc <- err
+							return
+						}
+						if !ok || d != ringDist(a, c) {
+							errc <- fmt.Errorf("Distance(%d,%d) = (%d,%v), want (%d,true)", path+a, path+c, d, ok, ringDist(a, c))
+							return
+						}
+					}
+				}(r)
+			}
+			// Reading the path's stale first row rebuilds it, which
+			// overflows uint8 and promotes the engine.
+			d, ok, err := m.Distance(0, path-1)
+			stop.Store(true)
+			wg.Wait()
+			close(errc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok || d != path-1 {
+				t.Fatalf("Distance(0,%d) = (%d,%v), want (%d,true)", path-1, d, ok, path-1)
+			}
+			for err := range errc {
+				t.Fatalf("rows=%d trial %d: %v", rows, trial, err)
+			}
+			if !m.wide {
+				t.Fatal("expected int32 promotion after the mutation")
+			}
+			m.Close()
+		}
+	}
 }
 
 // TestConcurrentMutationReaders: mutators flipping signs race readers

@@ -82,10 +82,10 @@ func newShardedMatrix(k Kind, g *sgraph.Graph, opts ShardedOptions) *ShardedMatr
 // build fills every shard, in ascending order, through fillShard —
 // the path stale-shard rebuilds and wide promotion take — spilling as
 // the residency bound fills. A uint8 fill returns errDistOverflow on
-// the first too-large distance; build then closes the narrow spill
-// file and refills wide. The fill's worker scratch goes with the
-// build: the engine keeps rebuild scratch only once a mutation has
-// made it rebuild a shard.
+// the first too-large distance; build then refills wide, and the
+// refill closes the narrow spill file. The fill's worker scratch goes
+// with the build: the engine keeps rebuild scratch only once a
+// mutation has made it rebuild a shard.
 func (m *ShardedMatrix) build() error {
 	m.shards = make([]shardState, m.numShards)
 	for s := range m.shards {
@@ -94,15 +94,16 @@ func (m *ShardedMatrix) build() error {
 	m.lru = container.NewIndexLRU(m.numShards)
 	g, epoch := m.dyn.Snapshot()
 	scratches, workers := newWorkerScratches(m.workers, m.n)
-	err := m.refill(g, epoch, false, workers, scratches)
+	err := m.refill(g, epoch, false, false, workers, scratches)
 	if errors.Is(err, errDistOverflow) {
+		// The narrow pass is thrown away, so its reloads and peaks
+		// are too: the stats describe the build that is kept.
 		m.mu.Lock()
-		if m.spill != nil {
-			m.spill.close()
-			m.spill = nil
-		}
+		m.spillLoads.Store(0)
+		m.peakResident = 0
+		m.symSnapshotPeak = 0
 		m.mu.Unlock()
-		err = m.refill(g, epoch, true, workers, scratches)
+		err = m.refill(g, epoch, true, false, workers, scratches)
 	}
 	if err != nil {
 		return err
@@ -121,12 +122,27 @@ func (m *ShardedMatrix) build() error {
 // refill marks every shard stale and refills them all from graph
 // snapshot g at the given distance packing, in ascending order so that
 // SBPH tiles see fresh sources: construction, its narrow→wide retry
-// and a post-mutation wide promotion. A shard's old slabs go when its
-// own fill claims its residency slot. The lock-free table is
-// republished once the loop ends, not per shard: until then a filled
-// shard's readers take the locked path.
-func (m *ShardedMatrix) refill(g *sgraph.Graph, epoch uint64, wide bool, workers int, scratches []*rowScratch) error {
+// and a post-mutation wide promotion. The old spill file's slots no
+// longer match the new slab shape, so it goes in the same critical
+// section that stales every shard — a reader can never find a fresh
+// shard spilled to a file that is gone. Construction closes it, as
+// nothing aliases it yet; a promotion retires it, kept mapped for the
+// views it exposed. Zero-copy views are off until build turns them
+// back on. A shard's old slabs go when its own fill claims its
+// residency slot. The lock-free table is republished once the loop
+// ends, not per shard: until then a filled shard's readers take the
+// locked path.
+func (m *ShardedMatrix) refill(g *sgraph.Graph, epoch uint64, wide, retireSpill bool, workers int, scratches []*rowScratch) error {
 	m.mu.Lock()
+	if m.spill != nil {
+		if retireSpill {
+			m.retired = append(m.retired, m.spill)
+		} else {
+			m.spill.close()
+		}
+		m.spill = nil
+	}
+	m.views = false
 	m.wide = wide
 	for s := range m.shards {
 		if sh := &m.shards[s]; !sh.stale {

@@ -165,20 +165,13 @@ func (m *ShardedMatrix) rebuildScratches() ([]*rowScratch, int) {
 }
 
 // promoteWide rebuilds every shard with int32 distance storage after a
-// mutation pushed a relation distance beyond uint8 packing. The old
-// spill file's slots no longer match the engine's slab shape, so it is
-// retired — kept mapped (exposed views alias it) but never written
-// again — and a fresh spill is created lazily on the next eviction.
-// Zero-copy views stay off afterwards: re-enabling them would need a
-// fully rewritten spill, and wide promotion is a once-per-graph event.
+// mutation pushed a relation distance beyond uint8 packing. The refill
+// retires the old spill file — kept mapped (exposed views alias it) but
+// never written again — and a fresh spill is created lazily on the
+// next eviction. Zero-copy views stay off afterwards: re-enabling them
+// would need a fully rewritten spill, and wide promotion is a
+// once-per-graph event.
 func (m *ShardedMatrix) promoteWide(g *sgraph.Graph, epoch uint64) error {
-	m.mu.Lock()
-	m.views = false
-	if m.spill != nil {
-		m.retired = append(m.retired, m.spill)
-		m.spill = nil
-	}
-	m.mu.Unlock()
 	scratches, workers := m.rebuildScratches()
-	return m.refill(g, epoch, true, workers, scratches)
+	return m.refill(g, epoch, true, true, workers, scratches)
 }

@@ -234,7 +234,9 @@ func (co *coalescer) run(k optsKey, w *window) {
 // plan compilation can fail with ErrInfeasible (or a plan-time
 // ErrNoTeam), so Plan — a plan-cache hit once the batch has compiled
 // the task — recovers that cause; a plan that compiled means the seed
-// loop found no team.
+// loop found no team. With the plan cache off (PlanCache 0) the lookup
+// compiles the task a second time on the window goroutine; only
+// nil-team answers pay it, and a serving deployment runs with a cache.
 func (co *coalescer) noTeamErr(task skills.Task, opts team.Options) error {
 	if _, err := co.s.solver.Plan(task, opts); errors.Is(err, team.ErrNoTeam) {
 		return err
