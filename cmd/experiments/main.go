@@ -38,7 +38,7 @@ func main() {
 		taskSize = flag.Int("tasksize", 5, "task size for table 3 and figures 2a/2b")
 		sample   = flag.Int("sample", 0, "table 2: sample this many source nodes (0 = exact)")
 		maxSeeds = flag.Int("maxseeds", 0, "cap Algorithm 2 seeds (0 = all)")
-		workers  = flag.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
+		workers  = flag.Int("workers", 0, "parallel workers for solves, scans and precompute (0 = GOMAXPROCS)")
 		markdown = flag.Bool("markdown", false, "emit Markdown tables")
 		reps     = flag.Int("reps", 1, "repetitions with consecutive seeds for -figure 2a / -table 3 (mean ± std)")
 	)
@@ -57,18 +57,15 @@ func main() {
 	}
 
 	cfg := experiments.Config{
-		Seed:              *seed,
-		Scale:             *scale,
-		Tasks:             *tasks,
-		TaskSize:          *taskSize,
-		SampleSources:     *sample,
-		MaxSeeds:          *maxSeeds,
-		Workers:           *workers,
-		Dataset:           *dataset, // team formation experiments; empty = epinions
-		Engine:            eng.Name,
-		ShardRows:         eng.ShardRows,
-		MaxResidentShards: eng.MaxResidentShards,
-		DisableMmap:       !eng.MmapSpill,
+		Seed:          *seed,
+		Scale:         *scale,
+		Tasks:         *tasks,
+		TaskSize:      *taskSize,
+		SampleSources: *sample,
+		MaxSeeds:      *maxSeeds,
+		Workers:       *workers,
+		Dataset:       *dataset, // team formation experiments; empty = epinions
+		Engine:        eng,
 	}
 	var names []string
 	if *dataset != "" {

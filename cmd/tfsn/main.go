@@ -46,21 +46,18 @@ import (
 	"repro/internal/cliflags"
 	"repro/internal/compat"
 	"repro/internal/datasets"
-	"repro/internal/sgraph"
 	"repro/internal/skills"
 	"repro/internal/team"
 )
 
 // config collects the parsed flags.
 type config struct {
-	dataset, edgesPath, skillsTSV string
-	seed                          int64
-	scale                         float64
-	relation, taskSpec            string
-	k                             int
-	skillPol, userPol, costKind   string
-	topk, maxSeeds                int
+	relation, taskSpec          string
+	k                           int
+	skillPol, userPol, costKind string
+	topk, maxSeeds              int
 
+	data      cliflags.Data
 	eng       cliflags.Engine
 	srv       cliflags.Serve // only the deadline is registered here
 	cons      cliflags.ConstraintSpec
@@ -99,6 +96,9 @@ func validateFlags(cfg config, set map[string]bool) error {
 			return errors.New("-diverse-lambda only applies to single-task mode, not -batch")
 		}
 	}
+	if cfg.topk <= 0 {
+		return fmt.Errorf("-topk must be positive, got %d", cfg.topk)
+	}
 	// Constraint grammar and static contradictions (a user both
 	// included and excluded, a cap below the include count) are usage
 	// errors; range checks against the dataset happen at solve time.
@@ -117,11 +117,8 @@ func validateFlags(cfg config, set map[string]bool) error {
 
 func main() {
 	var cfg config
-	flag.StringVar(&cfg.dataset, "dataset", "", "built-in dataset: slashdot, epinions or wikipedia")
-	flag.StringVar(&cfg.edgesPath, "edges", "", "signed edge list file (with -skills, instead of -dataset)")
-	flag.StringVar(&cfg.skillsTSV, "skills", "", "skill assignment TSV file")
-	flag.Int64Var(&cfg.seed, "seed", 1, "dataset / task sampling seed")
-	flag.Float64Var(&cfg.scale, "scale", 0, "built-in dataset scale (0 = default)")
+	cfg.data.Register(flag.CommandLine)
+	flag.Lookup("seed").Usage = "dataset seed; also draws the -k tasks and the random user policy"
 	flag.StringVar(&cfg.relation, "relation", "SPO", "compatibility relation: DPE, SPA, SPM, SPO, SBPH, SBP, NNE")
 	flag.StringVar(&cfg.taskSpec, "task", "", "comma-separated skill names for the task")
 	flag.IntVar(&cfg.k, "k", 0, "instead of -task: sample a random task of k skills")
@@ -153,7 +150,7 @@ func main() {
 }
 
 func run(cfg config) error {
-	d, err := loadData(cfg)
+	d, err := cfg.data.Load()
 	if err != nil {
 		return err
 	}
@@ -180,7 +177,7 @@ func run(cfg config) error {
 			return err
 		}
 	}
-	opts, err := parsePolicies(cfg.skillPol, cfg.userPol, cfg.seed)
+	opts, err := parsePolicies(cfg.skillPol, cfg.userPol, cfg.data.Seed)
 	if err != nil {
 		return err
 	}
@@ -193,9 +190,6 @@ func run(cfg config) error {
 	// parse only reconstructs the values.
 	if opts.Constraints, err = cfg.cons.Parse(); err != nil {
 		return err
-	}
-	if cfg.topk <= 0 {
-		return fmt.Errorf("-topk must be positive, got %d", cfg.topk)
 	}
 	ctx := context.Background()
 	if cfg.srv.Deadline > 0 {
@@ -215,7 +209,7 @@ func run(cfg config) error {
 		return runBatch(ctx, cfg, d, rel, solver, kind, engine, opts)
 	}
 
-	task, err := resolveTask(d.Assign, cfg.taskSpec, cfg.k, cfg.seed)
+	task, err := resolveTask(d.Assign, cfg.taskSpec, cfg.k, cfg.data.Seed)
 	if err != nil {
 		return err
 	}
@@ -304,7 +298,7 @@ func applyMutations(rel compat.Relation, spec string) error {
 // runBatch samples cfg.batch random tasks and solves them through the
 // reusable solver, reporting aggregate quality and throughput.
 func runBatch(ctx context.Context, cfg config, d *datasets.Dataset, rel compat.Relation, solver *team.Solver, kind compat.Kind, engine string, opts team.Options) error {
-	rng := rand.New(rand.NewSource(cfg.seed))
+	rng := rand.New(rand.NewSource(cfg.data.Seed))
 	tasks := make([]skills.Task, cfg.batch)
 	for i := range tasks {
 		t, err := skills.RandomTask(rng, d.Assign, cfg.k)
@@ -350,48 +344,9 @@ func runBatch(ctx context.Context, cfg config, d *datasets.Dataset, rel compat.R
 	return nil
 }
 
-func loadData(cfg config) (*datasets.Dataset, error) {
-	switch {
-	case cfg.dataset != "" && cfg.edgesPath != "":
-		return nil, errors.New("pass either -dataset or -edges/-skills, not both")
-	case cfg.dataset != "":
-		return datasets.Load(cfg.dataset, cfg.seed, cfg.scale)
-	case cfg.edgesPath != "" && cfg.skillsTSV != "":
-		ef, err := os.Open(cfg.edgesPath)
-		if err != nil {
-			return nil, err
-		}
-		defer ef.Close()
-		g, _, err := sgraph.ReadEdgeList(ef)
-		if err != nil {
-			return nil, err
-		}
-		sf, err := os.Open(cfg.skillsTSV)
-		if err != nil {
-			return nil, err
-		}
-		defer sf.Close()
-		assign, err := skills.ReadTSV(sf, g.NumNodes())
-		if err != nil {
-			return nil, err
-		}
-		return &datasets.Dataset{Name: cfg.edgesPath, Graph: g, Assign: assign}, nil
-	default:
-		return nil, errors.New("pass -dataset, or -edges together with -skills")
-	}
-}
-
 func resolveTask(assign *skills.Assignment, taskSpec string, k int, seed int64) (skills.Task, error) {
 	if taskSpec != "" {
-		var ids []skills.SkillID
-		for _, name := range strings.Split(taskSpec, ",") {
-			s, ok := assign.Universe().Lookup(strings.TrimSpace(name))
-			if !ok {
-				return nil, fmt.Errorf("unknown skill %q", name)
-			}
-			ids = append(ids, s)
-		}
-		return skills.NewTask(ids...), nil
+		return cliflags.ParseTask(assign.Universe(), taskSpec)
 	}
 	if k > 0 {
 		return skills.RandomTask(rand.New(rand.NewSource(seed)), assign, k)

@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -19,13 +20,30 @@ import (
 func TestValidateFlagsDiverseLambda(t *testing.T) {
 	set := map[string]bool{"diverse-lambda": true}
 	for _, l := range []float64{0, 0.5, 3} {
-		if err := validateFlags(config{diverseL: l}, set); err != nil {
+		if err := validateFlags(config{topk: 1, diverseL: l}, set); err != nil {
 			t.Errorf("lambda %v rejected: %v", l, err)
 		}
 	}
 	for _, l := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
-		if err := validateFlags(config{diverseL: l}, set); err == nil {
+		if err := validateFlags(config{topk: 1, diverseL: l}, set); err == nil {
 			t.Errorf("lambda %v accepted", l)
+		}
+	}
+}
+
+// TestValidateFlagsTopK: a -topk below 1 is a usage error, refused
+// with exit 2 before the dataset loads or the engine builds.
+func TestValidateFlagsTopK(t *testing.T) {
+	set := map[string]bool{"topk": true}
+	for _, k := range []int{0, -3} {
+		err := validateFlags(config{topk: k}, set)
+		if err == nil || err.Error() != fmt.Sprintf("-topk must be positive, got %d", k) {
+			t.Errorf("-topk %d: %v, want refused", k, err)
+		}
+	}
+	for _, k := range []int{1, 5} {
+		if err := validateFlags(config{topk: k}, set); err != nil {
+			t.Errorf("-topk %d rejected: %v", k, err)
 		}
 	}
 }

@@ -25,7 +25,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -36,26 +35,21 @@ import (
 
 	"repro/internal/cliflags"
 	"repro/internal/compat"
-	"repro/internal/datasets"
 	"repro/internal/serve"
-	"repro/internal/sgraph"
-	"repro/internal/skills"
 )
 
 // config collects the parsed flags.
 type config struct {
-	dataset, edgesPath, skillsTSV string
-	seed                          int64
-	scale                         float64
-	relation                      string
-	addr                          string
-	parallel                      int
-	planCache                     int
-	relationStats                 bool
-	mutations                     bool
+	relation      string
+	addr          string
+	parallel      int
+	planCache     int
+	relationStats bool
+	mutations     bool
 
-	eng cliflags.Engine
-	srv cliflags.Serve
+	data cliflags.Data
+	eng  cliflags.Engine
+	srv  cliflags.Serve
 }
 
 func validateFlags(cfg config, set map[string]bool) error {
@@ -73,11 +67,7 @@ func validateFlags(cfg config, set map[string]bool) error {
 
 func main() {
 	var cfg config
-	flag.StringVar(&cfg.dataset, "dataset", "", "built-in dataset: slashdot, epinions or wikipedia")
-	flag.StringVar(&cfg.edgesPath, "edges", "", "signed edge list file (with -skills, instead of -dataset)")
-	flag.StringVar(&cfg.skillsTSV, "skills", "", "skill assignment TSV file")
-	flag.Int64Var(&cfg.seed, "seed", 1, "dataset seed")
-	flag.Float64Var(&cfg.scale, "scale", 0, "built-in dataset scale (0 = default)")
+	cfg.data.Register(flag.CommandLine)
 	flag.StringVar(&cfg.relation, "relation", "SPO", "compatibility relation: DPE, SPA, SPM, SPO, SBPH, SBP, NNE")
 	flag.StringVar(&cfg.addr, "addr", "127.0.0.1:8080", "listen address (port 0 picks a free port)")
 	flag.IntVar(&cfg.parallel, "parallel", 0, "solver workers for coalesced batches, also used by the -relation-stats scan (0 = GOMAXPROCS); a /formtopk solve runs on one goroutine")
@@ -101,7 +91,7 @@ func main() {
 }
 
 func run(cfg config) error {
-	d, err := loadData(cfg)
+	d, err := cfg.data.Load()
 	if err != nil {
 		return err
 	}
@@ -190,36 +180,4 @@ func run(cfg config) error {
 	}
 	fmt.Println("drained cleanly")
 	return nil
-}
-
-// loadData resolves the dataset flags (the same contract as tfsn).
-func loadData(cfg config) (*datasets.Dataset, error) {
-	switch {
-	case cfg.dataset != "" && cfg.edgesPath != "":
-		return nil, errors.New("pass either -dataset or -edges/-skills, not both")
-	case cfg.dataset != "":
-		return datasets.Load(cfg.dataset, cfg.seed, cfg.scale)
-	case cfg.edgesPath != "" && cfg.skillsTSV != "":
-		ef, err := os.Open(cfg.edgesPath)
-		if err != nil {
-			return nil, err
-		}
-		defer ef.Close()
-		g, _, err := sgraph.ReadEdgeList(ef)
-		if err != nil {
-			return nil, err
-		}
-		sf, err := os.Open(cfg.skillsTSV)
-		if err != nil {
-			return nil, err
-		}
-		defer sf.Close()
-		assign, err := skills.ReadTSV(sf, g.NumNodes())
-		if err != nil {
-			return nil, err
-		}
-		return &datasets.Dataset{Name: cfg.edgesPath, Graph: g, Assign: assign}, nil
-	default:
-		return nil, errors.New("pass -dataset, or -edges together with -skills")
-	}
 }

@@ -1,9 +1,9 @@
 // The relation-engine flag group. Engine bundles the -engine knob and
 // its sharded-only satellites into one registerable, validatable,
 // buildable unit, so cmd/tfsn, cmd/tfsnd and cmd/experiments select
-// relation backends through identical flags and identical rejection
-// rules, and the serving binaries through an identical construction
-// path (including the exact-SBP-stays-lazy override).
+// relation backends through identical flags, identical rejection rules
+// and an identical construction path (including the
+// exact-SBP-stays-lazy override).
 
 package cliflags
 
@@ -15,10 +15,10 @@ import (
 	"repro/internal/sgraph"
 )
 
-// Engine is the relation-engine flag group shared by the serving
-// binaries: which backend to build and the sharded engine's knobs.
-// Register it on a FlagSet, Validate it after parsing, then Build the
-// relation.
+// Engine is the relation-engine flag group shared by the binaries and
+// the experiment harness: which backend to build and the sharded
+// engine's knobs. Register it on a FlagSet, Validate it after parsing,
+// then Build the relation.
 type Engine struct {
 	// Name is the backend: "lazy" (cached rows, on demand), "matrix"
 	// (packed all-pairs precompute, one resident shard) or "sharded"

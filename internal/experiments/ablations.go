@@ -54,7 +54,7 @@ func BeamAblation(cfg Config, widths []int) ([]BeamRow, error) {
 
 	// Exact reference rows, computed once per sampled source through
 	// the relation's cache (CacheCap covers every source).
-	exactRel, err := newRelation(cfg, compat.SBP, g)
+	exactRel, _, err := newRelation(cfg, compat.SBP, g)
 	if err != nil {
 		return nil, err
 	}

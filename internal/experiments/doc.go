@@ -18,13 +18,15 @@
 //
 // # Relation engines
 //
-// Config.Engine selects the compat backend every experiment builds
-// its relations with: "lazy" (default), "matrix" (full packed
-// precompute) or "sharded" (packed row shards with bounded residency
-// and disk spill, tuned by Config.ShardRows and
-// Config.MaxResidentShards). Exact SBP always stays on the lazy
+// Config.Engine is the binaries' engine flag group
+// (cliflags.Engine), and every experiment builds its relations through
+// its Build, the one engine switch: "lazy" (default), "matrix" (full
+// packed precompute) or "sharded" (packed row shards with bounded
+// residency and disk spill, tuned by the group's ShardRows,
+// MaxResidentShards and MmapSpill). Exact SBP always stays on the lazy
 // engine, because its budgeted exponential enumeration would abort an
-// all-pairs build that source sampling completes.
+// all-pairs build that source sampling completes. A packed build
+// follows GOMAXPROCS, not Config.Workers.
 //
 // Engine choice is measurement-relevant for one cell family: SBPH
 // statistics from ComputeStats agree across engines exactly on full

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"repro/internal/cliflags"
 	"repro/internal/compat"
 	"repro/internal/datasets"
 	"repro/internal/sgraph"
@@ -35,7 +36,10 @@ type Config struct {
 	SampleSources int
 	// MaxSeeds caps Algorithm 2's outer loop (0 = all holders).
 	MaxSeeds int
-	// Workers bounds parallelism (0 = GOMAXPROCS).
+	// Workers bounds the parallel solves, relation scans and lazy-row
+	// precompute (0 = GOMAXPROCS). A packed engine's build is not
+	// bounded by it: like every binary's, it follows GOMAXPROCS, and
+	// its rows are the same at any worker count.
 	Workers int
 	// SBPMaxLen caps the exact SBP path length. The enumeration is
 	// exponential in this cap: on the mostly-balanced stand-ins the
@@ -52,27 +56,17 @@ type Config struct {
 	// as in the paper; the paper notes results are similar on the
 	// other networks, which this knob lets the harness verify.
 	Dataset string
-	// Engine selects the relation backend: "lazy" (the default —
+	// Engine selects the relation backend through the shared flag
+	// group, built by cliflags.Engine.Build: "lazy" (the zero value —
 	// bounded row cache, rows computed on demand), "matrix" (packed
 	// all-pairs precompute in one resident shard; every row is
 	// materialised up front, so combine with moderate scales, and note
 	// that SampleSources no longer saves row computations) or
-	// "sharded" (the packed rows
-	// partitioned into row shards with bounded residency and cold
-	// shards spilled to disk — all-pairs speed without the Θ(n²)
-	// resident footprint). Exact SBP always stays on the lazy engine:
-	// its per-source enumeration is budgeted and exponential, so an
-	// all-pairs build would abort where sampling succeeds.
-	Engine string
-	// ShardRows is the sharded engine's rows-per-shard
-	// (0 = compat.DefaultShardRows); ignored by the other engines.
-	ShardRows int
-	// MaxResidentShards bounds how many shards the sharded engine
-	// keeps in memory (0 = all, never spill); ignored otherwise.
-	MaxResidentShards int
-	// DisableMmap forces the sharded engine's portable ReadAt spill
-	// path instead of the memory-mapped spill file; ignored otherwise.
-	DisableMmap bool
+	// "sharded" (packed row shards with bounded residency and cold
+	// shards spilled to disk; a literal group reads the spill back
+	// through ReadAt unless MmapSpill is set, as the flag's default
+	// does). Exact SBP always stays on the lazy engine.
+	Engine cliflags.Engine
 }
 
 // WithDefaults fills the zero fields with the paper's parameters.
@@ -95,9 +89,6 @@ func (c Config) WithDefaults() Config {
 	if c.Dataset == "" {
 		c.Dataset = "epinions"
 	}
-	if c.Engine == "" {
-		c.Engine = "lazy"
-	}
 	return c
 }
 
@@ -114,9 +105,12 @@ func loadDataset(cfg Config, name string) (*datasets.Dataset, error) {
 	return datasets.Load(name, cfg.Seed, cfg.Scale)
 }
 
-// newRelation builds a relation sized for all-pairs workloads: the
-// row cache covers the whole node set.
-func newRelation(cfg Config, k compat.Kind, g *sgraph.Graph) (compat.Relation, error) {
+// newRelation builds a relation sized for all-pairs workloads — the
+// row cache covers the whole node set — on the configured engine, and
+// names the engine that built it ("lazy" for exact SBP under every
+// engine), so result rows are attributed to the backend that really
+// computed them.
+func newRelation(cfg Config, k compat.Kind, g *sgraph.Graph) (compat.Relation, string, error) {
 	opts := compat.Options{CacheCap: g.NumNodes() + 1}
 	if k == compat.SBP {
 		switch {
@@ -136,50 +130,7 @@ func newRelation(cfg Config, k compat.Kind, g *sgraph.Graph) (compat.Relation, e
 		}
 		opts.Exact.MaxExpanded = cfg.SBPBudget
 	}
-	switch cfg.Engine {
-	case "", "lazy":
-		return compat.New(k, g, opts)
-	case "matrix", "sharded":
-		if k == compat.SBP {
-			// Exact SBP is budgeted and exponential per source; an
-			// all-pairs packed build would run it from every node and
-			// abort on the first budget error, where the sampled lazy
-			// path (Table 2 -sample, the beam ablation) succeeds. Keep
-			// SBP on the lazy engine regardless of the flag.
-			return compat.New(k, g, opts)
-		}
-		// The matrix engine is the packed engine as one resident shard.
-		sopts := compat.ShardedOptions{Options: opts, Workers: cfg.Workers, ShardRows: g.NumNodes()}
-		if cfg.Engine == "sharded" {
-			sopts.ShardRows = cfg.ShardRows
-			sopts.MaxResidentShards = cfg.MaxResidentShards
-			sopts.DisableMmap = cfg.DisableMmap
-		}
-		m, err := compat.NewSharded(k, g, sopts)
-		if err != nil {
-			// A true nil interface, not a typed-nil *ShardedMatrix.
-			return nil, err
-		}
-		return m, nil
-	default:
-		return nil, fmt.Errorf("experiments: unknown engine %q (want lazy, matrix or sharded)", cfg.Engine)
-	}
-}
-
-// engineFor names the engine newRelation actually selects for kind k
-// under cfg — "lazy" for exact SBP even when a packed engine is
-// configured (see the carve-out in newRelation) — so result rows are
-// attributed to the backend that really computed them.
-func engineFor(cfg Config, k compat.Kind) string {
-	switch cfg.Engine {
-	case "matrix", "sharded":
-		if k == compat.SBP {
-			return "lazy"
-		}
-		return cfg.Engine
-	default:
-		return "lazy"
-	}
+	return cfg.Engine.Build(k, g, opts)
 }
 
 // closeRelation releases relation-held resources once a harness step

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cliflags"
 	"repro/internal/compat"
 	"repro/internal/team"
 )
@@ -135,16 +136,16 @@ func TestTable2SkipsSBPOffSlashdot(t *testing.T) {
 // packed engines must agree on everything including SBPH (both
 // measure the symmetrised relation; the lazy engine's directed SBPH
 // heuristic is the documented exception). The sharded run uses shards
-// small enough that most of them live in the spill file.
+// small enough that most of them live in the spill file, read back
+// through the mmap path.
 func TestTable2EnginesAgree(t *testing.T) {
 	base := tinyConfig()
 	base.SampleSources = 25
 	run := func(engine string) (map[compat.Kind]Table2Row, []Table2Row) {
 		cfg := base
-		cfg.Engine = engine
+		cfg.Engine = cliflags.Engine{Name: engine}
 		if engine == "sharded" {
-			cfg.ShardRows = 16
-			cfg.MaxResidentShards = 2
+			cfg.Engine = cliflags.Engine{Name: engine, ShardRows: 16, MaxResidentShards: 2, MmapSpill: true}
 		}
 		rows, err := Table2(cfg, []string{"slashdot"})
 		if err != nil {
@@ -154,7 +155,10 @@ func TestTable2EnginesAgree(t *testing.T) {
 		for _, r := range rows {
 			// SBP rows are always attributed to the lazy engine: the
 			// packed engines never build exact SBP.
-			want := engineFor(cfg, r.Relation)
+			want := engine
+			if r.Relation == compat.SBP {
+				want = "lazy"
+			}
 			if r.Engine != want {
 				t.Fatalf("row %v attributes engine %q, want %q", r.Relation, r.Engine, want)
 			}
@@ -184,7 +188,7 @@ func TestTable2EnginesAgree(t *testing.T) {
 
 func TestUnknownEngineRejected(t *testing.T) {
 	cfg := tinyConfig()
-	cfg.Engine = "gpu"
+	cfg.Engine = cliflags.Engine{Name: "gpu"}
 	if _, err := Table2(cfg, []string{"slashdot"}); err == nil {
 		t.Fatal("unknown engine accepted")
 	}

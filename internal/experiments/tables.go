@@ -60,8 +60,8 @@ type Table2Row struct {
 	// compat.Stats), so there the engine no longer changes the
 	// numbers; sampled SBPH cells can still differ in the second
 	// decimal between lazy and packed engines. Exact SBP rows always
-	// read "lazy" — newRelation keeps SBP on the lazy engine even
-	// under a packed Config.Engine.
+	// read "lazy" — cliflags.Engine.Build keeps SBP on the lazy engine
+	// even under a packed Config.Engine.
 	Engine     string
 	CompUsers  float64 // fraction of compatible user pairs
 	CompSkills float64 // fraction of compatible skill pairs
@@ -96,7 +96,7 @@ func Table2(cfg Config, names []string) ([]Table2Row, error) {
 				rows = append(rows, Table2Row{Dataset: name, Relation: k, Skipped: true})
 				continue
 			}
-			rel, err := newRelation(cfg, k, d.Graph)
+			rel, engine, err := newRelation(cfg, k, d.Graph)
 			if err != nil {
 				return nil, err
 			}
@@ -112,7 +112,7 @@ func Table2(cfg Config, names []string) ([]Table2Row, error) {
 			rows = append(rows, Table2Row{
 				Dataset:    name,
 				Relation:   k,
-				Engine:     engineFor(cfg, k),
+				Engine:     engine,
 				CompUsers:  stats.UserFraction(),
 				CompSkills: stats.Skills.Fraction(d.Assign),
 				AvgDist:    stats.AvgDistance(),
@@ -169,7 +169,7 @@ func Table3(cfg Config) ([]Table3Row, error) {
 			teams = append(teams, tm.Members)
 		}
 		for _, k := range TeamRelations() {
-			rel, err := newRelation(cfg, k, d.Graph)
+			rel, _, err := newRelation(cfg, k, d.Graph)
 			if err != nil {
 				return nil, err
 			}

@@ -11,8 +11,8 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"net/url"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -239,93 +239,68 @@ func (s *Server) admit(w http.ResponseWriter) (release func(), ok bool) {
 	}, true
 }
 
-// parseTask resolves the comma-separated skill names of the task
-// query parameter.
-func (s *Server) parseTask(r *http.Request) (skills.Task, error) {
-	spec := r.URL.Query().Get("task")
-	if spec == "" {
-		return nil, errors.New("missing task parameter (comma-separated skill names)")
-	}
-	var ids []skills.SkillID
-	for _, name := range strings.Split(spec, ",") {
-		id, ok := s.assign.Universe().Lookup(strings.TrimSpace(name))
-		if !ok {
-			return nil, fmt.Errorf("unknown skill %q", name)
-		}
-		ids = append(ids, id)
-	}
-	return skills.NewTask(ids...), nil
-}
-
-// parseOpts resolves the policy parameters, sharing the spelling
-// tables with the command lines (internal/cliflags). RandomUser is
-// rejected: it is uncacheable, consumes a shared Rng, and has no place
-// in a deterministic serving path.
-func parseOpts(r *http.Request) (team.Options, error) {
-	q := r.URL.Query()
+// parseSolve resolves the query parameters both solve endpoints share,
+// checked in this order: the task (comma-separated skill names), the
+// policies, maxseeds, then the constraints. Names and grammars are the
+// command lines' (internal/cliflags). RandomUser is rejected: it is
+// uncacheable, consumes a shared Rng, and has no place in a
+// deterministic serving path. Malformed constraints — unparseable ids,
+// a negative cap, users outside the dataset — are errors (400);
+// well-formed but contradictory ones pass through so the solver
+// answers them as cached ErrInfeasible plans.
+func (s *Server) parseSolve(q url.Values) (skills.Task, team.Options, error) {
 	var opts team.Options
-	var err error
+	spec := q.Get("task")
+	if spec == "" {
+		return nil, opts, errors.New("missing task parameter (comma-separated skill names)")
+	}
+	task, err := cliflags.ParseTask(s.assign.Universe(), spec)
+	if err != nil {
+		return nil, opts, err
+	}
 	if opts.Skill, err = cliflags.ParseSkillPolicy(q.Get("skill")); err != nil {
-		return opts, err
+		return nil, opts, err
 	}
 	if opts.User, err = cliflags.ParseUserPolicy(q.Get("user")); err != nil {
-		return opts, err
+		return nil, opts, err
 	}
 	if opts.User == team.RandomUser {
-		return opts, errors.New("the random user policy is not servable (non-deterministic, uncacheable); use mindistance or mostcompatible")
+		return nil, opts, errors.New("the random user policy is not servable (non-deterministic, uncacheable); use mindistance or mostcompatible")
 	}
 	if opts.Cost, err = cliflags.ParseCost(q.Get("cost")); err != nil {
-		return opts, err
+		return nil, opts, err
 	}
 	if v := q.Get("maxseeds"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 0 {
-			return opts, fmt.Errorf("bad maxseeds %q", v)
+			return nil, opts, fmt.Errorf("bad maxseeds %q", v)
 		}
 		opts.MaxSeeds = n
 	}
-	return opts, nil
-}
-
-// parseConstraints resolves the include/exclude/maxteam query
-// parameters into opts.Constraints, sharing the list grammar with the
-// command lines (cliflags.ParseUserList). Malformed constraints —
-// unparseable ids, a negative cap, users outside the dataset — return
-// an error (400); well-formed but contradictory constraints pass
-// through so the solver answers them as cached ErrInfeasible plans.
-func (s *Server) parseConstraints(r *http.Request, opts *team.Options) error {
-	q := r.URL.Query()
-	spec := cliflags.ConstraintSpec{Include: q.Get("include"), Exclude: q.Get("exclude")}
+	cs := cliflags.ConstraintSpec{Include: q.Get("include"), Exclude: q.Get("exclude")}
 	if v := q.Get("maxteam"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			return fmt.Errorf("bad maxteam %q", v)
+		if cs.MaxTeam, err = strconv.Atoi(v); err != nil {
+			return nil, opts, fmt.Errorf("bad maxteam %q", v)
 		}
-		spec.MaxTeam = n
 	}
-	if spec.IsZero() {
-		return nil
+	if cs.IsZero() {
+		return task, opts, nil
 	}
-	cons, err := spec.Parse()
-	if err != nil {
-		return err
+	if opts.Constraints, err = cs.Parse(); err != nil {
+		return nil, opts, err
 	}
-	limit := s.rel.Graph().NumNodes()
-	if nu := s.assign.NumUsers(); nu < limit {
-		limit = nu
+	limit := min(s.rel.Graph().NumNodes(), s.assign.NumUsers())
+	if err := opts.Constraints.Validate(limit); err != nil && !errors.Is(err, team.ErrInfeasible) {
+		return nil, opts, err
 	}
-	if err := cons.Validate(limit); err != nil && !errors.Is(err, team.ErrInfeasible) {
-		return err
-	}
-	opts.Constraints = cons
-	return nil
+	return task, opts, nil
 }
 
 // requestCtx applies the effective deadline: the server default,
 // lowered (never raised) by the request's deadline_ms.
-func (s *Server) requestCtx(r *http.Request) (context.Context, context.CancelFunc, error) {
+func (s *Server) requestCtx(r *http.Request, q url.Values) (context.Context, context.CancelFunc, error) {
 	d := s.opts.Deadline
-	if v := r.URL.Query().Get("deadline_ms"); v != "" {
+	if v := q.Get("deadline_ms"); v != "" {
 		ms, err := strconv.Atoi(v)
 		if err != nil || ms <= 0 {
 			return nil, nil, fmt.Errorf("bad deadline_ms %q", v)
@@ -385,21 +360,13 @@ func (s *Server) handleForm(w http.ResponseWriter, r *http.Request) {
 	defer release()
 	start := time.Now()
 	defer func() { s.latency.observe(time.Since(start)) }()
-	task, err := s.parseTask(r)
+	q := r.URL.Query()
+	task, opts, err := s.parseSolve(q)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorResult{Error: err.Error()})
 		return
 	}
-	opts, err := parseOpts(r)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResult{Error: err.Error()})
-		return
-	}
-	if err := s.parseConstraints(r, &opts); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResult{Error: err.Error()})
-		return
-	}
-	ctx, cancel, err := s.requestCtx(r)
+	ctx, cancel, err := s.requestCtx(r, q)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorResult{Error: err.Error()})
 		return
@@ -437,35 +404,27 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	defer release()
 	start := time.Now()
 	defer func() { s.latency.observe(time.Since(start)) }()
-	task, err := s.parseTask(r)
+	q := r.URL.Query()
+	task, opts, err := s.parseSolve(q)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResult{Error: err.Error()})
-		return
-	}
-	opts, err := parseOpts(r)
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResult{Error: err.Error()})
-		return
-	}
-	if err := s.parseConstraints(r, &opts); err != nil {
 		writeJSON(w, http.StatusBadRequest, errorResult{Error: err.Error()})
 		return
 	}
 	k := 1
-	if v := r.URL.Query().Get("k"); v != "" {
+	if v := q.Get("k"); v != "" {
 		if k, err = strconv.Atoi(v); err != nil || k <= 0 {
 			writeJSON(w, http.StatusBadRequest, errorResult{Error: fmt.Sprintf("bad k %q", v)})
 			return
 		}
 	}
 	lambda := 0.0
-	if v := r.URL.Query().Get("lambda"); v != "" {
+	if v := q.Get("lambda"); v != "" {
 		if lambda, err = strconv.ParseFloat(v, 64); err != nil || math.IsNaN(lambda) || math.IsInf(lambda, 0) || lambda < 0 {
 			writeJSON(w, http.StatusBadRequest, errorResult{Error: fmt.Sprintf("bad lambda %q (want a finite number >= 0)", v)})
 			return
 		}
 	}
-	ctx, cancel, err := s.requestCtx(r)
+	ctx, cancel, err := s.requestCtx(r, q)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorResult{Error: err.Error()})
 		return
