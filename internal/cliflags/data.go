@@ -52,7 +52,7 @@ func (d *Data) Load() (*datasets.Dataset, error) {
 			return nil, err
 		}
 		defer ef.Close()
-		g, _, err := sgraph.ReadEdgeList(ef)
+		g, ids, err := sgraph.ReadEdgeList(ef)
 		if err != nil {
 			return nil, err
 		}
@@ -61,7 +61,7 @@ func (d *Data) Load() (*datasets.Dataset, error) {
 			return nil, err
 		}
 		defer sf.Close()
-		assign, err := skills.ReadTSV(sf, g.NumNodes())
+		assign, err := skills.ReadTSV(sf, ids)
 		if err != nil {
 			return nil, err
 		}

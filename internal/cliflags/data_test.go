@@ -1,6 +1,8 @@
 package cliflags
 
 import (
+	"fmt"
+	"os"
 	"path/filepath"
 	"slices"
 	"testing"
@@ -40,8 +42,9 @@ func TestDataLoadSources(t *testing.T) {
 }
 
 // TestDataLoadFiles: a stand-in saved as an edge list and skill TSV
-// loads back through -edges/-skills with the same graph counts and the
-// same skills per user.
+// loads back through -edges/-skills with the same graph, edge for edge
+// (same ids, same sign), and the same skills per user; a skill row for
+// an id that has no edge is refused by id.
 func TestDataLoadFiles(t *testing.T) {
 	want, err := (&Data{Name: "slashdot", Seed: 3}).Load()
 	if err != nil {
@@ -65,6 +68,11 @@ func TestDataLoadFiles(t *testing.T) {
 			got.Graph.NumNodes(), got.Graph.NumEdges(), got.Graph.NumNegativeEdges(),
 			want.Graph.NumNodes(), want.Graph.NumEdges(), want.Graph.NumNegativeEdges())
 	}
+	for _, e := range want.Graph.Edges() {
+		if s, ok := got.Graph.EdgeSign(e.U, e.V); !ok || s != e.Sign {
+			t.Fatalf("saved edge (%d,%d) sign %v loads as sign %v, present %v", e.U, e.V, e.Sign, s, ok)
+		}
+	}
 	if got.Assign.NumUsers() != want.Assign.NumUsers() {
 		t.Fatalf("loaded %d users, saved %d", got.Assign.NumUsers(), want.Assign.NumUsers())
 	}
@@ -75,6 +83,15 @@ func TestDataLoadFiles(t *testing.T) {
 	}
 	if _, err := (&Data{Edges: d.Edges, Skills: filepath.Join(dir, "absent.skills")}).Load(); err == nil {
 		t.Fatal("missing skill file accepted")
+	}
+	stray := filepath.Join(dir, "stray.skills")
+	n := want.Graph.NumNodes()
+	if err := os.WriteFile(stray, []byte(fmt.Sprintf("# universe: go\n%d\tgo\n", n)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = (&Data{Edges: d.Edges, Skills: stray}).Load()
+	if wantErr := fmt.Sprintf("skills: line 2: user %d has no edge in the graph", n); err == nil || err.Error() != wantErr {
+		t.Fatalf("skill row for id %d: err %v, want %q", n, err, wantErr)
 	}
 }
 

@@ -115,38 +115,14 @@ func New(k Kind, g *sgraph.Graph, opts Options) (Relation, error) {
 	if cap <= 0 {
 		cap = DefaultCacheCap
 	}
-	dyn := sgraph.NewDynamic(g)
-	switch k {
-	case DPE, NNE:
-		r := &edgeRelation{}
-		r.dyn, r.kind = dyn, k
-		r.cache = newRowCache(cap, r.computeRow)
-		r.cache.computeScratch = r.computeRowFresh
-		return r, nil
-	case SPA, SPM, SPO:
-		r := &spRelation{}
-		r.dyn, r.kind = dyn, k
-		r.cache = newRowCache(cap, r.computeRow)
-		r.cache.computeScratch = r.computeRowFresh
-		return r, nil
-	case SBPH:
-		beam := opts.BeamWidth
-		if beam <= 0 {
-			beam = balance.DefaultBeamWidth
-		}
-		r := &sbphRelation{beam: beam}
-		r.dyn, r.kind = dyn, k
-		r.canonical = true // see baseRelation: SBPH is not row-symmetric
-		r.cache = newRowCache(cap, r.computeRow)
-		return r, nil
-	case SBP:
-		r := &sbpRelation{opts: opts.Exact}
-		r.dyn, r.kind = dyn, k
-		r.cache = newRowCache(cap, r.computeRow)
-		return r, nil
-	default:
-		return nil, fmt.Errorf("compat: unhandled relation kind %v", k)
+	beam := opts.BeamWidth
+	if beam <= 0 {
+		beam = balance.DefaultBeamWidth
 	}
+	r := &lazyRelation{dyn: sgraph.NewDynamic(g), kind: k, beam: beam, exact: opts.Exact,
+		rows: make(map[sgraph.NodeID]*lazyRow, cap), cap: cap}
+	r.scratch.New = func() any { return newRowScratch(r.dyn.Graph().NumNodes()) }
+	return r, nil
 }
 
 // MustNew is New that panics on error, for tests and examples with
@@ -160,23 +136,17 @@ func MustNew(k Kind, g *sgraph.Graph, opts Options) Relation {
 }
 
 // PackedRelation is the row-level view of the packed engine
-// (ShardedMatrix) on top of Relation: word-packed compatibility rows
-// and whole distance rows, both error-free. The team solver binds to
-// *ShardedMatrix itself; this interface serves callers that only need
-// the row accessors.
+// (ShardedMatrix): word-packed compatibility rows and whole distance
+// rows, both error-free. The team solver binds to *ShardedMatrix
+// itself; this interface serves callers that only need the row
+// accessors.
 //
 // DistanceRow resolves one source's whole distance row (one shard
 // touch per row, not per pair), so loops that price one node against
 // many resolve the row once and index it through DistRow.At instead of
-// paying a Distance lookup per pair. DistanceRowInto widens the row
-// into a caller-reused []int32 with -1 for undefined pairs,
-// for consumers that want a uniform representation independent of the
-// engine's packing.
+// paying a Distance lookup per pair.
 type PackedRelation interface {
-	Relation
 	NumNodes() int
-	WordsPerRow() int
 	RowWords(u sgraph.NodeID) []uint64
 	DistanceRow(u sgraph.NodeID) DistRow
-	DistanceRowInto(u sgraph.NodeID, dst []int32) []int32
 }

@@ -45,29 +45,6 @@ func (r DistRow) Len() int {
 	return len(r.d8)
 }
 
-// distRowInto widens a packed row into dst as int32 with -1 for
-// undefined entries, growing dst as needed — the implementation
-// behind DistanceRowInto.
-func (r DistRow) distRowInto(dst []int32) []int32 {
-	n := r.Len()
-	if cap(dst) < n {
-		dst = make([]int32, n)
-	}
-	dst = dst[:n]
-	if r.d32 != nil {
-		copy(dst, r.d32)
-		return dst
-	}
-	for i, d := range r.d8 {
-		if d == noDist8 {
-			dst[i] = noDist32
-		} else {
-			dst[i] = int32(d)
-		}
-	}
-	return dst
-}
-
 // DistanceRow returns u's packed distance row, reloading the owning
 // shard if it is cold — one shard resolution for the whole row, where
 // per-pair Distance calls would resolve once per pair. Like
@@ -84,11 +61,4 @@ func (m *ShardedMatrix) DistanceRow(u sgraph.NodeID) DistRow {
 		panic(err)
 	}
 	return dist
-}
-
-// DistanceRowInto widens u's distance row into dst (reusing its
-// backing array when it is large enough) with -1 marking undefined
-// pairs (Distance's ok=false), and returns the filled slice.
-func (m *ShardedMatrix) DistanceRowInto(u sgraph.NodeID, dst []int32) []int32 {
-	return m.DistanceRow(u).distRowInto(dst)
 }

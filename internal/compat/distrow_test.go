@@ -8,9 +8,8 @@ import (
 	"repro/internal/sgraph"
 )
 
-// TestDistanceRowAgreesAcrossShardSizes: DistanceRow and
-// DistanceRowInto must agree entry-for-entry with the point-query
-// Distance on both packed engines, for shard heights 1
+// TestDistanceRowAgreesAcrossShardSizes: DistanceRow must agree
+// entry-for-entry with the point-query Distance on both packed engines, for shard heights 1
 // (every row its own shard), 7 (rows straddling shard boundaries), 64
 // (word aligned) and n (single shard), with a residency bound of 2 so
 // most rows are served across spill/reload cycles. Two interleaved
@@ -33,18 +32,14 @@ func TestDistanceRowAgreesAcrossShardSizes(t *testing.T) {
 				if err != nil {
 					t.Fatalf("trial %d %v rows=%d: NewSharded: %v", trial, k, shardRows, err)
 				}
-				var intoFull, intoSharded []int32 // reused across rows: the Into contract
 				for pass := 0; pass < 2; pass++ {
 					for i := 0; i < n; i++ {
 						u := sgraph.NodeID((i*5 + pass*3) % n)
 						fullRow := full.DistanceRow(u)
 						shardRow := sharded.DistanceRow(u)
-						intoFull = full.DistanceRowInto(u, intoFull)
-						intoSharded = sharded.DistanceRowInto(u, intoSharded)
-						if fullRow.Len() != n || shardRow.Len() != n ||
-							len(intoFull) != n || len(intoSharded) != n {
-							t.Fatalf("trial %d %v rows=%d: row lengths %d/%d/%d/%d, want %d",
-								trial, k, shardRows, fullRow.Len(), shardRow.Len(), len(intoFull), len(intoSharded), n)
+						if fullRow.Len() != n || shardRow.Len() != n {
+							t.Fatalf("trial %d %v rows=%d: row lengths %d/%d, want %d",
+								trial, k, shardRows, fullRow.Len(), shardRow.Len(), n)
 						}
 						for v := sgraph.NodeID(0); int(v) < n; v++ {
 							wantD, wantOK, err := full.Distance(u, v)
@@ -56,17 +51,6 @@ func TestDistanceRowAgreesAcrossShardSizes(t *testing.T) {
 								if ok != wantOK || (ok && d != wantD) {
 									t.Fatalf("trial %d %v rows=%d pass %d: %s DistanceRow(%d).At(%d) = (%d,%v), want (%d,%v)",
 										trial, k, shardRows, pass, label, u, v, d, ok, wantD, wantOK)
-								}
-							}
-							for label, wide := range map[string][]int32{"matrix": intoFull, "sharded": intoSharded} {
-								got := wide[v]
-								if wantOK && got != wantD {
-									t.Fatalf("trial %d %v rows=%d: %s DistanceRowInto(%d)[%d] = %d, want %d",
-										trial, k, shardRows, label, u, v, got, wantD)
-								}
-								if !wantOK && got != noDist32 {
-									t.Fatalf("trial %d %v rows=%d: %s DistanceRowInto(%d)[%d] = %d, want -1",
-										trial, k, shardRows, label, u, v, got)
 								}
 							}
 						}
@@ -113,7 +97,7 @@ func TestDistanceRowWidePacking(t *testing.T) {
 			}
 		}
 	}
-	if got := full.DistanceRowInto(299, nil); got[0] != 299 {
-		t.Fatalf("wide DistanceRowInto(299)[0] = %d, want 299", got[0])
+	if d, ok := full.DistanceRow(299).At(0); !ok || d != 299 {
+		t.Fatalf("wide DistanceRow(299).At(0) = (%d,%v), want (299,true)", d, ok)
 	}
 }

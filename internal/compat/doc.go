@@ -33,11 +33,16 @@
 // Two engines implement the Relation interface and agree answer for
 // answer; they differ in how rows are computed and stored:
 //
-//   - The lazy engine (relations.go, New) answers point queries from
-//     lazily computed per-source rows held in a bounded cache, so it
-//     is cheap inside the greedy team formation loop and scales to
-//     large graphs; the bulk statistics in stats.go bypass the cache
-//     and stream rows out of per-worker scratch instead.
+//   - The lazy engine (relations.go, New; one lazyRelation type for
+//     every kind) answers point queries from per-source rows computed
+//     on first use and held in a bounded cache, so it is cheap inside
+//     the greedy team formation loop and scales to large graphs. A
+//     row has the packed engine's format: compatibility words plus
+//     the kind's reference search's own int32 distances (−1 where
+//     undefined), about n/8 + 4n bytes. The bulk statistics in
+//     stats.go read a row from the cache when it is there and
+//     otherwise compute it into a per-worker scratch without caching
+//     it.
 //   - The packed engine (sharded*.go, fill.go, spill.go, NewSharded)
 //     precomputes the whole relation into packed bitset rows plus
 //     packed distance rows, so all-pairs and batch-query workloads run
@@ -82,9 +87,8 @@
 // The packed engine exposes its rows, which the team solver binds to
 // (it holds the *ShardedMatrix itself) for word-parallel AND/popcount
 // fast paths: the bit rows (RowWords), the bulk AndCountRows and
-// AndCountRowsEach of its degree passes, and DistanceRow/
-// DistanceRowInto: one source's whole packed distance row as an
-// immutable DistRow view, resolved with a single shard touch — the
+// AndCountRowsEach of its degree passes, and DistanceRow: one
+// source's whole packed distance row as an immutable DistRow view, resolved with a single shard touch — the
 // accessor the team solver's MinDistance picker and running cost scan
 // instead of paying a per-pair lookup (and, on a spilling engine, a
 // lock) for every (candidate, member) pair. The PackedRelation
@@ -123,9 +127,10 @@
 // (entry (u,v) is the search from min(u,v) to max(u,v)), and the
 // packed engine materialises exactly that symmetrised relation.
 // ComputeStats measures the same symmetrised relation on every
-// engine — on a full scan the lazy engine reads directed SBPH rows
-// over their canonical upper triangle, so full-scan SBPH statistics
-// agree across engines bit for bit. Sampled scans stream the whole
+// engine — on a full scan the lazy engine reads its directed SBPH rows
+// (cached or computed, the same rows) over their canonical upper
+// triangle, so full-scan SBPH statistics agree across engines bit for
+// bit. Sampled scans stream the whole
 // directed row as a proxy (the canonical entry of a (v<u, u) pair
 // lives in a row the sample may not include), so sampled SBPH
 // estimates can differ from a packed engine's in the second decimal.

@@ -38,7 +38,6 @@ func TestDistanceAtLeastHops(t *testing.T) {
 		}
 		graphs = append(graphs, blockGraph{name: load.name, g: d.Graph})
 	}
-	var dist []int32
 	for i, bg := range graphs {
 		g := bg.g
 		opts := blockOpts
@@ -78,9 +77,10 @@ func TestDistanceAtLeastHops(t *testing.T) {
 				defer sharded.Close()
 				for name, m := range map[string]*ShardedMatrix{"matrix": matrix, "sharded": sharded} {
 					for u := sgraph.NodeID(0); int(u) < n; u++ {
-						dist = m.DistanceRowInto(u, dist)
-						for v, d := range dist {
-							check(t, name, u, sgraph.NodeID(v), d, d != noDist32)
+						row := m.DistanceRow(u)
+						for v := sgraph.NodeID(0); int(v) < n; v++ {
+							d, ok := row.At(v)
+							check(t, name, u, v, d, ok)
 						}
 					}
 				}

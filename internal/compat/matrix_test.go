@@ -100,7 +100,7 @@ func TestMatrixAgreesWithLazy(t *testing.T) {
 // rows and distances of the packed engine — the single-shard matrix,
 // and a sharded matrix whose 100-row shards cut the 64-row blocks — must
 // match the lazy engine's per-source rows bit for bit, for every kind
-// the sweep builds.
+// the sweep builds (SPM through the counting sweep and its recount).
 func TestPackedSweepMatchesLazyEpinions(t *testing.T) {
 	d, err := datasets.EpinionsSim(1, 0.04)
 	if err != nil {
@@ -108,39 +108,26 @@ func TestPackedSweepMatchesLazyEpinions(t *testing.T) {
 	}
 	g := d.Graph
 	n := g.NumNodes()
-	want := make([]uint64, (n+63)/64)
-	var dist []int32
-	for _, k := range []Kind{SPA, SPO, DPE, NNE} {
-		// The lazy engine's per-source row computation, uncached.
-		lazy := MustNew(k, g, Options{}).(interface {
-			computeRow(sgraph.NodeID) (row, error)
-		})
+	for _, k := range []Kind{SPA, SPM, SPO, DPE, NNE} {
+		lazy := MustNew(k, g, Options{})
 		full := mustMatrix(k, g, Options{})
 		sharded := mustSharded(t, k, g, ShardedOptions{ShardRows: 100})
 		for u := sgraph.NodeID(0); int(u) < n; u++ {
-			lazyRow, err := lazy.computeRow(u)
-			if err != nil {
-				t.Fatal(err)
-			}
-			clear(want)
-			for v := sgraph.NodeID(0); int(v) < n; v++ {
-				if lazyRow.compatible(v) {
-					setWordBit(want, v)
-				}
-			}
-			setWordBit(want, u) // Relation.Compatible is reflexive
+			// The lazy engine's per-source row computation, uncached.
+			want := lazyRowOf(t, lazy, u)
 			for name, p := range map[string]PackedRelation{"matrix": full, "sharded": sharded} {
 				got := p.RowWords(u)
-				for w := range want {
-					if got[w] != want[w] {
-						t.Fatalf("%v %s: row %d word %d = %#x, lazy %#x", k, name, u, w, got[w], want[w])
+				for w := range want.words {
+					if got[w] != want.words[w] {
+						t.Fatalf("%v %s: row %d word %d = %#x, lazy %#x", k, name, u, w, got[w], want.words[w])
 					}
 				}
-				dist = p.DistanceRowInto(u, dist)
+				row := p.DistanceRow(u)
 				for v := sgraph.NodeID(0); int(v) < n; v++ {
-					wd, wok := lazyRow.distance(v)
-					if (dist[v] != noDist32) != wok || (wok && dist[v] != wd) {
-						t.Fatalf("%v %s: distance(%d,%d) = %d, lazy (%d,%v)", k, name, u, v, dist[v], wd, wok)
+					gd, gok := row.At(v)
+					wd := want.dist[v]
+					if gok != (wd != noDist32) || (gok && gd != wd) {
+						t.Fatalf("%v %s: distance(%d,%d) = (%d,%v), lazy %d", k, name, u, v, gd, gok, wd)
 					}
 				}
 			}
@@ -149,6 +136,16 @@ func TestPackedSweepMatchesLazyEpinions(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// lazyRowOf computes u's lazy row outside the relation's cache.
+func lazyRowOf(t *testing.T, rel Relation, u sgraph.NodeID) *lazyRow {
+	t.Helper()
+	s := newRowScratch(rel.Graph().NumNodes())
+	if err := rel.(*lazyRelation).computeRow(u, s); err != nil {
+		t.Fatal(err)
+	}
+	return &s.row
 }
 
 // TestMatrixRowInvariants: every row has its diagonal bit set, zero
@@ -161,8 +158,8 @@ func TestMatrixRowInvariants(t *testing.T) {
 		// Cap the exact SBP enumeration: the invariants are internal to
 		// the matrix, so a truncated relation is as good as the full one.
 		m := mustMatrix(k, g, Options{Exact: balance.ExactOptions{MaxLen: 5}})
-		if m.WordsPerRow() != (g.NumNodes()+63)/64 {
-			t.Fatalf("%v: WordsPerRow = %d", k, m.WordsPerRow())
+		if got := len(m.RowWords(0)); got != (g.NumNodes()+63)/64 {
+			t.Fatalf("%v: row words = %d", k, got)
 		}
 		for u := sgraph.NodeID(0); int(u) < g.NumNodes(); u++ {
 			row := m.RowWords(u)

@@ -204,10 +204,10 @@ func oracleTable(t *testing.T, oracle Relation) *pairTable {
 func checkAgainstOracle(t *testing.T, step int, name string, eng MutableRelation, want *pairTable) {
 	t.Helper()
 	n := want.n
-	var rowBuf []int32
 	for u := sgraph.NodeID(0); int(u) < n; u++ {
+		var row DistRow
 		if packed, ok := eng.(PackedRelation); ok {
-			rowBuf = packed.DistanceRowInto(u, rowBuf)
+			row = packed.DistanceRow(u)
 		}
 		for v := sgraph.NodeID(0); int(v) < n; v++ {
 			i := int(u)*n + int(v)
@@ -227,11 +227,10 @@ func checkAgainstOracle(t *testing.T, step int, name string, eng MutableRelation
 				t.Fatalf("step %d %s: Distance(%d,%d) = (%d,%v), oracle (%d,%v)",
 					step, name, u, v, gotD, gotDef, wantD, wantDef)
 			}
-			if rowBuf != nil {
-				rd := rowBuf[v]
-				if (rd != noDist32) != wantDef || (wantDef && rd != wantD) {
-					t.Fatalf("step %d %s: DistanceRow(%d)[%d] = %d, oracle (%d,%v)",
-						step, name, u, v, rd, wantD, wantDef)
+			if row.Len() > 0 {
+				if rd, rdef := row.At(v); rdef != wantDef || (wantDef && rd != wantD) {
+					t.Fatalf("step %d %s: DistanceRow(%d).At(%d) = (%d,%v), oracle (%d,%v)",
+						step, name, u, v, rd, rdef, wantD, wantDef)
 				}
 			}
 		}

@@ -306,15 +306,13 @@ func TestConcurrentMutationReaders(t *testing.T) {
 			readWG.Add(1)
 			go func(r int) {
 				defer readWG.Done()
-				var buf []int32
 				for i := 0; !stop.Load(); i++ {
 					u := sgraph.NodeID((i + r*13) % n)
 					if _, err := m.Compatible(u, sgraph.NodeID((i*7)%n)); err != nil {
 						errc <- err
 						return
 					}
-					buf = m.DistanceRowInto(u, buf)
-					if len(buf) != n {
+					if m.DistanceRow(u).Len() != n {
 						errc <- errTruncatedRow
 						return
 					}
@@ -340,7 +338,7 @@ var errTruncatedRow = &truncatedRowError{}
 
 type truncatedRowError struct{}
 
-func (*truncatedRowError) Error() string { return "DistanceRowInto returned a short row" }
+func (*truncatedRowError) Error() string { return "DistanceRow returned a short row" }
 
 // collectEdges flattens g's edge set (u < v).
 func collectEdges(g *sgraph.Graph) []sgraph.Edge {

@@ -11,7 +11,7 @@ import (
 
 // Precompute fills the relation's row cache for every node, in
 // parallel. Use it before all-pairs workloads (the experiment harness
-// does) so that subsequent point queries never block on a BFS; the
+// does) so that subsequent point queries never block on a search; the
 // relation must have been created with CacheCap ≥ NumNodes or rows
 // will evict each other.
 //
@@ -21,37 +21,19 @@ import (
 // Packed relations (ShardedMatrix) are fully materialised at
 // construction, so precomputing them is an immediate no-op.
 func Precompute(rel Relation, workers int) error {
-	if _, ok := rel.(*ShardedMatrix); ok {
+	switch r := rel.(type) {
+	case *ShardedMatrix:
 		return nil
-	}
-	b, ok := rel.(interface {
-		rowWith(u sgraph.NodeID, s *rowScratch) (row, error)
-	})
-	if !ok {
+	case *lazyRelation:
+		n := r.Graph().NumNodes()
+		scratches, workers := newWorkerScratches(workers, n)
+		return parallelSweep(n, workers, func(w, i int) error {
+			_, err := r.row(sgraph.NodeID(i), scratches[w])
+			return err
+		})
+	default:
 		return fmt.Errorf("compat: relation %v does not support precomputation", rel.Kind())
 	}
-	n := rel.Graph().NumNodes()
-	if n == 0 {
-		return nil
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	// Only relations with scratch-assisted row computation can use the
-	// per-worker BFS scratches; for the others (SBPH, SBP) allocating
-	// them would be pure dead weight.
-	var scratches []*rowScratch
-	if sr, ok := rel.(interface{ supportsRowScratch() bool }); ok && sr.supportsRowScratch() {
-		scratches, workers = newWorkerScratches(workers, n)
-	}
-	return parallelSweep(n, workers, func(w, i int) error {
-		var s *rowScratch
-		if scratches != nil {
-			s = scratches[w]
-		}
-		_, err := b.rowWith(sgraph.NodeID(i), s)
-		return err
-	})
 }
 
 // newWorkerScratches resolves the worker count (≤0 → GOMAXPROCS,

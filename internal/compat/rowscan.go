@@ -33,7 +33,7 @@ func KernelsVariant() string { return kernels.Variant() }
 // AndCountRowsEach: popcount(row(u) AND mask) per row without a
 // per-row call through RowWords — the dominant cost of the team
 // planner's degree passes. Each row is ANDed against mask over their
-// common prefix, min(WordsPerRow, len(mask)) words; row words past the
+// common prefix, min(row words, len(mask)) words; row words past the
 // end of mask count as zero, so a holder set over fewer users than the
 // graph has nodes is a valid mask. Rows of fresh shards come
 // out of the lock-free table; from the first row whose shard is absent

@@ -99,7 +99,7 @@ func TestDistRowsPickMinMatchesScalar(t *testing.T) {
 			sources = append(sources, u)
 			row := m.DistanceRow(sgraph.NodeID(u))
 			rs.Append(row)
-			wide.Append(DistRow{d32: row.distRowInto(nil)})
+			wide.Append(DistRow{d32: widen(row)})
 		}
 		holder := container.NewBitset(n)
 		mask := container.NewBitset(n)
@@ -231,18 +231,14 @@ func TestStatsDirectedSBPH(t *testing.T) {
 	n := g.NumNodes()
 	sources := []sgraph.NodeID{3, 17, 38}
 	var wantCompat, wantDistSum, wantDistCount int64
-	rp := rel.(rowProvider)
 	for _, u := range sources {
-		r, err := rp.computeRow(u)
-		if err != nil {
-			t.Fatal(err)
-		}
+		r := lazyRowOf(t, rel, u)
 		for v := sgraph.NodeID(0); int(v) < n; v++ {
 			if v == u || !r.compatible(v) {
 				continue
 			}
 			wantCompat++
-			if d, ok := r.distance(v); ok {
+			if d := r.dist[v]; d != noDist32 {
 				wantDistSum += int64(d)
 				wantDistCount++
 			}
@@ -259,4 +255,17 @@ func TestStatsDirectedSBPH(t *testing.T) {
 		t.Fatalf("sampled scan (%d,%d,%d) diverges from directed reference (%d,%d,%d)",
 			sampled.CompatiblePairs, sampled.DistSum, sampled.DistCount, wantCompat, wantDistSum, wantDistCount)
 	}
+}
+
+// widen copies a packed distance row into int32 lanes, noDist32 where
+// the distance is undefined.
+func widen(r DistRow) []int32 {
+	out := make([]int32, r.Len())
+	for v := range out {
+		out[v] = noDist32
+		if d, ok := r.At(sgraph.NodeID(v)); ok {
+			out[v] = d
+		}
+	}
+	return out
 }

@@ -261,11 +261,6 @@ func (m *ShardedMatrix) Epoch() uint64 { return m.dyn.Epoch() }
 // NumNodes returns the node count of the underlying graph.
 func (m *ShardedMatrix) NumNodes() int { return m.n }
 
-// WordsPerRow returns the uint64 word length of each bit row —
-// (NumNodes+63)/64, the same layout container.NewBitset(NumNodes)
-// uses, so rows and bitsets compose in word-parallel operations.
-func (m *ShardedMatrix) WordsPerRow() int { return m.stride }
-
 // NumShards returns the number of row shards.
 func (m *ShardedMatrix) NumShards() int { return m.numShards }
 

@@ -56,32 +56,6 @@ func (m *ShardedMatrix) RowWords(u sgraph.NodeID) []uint64 {
 	return words
 }
 
-// computeRow lets ComputeStats stream sharded rows like any other
-// relation's: one shard touch per source row, then lock-free scans
-// over the returned views.
-func (m *ShardedMatrix) computeRow(u sgraph.NodeID) (row, error) {
-	words, dist, err := m.rowView(u)
-	if err != nil {
-		return nil, err
-	}
-	return shardedRowView{words: words, dist: dist}, nil
-}
-
-// shardedRowView is one source row detached from shard bookkeeping:
-// plain slices, no locking per query.
-//
-//tfsn:viewtype
-type shardedRowView struct {
-	words []uint64
-	dist  DistRow
-}
-
-func (r shardedRowView) compatible(v sgraph.NodeID) bool {
-	return r.words[int(v)>>6]&(1<<uint(int(v)&63)) != 0
-}
-
-func (r shardedRowView) distance(v sgraph.NodeID) (int32, bool) { return r.dist.At(v) }
-
 // rowView resolves row u to its bit words and packed distance row. On
 // a fully resident engine a fresh shard's row comes straight out of the
 // published table, without a lock; otherwise (a spilling engine, or a

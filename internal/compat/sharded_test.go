@@ -165,8 +165,8 @@ func TestShardedRowsMatchMatrixRows(t *testing.T) {
 			DisableMmap: ki%2 == 0, // cover both spill backends
 		})
 		defer sharded.Close()
-		if sharded.WordsPerRow() != full.WordsPerRow() {
-			t.Fatalf("%v: WordsPerRow sharded=%d matrix=%d", k, sharded.WordsPerRow(), full.WordsPerRow())
+		if sharded.stride != full.stride {
+			t.Fatalf("%v: row words sharded=%d matrix=%d", k, sharded.stride, full.stride)
 		}
 		// Two passes: the second revisits rows whose shards were
 		// evicted by the tail of the first.
@@ -206,7 +206,7 @@ func TestShardedSymmetriseTransientBound(t *testing.T) {
 	const shardRows, maxResident = 16, 3
 	m := mustSharded(t, SBPH, g, ShardedOptions{ShardRows: shardRows, MaxResidentShards: maxResident})
 	defer m.Close()
-	shardSlabBytes := shardRows * m.WordsPerRow() * 8
+	shardSlabBytes := shardRows * m.stride * 8
 	if m.symSnapshotPeak == 0 {
 		t.Fatal("SBPH build performed no symmetrise snapshot — tile pass did not run")
 	}
@@ -214,7 +214,7 @@ func TestShardedSymmetriseTransientBound(t *testing.T) {
 		t.Fatalf("symmetrise snapshot peaked at %d bytes, want ≤ one shard bit slab (%d bytes)",
 			m.symSnapshotPeak, shardSlabBytes)
 	}
-	if fullCopy := g.NumNodes() * m.WordsPerRow() * 8; m.symSnapshotPeak*2 >= fullCopy {
+	if fullCopy := g.NumNodes() * m.stride * 8; m.symSnapshotPeak*2 >= fullCopy {
 		t.Fatalf("snapshot %d bytes is not meaningfully below the full-matrix copy (%d bytes)",
 			m.symSnapshotPeak, fullCopy)
 	}
@@ -689,8 +689,7 @@ func TestShardedResidentTable(t *testing.T) {
 		done := make(chan error, 1)
 		m.mu.Lock()
 		go func() {
-			var buf []int32
-			mask := make([]uint64, m.WordsPerRow())
+			mask := make([]uint64, m.stride)
 			fillWords(mask, n)
 			us := make([]sgraph.NodeID, n)
 			for u := range us {
@@ -698,7 +697,7 @@ func TestShardedResidentTable(t *testing.T) {
 			}
 			for u := sgraph.NodeID(0); int(u) < n; u++ {
 				_ = m.RowWords(u)
-				buf = m.DistanceRowInto(u, buf)
+				_ = m.DistanceRow(u)
 				if _, err := m.Compatible(u, 0); err != nil {
 					done <- err
 					return

@@ -21,12 +21,13 @@ import (
 // # SBPH statistics
 //
 // The SBPH heuristic is directional, so its lazy rows are directed
-// while the packed engines store the canonicalised (min→max)
+// while the packed engine stores the canonicalised (min→max)
 // symmetrisation. ComputeStats measures the *symmetrised* relation on
-// every engine: when the lazy engine streams a directed SBPH row on a
-// full scan, the scan restricts itself to the canonical upper-triangle
-// entries (v > u) and counts each once per direction, which reproduces
-// the packed engines' numbers exactly. On a *sampled* scan the
+// every engine: on a full scan of the lazy engine, whether a directed
+// SBPH row comes from the cache or is computed for the scan, the scan
+// restricts itself to the canonical upper-triangle entries (v > u) and
+// counts each once per direction, which reproduces the packed engine's
+// numbers exactly. On a *sampled* scan the
 // symmetrised entry for v < u lives in row v — which the sample may
 // not include — so restricting to the upper triangle would discard
 // half of every sampled row and starve the skill-pair union; sampled
@@ -81,14 +82,12 @@ type StatsOptions struct {
 }
 
 // ComputeStats scans one relation row per source and aggregates pair,
-// distance and (optionally) skill-pair statistics. It bypasses the
-// relation's row cache: every row is visited exactly once, streamed,
-// and dropped.
+// distance and (optionally) skill-pair statistics, over the same
+// (words, DistRow) row format on both engines. The packed engine
+// resolves each row from its shards. The lazy engine reads a row from
+// its cache when it is there and otherwise computes it into a worker
+// scratch, streamed and dropped without touching the cache.
 func ComputeStats(rel Relation, opts StatsOptions) (*Stats, error) {
-	rp, ok := rel.(rowProvider)
-	if !ok {
-		return nil, fmt.Errorf("compat: relation %v does not expose rows", rel.Kind())
-	}
 	g := rel.Graph()
 	n := g.NumNodes()
 	sources := opts.Sources
@@ -105,6 +104,38 @@ func ComputeStats(rel Relation, opts StatsOptions) (*Stats, error) {
 	if workers > len(sources) {
 		workers = len(sources)
 	}
+
+	// rowOf resolves source u's row for worker w. Lazy SBPH rows are
+	// directed, so a full scan measures them on their canonical upper
+	// triangle: the reported numbers then describe the symmetrised
+	// relation the interface serves, exactly like the packed engine's.
+	// A sampled scan cannot reach the canonical entry of a (v<u, u)
+	// pair without row v, so it streams the whole directed row as a
+	// proxy instead of halving its sample. See the Stats doc.
+	var rowOf func(w int, u sgraph.NodeID) ([]uint64, DistRow, error)
+	canonicalise := false
+	switch r := rel.(type) {
+	case *ShardedMatrix:
+		rowOf = func(_ int, u sgraph.NodeID) ([]uint64, DistRow, error) { return r.rowView(u) }
+	case *lazyRelation:
+		canonicalise = r.canonical() && opts.Sources == nil
+		var scratches []*rowScratch
+		if len(sources) > 0 {
+			scratches, workers = newWorkerScratches(workers, n)
+		}
+		rowOf = func(w int, u sgraph.NodeID) ([]uint64, DistRow, error) {
+			row, _ := r.cached(u)
+			if row == nil {
+				if err := r.computeRow(u, scratches[w]); err != nil {
+					return nil, DistRow{}, err
+				}
+				row = &scratches[w].row
+			}
+			return row.words, DistRow{d32: row.dist}, nil
+		}
+	default:
+		return nil, fmt.Errorf("compat: relation %v does not expose rows", rel.Kind())
+	}
 	if len(sources) == 0 {
 		return &Stats{Kind: rel.Kind(), TotalSources: n, Kernels: KernelsVariant()}, nil
 	}
@@ -113,51 +144,20 @@ func ComputeStats(rel Relation, opts StatsOptions) (*Stats, error) {
 	if opts.Assign != nil {
 		numSkills = opts.Assign.Universe().Len()
 	}
-
-	// Scratch-capable relations (the BFS-backed families) stream rows
-	// out of per-worker reusable buffers instead of allocating one row
-	// per source.
-	srp, scratchOK := rel.(scratchRowProvider)
-
-	// Relations whose streamed rows are directed (lazy SBPH) are
-	// measured on their canonical upper triangle so the reported
-	// numbers describe the symmetrised relation the interface serves,
-	// exactly like the packed engines. Only full scans canonicalise:
-	// a sampled scan cannot reach the canonical entry of a (v<u, u)
-	// pair without row v, so it streams the whole directed row as a
-	// proxy instead of halving its sample. See the Stats doc.
-	canonicalise := false
-	if dr, ok := rel.(interface{ streamsDirectedRows() bool }); ok {
-		canonicalise = dr.streamsDirectedRows() && opts.Sources == nil
-	}
-
 	type acc struct {
 		stats  Stats
 		skills *SkillMatrix
 	}
 	accs := make([]acc, workers)
-	var scratches []*rowScratch
-	if scratchOK {
-		scratches = make([]*rowScratch, workers)
-	}
-	for w := 0; w < workers; w++ {
-		if numSkills > 0 {
+	if numSkills > 0 {
+		for w := range accs {
 			accs[w].skills = NewSkillMatrix(numSkills)
-		}
-		if scratchOK {
-			scratches[w] = newRowScratch(n)
 		}
 	}
 	err := parallelSweep(len(sources), workers, func(w, i int) error {
 		a := &accs[w]
 		u := sources[i]
-		var r row
-		var err error
-		if scratchOK {
-			r, err = srp.computeRowInto(u, scratches[w])
-		} else {
-			r, err = rp.computeRow(u)
-		}
+		words, dist, err := rowOf(w, u)
 		if err != nil {
 			return err
 		}
@@ -177,16 +177,16 @@ func ComputeStats(rel Relation, opts StatsOptions) (*Stats, error) {
 		if canonicalise {
 			v, weight = u+1, 2
 		}
-		for ; int(v) < n; v++ {
+		for end := dist.Len(); int(v) < end; v++ {
 			if v == u {
 				continue
 			}
 			a.stats.Pairs += weight
-			if !r.compatible(v) {
+			if words[int(v)>>6]&(1<<uint(int(v)&63)) == 0 {
 				continue
 			}
 			a.stats.CompatiblePairs += weight
-			if d, ok := r.distance(v); ok {
+			if d, ok := dist.At(v); ok {
 				a.stats.DistSum += weight * int64(d)
 				a.stats.DistCount += weight
 			}
@@ -215,19 +215,6 @@ func ComputeStats(rel Relation, opts StatsOptions) (*Stats, error) {
 		}
 	}
 	return total, nil
-}
-
-// rowProvider is the internal hook stats uses to stream rows without
-// touching the relation's cache.
-type rowProvider interface {
-	computeRow(u sgraph.NodeID) (row, error)
-}
-
-// scratchRowProvider marks relations whose rows can be streamed out of
-// a per-worker scratch: the returned row aliases the scratch buffers
-// and is only valid until the worker's next computeRowInto call.
-type scratchRowProvider interface {
-	computeRowInto(u sgraph.NodeID, s *rowScratch) (row, error)
 }
 
 // SkillMatrix records which unordered skill pairs have at least one

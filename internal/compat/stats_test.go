@@ -3,6 +3,7 @@ package compat
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/balance"
@@ -207,6 +208,56 @@ func TestComputeStatsMatchesPointQueries(t *testing.T) {
 		}
 		if s.Pairs != pairs || s.CompatiblePairs != comp {
 			t.Fatalf("%v: stats %d/%d vs point queries %d/%d", k, s.CompatiblePairs, s.Pairs, comp, pairs)
+		}
+	}
+}
+
+// TestStatsCachedRowsMatchFresh: ComputeStats reads a lazy row from the
+// cache when Precompute left it there and computes the others into its
+// worker scratch. For every kind on every blockGraphs input it runs,
+// a scan over a fully cached relation and over a partly cached one
+// (a cache of a third of the rows) must equal the scan of a fresh
+// relation, skill matrix included.
+func TestStatsCachedRowsMatchFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(811))
+	for _, bg := range blockGraphs(rng) {
+		n := bg.g.NumNodes()
+		u := skills.GenerateUniverse(6)
+		a := skills.NewAssignment(u, n)
+		for v := 0; v < n; v++ {
+			a.MustAdd(sgraph.NodeID(v), skills.SkillID(rng.Intn(6)))
+		}
+		for _, k := range Kinds() {
+			if !bg.runs(k) {
+				continue
+			}
+			fresh, err := ComputeStats(MustNew(k, bg.g, blockOpts), StatsOptions{Workers: 2, Assign: a})
+			if err != nil {
+				t.Fatalf("%s %v: fresh stats: %v", bg.name, k, err)
+			}
+			for _, cacheCap := range []int{n + 1, n/3 + 1} {
+				opts := blockOpts
+				opts.CacheCap = cacheCap
+				rel := MustNew(k, bg.g, opts)
+				if err := Precompute(rel, 2); err != nil {
+					t.Fatalf("%s %v: Precompute: %v", bg.name, k, err)
+				}
+				if got := len(rel.(*lazyRelation).rows); got != min(cacheCap, n) {
+					t.Fatalf("%s %v cap %d: %d rows cached", bg.name, k, cacheCap, got)
+				}
+				cached, err := ComputeStats(rel, StatsOptions{Workers: 2, Assign: a})
+				if err != nil {
+					t.Fatalf("%s %v cap %d: cached stats: %v", bg.name, k, cacheCap, err)
+				}
+				if cached.Pairs != fresh.Pairs || cached.CompatiblePairs != fresh.CompatiblePairs ||
+					cached.DistSum != fresh.DistSum || cached.DistCount != fresh.DistCount ||
+					cached.SourcesScanned != fresh.SourcesScanned {
+					t.Fatalf("%s %v cap %d: cached stats %+v, fresh %+v", bg.name, k, cacheCap, cached, fresh)
+				}
+				if !slices.Equal(cached.Skills.bits, fresh.Skills.bits) {
+					t.Fatalf("%s %v cap %d: cached skill matrix differs from fresh", bg.name, k, cacheCap)
+				}
+			}
 		}
 	}
 }

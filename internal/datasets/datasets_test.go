@@ -207,7 +207,7 @@ func LoadDir(dir, name string) (*Dataset, error) {
 		return nil, fmt.Errorf("datasets: load: %w", err)
 	}
 	defer ef.Close()
-	g, _, err := sgraph.ReadEdgeList(ef)
+	g, ids, err := sgraph.ReadEdgeList(ef)
 	if err != nil {
 		return nil, err
 	}
@@ -216,7 +216,7 @@ func LoadDir(dir, name string) (*Dataset, error) {
 		return nil, fmt.Errorf("datasets: load: %w", err)
 	}
 	defer sf.Close()
-	assign, err := skills.ReadTSV(sf, g.NumNodes())
+	assign, err := skills.ReadTSV(sf, ids)
 	if err != nil {
 		return nil, err
 	}

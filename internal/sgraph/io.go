@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -14,33 +15,23 @@ import (
 //	# comment lines start with '#'
 //	<u> <tab or spaces> <v> <tab or spaces> <+1|-1>
 //
-// Node ids in a file may be arbitrary non-negative integers; they are
-// remapped to the dense [0,n) range, and the mapping is returned so
-// skill files can be joined on the original ids.
+// Node ids in a file may be arbitrary integers; they are remapped to
+// the dense [0,n) range in ascending order, and the mapping is returned
+// so skill files can be joined on the original ids.
 
 // ReadEdgeList parses a signed edge list. Duplicate edges with a
 // consistent sign are tolerated (the SNAP exports contain both (u,v)
 // and (v,u) rows); contradictory duplicates and self-loops are
-// rejected. It returns the graph and origIDs, where origIDs[i] is the
-// id node i had in the input.
+// rejected. Nodes are numbered in ascending order of their ids in the
+// input, so a file whose ids are 0..n−1, each on some edge, loads with
+// every id unchanged. It returns the graph and origIDs, where
+// origIDs[i] is the id node i had in the input (ascending).
 func ReadEdgeList(r io.Reader) (*Graph, []int64, error) {
 	scanner := bufio.NewScanner(r)
 	scanner.Buffer(make([]byte, 0, 1<<16), 1<<24)
 
-	idOf := make(map[int64]NodeID)
-	var origIDs []int64
-	intern := func(raw int64) NodeID {
-		if id, ok := idOf[raw]; ok {
-			return id
-		}
-		id := NodeID(len(origIDs))
-		idOf[raw] = id
-		origIDs = append(origIDs, raw)
-		return id
-	}
-
 	type rawEdge struct {
-		u, v NodeID
+		u, v int64
 		s    Sign
 	}
 	var edges []rawEdge
@@ -70,24 +61,35 @@ func ReadEdgeList(r io.Reader) (*Graph, []int64, error) {
 		if u64 == v64 {
 			continue // SNAP exports contain a handful of self-loops; drop them
 		}
-		edges = append(edges, rawEdge{intern(u64), intern(v64), Sign(s64)})
+		edges = append(edges, rawEdge{u64, v64, Sign(s64)})
 	}
 	if err := scanner.Err(); err != nil {
 		return nil, nil, fmt.Errorf("sgraph: reading edge list: %w", err)
 	}
 
+	origIDs := make([]int64, 0, 2*len(edges))
+	for _, e := range edges {
+		origIDs = append(origIDs, e.u, e.v)
+	}
+	slices.Sort(origIDs)
+	origIDs = slices.Clip(slices.Compact(origIDs))
+	node := func(raw int64) NodeID {
+		i, _ := slices.BinarySearch(origIDs, raw)
+		return NodeID(i)
+	}
 	b := NewBuilder(len(origIDs))
 	seen := make(map[[2]NodeID]Sign, len(edges))
 	for _, e := range edges {
-		key := edgeKey(e.u, e.v)
+		u, v := node(e.u), node(e.v)
+		key := edgeKey(u, v)
 		if prev, ok := seen[key]; ok {
 			if prev != e.s {
-				return nil, nil, fmt.Errorf("sgraph: edge (%d,%d) appears with both signs", origIDs[e.u], origIDs[e.v])
+				return nil, nil, fmt.Errorf("sgraph: edge (%d,%d) appears with both signs", e.u, e.v)
 			}
 			continue
 		}
 		seen[key] = e.s
-		b.AddEdge(e.u, e.v, e.s)
+		b.AddEdge(u, v, e.s)
 	}
 	g, err := b.Build()
 	if err != nil {

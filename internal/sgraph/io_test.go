@@ -3,6 +3,7 @@ package sgraph
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -26,6 +27,24 @@ func TestReadEdgeListBasic(t *testing.T) {
 	s, ok := g.EdgeSign(1, 2) // 20-30 is negative
 	if !ok || s != Negative {
 		t.Fatalf("edge 20-30 = %v,%v", s, ok)
+	}
+}
+
+// TestReadEdgeListNumbersByAscendingID: nodes are numbered in ascending
+// id order, not in order of first appearance.
+func TestReadEdgeListNumbersByAscendingID(t *testing.T) {
+	g, orig, err := ReadEdgeList(strings.NewReader("30 -4 1\n7 30 -1\n"))
+	if err != nil {
+		t.Fatalf("ReadEdgeList: %v", err)
+	}
+	if want := []int64{-4, 7, 30}; !slices.Equal(orig, want) {
+		t.Fatalf("orig ids = %v, want %v", orig, want)
+	}
+	if s, ok := g.EdgeSign(2, 0); !ok || s != Positive {
+		t.Fatalf("edge 30-(-4) = %v,%v, want positive", s, ok)
+	}
+	if s, ok := g.EdgeSign(1, 2); !ok || s != Negative {
+		t.Fatalf("edge 7-30 = %v,%v, want negative", s, ok)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -34,9 +35,12 @@ func WriteTSV(w io.Writer, a *Assignment) error {
 	return nil
 }
 
-// ReadTSV parses the format written by WriteTSV. numUsers fixes the
-// user range; users missing from the file simply have no skills.
-func ReadTSV(r io.Reader, numUsers int) (*Assignment, error) {
+// ReadTSV parses the format written by WriteTSV, joining each row on
+// its user id: userIDs[i] is the id user i has in the file, in
+// ascending order (sgraph.ReadEdgeList's origIDs), and fixes the user
+// range. A row whose id is not in userIDs is an error naming the id;
+// users missing from the file simply have no skills.
+func ReadTSV(r io.Reader, userIDs []int64) (*Assignment, error) {
 	scanner := bufio.NewScanner(r)
 	scanner.Buffer(make([]byte, 0, 1<<16), 1<<24)
 	var a *Assignment
@@ -53,7 +57,7 @@ func ReadTSV(r io.Reader, numUsers int) (*Assignment, error) {
 			if err != nil {
 				return nil, fmt.Errorf("skills: line %d: %w", lineNo, err)
 			}
-			a = NewAssignment(u, numUsers)
+			a = NewAssignment(u, len(userIDs))
 			continue
 		}
 		if strings.HasPrefix(line, "#") {
@@ -66,9 +70,13 @@ func ReadTSV(r io.Reader, numUsers int) (*Assignment, error) {
 		if len(parts) != 2 {
 			return nil, fmt.Errorf("skills: line %d: want 'user<TAB>skills'", lineNo)
 		}
-		user, err := strconv.Atoi(parts[0])
-		if err != nil || user < 0 || user >= numUsers {
+		id, err := strconv.ParseInt(parts[0], 10, 64)
+		if err != nil {
 			return nil, fmt.Errorf("skills: line %d: bad user id %q", lineNo, parts[0])
+		}
+		user, ok := slices.BinarySearch(userIDs, id)
+		if !ok {
+			return nil, fmt.Errorf("skills: line %d: user %d has no edge in the graph", lineNo, id)
 		}
 		for _, name := range strings.Split(parts[1], ",") {
 			s, ok := a.universe.Lookup(strings.TrimSpace(name))

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -373,7 +374,7 @@ func TestTSVRoundTrip(t *testing.T) {
 	if err := WriteTSV(&buf, a); err != nil {
 		t.Fatalf("WriteTSV: %v", err)
 	}
-	b, err := ReadTSV(&buf, 40)
+	b, err := ReadTSV(&buf, seqIDs(40))
 	if err != nil {
 		t.Fatalf("ReadTSV: %v", err)
 	}
@@ -401,8 +402,39 @@ func TestReadTSVErrors(t *testing.T) {
 		"rangeuser": "# universe: go\n99\tgo\n",
 		"badskill":  "# universe: go\n0\tjava\n",
 	} {
-		if _, err := ReadTSV(bytes.NewReader([]byte(input)), 10); err == nil {
+		if _, err := ReadTSV(bytes.NewReader([]byte(input)), seqIDs(10)); err == nil {
 			t.Errorf("%s: accepted %q", name, input)
 		}
 	}
+}
+
+// TestReadTSVJoinsOnIDs: rows join on the file's user ids, not on
+// their position, and a row whose id is not a user is refused by id.
+func TestReadTSVJoinsOnIDs(t *testing.T) {
+	ids := []int64{-3, 5, 9, 12}
+	a, err := ReadTSV(strings.NewReader("# universe: go,rust\n9\tgo\n-3\trust\n12\tgo,rust\n"), ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.NumUsers() != len(ids) {
+		t.Fatalf("%d users, want %d", a.NumUsers(), len(ids))
+	}
+	for u, want := range []int{1, 0, 1, 2} {
+		if got := len(a.UserSkills(sgraph.NodeID(u))); got != want {
+			t.Errorf("user %d (id %d): %d skills, want %d", u, ids[u], got, want)
+		}
+	}
+	_, err = ReadTSV(strings.NewReader("# universe: go\n7\tgo\n"), ids)
+	if want := "skills: line 2: user 7 has no edge in the graph"; err == nil || err.Error() != want {
+		t.Fatalf("row for id 7: err %v, want %q", err, want)
+	}
+}
+
+// seqIDs returns the user ids 0..n-1.
+func seqIDs(n int) []int64 {
+	ids := make([]int64, n)
+	for i := range ids {
+		ids[i] = int64(i)
+	}
+	return ids
 }

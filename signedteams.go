@@ -43,7 +43,8 @@ func FromEdges(n int, edges []Edge) (*Graph, error) { return sgraph.FromEdges(n,
 func MustFromEdges(n int, edges []Edge) *Graph { return sgraph.MustFromEdges(n, edges) }
 
 // ReadEdgeList parses a SNAP-style signed edge list ("u v ±1" rows).
-// It returns the graph and the original node ids, remapped to [0, n).
+// It returns the graph and the original node ids, remapped to [0, n)
+// in ascending order.
 func ReadEdgeList(r io.Reader) (*Graph, []int64, error) { return sgraph.ReadEdgeList(r) }
 
 // WriteEdgeList writes g in the format ReadEdgeList parses.
