@@ -101,3 +101,16 @@ func TestDistanceRowWidePacking(t *testing.T) {
 		t.Fatalf("wide DistanceRow(299).At(0) = (%d,%v), want (299,true)", d, ok)
 	}
 }
+
+// widen copies a packed distance row into int32 lanes, noDist32 where
+// the distance is undefined.
+func widen(r DistRow) []int32 {
+	out := make([]int32, r.Len())
+	for v := range out {
+		out[v] = noDist32
+		if d, ok := r.At(sgraph.NodeID(v)); ok {
+			out[v] = d
+		}
+	}
+	return out
+}

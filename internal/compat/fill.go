@@ -159,26 +159,9 @@ func fillSweepBlock(g *sgraph.Graph, kind Kind, out blockView, lo, hi sgraph.Nod
 	s.srcs = s.srcs[:0]
 	for u := lo; u < hi; u++ {
 		row := out.row(int(u - lo))
-		switch kind {
-		case DPE:
-			zeroWords(row)
-			signs := g.NeighborSigns(u)
-			for i, v := range g.NeighborIDs(u) {
-				if signs[i] == sgraph.Positive {
-					setWordBit(row, v)
-				}
-			}
-		case NNE:
-			// Everyone is compatible except negative neighbours —
-			// including unreachable nodes.
-			fillWords(row, g.NumNodes())
-			signs := g.NeighborSigns(u)
-			for i, v := range g.NeighborIDs(u) {
-				if signs[i] == sgraph.Negative {
-					clearWordBit(row, v)
-				}
-			}
-		default: // SPA, SPO, SPM: bits come from the sweep
+		if kind == DPE || kind == NNE {
+			edgeWords(g, kind, u, row)
+		} else { // SPA, SPO, SPM: bits come from the sweep
 			zeroWords(row)
 		}
 		setWordBit(row, u) // reflexivity
@@ -273,6 +256,28 @@ func clearWordBit(words []uint64, i sgraph.NodeID) { words[int(i)>>6] &^= 1 << u
 func zeroWords(words []uint64) {
 	for i := range words {
 		words[i] = 0
+	}
+}
+
+// edgeWords writes u's DPE or NNE compatibility bits into words
+// (reflexivity aside): DPE sets u's positive neighbours, NNE sets
+// everyone except u's negative neighbours, unreachable nodes included.
+func edgeWords(g *sgraph.Graph, kind Kind, u sgraph.NodeID, words []uint64) {
+	signs := g.NeighborSigns(u)
+	if kind == DPE {
+		zeroWords(words)
+		for i, v := range g.NeighborIDs(u) {
+			if signs[i] == sgraph.Positive {
+				setWordBit(words, v)
+			}
+		}
+		return
+	}
+	fillWords(words, g.NumNodes())
+	for i, v := range g.NeighborIDs(u) {
+		if signs[i] == sgraph.Negative {
+			clearWordBit(words, v)
+		}
 	}
 }
 

@@ -148,6 +148,41 @@ func lazyRowOf(t *testing.T, rel Relation, u sgraph.NodeID) *lazyRow {
 	return &s.row
 }
 
+// TestEdgeKindsMatchEdgeSigns: the DPE and NNE relations of both
+// engines equal their definitions read pair by pair from EdgeSign. Both
+// engines fill these rows with one shared neighbour scan, so this is
+// the check of that scan that does not go through it.
+func TestEdgeKindsMatchEdgeSigns(t *testing.T) {
+	rng := rand.New(rand.NewSource(307))
+	var graphs []*sgraph.Graph
+	for trial := 0; trial < 8; trial++ {
+		n := 5 + rng.Intn(14)
+		graphs = append(graphs, randomSignedGraph(rng, n, n+rng.Intn(4*n), 0.3))
+	}
+	for _, bg := range blockGraphs(rng) {
+		graphs = append(graphs, bg.g)
+	}
+	for trial, g := range graphs {
+		n := g.NumNodes()
+		for _, k := range []Kind{DPE, NNE} {
+			engines := map[string]Relation{"lazy": MustNew(k, g, Options{}), "matrix": mustMatrix(k, g, Options{})}
+			for u := sgraph.NodeID(0); int(u) < n; u++ {
+				for v := sgraph.NodeID(0); int(v) < n; v++ {
+					sign, edge := g.EdgeSign(u, v)
+					want := u == v || (k == DPE && edge && sign == sgraph.Positive) ||
+						(k == NNE && !(edge && sign == sgraph.Negative))
+					for label, rel := range engines {
+						got, err := rel.Compatible(u, v)
+						if err != nil || got != want {
+							t.Fatalf("trial %d %v %s: Compatible(%d,%d) = (%v,%v), want %v", trial, k, label, u, v, got, err, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestMatrixRowInvariants: every row has its diagonal bit set, zero
 // tail bits past NumNodes (so popcounts over rows are exact), and a
 // popcount equal to the number of compatible partners.

@@ -312,7 +312,9 @@ func TestConcurrentMutationReaders(t *testing.T) {
 						errc <- err
 						return
 					}
-					if m.DistanceRow(u).Len() != n {
+					// Read every entry, so -race sees any unsynchronised
+					// write to the row data the mutators rebuild.
+					if len(widen(m.DistanceRow(u))) != n {
 						errc <- errTruncatedRow
 						return
 					}

@@ -247,19 +247,7 @@ func (r *lazyRelation) computeRow(u sgraph.NodeID, s *rowScratch) error {
 	case DPE, NNE:
 		s.dist = signedbfs.DistancesInto(g, u, s.dist, s.bfs)
 		dist = s.dist
-		// DPE: compatible iff a positive edge joins the pair; NNE: iff
-		// no negative edge does, unreachable nodes included.
-		if r.kind == NNE {
-			fillWords(words, n)
-		}
-		signs := g.NeighborSigns(u)
-		for i, v := range g.NeighborIDs(u) {
-			if r.kind == DPE && signs[i] == sgraph.Positive {
-				setWordBit(words, v)
-			} else if r.kind == NNE && signs[i] == sgraph.Negative {
-				clearWordBit(words, v)
-			}
-		}
+		edgeWords(g, r.kind, u, words)
 	case SPA, SPM, SPO:
 		res := signedbfs.CountPathsInto(g, u, &s.res, s.bfs)
 		dist = res.Dist

@@ -256,16 +256,3 @@ func TestStatsDirectedSBPH(t *testing.T) {
 			sampled.CompatiblePairs, sampled.DistSum, sampled.DistCount, wantCompat, wantDistSum, wantDistCount)
 	}
 }
-
-// widen copies a packed distance row into int32 lanes, noDist32 where
-// the distance is undefined.
-func widen(r DistRow) []int32 {
-	out := make([]int32, r.Len())
-	for v := range out {
-		out[v] = noDist32
-		if d, ok := r.At(sgraph.NodeID(v)); ok {
-			out[v] = d
-		}
-	}
-	return out
-}
