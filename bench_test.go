@@ -807,9 +807,7 @@ func BenchmarkFormBatch(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.N)*float64(len(tasks))/b.Elapsed().Seconds(), "tasks/s")
 		})
-		if c, ok := rel.(interface{ Close() error }); ok {
-			c.Close()
-		}
+		rel.Close()
 	}
 }
 

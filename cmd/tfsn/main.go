@@ -169,9 +169,7 @@ func run(cfg config) error {
 	if err != nil {
 		return err
 	}
-	if c, ok := rel.(interface{ Close() error }); ok {
-		defer c.Close()
-	}
+	defer rel.Close()
 	if cfg.mutate != "" {
 		if err := applyMutations(rel, cfg.mutate); err != nil {
 			return err
@@ -274,22 +272,18 @@ func solve(ctx context.Context, solver *team.Solver, task skills.Task, opts team
 
 // applyMutations parses and applies a -mutate spec against the built
 // relation, printing the resulting epoch so a scripted run can assert
-// on it. Only the mutable engines accept mutations.
+// on it.
 func applyMutations(rel compat.Relation, spec string) error {
 	muts, err := cliflags.ParseMutations(spec)
 	if err != nil {
 		return err
 	}
-	mr, ok := rel.(compat.MutableRelation)
-	if !ok {
-		return fmt.Errorf("-mutate: engine does not support mutations")
-	}
 	for _, mut := range muts {
-		if _, err := mr.Mutate(mut); err != nil {
+		if _, err := rel.Mutate(mut); err != nil {
 			return fmt.Errorf("-mutate: %w", err)
 		}
 	}
-	st := mr.MutationStats()
+	st := rel.MutationStats()
 	fmt.Printf("mutated  %d mutations applied, graph epoch %d, %d shards stale\n",
 		st.Mutations, st.Epoch, st.StaleShards)
 	return nil

@@ -5,8 +5,8 @@
 // coalescing, and graceful drain on SIGINT/SIGTERM.
 //
 // Endpoints: /form, /formtopk, /healthz, /stats, and — with
-// -mutations on a mutable engine — POST /mutate for live edge
-// mutations (epoch-versioned, dirty-shard invalidation). See
+// -mutations — POST /mutate for live edge mutations (epoch-versioned,
+// dirty-shard invalidation). See
 // internal/serve for the request lifecycle and README.md for a curl
 // walkthrough.
 //
@@ -73,7 +73,7 @@ func main() {
 	flag.IntVar(&cfg.parallel, "parallel", 0, "solver workers for coalesced batches, also used by the -relation-stats scan (0 = GOMAXPROCS); a /formtopk solve runs on one goroutine")
 	flag.IntVar(&cfg.planCache, "plan-cache", 256, "cache up to this many compiled task plans (0 = no cache)")
 	flag.BoolVar(&cfg.relationStats, "relation-stats", false, "scan the relation at startup and surface Table 2 numbers on /stats (costs a full all-pairs sweep)")
-	flag.BoolVar(&cfg.mutations, "mutations", false, "expose POST /mutate for live graph mutations (requires a mutable engine)")
+	flag.BoolVar(&cfg.mutations, "mutations", false, "expose POST /mutate for live graph mutations")
 	cfg.eng.Register(flag.CommandLine)
 	cfg.srv.Register(flag.CommandLine)
 	flag.Parse()
@@ -105,11 +105,6 @@ func run(cfg config) error {
 	rel, engine, err := cfg.eng.Build(kind, d.Graph, compat.Options{CacheCap: d.Graph.NumNodes() + 1})
 	if err != nil {
 		return err
-	}
-	if cfg.mutations {
-		if _, ok := rel.(compat.MutableRelation); !ok {
-			return fmt.Errorf("-mutations: engine %s does not support mutations", engine)
-		}
 	}
 	fmt.Printf("dataset  %s (%d users, %d edges, %d negative)\n",
 		d.Name, d.Graph.NumNodes(), d.Graph.NumEdges(), d.Graph.NumNegativeEdges())
@@ -173,10 +168,8 @@ func run(cfg config) error {
 	if err := s.Wait(ctx); err != nil {
 		return fmt.Errorf("drain: %w", err)
 	}
-	if c, ok := rel.(interface{ Close() error }); ok {
-		if err := c.Close(); err != nil {
-			return fmt.Errorf("engine close: %w", err)
-		}
+	if err := rel.Close(); err != nil {
+		return fmt.Errorf("engine close: %w", err)
 	}
 	fmt.Println("drained cleanly")
 	return nil

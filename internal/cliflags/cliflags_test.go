@@ -97,9 +97,7 @@ func TestEngineBuild(t *testing.T) {
 				t.Fatalf("matrix engine: %d shards, %d resident, want 1 and 1", sm.NumShards(), sm.ResidentShards())
 			}
 		}
-		if c, ok := rel.(interface{ Close() error }); ok {
-			c.Close()
-		}
+		rel.Close()
 	}
 	if _, _, err := (&Engine{Name: "quantum"}).Build(compat.SPO, g, compat.Options{}); err == nil {
 		t.Fatal("Build with unknown engine did not fail")

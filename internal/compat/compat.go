@@ -74,8 +74,9 @@ func ParseKind(name string) (Kind, error) {
 	}
 }
 
-// Relation answers compatibility and distance queries on a fixed
-// signed graph. Implementations are safe for concurrent use.
+// Relation is the engine contract: compatibility and distance queries
+// on a signed graph that accepts edge mutations. Both engines (New and
+// NewSharded) implement all of it, and are safe for concurrent use.
 //
 // Compatible is reflexive and symmetric. Distance returns the
 // relation's distance and ok=false when the relation defines no
@@ -83,11 +84,31 @@ func ParseKind(name string) (Kind, error) {
 // The error return carries resource-exhaustion failures (only the
 // exact SBP relation, whose path enumeration is budgeted, produces
 // them).
+//
+// Mutate applies one edge change and returns the new epoch; on error
+// (unknown edge, duplicate add, bad endpoints) nothing changes and the
+// epoch does not move. Epoch is the current graph epoch (0 = as
+// built). Invalidated engine state rebuilds lazily on the next read
+// that touches it, via the same fill paths used at construction.
+//
+// AcquireSnapshot pins the current epoch: mutations block until the
+// snapshot is released. Snapshots are shared (many readers may hold
+// one concurrently) and must be released exactly once. Acquire and
+// Release allocate nothing, so per-request pinning keeps warm serving
+// paths at 0 allocs/op.
+//
+// Close releases engine-held resources (the packed engine's spill
+// file; a no-op on the lazy engine). It is idempotent.
 type Relation interface {
 	Kind() Kind
 	Graph() *sgraph.Graph
 	Compatible(u, v sgraph.NodeID) (bool, error)
 	Distance(u, v sgraph.NodeID) (int32, bool, error)
+	Epoch() uint64
+	Mutate(m sgraph.Mutation) (MutationResult, error)
+	MutationStats() MutationStats
+	AcquireSnapshot() Snapshot
+	Close() error
 }
 
 // Options tunes relation construction.

@@ -96,9 +96,8 @@
 //
 // # Mutations
 //
-// Both engines additionally implement MutableRelation: live edge
-// mutations (add / remove / flip, sgraph.Mutation) against a serving
-// engine. Mutate derives a fresh immutable graph through an
+// The Relation contract includes live edge mutations (add / remove /
+// flip, sgraph.Mutation) against a serving engine. Mutate derives a fresh immutable graph through an
 // epoch-versioned sgraph.Dynamic and invalidates only the derived
 // state the mutation can have perturbed: the lazy engine drops its row
 // cache, and the packed engine marks only shards whose rows the
@@ -113,7 +112,8 @@
 // BenchmarkMutateThenQuery). Concurrent
 // readers are protected by AcquireSnapshot: a Snapshot pins the
 // current epoch for a batch of queries (mutations wait), and the
-// zero-value Snapshot makes the same code a no-op on immutable use.
+// zero-value Snapshot makes the same code a no-op where no pin is
+// wanted.
 // MutationStats exposes the epoch and the stale/rebuild counters.
 // Correctness is pinned by a mutation-oracle property suite (every
 // engine vs a fresh build after random mutation programs), repeated

@@ -1,20 +1,16 @@
-// The mutation surface of the relation engines. Both engines (lazy and
-// packed) wrap their graph in an sgraph.Dynamic and implement
-// MutableRelation: mutations publish a new graph epoch and invalidate
-// derived state (cached rows, shards), which is recomputed lazily on
-// next access. Readers that need a consistent
-// multi-query view across concurrent mutators acquire a Snapshot — a
-// read lock that holds mutations off until released. Unpinned reads
-// remain race-free (each engine's internal state is independently
-// synchronised); the snapshot only adds cross-call consistency.
+// The mutation half of the Relation contract. Both engines (lazy and
+// packed) wrap their graph in an sgraph.Dynamic: mutations publish a
+// new graph epoch and invalidate derived state (cached rows, shards),
+// which is recomputed lazily on next access. Readers that need a
+// consistent multi-query view across concurrent mutators acquire a
+// Snapshot — a read lock that holds mutations off until released.
+// Unpinned reads remain race-free (each engine's internal state is
+// independently synchronised); the snapshot only adds cross-call
+// consistency.
 
 package compat
 
-import (
-	"sync"
-
-	"repro/internal/sgraph"
-)
+import "sync"
 
 // MutationResult reports an applied mutation: the epoch it published
 // and how many shards it newly invalidated — 0 on the lazy engine; on
@@ -42,55 +38,24 @@ type MutationStats struct {
 	ShardRebuilds int64
 }
 
-// MutableRelation is a Relation whose graph accepts edge mutations.
-// Every engine returned by New and NewSharded implements it.
-//
-// Mutate applies one edge change and returns the new epoch; on error
-// (unknown edge, duplicate add, bad endpoints) nothing changes and the
-// epoch does not move. Epoch is the current graph epoch. Invalidated
-// engine state rebuilds lazily on the next read that touches it, via
-// the same worker-pool fill paths used at construction.
-type MutableRelation interface {
-	Relation
-	Epoch() uint64
-	Mutate(m sgraph.Mutation) (MutationResult, error)
-	MutationStats() MutationStats
-	// AcquireSnapshot pins the current epoch: mutations block until
-	// the snapshot is released. Snapshots are shared (many readers may
-	// hold one concurrently) and must be released exactly once.
-	// Acquire/Release allocate nothing, so per-request pinning keeps
-	// warm serving paths at 0 allocs/op.
-	AcquireSnapshot() Snapshot
-}
+// MutableRelation is Relation, whose contract includes mutation. The
+// name remains for callers that still spell it.
+type MutableRelation = Relation
 
-// snapshotReleaser is the engine half of the Snapshot contract.
-type snapshotReleaser interface {
-	releaseSnapshot()
-}
-
-// Snapshot is a held read-pin on a MutableRelation's current epoch.
-// While any snapshot is held, Mutate blocks, so every query between
+// Snapshot is a held read-pin on a Relation's current epoch. While any
+// snapshot is held, Mutate blocks, so every query between
 // AcquireSnapshot and Release sees the same graph version. The zero
 // Snapshot is a valid no-op (Release does nothing), which lets callers
 // pin conditionally without branching at release time.
 type Snapshot struct {
-	rel   snapshotReleaser
+	pin   *sync.RWMutex
 	epoch uint64
 }
 
 // Release drops the pin. Each acquired snapshot must be released
 // exactly once; releasing the zero Snapshot is a no-op.
 func (s Snapshot) Release() {
-	if s.rel != nil {
-		s.rel.releaseSnapshot()
+	if s.pin != nil {
+		s.pin.RUnlock()
 	}
 }
-
-// mutGuard is the epoch pin shared by the engines: AcquireSnapshot
-// takes the read side, Mutate the write side. It is embedded, so every
-// engine exposes the same acquire/release behaviour.
-type mutGuard struct {
-	pin sync.RWMutex
-}
-
-func (g *mutGuard) releaseSnapshot() { g.pin.RUnlock() }

@@ -107,7 +107,7 @@ func (es *edgeSet) randomMutation(rng *rand.Rand) sgraph.Mutation {
 // mutEngine is one engine under oracle test.
 type mutEngine struct {
 	name string
-	rel  MutableRelation
+	rel  Relation
 }
 
 // buildMutEngines constructs every mutable engine configuration over g.
@@ -120,7 +120,7 @@ type mutEngine struct {
 func buildMutEngines(t *testing.T, k Kind, g *sgraph.Graph, opts Options) []mutEngine {
 	t.Helper()
 	engines := []mutEngine{
-		{"lazy", MustNew(k, g, opts).(MutableRelation)},
+		{"lazy", MustNew(k, g, opts)},
 		{"matrix", mustMatrix(k, g, opts)},
 	}
 	heights := []int{1, 7, 64}
@@ -201,7 +201,7 @@ func oracleTable(t *testing.T, oracle Relation) *pairTable {
 // checkAgainstOracle compares one engine against the fresh-built
 // oracle's answers on every ordered pair, plus the packed row fast
 // paths.
-func checkAgainstOracle(t *testing.T, step int, name string, eng MutableRelation, want *pairTable) {
+func checkAgainstOracle(t *testing.T, step int, name string, eng Relation, want *pairTable) {
 	t.Helper()
 	n := want.n
 	for u := sgraph.NodeID(0); int(u) < n; u++ {

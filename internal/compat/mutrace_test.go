@@ -99,7 +99,7 @@ func TestShardedMutationOverflowPromotion(t *testing.T) {
 		return es
 	}()), Options{})
 
-	check := func(t *testing.T, eng MutableRelation) {
+	check := func(t *testing.T, eng Relation) {
 		t.Helper()
 		if _, err := eng.Mutate(remove); err != nil {
 			t.Fatal(err)
@@ -356,8 +356,8 @@ func collectEdges(g *sgraph.Graph) []sgraph.Edge {
 	return edges
 }
 
-// flipSign applies a sign flip through the MutableRelation interface.
-func flipSign(m MutableRelation, u, v sgraph.NodeID) (MutationResult, error) {
+// flipSign applies a sign flip through the Relation interface.
+func flipSign(m Relation, u, v sgraph.NodeID) (MutationResult, error) {
 	return m.Mutate(sgraph.Mutation{Op: sgraph.MutFlip, U: u, V: v})
 }
 

@@ -101,7 +101,9 @@ type lazyRelation struct {
 	kind  Kind
 	beam  int
 	exact balance.ExactOptions
-	mutGuard
+	// pin is the epoch pin: snapshots hold its read side, Mutate its
+	// write side.
+	pin      sync.RWMutex
 	mutCount atomic.Int64
 
 	mu   sync.Mutex
@@ -156,8 +158,11 @@ func (r *lazyRelation) MutationStats() MutationStats {
 // AcquireSnapshot pins the current epoch until Release.
 func (r *lazyRelation) AcquireSnapshot() Snapshot {
 	r.pin.RLock()
-	return Snapshot{rel: r, epoch: r.dyn.Epoch()}
+	return Snapshot{pin: &r.pin, epoch: r.dyn.Epoch()}
 }
+
+// Close is a no-op: the lazy engine holds only memory.
+func (r *lazyRelation) Close() error { return nil }
 
 func (r *lazyRelation) Compatible(u, v sgraph.NodeID) (bool, error) {
 	if u == v {

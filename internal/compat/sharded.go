@@ -159,8 +159,9 @@ type ShardedMatrix struct {
 	// that captured its graph snapshot before a racing mutation's
 	// invalidation cannot clear staleness it shouldn't (the swap-in
 	// compares its build epoch against curEpoch). staleCount is the
-	// dirty-shard gauge for /stats.
-	mutGuard
+	// dirty-shard gauge for /stats. pin is the epoch pin: snapshots
+	// hold its read side, Mutate its write side.
+	pin        sync.RWMutex
 	freshMu    sync.Mutex // serialises post-mutation shard rebuilds
 	curEpoch   uint64
 	staleCount int
@@ -284,30 +285,23 @@ func (m *ShardedMatrix) SpillLoads() int64 { return m.spillLoads.Load() }
 
 // EngineStats is the packed engine's live observability snapshot: the
 // shard geometry, current residency and spill-reload count, gathered
-// for serving-time scrapes (/stats). The counters are atomics, so
-// taking a snapshot barely touches the engine lock (one brief
-// acquisition for the residency and staleness gauges) and never blocks
-// a build in flight.
+// for serving-time scrapes (/stats), followed by the engine's mutation
+// counters. The counters are atomics, so taking a snapshot barely
+// touches the engine lock (brief acquisitions for the residency and
+// staleness gauges) and never blocks a build in flight.
 type EngineStats struct {
 	NumShards         int
 	ShardRows         int
 	ResidentShards    int
 	MaxResidentShards int
 	SpillLoads        int64
-
-	// Mutation counters: the current graph epoch, mutations applied,
-	// shards currently invalidated and awaiting rebuild, and lazy shard
-	// rebuilds performed so far.
-	Epoch         uint64
-	Mutations     int64
-	StaleShards   int
-	ShardRebuilds int64
+	MutationStats
 }
 
 // LiveStats snapshots the engine's live counters; see EngineStats.
 func (m *ShardedMatrix) LiveStats() EngineStats {
 	m.mu.Lock()
-	resident, stale := m.resident, m.staleCount
+	resident := m.resident
 	m.mu.Unlock()
 	return EngineStats{
 		NumShards:         m.numShards,
@@ -315,10 +309,7 @@ func (m *ShardedMatrix) LiveStats() EngineStats {
 		ResidentShards:    resident,
 		MaxResidentShards: m.maxRes,
 		SpillLoads:        m.spillLoads.Load(),
-		Epoch:             m.dyn.Epoch(),
-		Mutations:         m.mutCount.Load(),
-		StaleShards:       stale,
-		ShardRebuilds:     m.rebuilds.Load(),
+		MutationStats:     m.MutationStats(),
 	}
 }
 
@@ -350,7 +341,6 @@ func (m *ShardedMatrix) Close() error {
 
 // Compile-time interface checks.
 var (
-	_ Relation        = (*ShardedMatrix)(nil)
-	_ PackedRelation  = (*ShardedMatrix)(nil)
-	_ MutableRelation = (*ShardedMatrix)(nil)
+	_ Relation       = (*ShardedMatrix)(nil)
+	_ PackedRelation = (*ShardedMatrix)(nil)
 )

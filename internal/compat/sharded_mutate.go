@@ -102,7 +102,7 @@ func (m *ShardedMatrix) MutationStats() MutationStats {
 // target the pinned epoch, so the view stays consistent.
 func (m *ShardedMatrix) AcquireSnapshot() Snapshot {
 	m.pin.RLock()
-	return Snapshot{rel: m, epoch: m.dyn.Epoch()}
+	return Snapshot{pin: &m.pin, epoch: m.dyn.Epoch()}
 }
 
 // freshen rebuilds stale shards so that shard s is fresh on return

@@ -724,7 +724,7 @@ func TestShardedResidentTable(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := flipSign(oracle.(MutableRelation), e.U, e.V); err != nil {
+			if _, err := flipSign(oracle, e.U, e.V); err != nil {
 				t.Fatal(err)
 			}
 			if rows == n && res.DirtyShards != 1 {

@@ -133,15 +133,6 @@ func newRelation(cfg Config, k compat.Kind, g *sgraph.Graph) (compat.Relation, s
 	return cfg.Engine.Build(k, g, opts)
 }
 
-// closeRelation releases relation-held resources once a harness step
-// is done with it. Only the sharded engine holds any (its spill
-// file); the other engines are plain memory and this is a no-op.
-func closeRelation(rel compat.Relation) {
-	if c, ok := rel.(interface{ Close() error }); ok {
-		c.Close()
-	}
-}
-
 // sampleSources picks cfg.SampleSources distinct nodes, or nil (all)
 // when sampling is off.
 func sampleSources(cfg Config, rng *rand.Rand, n int) []sgraph.NodeID {

@@ -54,14 +54,14 @@ func Figure2ab(cfg Config) ([]AlgoResult, error) {
 			return nil, err
 		}
 		if err := compat.Precompute(rel, cfg.Workers); err != nil {
-			closeRelation(rel)
+			rel.Close()
 			return nil, fmt.Errorf("experiments: precompute %v: %w", k, err)
 		}
 		// MAX: the skill-pair feasibility bound needs the skill
 		// matrix from a full stats pass.
 		stats, err := compat.ComputeStats(rel, compat.StatsOptions{Workers: cfg.Workers, Assign: d.Assign})
 		if err != nil {
-			closeRelation(rel)
+			rel.Close()
 			return nil, err
 		}
 		feasible := 0
@@ -81,13 +81,13 @@ func Figure2ab(cfg Config) ([]AlgoResult, error) {
 		for _, algo := range []string{AlgoLCMD, AlgoLCMC, AlgoRandom} {
 			res, err := runAlgorithm(cfg, rel, d.Assign, tasks, algo, cfg.Seed+404)
 			if err != nil {
-				closeRelation(rel)
+				rel.Close()
 				return nil, err
 			}
 			res.Relation = k
 			results = append(results, *res)
 		}
-		closeRelation(rel)
+		rel.Close()
 	}
 	return results, nil
 }
@@ -161,19 +161,19 @@ func Figure2cd(cfg Config) ([]TaskSizeResult, error) {
 			return nil, err
 		}
 		if err := compat.Precompute(rel, cfg.Workers); err != nil {
-			closeRelation(rel)
+			rel.Close()
 			return nil, err
 		}
 		for _, size := range cfg.TaskSizes {
 			taskRng := rand.New(rand.NewSource(cfg.Seed + 505 + int64(size)))
 			tasks, err := sampleTasks(taskRng, d.Assign, cfg.Tasks, size)
 			if err != nil {
-				closeRelation(rel)
+				rel.Close()
 				return nil, err
 			}
 			res, err := runAlgorithm(cfg, rel, d.Assign, tasks, AlgoLCMD, cfg.Seed+606)
 			if err != nil {
-				closeRelation(rel)
+				rel.Close()
 				return nil, err
 			}
 			results = append(results, TaskSizeResult{
@@ -185,7 +185,7 @@ func Figure2cd(cfg Config) ([]TaskSizeResult, error) {
 				Tasks:       res.Tasks,
 			})
 		}
-		closeRelation(rel)
+		rel.Close()
 	}
 	return results, nil
 }
@@ -218,7 +218,7 @@ func PolicyGrid(cfg Config, kind *compat.Kind) ([]PolicyResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer closeRelation(rel)
+	defer rel.Close()
 	if err := compat.Precompute(rel, cfg.Workers); err != nil {
 		return nil, err
 	}

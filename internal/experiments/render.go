@@ -28,9 +28,10 @@ func RenderTable1(rows []Table1Row) *texttable.Table {
 
 // RenderTable2 formats Table 2 rows grouped per dataset, with the
 // relations as columns as in the paper. The title names the relation
-// engine that produced the rows: results are only comparable within
-// one engine (the packed engines measure the symmetrised SBPH
-// relation, the lazy engine the directed heuristic).
+// engine that produced the rows. Full scans are bit-identical across
+// engines (every engine measures the symmetrised SBPH relation); under
+// sampling the SBPH cells can differ in the second decimal (see
+// Table2Row.Engine).
 func RenderTable2(rows []Table2Row) *texttable.Table {
 	headers := []string{"dataset", "metric"}
 	for _, k := range Table2Relations() {

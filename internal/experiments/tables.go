@@ -105,7 +105,7 @@ func Table2(cfg Config, names []string) ([]Table2Row, error) {
 				Workers: cfg.Workers,
 				Assign:  d.Assign,
 			})
-			closeRelation(rel)
+			rel.Close()
 			if err != nil {
 				return nil, fmt.Errorf("experiments: table 2 %s/%v: %w", name, k, err)
 			}
@@ -177,14 +177,14 @@ func Table3(cfg Config) ([]Table3Row, error) {
 			for _, members := range teams {
 				ok, err := team.Compatible(rel, members)
 				if err != nil {
-					closeRelation(rel)
+					rel.Close()
 					return nil, err
 				}
 				if ok {
 					compatible++
 				}
 			}
-			closeRelation(rel)
+			rel.Close()
 			frac := 0.0
 			if len(teams) > 0 {
 				frac = float64(compatible) / float64(len(teams))

@@ -44,8 +44,8 @@
 //
 // # Mutations
 //
-// With Options.EnableMutations (tfsnd -mutations) and a mutable engine,
-// POST /mutate?mut=op:u:v[:sign] applies one live edge mutation
+// With Options.EnableMutations (tfsnd -mutations), POST
+// /mutate?mut=op:u:v[:sign] applies one live edge mutation
 // (add / remove / flip; the spec grammar is cliflags.ParseMutation,
 // shared with tfsn's -mutate flag). Structural conflicts — adding an
 // edge that exists, removing one that doesn't — answer 409 so clients
@@ -54,9 +54,9 @@
 // shards it staled. Solves are isolated from concurrent mutations by
 // snapshots: every direct solve (and every coalescing window) pins the
 // engine's epoch for its duration, so a request sees one graph version
-// end to end and a racing /mutate waits for the pin to release. On
-// immutable engines the snapshot is a zero-value no-op and /mutate is
-// not registered (404).
+// end to end and a racing /mutate waits for the pin to release.
+// Without EnableMutations the snapshot is a zero-value no-op and
+// /mutate is not registered (404).
 //
 // # Drain
 //
@@ -79,7 +79,7 @@
 // microsecond buckets with mean and conservative p50/p99 upper
 // bounds, observed on every admitted solve with no allocation and no
 // lock on the request path), the mutation counters (epoch, mutations
-// applied, stale shards, rebuilds) when the engine is mutable, and
+// applied, stale shards, rebuilds) when mutations are enabled, and
 // optionally a startup relation scan. /healthz reports ready or
 // draining.
 package serve

@@ -6,11 +6,13 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sync"
 	"testing"
 
@@ -127,23 +129,13 @@ func TestMutateEndpoint(t *testing.T) {
 	}
 }
 
-// TestMutateGating: /mutate is absent without EnableMutations, and
-// absent even with it when the engine cannot mutate.
+// TestMutateGating: /mutate is absent without EnableMutations.
 func TestMutateGating(t *testing.T) {
 	g, a := fixtureGraph(t)
 	s := New(matrixRel(t, g), a, Options{Engine: "matrix"})
 	defer s.Wait(context.Background())
 	if res, _ := post(t, s, "/mutate?mut=flip:1:4"); res.StatusCode != http.StatusNotFound {
 		t.Fatalf("mutations disabled: status %d, want 404", res.StatusCode)
-	}
-	// An immutable wrapper with mutations requested: still absent.
-	gate := make(chan struct{})
-	close(gate)
-	wrapped := &gatedRel{Relation: matrixRel(t, g), gate: gate, entered: make(chan struct{})}
-	s2 := New(wrapped, a, Options{Engine: "matrix", EnableMutations: true})
-	defer s2.Wait(context.Background())
-	if res, _ := post(t, s2, "/mutate?mut=flip:1:4"); res.StatusCode != http.StatusNotFound {
-		t.Fatalf("immutable engine: status %d, want 404", res.StatusCode)
 	}
 }
 
@@ -218,4 +210,72 @@ func TestConcurrentMutateAndFormHTTP(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestStatsSectionKeys pins the /stats "sharded" and "mutation"
+// sections: their exact key sets, in order, and the mutation counters
+// both carry after one flip. External readers (the benchmark harness
+// among them) decode these keys by name.
+func TestStatsSectionKeys(t *testing.T) {
+	g, a := fixtureGraph(t)
+	rel := mustSharded(t, compat.NNE, g, compat.ShardedOptions{ShardRows: 2})
+	defer rel.Close()
+	s := New(rel, a, Options{PlanCache: 8, Engine: "sharded", EnableMutations: true})
+	defer s.Wait(context.Background())
+	get(t, s, "/form?task=A,B,C")
+	if res, body := post(t, s, "/mutate?mut=flip:1:4"); res.StatusCode != http.StatusOK {
+		t.Fatalf("mutate: %d %s", res.StatusCode, body)
+	}
+	get(t, s, "/form?task=A,B,C")
+
+	_, body := get(t, s, "/stats")
+	var doc map[string]json.RawMessage
+	if err := json.Unmarshal(body, &doc); err != nil {
+		t.Fatalf("bad stats JSON %s: %v", body, err)
+	}
+	mutKeys := []string{"Epoch", "Mutations", "StaleShards", "ShardRebuilds"}
+	for _, sec := range []struct {
+		name string
+		keys []string
+	}{
+		{"mutation", mutKeys},
+		{"sharded", append([]string{"NumShards", "ShardRows", "ResidentShards", "MaxResidentShards", "SpillLoads"}, mutKeys...)},
+	} {
+		raw, ok := doc[sec.name]
+		if !ok {
+			t.Fatalf("stats lacks %q: %s", sec.name, body)
+		}
+		if got := objectKeys(t, raw); !slices.Equal(got, sec.keys) {
+			t.Errorf("%s keys %v, want %v", sec.name, got, sec.keys)
+		}
+		var m map[string]any
+		if err := json.Unmarshal(raw, &m); err != nil {
+			t.Fatal(err)
+		}
+		if len(m) != len(sec.keys) || m["Epoch"] != 1.0 || m["Mutations"] != 1.0 {
+			t.Errorf("%s section %v, want %d keys at epoch 1 after 1 mutation", sec.name, m, len(sec.keys))
+		}
+	}
+}
+
+// objectKeys returns a JSON object's keys in document order.
+func objectKeys(t *testing.T, raw json.RawMessage) []string {
+	t.Helper()
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
+		t.Fatalf("not a JSON object: %s", raw)
+	}
+	var keys []string
+	for dec.More() {
+		tok, err := dec.Token()
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, tok.(string))
+		var v json.RawMessage
+		if err := dec.Decode(&v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return keys
 }

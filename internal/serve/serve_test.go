@@ -182,6 +182,35 @@ func TestFormTopKEndpoint(t *testing.T) {
 	}
 }
 
+// malformedQueries are TestMalformedQueryAnswers' requests and their
+// exact answers on the fixture; FuzzServeQuery seeds its corpus from
+// their queries.
+var malformedQueries = []struct {
+	path string
+	code int
+	body string
+}{
+	{"/form", 400, `{"error":"missing task parameter (comma-separated skill names)"}`},
+	{"/formtopk?k=2", 400, `{"error":"missing task parameter (comma-separated skill names)"}`},
+	{"/form?task=A,Z&skill=x", 400, `{"error":"unknown skill \"Z\""}`},
+	{"/formtopk?task=A,%20Z&skill=x", 400, `{"error":"unknown skill \" Z\""}`},
+	{"/form?task=A&skill=x", 400, `{"error":"unknown skill policy \"x\" (want rarest or leastcompatible)"}`},
+	{"/form?task=A&user=x&maxteam=y", 400, `{"error":"unknown user policy \"x\" (want mindistance, mostcompatible or random)"}`},
+	{"/form?task=A&user=random", 400, `{"error":"the random user policy is not servable (non-deterministic, uncacheable); use mindistance or mostcompatible"}`},
+	{"/form?task=A&cost=x&maxseeds=-1", 400, `{"error":"unknown cost \"x\" (want diameter or sumdistance)"}`},
+	{"/form?task=A&maxseeds=-1&maxteam=y", 400, `{"error":"bad maxseeds \"-1\""}`},
+	{"/formtopk?task=A&maxseeds=-1&k=0", 400, `{"error":"bad maxseeds \"-1\""}`},
+	{"/form?task=A&maxteam=y&deadline_ms=0", 400, `{"error":"bad maxteam \"y\""}`},
+	{"/formtopk?task=A&include=x&k=0", 400, `{"error":"include: bad user id \"x\" in \"x\" (want a non-negative decimal)"}`},
+	{"/form?task=A&include=99", 400, `{"error":"team: constraint user 99 out of range [0, 5)"}`},
+	{"/form?task=A&deadline_ms=0", 400, `{"error":"bad deadline_ms \"0\""}`},
+	{"/formtopk?task=A&deadline_ms=0", 400, `{"error":"bad deadline_ms \"0\""}`},
+	{"/formtopk?task=B,C&k=0&deadline_ms=x", 400, `{"error":"bad k \"0\""}`},
+	{"/formtopk?task=B,C&k=2&lambda=NaN&deadline_ms=x", 400, `{"error":"bad lambda \"NaN\" (want a finite number \u003e= 0)"}`},
+	{"/formtopk?task=B,C&lambda=1&deadline_ms=x", 400, `{"error":"bad deadline_ms \"x\""}`},
+	{"/form?task=A,B,C&k=abc&lambda=NaN", 200, `{"found":true,"members":[0,1,3],"cost":3,"seeds_tried":1,"seeds_succeeded":1}`},
+}
+
 // TestMalformedQueryAnswers pins the exact status and body of malformed
 // solve queries. Where a query carries several faults, the answer names
 // the first in the order task, policies, maxseeds, constraints, k and
@@ -191,31 +220,7 @@ func TestMalformedQueryAnswers(t *testing.T) {
 	s := New(matrixRel(t, g), a, Options{PlanCache: 8})
 	defer s.Wait(context.Background())
 
-	for _, tc := range []struct {
-		path string
-		code int
-		body string
-	}{
-		{"/form", 400, `{"error":"missing task parameter (comma-separated skill names)"}`},
-		{"/formtopk?k=2", 400, `{"error":"missing task parameter (comma-separated skill names)"}`},
-		{"/form?task=A,Z&skill=x", 400, `{"error":"unknown skill \"Z\""}`},
-		{"/formtopk?task=A,%20Z&skill=x", 400, `{"error":"unknown skill \" Z\""}`},
-		{"/form?task=A&skill=x", 400, `{"error":"unknown skill policy \"x\" (want rarest or leastcompatible)"}`},
-		{"/form?task=A&user=x&maxteam=y", 400, `{"error":"unknown user policy \"x\" (want mindistance, mostcompatible or random)"}`},
-		{"/form?task=A&user=random", 400, `{"error":"the random user policy is not servable (non-deterministic, uncacheable); use mindistance or mostcompatible"}`},
-		{"/form?task=A&cost=x&maxseeds=-1", 400, `{"error":"unknown cost \"x\" (want diameter or sumdistance)"}`},
-		{"/form?task=A&maxseeds=-1&maxteam=y", 400, `{"error":"bad maxseeds \"-1\""}`},
-		{"/formtopk?task=A&maxseeds=-1&k=0", 400, `{"error":"bad maxseeds \"-1\""}`},
-		{"/form?task=A&maxteam=y&deadline_ms=0", 400, `{"error":"bad maxteam \"y\""}`},
-		{"/formtopk?task=A&include=x&k=0", 400, `{"error":"include: bad user id \"x\" in \"x\" (want a non-negative decimal)"}`},
-		{"/form?task=A&include=99", 400, `{"error":"team: constraint user 99 out of range [0, 5)"}`},
-		{"/form?task=A&deadline_ms=0", 400, `{"error":"bad deadline_ms \"0\""}`},
-		{"/formtopk?task=A&deadline_ms=0", 400, `{"error":"bad deadline_ms \"0\""}`},
-		{"/formtopk?task=B,C&k=0&deadline_ms=x", 400, `{"error":"bad k \"0\""}`},
-		{"/formtopk?task=B,C&k=2&lambda=NaN&deadline_ms=x", 400, `{"error":"bad lambda \"NaN\" (want a finite number \u003e= 0)"}`},
-		{"/formtopk?task=B,C&lambda=1&deadline_ms=x", 400, `{"error":"bad deadline_ms \"x\""}`},
-		{"/form?task=A,B,C&k=abc&lambda=NaN", 200, `{"found":true,"members":[0,1,3],"cost":3,"seeds_tried":1,"seeds_succeeded":1}`},
-	} {
+	for _, tc := range malformedQueries {
 		res, body := get(t, s, tc.path)
 		if res.StatusCode != tc.code || string(body) != tc.body+"\n" {
 			t.Errorf("%s: %d %s, want %d %s", tc.path, res.StatusCode, body, tc.code, tc.body)

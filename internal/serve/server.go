@@ -50,10 +50,10 @@ type Options struct {
 	// all-pairs sweep, so the owner decides (tfsnd gates it behind a
 	// flag); nil omits the section.
 	Relation *compat.Stats
-	// EnableMutations exposes POST /mutate when the relation engine is
-	// mutable (implements compat.MutableRelation). Off by default: a
-	// serving deployment that wants an immutable corpus should not
-	// accept writes because the engine happens to support them.
+	// EnableMutations exposes POST /mutate and pins each solve to one
+	// graph epoch. Off by default: a serving deployment that wants a
+	// fixed corpus should not accept writes because every engine
+	// happens to support them.
 	EnableMutations bool
 }
 
@@ -64,12 +64,6 @@ type Server struct {
 	assign *skills.Assignment
 	solver *team.Solver
 	opts   Options
-
-	// mutable is the relation's mutation surface; nil when the engine
-	// is immutable or Options.EnableMutations is off. Solves acquire a
-	// snapshot from it so a /mutate cannot move the graph epoch under a
-	// request that is mid-answer.
-	mutable compat.MutableRelation
 
 	gate     gate
 	co       *coalescer // nil when coalescing is disabled
@@ -118,22 +112,20 @@ func New(rel compat.Relation, assign *skills.Assignment, opts Options) *Server {
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/stats", s.handleStats)
 	if opts.EnableMutations {
-		if mr, ok := rel.(compat.MutableRelation); ok {
-			s.mutable = mr
-			s.mux.HandleFunc("/mutate", s.handleMutate)
-		}
+		s.mux.HandleFunc("/mutate", s.handleMutate)
 	}
 	return s
 }
 
-// snapshot pins the relation epoch for the duration of one solve; on
-// an immutable engine (or with mutations disabled) it returns the
-// zero Snapshot, whose Release is a no-op.
+// snapshot pins the relation epoch for the duration of one solve, so
+// a /mutate cannot move the graph under a request that is mid-answer;
+// with mutations disabled it returns the zero Snapshot, whose Release
+// is a no-op.
 func (s *Server) snapshot() compat.Snapshot {
-	if s.mutable == nil {
+	if !s.opts.EnableMutations {
 		return compat.Snapshot{}
 	}
-	return s.mutable.AcquireSnapshot()
+	return s.rel.AcquireSnapshot()
 }
 
 // Handler returns the server's HTTP handler.
@@ -457,12 +449,11 @@ type mutateResult struct {
 // handleMutate applies one graph mutation. The spec arrives in the
 // mut query parameter using the shared cliflags spelling
 // ("flip:1:2", "add:3:4:-", "remove:5:6"), so a curl that works here
-// works verbatim as a -mutate flag value. Registered only when the
-// engine is mutable and Options.EnableMutations is set. POST only:
-// a mutation moves the graph epoch and retires cached plans, so it
-// must never ride on a cacheable GET. The response carries the new
-// epoch and how many shards the mutation dirtied (0 on unsharded
-// engines).
+// works verbatim as a -mutate flag value. Registered only when
+// Options.EnableMutations is set. POST only: a mutation moves the
+// graph epoch and retires cached plans, so it must never ride on a
+// cacheable GET. The response carries the new epoch and how many
+// shards the mutation dirtied (0 on unsharded engines).
 func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
@@ -479,7 +470,7 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorResult{Error: err.Error()})
 		return
 	}
-	res, err := s.mutable.Mutate(mut)
+	res, err := s.rel.Mutate(mut)
 	if err != nil {
 		// Structure conflicts (duplicate add, missing edge) are the
 		// caller's state being stale — 409 so clients can re-read and
@@ -565,8 +556,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if lat := s.latency.snapshot(); lat.Count > 0 {
 		p.Latency = &lat
 	}
-	if s.mutable != nil {
-		mst := s.mutable.MutationStats()
+	if s.opts.EnableMutations {
+		mst := s.rel.MutationStats()
 		p.Mutation = &mst
 	}
 	if m, ok := s.rel.(*compat.ShardedMatrix); ok {

@@ -103,7 +103,7 @@ func (s *Solver) planFor(ctx context.Context, task skills.Task, opts Options, sc
 	// read once so lookup and insert agree even if a mutation races the
 	// compile — the worst case is a plan stamped one epoch behind, which
 	// simply never matches again.
-	epoch := s.relEpoch()
+	epoch := s.rel.Epoch()
 	if p, ok := s.plans.lookup(task, opts, epoch); ok {
 		if p.planErr != nil {
 			return nil, p.planErr
@@ -128,16 +128,6 @@ func (s *Solver) planFor(ctx context.Context, task skills.Task, opts Options, sc
 	}
 	p.epoch = epoch
 	return s.plans.insert(p), nil
-}
-
-// relEpoch returns the relation's current mutation epoch, or 0 when
-// the backing engine is immutable (epoch keying then degenerates to a
-// constant and the cache behaves exactly as before mutability).
-func (s *Solver) relEpoch() uint64 {
-	if s.mutable == nil {
-		return 0
-	}
-	return s.mutable.Epoch()
 }
 
 // planWith compiles a plan using sc's compile buffers (ranking keys,
@@ -309,7 +299,7 @@ func (p *TaskPlan) rankSkills(sc *scratch) error {
 			sc.planDeg = make([]int64, len(p.task))
 		}
 		deg := sc.planDeg[:len(p.task)]
-		if err := taskSkillDegrees(p.s.rel, p.s.matrix, p.s.assign, p.task, deg, p.s.pairDeg, p.s.relEpoch()); err != nil {
+		if err := taskSkillDegrees(p.s.rel, p.s.matrix, p.s.assign, p.task, deg, p.s.pairDeg, p.s.rel.Epoch()); err != nil {
 			return err
 		}
 		for i, s := range p.task {

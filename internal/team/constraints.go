@@ -80,22 +80,8 @@ func (c Constraints) canonical() Constraints {
 
 // equal compares two canonical constraint sets.
 func (c Constraints) equal(d Constraints) bool {
-	if c.MaxTeamSize != d.MaxTeamSize ||
-		len(c.MustInclude) != len(d.MustInclude) ||
-		len(c.MustExclude) != len(d.MustExclude) {
-		return false
-	}
-	for i, u := range c.MustInclude {
-		if d.MustInclude[i] != u {
-			return false
-		}
-	}
-	for i, u := range c.MustExclude {
-		if d.MustExclude[i] != u {
-			return false
-		}
-	}
-	return true
+	return c.MaxTeamSize == d.MaxTeamSize &&
+		slices.Equal(c.MustInclude, d.MustInclude) && slices.Equal(c.MustExclude, d.MustExclude)
 }
 
 // Validate checks the constraints against a universe of numUsers users

@@ -26,10 +26,10 @@ import (
 // cached solver can sit on: the full matrix and sharded variants
 // (including a spilling one). The lazy engine is exercised by the
 // oracle test via MustNew.
-func mutableSolverEngines(t *testing.T, k compat.Kind, g *sgraph.Graph) map[string]compat.MutableRelation {
+func mutableSolverEngines(t *testing.T, k compat.Kind, g *sgraph.Graph) map[string]compat.Relation {
 	t.Helper()
-	engines := map[string]compat.MutableRelation{
-		"lazy":   compat.MustNew(k, g, compat.Options{}).(compat.MutableRelation),
+	engines := map[string]compat.Relation{
+		"lazy":   compat.MustNew(k, g, compat.Options{}),
 		"matrix": mustMatrix(t, k, g),
 		"sharded": mustSharded(t, k, g, compat.ShardedOptions{
 			ShardRows: 4,

@@ -15,6 +15,7 @@
 package team
 
 import (
+	"cmp"
 	"math"
 	"slices"
 	"sync"
@@ -93,59 +94,21 @@ func newPlanCache(capacity int) *planCache {
 	return c
 }
 
-// canonicalLocked returns the canonical (sorted, distinct) form of
-// task without allocating: already-canonical tasks — the common case,
-// skills.NewTask guarantees it — are returned as-is, anything else is
-// canonicalised into the cache's reused buffer. Requires c.mu held
-// (the buffer is shared).
-func (c *planCache) canonicalLocked(task skills.Task) skills.Task {
-	canonical := true
-	for i := 1; i < len(task); i++ {
-		if task[i] <= task[i-1] {
-			canonical = false
-			break
-		}
-	}
-	if canonical {
-		return task
-	}
-	c.canon = append(c.canon[:0], task...)
-	slices.Sort(c.canon)
-	out := c.canon[:0]
-	for i, s := range c.canon {
-		if i == 0 || s != c.canon[i-1] {
-			out = append(out, s)
-		}
-	}
-	c.canon = c.canon[:len(out)] // out aliases canon's prefix
-	return skills.Task(out)
-}
-
-// canonicalNodesLocked is canonicalLocked for constraint user lists:
-// already-canonical (strictly increasing) lists are returned as-is,
-// anything else is canonicalised into the given reused buffer.
-// Requires c.mu held.
-func (c *planCache) canonicalNodesLocked(buf *[]sgraph.NodeID, xs []sgraph.NodeID) []sgraph.NodeID {
-	canonical := true
+// canonicalInto returns the canonical (sorted, distinct) form of xs
+// without allocating once buf has grown: an already-canonical input —
+// the common case, skills.NewTask guarantees it for tasks — is returned
+// as-is, anything else is canonicalised into *buf. The plan cache
+// calls it under c.mu, which serialises its reused buffers.
+func canonicalInto[S ~[]T, T cmp.Ordered](buf *[]T, xs S) []T {
 	for i := 1; i < len(xs); i++ {
 		if xs[i] <= xs[i-1] {
-			canonical = false
-			break
+			*buf = append((*buf)[:0], xs...)
+			slices.Sort(*buf)
+			*buf = slices.Compact(*buf)
+			return *buf
 		}
 	}
-	if canonical {
-		return xs
-	}
-	*buf = append((*buf)[:0], xs...)
-	slices.Sort(*buf)
-	out := (*buf)[:0]
-	for i, u := range *buf {
-		if i == 0 || u != (*buf)[i-1] {
-			out = append(out, u)
-		}
-	}
-	*buf = (*buf)[:len(out)] // out aliases buf's prefix
-	return out
+	return xs
 }
 
 // planKeyHash hashes the canonical task, the options fingerprint and
@@ -192,18 +155,8 @@ func planMatches(p *TaskPlan, task skills.Task, opts Options, epoch uint64) bool
 	}
 	// Both sides hold canonical constraints: plans store them, lookup
 	// canonicalises before probing.
-	if p.opts.DiverseLambda != opts.DiverseLambda || !p.opts.Constraints.equal(opts.Constraints) {
-		return false
-	}
-	if len(p.task) != len(task) {
-		return false
-	}
-	for i := range task {
-		if p.task[i] != task[i] {
-			return false
-		}
-	}
-	return true
+	return p.opts.DiverseLambda == opts.DiverseLambda && p.opts.Constraints.equal(opts.Constraints) &&
+		slices.Equal(p.task, task)
 }
 
 // lookup returns the cached plan for (task, opts) at the given
@@ -214,9 +167,9 @@ func planMatches(p *TaskPlan, task skills.Task, opts Options, epoch uint64) bool
 func (c *planCache) lookup(task skills.Task, opts Options, epoch uint64) (*TaskPlan, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	canonical := c.canonicalLocked(task)
-	opts.Constraints.MustInclude = c.canonicalNodesLocked(&c.canonInc, opts.Constraints.MustInclude)
-	opts.Constraints.MustExclude = c.canonicalNodesLocked(&c.canonExc, opts.Constraints.MustExclude)
+	canonical := canonicalInto(&c.canon, task)
+	opts.Constraints.MustInclude = canonicalInto(&c.canonInc, opts.Constraints.MustInclude)
+	opts.Constraints.MustExclude = canonicalInto(&c.canonExc, opts.Constraints.MustExclude)
 	h := planKeyHash(canonical, opts, epoch)
 	for _, idx := range c.byHash[h] {
 		if planMatches(c.slots[idx].plan, canonical, opts, epoch) {

@@ -61,10 +61,10 @@ func TestPlanCacheCanonicalisationProperty(t *testing.T) {
 		for spell := 0; spell < 6; spell++ {
 			spelled := respell(rng, canon, spell == 0)
 			c.mu.Lock()
-			gotCanon := append(skills.Task(nil), c.canonicalLocked(spelled)...)
+			gotCanon := append(skills.Task(nil), canonicalInto(&c.canon, spelled)...)
 			c.mu.Unlock()
 			if !slices.Equal(gotCanon, canon) {
-				t.Fatalf("trial %d: canonicalLocked(%v) = %v, want %v", trial, spelled, gotCanon, canon)
+				t.Fatalf("trial %d: canonicalInto(%v) = %v, want %v", trial, spelled, gotCanon, canon)
 			}
 			if h := planKeyHash(gotCanon, opts, 0); h != wantHash {
 				t.Fatalf("trial %d: spelling %v hashed to %#x, canonical to %#x", trial, spelled, h, wantHash)

@@ -197,8 +197,8 @@ func TestReachIndexAfterMutation(t *testing.T) {
 	}
 	sharded := mustSharded(t, compat.SPM, g, compat.ShardedOptions{ShardRows: 7})
 	t.Cleanup(func() { sharded.Close() })
-	engines := map[string]compat.MutableRelation{
-		"lazy":    compat.MustNew(compat.SPM, g, compat.Options{}).(compat.MutableRelation),
+	engines := map[string]compat.Relation{
+		"lazy":    compat.MustNew(compat.SPM, g, compat.Options{}),
 		"sharded": sharded,
 	}
 	dropped := map[int32]int{}

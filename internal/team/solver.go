@@ -60,11 +60,10 @@ type SolverOptions struct {
 // a worker pool. A Solver is safe for concurrent use; the relation and
 // assignment must not change underneath it.
 type Solver struct {
-	rel     compat.Relation
-	assign  *skills.Assignment
-	matrix  *compat.ShardedMatrix  // the packed engine; nil on the lazy one
-	mutable compat.MutableRelation // non-nil on mutable engines: epoch-keys the plan cache
-	n       int                    // node count of the relation's graph
+	rel    compat.Relation
+	assign *skills.Assignment
+	matrix *compat.ShardedMatrix // the packed engine; nil on the lazy one
+	n      int                   // node count of the relation's graph
 
 	// pairDeg memoises the task-independent pairwise skill degrees
 	// cd(s,s') across plan compilations, one table per relation epoch
@@ -87,9 +86,6 @@ func NewSolver(rel compat.Relation, assign *skills.Assignment, opts SolverOption
 	}
 	if m, ok := rel.(*compat.ShardedMatrix); ok {
 		s.matrix = m
-	}
-	if mr, ok := rel.(compat.MutableRelation); ok {
-		s.mutable = mr
 	}
 	if s.workers <= 0 {
 		s.workers = runtime.GOMAXPROCS(0)

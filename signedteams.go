@@ -55,7 +55,9 @@ func WriteEdgeList(w io.Writer, g *Graph, origIDs []int64) error {
 // Compatibility relations.
 type (
 	// Relation answers Compatible(u,v) and Distance(u,v) queries on a
-	// fixed signed graph. Implementations are concurrency-safe.
+	// signed graph that accepts edge mutations (Mutate, pinned by
+	// AcquireSnapshot); Close releases engine resources.
+	// Implementations are concurrency-safe.
 	Relation = compat.Relation
 	// RelationKind enumerates the seven compatibility relations.
 	RelationKind = compat.Kind
