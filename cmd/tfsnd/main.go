@@ -6,9 +6,8 @@
 //
 // Endpoints: /form, /formtopk, /healthz, /stats, and — with
 // -mutations — POST /mutate for live edge mutations (epoch-versioned,
-// dirty-shard invalidation). See
-// internal/serve for the request lifecycle and README.md for a curl
-// walkthrough.
+// dirty-shard invalidation). See internal/serve for the request
+// lifecycle and README.md for a curl walkthrough.
 //
 // Usage:
 //

@@ -97,8 +97,9 @@
 // # Mutations
 //
 // The Relation contract includes live edge mutations (add / remove /
-// flip, sgraph.Mutation) against a serving engine. Mutate derives a fresh immutable graph through an
-// epoch-versioned sgraph.Dynamic and invalidates only the derived
+// flip, sgraph.Mutation) against a serving engine. Mutate derives a
+// fresh immutable graph through an epoch-versioned sgraph.Dynamic and
+// invalidates only the derived
 // state the mutation can have perturbed: the lazy engine drops its row
 // cache, and the packed engine marks only shards whose rows the
 // mutation can have changed *stale* and drops them from its lock-free
