@@ -19,11 +19,9 @@ import (
 
 	signedteams "repro"
 	"repro/internal/balance"
-	"repro/internal/cluster"
 	"repro/internal/compat"
 	"repro/internal/datasets"
 	"repro/internal/experiments"
-	"repro/internal/predict"
 	"repro/internal/sgraph"
 	"repro/internal/signedbfs"
 	"repro/internal/skills"
@@ -256,7 +254,7 @@ func BenchmarkCostObjectives(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rel := compat.MustNew(compat.SPM, d.Graph, compat.Options{CacheCap: d.Graph.NumNodes() + 1})
+	rel := mustNewRelation(compat.SPM, d.Graph, compat.Options{CacheCap: d.Graph.NumNodes() + 1})
 	rng := rand.New(rand.NewSource(5))
 	var tasks []skills.Task
 	for i := 0; i < 8; i++ {
@@ -288,57 +286,6 @@ func BenchmarkCostObjectives(b *testing.B) {
 	}
 }
 
-func BenchmarkSignPrediction(b *testing.B) {
-	// Extension bench: accuracy of the compatibility-derived sign
-	// predictors (paper conclusions: link prediction).
-	d, err := datasets.EpinionsSim(1, 0.04)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, m := range predict.Methods() {
-		b.Run(m.String(), func(b *testing.B) {
-			var acc float64
-			for i := 0; i < b.N; i++ {
-				results, err := predict.Evaluate(d.Graph, rand.New(rand.NewSource(7)), 0.1, []predict.Method{m})
-				if err != nil {
-					b.Fatal(err)
-				}
-				acc = results[0].Accuracy()
-			}
-			b.ReportMetric(100*acc, "accuracy-%")
-		})
-	}
-}
-
-func BenchmarkClustering(b *testing.B) {
-	// Extension bench: correlation-clustering disagreements (paper
-	// conclusions: clustering).
-	d, err := datasets.EpinionsSim(1, 0.04)
-	if err != nil {
-		b.Fatal(err)
-	}
-	g := d.Graph
-	b.Run("TwoFactions", func(b *testing.B) {
-		var bad int
-		for i := 0; i < b.N; i++ {
-			_, bad = cluster.TwoFactions(g)
-		}
-		b.ReportMetric(float64(bad), "disagreements")
-	})
-	b.Run("PivotCC+LocalSearch", func(b *testing.B) {
-		var bad int
-		for i := 0; i < b.N; i++ {
-			labels := cluster.PivotCC(g, rand.New(rand.NewSource(int64(i))))
-			var err error
-			_, bad, err = cluster.LocalSearch(g, labels, 8)
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(bad), "disagreements")
-	})
-}
-
 func BenchmarkExactSolverScaling(b *testing.B) {
 	// Theorem 2.2 made tangible: the exact TFSNC solver's work grows
 	// exponentially with the task size even on a fixed small graph.
@@ -346,7 +293,7 @@ func BenchmarkExactSolverScaling(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rel := compat.MustNew(compat.NNE, d.Graph, compat.Options{CacheCap: d.Graph.NumNodes() + 1})
+	rel := mustNewRelation(compat.NNE, d.Graph, compat.Options{CacheCap: d.Graph.NumNodes() + 1})
 	rng := rand.New(rand.NewSource(13))
 	for _, k := range []int{2, 3, 4, 5} {
 		task, err := skills.RandomTask(rng, d.Assign, k)
@@ -366,9 +313,9 @@ func BenchmarkExactSolverScaling(b *testing.B) {
 
 // --- Core operation micro-benches ----------------------------------
 
-// BenchmarkCountPaths contrasts the allocating CountPaths entry point
-// with the zero-allocation engine: a warm (Result, Scratch) pair must
-// report 0 allocs/op (the CI smoke test watches this).
+// BenchmarkCountPaths contrasts a fresh (Result, Scratch) pair per
+// source with the zero-allocation engine: a warm pair must report 0
+// allocs/op (the CI smoke test watches this).
 func BenchmarkCountPaths(b *testing.B) {
 	d, err := datasets.EpinionsSim(1, 0.04)
 	if err != nil {
@@ -379,7 +326,7 @@ func BenchmarkCountPaths(b *testing.B) {
 	b.Run("fresh", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			signedbfs.CountPaths(g, sgraph.NodeID(i)%n)
+			signedbfs.CountPathsInto(g, sgraph.NodeID(i)%n, &signedbfs.Result{}, signedbfs.NewScratch(g.NumNodes()))
 		}
 	})
 	b.Run("warm", func(b *testing.B) {
@@ -514,7 +461,7 @@ func BenchmarkFormTeamEngines(b *testing.B) {
 		}
 	}
 	b.Run("lazy", func(b *testing.B) {
-		rel := compat.MustNew(compat.SPM, d.Graph, compat.Options{CacheCap: d.Graph.NumNodes() + 1})
+		rel := mustNewRelation(compat.SPM, d.Graph, compat.Options{CacheCap: d.Graph.NumNodes() + 1})
 		if err := compat.Precompute(rel, 0); err != nil {
 			b.Fatal(err)
 		}
@@ -645,8 +592,7 @@ func BenchmarkPlanCacheServe(b *testing.B) {
 // BenchmarkFormBatchRepeated is the repeated-task batch workload the
 // plan cache exists for: 128 tasks drawn from 16 distinct, solved
 // through FormBatch on the matrix engine with and without a plan
-// cache. Compare against BenchmarkFormBatch (all-distinct tasks) and
-// the PR 3 matrix_batch baseline in BENCH_form.json.
+// cache. Compare against BenchmarkFormBatch (all-distinct tasks).
 func BenchmarkFormBatchRepeated(b *testing.B) {
 	d, err := datasets.EpinionsSim(1, 0.04)
 	if err != nil {
@@ -685,10 +631,9 @@ func BenchmarkFormBatchRepeated(b *testing.B) {
 }
 
 // BenchmarkLazyFormDecomposed isolates where a lazy-engine one-shot
-// solve spends its time, to attribute the PR 2 → PR 3 sequential-Form
-// delta recorded in BENCH_form.json: "form" builds a throwaway solver
-// per call (the FormTeam path), "solver-form" reuses the solver
-// but compiles a plan per call, and "warm-plan" only solves. The
+// solve spends its time: "form" builds a throwaway solver per call
+// (the FormTeam path), "solver-form" reuses the solver but compiles a
+// plan per call, and "warm-plan" only solves. The
 // row cache is fully precomputed, so every split measures pure
 // query-path work.
 func BenchmarkLazyFormDecomposed(b *testing.B) {
@@ -696,7 +641,7 @@ func BenchmarkLazyFormDecomposed(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rel := compat.MustNew(compat.SPM, d.Graph, compat.Options{CacheCap: d.Graph.NumNodes() + 1})
+	rel := mustNewRelation(compat.SPM, d.Graph, compat.Options{CacheCap: d.Graph.NumNodes() + 1})
 	if err := compat.Precompute(rel, 0); err != nil {
 		b.Fatal(err)
 	}
@@ -773,7 +718,7 @@ func BenchmarkFormBatch(b *testing.B) {
 		build func() compat.Relation
 	}{
 		{"lazy", func() compat.Relation {
-			rel := compat.MustNew(compat.SPM, d.Graph, compat.Options{CacheCap: d.Graph.NumNodes() + 1})
+			rel := mustNewRelation(compat.SPM, d.Graph, compat.Options{CacheCap: d.Graph.NumNodes() + 1})
 			if err := compat.Precompute(rel, 0); err != nil {
 				b.Fatal(err)
 			}
@@ -919,7 +864,7 @@ func BenchmarkSignedBFSRow(b *testing.B) {
 	g := d.Graph
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		signedbfs.CountPaths(g, sgraph.NodeID(i%g.NumNodes()))
+		signedbfs.CountPathsInto(g, sgraph.NodeID(i%g.NumNodes()), &signedbfs.Result{}, signedbfs.NewScratch(g.NumNodes()))
 	}
 }
 
@@ -954,7 +899,7 @@ func BenchmarkFormTeamLCMD(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rel := compat.MustNew(compat.SPM, d.Graph, compat.Options{CacheCap: d.Graph.NumNodes() + 1})
+	rel := mustNewRelation(compat.SPM, d.Graph, compat.Options{CacheCap: d.Graph.NumNodes() + 1})
 	rng := rand.New(rand.NewSource(3))
 	var sampled []skills.Task
 	for i := 0; i < 16; i++ {
@@ -983,8 +928,7 @@ func BenchmarkFormTeamLCMD(b *testing.B) {
 // Epinions stand-in (1,154 users) on the sharded SPO engine at 64-row
 // shards (19 shards); the post-mutation query reads one distance row,
 // which is what a Form seed evaluation does per candidate. The
-// incremental path must beat the full rebuild by ≥10× (tracked in
-// BENCH_form.json).
+// incremental path must beat the full rebuild by ≥10×.
 func BenchmarkMutateThenQuery(b *testing.B) {
 	d, err := datasets.EpinionsSim(1, 0.04)
 	if err != nil {

@@ -66,7 +66,11 @@ func TestSolveTopOneIsForm(t *testing.T) {
 	a.MustAdd(10, 0)
 	a.MustAdd(3, 1)
 	a.MustAdd(11, 1)
-	s := team.NewSolver(compat.MustNew(compat.SPO, g, compat.Options{}), a, team.SolverOptions{Workers: 1})
+	rel, err := compat.New(compat.SPO, g, compat.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := team.NewSolver(rel, a, team.SolverOptions{Workers: 1})
 	task := skills.NewTask(0, 1)
 	ctx := context.Background()
 

@@ -48,7 +48,8 @@ func GenerateProductSkills(rng *rand.Rand, numUsers int, cfg ProductReviewConfig
 // dataset stand-ins).
 type (
 	// Topology is an unsigned edge skeleton produced by the graph
-	// generators; decorate it with signs and Build it.
+	// generators; label its edges with FactionSigns or UniformSigns
+	// and pass them to FromEdges.
 	Topology = gen.Topology
 )
 
@@ -89,9 +90,6 @@ func FactionSigns(rng *rand.Rand, t *Topology, camps []uint8, negFrac, noise flo
 func UniformSigns(rng *rand.Rand, t *Topology, negFrac float64) []Edge {
 	return gen.UniformSigns(rng, t, negFrac)
 }
-
-// BuildGraph assembles signed edges into a Graph.
-func BuildGraph(n int, edges []Edge) (*Graph, error) { return gen.Build(n, edges) }
 
 // Structural balance utilities.
 

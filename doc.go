@@ -21,7 +21,10 @@
 //	b.AddEdge(0, 3, signedteams.Negative)
 //	g := b.MustBuild()
 //
-//	rel := signedteams.MustNewRelation(signedteams.SPO, g, signedteams.RelationOptions{})
+//	rel, err := signedteams.NewRelation(signedteams.SPO, g, signedteams.RelationOptions{})
+//	if err != nil {
+//		log.Fatal(err)
+//	}
 //	ok, _ := rel.Compatible(0, 2) // true: the shortest path 0→2 is positive
 //
 // Team formation on top of a skill assignment:
@@ -51,7 +54,8 @@
 //   - NewShardedRelation (packed): the whole relation is packed up
 //     front into bitset rows plus distance rows, in row shards, and
 //     batch team formation runs on word-parallel AND/popcount
-//     operations, ~3–4× faster at bench scale. Two configurations:
+//     operations, ~6× faster at bench scale (README's engine
+//     table). Two configurations:
 //     "matrix" (ShardRows ≥ NumNodes: one resident shard, Θ(n²)
 //     bits and bytes, lock-free reads) for all-pairs statistics and
 //     repeated-task serving at moderate n; and "sharded"

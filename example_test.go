@@ -17,8 +17,14 @@ func Example() {
 		{U: 0, V: 2, Sign: signedteams.Negative}, // 0 and 2 are foes
 		{U: 2, V: 3, Sign: signedteams.Positive},
 	})
-	spo := signedteams.MustNewRelation(signedteams.SPO, g, signedteams.RelationOptions{})
-	nne := signedteams.MustNewRelation(signedteams.NNE, g, signedteams.RelationOptions{})
+	spo, err := signedteams.NewRelation(signedteams.SPO, g, signedteams.RelationOptions{})
+	if err != nil {
+		panic(err)
+	}
+	nne, err := signedteams.NewRelation(signedteams.NNE, g, signedteams.RelationOptions{})
+	if err != nil {
+		panic(err)
+	}
 
 	foes, _ := spo.Compatible(0, 2)
 	distant, _ := spo.Compatible(0, 3) // shortest path 0-2-3 is negative, 0-1-2-3 longer
@@ -41,7 +47,10 @@ func ExampleFormTeam() {
 	assign.MustAdd(2, 1) // user 2: sql
 	assign.MustAdd(3, 1) // user 3: sql — but a foe of user 0
 
-	rel := signedteams.MustNewRelation(signedteams.SPO, g, signedteams.RelationOptions{})
+	rel, err := signedteams.NewRelation(signedteams.SPO, g, signedteams.RelationOptions{})
+	if err != nil {
+		panic(err)
+	}
 	team, _ := signedteams.FormTeam(rel, assign, signedteams.NewTask(0, 1), signedteams.FormOptions{
 		Skill: signedteams.LeastCompatibleFirst,
 		User:  signedteams.MinDistance,
@@ -260,25 +269,13 @@ func ExampleRarestFirstUnsigned() {
 	assign.MustAdd(1, 1)
 
 	team, _ := signedteams.RarestFirstUnsigned(g.IgnoreSigns(), assign, signedteams.NewTask(0, 1))
-	rel := signedteams.MustNewRelation(signedteams.NNE, g, signedteams.RelationOptions{})
+	rel, err := signedteams.NewRelation(signedteams.NNE, g, signedteams.RelationOptions{})
+	if err != nil {
+		panic(err)
+	}
 	ok, _ := signedteams.TeamCompatible(rel, team.Members)
 	fmt.Println(team.Members, ok)
 	// Output: [0 1] false
-}
-
-// ExampleTwoFactions splits a polarised network into its camps.
-func ExampleTwoFactions() {
-	g := signedteams.MustFromEdges(4, []signedteams.Edge{
-		{U: 0, V: 1, Sign: signedteams.Positive},
-		{U: 2, V: 3, Sign: signedteams.Positive},
-		{U: 0, V: 2, Sign: signedteams.Negative},
-		{U: 1, V: 3, Sign: signedteams.Negative},
-	})
-	labels, disagreements := signedteams.TwoFactions(g)
-	sameSide := labels.Of[0] == labels.Of[1]
-	acrossSides := labels.Of[0] != labels.Of[2]
-	fmt.Println(sameSide, acrossSides, disagreements)
-	// Output: true true 0
 }
 
 // ExampleGenerateZipfSkills synthesises a Zipf skill assignment, as

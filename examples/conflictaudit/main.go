@@ -61,9 +61,12 @@ func main() {
 		}
 		fmt.Printf("projection %-16s (%d teams formed):\n", projName, len(teams))
 		for _, kind := range relations {
-			rel := signedteams.MustNewRelation(kind, g, signedteams.RelationOptions{
+			rel, err := signedteams.NewRelation(kind, g, signedteams.RelationOptions{
 				CacheCap: g.NumNodes() + 1,
 			})
+			if err != nil {
+				log.Fatal(err)
+			}
 			okCount := 0
 			for _, members := range teams {
 				ok, err := signedteams.TeamCompatible(rel, members)

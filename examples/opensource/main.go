@@ -80,7 +80,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		g, err := signedteams.BuildGraph(n, edges)
+		g, err := signedteams.FromEdges(n, edges)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -88,7 +88,10 @@ func main() {
 			100*noise, g.NumNegativeEdges(), signedteams.IsBalanced(g), signedteams.Frustration(g))
 		fmt.Printf("%-5s  %-6s  %-9s  %s\n", "rel", "found", "diameter", "members")
 		for _, kind := range relations {
-			rel := signedteams.MustNewRelation(kind, g, signedteams.RelationOptions{})
+			rel, err := signedteams.NewRelation(kind, g, signedteams.RelationOptions{})
+			if err != nil {
+				log.Fatal(err)
+			}
 			team, err := signedteams.FormTeam(rel, assign, task, signedteams.FormOptions{
 				Skill: signedteams.LeastCompatibleFirst,
 				User:  signedteams.MinDistance,

@@ -35,7 +35,10 @@ func main() {
 	// negative-edge incompatibility axiom.
 	fmt.Println("ada vs cai (direct foes):")
 	for _, kind := range signedteams.RelationKinds() {
-		rel := signedteams.MustNewRelation(kind, g, signedteams.RelationOptions{})
+		rel, err := signedteams.NewRelation(kind, g, signedteams.RelationOptions{})
+		if err != nil {
+			log.Fatal(err)
+		}
 		ok, err := rel.Compatible(0, 2)
 		if err != nil {
 			log.Fatal(err)
@@ -47,7 +50,10 @@ func main() {
 	// their compatibility from path signs.
 	fmt.Println("\nben vs dee (connected through ada, one clash in the triangle):")
 	for _, kind := range signedteams.RelationKinds() {
-		rel := signedteams.MustNewRelation(kind, g, signedteams.RelationOptions{})
+		rel, err := signedteams.NewRelation(kind, g, signedteams.RelationOptions{})
+		if err != nil {
+			log.Fatal(err)
+		}
 		ok, err := rel.Compatible(1, 3)
 		if err != nil {
 			log.Fatal(err)
@@ -65,7 +71,10 @@ func main() {
 	assign.MustAdd(2, 1) // cai: frontend
 	assign.MustAdd(3, 1) // dee: frontend
 
-	rel := signedteams.MustNewRelation(signedteams.SPO, g, signedteams.RelationOptions{})
+	rel, err := signedteams.NewRelation(signedteams.SPO, g, signedteams.RelationOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
 	team, err := signedteams.FormTeam(rel, assign, signedteams.NewTask(0, 1), signedteams.FormOptions{
 		Skill: signedteams.LeastCompatibleFirst,
 		User:  signedteams.MinDistance,

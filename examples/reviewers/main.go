@@ -27,9 +27,12 @@ func main() {
 	fmt.Printf("trust network: %d reviewers, %d trust edges (%d distrust)\n\n",
 		g.NumNodes(), g.NumEdges(), g.NumNegativeEdges())
 
-	rel := signedteams.MustNewRelation(signedteams.SPM, g, signedteams.RelationOptions{
+	rel, err := signedteams.NewRelation(signedteams.SPM, g, signedteams.RelationOptions{
 		CacheCap: g.NumNodes() + 1,
 	})
+	if err != nil {
+		log.Fatal(err)
+	}
 	if err := signedteams.PrecomputeRelation(rel, 0); err != nil {
 		log.Fatal(err)
 	}

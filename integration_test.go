@@ -33,7 +33,7 @@ func TestPipelineEndToEnd(t *testing.T) {
 		}
 
 		for _, kind := range []signedteams.RelationKind{signedteams.SPM, signedteams.SBPH, signedteams.NNE} {
-			rel := signedteams.MustNewRelation(kind, g, signedteams.RelationOptions{})
+			rel := mustNewRelation(kind, g, signedteams.RelationOptions{})
 			tm, err := signedteams.FormTeam(rel, assign, task, signedteams.FormOptions{
 				Skill: signedteams.LeastCompatibleFirst,
 				User:  signedteams.MinDistance,
@@ -72,7 +72,7 @@ func TestCrossRelationTeamConsistency(t *testing.T) {
 	chain := []signedteams.RelationKind{signedteams.SPA, signedteams.SPM, signedteams.SPO, signedteams.NNE}
 	rels := make([]signedteams.Relation, len(chain))
 	for i, k := range chain {
-		rels[i] = signedteams.MustNewRelation(k, d.Graph, signedteams.RelationOptions{})
+		rels[i] = mustNewRelation(k, d.Graph, signedteams.RelationOptions{})
 	}
 	taskRng := rand.New(rand.NewSource(2))
 	formed := 0
@@ -111,7 +111,7 @@ func TestExactOracleAtIntegrationScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel := signedteams.MustNewRelation(signedteams.NNE, d.Graph, signedteams.RelationOptions{})
+	rel := mustNewRelation(signedteams.NNE, d.Graph, signedteams.RelationOptions{})
 	taskRng := rand.New(rand.NewSource(4))
 	checked := 0
 	for i := 0; i < 10 && checked < 5; i++ {

@@ -74,9 +74,7 @@ func Frustration(g *sgraph.Graph) int {
 // search, together with the number of violated edges (intra-camp
 // negative or inter-camp positive). On a balanced graph the split is
 // exact and violations are 0; otherwise it is a heuristic upper bound
-// on the frustration index. The split doubles as the
-// balance-theoretic community structure used for clustering and sign
-// prediction.
+// on the frustration index.
 func BestCamps(g *sgraph.Graph) (camps []uint8, violations int) {
 	n := g.NumNodes()
 	camp := make([]uint8, n)

@@ -146,16 +146,6 @@ func New(k Kind, g *sgraph.Graph, opts Options) (Relation, error) {
 	return r, nil
 }
 
-// MustNew is New that panics on error, for tests and examples with
-// known-good arguments.
-func MustNew(k Kind, g *sgraph.Graph, opts Options) Relation {
-	r, err := New(k, g, opts)
-	if err != nil {
-		panic(err)
-	}
-	return r
-}
-
 // PackedRelation is the row-level view of the packed engine
 // (ShardedMatrix): word-packed compatibility rows and whole distance
 // rows, both error-free. The team solver binds to *ShardedMatrix

@@ -10,6 +10,16 @@ import (
 	"repro/internal/sgraph"
 )
 
+// mustNew is New for tests with known-good arguments: it panics on
+// error, so it can build relations inside composite literals.
+func mustNew(k Kind, g *sgraph.Graph, opts Options) Relation {
+	r, err := New(k, g, opts)
+	if err != nil {
+		panic(err)
+	}
+	return r
+}
+
 // figure1a is the paper's Figure 1(a): u=0 and v=5 are SBP-compatible
 // but not SP-compatible.
 func figure1a() *sgraph.Graph {
@@ -28,7 +38,7 @@ func allRelations(t testing.TB, g *sgraph.Graph) map[Kind]Relation {
 	t.Helper()
 	rels := make(map[Kind]Relation)
 	for _, k := range Kinds() {
-		rels[k] = MustNew(k, g, Options{})
+		rels[k] = mustNew(k, g, Options{})
 	}
 	return rels
 }
@@ -340,8 +350,8 @@ func TestContainmentChain(t *testing.T) {
 func TestSBPDistanceNeverBelowGraphDistance(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
 	g := randomSignedGraph(rng, 12, 36, 0.3)
-	sbp := MustNew(SBP, g, Options{})
-	nne := MustNew(NNE, g, Options{})
+	sbp := mustNew(SBP, g, Options{})
+	nne := mustNew(NNE, g, Options{})
 	for u := sgraph.NodeID(0); int(u) < 12; u++ {
 		for v := sgraph.NodeID(0); int(v) < 12; v++ {
 			db, okb, err := sbp.Distance(u, v)
@@ -361,7 +371,7 @@ func TestSBPDistanceNeverBelowGraphDistance(t *testing.T) {
 
 func TestCacheCapOneStillCorrect(t *testing.T) {
 	g := figure1a()
-	r := MustNew(SPO, g, Options{CacheCap: 1})
+	r := mustNew(SPO, g, Options{CacheCap: 1})
 	// Alternate sources to force evictions, answers must not change.
 	for i := 0; i < 10; i++ {
 		if mustCompatible(t, r, 0, 5) {
@@ -378,7 +388,7 @@ func TestCacheCapOneStillCorrect(t *testing.T) {
 
 func TestConcurrentQueries(t *testing.T) {
 	g := randomSignedGraph(rand.New(rand.NewSource(61)), 30, 120, 0.25)
-	r := MustNew(SPM, g, Options{CacheCap: 4})
+	r := mustNew(SPM, g, Options{CacheCap: 4})
 	done := make(chan error, 8)
 	for w := 0; w < 8; w++ {
 		go func(seed int64) {
@@ -415,7 +425,7 @@ func TestSBPBudgetErrorPropagates(t *testing.T) {
 		}
 	}
 	g := b.MustBuild()
-	r := MustNew(SBP, g, Options{Exact: balance.ExactOptions{MaxExpanded: 1}})
+	r := mustNew(SBP, g, Options{Exact: balance.ExactOptions{MaxExpanded: 1}})
 	if _, err := r.Compatible(0, 13); !errors.Is(err, balance.ErrBudgetExceeded) {
 		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
 	}
@@ -426,7 +436,7 @@ func TestSBPBudgetErrorPropagates(t *testing.T) {
 
 func TestPrecomputeFillsCache(t *testing.T) {
 	g := randomSignedGraph(rand.New(rand.NewSource(71)), 40, 150, 0.25)
-	r := MustNew(SPM, g, Options{CacheCap: 64})
+	r := mustNew(SPM, g, Options{CacheCap: 64})
 	if err := Precompute(r, 4); err != nil {
 		t.Fatalf("Precompute: %v", err)
 	}
@@ -451,7 +461,7 @@ func TestPrecomputePropagatesErrors(t *testing.T) {
 			b.AddEdge(sgraph.NodeID(u), sgraph.NodeID(v), s)
 		}
 	}
-	r := MustNew(SBP, b.MustBuild(), Options{Exact: balance.ExactOptions{MaxExpanded: 5}})
+	r := mustNew(SBP, b.MustBuild(), Options{Exact: balance.ExactOptions{MaxExpanded: 5}})
 	if err := Precompute(r, 2); !errors.Is(err, balance.ErrBudgetExceeded) {
 		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
 	}
@@ -460,7 +470,7 @@ func TestPrecomputePropagatesErrors(t *testing.T) {
 func TestRelationGraphAccessor(t *testing.T) {
 	g := figure1a()
 	for _, k := range Kinds() {
-		if MustNew(k, g, Options{}).Graph() != g {
+		if mustNew(k, g, Options{}).Graph() != g {
 			t.Fatalf("%v.Graph() does not return the underlying graph", k)
 		}
 	}

@@ -109,7 +109,7 @@
 // that miss both endpoints keep serving without rebuild (a single
 // shard is staled by every mutation); stale ones rebuild on first
 // access (flip+re-query
-// is ~460× cheaper than a full rebuild at bench scale,
+// is ~77× cheaper than a full rebuild at bench scale,
 // BenchmarkMutateThenQuery). Concurrent
 // readers are protected by AcquireSnapshot: a Snapshot pins the
 // current epoch for a batch of queries (mutations wait), and the

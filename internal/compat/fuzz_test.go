@@ -74,7 +74,7 @@ func FuzzMutationSequence(f *testing.F) {
 			}
 			es.apply(mut)
 		}
-		oracle := MustNew(SPO, es.graph(), Options{})
+		oracle := mustNew(SPO, es.graph(), Options{})
 		checkAgainstOracle(t, int(applied), "fuzz-sharded", eng, oracleTable(t, oracle))
 	})
 }

@@ -62,7 +62,7 @@ func TestDistanceAtLeastHops(t *testing.T) {
 				continue
 			}
 			t.Run(fmt.Sprintf("%s/%v", bg.name, k), func(t *testing.T) {
-				lazy := MustNew(k, g, opts)
+				lazy := mustNew(k, g, opts)
 				for u := sgraph.NodeID(0); int(u) < n; u++ {
 					for v := sgraph.NodeID(0); int(v) < n; v++ {
 						d, ok, err := lazy.Distance(u, v)

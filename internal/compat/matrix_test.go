@@ -64,7 +64,7 @@ func TestMatrixAgreesWithLazy(t *testing.T) {
 			if !bg.runs(k) {
 				continue
 			}
-			lazy := MustNew(k, g, opts)
+			lazy := mustNew(k, g, opts)
 			m, err := newMatrix(k, g, opts)
 			if err != nil {
 				t.Fatalf("trial %d %v: newMatrix: %v", trial, k, err)
@@ -109,7 +109,7 @@ func TestPackedSweepMatchesLazyEpinions(t *testing.T) {
 	g := d.Graph
 	n := g.NumNodes()
 	for _, k := range []Kind{SPA, SPM, SPO, DPE, NNE} {
-		lazy := MustNew(k, g, Options{})
+		lazy := mustNew(k, g, Options{})
 		full := mustMatrix(k, g, Options{})
 		sharded := mustSharded(t, k, g, ShardedOptions{ShardRows: 100})
 		for u := sgraph.NodeID(0); int(u) < n; u++ {
@@ -165,7 +165,7 @@ func TestEdgeKindsMatchEdgeSigns(t *testing.T) {
 	for trial, g := range graphs {
 		n := g.NumNodes()
 		for _, k := range []Kind{DPE, NNE} {
-			engines := map[string]Relation{"lazy": MustNew(k, g, Options{}), "matrix": mustMatrix(k, g, Options{})}
+			engines := map[string]Relation{"lazy": mustNew(k, g, Options{}), "matrix": mustMatrix(k, g, Options{})}
 			for u := sgraph.NodeID(0); int(u) < n; u++ {
 				for v := sgraph.NodeID(0); int(v) < n; v++ {
 					sign, edge := g.EdgeSign(u, v)
@@ -233,7 +233,7 @@ func TestMatrixDistanceOverflowFallback(t *testing.T) {
 		if !ok || d != n-1 {
 			t.Fatalf("%v: Distance(0,%d) = (%d,%v), want (%d,true)", k, n-1, d, ok, n-1)
 		}
-		lazy := MustNew(k, g, Options{})
+		lazy := mustNew(k, g, Options{})
 		for _, v := range []sgraph.NodeID{1, 100, 254, 255, 299} {
 			wantD, wantOK, err := lazy.Distance(0, v)
 			if err != nil {
@@ -280,7 +280,7 @@ func TestMatrixStatsMatchLazy(t *testing.T) {
 	g := randomSignedGraph(rng, 30, 140, 0.3)
 	opts := Options{Exact: balance.ExactOptions{MaxLen: 6}} // cap SBP identically on both engines
 	for _, k := range []Kind{DPE, SPA, SPM, SPO, SBPH, SBP, NNE} {
-		lazyStats, err := ComputeStats(MustNew(k, g, opts), StatsOptions{Workers: 2})
+		lazyStats, err := ComputeStats(mustNew(k, g, opts), StatsOptions{Workers: 2})
 		if err != nil {
 			t.Fatalf("%v: lazy stats: %v", k, err)
 		}

@@ -120,7 +120,7 @@ type mutEngine struct {
 func buildMutEngines(t *testing.T, k Kind, g *sgraph.Graph, opts Options) []mutEngine {
 	t.Helper()
 	engines := []mutEngine{
-		{"lazy", MustNew(k, g, opts)},
+		{"lazy", mustNew(k, g, opts)},
 		{"matrix", mustMatrix(k, g, opts)},
 	}
 	heights := []int{1, 7, 64}
@@ -286,7 +286,7 @@ func runMutationOracle(t *testing.T, label string, k Kind, g *sgraph.Graph, opts
 			mut = es.randomMutation(rng)
 		}
 		es.apply(mut)
-		oracle := oracleTable(t, MustNew(k, es.graph(), opts))
+		oracle := oracleTable(t, mustNew(k, es.graph(), opts))
 		for _, e := range engines {
 			res, err := e.rel.Mutate(mut)
 			if err != nil {
@@ -300,7 +300,7 @@ func runMutationOracle(t *testing.T, label string, k Kind, g *sgraph.Graph, opts
 	}
 	// Rejected mutations must not move the epoch or disturb data.
 	bad := sgraph.Mutation{Op: sgraph.MutAdd, U: 0, V: 0, Sign: sgraph.Positive}
-	oracle := oracleTable(t, MustNew(k, es.graph(), opts))
+	oracle := oracleTable(t, mustNew(k, es.graph(), opts))
 	for _, e := range engines {
 		if _, err := e.rel.Mutate(bad); err == nil {
 			t.Fatalf("%s%s: self-loop add must fail", label, e.name)

@@ -91,7 +91,7 @@ func TestShardedMutationOverflowPromotion(t *testing.T) {
 	b.AddEdge(0, n-1, sgraph.Positive)
 	g := b.MustBuild()
 	remove := sgraph.Mutation{Op: sgraph.MutRemove, U: 0, V: n - 1}
-	oracle := MustNew(SPA, sgraph.MustFromEdges(n, func() []sgraph.Edge {
+	oracle := mustNew(SPA, sgraph.MustFromEdges(n, func() []sgraph.Edge {
 		var es []sgraph.Edge
 		for i := 0; i < n-1; i++ {
 			es = append(es, sgraph.Edge{U: sgraph.NodeID(i), V: sgraph.NodeID(i + 1), Sign: sgraph.Positive})
@@ -329,7 +329,7 @@ func TestConcurrentMutationReaders(t *testing.T) {
 			t.Fatalf("rows=%d maxRes=%d opened=%v: %v", rows, maxRes, c.opened, err)
 		}
 		// 120 flips across 20 edge slots: compare against fresh build.
-		oracle := MustNew(SPO, m.Graph(), Options{})
+		oracle := mustNew(SPO, m.Graph(), Options{})
 		checkAgainstOracle(t, -1, "post-race", m, oracleTable(t, oracle))
 		m.Close()
 	}
@@ -407,7 +407,7 @@ func TestSnapshotLifetime(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	oracle0 := MustNew(SPO, g, Options{})
+	oracle0 := mustNew(SPO, g, Options{})
 	for v := sgraph.NodeID(0); int(v) < n; v++ {
 		wantD, wantOK, err := oracle0.Distance(0, v)
 		if err != nil {

@@ -122,7 +122,7 @@ func TestOpenedMatchesLiveRelation(t *testing.T) {
 	const n = 40
 	g := randomSignedGraph(rand.New(rand.NewSource(1605)), n, 160, 0.25)
 	for ki, k := range []Kind{DPE, SPA, SPM, SPO, SBPH, NNE} {
-		live := MustNew(k, g, Options{CacheCap: 64})
+		live := mustNew(k, g, Options{CacheCap: 64})
 		built := mustSharded(t, k, g, ShardedOptions{ShardRows: 16})
 		opened := saveOpen(t, built, g, ki%2 == 0)
 		built.Close()

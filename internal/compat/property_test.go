@@ -16,7 +16,7 @@ func TestDistanceSymmetric(t *testing.T) {
 		n := 6 + rng.Intn(8)
 		g := randomSignedGraph(rng, n, 25, 0.3)
 		for _, k := range Kinds() {
-			r := MustNew(k, g, Options{})
+			r := mustNew(k, g, Options{})
 			for u := sgraph.NodeID(0); int(u) < n; u++ {
 				for v := u + 1; int(v) < n; v++ {
 					d1, ok1, err1 := r.Distance(u, v)
@@ -44,7 +44,7 @@ func TestCompatibleImpliesDistanceDefined(t *testing.T) {
 		n := 5 + rng.Intn(10)
 		g := randomSignedGraph(rng, n, 4*n, 0.3)
 		for _, k := range []Kind{SPA, SPM, SPO, SBPH, SBP} {
-			r := MustNew(k, g, Options{})
+			r := mustNew(k, g, Options{})
 			for u := sgraph.NodeID(0); int(u) < n; u++ {
 				for v := sgraph.NodeID(0); int(v) < n; v++ {
 					ok, err := r.Compatible(u, v)
@@ -74,8 +74,8 @@ func TestSBPDistanceIsRealPathLength(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 4 + rng.Intn(8)
 		g := randomSignedGraph(rng, n, 3*n, 0.3)
-		sbp := MustNew(SBP, g, Options{})
-		nne := MustNew(NNE, g, Options{})
+		sbp := mustNew(SBP, g, Options{})
+		nne := mustNew(NNE, g, Options{})
 		for u := sgraph.NodeID(0); int(u) < n; u++ {
 			for v := sgraph.NodeID(0); int(v) < n; v++ {
 				if u == v {
@@ -116,7 +116,7 @@ func TestDisconnectedGraphRelations(t *testing.T) {
 		{U: 2, V: 3, Sign: sgraph.Positive},
 	})
 	for _, k := range []Kind{DPE, SPA, SPM, SPO, SBPH, SBP} {
-		r := MustNew(k, g, Options{})
+		r := mustNew(k, g, Options{})
 		ok, err := r.Compatible(0, 2)
 		if err != nil {
 			t.Fatal(err)
@@ -125,7 +125,7 @@ func TestDisconnectedGraphRelations(t *testing.T) {
 			t.Fatalf("%v: cross-component pair compatible", k)
 		}
 	}
-	nne := MustNew(NNE, g, Options{})
+	nne := mustNew(NNE, g, Options{})
 	ok, err := nne.Compatible(0, 2)
 	if err != nil || !ok {
 		t.Fatalf("NNE cross-component = %v,%v, want true (no negative edge)", ok, err)

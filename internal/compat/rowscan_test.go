@@ -207,7 +207,7 @@ func TestDistRowsClearDropsViews(t *testing.T) {
 func TestStatsDirectedSBPH(t *testing.T) {
 	rng := rand.New(rand.NewSource(805))
 	g := randomSignedGraph(rng, 40, 200, 0.4)
-	rel := MustNew(SBPH, g, Options{})
+	rel := mustNew(SBPH, g, Options{})
 	sym, err := ComputeStats(rel, StatsOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)

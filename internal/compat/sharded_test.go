@@ -77,7 +77,7 @@ func TestShardedAgreesAcrossShardSizes(t *testing.T) {
 			if !bg.runs(k) {
 				continue
 			}
-			lazy := MustNew(k, g, opts)
+			lazy := mustNew(k, g, opts)
 			full := mustMatrix(k, g, opts)
 			for _, shardRows := range []int{1, 7, 64, n} {
 				// Alternate the spill backend across the grid; every
@@ -274,7 +274,7 @@ func TestShardedOverflowWideRetryAtBuild(t *testing.T) {
 	if m.peakResident > m.MaxResidentShards() {
 		t.Fatalf("peak residency %d exceeded the bound %d", m.peakResident, m.MaxResidentShards())
 	}
-	lazy := MustNew(SBPH, g, Options{})
+	lazy := mustNew(SBPH, g, Options{})
 	for u := sgraph.NodeID(0); int(u) < n; u++ {
 		words := m.RowWords(u)
 		dist := m.DistanceRow(u)
@@ -336,7 +336,7 @@ func TestShardedDistanceOverflowFallback(t *testing.T) {
 	if !m.wide {
 		t.Fatal("expected int32 distance fallback")
 	}
-	lazy := MustNew(SPA, g, Options{})
+	lazy := mustNew(SPA, g, Options{})
 	for _, v := range []sgraph.NodeID{1, 100, 254, 255, 299} {
 		wantD, wantOK, err := lazy.Distance(0, v)
 		if err != nil {
@@ -684,7 +684,7 @@ func TestShardedResidentTable(t *testing.T) {
 	edges := collectEdges(g)
 	for _, rows := range []int{16, n} {
 		m := mustSharded(t, SPO, g, ShardedOptions{ShardRows: rows})
-		oracle := MustNew(SPO, g, Options{})
+		oracle := mustNew(SPO, g, Options{})
 		// With m.mu held by the test, every read must still complete.
 		done := make(chan error, 1)
 		m.mu.Lock()

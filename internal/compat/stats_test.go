@@ -21,7 +21,7 @@ func statTriangle() *sgraph.Graph {
 }
 
 func TestComputeStatsTriangleNNE(t *testing.T) {
-	r := MustNew(NNE, statTriangle(), Options{})
+	r := mustNew(NNE, statTriangle(), Options{})
 	s, err := ComputeStats(r, StatsOptions{})
 	if err != nil {
 		t.Fatalf("ComputeStats: %v", err)
@@ -43,7 +43,7 @@ func TestComputeStatsTriangleNNE(t *testing.T) {
 }
 
 func TestComputeStatsTriangleSPA(t *testing.T) {
-	r := MustNew(SPA, statTriangle(), Options{})
+	r := mustNew(SPA, statTriangle(), Options{})
 	s, err := ComputeStats(r, StatsOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -61,7 +61,7 @@ func TestComputeStatsWithSkills(t *testing.T) {
 	a.MustAdd(0, 0) // user 0: skill 0
 	a.MustAdd(1, 1) // user 1: skill 1
 	a.MustAdd(2, 2) // user 2: skill 2
-	r := MustNew(NNE, g, Options{})
+	r := mustNew(NNE, g, Options{})
 	s, err := ComputeStats(r, StatsOptions{Assign: a})
 	if err != nil {
 		t.Fatal(err)
@@ -90,7 +90,7 @@ func TestSkillMatrixSelfCompatibility(t *testing.T) {
 	a := skills.NewAssignment(u, 2)
 	a.MustAdd(0, 0)
 	a.MustAdd(0, 1)
-	r := MustNew(NNE, g, Options{})
+	r := mustNew(NNE, g, Options{})
 	s, err := ComputeStats(r, StatsOptions{Assign: a})
 	if err != nil {
 		t.Fatal(err)
@@ -130,7 +130,7 @@ func TestSkillMatrixTaskFeasible(t *testing.T) {
 func TestComputeStatsSampledApproximatesExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	g := randomSignedGraph(rng, 120, 600, 0.25)
-	r := MustNew(SPO, g, Options{})
+	r := mustNew(SPO, g, Options{})
 	exact, err := ComputeStats(r, StatsOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -155,7 +155,7 @@ func TestComputeStatsSampledApproximatesExact(t *testing.T) {
 }
 
 func TestComputeStatsEmptySources(t *testing.T) {
-	r := MustNew(NNE, statTriangle(), Options{})
+	r := mustNew(NNE, statTriangle(), Options{})
 	s, err := ComputeStats(r, StatsOptions{Sources: []sgraph.NodeID{}})
 	if err != nil {
 		t.Fatal(err)
@@ -177,7 +177,7 @@ func TestComputeStatsErrorPropagation(t *testing.T) {
 			b.AddEdge(sgraph.NodeID(u), sgraph.NodeID(v), s)
 		}
 	}
-	r := MustNew(SBP, b.MustBuild(), Options{Exact: balance.ExactOptions{MaxExpanded: 10}})
+	r := mustNew(SBP, b.MustBuild(), Options{Exact: balance.ExactOptions{MaxExpanded: 10}})
 	if _, err := ComputeStats(r, StatsOptions{}); err == nil {
 		t.Fatal("budget error swallowed by ComputeStats")
 	}
@@ -189,7 +189,7 @@ func TestComputeStatsMatchesPointQueries(t *testing.T) {
 	rng := rand.New(rand.NewSource(79))
 	g := randomSignedGraph(rng, 25, 90, 0.3)
 	for _, k := range []Kind{DPE, SPA, SPM, SPO, NNE} {
-		r := MustNew(k, g, Options{})
+		r := mustNew(k, g, Options{})
 		s, err := ComputeStats(r, StatsOptions{Workers: 3})
 		if err != nil {
 			t.Fatal(err)
@@ -231,14 +231,14 @@ func TestStatsCachedRowsMatchFresh(t *testing.T) {
 			if !bg.runs(k) {
 				continue
 			}
-			fresh, err := ComputeStats(MustNew(k, bg.g, blockOpts), StatsOptions{Workers: 2, Assign: a})
+			fresh, err := ComputeStats(mustNew(k, bg.g, blockOpts), StatsOptions{Workers: 2, Assign: a})
 			if err != nil {
 				t.Fatalf("%s %v: fresh stats: %v", bg.name, k, err)
 			}
 			for _, cacheCap := range []int{n + 1, n/3 + 1} {
 				opts := blockOpts
 				opts.CacheCap = cacheCap
-				rel := MustNew(k, bg.g, opts)
+				rel := mustNew(k, bg.g, opts)
 				if err := Precompute(rel, 2); err != nil {
 					t.Fatalf("%s %v: Precompute: %v", bg.name, k, err)
 				}

@@ -94,7 +94,7 @@ func SlashdotSim(seed int64) (*Dataset, error) {
 	if err != nil {
 		return nil, fmt.Errorf("datasets: slashdot signs: %w", err)
 	}
-	g, err := gen.Build(n, edges)
+	g, err := sgraph.FromEdges(n, edges)
 	if err != nil {
 		return nil, fmt.Errorf("datasets: slashdot build: %w", err)
 	}
@@ -182,7 +182,7 @@ func chungLuDataset(name string, seed int64, p chungLuParams) (*Dataset, error) 
 	if err != nil {
 		return nil, fmt.Errorf("datasets: %s signs: %w", name, err)
 	}
-	g, err := gen.Build(n, edges)
+	g, err := sgraph.FromEdges(n, edges)
 	if err != nil {
 		return nil, fmt.Errorf("datasets: %s build: %w", name, err)
 	}

@@ -127,7 +127,7 @@ func TestConnectMakesConnected(t *testing.T) {
 		}
 		bridges := topo.Connect(rng)
 		edges := UniformSigns(rng, topo, 0.2)
-		g, err := Build(topo.N, edges)
+		g, err := sgraph.FromEdges(topo.N, edges)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,7 +191,7 @@ func TestFactionSignsExactFractionAndMostlyBalanced(t *testing.T) {
 		t.Fatalf("negative edges = %d, want exactly %d", neg, want)
 	}
 	// Mostly balanced: frustration well below the negative edge count.
-	g, err := Build(topo.N, edges)
+	g, err := sgraph.FromEdges(topo.N, edges)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestFactionSignsZeroNoiseZeroTargetMatchesCamps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := Build(topo.N, edges)
+	g, err := sgraph.FromEdges(topo.N, edges)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +257,7 @@ func TestCampsForNegFraction(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		g, err := Build(topo.N, edges)
+		g, err := sgraph.FromEdges(topo.N, edges)
 		if err != nil {
 			t.Fatal(err)
 		}

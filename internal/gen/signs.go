@@ -112,8 +112,3 @@ func FactionSigns(rng *rand.Rand, t *Topology, camps []uint8, negFrac, noise flo
 	}
 	return edges, nil
 }
-
-// Build assembles signed edges into a graph on n nodes.
-func Build(n int, edges []sgraph.Edge) (*sgraph.Graph, error) {
-	return sgraph.FromEdges(n, edges)
-}

@@ -455,7 +455,7 @@ func BenchmarkArgminMaxU8(b *testing.B) {
 
 // BenchmarkArgminMaxU8Scalar is the pre-kernel shape: materialise the
 // candidate list, then score each candidate through per-index loads —
-// the comparison column for BENCH_form.json's microbench table.
+// the baseline BenchmarkArgminMaxU8 is compared against.
 func BenchmarkArgminMaxU8Scalar(b *testing.B) {
 	rows := benchRows(4)
 	holder := benchWords(8, 0.3)

@@ -102,7 +102,7 @@ func TestMutateEndpoint(t *testing.T) {
 		t.Fatalf("/form status %d: %s", res.StatusCode, body)
 	}
 	got := decodeTeam(t, body)
-	fresh := compat.MustNew(compat.NNE, rel.Graph(), compat.Options{})
+	fresh := mustNewRelation(compat.NNE, rel.Graph(), compat.Options{})
 	want, err := formOnce(fresh, a, mustTask(t, a, "A", "B", "C"), team.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -200,7 +200,7 @@ func TestConcurrentMutateAndFormHTTP(t *testing.T) {
 	}
 	// Flip count is even-odd: 30 flips returns the chord to negative,
 	// so the engine must agree with the original fresh build.
-	fresh := compat.MustNew(compat.NNE, g, compat.Options{})
+	fresh := mustNewRelation(compat.NNE, g, compat.Options{})
 	for u := int32(0); u < 5; u++ {
 		for v := int32(0); v < 5; v++ {
 			want, err1 := fresh.Compatible(sgNode(u), sgNode(v))

@@ -18,6 +18,17 @@ import (
 	"repro/internal/team"
 )
 
+// mustNewRelation is compat.New for tests with known-good arguments:
+// it panics on error, so it can build relations inside composite
+// literals.
+func mustNewRelation(k compat.Kind, g *sgraph.Graph, opts compat.Options) compat.Relation {
+	r, err := compat.New(k, g, opts)
+	if err != nil {
+		panic(err)
+	}
+	return r
+}
+
 // fixtureGraph is the team package's 5-node path fixture: skills A/B/C
 // spread over the path, one negative chord.
 func fixtureGraph(t testing.TB) (*sgraph.Graph, *skills.Assignment) {
@@ -467,7 +478,7 @@ func TestCoalescingKeepsInfeasible(t *testing.T) {
 func TestAdmissionOverflow429(t *testing.T) {
 	g, a := fixtureGraph(t)
 	gate := make(chan struct{})
-	rel := &gatedRel{Relation: compat.MustNew(compat.NNE, g, compat.Options{}), gate: gate, entered: make(chan struct{})}
+	rel := &gatedRel{Relation: mustNewRelation(compat.NNE, g, compat.Options{}), gate: gate, entered: make(chan struct{})}
 	s := New(rel, a, Options{Queue: 1})
 
 	first := make(chan teamResult, 1)
@@ -506,7 +517,7 @@ func TestAdmissionOverflow429(t *testing.T) {
 // the exact direct-solve result.
 func TestDeadline504(t *testing.T) {
 	g, a := fixtureGraph(t)
-	base := compat.MustNew(compat.NNE, g, compat.Options{})
+	base := mustNewRelation(compat.NNE, g, compat.Options{})
 	s := New(&slowRel{Relation: base, delay: 2 * time.Millisecond}, a, Options{PlanCache: 8})
 	defer s.Wait(context.Background())
 
@@ -537,7 +548,7 @@ func TestDeadline504(t *testing.T) {
 // for time.Duration would if its conversion wrapped negative.
 func TestServerDeadlineCap(t *testing.T) {
 	g, a := fixtureGraph(t)
-	base := compat.MustNew(compat.NNE, g, compat.Options{})
+	base := mustNewRelation(compat.NNE, g, compat.Options{})
 	// None of these may override the 1ms server default. Each runs on
 	// a fresh server: the first solve's slow plan compile is what
 	// outlasts the deadline, and a cached plan would skip it.
@@ -668,7 +679,7 @@ func TestDrain(t *testing.T) {
 	before := runtime.NumGoroutine()
 	g, a := fixtureGraph(t)
 	gate := make(chan struct{})
-	rel := &gatedRel{Relation: compat.MustNew(compat.NNE, g, compat.Options{}), gate: gate, entered: make(chan struct{})}
+	rel := &gatedRel{Relation: mustNewRelation(compat.NNE, g, compat.Options{}), gate: gate, entered: make(chan struct{})}
 	s := New(rel, a, Options{Queue: 4})
 
 	inFlight := make(chan int, 1)
@@ -754,7 +765,7 @@ func TestWaitGracePeriod(t *testing.T) {
 	g, a := fixtureGraph(t)
 	gate := make(chan struct{})
 	defer close(gate)
-	rel := &gatedRel{Relation: compat.MustNew(compat.NNE, g, compat.Options{}), gate: gate, entered: make(chan struct{})}
+	rel := &gatedRel{Relation: mustNewRelation(compat.NNE, g, compat.Options{}), gate: gate, entered: make(chan struct{})}
 	s := New(rel, a, Options{CoalesceWait: time.Millisecond, CoalesceBatch: 2})
 
 	// Two callers fill the window; the batch blocks on the gated

@@ -41,8 +41,8 @@
 //
 // # Allocation discipline
 //
-// CountPaths and Distances allocate per call; the *Into variants
-// write into caller-owned result storage and take a Scratch for all
+// Distances allocates per call; the *Into variants write into
+// caller-owned result storage and take a Scratch for all
 // transient traversal state (queue, epoch-stamped discovery marks),
 // so a warm (result, Scratch) pair performs no heap allocations; a
 // warm MultiSweep likewise, counting or not (its counters, one word

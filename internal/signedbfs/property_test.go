@@ -80,7 +80,7 @@ func TestCountsLowerBoundReachability(t *testing.T) {
 		r := CountPaths(g, src)
 		for v := 0; v < n; v++ {
 			total := r.Pos[v] + r.Neg[v]
-			if r.Reachable(sgraph.NodeID(v)) {
+			if r.Dist[v] != Unreachable {
 				if total == 0 {
 					return false
 				}

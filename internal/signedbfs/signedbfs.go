@@ -1,5 +1,5 @@
-// The allocating single-source entry points and the saturating
-// counter arithmetic. Package documentation lives in doc.go.
+// The path-count result of one source and the saturating counter
+// arithmetic. Package documentation lives in doc.go.
 
 package signedbfs
 
@@ -13,7 +13,7 @@ import (
 // source.
 const Unreachable = int32(-1)
 
-// Result holds the output of CountPaths for one source node.
+// Result holds the output of CountPathsInto for one source node.
 type Result struct {
 	Source sgraph.NodeID
 	// Dist[v] is the shortest-path length from Source to v, or
@@ -42,17 +42,6 @@ func (r *Result) AllPositive(v sgraph.NodeID) bool {
 // only when both counters saturated; see Result.SaturatedAt.
 func (r *Result) MajorityPositive(v sgraph.NodeID) bool {
 	return r.Dist[v] != Unreachable && r.Pos[v] >= r.Neg[v]
-}
-
-// Reachable reports whether v is reachable from the source.
-func (r *Result) Reachable(v sgraph.NodeID) bool { return r.Dist[v] != Unreachable }
-
-// CountPaths runs the signed path-counting BFS (Algorithm 1) from src.
-// It is a convenience wrapper over CountPathsInto with a fresh Result
-// and Scratch; all-pairs sweeps should hold one Scratch per worker and
-// call CountPathsInto directly to avoid the per-source allocations.
-func CountPaths(g *sgraph.Graph, src sgraph.NodeID) *Result {
-	return CountPathsInto(g, src, &Result{}, NewScratch(g.NumNodes()))
 }
 
 // satAdd is a+b saturating at MaxUint64, reporting whether it

@@ -8,6 +8,14 @@ import (
 	"repro/internal/sgraph"
 )
 
+// CountPaths runs the signed path-counting BFS (Algorithm 1) from src
+// on a fresh Result and Scratch: the one-call form the tests and the
+// external benchmarks use. It is exported so the external test package
+// sees it.
+func CountPaths(g *sgraph.Graph, src sgraph.NodeID) *Result {
+	return CountPathsInto(g, src, &Result{}, NewScratch(g.NumNodes()))
+}
+
 // figure1a builds the example of Figure 1(a) of the paper (an instance
 // consistent with its stated properties): u=0, x1=1, x2=2, x3=3, x4=4,
 // v=5. The only shortest u–v path (u,x1,v) is negative; (u,x2,x1,v) is
@@ -87,7 +95,7 @@ func TestCountPathsParallelShortestPaths(t *testing.T) {
 func TestCountPathsUnreachable(t *testing.T) {
 	g := sgraph.MustFromEdges(3, []sgraph.Edge{{U: 0, V: 1, Sign: sgraph.Positive}})
 	r := CountPaths(g, 0)
-	if r.Reachable(2) || r.Dist[2] != Unreachable {
+	if r.Dist[2] != Unreachable {
 		t.Fatal("node 2 should be unreachable")
 	}
 	if r.Pos[2] != 0 || r.Neg[2] != 0 {

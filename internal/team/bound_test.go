@@ -121,7 +121,7 @@ func TestBoundedSeedLoopRandomUserRng(t *testing.T) {
 			t.Fatal(err)
 		}
 		for engine, rel := range map[string]compat.Relation{
-			"lazy":   compat.MustNew(compat.SPM, g, compat.Options{}),
+			"lazy":   mustNewRelation(compat.SPM, g, compat.Options{}),
 			"matrix": mustMatrix(t, compat.SPM, g),
 		} {
 			for _, ck := range []CostKind{Diameter, SumDistance} {

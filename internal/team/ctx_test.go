@@ -172,7 +172,7 @@ func TestDeadlineMidBatch(t *testing.T) {
 		}
 		tasks = append(tasks, task)
 	}
-	base := compat.MustNew(compat.NNE, g, compat.Options{})
+	base := mustNewRelation(compat.NNE, g, compat.Options{})
 	opts := Options{Skill: LeastCompatibleFirst, User: MinDistance}
 	for _, workers := range []int{1, 4} {
 		ctx, cancel := context.WithCancel(context.Background())

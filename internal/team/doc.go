@@ -52,10 +52,11 @@
 //     fingerprint, so a repeated task skips compilation entirely —
 //     Solver.FormIntoContext on a cache hit is allocation-free end to
 //     end on packed engines, and Solver.PlanCacheStats reports hits,
-//     misses and evictions. Plan compilation is the dominant cost of a cold
-//     solve (on the lazy engine the LeastCompatibleFirst degree pass
-//     alone is ~80% of a cold solve, see BenchmarkLazyFormDecomposed),
-//     which is exactly what the cache removes for repeated queries.
+//     misses and evictions. A reused solver compiles a plan in a
+//     fraction of a cold solve (BenchmarkLazyFormDecomposed: ~4.9µs
+//     with the compile against ~4.3µs warm, on the lazy engine); a
+//     fresh solver per call, FormTeam's path, costs ~79µs, which is
+//     why repeated queries should share one Solver.
 //   - A single solve runs Algorithm 2's seed loop sequentially as a
 //     branch and bound: once a team is priced, each later seed is
 //     abandoned as soon as its running cost reaches the best cost, and

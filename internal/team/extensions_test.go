@@ -77,7 +77,7 @@ func TestSumDistancePolicySteersSelection(t *testing.T) {
 		if len(task) == 0 {
 			continue
 		}
-		rel := compat.MustNew(compat.NNE, g, compat.Options{})
+		rel := mustNewRelation(compat.NNE, g, compat.Options{})
 		sumTeam, err := form(rel, a, task, Options{Cost: SumDistance})
 		if err != nil {
 			if errors.Is(err, ErrNoTeam) {
@@ -164,7 +164,7 @@ func TestFormTopKDeduplicates(t *testing.T) {
 	// B via 2? No — seed 0 covers A, next B → picks 2: {0,2}. Seed 1:
 	// {1,2}. Still distinct. True duplicates need seeds that are both
 	// absorbed; instead verify the dedupe key logic directly.
-	teams, err := formTopK(compat.MustNew(compat.NNE, g, compat.Options{}), a, skills.NewTask(0, 1), Options{}, 5)
+	teams, err := formTopK(mustNewRelation(compat.NNE, g, compat.Options{}), a, skills.NewTask(0, 1), Options{}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestGreedyIncompleteWitness(t *testing.T) {
 	a.MustAdd(3, 2)
 	a.MustAdd(4, 2)
 	task := skills.NewTask(0, 1, 2)
-	rel := compat.MustNew(compat.NNE, g, compat.Options{})
+	rel := mustNewRelation(compat.NNE, g, compat.Options{})
 
 	// A compatible team exists: {a, b_good, c1}.
 	exact, err := Exact(rel, a, task, ExactOptions{})
@@ -274,7 +274,7 @@ func TestFormTopKFirstEqualsForm(t *testing.T) {
 		if len(task) == 0 {
 			continue
 		}
-		rel := compat.MustNew(compat.SPO, g, compat.Options{})
+		rel := mustNewRelation(compat.SPO, g, compat.Options{})
 		best, err := form(rel, a, task, Options{})
 		if err != nil {
 			if errors.Is(err, ErrNoTeam) {

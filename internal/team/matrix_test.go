@@ -29,7 +29,7 @@ func TestFormPackedMatchesLazy(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, k := range []compat.Kind{compat.SPA, compat.SPM, compat.SPO, compat.SBPH, compat.NNE} {
-			lazy := compat.MustNew(k, g, compat.Options{})
+			lazy := mustNewRelation(k, g, compat.Options{})
 			sharded := mustSharded(t, k, g, compat.ShardedOptions{
 				ShardRows:         3,
 				MaxResidentShards: 2,
@@ -81,7 +81,7 @@ func TestFormOnOpenedMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	live := compat.MustNew(compat.SPO, d.Graph, compat.Options{CacheCap: d.Graph.NumNodes() + 1})
+	live := mustNewRelation(compat.SPO, d.Graph, compat.Options{CacheCap: d.Graph.NumNodes() + 1})
 	path := filepath.Join(t.TempDir(), "spo.stpk")
 	if err := mustMatrix(t, compat.SPO, d.Graph).Save(path); err != nil {
 		t.Fatal(err)

@@ -23,13 +23,12 @@ import (
 )
 
 // mutableSolverEngines builds the mutable engine configurations a
-// cached solver can sit on: the full matrix and sharded variants
-// (including a spilling one). The lazy engine is exercised by the
-// oracle test via MustNew.
+// cached solver can sit on: the lazy engine, the full matrix and
+// sharded variants (including a spilling one).
 func mutableSolverEngines(t *testing.T, k compat.Kind, g *sgraph.Graph) map[string]compat.Relation {
 	t.Helper()
 	engines := map[string]compat.Relation{
-		"lazy":   compat.MustNew(k, g, compat.Options{}),
+		"lazy":   mustNewRelation(k, g, compat.Options{}),
 		"matrix": mustMatrix(t, k, g),
 		"sharded": mustSharded(t, k, g, compat.ShardedOptions{
 			ShardRows: 4,
@@ -217,7 +216,7 @@ func TestSolverMutationOracle(t *testing.T) {
 			t.Fatalf("step %d: the graph has %d edges, the bookkeeping %d", step, got, len(edges))
 		}
 
-		fresh := compat.MustNew(compat.SPO, rel.Graph(), compat.Options{})
+		fresh := mustNewRelation(compat.SPO, rel.Graph(), compat.Options{})
 		oracle := NewSolver(fresh, assign, SolverOptions{Workers: 1})
 		for _, ck := range []CostKind{Diameter, SumDistance} {
 			o := opts
@@ -335,7 +334,7 @@ func TestConstrainedSolverMutationOracle(t *testing.T) {
 			t.Fatalf("step %d: %v", step, err)
 		}
 
-		fresh := compat.MustNew(compat.SPO, rel.Graph(), compat.Options{})
+		fresh := mustNewRelation(compat.SPO, rel.Graph(), compat.Options{})
 		oracle := NewSolver(fresh, assign, SolverOptions{Workers: 1})
 		want, err := oracle.FormBatchSpecs(specs, opts)
 		if err != nil {

@@ -70,7 +70,7 @@ func TestGreedyAgainstExactOracle(t *testing.T) {
 			continue
 		}
 		for _, kind := range kinds {
-			rel := compat.MustNew(kind, g, compat.Options{})
+			rel := mustNewRelation(kind, g, compat.Options{})
 			exact, exactErr := Exact(rel, a, task, ExactOptions{})
 			if exactErr != nil && !errors.Is(exactErr, ErrNoTeam) {
 				t.Fatalf("trial %d %v: exact: %v", trial, kind, exactErr)
@@ -111,7 +111,7 @@ func TestRandomPolicyValidity(t *testing.T) {
 		if len(task) == 0 {
 			continue
 		}
-		rel := compat.MustNew(compat.SPO, g, compat.Options{})
+		rel := mustNewRelation(compat.SPO, g, compat.Options{})
 		tm, err := form(rel, a, task, Options{User: RandomUser, Rng: rng})
 		if err != nil {
 			if errors.Is(err, ErrNoTeam) {
@@ -182,7 +182,7 @@ func TestRarestFirstUnsignedAgainstExact(t *testing.T) {
 			continue
 		}
 		unsigned := g.IgnoreSigns()
-		rel := compat.MustNew(compat.NNE, unsigned, compat.Options{})
+		rel := mustNewRelation(compat.NNE, unsigned, compat.Options{})
 		exact, exactErr := Exact(rel, a, task, ExactOptions{})
 		base, baseErr := RarestFirstUnsigned(unsigned, a, task)
 		if baseErr != nil {

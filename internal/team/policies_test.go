@@ -239,7 +239,7 @@ func TestSkillCompatDegreesMemoised(t *testing.T) {
 	g := randomTeamGraph(rng, n, 6*n, 0.3)
 	assign := randomAssignment(t, rng, n, 8)
 	rels := map[string]compat.Relation{
-		"lazy":   compat.MustNew(compat.SPO, g, compat.Options{}),
+		"lazy":   mustNewRelation(compat.SPO, g, compat.Options{}),
 		"matrix": mustMatrix(t, compat.SPO, g),
 	}
 	for name, rel := range rels {

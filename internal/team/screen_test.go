@@ -145,7 +145,7 @@ func TestSeedScreenIsExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	engines := map[string]compat.Relation{
-		"lazy":   compat.MustNew(compat.SPM, d.Graph, compat.Options{}),
+		"lazy":   mustNewRelation(compat.SPM, d.Graph, compat.Options{}),
 		"matrix": mustMatrix(t, compat.SPM, d.Graph),
 	}
 	var tasks []skills.Task
@@ -198,7 +198,7 @@ func TestReachIndexAfterMutation(t *testing.T) {
 	sharded := mustSharded(t, compat.SPM, g, compat.ShardedOptions{ShardRows: 7})
 	t.Cleanup(func() { sharded.Close() })
 	engines := map[string]compat.Relation{
-		"lazy":    compat.MustNew(compat.SPM, g, compat.Options{}),
+		"lazy":    mustNewRelation(compat.SPM, g, compat.Options{}),
 		"sharded": sharded,
 	}
 	dropped := map[int32]int{}

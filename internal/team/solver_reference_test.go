@@ -429,7 +429,7 @@ func referenceTopKSucceeded(teams []*Team, k int, lambda float64, key func([]sgr
 func constrainedEngines(t *testing.T, k compat.Kind, g *sgraph.Graph) map[string]compat.Relation {
 	t.Helper()
 	engines := map[string]compat.Relation{
-		"lazy":   compat.MustNew(k, g, compat.Options{}),
+		"lazy":   mustNewRelation(k, g, compat.Options{}),
 		"matrix": mustMatrix(t, k, g),
 	}
 	for _, rows := range []int{1, 7, 64, g.NumNodes()} {

@@ -289,7 +289,7 @@ func referenceTopK(rel compat.Relation, assign *skills.Assignment, task skills.T
 func solverEngines(tb testing.TB, k compat.Kind, g *sgraph.Graph) (map[string]compat.Relation, func()) {
 	sharded := mustSharded(tb, k, g, compat.ShardedOptions{ShardRows: 4, MaxResidentShards: 2})
 	return map[string]compat.Relation{
-		"lazy":    compat.MustNew(k, g, compat.Options{}),
+		"lazy":    mustNewRelation(k, g, compat.Options{}),
 		"matrix":  mustMatrix(tb, k, g),
 		"sharded": sharded,
 	}, func() { sharded.Close() }
@@ -638,7 +638,7 @@ func TestSkillCompatDegreesWordMismatch(t *testing.T) {
 	// 60 users over a 70-node graph: 1 holder word vs 2 row words.
 	assign := randomAssignment(t, rng, 60, 5)
 	task := skills.NewTask(0, 1, 2, 3)
-	lazy := compat.MustNew(compat.NNE, g, compat.Options{})
+	lazy := mustNewRelation(compat.NNE, g, compat.Options{})
 	packed := mustMatrix(t, compat.NNE, g)
 	want, err := skillCompatDegrees(lazy, assign, task)
 	if err != nil {
@@ -736,7 +736,7 @@ func TestSolverMoreUsersThanNodes(t *testing.T) {
 	assign := randomAssignment(t, rng, 200, 5)
 	task := skills.NewTask(0, 1, 2, 3)
 	engines := map[string]compat.Relation{
-		"lazy":   compat.MustNew(compat.SPM, g, compat.Options{}),
+		"lazy":   mustNewRelation(compat.SPM, g, compat.Options{}),
 		"matrix": mustMatrix(t, compat.SPM, g),
 	}
 	for engine, rel := range engines {

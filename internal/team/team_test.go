@@ -10,6 +10,17 @@ import (
 	"repro/internal/skills"
 )
 
+// mustNewRelation is compat.New for tests with known-good arguments:
+// it panics on error, so it can build relations inside composite
+// literals.
+func mustNewRelation(k compat.Kind, g *sgraph.Graph, opts compat.Options) compat.Relation {
+	r, err := compat.New(k, g, opts)
+	if err != nil {
+		panic(err)
+	}
+	return r
+}
+
 // fixture: path 0-1-2-3 (positive), plus node 4 with a negative edge
 // to 1 and a positive edge to 3. Skills: 0:A, 1:B, 2:B, 3:C, 4:C.
 //
@@ -45,7 +56,7 @@ func newFixture(t testing.TB) *fixture {
 
 func nne(t testing.TB, g *sgraph.Graph) compat.Relation {
 	t.Helper()
-	return compat.MustNew(compat.NNE, g, compat.Options{})
+	return mustNewRelation(compat.NNE, g, compat.Options{})
 }
 
 func TestFormLCMDOnFixture(t *testing.T) {
@@ -156,7 +167,7 @@ func TestFormNoCompatibleTeam(t *testing.T) {
 	a.MustAdd(0, 0)
 	a.MustAdd(1, 1)
 	for _, k := range compat.Kinds() {
-		rel := compat.MustNew(k, g, compat.Options{})
+		rel := mustNewRelation(k, g, compat.Options{})
 		_, err := form(rel, a, skills.NewTask(0, 1), Options{})
 		if !errors.Is(err, ErrNoTeam) {
 			t.Fatalf("%v: err = %v, want ErrNoTeam", k, err)

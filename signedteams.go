@@ -100,11 +100,6 @@ func NewRelation(kind RelationKind, g *Graph, opts RelationOptions) (Relation, e
 	return compat.New(kind, g, opts)
 }
 
-// MustNewRelation is NewRelation that panics on error.
-func MustNewRelation(kind RelationKind, g *Graph, opts RelationOptions) Relation {
-	return compat.MustNew(kind, g, opts)
-}
-
 // ShardedRelationOptions tunes NewShardedRelation: the relation
 // parameters plus build parallelism, shard height (ShardRows; at
 // least the node count gives the single-shard matrix configuration),

@@ -9,6 +9,16 @@ import (
 	signedteams "repro"
 )
 
+// mustNewRelation is NewRelation for tests with known-good arguments:
+// it panics on error.
+func mustNewRelation(kind signedteams.RelationKind, g *signedteams.Graph, opts signedteams.RelationOptions) signedteams.Relation {
+	rel, err := signedteams.NewRelation(kind, g, opts)
+	if err != nil {
+		panic(err)
+	}
+	return rel
+}
+
 // TestQuickstartFlow exercises the README quickstart end to end
 // through the public API only.
 func TestQuickstartFlow(t *testing.T) {
@@ -91,7 +101,7 @@ func TestGeneratorFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := signedteams.BuildGraph(100, edges)
+	g, err := signedteams.FromEdges(100, edges)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +133,7 @@ func TestEdgeListFacadeRoundTrip(t *testing.T) {
 
 func TestErrNoTeamFacade(t *testing.T) {
 	g := signedteams.MustFromEdges(2, []signedteams.Edge{{U: 0, V: 1, Sign: signedteams.Negative}})
-	rel := signedteams.MustNewRelation(signedteams.NNE, g, signedteams.RelationOptions{})
+	rel := mustNewRelation(signedteams.NNE, g, signedteams.RelationOptions{})
 	univ, _ := signedteams.NewUniverse([]string{"a", "b"})
 	assign := signedteams.NewAssignment(univ, 2)
 	assign.MustAdd(0, 0)
@@ -155,7 +165,7 @@ func TestRelationStatsFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel := signedteams.MustNewRelation(signedteams.SPO, d.Graph, signedteams.RelationOptions{})
+	rel := mustNewRelation(signedteams.SPO, d.Graph, signedteams.RelationOptions{})
 	stats, err := signedteams.ComputeRelationStats(rel, signedteams.StatsOptions{Assign: d.Assign})
 	if err != nil {
 		t.Fatal(err)

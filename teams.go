@@ -82,6 +82,18 @@ const (
 // with errors.Is.
 var ErrNoTeam = team.ErrNoTeam
 
+// TeamConstraints restricts which teams formation may return:
+// must-include members, must-exclude members, a team-size cap. Carried
+// on FormOptions.Constraints, so every formation entry point accepts
+// it; the zero value is unconstrained.
+type TeamConstraints = team.Constraints
+
+// ErrInfeasibleTeam reports that the constraints themselves forbid any
+// team (an include that is also excluded, every holder of a required
+// skill excluded, a cap below the include count). It wraps ErrNoTeam;
+// test with errors.Is.
+var ErrInfeasibleTeam = team.ErrInfeasible
+
 // Reusable solver types. A TeamSolver compiles the per-task setup of
 // Algorithm 2 (policy ranking, seed list, candidate-pool degrees) into
 // a TeamPlan once and reuses per-worker scratch across solves, so
@@ -154,4 +166,20 @@ func TeamCompatible(rel Relation, members []NodeID) (bool, error) {
 // TeamCost returns the team diameter (max pairwise relation-distance).
 func TeamCost(rel Relation, members []NodeID) (int32, error) {
 	return team.Cost(rel, members)
+}
+
+// Cost objectives.
+type CostKind = team.CostKind
+
+const (
+	// DiameterCost is the paper's objective: the largest pairwise
+	// relation-distance within the team.
+	DiameterCost = team.Diameter
+	// SumDistanceCost sums all pairwise relation-distances.
+	SumDistanceCost = team.SumDistance
+)
+
+// TeamCostWith prices a team under the chosen objective.
+func TeamCostWith(rel Relation, members []NodeID, kind CostKind) (int32, error) {
+	return team.CostWith(rel, members, kind)
 }

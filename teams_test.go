@@ -23,7 +23,7 @@ func TestFormTopKFacade(t *testing.T) {
 	assign.MustAdd(1, 0)
 	assign.MustAdd(2, 0)
 	assign.MustAdd(3, 1)
-	rel := signedteams.MustNewRelation(signedteams.NNE, g, signedteams.RelationOptions{})
+	rel := mustNewRelation(signedteams.NNE, g, signedteams.RelationOptions{})
 	// Skill "b" is rarer (one holder), so it seeds the search and
 	// there is a single seed; the task {a} has two holders and must
 	// yield two distinct teams.
@@ -61,7 +61,7 @@ func TestFormTopKFacadeTelemetry(t *testing.T) {
 	assign.MustAdd(1, 0)
 	assign.MustAdd(2, 0)
 	assign.MustAdd(3, 1)
-	rel := signedteams.MustNewRelation(signedteams.NNE, g, signedteams.RelationOptions{})
+	rel := mustNewRelation(signedteams.NNE, g, signedteams.RelationOptions{})
 	// Task {a}: two seeds, two distinct single-member teams; k=1 slices
 	// the list but must keep the 2/2 aggregate on the survivor.
 	teams, err := signedteams.NewTeamSolver(rel, assign, signedteams.TeamSolverOptions{}).FormTopKContext(context.Background(), signedteams.NewTask(0), signedteams.FormOptions{}, 1)
@@ -94,7 +94,7 @@ func TestConstraintsFacade(t *testing.T) {
 	assign.MustAdd(1, 0)
 	assign.MustAdd(2, 0)
 	assign.MustAdd(3, 1)
-	rel := signedteams.MustNewRelation(signedteams.NNE, g, signedteams.RelationOptions{})
+	rel := mustNewRelation(signedteams.NNE, g, signedteams.RelationOptions{})
 	task := signedteams.NewTask(0, 1)
 
 	tm, err := signedteams.FormTeam(rel, assign, task, signedteams.FormOptions{
@@ -159,7 +159,7 @@ func TestTeamSolverFacade(t *testing.T) {
 		}
 		tasks = append(tasks, task)
 	}
-	lazy := signedteams.MustNewRelation(signedteams.SPO, d.Graph, signedteams.RelationOptions{})
+	lazy := mustNewRelation(signedteams.SPO, d.Graph, signedteams.RelationOptions{})
 	packed, err := signedteams.NewShardedRelation(signedteams.SPO, d.Graph, signedteams.ShardedRelationOptions{ShardRows: d.Graph.NumNodes()})
 	if err != nil {
 		t.Fatal(err)
@@ -200,7 +200,7 @@ func TestTeamCostWithFacade(t *testing.T) {
 		{U: 0, V: 1, Sign: signedteams.Positive},
 		{U: 1, V: 2, Sign: signedteams.Positive},
 	})
-	rel := signedteams.MustNewRelation(signedteams.NNE, g, signedteams.RelationOptions{})
+	rel := mustNewRelation(signedteams.NNE, g, signedteams.RelationOptions{})
 	members := []signedteams.NodeID{0, 1, 2}
 	diam, err := signedteams.TeamCostWith(rel, members, signedteams.DiameterCost)
 	if err != nil || diam != 2 {
@@ -209,35 +209,6 @@ func TestTeamCostWithFacade(t *testing.T) {
 	sum, err := signedteams.TeamCostWith(rel, members, signedteams.SumDistanceCost)
 	if err != nil || sum != 4 { // 1+2+1
 		t.Fatalf("sum = %d,%v", sum, err)
-	}
-}
-
-func TestSignPredictionFacade(t *testing.T) {
-	d, err := signedteams.LoadDataset("slashdot", 3, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	results, err := signedteams.EvaluateSignPrediction(d.Graph, rand.New(rand.NewSource(1)), 0.2, signedteams.PredictMethods())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 4 {
-		t.Fatalf("results = %d", len(results))
-	}
-	for _, r := range results {
-		if r.Test == 0 {
-			t.Fatalf("%v: empty test set", r.Method)
-		}
-		if r.Accuracy() < 0 || r.Accuracy() > 1 || r.Coverage() < 0 || r.Coverage() > 1 {
-			t.Fatalf("%v: out-of-range metrics %+v", r.Method, r)
-		}
-	}
-	p, err := signedteams.NewSignPredictor(d.Graph, signedteams.PredictCamps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := p.Predict(0, 1); !ok {
-		t.Fatal("camps predictor abstained")
 	}
 }
 
@@ -277,35 +248,5 @@ func TestMatrixFacade(t *testing.T) {
 		if err1 == nil && t1.Cost != t2.Cost {
 			t.Fatalf("task %d: built cost %d vs opened cost %d", i, t1.Cost, t2.Cost)
 		}
-	}
-}
-
-func TestClusteringFacade(t *testing.T) {
-	d, err := signedteams.LoadDataset("slashdot", 4, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := d.Graph
-	two, bad := signedteams.TwoFactions(g)
-	if two.NumClusters != 2 {
-		t.Fatalf("clusters = %d", two.NumClusters)
-	}
-	if bad < 0 || bad > g.NumEdges() {
-		t.Fatalf("disagreements = %d", bad)
-	}
-	pivot := signedteams.PivotCC(g, rand.New(rand.NewSource(5)))
-	before, err := signedteams.ClusterDisagreements(g, pivot)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refined, after, err := signedteams.ClusterLocalSearch(g, pivot, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if after > before {
-		t.Fatalf("local search worsened %d → %d", before, after)
-	}
-	if agr, err := signedteams.ClusterAgreement(two, refined); err != nil || agr < 0 || agr > 1 {
-		t.Fatalf("agreement = %v,%v", agr, err)
 	}
 }
