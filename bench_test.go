@@ -408,20 +408,35 @@ func BenchmarkMultiSweep(b *testing.B) {
 	})
 }
 
-// BenchmarkMatrixBuild times the full packed-matrix build. Both kinds
-// fill 64 rows per multi-source sweep: SPO from the plain sweep's sign
-// bits, SPM from the counting sweep, whose per-source path counters
-// settle the majority test where both signs reach a node.
+// BenchmarkMatrixBuild times the full packed-matrix build (one shard,
+// Workers = GOMAXPROCS). Both kinds fill 64 rows per multi-source
+// sweep of the locality-relabelled graph: SPO from the plain sweep's
+// sign bits, SPM from the counting sweep, whose per-source path
+// counters settle the majority test where both signs reach a node.
+// SPO and SPM run at the 4% bench scale; SPO_epinions0.1 and
+// SPM_epinions0.2 are the engines the serve-read and batch-unique
+// tfsnbench workloads build (their setup_s is mostly this build).
 func BenchmarkMatrixBuild(b *testing.B) {
-	d, err := datasets.EpinionsSim(1, 0.04)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, k := range []compat.Kind{compat.SPO, compat.SPM} {
-		b.Run(k.String(), func(b *testing.B) {
+	for _, c := range []struct {
+		name  string
+		kind  compat.Kind
+		scale float64
+	}{
+		{"SPO", compat.SPO, 0.04},
+		{"SPM", compat.SPM, 0.04},
+		{"SPO_epinions0.1", compat.SPO, 0.1},
+		{"SPM_epinions0.2", compat.SPM, 0.2},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			d, err := datasets.EpinionsSim(1, c.scale)
+			if err != nil {
+				b.Fatal(err)
+			}
+			g := d.Graph
 			b.ReportAllocs()
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := compat.NewSharded(k, d.Graph, compat.ShardedOptions{ShardRows: d.Graph.NumNodes()}); err != nil {
+				if _, err := compat.NewSharded(c.kind, g, compat.ShardedOptions{ShardRows: g.NumNodes()}); err != nil {
 					b.Fatal(err)
 				}
 			}

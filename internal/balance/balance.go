@@ -61,21 +61,21 @@ func Camps(g *sgraph.Graph) (camps []uint8, ok bool) {
 }
 
 // Frustration returns the number of edges violated by the best
-// two-camp split found by BestCamps. It is an upper bound on the
+// two-camp split found by bestCamps. It is an upper bound on the
 // frustration index (exact frustration is NP-hard). A balanced graph
 // yields 0.
 func Frustration(g *sgraph.Graph) int {
-	_, f := BestCamps(g)
+	_, f := bestCamps(g)
 	return f
 }
 
-// BestCamps returns a two-camp split minimising violated edges, found
+// bestCamps returns a two-camp split minimising violated edges, found
 // by a deterministic greedy pass followed by single-node local
 // search, together with the number of violated edges (intra-camp
 // negative or inter-camp positive). On a balanced graph the split is
 // exact and violations are 0; otherwise it is a heuristic upper bound
 // on the frustration index.
-func BestCamps(g *sgraph.Graph) (camps []uint8, violations int) {
+func bestCamps(g *sgraph.Graph) (camps []uint8, violations int) {
 	n := g.NumNodes()
 	camp := make([]uint8, n)
 	assigned := make([]bool, n)

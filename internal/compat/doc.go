@@ -67,19 +67,28 @@
 // rebuild of a shard a mutation staled, and the wide promotion after a
 // distance outgrows uint8 packing all claim the shard's residency
 // slot, fill a fresh slab and swap it in (sharded_build.go). The
-// fill (fill.go) hands out blocks of consecutive rows, never
-// straddling a shard, to a worker pool and writes each block straight
-// into the slab's rows; SBPH then symmetrises the slab against the
-// earlier shards in shard-pair tiles. SPA, SPO, SPM, DPE and NNE fill
-// up to 64 rows from a single signedbfs.MultiSweep, whose per-source
-// positive/negative bits are exactly Algorithm 1's Pos>0 / Neg>0 and
-// whose levels give every distance (DPE and NNE keep their
-// neighbour-list bits and take only the distances). SPM runs the sweep in counting mode: a source whose
+// fill (fill.go) hands out blocks of rows, never straddling a shard,
+// to a worker pool and writes each block straight into the slab's
+// rows; SBPH then symmetrises the slab against the earlier shards in
+// shard-pair tiles. SPA, SPO, SPM, DPE and NNE fill up to 64 rows from
+// a single signedbfs.MultiSweep. The engine fixes one locality order
+// at construction (a BFS from the highest-degree unplaced node,
+// component by component) and sweeps the graph snapshot relabelled
+// into it, derived once per snapshot; a shard's sources go in that
+// order, 64 to a block, so a block's sources share their frontiers and
+// the sweep walks memory front to back. Rows, columns and the
+// touched-set footprint map back to the original ids, so the stored
+// rows are the same bits. The sweep's per-source positive/negative
+// bits are exactly Algorithm 1's Pos>0 / Neg>0 and its levels give
+// every distance (DPE and NNE keep their neighbour-list bits and take
+// only the distances). SPM runs the sweep in counting mode, which
+// counts the paths during the frontier push: a source whose
 // shortest paths to a node are all of one sign needs only the bits,
 // and where both signs arrive its per-source (Pos, Neg) counters —
 // 32-bit halves of one word, equal to CountPathsInto's while no count
 // reaches 2^31 — settle Pos ≥ Neg. A block whose sweep reports an
-// overflow re-decides those entries with one CountPathsInto per row.
+// overflow re-decides those entries with one CountPathsInto per row
+// on the original graph, as DPE and NNE take their neighbour bits.
 // SBP and SBPH keep one balance search per row. The lazy engine's
 // on-demand rows stay on CountPathsInto/DistancesInto, the reference
 // the engine-agreement suites hold the packed builds to.

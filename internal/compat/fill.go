@@ -3,6 +3,7 @@ package compat
 import (
 	"errors"
 	"math/bits"
+	"slices"
 
 	"repro/internal/balance"
 	"repro/internal/sgraph"
@@ -22,54 +23,51 @@ const (
 // exceeds maxDist8; the builder retries with int32 storage.
 var errDistOverflow = errors.New("compat: distance exceeds uint8 packing")
 
-// blockView is one block of consecutive source rows of a shard slab,
-// where a packed-relation fill lands them: their bit words (stride
-// words per row) and their distance lanes (n entries per row). Exactly
-// one of d8 (uint8 packing) and d32 (wide packing) is non-nil.
-type blockView struct {
-	stride, n int
-	bits      []uint64
-	d8        []uint8
-	d32       []int32
+// slabView is a shard slab as a packed-relation fill writes it, rows
+// addressed by their source id (base is the shard's first row): bit
+// words (stride words per row) and distance lanes (n entries per row).
+// Exactly one of d8 (uint8 packing) and d32 (wide packing) is non-nil.
+type slabView struct {
+	base, stride, n int
+	bits            []uint64
+	d8              []uint8
+	d32             []int32
 }
 
-// block views the slab rows [lo, hi) (slab-relative) as a blockView.
-func (sl shardSlabs) block(lo, hi, stride, n int) blockView {
-	out := blockView{stride: stride, n: n, bits: sl.bits[lo*stride : hi*stride]}
-	if sl.dist32 != nil {
-		out.d32 = sl.dist32[lo*n : hi*n]
-	} else {
-		out.d8 = sl.dist8[lo*n : hi*n]
-	}
-	return out
+// view addresses the slab of the shard whose first row is base.
+func (sl shardSlabs) view(base, stride, n int) slabView {
+	return slabView{base: base, stride: stride, n: n, bits: sl.bits, d8: sl.dist8, d32: sl.dist32}
 }
 
-// row returns the bit words of the block's i-th row.
-func (b blockView) row(i int) []uint64 { return b.bits[i*b.stride : (i+1)*b.stride] }
+// row returns the bit words of source u's row.
+func (b slabView) row(u sgraph.NodeID) []uint64 {
+	i := int(u) - b.base
+	return b.bits[i*b.stride : (i+1)*b.stride]
+}
 
-// setDist writes one distance into the block's i-th row. It returns
+// setDist writes distance d to v into source u's row. It returns
 // errDistOverflow when d does not fit the uint8 packing, so the caller
 // can retry the build wide.
-func (b blockView) setDist(i int, v sgraph.NodeID, d int32) error {
+func (b slabView) setDist(u, v sgraph.NodeID, d int32) error {
+	i := (int(u)-b.base)*b.n + int(v)
 	if b.d32 != nil {
-		b.d32[i*b.n+int(v)] = d
+		b.d32[i] = d
 		return nil
 	}
 	if d > maxDist8 {
 		return errDistOverflow
 	}
-	b.d8[i*b.n+int(v)] = uint8(d)
+	b.d8[i] = uint8(d)
 	return nil
 }
 
-// setDists writes every reachable entry of dist into the block's i-th
-// row.
-func (b blockView) setDists(i int, dist []int32) error {
+// setDists writes every reachable entry of dist into source u's row.
+func (b slabView) setDists(u sgraph.NodeID, dist []int32) error {
 	for v, d := range dist {
 		if d == signedbfs.Unreachable {
 			continue
 		}
-		if err := b.setDist(i, sgraph.NodeID(v), d); err != nil {
+		if err := b.setDist(u, sgraph.NodeID(v), d); err != nil {
 			return err
 		}
 	}
@@ -77,47 +75,94 @@ func (b blockView) setDists(i int, dist []int32) error {
 }
 
 // fillRows fills slab with the rows [base, base+rows) of the engine's
-// relation over g, in blocks of consecutive rows spread over the
-// workers (one scratch each). Blocks shrink when the range is too
-// short to give every worker a full one, so a small shard still fills
-// in parallel, and a block never leaves the range.
+// relation over g, in blocks of sources spread over the workers (one
+// scratch each). Blocks shrink when the range is too short to give
+// every worker a full one, so a small shard still fills in parallel,
+// and a block never leaves the range.
 // Every block overwrites its rows completely (bits and defined
 // distances), sets the diagonal, and keeps tail bits (≥ n) zero so row
 // popcounts are exact. Undefined distances keep the sentinel the slab
 // was prefilled with.
 //
 // SPA, SPO, SPM, DPE and NNE fill up to signedbfs.MaxSources rows
-// from one bit-parallel sweep: SPA and SPO take their bits and
-// distances from it, SPM runs it in counting mode and compares each
-// source's path counts where both signs reach a node (recounting the
-// block with CountPathsInto if a count outgrew the sweep's lanes), DPE
-// and NNE keep their neighbour-list bits and take only the distances
-// (a source is at distance d when either frontier bit reaches the node
-// first at level d, so signs drop out). SBP/SBPH run their own per-source
-// searches, so those kinds fill one row per block.
-func (m *ShardedMatrix) fillRows(g *sgraph.Graph, slab shardSlabs, base, rows, workers int, scratches []*rowScratch) error {
-	balanced := m.kind == SBPH || m.kind == SBP
-	height := signedbfs.MaxSources
-	if balanced {
-		height = 1
+// from one bit-parallel sweep of sg, g relabelled into the engine's
+// locality order (see localityOrder): the range's sources are taken in
+// that order, so a block's sources lie close together and share most
+// of their frontiers, and the sweep's reads of sg stay close together.
+// SPA and SPO take their bits and distances from the sweep, SPM runs
+// it in counting mode and compares each source's path counts where
+// both signs reach a node (recounting the block with CountPathsInto if
+// a count outgrew the sweep's lanes), DPE and NNE keep their
+// neighbour-list bits and take only the distances (a source is at
+// distance d when either frontier bit reaches the node first at level
+// d, so signs drop out). SBP/SBPH run their own per-source searches on
+// g, one row per block.
+func (m *ShardedMatrix) fillRows(g, sg *sgraph.Graph, slab shardSlabs, base, rows, workers int, scratches []*rowScratch) error {
+	out := slab.view(base, m.stride, m.n)
+	if sg == nil { // SBP, SBPH
+		return parallelSweep(rows, workers, func(w, i int) error {
+			return m.fillBalanceRow(g, out, sgraph.NodeID(base+i), scratches[w])
+		})
 	}
+	// The range's sources by their ids in sg, which are their ranks in
+	// the locality order.
+	srcs := make([]sgraph.NodeID, rows)
+	for i := range srcs {
+		srcs[i] = m.rank[base+i]
+	}
+	slices.Sort(srcs)
+	height := signedbfs.MaxSources
 	if per := (rows + workers - 1) / workers; per < height {
 		height = max(per, 1)
 	}
 	blocks := (rows + height - 1) / height
 	return parallelSweep(blocks, workers, func(w, b int) error {
-		lo, hi := b*height, min((b+1)*height, rows)
-		out := slab.block(lo, hi, m.stride, m.n)
-		if balanced {
-			return m.fillBalanceRow(g, out, sgraph.NodeID(base+lo), scratches[w])
-		}
-		return fillSweepBlock(g, m.kind, out, sgraph.NodeID(base+lo), sgraph.NodeID(base+hi), scratches[w])
+		return m.fillSweepBlock(g, sg, out, srcs[b*height:min((b+1)*height, rows)], scratches[w])
 	})
 }
 
-// fillBalanceRow fills row u of an SBPH or SBP relation, out's one row,
-// from one balance search.
-func (m *ShardedMatrix) fillBalanceRow(g *sgraph.Graph, out blockView, u sgraph.NodeID, s *rowScratch) error {
+// localityOrder returns the node order the packed sweeps relabel g
+// into: a BFS from the highest-degree node not yet placed, repeated
+// until every node is placed, so components come in the degree order
+// of their first node (ties by id) and each, an isolated node
+// included, is one contiguous run of BFS layers. Nodes close in the
+// order are close in g, which is what lets a block of consecutive
+// ranks share its frontiers.
+func localityOrder(g *sgraph.Graph) []sgraph.NodeID {
+	n := g.NumNodes()
+	byDegree := make([]sgraph.NodeID, n)
+	for i := range byDegree {
+		byDegree[i] = sgraph.NodeID(i)
+	}
+	slices.SortFunc(byDegree, func(a, b sgraph.NodeID) int {
+		if d := g.Degree(b) - g.Degree(a); d != 0 {
+			return d
+		}
+		return int(a - b)
+	})
+	order := make([]sgraph.NodeID, 0, n)
+	placed := make([]bool, n)
+	for _, root := range byDegree {
+		if placed[root] {
+			continue
+		}
+		placed[root] = true
+		order = append(order, root)
+		for head := len(order) - 1; head < len(order); head++ {
+			for _, v := range g.NeighborIDs(order[head]) {
+				if !placed[v] {
+					placed[v] = true
+					order = append(order, v)
+				}
+			}
+		}
+	}
+	return order
+}
+
+// fillBalanceRow fills row u of an SBPH or SBP relation from one
+// balance search.
+func (m *ShardedMatrix) fillBalanceRow(g *sgraph.Graph, out slabView, u sgraph.NodeID, s *rowScratch) error {
 	var pd *balance.PathDists
 	if m.kind == SBPH {
 		pd = balance.SBPH(g, u, m.beam)
@@ -127,7 +172,7 @@ func (m *ShardedMatrix) fillBalanceRow(g *sgraph.Graph, out blockView, u sgraph.
 			return err
 		}
 	}
-	row := out.row(0)
+	row := out.row(u)
 	zeroWords(row)
 	for v, d := range pd.PosDist {
 		if d != balance.NoPath {
@@ -142,30 +187,37 @@ func (m *ShardedMatrix) fillBalanceRow(g *sgraph.Graph, out blockView, u sgraph.
 		s.dist = signedbfs.DistancesInto(g, u, s.dist, s.bfs)
 		s.recordReach(s.dist)
 	}
-	if err := out.setDists(0, pd.PosDist); err != nil {
+	if err := out.setDists(u, pd.PosDist); err != nil {
 		return err
 	}
-	return out.setDist(0, u, 0)
+	return out.setDist(u, u, 0)
 }
 
-// fillSweepBlock fills the rows [lo, hi) (at most
-// signedbfs.MaxSources of them, landing in out) of an SPA, SPO, SPM,
-// DPE or NNE relation from one multi-source sweep, source lo+j riding
-// bit j.
-func fillSweepBlock(g *sgraph.Graph, kind Kind, out blockView, lo, hi sgraph.NodeID, s *rowScratch) error {
+// fillSweepBlock fills the rows of an SPA, SPO, SPM, DPE or NNE
+// relation for srcs — at most signedbfs.MaxSources sources, named by
+// their ids in sg, the locality-relabelled copy of g — from one
+// multi-source sweep of sg, source srcs[j] riding bit j. Rows, columns
+// and the footprint map back to g's ids through m.order; DPE/NNE
+// neighbour bits and SPM's overflow recount read g itself.
+func (m *ShardedMatrix) fillSweepBlock(g, sg *sgraph.Graph, out slabView, srcs []sgraph.NodeID, s *rowScratch) error {
+	kind, order := m.kind, m.order
 	if s.sweep == nil {
 		s.sweep = signedbfs.NewMultiSweep(g.NumNodes())
 	}
-	s.srcs = s.srcs[:0]
-	for u := lo; u < hi; u++ {
-		row := out.row(int(u - lo))
+	// bitAt[j] and distAt[j] are where source j's row starts in out's
+	// bit words and distance lanes.
+	var bitAt, distAt [signedbfs.MaxSources]int
+	for j, r := range srcs {
+		u := order[r]
+		row := out.row(u)
 		if kind == DPE || kind == NNE {
 			edgeWords(g, kind, u, row)
 		} else { // SPA, SPO, SPM: bits come from the sweep
 			zeroWords(row)
 		}
 		setWordBit(row, u) // reflexivity
-		s.srcs = append(s.srcs, u)
+		i := int(u) - out.base
+		bitAt[j], distAt[j] = i*out.stride, i*out.n
 	}
 
 	// set = (p &^ (q & qm)) & pm picks the sources whose row gains the
@@ -181,12 +233,11 @@ func fillSweepBlock(g *sgraph.Graph, kind Kind, out blockView, lo, hi sgraph.Nod
 		pm, qm = ^uint64(0), ^uint64(0)
 	}
 	sw := s.sweep
-	n, stride := out.n, out.stride
 	var ok bool
 	if kind == SPM {
-		ok = sw.StartCounting(g, s.srcs)
+		ok = sw.StartCounting(sg, srcs)
 	} else {
-		ok = sw.Start(g, s.srcs)
+		ok = sw.Start(sg, srcs)
 	}
 	for ; ok; ok = sw.Next() {
 		d, level := sw.Level()
@@ -194,32 +245,33 @@ func fillSweepBlock(g *sgraph.Graph, kind Kind, out blockView, lo, hi sgraph.Nod
 			return errDistOverflow
 		}
 		for _, e := range level {
-			v, p, q := int(e.Node), e.Pos, e.Neg
+			v, p, q := int(order[e.Node]), e.Pos, e.Neg
 			if out.d32 != nil {
 				for b := p | q; b != 0; b &= b - 1 {
-					out.d32[bits.TrailingZeros64(b)*n+v] = d
+					out.d32[distAt[bits.TrailingZeros64(b)]+v] = d
 				}
 			} else {
 				for b := p | q; b != 0; b &= b - 1 {
-					out.d8[bits.TrailingZeros64(b)*n+v] = uint8(d)
+					out.d8[distAt[bits.TrailingZeros64(b)]+v] = uint8(d)
 				}
 			}
-			w, m := v>>6, uint64(1)<<uint(v&63)
+			w, mask := v>>6, uint64(1)<<uint(v&63)
 			set := (p &^ (q & qm)) & pm
 			if kind == SPM && p&q != 0 {
 				set |= sw.Majority(e.Node, p&q)
 			}
 			for ; set != 0; set &= set - 1 {
-				out.bits[bits.TrailingZeros64(set)*stride+w] |= m
+				out.bits[bitAt[bits.TrailingZeros64(set)]+w] |= mask
 			}
 		}
 	}
 	if kind == SPM && sw.Overflowed() {
-		recountBlock(g, out, lo, hi, s)
+		m.recountBlock(g, out, srcs, s)
 	}
 	// The block's footprint: every node any of its sources saw.
 	if s.reach != nil {
-		for _, v := range sw.Reached() {
+		for _, r := range sw.Reached() {
+			v := order[r]
 			s.reach[v>>6] |= 1 << uint(v&63)
 		}
 	}
@@ -228,12 +280,13 @@ func fillSweepBlock(g *sgraph.Graph, kind Kind, out blockView, lo, hi sgraph.Nod
 
 // recountBlock re-decides the both-signs entries of an SPM block whose
 // counting sweep overflowed its 32-bit lane halves: one CountPathsInto
-// per source (the lazy engine's own row path, saturating at 2^64)
-// settles every node reached along shortest paths of both signs. The
-// sweep's other bits, and every distance, are exact regardless.
-func recountBlock(g *sgraph.Graph, out blockView, lo, hi sgraph.NodeID, s *rowScratch) {
-	for u := lo; u < hi; u++ {
-		row := out.row(int(u - lo))
+// per source over g (the lazy engine's own row path, saturating at
+// 2^64) settles every node reached along shortest paths of both signs.
+// The sweep's other bits, and every distance, are exact regardless.
+func (m *ShardedMatrix) recountBlock(g *sgraph.Graph, out slabView, srcs []sgraph.NodeID, s *rowScratch) {
+	for _, r := range srcs {
+		u := m.order[r]
+		row := out.row(u)
 		signedbfs.CountPathsInto(g, u, &s.res, s.bfs)
 		for v, pos := range s.res.Pos {
 			if neg := s.res.Neg[v]; pos != 0 && neg != 0 {

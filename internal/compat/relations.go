@@ -33,8 +33,8 @@ func (r *lazyRow) clone() *lazyRow {
 // rowScratch bundles the reusable per-worker buffers of the all-pairs
 // sweeps (Precompute, ComputeStats, the packed builds): the BFS scratch
 // plus the search outputs and the lazy row a worker writes between
-// sources, and the multi-source sweep with its block of sources that
-// the packed builds run (allocated on first use).
+// sources, and the multi-source sweep the packed builds run (allocated
+// on first use).
 type rowScratch struct {
 	bfs  *signedbfs.Scratch
 	res  signedbfs.Result
@@ -42,7 +42,6 @@ type rowScratch struct {
 	row  lazyRow
 
 	sweep *signedbfs.MultiSweep
-	srcs  []sgraph.NodeID
 
 	// reach, when non-nil, makes the relation fillers OR each source
 	// row's plain-BFS reachable set into it (a node bitset of the given

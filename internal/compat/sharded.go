@@ -21,7 +21,11 @@
 // 8 bytes per node and row of the block (512 bytes per node for a full
 // 64-row block, about one default shard's worth) — allocated by the
 // first SPM block, freed with the build's scratch, and kept by the
-// engine for reuse once a mutation has made it rebuild a shard. A
+// engine for reuse once a mutation has made it rebuild a shard. The
+// sweep kinds also hold their locality order (8 bytes per node) and,
+// from a fill on, one relabelled copy of the graph snapshot it swept
+// (the size of the graph's adjacency), dropped at the end of
+// construction and kept from the first rebuild on. A
 // single shard holding every row (ShardRows ≥ NumNodes) is the
 // "matrix" configuration: one slab, all resident. It implements
 // Relation and PackedRelation, so the team pickers, CostWith,
@@ -134,6 +138,16 @@ type ShardedMatrix struct {
 	workers int // build parallelism, reused by post-mutation shard rebuilds
 
 	noMmap bool // ShardedOptions.DisableMmap
+
+	// order is the locality order the packed sweeps relabel the graph
+	// into (order[i] is the node that becomes i; see localityOrder) and
+	// rank its inverse; nil for SBP and SBPH. Mutations never change
+	// the node count, so the order is fixed for the engine's lifetime.
+	// swept is the current snapshot relabelled, the graph of epoch
+	// sweptEpoch (see sweepGraph).
+	order, rank []sgraph.NodeID
+	swept       *sgraph.Graph
+	sweptEpoch  uint64
 
 	// table is the lock-free read side of a fully resident engine
 	// (maxRes == numShards): the slabs of every fresh shard, republished

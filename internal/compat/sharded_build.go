@@ -76,6 +76,13 @@ func newShardedMatrix(k Kind, g *sgraph.Graph, opts ShardedOptions) *ShardedMatr
 	if m.workers <= 0 {
 		m.workers = runtime.GOMAXPROCS(0)
 	}
+	if k != SBP && k != SBPH { // the kinds fillRows sweeps
+		m.order = localityOrder(g)
+		m.rank = make([]sgraph.NodeID, n)
+		for i, u := range m.order {
+			m.rank[u] = sgraph.NodeID(i)
+		}
+	}
 	return m
 }
 
@@ -116,6 +123,7 @@ func (m *ShardedMatrix) build() error {
 	m.views = m.spill != nil && m.spill.canView()
 	m.mu.Unlock()
 	m.rebuilds.Store(0)
+	m.swept = nil // like the scratch, the sweeps' graph goes with the build
 	return nil
 }
 
@@ -194,7 +202,7 @@ func (m *ShardedMatrix) fillShard(g *sgraph.Graph, epoch uint64, s int, workers 
 
 	slab := m.newBlankSlab(sh.rows)
 	m.armReach(scratches)
-	err = m.fillRows(g, slab, s*m.shardRows, sh.rows, workers, scratches)
+	err = m.fillRows(g, m.sweepGraph(g, epoch), slab, s*m.shardRows, sh.rows, workers, scratches)
 	touched := m.mergeReach(scratches)
 	if err == nil && m.kind == SBPH {
 		err = m.symmetriseSlab(workers, slab, sh.rows, s)
@@ -221,6 +229,22 @@ func (m *ShardedMatrix) fillShard(g *sgraph.Graph, epoch uint64, s int, workers 
 	}
 	m.rebuilds.Add(1)
 	return nil
+}
+
+// sweepGraph returns graph snapshot g (at epoch) relabelled into the
+// engine's locality order, for fillRows' sweeps; nil for SBP and SBPH,
+// which do not sweep. The copy is derived once per snapshot and kept,
+// one at a time, so every shard of a build, or of one epoch's
+// rebuilds, sweeps the same copy. Fills run one at a time
+// (construction, then under freshMu), and so do their calls here.
+func (m *ShardedMatrix) sweepGraph(g *sgraph.Graph, epoch uint64) *sgraph.Graph {
+	if m.order == nil {
+		return nil
+	}
+	if m.swept == nil || m.sweptEpoch != epoch {
+		m.swept, m.sweptEpoch = g.Relabel(m.order), epoch
+	}
+	return m.swept
 }
 
 // armReach arms (or rezeroes) the workers' reach accumulators before a

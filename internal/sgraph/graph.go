@@ -17,6 +17,7 @@ package sgraph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -158,6 +159,38 @@ func (g *Graph) Edges() []Edge {
 		}
 	}
 	return edges
+}
+
+// Relabel returns a copy of g with its nodes renumbered: new node i is
+// old node order[i], so edge (order[i], order[j]) of g is edge (i, j)
+// of the copy, with the same sign. order must be a permutation of
+// 0..NumNodes()-1. Traversals that visit nodes in order's sequence
+// then walk the copy's arrays front to back. Adjacency lists stay
+// sorted, built in one pass with no sort.
+func (g *Graph) Relabel(order []NodeID) *Graph {
+	n := g.NumNodes()
+	if len(order) != n {
+		panic(fmt.Sprintf("sgraph: Relabel with %d ids for %d nodes", len(order), n))
+	}
+	rank := make([]NodeID, n)
+	offsets := make([]int32, n+1)
+	for i, u := range order {
+		rank[u] = NodeID(i)
+		offsets[i+1] = offsets[i] + int32(g.Degree(u))
+	}
+	neigh := make([]NodeID, offsets[n])
+	signs := make([]Sign, offsets[n])
+	cursor := slices.Clone(offsets[:n])
+	// Appending every new id i to its neighbours' lists in increasing i
+	// leaves each list sorted.
+	for i, u := range order {
+		for e := g.offsets[u]; e < g.offsets[u+1]; e++ {
+			w := rank[g.neigh[e]]
+			neigh[cursor[w]], signs[cursor[w]] = NodeID(i), g.signs[e]
+			cursor[w]++
+		}
+	}
+	return &Graph{offsets: offsets, neigh: neigh, signs: signs, numEdge: g.numEdge, numNeg: g.numNeg}
 }
 
 // String summarises the graph for logs and error messages.

@@ -307,3 +307,49 @@ func TestEdgeSignSmallAndLargeDegree(t *testing.T) {
 		}
 	}
 }
+
+// TestRelabel: a relabelled copy has edge (i, j) with sign s exactly
+// when the original has edge (order[i], order[j]) with sign s, keeps
+// the edge counts, and lists every adjacency in increasing id order.
+func TestRelabel(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 30; trial++ {
+		n := 1 + rng.Intn(40)
+		b := NewBuilder(n)
+		for i := 0; i < 2*n; i++ {
+			u, v := NodeID(rng.Intn(n)), NodeID(rng.Intn(n))
+			if u == v || b.HasEdge(u, v) {
+				continue
+			}
+			s := Positive
+			if rng.Intn(3) == 0 {
+				s = Negative
+			}
+			b.AddEdge(u, v, s)
+		}
+		g := b.MustBuild()
+		order := make([]NodeID, n)
+		for i, p := range rng.Perm(n) {
+			order[i] = NodeID(p)
+		}
+		r := g.Relabel(order)
+		if r.NumNodes() != n || r.NumEdges() != g.NumEdges() || r.NumNegativeEdges() != g.NumNegativeEdges() {
+			t.Fatalf("trial %d: relabelled %v from %v", trial, r, g)
+		}
+		for i := NodeID(0); int(i) < n; i++ {
+			ids := r.NeighborIDs(i)
+			if r.Degree(i) != g.Degree(order[i]) {
+				t.Fatalf("trial %d: node %d has degree %d, want %d", trial, i, r.Degree(i), g.Degree(order[i]))
+			}
+			for e, j := range ids {
+				if e > 0 && ids[e-1] >= j {
+					t.Fatalf("trial %d: node %d's adjacency %v is not sorted", trial, i, ids)
+				}
+				if s, ok := g.EdgeSign(order[i], order[j]); !ok || s != r.NeighborSigns(i)[e] {
+					t.Fatalf("trial %d: edge (%d,%d) sign %v, original (%d,%d) has %v, %v",
+						trial, i, j, r.NeighborSigns(i)[e], order[i], order[j], s, ok)
+				}
+			}
+		}
+	}
+}

@@ -30,14 +30,18 @@
 // The sweep is frontier-driven, so it never scans more edges than its
 // sources would one by one. For SPM's majority test it also counts:
 // started with StartCounting, it keeps a (Pos, Neg) pair per node and
-// source, packed as the two 32-bit halves of one word and summed level
-// by level along each source's shortest-path-DAG edges.
-// Every pair equals CountPathsInto's exactly unless some count
-// reaches 2^31, which the sweep reports (Overflowed) so the caller can
-// recount with CountPathsInto. The compat package's packed
-// builds run one sweep per block of 64 rows for every kind but
-// SBP/SBPH; CountPathsInto stays the lazy engine's single-row path
-// and the reference the agreement suites compare against.
+// source, packed as the two 32-bit halves of one word, and its
+// frontier push (a second copy of the loop, so the bits-only sweep
+// carries no counting code) sets or adds the pairs along each
+// source's shortest-path-DAG edges as it crosses them. Every pair
+// equals CountPathsInto's exactly unless some count reaches 2^31,
+// which the sweep reports (Overflowed) so the caller can recount with
+// CountPathsInto. The sweep works on any node numbering; the compat
+// package's packed builds run one sweep per block of 64 rows for every
+// kind but SBP/SBPH, on a copy of the graph relabelled so that nearby
+// nodes get nearby ids (sgraph.Graph.Relabel). CountPathsInto stays
+// the lazy engine's single-row path and the reference the agreement
+// suites compare against.
 //
 // # Allocation discipline
 //

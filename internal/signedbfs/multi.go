@@ -30,20 +30,21 @@ const MaxSources = 64
 //
 // In counting mode every (node, source) pair also carries a path
 // counter lane, one uint64 packing the positive count in its low 32
-// bits and the negative count in its high 32. Each Next, after the
-// frontier push, runs a counting pass over the level's edges
-// (countLevel): an edge u→v lies on source j's shortest-path DAG
-// exactly when j is in u's entry and v is one level further from j, so
-// there the pass does what CountPathsInto does along the edge — lane j
-// of v starts at zero when j joins v's entry and adds u's lane, its
-// halves swapped across a negative edge (a rotate by 32). While every
-// half stays below 2^31 the halves of a sum stay below 2^32, so no
-// carry crosses them and every lane equals CountPathsInto's Pos[v] and
-// Neg[v] exactly. The sweep ORs every sum into one word and reports,
-// through Overflowed, any half that reached 2^31; past that point its
-// lanes are unspecified and the caller recounts what it needs with
-// CountPathsInto. The frontier loop (pushLevel) has no counting code
-// in it, so the sweeps that only need the bits do not pay for it.
+// bits and the negative count in its high 32, and Next runs
+// pushCountLevel, a second copy of the frontier loop that counts
+// during the push: an edge u→v lies on source j's shortest-path DAG
+// exactly when j is in u's entry and first reaches v one level
+// further, and there the push does what CountPathsInto does along the
+// edge — the level's first such edge sets lane j of v to u's lane, its
+// halves swapped across a negative edge (a rotate by 32), and later
+// ones add into it. While every half stays below 2^31 the halves of a
+// sum stay below 2^32, so no carry crosses them and every lane equals
+// CountPathsInto's Pos[v] and Neg[v] exactly. The sweep ORs every
+// stored value into one word and reports, through Overflowed, any half
+// that reached 2^31; past that point its lanes are unspecified and the
+// caller recounts what it needs with CountPathsInto. The bits-only
+// loop (pushLevel) has no counting code in it, so the sweeps that only
+// need the bits do not pay for it.
 //
 // The sweep is frontier-driven: only nodes on some source's current
 // frontier push, so a node scans its adjacency at most once per level
@@ -79,10 +80,11 @@ type MultiSweep struct {
 	// node and source of the counting sweep, node v's at
 	// [v*lanes, (v+1)*lanes) so an edge reads and writes one contiguous
 	// run per endpoint: 8·lanes bytes per node, grown only when a sweep
-	// needs more. Lane j of v is set when source j first reaches v,
-	// summed over that level's counting pass and only read after, so
-	// the slab is never cleared. counting makes Next run countLevel;
-	// sums ORs every sum the sweep stored, for Overflowed.
+	// needs more. Lane j of v is set by the first DAG edge of the level
+	// at which source j reaches v, summed over that level's push and
+	// only read after, so the slab is never cleared. counting makes
+	// Next run pushCountLevel; sums ORs every value the sweep stored,
+	// for Overflowed.
 	counts   []uint64
 	lanes    int
 	counting bool
@@ -214,11 +216,10 @@ func (s *MultiSweep) start(g *sgraph.Graph, srcs []sgraph.NodeID, counting bool)
 //
 //tfsn:noalloc
 func (s *MultiSweep) Next() bool {
-	ok := s.pushLevel()
 	if s.counting {
-		s.countLevel()
+		return s.pushCountLevel()
 	}
-	return ok
+	return s.pushLevel()
 }
 
 // pushLevel is Next's frontier step. It calls nothing inside its loop,
@@ -284,54 +285,87 @@ func (s *MultiSweep) pushLevel() bool {
 	return k > 0
 }
 
-// countLevel carries the path counters from the level pushLevel just
-// left (now in spare) to the one it built (level, its nodes stamped
-// with the current stamp): each lane a new entry carries starts at
-// zero, then every edge u→v from the old level adds u's lane, its
-// halves swapped across a negative edge (a rotate by 32), into the
-// lanes of the sources whose shortest-path DAG holds the edge — those
-// at u's distance (u's entry bits) that first reach v one level
-// further (v's new entry bits). These are exactly CountPathsInto's
-// additions along the same edges. Every sum is OR-ed into sums.
+// pushCountLevel is Next's frontier step in counting mode: pushLevel's
+// loop, plus the path-counter update along every edge u→v that lies on
+// some source's shortest-path DAG — the sources of u's entry that are
+// new at v this level (fresh, exactly the bits the push merges in).
+// The first such edge of the level sets v's lane to u's lane, its
+// halves swapped across a negative edge (a rotate by 32); every later
+// one adds into it. These are exactly CountPathsInto's additions along
+// the same edges, and a lane is never read at the level it is written
+// (u's lanes belong to the old level, v's to the new). Every stored
+// value is OR-ed into sums. Like pushLevel it calls nothing inside its
+// loop.
 //
 //tfsn:noalloc
-func (s *MultiSweep) countLevel() {
+func (s *MultiSweep) pushCountLevel() bool {
 	off, adj, sgn := s.g.CSR()
 	nodes, counts, w := s.nodes, s.counts, s.lanes
-	st, level := s.stamp, s.level
+	touched, nt := s.touched, s.nTouched
 	sums := s.sums
-	for _, ev := range level {
-		cv := counts[int(ev.Node)*w:][:w]
-		for b := ev.Pos | ev.Neg; b != 0; b &= b - 1 {
-			cv[bits.TrailingZeros64(b)] = 0
-		}
-	}
-	for _, eu := range s.spare {
-		at := eu.Pos | eu.Neg
-		cu := counts[int(eu.Node)*w:][:w]
-		lo, hi := off[eu.Node], off[eu.Node+1]
+	st := s.nextStamp()
+	next := s.spare[:cap(s.spare)]
+	k := int32(0)
+	for _, en := range s.level {
+		p, q := en.Pos, en.Neg
+		cu := counts[int(en.Node)*w:][:w]
+		lo, hi := off[en.Node], off[en.Node+1]
 		ids, signs := adj[lo:hi], sgn[lo:hi]
 		signs = signs[:len(ids)]
 		for e, v := range ids {
+			m := uint64(int64(signs[e]) >> 63)
+			x := (p ^ q) & m
+			r := int(32 & m) // a negative edge swaps the lane halves
 			nd := &nodes[v]
+			// set: the DAG sources first meeting v at this edge; add:
+			// those an earlier edge of this level already brought.
+			var set, add uint64
 			if nd.stamp != st {
-				continue // v joined no new entry this level
+				old := nd.seen
+				fresh := (p | q) &^ old
+				if fresh == 0 {
+					continue
+				}
+				if old == 0 {
+					touched[nt] = v
+					nt++
+				}
+				nd.seen, nd.prev = old|fresh, old
+				nd.stamp, nd.slot = st, k
+				next[k] = Entry{Pos: (p ^ x) & fresh, Neg: (q ^ x) & fresh, Node: v}
+				k++
+				set = fresh
+			} else {
+				fresh := (p | q) &^ nd.prev
+				if fresh == 0 {
+					continue
+				}
+				set, add = fresh&^nd.seen, fresh&nd.seen
+				nd.seen |= fresh
+				ne := &next[nd.slot]
+				ne.Pos |= (p ^ x) & fresh
+				ne.Neg |= (q ^ x) & fresh
 			}
-			dag := at & (nd.seen &^ nd.prev) // nd.seen &^ nd.prev: v's new entry bits
-			if dag == 0 {
-				continue
-			}
-			r := int(32 & uint64(int64(signs[e])>>63)) // a negative edge swaps the halves
 			cv := counts[int(v)*w:][:w]
-			for b := dag; b != 0; b &= b - 1 {
-				j := bits.TrailingZeros64(b)
+			for ; set != 0; set &= set - 1 {
+				j := bits.TrailingZeros64(set)
+				c := bits.RotateLeft64(cu[j], r)
+				cv[j] = c
+				sums |= c
+			}
+			for ; add != 0; add &= add - 1 {
+				j := bits.TrailingZeros64(add)
 				c := cv[j] + bits.RotateLeft64(cu[j], r)
 				cv[j] = c
 				sums |= c
 			}
 		}
 	}
+	s.nTouched = nt
 	s.sums = sums
+	s.depth++
+	s.spare, s.level = s.level, next[:k]
+	return k > 0
 }
 
 // nextStamp advances the level stamp, clearing every node's stamp on
