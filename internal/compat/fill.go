@@ -104,13 +104,14 @@ func (m *ShardedMatrix) fillRows(g, sg *sgraph.Graph, slab shardSlabs, base, row
 			return m.fillBalanceRow(g, out, sgraph.NodeID(base+i), scratches[w])
 		})
 	}
-	// The range's sources by their ids in sg, which are their ranks in
-	// the locality order.
-	srcs := make([]sgraph.NodeID, rows)
-	for i := range srcs {
-		srcs[i] = m.rank[base+i]
+	// The range's sources by their ids in sg, their ranks in the
+	// locality order: one pass over the order lists them ascending.
+	srcs := make([]sgraph.NodeID, 0, rows)
+	for r, u := range m.order {
+		if int(u) >= base && int(u) < base+rows {
+			srcs = append(srcs, sgraph.NodeID(r))
+		}
 	}
-	slices.Sort(srcs)
 	height := signedbfs.MaxSources
 	if per := (rows + workers - 1) / workers; per < height {
 		height = max(per, 1)

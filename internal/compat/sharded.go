@@ -22,7 +22,7 @@
 // 64-row block, about one default shard's worth) — allocated by the
 // first SPM block, freed with the build's scratch, and kept by the
 // engine for reuse once a mutation has made it rebuild a shard. The
-// sweep kinds also hold their locality order (8 bytes per node) and,
+// sweep kinds also hold their locality order (4 bytes per node) and,
 // from a fill on, one relabelled copy of the graph snapshot it swept
 // (the size of the graph's adjacency), dropped at the end of
 // construction and kept from the first rebuild on. A
@@ -140,14 +140,14 @@ type ShardedMatrix struct {
 	noMmap bool // ShardedOptions.DisableMmap
 
 	// order is the locality order the packed sweeps relabel the graph
-	// into (order[i] is the node that becomes i; see localityOrder) and
-	// rank its inverse; nil for SBP and SBPH. Mutations never change
-	// the node count, so the order is fixed for the engine's lifetime.
-	// swept is the current snapshot relabelled, the graph of epoch
-	// sweptEpoch (see sweepGraph).
-	order, rank []sgraph.NodeID
-	swept       *sgraph.Graph
-	sweptEpoch  uint64
+	// into (order[i] is the node that becomes i; see localityOrder);
+	// nil for SBP and SBPH. Mutations never change the node count, so
+	// the order is fixed for the engine's lifetime. swept is the
+	// current snapshot relabelled, the graph of epoch sweptEpoch (see
+	// sweepGraph).
+	order      []sgraph.NodeID
+	swept      *sgraph.Graph
+	sweptEpoch uint64
 
 	// table is the lock-free read side of a fully resident engine
 	// (maxRes == numShards): the slabs of every fresh shard, republished

@@ -78,10 +78,6 @@ func newShardedMatrix(k Kind, g *sgraph.Graph, opts ShardedOptions) *ShardedMatr
 	}
 	if k != SBP && k != SBPH { // the kinds fillRows sweeps
 		m.order = localityOrder(g)
-		m.rank = make([]sgraph.NodeID, n)
-		for i, u := range m.order {
-			m.rank[u] = sgraph.NodeID(i)
-		}
 	}
 	return m
 }
