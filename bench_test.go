@@ -408,24 +408,31 @@ func BenchmarkMultiSweep(b *testing.B) {
 	})
 }
 
-// BenchmarkMatrixBuild times the full packed-matrix build (one shard,
-// Workers = GOMAXPROCS). Both kinds fill 64 rows per multi-source
-// sweep of the locality-relabelled graph: SPO from the plain sweep's
-// sign bits, SPM from the counting sweep, whose per-source path
-// counters settle the majority test where both signs reach a node.
-// SPO and SPM run at the 4% bench scale; SPO_epinions0.1 and
-// SPM_epinions0.2 are the engines the serve-read and batch-unique
-// tfsnbench workloads build (their setup_s is mostly this build).
+// BenchmarkMatrixBuild times the full packed-matrix build (one shard
+// unless the case names a height, Workers = GOMAXPROCS). Every kind
+// fills 64 rows per multi-source sweep of the locality-relabelled
+// graph, then writes them from its column buffers by transposes: SPO
+// from the plain sweep's sign bits, SPM from the counting sweep, whose
+// per-source path counters settle the majority test where both signs
+// reach a node, and DPE from its neighbour lists, transposing only the
+// distances. SPO, SPM and DPE run at the 4% bench scale;
+// SPO_epinions0.1 and SPM_epinions0.2 are the engines the serve-read
+// and batch-unique tfsnbench workloads build (their setup_s is mostly
+// this build), and SPO_shard64 is serve-mutate's 64-row shards, split
+// into 32-lane blocks at two workers.
 func BenchmarkMatrixBuild(b *testing.B) {
 	for _, c := range []struct {
-		name  string
-		kind  compat.Kind
-		scale float64
+		name      string
+		kind      compat.Kind
+		scale     float64
+		shardRows int // 0: one shard
 	}{
-		{"SPO", compat.SPO, 0.04},
-		{"SPM", compat.SPM, 0.04},
-		{"SPO_epinions0.1", compat.SPO, 0.1},
-		{"SPM_epinions0.2", compat.SPM, 0.2},
+		{"SPO", compat.SPO, 0.04, 0},
+		{"SPM", compat.SPM, 0.04, 0},
+		{"DPE", compat.DPE, 0.04, 0},
+		{"SPO_epinions0.1", compat.SPO, 0.1, 0},
+		{"SPM_epinions0.2", compat.SPM, 0.2, 0},
+		{"SPO_shard64", compat.SPO, 0.1, 64},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			d, err := datasets.EpinionsSim(1, c.scale)
@@ -433,10 +440,14 @@ func BenchmarkMatrixBuild(b *testing.B) {
 				b.Fatal(err)
 			}
 			g := d.Graph
+			rows := c.shardRows
+			if rows == 0 {
+				rows = g.NumNodes()
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := compat.NewSharded(c.kind, g, compat.ShardedOptions{ShardRows: g.NumNodes()}); err != nil {
+				if _, err := compat.NewSharded(c.kind, g, compat.ShardedOptions{ShardRows: rows}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -68,8 +68,8 @@
 // distance outgrows uint8 packing all claim the shard's residency
 // slot, fill a fresh slab and swap it in (sharded_build.go). The
 // fill (fill.go) hands out blocks of rows, never straddling a shard,
-// to a worker pool and writes each block straight into the slab's
-// rows; SBPH then symmetrises the slab against the earlier shards in
+// to a worker pool, which writes each block into the slab's rows;
+// SBPH then symmetrises the slab against the earlier shards in
 // shard-pair tiles. SPA, SPO, SPM, DPE and NNE fill up to 64 rows from
 // a single signedbfs.MultiSweep. The engine fixes one locality order
 // at construction (a BFS from the highest-degree unplaced node,
@@ -81,7 +81,11 @@
 // rows are the same bits. The sweep's per-source positive/negative
 // bits are exactly Algorithm 1's Pos>0 / Neg>0 and its levels give
 // every distance (DPE and NNE keep their neighbour-list bits and take
-// only the distances). SPM runs the sweep in counting mode, which
+// only the distances). The sweep fills per-node column buffers, and
+// 64×64 bit and 8×8 byte transposes then write the block's rows whole,
+// the sentinel of every unreached distance included, so a narrow
+// sweep-kind slab needs no sentinel prefill. SPM runs the sweep in
+// counting mode, which
 // counts the paths during the frontier push: a source whose
 // shortest paths to a node are all of one sign needs only the bits,
 // and where both signs arrive its per-source (Pos, Neg) counters —

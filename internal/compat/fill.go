@@ -1,6 +1,7 @@
 package compat
 
 import (
+	"encoding/binary"
 	"errors"
 	"math/bits"
 	"slices"
@@ -79,10 +80,12 @@ func (b slabView) setDists(u sgraph.NodeID, dist []int32) error {
 // scratch each). Blocks shrink when the range is too short to give
 // every worker a full one, so a small shard still fills in parallel,
 // and a block never leaves the range.
-// Every block overwrites its rows completely (bits and defined
-// distances), sets the diagonal, and keeps tail bits (≥ n) zero so row
-// popcounts are exact. Undefined distances keep the sentinel the slab
-// was prefilled with.
+// Every block overwrites its rows' bits completely, sets the diagonal,
+// and keeps tail bits (≥ n) zero so row popcounts are exact. The
+// sweep kinds under the uint8 packing write every distance too, the
+// sentinel of undefined ones included; the wide packing and SBP/SBPH
+// write only defined distances and keep the sentinel the slab was
+// prefilled with (see fillShard).
 //
 // SPA, SPO, SPM, DPE and NNE fill up to signedbfs.MaxSources rows
 // from one bit-parallel sweep of sg, g relabelled into the engine's
@@ -200,23 +203,33 @@ func (m *ShardedMatrix) fillBalanceRow(g *sgraph.Graph, out slabView, u sgraph.N
 // multi-source sweep of sg, source srcs[j] riding bit j. Rows, columns
 // and the footprint map back to g's ids through m.order; DPE/NNE
 // neighbour bits and SPM's overflow recount read g itself.
+//
+// The sweep writes no row. Each level entry of node v goes into the
+// worker's column buffers instead: the sources whose row gains v are
+// OR-ed into colBits[v], and under the uint8 packing the level's
+// distance is merged into v's distance words, one word per eight
+// lanes. Once the sweep ends, 64×64 bit and 8×8 byte transposes write
+// the block's rows whole and in order (the sentinel of every column a
+// source does not reach included), resetting the buffers as they read
+// them. Level 0 gives each source its own bit and distance 0. The wide
+// packing still writes its int32 distances lane by lane into a slab
+// prefilled with the sentinel.
 func (m *ShardedMatrix) fillSweepBlock(g, sg *sgraph.Graph, out slabView, srcs []sgraph.NodeID, s *rowScratch) error {
 	kind, order := m.kind, m.order
 	if s.sweep == nil {
 		s.sweep = signedbfs.NewMultiSweep(g.NumNodes())
 	}
+	s.growCols(out.stride)
 	// bitAt[j] and distAt[j] are where source j's row starts in out's
 	// bit words and distance lanes.
 	var bitAt, distAt [signedbfs.MaxSources]int
 	for j, r := range srcs {
 		u := order[r]
-		row := out.row(u)
 		if kind == DPE || kind == NNE {
+			row := out.row(u)
 			edgeWords(g, kind, u, row)
-		} else { // SPA, SPO, SPM: bits come from the sweep
-			zeroWords(row)
+			setWordBit(row, u) // reflexivity
 		}
-		setWordBit(row, u) // reflexivity
 		i := int(u) - out.base
 		bitAt[j], distAt[j] = i*out.stride, i*out.n
 	}
@@ -233,7 +246,8 @@ func (m *ShardedMatrix) fillSweepBlock(g, sg *sgraph.Graph, out slabView, srcs [
 	case SPA, SPM:
 		pm, qm = ^uint64(0), ^uint64(0)
 	}
-	sw := s.sweep
+	sw, cb, cd := s.sweep, s.colBits, s.colDist
+	wide, groups := out.d32 != nil, (len(srcs)+7)/8
 	var ok bool
 	if kind == SPM {
 		ok = sw.StartCounting(sg, srcs)
@@ -242,29 +256,38 @@ func (m *ShardedMatrix) fillSweepBlock(g, sg *sgraph.Graph, out slabView, srcs [
 	}
 	for ; ok; ok = sw.Next() {
 		d, level := sw.Level()
-		if out.d32 == nil && d > maxDist8 {
+		if !wide && d > maxDist8 {
+			s.resetCols()
 			return errDistOverflow
 		}
+		dd := uint64(d) * 0x0101010101010101 // d in every byte
 		for _, e := range level {
 			v, p, q := int(order[e.Node]), e.Pos, e.Neg
-			if out.d32 != nil {
+			if wide {
 				for b := p | q; b != 0; b &= b - 1 {
 					out.d32[distAt[bits.TrailingZeros64(b)]+v] = d
 				}
 			} else {
-				for b := p | q; b != 0; b &= b - 1 {
-					out.d8[distAt[bits.TrailingZeros64(b)]+v] = uint8(d)
+				col := cd[v*groups:][:groups]
+				for b := p | q; b != 0; {
+					k := bits.TrailingZeros64(b) >> 3
+					sp := spreadBytes[uint8(b>>(8*k))]
+					col[k] = col[k]&^sp | dd&sp
+					b &^= 0xFF << (8 * k)
 				}
 			}
-			w, mask := v>>6, uint64(1)<<uint(v&63)
 			set := (p &^ (q & qm)) & pm
 			if kind == SPM && p&q != 0 {
 				set |= sw.Majority(e.Node, p&q)
 			}
-			for ; set != 0; set &= set - 1 {
-				out.bits[bitAt[bits.TrailingZeros64(set)]+w] |= mask
-			}
+			cb[v] |= set
 		}
+	}
+	if kind != DPE && kind != NNE {
+		writeBitRows(out.bits, out.stride, bitAt[:len(srcs)], cb)
+	}
+	if !wide {
+		writeDistRows(out.d8, out.n, distAt[:len(srcs)], cd)
 	}
 	if kind == SPM && sw.Overflowed() {
 		m.recountBlock(g, out, srcs, s)
@@ -277,6 +300,131 @@ func (m *ShardedMatrix) fillSweepBlock(g, sg *sgraph.Graph, out slabView, srcs [
 		}
 	}
 	return nil
+}
+
+// spreadBytes[b] has byte i all ones where bit i of b is set: the
+// lanes of one distance word that a level entry writes.
+var spreadBytes = func() (t [256]uint64) {
+	for b := range t {
+		for i := 0; i < 8; i++ {
+			if b&(1<<i) != 0 {
+				t[b] |= 0xFF << (8 * i)
+			}
+		}
+	}
+	return t
+}()
+
+// growCols sizes the column buffers for rows of stride bit words: one
+// bit word per column, 64 columns a row word, so the last transpose
+// tile is whole, and eight distance words per column (the groups of a
+// 64-source block). Fresh buffers are in the reset state: colBits all
+// zeros, colDist all ones (every lane undefined).
+func (s *rowScratch) growCols(stride int) {
+	if len(s.colBits) == 64*stride {
+		return
+	}
+	s.colBits = make([]uint64, 64*stride)
+	s.colDist = make([]uint64, 8*64*stride)
+	s.resetCols()
+}
+
+// resetCols returns the column buffers to the reset state, after a
+// sweep aborted before its transposes could.
+func (s *rowScratch) resetCols() {
+	clear(s.colBits)
+	for i := range s.colDist {
+		s.colDist[i] = ^uint64(0)
+	}
+}
+
+// writeBitRows writes the bit rows of a block's sources from cols, one
+// word per column holding bit j for source j: row j, at words[at[j]:],
+// gets its stride words from one 64×64 transpose per 64 columns. It
+// zeroes every column word it reads.
+func writeBitRows(words []uint64, stride int, at []int, cols []uint64) {
+	for w := 0; w < stride; w++ {
+		tile := cols[64*w : 64*w+64]
+		t := [64]uint64(tile)
+		clear(tile)
+		transpose64(&t)
+		for j, o := range at {
+			words[o+w] = t[j]
+		}
+	}
+}
+
+// writeDistRows writes the n uint8 distances of each of a block's
+// sources from cols: column v's distances are the (len(at)+7)/8 words
+// at cols[v*groups:], lane j in byte j%8 of word j/8, and row j starts
+// at d8[at[j]:]. One 8×8 byte transpose per eight columns and group of
+// eight lanes writes eight bytes of eight rows; a last, partial group
+// writes only its sources' rows and the last eight columns only those
+// below n. It sets every column word it reads back to all ones.
+func writeDistRows(d8 []uint8, n int, at []int, cols []uint64) {
+	groups := (len(at) + 7) / 8
+	for c := 0; c < n; c += 8 {
+		tile := cols[c*groups : (c+8)*groups]
+		for k := 0; k < groups; k++ {
+			var t [8]uint64
+			for i := range t {
+				t[i] = tile[i*groups+k]
+				tile[i*groups+k] = ^uint64(0)
+			}
+			transpose8(&t)
+			lanes := at[8*k : min(8*k+8, len(at))]
+			if c+8 <= n {
+				for i, o := range lanes {
+					binary.LittleEndian.PutUint64(d8[o+c:], t[i])
+				}
+				continue
+			}
+			for i, o := range lanes {
+				for x := c; x < n; x++ {
+					d8[o+x] = uint8(t[i] >> (8 * (x - c)))
+				}
+			}
+		}
+	}
+}
+
+// transpose64 transposes the 64×64 bit matrix whose row r is t[r],
+// bit c of t[r] its column c: block swaps of 32, 16, ..., 1 bits
+// (Hacker's Delight §7-3).
+func transpose64(t *[64]uint64) {
+	m := uint64(0x00000000FFFFFFFF)
+	for s := 32; s != 0; s >>= 1 {
+		for r := 0; r < 64; r = (r + s + 1) &^ s {
+			t[r], t[r+s] = swapBlocks(t[r], t[r+s], uint(s), m)
+		}
+		m ^= m << (s >> 1)
+	}
+}
+
+// transpose8 transposes the 8×8 byte matrix whose row r is t[r], byte
+// c (bits 8c..8c+7) of t[r] its column c: block swaps of 4, 2 and 1
+// bytes, unrolled on locals so the rows stay in registers.
+func transpose8(t *[8]uint64) {
+	const m4, m2, m1 = 0x00000000FFFFFFFF, 0x0000FFFF0000FFFF, 0x00FF00FF00FF00FF
+	a0, a4 := swapBlocks(t[0], t[4], 32, m4)
+	a1, a5 := swapBlocks(t[1], t[5], 32, m4)
+	a2, a6 := swapBlocks(t[2], t[6], 32, m4)
+	a3, a7 := swapBlocks(t[3], t[7], 32, m4)
+	a0, a2 = swapBlocks(a0, a2, 16, m2)
+	a1, a3 = swapBlocks(a1, a3, 16, m2)
+	a4, a6 = swapBlocks(a4, a6, 16, m2)
+	a5, a7 = swapBlocks(a5, a7, 16, m2)
+	t[0], t[1] = swapBlocks(a0, a1, 8, m1)
+	t[2], t[3] = swapBlocks(a2, a3, 8, m1)
+	t[4], t[5] = swapBlocks(a4, a5, 8, m1)
+	t[6], t[7] = swapBlocks(a6, a7, 8, m1)
+}
+
+// swapBlocks exchanges the blocks of a selected by m<<s with the
+// blocks of b selected by m: one step of a recursive transpose.
+func swapBlocks(a, b uint64, s uint, m uint64) (uint64, uint64) {
+	x := (a>>s ^ b) & m
+	return a ^ x<<s, b ^ x
 }
 
 // recountBlock re-decides the both-signs entries of an SPM block whose

@@ -1,6 +1,8 @@
 package compat
 
 import (
+	"bytes"
+	"errors"
 	"math/rand"
 	"slices"
 	"testing"
@@ -64,6 +66,147 @@ func TestLocalityOrder(t *testing.T) {
 					}
 				}
 				m.Close()
+			}
+		}
+	}
+}
+
+// TestTranspose64: writeBitRows, the 64×64 bit transposes behind the
+// packed sweeps' bit rows, writes exactly what a naive loop over
+// (lane, column) reads from the column words, for every lane count
+// from 1 to 64 and every node tail (n mod 8) from 0 to 7, into rows
+// laid out out of lane order; it leaves the words around each row
+// alone and the column buffer all zeros.
+func TestTranspose64(t *testing.T) {
+	rng := rand.New(rand.NewSource(64))
+	for tail := 0; tail < 8; tail++ {
+		n := 128 + 8 + tail
+		stride := (n + 63) / 64
+		for k := 1; k <= signedbfs.MaxSources; k++ {
+			cols := make([]uint64, 64*stride)
+			for v := 0; v < n; v++ {
+				cols[v] = rng.Uint64() & (1<<uint(k) - 1)
+			}
+			want := slices.Clone(cols)
+			// Row j sits at slot perm[j] of a slab whose rows have one
+			// guard word after them.
+			perm := rng.Perm(k)
+			at := make([]int, k)
+			for j := range at {
+				at[j] = perm[j] * (stride + 1)
+			}
+			const guard = 0x5A5A5A5A5A5A5A5A
+			out := make([]uint64, k*(stride+1))
+			for i := range out {
+				out[i] = guard
+			}
+			writeBitRows(out, stride, at, cols)
+			for j, o := range at {
+				for v := 0; v < 64*stride; v++ {
+					got := out[o+v>>6]>>uint(v&63)&1 != 0
+					if exp := v < n && want[v]>>uint(j)&1 != 0; got != exp {
+						t.Fatalf("n=%d k=%d: row %d column %d = %v, want %v", n, k, j, v, got, exp)
+					}
+				}
+				if out[o+stride] != guard {
+					t.Fatalf("n=%d k=%d: row %d's guard word overwritten", n, k, j)
+				}
+			}
+			if slices.ContainsFunc(cols, func(w uint64) bool { return w != 0 }) {
+				t.Fatalf("n=%d k=%d: column bits not reset", n, k)
+			}
+		}
+	}
+}
+
+// TestTranspose8: writeDistRows, the 8×8 byte transposes behind the
+// packed sweeps' uint8 distance rows, writes exactly what a naive loop
+// over (lane, column) reads from the column words, for every lane
+// count from 1 to 64 and every node tail from 0 to 7, into rows laid
+// out out of lane order; it writes nothing past a row's n bytes and
+// leaves the column buffer all ones.
+func TestTranspose8(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for tail := 0; tail < 8; tail++ {
+		n := 128 + 8 + tail
+		cols := make([]uint64, (n+7)/8*8*8)
+		for k := 1; k <= signedbfs.MaxSources; k++ {
+			groups := (k + 7) / 8
+			for i := range cols {
+				cols[i] = rng.Uint64()
+			}
+			want := slices.Clone(cols)
+			// Row j sits at slot perm[j] of a slab whose rows have
+			// eight guard bytes after them.
+			perm := rng.Perm(k)
+			at := make([]int, k)
+			for j := range at {
+				at[j] = perm[j] * (n + 8)
+			}
+			const guard = 0x5A
+			out := make([]uint8, k*(n+8))
+			for i := range out {
+				out[i] = guard
+			}
+			writeDistRows(out, n, at, cols)
+			for j, o := range at {
+				for v := 0; v < n; v++ {
+					if got, exp := out[o+v], uint8(want[v*groups+j/8]>>(8*(j%8))); got != exp {
+						t.Fatalf("n=%d k=%d: row %d column %d = %#x, want %#x", n, k, j, v, got, exp)
+					}
+				}
+				for x := n; x < n+8; x++ {
+					if out[o+x] != guard {
+						t.Fatalf("n=%d k=%d: row %d written past n at %d", n, k, j, x)
+					}
+				}
+			}
+			if slices.ContainsFunc(cols[:(n+7)/8*8*groups], func(w uint64) bool { return w != ^uint64(0) }) {
+				t.Fatalf("n=%d k=%d: column distances not reset", n, k)
+			}
+		}
+	}
+}
+
+// TestSweepFillWritesEveryCell: a narrow SPA, SPO, SPM, DPE or NNE
+// fill writes every bit and distance of its rows, so a slab poisoned
+// with random words and bytes fills exactly as one prefilled with the
+// sentinel — on every blockGraphs input, at shard heights 1, 7, 64, n
+// and those -shard-rows names, with two workers (so blocks of 1 to 64
+// lanes, partial byte groups included) sharing their scratch across
+// every fill. Where a distance outgrows uint8 both fills must abort,
+// and the fills after the abort must still agree.
+func TestSweepFillWritesEveryCell(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	for _, bg := range blockGraphs(rng) {
+		g, n := bg.g, bg.g.NumNodes()
+		scratches, workers := newWorkerScratches(2, n)
+		heights := append([]int{1, 7, 64, n}, parseShardRows(t)...)
+		slices.Sort(heights)
+		for _, rows := range slices.Compact(heights) {
+			for _, k := range []Kind{SPA, SPO, SPM, DPE, NNE} {
+				m := newShardedMatrix(k, g, ShardedOptions{ShardRows: rows})
+				sg := g.Relabel(m.order)
+				for s := 0; s < m.numShards; s++ {
+					base, h := s*m.shardRows, m.shardLen(s)
+					poisoned := m.newSlab(h)
+					for i := range poisoned.bits {
+						poisoned.bits[i] = rng.Uint64()
+					}
+					rng.Read(poisoned.dist8)
+					blank := m.newBlankSlab(h)
+					errP := m.fillRows(g, sg, poisoned, base, h, workers, scratches)
+					errB := m.fillRows(g, sg, blank, base, h, workers, scratches)
+					if errP != nil || errB != nil {
+						if !errors.Is(errP, errDistOverflow) || !errors.Is(errB, errDistOverflow) {
+							t.Fatalf("%s %v rows=%d shard %d: fills returned %v and %v", bg.name, k, rows, s, errP, errB)
+						}
+						continue
+					}
+					if !slices.Equal(poisoned.bits, blank.bits) || !bytes.Equal(poisoned.dist8, blank.dist8) {
+						t.Fatalf("%s %v rows=%d shard %d: the poisoned slab fills differently", bg.name, k, rows, s)
+					}
+				}
 			}
 		}
 	}

@@ -177,8 +177,8 @@ func (m *ShardedMatrix) newSlab(rows int) shardSlabs {
 }
 
 // newBlankSlab is newSlab with every distance preset to the packing's
-// "undefined" sentinel — the state the relation fillers expect, since
-// they write only defined distances.
+// "undefined" sentinel — the state the fills that write only defined
+// distances expect: SBP/SBPH, and every kind under the wide packing.
 func (m *ShardedMatrix) newBlankSlab(rows int) shardSlabs {
 	slab := m.newSlab(rows)
 	for i := range slab.dist8 {

@@ -122,6 +122,35 @@ func checkCounts(t *testing.T, label string, g *sgraph.Graph, srcs []sgraph.Node
 	}
 }
 
+// TestMultiSweepMajorityTie pins Majority's ≥ at a tie: source 0
+// reaches node 2 of a 4-cycle with one negative edge along one path of
+// each sign (Pos = Neg = 1, so the pair is compatible), and source 4
+// reaches node 8 across a fan of two negative branches and a positive
+// one (Pos 1 < Neg 2, so it is not). sweepRows checks Majority on
+// every lane the levels report, these two included.
+func TestMultiSweepMajorityTie(t *testing.T) {
+	b := sgraph.NewBuilder(9)
+	b.AddEdge(0, 1, sgraph.Positive)
+	b.AddEdge(1, 2, sgraph.Positive)
+	b.AddEdge(2, 3, sgraph.Positive)
+	b.AddEdge(3, 0, sgraph.Negative)
+	for mid, s := range []sgraph.Sign{sgraph.Negative, sgraph.Negative, sgraph.Positive} {
+		b.AddEdge(4, sgraph.NodeID(5+mid), s)
+		b.AddEdge(sgraph.NodeID(5+mid), 8, sgraph.Positive)
+	}
+	g := b.MustBuild()
+	srcs := []sgraph.NodeID{0, 4}
+	sw := NewMultiSweep(g.NumNodes())
+	_, _, _, cnt := sweepRows(t, g, sw, srcs, true)
+	checkCounts(t, "tie", g, srcs, cnt, sw.Overflowed(), &Result{}, NewScratch(g.NumNodes()))
+	if c := cnt[0][2]; c != 1|1<<32 {
+		t.Fatalf("source 0 at node 2: counts (%d, %d), want the tie (1, 1)", uint32(c), c>>32)
+	}
+	if c := cnt[1][8]; c != 1|2<<32 {
+		t.Fatalf("source 4 at node 8: counts (%d, %d), want (1, 2)", uint32(c), c>>32)
+	}
+}
+
 // boundaryChain builds a chain of k+1 diamonds from node 0: first a
 // fan of three two-edge branches whose first edges are negative,
 // negative and positive, mapping a source's counts (1, 0) to (1, 2),
