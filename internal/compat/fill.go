@@ -46,28 +46,28 @@ func (b slabView) row(u sgraph.NodeID) []uint64 {
 	return b.bits[i*b.stride : (i+1)*b.stride]
 }
 
-// setDist writes distance d to v into source u's row. It returns
-// errDistOverflow when d does not fit the uint8 packing, so the caller
-// can retry the build wide.
+// setDist writes distance d to v into source u's row, noDist32 as the
+// packing's sentinel. It returns errDistOverflow when d does not fit
+// the uint8 packing, so the caller can retry the build wide.
 func (b slabView) setDist(u, v sgraph.NodeID, d int32) error {
 	i := (int(u)-b.base)*b.n + int(v)
-	if b.d32 != nil {
+	switch {
+	case b.d32 != nil:
 		b.d32[i] = d
-		return nil
-	}
-	if d > maxDist8 {
+	case d == noDist32:
+		b.d8[i] = noDist8
+	case d > maxDist8:
 		return errDistOverflow
+	default:
+		b.d8[i] = uint8(d)
 	}
-	b.d8[i] = uint8(d)
 	return nil
 }
 
-// setDists writes every reachable entry of dist into source u's row.
+// setDists writes dist as source u's distances, n entries with
+// noDist32 (balance.NoPath) where one is undefined.
 func (b slabView) setDists(u sgraph.NodeID, dist []int32) error {
 	for v, d := range dist {
-		if d == signedbfs.Unreachable {
-			continue
-		}
 		if err := b.setDist(u, sgraph.NodeID(v), d); err != nil {
 			return err
 		}
@@ -80,12 +80,10 @@ func (b slabView) setDists(u sgraph.NodeID, dist []int32) error {
 // scratch each). Blocks shrink when the range is too short to give
 // every worker a full one, so a small shard still fills in parallel,
 // and a block never leaves the range.
-// Every block overwrites its rows' bits completely, sets the diagonal,
-// and keeps tail bits (≥ n) zero so row popcounts are exact. The
-// sweep kinds under the uint8 packing write every distance too, the
-// sentinel of undefined ones included; the wide packing and SBP/SBPH
-// write only defined distances and keep the sentinel the slab was
-// prefilled with (see fillShard).
+// Every block overwrites its rows completely, bits and distances, the
+// sentinel of undefined distances included, so slab needs no prefill;
+// it sets the diagonal and keeps tail bits (≥ n) zero so row popcounts
+// are exact.
 //
 // SPA, SPO, SPM, DPE and NNE fill up to signedbfs.MaxSources rows
 // from one bit-parallel sweep of sg, g relabelled into the engine's
@@ -204,18 +202,21 @@ func (m *ShardedMatrix) fillBalanceRow(g *sgraph.Graph, out slabView, u sgraph.N
 // and the footprint map back to g's ids through m.order; DPE/NNE
 // neighbour bits and SPM's overflow recount read g itself.
 //
-// The sweep writes no row. Each level entry of node v goes into the
+// The sweep writes no bits into the rows, nor, under the uint8
+// packing, any distance. Each level entry of node v goes into the
 // worker's column buffers instead: the sources whose row gains v are
 // OR-ed into colBits[v], and under the uint8 packing the level's
-// distance is merged into v's distance words, one word per eight
-// lanes. Once the sweep ends, 64×64 bit and 8×8 byte transposes write
-// the block's rows whole and in order (the sentinel of every column a
-// source does not reach included), resetting the buffers as they read
-// them. Level 0 gives each source its own bit and distance 0. The wide
-// packing still writes its int32 distances lane by lane into a slab
-// prefilled with the sentinel.
+// distance is stored into the byte of each lane that reaches v, in
+// v's run of colDist. Once the sweep ends, 64×64 bit and 8×8 byte
+// transposes write the block's rows whole and in order (the sentinel
+// of every column a source does not reach included), resetting the
+// buffers as they read them; a block of fewer than gatherLanes
+// sources gathers its rows lane by lane. Level 0 gives each source
+// its own bit and distance 0. The wide packing writes the sentinel
+// over each source's distances first and its defined int32 distances
+// lane by lane during the sweep.
 func (m *ShardedMatrix) fillSweepBlock(g, sg *sgraph.Graph, out slabView, srcs []sgraph.NodeID, s *rowScratch) error {
-	kind, order := m.kind, m.order
+	kind, order, wide := m.kind, m.order, out.d32 != nil
 	if s.sweep == nil {
 		s.sweep = signedbfs.NewMultiSweep(g.NumNodes())
 	}
@@ -232,6 +233,11 @@ func (m *ShardedMatrix) fillSweepBlock(g, sg *sgraph.Graph, out slabView, srcs [
 		}
 		i := int(u) - out.base
 		bitAt[j], distAt[j] = i*out.stride, i*out.n
+		if wide {
+			for v := range out.n {
+				out.d32[distAt[j]+v] = noDist32
+			}
+		}
 	}
 
 	// set = (p &^ (q & qm)) & pm picks the sources whose row gains the
@@ -247,7 +253,7 @@ func (m *ShardedMatrix) fillSweepBlock(g, sg *sgraph.Graph, out slabView, srcs [
 		pm, qm = ^uint64(0), ^uint64(0)
 	}
 	sw, cb, cd := s.sweep, s.colBits, s.colDist
-	wide, groups := out.d32 != nil, (len(srcs)+7)/8
+	groups := (len(srcs) + 7) / 8
 	var ok bool
 	if kind == SPM {
 		ok = sw.StartCounting(sg, srcs)
@@ -260,7 +266,6 @@ func (m *ShardedMatrix) fillSweepBlock(g, sg *sgraph.Graph, out slabView, srcs [
 			s.resetCols()
 			return errDistOverflow
 		}
-		dd := uint64(d) * 0x0101010101010101 // d in every byte
 		for _, e := range level {
 			v, p, q := int(order[e.Node]), e.Pos, e.Neg
 			if wide {
@@ -268,12 +273,9 @@ func (m *ShardedMatrix) fillSweepBlock(g, sg *sgraph.Graph, out slabView, srcs [
 					out.d32[distAt[bits.TrailingZeros64(b)]+v] = d
 				}
 			} else {
-				col := cd[v*groups:][:groups]
-				for b := p | q; b != 0; {
-					k := bits.TrailingZeros64(b) >> 3
-					sp := spreadBytes[uint8(b>>(8*k))]
-					col[k] = col[k]&^sp | dd&sp
-					b &^= 0xFF << (8 * k)
+				col := cd[v*8*groups:][:8*groups]
+				for b := p | q; b != 0; b &= b - 1 {
+					col[bits.TrailingZeros64(b)] = uint8(d)
 				}
 			}
 			set := (p &^ (q & qm)) & pm
@@ -302,30 +304,17 @@ func (m *ShardedMatrix) fillSweepBlock(g, sg *sgraph.Graph, out slabView, srcs [
 	return nil
 }
 
-// spreadBytes[b] has byte i all ones where bit i of b is set: the
-// lanes of one distance word that a level entry writes.
-var spreadBytes = func() (t [256]uint64) {
-	for b := range t {
-		for i := 0; i < 8; i++ {
-			if b&(1<<i) != 0 {
-				t[b] |= 0xFF << (8 * i)
-			}
-		}
-	}
-	return t
-}()
-
 // growCols sizes the column buffers for rows of stride bit words: one
 // bit word per column, 64 columns a row word, so the last transpose
-// tile is whole, and eight distance words per column (the groups of a
-// 64-source block). Fresh buffers are in the reset state: colBits all
-// zeros, colDist all ones (every lane undefined).
+// tile is whole, and 64 distance bytes per column (the lanes of a full
+// block). Fresh buffers are in the reset state: colBits all zeros,
+// colDist all noDist8.
 func (s *rowScratch) growCols(stride int) {
 	if len(s.colBits) == 64*stride {
 		return
 	}
 	s.colBits = make([]uint64, 64*stride)
-	s.colDist = make([]uint64, 8*64*stride)
+	s.colDist = make([]uint8, 64*64*stride)
 	s.resetCols()
 }
 
@@ -334,17 +323,35 @@ func (s *rowScratch) growCols(stride int) {
 func (s *rowScratch) resetCols() {
 	clear(s.colBits)
 	for i := range s.colDist {
-		s.colDist[i] = ^uint64(0)
+		s.colDist[i] = noDist8
 	}
 }
 
+// gatherLanes is the block width below which the row writers gather
+// each source's row lane by lane: a transpose moves all 64 (or 8)
+// lanes, which a block of a few sources — a shard's short tail, or a
+// one-row shard — does not repay.
+const gatherLanes = 8
+
 // writeBitRows writes the bit rows of a block's sources from cols, one
 // word per column holding bit j for source j: row j, at words[at[j]:],
-// gets its stride words from one 64×64 transpose per 64 columns. It
-// zeroes every column word it reads.
+// gets its stride words from one 64×64 transpose per 64 columns, or
+// below gatherLanes sources from one gather per word. It zeroes every
+// column word it reads.
 func writeBitRows(words []uint64, stride int, at []int, cols []uint64) {
 	for w := 0; w < stride; w++ {
 		tile := cols[64*w : 64*w+64]
+		if len(at) < gatherLanes {
+			for j, o := range at {
+				var x uint64
+				for i, c := range tile {
+					x |= c >> uint(j) & 1 << uint(i)
+				}
+				words[o+w] = x
+			}
+			clear(tile)
+			continue
+		}
 		t := [64]uint64(tile)
 		clear(tile)
 		transpose64(&t)
@@ -355,21 +362,36 @@ func writeBitRows(words []uint64, stride int, at []int, cols []uint64) {
 }
 
 // writeDistRows writes the n uint8 distances of each of a block's
-// sources from cols: column v's distances are the (len(at)+7)/8 words
-// at cols[v*groups:], lane j in byte j%8 of word j/8, and row j starts
-// at d8[at[j]:]. One 8×8 byte transpose per eight columns and group of
-// eight lanes writes eight bytes of eight rows; a last, partial group
-// writes only its sources' rows and the last eight columns only those
-// below n. It sets every column word it reads back to all ones.
-func writeDistRows(d8 []uint8, n int, at []int, cols []uint64) {
+// sources from cols: column v's distances are the 8·groups bytes at
+// cols[8·v·groups:], groups = (len(at)+7)/8, lane j in byte j, and row
+// j starts at d8[at[j]:]. One 8×8 byte transpose per eight columns and
+// group of eight lanes writes eight bytes of eight rows; a last,
+// partial group writes only its sources' rows and the last eight
+// columns only those below n. Below gatherLanes sources, one group,
+// each row is gathered byte by byte instead. It sets every column byte
+// it reads, the last eight columns' whole, back to noDist8.
+func writeDistRows(d8 []uint8, n int, at []int, cols []uint8) {
+	if len(at) < gatherLanes {
+		for j, o := range at {
+			row := d8[o : o+n]
+			for v := range row {
+				row[v] = cols[8*v+j]
+			}
+		}
+		for v := 0; v < (n+7)&^7; v++ {
+			binary.LittleEndian.PutUint64(cols[8*v:], ^uint64(0))
+		}
+		return
+	}
 	groups := (len(at) + 7) / 8
 	for c := 0; c < n; c += 8 {
-		tile := cols[c*groups : (c+8)*groups]
+		tile := cols[8*c*groups : 8*(c+8)*groups]
 		for k := 0; k < groups; k++ {
 			var t [8]uint64
 			for i := range t {
-				t[i] = tile[i*groups+k]
-				tile[i*groups+k] = ^uint64(0)
+				o := 8 * (i*groups + k)
+				t[i] = binary.LittleEndian.Uint64(tile[o:])
+				binary.LittleEndian.PutUint64(tile[o:], ^uint64(0))
 			}
 			transpose8(&t)
 			lanes := at[8*k : min(8*k+8, len(at))]

@@ -121,20 +121,18 @@ func TestTranspose64(t *testing.T) {
 
 // TestTranspose8: writeDistRows, the 8×8 byte transposes behind the
 // packed sweeps' uint8 distance rows, writes exactly what a naive loop
-// over (lane, column) reads from the column words, for every lane
+// over (lane, column) reads from the column bytes, for every lane
 // count from 1 to 64 and every node tail from 0 to 7, into rows laid
 // out out of lane order; it writes nothing past a row's n bytes and
-// leaves the column buffer all ones.
+// leaves the column buffer all noDist8.
 func TestTranspose8(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for tail := 0; tail < 8; tail++ {
 		n := 128 + 8 + tail
-		cols := make([]uint64, (n+7)/8*8*8)
+		cols := make([]uint8, (n+7)/8*8*64)
 		for k := 1; k <= signedbfs.MaxSources; k++ {
 			groups := (k + 7) / 8
-			for i := range cols {
-				cols[i] = rng.Uint64()
-			}
+			rng.Read(cols)
 			want := slices.Clone(cols)
 			// Row j sits at slot perm[j] of a slab whose rows have
 			// eight guard bytes after them.
@@ -151,7 +149,7 @@ func TestTranspose8(t *testing.T) {
 			writeDistRows(out, n, at, cols)
 			for j, o := range at {
 				for v := 0; v < n; v++ {
-					if got, exp := out[o+v], uint8(want[v*groups+j/8]>>(8*(j%8))); got != exp {
+					if got, exp := out[o+v], want[8*v*groups+j]; got != exp {
 						t.Fatalf("n=%d k=%d: row %d column %d = %#x, want %#x", n, k, j, v, got, exp)
 					}
 				}
@@ -161,21 +159,23 @@ func TestTranspose8(t *testing.T) {
 					}
 				}
 			}
-			if slices.ContainsFunc(cols[:(n+7)/8*8*groups], func(w uint64) bool { return w != ^uint64(0) }) {
+			if slices.ContainsFunc(cols[:(n+7)/8*64*groups], func(b uint8) bool { return b != noDist8 }) {
 				t.Fatalf("n=%d k=%d: column distances not reset", n, k)
 			}
 		}
 	}
 }
 
-// TestSweepFillWritesEveryCell: a narrow SPA, SPO, SPM, DPE or NNE
-// fill writes every bit and distance of its rows, so a slab poisoned
-// with random words and bytes fills exactly as one prefilled with the
-// sentinel — on every blockGraphs input, at shard heights 1, 7, 64, n
-// and those -shard-rows names, with two workers (so blocks of 1 to 64
-// lanes, partial byte groups included) sharing their scratch across
-// every fill. Where a distance outgrows uint8 both fills must abort,
-// and the fills after the abort must still agree.
+// TestSweepFillWritesEveryCell: every fill writes every bit and
+// distance of its rows, so a slab poisoned with random words and
+// distances fills exactly as one prefilled with the sentinel. It runs
+// the SPA, SPO, SPM, DPE and NNE sweep fills under both packings on
+// every blockGraphs input, at shard heights 1, 7, 64, n and those
+// -shard-rows names, with two workers (so blocks of 1 to 64 lanes,
+// partial byte groups included) sharing their scratch across every
+// fill, and the SBPH balance fill under both packings at height n.
+// Where a distance outgrows uint8 both fills must abort, and the
+// fills after the abort must still agree.
 func TestSweepFillWritesEveryCell(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	for _, bg := range blockGraphs(rng) {
@@ -184,27 +184,46 @@ func TestSweepFillWritesEveryCell(t *testing.T) {
 		heights := append([]int{1, 7, 64, n}, parseShardRows(t)...)
 		slices.Sort(heights)
 		for _, rows := range slices.Compact(heights) {
-			for _, k := range []Kind{SPA, SPO, SPM, DPE, NNE} {
-				m := newShardedMatrix(k, g, ShardedOptions{ShardRows: rows})
-				sg := g.Relabel(m.order)
-				for s := 0; s < m.numShards; s++ {
-					base, h := s*m.shardRows, m.shardLen(s)
-					poisoned := m.newSlab(h)
-					for i := range poisoned.bits {
-						poisoned.bits[i] = rng.Uint64()
+			for _, k := range []Kind{SPA, SPO, SPM, DPE, NNE, SBPH} {
+				if k == SBPH && rows != n {
+					continue // it fills row by row: one height covers it
+				}
+				for _, wide := range []bool{false, true} {
+					m := newShardedMatrix(k, g, ShardedOptions{ShardRows: rows})
+					m.wide = wide
+					var sg *sgraph.Graph
+					if m.order != nil {
+						sg = g.Relabel(m.order)
 					}
-					rng.Read(poisoned.dist8)
-					blank := m.newBlankSlab(h)
-					errP := m.fillRows(g, sg, poisoned, base, h, workers, scratches)
-					errB := m.fillRows(g, sg, blank, base, h, workers, scratches)
-					if errP != nil || errB != nil {
-						if !errors.Is(errP, errDistOverflow) || !errors.Is(errB, errDistOverflow) {
-							t.Fatalf("%s %v rows=%d shard %d: fills returned %v and %v", bg.name, k, rows, s, errP, errB)
+					for s := 0; s < m.numShards; s++ {
+						base, h := s*m.shardRows, m.shardLen(s)
+						poisoned := m.newSlab(h)
+						for i := range poisoned.bits {
+							poisoned.bits[i] = rng.Uint64()
 						}
-						continue
-					}
-					if !slices.Equal(poisoned.bits, blank.bits) || !bytes.Equal(poisoned.dist8, blank.dist8) {
-						t.Fatalf("%s %v rows=%d shard %d: the poisoned slab fills differently", bg.name, k, rows, s)
+						rng.Read(poisoned.dist8)
+						for i := range poisoned.dist32 {
+							poisoned.dist32[i] = int32(rng.Uint32())
+						}
+						blank := m.newSlab(h)
+						for i := range blank.dist8 {
+							blank.dist8[i] = noDist8
+						}
+						for i := range blank.dist32 {
+							blank.dist32[i] = noDist32
+						}
+						errP := m.fillRows(g, sg, poisoned, base, h, workers, scratches)
+						errB := m.fillRows(g, sg, blank, base, h, workers, scratches)
+						if errP != nil || errB != nil {
+							if !errors.Is(errP, errDistOverflow) || !errors.Is(errB, errDistOverflow) {
+								t.Fatalf("%s %v wide=%v rows=%d shard %d: fills returned %v and %v", bg.name, k, wide, rows, s, errP, errB)
+							}
+							continue
+						}
+						if !slices.Equal(poisoned.bits, blank.bits) || !bytes.Equal(poisoned.dist8, blank.dist8) ||
+							!slices.Equal(poisoned.dist32, blank.dist32) {
+							t.Fatalf("%s %v wide=%v rows=%d shard %d: the poisoned slab fills differently", bg.name, k, wide, rows, s)
+						}
 					}
 				}
 			}

@@ -45,9 +45,10 @@ type rowScratch struct {
 
 	// colBits and colDist are the packed builds' column buffers (see
 	// fillSweepBlock): per node v of the graph, the block's sources
-	// whose row gains v, and their uint8 distances to v, eight lanes a
-	// word. Between blocks colBits is all zeros and colDist all ones.
-	colBits, colDist []uint64
+	// whose row gains v, and their uint8 distances to v, one byte a
+	// lane. Between blocks colBits is all zeros and colDist all noDist8.
+	colBits []uint64
+	colDist []uint8
 
 	// reach, when non-nil, makes the relation fillers OR each source
 	// row's plain-BFS reachable set into it (a node bitset of the given

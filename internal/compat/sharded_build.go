@@ -196,14 +196,7 @@ func (m *ShardedMatrix) fillShard(g *sgraph.Graph, epoch uint64, s int, workers 
 		return err
 	}
 
-	// A narrow sweep fill writes every cell of its rows; the other
-	// fills leave undefined distances to the prefilled sentinel.
-	var slab shardSlabs
-	if m.wide || m.order == nil {
-		slab = m.newBlankSlab(sh.rows)
-	} else {
-		slab = m.newSlab(sh.rows)
-	}
+	slab := m.newSlab(sh.rows) // fillRows writes every cell
 	m.armReach(scratches)
 	err = m.fillRows(g, m.sweepGraph(g, epoch), slab, s*m.shardRows, sh.rows, workers, scratches)
 	touched := m.mergeReach(scratches)

@@ -176,20 +176,6 @@ func (m *ShardedMatrix) newSlab(rows int) shardSlabs {
 	return slab
 }
 
-// newBlankSlab is newSlab with every distance preset to the packing's
-// "undefined" sentinel — the state the fills that write only defined
-// distances expect: SBP/SBPH, and every kind under the wide packing.
-func (m *ShardedMatrix) newBlankSlab(rows int) shardSlabs {
-	slab := m.newSlab(rows)
-	for i := range slab.dist8 {
-		slab.dist8[i] = noDist8
-	}
-	for i := range slab.dist32 {
-		slab.dist32[i] = noDist32
-	}
-	return slab
-}
-
 // shardLen returns the row count of shard s (the last may be short).
 func (m *ShardedMatrix) shardLen(s int) int {
 	rows := m.shardRows

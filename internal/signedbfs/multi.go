@@ -393,17 +393,14 @@ func (s *MultiSweep) Level() (d int32, level []Entry) { return s.depth, s.level 
 // exactly the sources j for which CountPathsInto from j has
 // Pos[v] ≥ Neg[v].
 //
-// The test is branchless: Neg − Pos − 1, taken over int64 so the
-// 32-bit halves cannot wrap, is negative exactly when Pos ≥ Neg, and
-// its sign bit, spread to a mask, keeps the lane's bit.
-//
 //tfsn:noalloc
 func (s *MultiSweep) Majority(v sgraph.NodeID, both uint64) uint64 {
 	c := s.counts[int(v)*s.lanes:][:s.lanes]
 	var maj uint64
 	for b := both; b != 0; b &= b - 1 {
-		cj := c[bits.TrailingZeros64(b)]
-		maj |= b & -b & uint64((int64(cj>>32)-int64(uint32(cj))-1)>>63)
+		if j := bits.TrailingZeros64(b); uint32(c[j]) >= uint32(c[j]>>32) {
+			maj |= b & -b
+		}
 	}
 	return maj
 }
