@@ -952,9 +952,15 @@ func BenchmarkFormTeamLCMD(b *testing.B) {
 // rebuilding only the dirtied shard(s) versus rebuilding the whole
 // sharded engine from scratch. The workload is the bench-standard
 // Epinions stand-in (1,154 users) on the sharded SPO engine at 64-row
-// shards (19 shards); the post-mutation query reads one distance row,
-// which is what a Form seed evaluation does per candidate. The
-// incremental path must beat the full rebuild by ≥10×.
+// shards: 19 shards, 18 of 64 rows and a two-row tail (1,154 = 18·64
+// + 2). The post-mutation query reads one distance row, which is what
+// a Form seed evaluation does per candidate. The incremental path must
+// beat the full rebuild by ≥10×.
+//
+// flip-requery and rebuild-requery read row n−1, in the two-row tail
+// shard, so flip-requery times a rebuild of one or two sources plus
+// the whole-graph relabel every rebuild pays; flip-requery-full reads
+// row n−3, in the last full shard, and so times a 64-row rebuild.
 func BenchmarkMutateThenQuery(b *testing.B) {
 	d, err := datasets.EpinionsSim(1, 0.04)
 	if err != nil {
@@ -971,31 +977,38 @@ func BenchmarkMutateThenQuery(b *testing.B) {
 		b.Fatal("node 0 has no edges")
 	}
 	shardOpts := compat.ShardedOptions{ShardRows: 64}
-	row := sgraph.NodeID(g.NumNodes() - 1) // last shard: far from the flip row
-	// requery reads one entry of the row, resolving (and so rebuilding)
+	tail := sgraph.NodeID(g.NumNodes() - 1) // last shard: far from the flip row
+	if full := int(tail-2) / 64 * 64; full+64 > g.NumNodes() {
+		b.Fatalf("row %d is not in a full 64-row shard at n = %d", tail-2, g.NumNodes())
+	}
+	// requery reads one entry of row, resolving (and so rebuilding)
 	// its shard.
-	requery := func(b *testing.B, m *compat.ShardedMatrix) {
+	requery := func(b *testing.B, m *compat.ShardedMatrix, row sgraph.NodeID) {
 		if _, ok := m.DistanceRow(row).At(0); !ok {
 			b.Fatal("row has no distance to node 0")
 		}
 	}
-
-	b.Run("flip-requery", func(b *testing.B) {
-		m := mustSharded(b, compat.SPO, g, shardOpts)
-		defer m.Close()
-		requery(b, m) // warm build outside the loop
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := m.Mutate(sgraph.Mutation{Op: sgraph.MutFlip, U: eu, V: ev}); err != nil {
-				b.Fatal(err)
+	flipRequery := func(row sgraph.NodeID) func(b *testing.B) {
+		return func(b *testing.B) {
+			m := mustSharded(b, compat.SPO, g, shardOpts)
+			defer m.Close()
+			requery(b, m, row) // warm build outside the loop
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := m.Mutate(sgraph.Mutation{Op: sgraph.MutFlip, U: eu, V: ev}); err != nil {
+					b.Fatal(err)
+				}
+				requery(b, m, row)
 			}
-			requery(b, m)
 		}
-	})
+	}
+
+	b.Run("flip-requery", flipRequery(tail))
+	b.Run("flip-requery-full", flipRequery(tail-2))
 	b.Run("rebuild-requery", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			m := mustSharded(b, compat.SPO, g, shardOpts)
-			requery(b, m)
+			requery(b, m, tail)
 			m.Close()
 		}
 	})

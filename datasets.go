@@ -118,10 +118,10 @@ func CountTriangles(g *Graph) TriangleCensus { return balance.CountTriangles(g) 
 // (−1 = unreachable).
 func Distances(g *Graph, src NodeID) []int32 { return signedbfs.Distances(g, src) }
 
-// Diameter computes the exact graph diameter with one BFS per node,
-// in parallel.
+// Diameter computes the exact graph diameter from bit-parallel BFS
+// sweeps of 64 sources each.
 func Diameter(g *Graph) int32 { return signedbfs.Diameter(g) }
 
-// AverageDistance returns the mean pairwise BFS distance over
-// reachable pairs.
+// AverageDistance returns the exact mean pairwise BFS distance over
+// reachable pairs, from bit-parallel BFS sweeps of 64 sources each.
 func AverageDistance(g *Graph) float64 { return signedbfs.AverageDistance(g) }

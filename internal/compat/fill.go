@@ -7,6 +7,7 @@ import (
 	"slices"
 
 	"repro/internal/balance"
+	"repro/internal/container"
 	"repro/internal/sgraph"
 	"repro/internal/signedbfs"
 )
@@ -101,7 +102,7 @@ func (b slabView) setDists(u sgraph.NodeID, dist []int32) error {
 func (m *ShardedMatrix) fillRows(g, sg *sgraph.Graph, slab shardSlabs, base, rows, workers int, scratches []*rowScratch) error {
 	out := slab.view(base, m.stride, m.n)
 	if sg == nil { // SBP, SBPH
-		return parallelSweep(rows, workers, func(w, i int) error {
+		return container.ParallelFor(rows, workers, func(w, i int) error {
 			return m.fillBalanceRow(g, out, sgraph.NodeID(base+i), scratches[w])
 		})
 	}
@@ -118,7 +119,7 @@ func (m *ShardedMatrix) fillRows(g, sg *sgraph.Graph, slab shardSlabs, base, row
 		height = max(per, 1)
 	}
 	blocks := (rows + height - 1) / height
-	return parallelSweep(blocks, workers, func(w, b int) error {
+	return container.ParallelFor(blocks, workers, func(w, b int) error {
 		return m.fillSweepBlock(g, sg, out, srcs[b*height:min((b+1)*height, rows)], scratches[w])
 	})
 }
@@ -162,24 +163,37 @@ func localityOrder(g *sgraph.Graph) []sgraph.NodeID {
 	return order
 }
 
+// balanceRow runs u's search for an SBPH (beam) or SBP (exact)
+// relation and sets in words, zeroed by the caller, the bit of every
+// node a balanced positive path from u reaches. It returns the
+// search's distances, balance.NoPath where a node has none. The packed
+// fill and the lazy rows both take their SBPH and SBP rows from it.
+func balanceRow(g *sgraph.Graph, kind Kind, beam int, exact balance.ExactOptions, u sgraph.NodeID, words []uint64) ([]int32, error) {
+	var pd *balance.PathDists
+	if kind == SBPH {
+		pd = balance.SBPH(g, u, beam)
+	} else {
+		var err error
+		if pd, err = balance.ExactSBP(g, u, exact); err != nil {
+			return nil, err
+		}
+	}
+	for v, d := range pd.PosDist {
+		if d != balance.NoPath {
+			setWordBit(words, sgraph.NodeID(v))
+		}
+	}
+	return pd.PosDist, nil
+}
+
 // fillBalanceRow fills row u of an SBPH or SBP relation from one
 // balance search.
 func (m *ShardedMatrix) fillBalanceRow(g *sgraph.Graph, out slabView, u sgraph.NodeID, s *rowScratch) error {
-	var pd *balance.PathDists
-	if m.kind == SBPH {
-		pd = balance.SBPH(g, u, m.beam)
-	} else {
-		var err error
-		if pd, err = balance.ExactSBP(g, u, m.exact); err != nil {
-			return err
-		}
-	}
 	row := out.row(u)
-	zeroWords(row)
-	for v, d := range pd.PosDist {
-		if d != balance.NoPath {
-			setWordBit(row, sgraph.NodeID(v))
-		}
+	clear(row)
+	dist, err := balanceRow(g, m.kind, m.beam, m.exact, u, row)
+	if err != nil {
+		return err
 	}
 	setWordBit(row, u)
 	if s.reach != nil {
@@ -189,7 +203,7 @@ func (m *ShardedMatrix) fillBalanceRow(g *sgraph.Graph, out slabView, u sgraph.N
 		s.dist = signedbfs.DistancesInto(g, u, s.dist, s.bfs)
 		s.recordReach(s.dist)
 	}
-	if err := out.setDists(u, pd.PosDist); err != nil {
+	if err := out.setDists(u, dist); err != nil {
 		return err
 	}
 	return out.setDist(u, u, 0)
@@ -477,19 +491,13 @@ func (m *ShardedMatrix) recountBlock(g *sgraph.Graph, out slabView, srcs []sgrap
 func setWordBit(words []uint64, i sgraph.NodeID)   { words[int(i)>>6] |= 1 << uint(int(i)&63) }
 func clearWordBit(words []uint64, i sgraph.NodeID) { words[int(i)>>6] &^= 1 << uint(int(i)&63) }
 
-func zeroWords(words []uint64) {
-	for i := range words {
-		words[i] = 0
-	}
-}
-
 // edgeWords writes u's DPE or NNE compatibility bits into words
 // (reflexivity aside): DPE sets u's positive neighbours, NNE sets
 // everyone except u's negative neighbours, unreachable nodes included.
 func edgeWords(g *sgraph.Graph, kind Kind, u sgraph.NodeID, words []uint64) {
 	signs := g.NeighborSigns(u)
 	if kind == DPE {
-		zeroWords(words)
+		clear(words)
 		for i, v := range g.NeighborIDs(u) {
 			if signs[i] == sgraph.Positive {
 				setWordBit(words, v)

@@ -3,9 +3,8 @@ package compat
 import (
 	"fmt"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
+	"repro/internal/container"
 	"repro/internal/sgraph"
 )
 
@@ -16,7 +15,7 @@ import (
 // will evict each other.
 //
 // workers ≤ 0 uses GOMAXPROCS. The first row-computation error aborts
-// the sweep.
+// the sweep, and the lowest failing row's error is returned.
 //
 // Packed relations (ShardedMatrix) are fully materialised at
 // construction, so precomputing them is an immediate no-op.
@@ -27,7 +26,7 @@ func Precompute(rel Relation, workers int) error {
 	case *lazyRelation:
 		n := r.Graph().NumNodes()
 		scratches, workers := newWorkerScratches(workers, n)
-		return parallelSweep(n, workers, func(w, i int) error {
+		return container.ParallelFor(n, workers, func(w, i int) error {
 			_, err := r.row(sgraph.NodeID(i), scratches[w])
 			return err
 		})
@@ -38,7 +37,8 @@ func Precompute(rel Relation, workers int) error {
 
 // newWorkerScratches resolves the worker count (≤0 → GOMAXPROCS,
 // clamped to [1, count]) and allocates one rowScratch per worker,
-// returning both so callers pass the same count to parallelSweep.
+// returning both so callers pass the same count to
+// container.ParallelFor.
 func newWorkerScratches(workers, count int) ([]*rowScratch, int) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -54,45 +54,4 @@ func newWorkerScratches(workers, count int) ([]*rowScratch, int) {
 		scratches[i] = newRowScratch(count)
 	}
 	return scratches, workers
-}
-
-// parallelSweep runs fn(worker, i) for every i in [0, count) across
-// the given number of workers, handing out indices from a shared
-// atomic counter; the first error aborts the sweep and is returned.
-// It is the one worker-pool implementation behind Precompute,
-// ComputeStats and the packed builds.
-func parallelSweep(count, workers int, fn func(w, i int) error) error {
-	if workers > count {
-		workers = count
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var next int64 = -1
-	var firstErr error
-	var errOnce sync.Once
-	var failed atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for {
-				if failed.Load() {
-					return
-				}
-				i := atomic.AddInt64(&next, 1)
-				if i >= int64(count) {
-					return
-				}
-				if err := fn(w, int(i)); err != nil {
-					errOnce.Do(func() { firstErr = err })
-					failed.Store(true)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	return firstErr
 }

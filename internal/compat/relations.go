@@ -243,10 +243,11 @@ func (r *lazyRelation) row(u sgraph.NodeID, s *rowScratch) (*lazyRow, error) {
 // computeRow writes u's row into s.row, valid until s's next use, from
 // the kind's reference search: a plain BFS plus u's neighbour signs
 // for DPE and NNE, Algorithm 1's path counts for SPA, SPM and SPO, and
-// the balanced-path searches for SBPH and SBP. The distances are the
-// search's own output: signedbfs.Unreachable and balance.NoPath are
-// both noDist32. These rows never come from the multi-source sweep, so
-// they stay the independent oracle of the packed builds.
+// the balanced-path searches for SBPH and SBP (balanceRow, which the
+// packed fill shares). The distances are the search's own output:
+// signedbfs.Unreachable and balance.NoPath are both noDist32. These
+// rows never come from the multi-source sweep, so they stay the
+// independent oracle of the packed sweep fills.
 func (r *lazyRelation) computeRow(u sgraph.NodeID, s *rowScratch) error {
 	g := r.dyn.Graph()
 	n := g.NumNodes()
@@ -281,20 +282,9 @@ func (r *lazyRelation) computeRow(u sgraph.NodeID, s *rowScratch) error {
 			}
 		}
 	default: // SBPH, SBP: compatible iff a balanced positive path exists
-		var pd *balance.PathDists
-		if r.kind == SBPH {
-			pd = balance.SBPH(g, u, r.beam)
-		} else {
-			var err error
-			if pd, err = balance.ExactSBP(g, u, r.exact); err != nil {
-				return err
-			}
-		}
-		dist = pd.PosDist
-		for v, d := range dist {
-			if d != balance.NoPath {
-				setWordBit(words, sgraph.NodeID(v))
-			}
+		var err error
+		if dist, err = balanceRow(g, r.kind, r.beam, r.exact, u, words); err != nil {
+			return err
 		}
 	}
 	setWordBit(words, u)

@@ -321,7 +321,7 @@ type shardTile struct {
 // only in src's upper-triangle entries, so rows proceed in parallel.
 func (m *ShardedMatrix) symmetriseTile(workers int, dst, src shardTile) error {
 	stride, n := m.stride, m.n
-	return parallelSweep(dst.rows, workers, func(_, i int) error {
+	return container.ParallelFor(dst.rows, workers, func(_, i int) error {
 		u := dst.base + i
 		row := dst.bits[i*stride : (i+1)*stride]
 		vEnd := src.base + src.rows

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 
+	"repro/internal/container"
 	"repro/internal/sgraph"
 	"repro/internal/skills"
 )
@@ -154,7 +155,7 @@ func ComputeStats(rel Relation, opts StatsOptions) (*Stats, error) {
 			accs[w].skills = NewSkillMatrix(numSkills)
 		}
 	}
-	err := parallelSweep(len(sources), workers, func(w, i int) error {
+	err := container.ParallelFor(len(sources), workers, func(w, i int) error {
 		a := &accs[w]
 		u := sources[i]
 		words, dist, err := rowOf(w, u)

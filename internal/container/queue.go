@@ -1,7 +1,9 @@
 // Package container provides the small, allocation-conscious data
 // structures shared by the graph algorithms in this repository: a FIFO
 // queue over int32 identifiers, a bitset, a union-find and a
-// union-find with parity (signed union-find), and an index LRU.
+// union-find with parity (signed union-find), and an index LRU — plus
+// ParallelFor, the one worker pool the all-pairs sweeps and the batch
+// solver share.
 //
 // All structures are deliberately monomorphic over int32 node
 // identifiers: the signed-graph core stores nodes as int32, and keeping

@@ -224,7 +224,7 @@ type Stats struct {
 }
 
 // ComputeStats measures the Table 1 row for d. The diameter is exact
-// (one BFS per node, parallelised).
+// (signedbfs.Diameter: one bit-parallel BFS per 64 sources).
 func (d *Dataset) ComputeStats() Stats {
 	return Stats{
 		Name:      d.Name,

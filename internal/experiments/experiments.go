@@ -48,9 +48,6 @@ type Config struct {
 	// compatible-pair fraction has saturated (98.62% at 12 vs 98.70%
 	// at 14 and 16 — see EXPERIMENTS.md); -1 means unbounded.
 	SBPMaxLen int
-	// SBPBudget caps exact SBP path expansions per source
-	// (0 = balance.DefaultMaxExpanded).
-	SBPBudget int64
 	// Dataset selects the network for the team formation experiments
 	// (Table 3, Figures 2(a–d), the policy grid). Default "epinions",
 	// as in the paper; the paper notes results are similar on the
@@ -128,7 +125,6 @@ func newRelation(cfg Config, k compat.Kind, g *sgraph.Graph) (compat.Relation, s
 				opts.Exact.MaxLen = d
 			}
 		}
-		opts.Exact.MaxExpanded = cfg.SBPBudget
 	}
 	return cfg.Engine.Build(k, g, opts)
 }

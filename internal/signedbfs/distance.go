@@ -1,8 +1,7 @@
 package signedbfs
 
 import (
-	"runtime"
-	"sync"
+	"math/bits"
 
 	"repro/internal/sgraph"
 )
@@ -15,80 +14,51 @@ func Distances(g *sgraph.Graph, src sgraph.NodeID) []int32 {
 }
 
 // Diameter computes the exact diameter of g — the largest shortest-path
-// distance between any two nodes in the same component — by running a
-// BFS from every node, fanned out over all CPUs.
+// distance between any two nodes in the same component — from
+// MultiSweep traversals of MaxSources sources each.
 func Diameter(g *sgraph.Graph) int32 {
-	n := g.NumNodes()
-	if n == 0 {
-		return 0
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	results := make([]int32, workers)
-	var next int32
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	nextSource := func() sgraph.NodeID {
-		mu.Lock()
-		defer mu.Unlock()
-		if int(next) >= n {
-			return -1
-		}
-		s := next
-		next++
-		return s
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			scratch := NewScratch(n)
-			var dist []int32
-			for {
-				s := nextSource()
-				if s < 0 {
-					return
-				}
-				dist = DistancesInto(g, s, dist, scratch)
-				for _, d := range dist {
-					if d > results[w] {
-						results[w] = d
-					}
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	diam := int32(0)
-	for _, e := range results {
-		if e > diam {
-			diam = e
-		}
-	}
+	diam, _, _ := distanceSweep(g)
 	return diam
 }
 
 // AverageDistance returns the mean shortest-path distance over all
-// ordered reachable pairs (u,v), u≠v, computed exactly with one BFS
-// per node. It returns 0 for graphs with no such pairs.
+// ordered reachable pairs (u,v), u≠v, computed exactly from MultiSweep
+// traversals of MaxSources sources each. It returns 0 for graphs with
+// no such pairs.
 func AverageDistance(g *sgraph.Graph) float64 {
+	_, sum, pairs := distanceSweep(g)
+	if pairs == 0 {
+		return 0
+	}
+	return float64(sum) / float64(pairs)
+}
+
+// distanceSweep sweeps g from every node, MaxSources consecutive ids
+// per traversal, on the calling goroutine. A level entry at depth d > 0
+// stands for one ordered reachable pair per source bit it carries, at
+// distance d, so the sweep returns the largest such d, the sum of the
+// pairs' distances and their number.
+func distanceSweep(g *sgraph.Graph) (diam int32, sum, pairs int64) {
 	n := g.NumNodes()
-	var sum, cnt int64
-	scratch := NewScratch(n)
-	var dist []int32
-	for s := sgraph.NodeID(0); int(s) < n; s++ {
-		dist = DistancesInto(g, s, dist, scratch)
-		for v, d := range dist {
-			if d > 0 && sgraph.NodeID(v) != s {
-				sum += int64(d)
-				cnt++
+	sw := NewMultiSweep(n)
+	srcs := make([]sgraph.NodeID, 0, MaxSources)
+	for base := 0; base < n; base += MaxSources {
+		srcs = srcs[:0]
+		for u := base; u < min(base+MaxSources, n); u++ {
+			srcs = append(srcs, sgraph.NodeID(u))
+		}
+		for ok := sw.Start(g, srcs); ok; ok = sw.Next() {
+			d, level := sw.Level()
+			if d == 0 {
+				continue
+			}
+			diam = max(diam, d)
+			for _, e := range level {
+				k := int64(bits.OnesCount64(e.Pos | e.Neg))
+				sum += int64(d) * k
+				pairs += k
 			}
 		}
 	}
-	if cnt == 0 {
-		return 0
-	}
-	return float64(sum) / float64(cnt)
+	return diam, sum, pairs
 }

@@ -177,3 +177,68 @@ func TestAverageDistanceNoPairs(t *testing.T) {
 		t.Fatalf("AverageDistance = %g, want 0", got)
 	}
 }
+
+// TestDistanceSweepMatchesPerSource checks Diameter and AverageDistance,
+// which sweep MaxSources sources per traversal, against one
+// DistancesInto per source, at sizes below, at and past one and two
+// blocks. Each graph interleaves its node ids over three components —
+// a random one, a chain (whose length sets the diameter) and a sparser
+// random one — and every ninth node is isolated, so blocks hold
+// sources of several components and sources that reach nothing.
+func TestDistanceSweepMatchesPerSource(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	for _, n := range []int{63, 64, 65, 129, 200} {
+		comps := make([][]sgraph.NodeID, 3)
+		for u := 0; u < n; u++ {
+			if u%9 != 8 {
+				c := rng.Intn(3)
+				comps[c] = append(comps[c], sgraph.NodeID(u))
+			}
+		}
+		b := sgraph.NewBuilder(n)
+		addEdge := func(u, v sgraph.NodeID) {
+			if u == v || b.HasEdge(u, v) {
+				return
+			}
+			s := sgraph.Positive
+			if rng.Intn(4) == 0 {
+				s = sgraph.Negative
+			}
+			b.AddEdge(u, v, s)
+		}
+		for c, nodes := range comps {
+			for i := 1; i < len(nodes); i++ {
+				if c == 1 { // the chain
+					addEdge(nodes[i-1], nodes[i])
+					continue
+				}
+				addEdge(nodes[i], nodes[rng.Intn(i)]) // a random tree
+				if c == 0 {
+					addEdge(nodes[rng.Intn(len(nodes))], nodes[rng.Intn(len(nodes))])
+				}
+			}
+		}
+		g := b.MustBuild()
+
+		var diam int32
+		var sum, pairs int64
+		scratch := NewScratch(n)
+		var dist []int32
+		for s := 0; s < n; s++ {
+			dist = DistancesInto(g, sgraph.NodeID(s), dist, scratch)
+			for _, d := range dist {
+				if d > 0 {
+					diam = max(diam, d)
+					sum += int64(d)
+					pairs++
+				}
+			}
+		}
+		if got := Diameter(g); got != diam {
+			t.Errorf("n=%d: Diameter = %d, want %d", n, got, diam)
+		}
+		if got, want := AverageDistance(g), float64(sum)/float64(pairs); got != want {
+			t.Errorf("n=%d: AverageDistance = %v, want %v (%d pairs)", n, got, want, pairs)
+		}
+	}
+}

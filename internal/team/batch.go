@@ -7,9 +7,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
+	"repro/internal/container"
 	"repro/internal/skills"
 )
 
@@ -66,6 +65,13 @@ func (s *Solver) FormBatchSpecs(specs []TaskSpec, opts Options) ([]*Team, error)
 // formBatch is the one batch implementation behind FormBatchContext
 // and FormBatchSpecs: at(i) yields task i with its per-task
 // options (the batch options with, possibly, per-spec constraints).
+// The tasks run on container.ParallelFor at the solver's worker count
+// (one worker, inline and in index order, for RandomUser). Each worker
+// takes a pooled scratch at its first task and keeps it for the batch.
+// The context is checked before every task, so a firing deadline stops
+// every worker at its next task with the typed context error, and
+// several failures report the lowest-indexed task's, as
+// "team: batch task i: …".
 //
 //tfsn:ctxpoll
 func (s *Solver) formBatch(ctx context.Context, count int, opts Options, at func(i int) (skills.Task, Options)) ([]*Team, error) {
@@ -74,16 +80,29 @@ func (s *Solver) formBatch(ctx context.Context, count int, opts Options, at func
 	if opts.User == RandomUser {
 		workers = 1
 	}
-	workers = min(workers, count)
-	err := s.runPool(ctx, workers, count, func(sc *scratch, i int) error {
-		task, o := at(i)
-		tm, err := s.formOne(ctx, sc, task, o)
+	scratches := make([]*scratch, min(workers, count))
+	err := container.ParallelFor(count, workers, func(w, i int) error {
+		err := ctx.Err()
 		if err != nil {
-			return err
+			err = ctxErr(err)
+		} else {
+			if scratches[w] == nil {
+				scratches[w] = s.getScratch()
+			}
+			task, o := at(i)
+			out[i], err = s.formOne(ctx, scratches[w], task, o)
 		}
-		out[i] = tm
+		if err != nil {
+			return fmt.Errorf("team: batch task %d: %w", i, err)
+		}
 		return nil
 	})
+	//tfsn:ctxfree(returns at most one scratch per worker to the pool)
+	for _, sc := range scratches {
+		if sc != nil {
+			s.putScratch(sc)
+		}
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -108,58 +127,4 @@ func (s *Solver) formOne(ctx context.Context, sc *scratch, task skills.Task, opt
 		return nil, err
 	}
 	return &tm, nil
-}
-
-// runPool is the worker pool behind FormBatch, the solver's one
-// parallel path: it runs fn(sc, i) for every i in [0, count) across
-// the given number of workers (at most count, which its caller
-// ensures), handing out indices from a shared atomic counter, with one
-// scratch per worker; one worker takes the items in index order. The
-// first error aborts the sweep; when several workers error, the
-// lowest-indexed item's error is returned as "team: batch task i: …",
-// so error reporting is deterministic. The context is checked before
-// every item, so a firing deadline stops all workers at their next
-// item boundary with the typed context error.
-//
-//tfsn:ctxpoll
-func (s *Solver) runPool(ctx context.Context, workers, count int, fn func(sc *scratch, i int) error) error {
-	var (
-		next     int64 = -1
-		failed   atomic.Bool
-		mu       sync.Mutex
-		firstErr error
-		errIdx   = count
-		wg       sync.WaitGroup
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sc := s.getScratch()
-			defer s.putScratch(sc)
-			for !failed.Load() {
-				i := int(atomic.AddInt64(&next, 1))
-				if i >= count {
-					break
-				}
-				err := ctx.Err()
-				if err != nil {
-					err = ctxErr(err)
-				} else {
-					err = fn(sc, i)
-				}
-				if err != nil {
-					mu.Lock()
-					if i < errIdx {
-						firstErr, errIdx = fmt.Errorf("team: batch task %d: %w", i, err), i
-					}
-					mu.Unlock()
-					failed.Store(true)
-					break
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return firstErr
 }

@@ -89,11 +89,12 @@
 //     priced team of cost 2), and the kernels return at the first
 //     candidate that scores it. Every pick is checked against a
 //     brute-force scan in floor_test.go.
-//   - The solver's worker pool runs Solver.FormBatch's tasks, with
-//     deterministic merges, so results are identical at every worker
-//     count. Top-K runs the bounded seed loop on one goroutine, its
-//     bound set by the k cheapest teams held, and like FormIntoContext
-//     never sees a lazy-engine relation error met only by a skipped seed.
+//   - Solver.FormBatch runs its tasks on container.ParallelFor, the
+//     repo's one worker pool, with deterministic merges, so results
+//     are identical at every worker count. Top-K runs the bounded seed
+//     loop on one goroutine, its bound set by the k cheapest teams
+//     held, and like FormIntoContext never sees a lazy-engine relation
+//     error met only by a skipped seed.
 //   - Top-K dedups a grown team on insert into its list, kept sorted
 //     by cost and member set, instead of building string keys; the
 //     tie-break comparator reproduces the legacy decimal string order.
