@@ -99,6 +99,35 @@ func TestFormBatchCanceledErrorIsWorkerIndependent(t *testing.T) {
 	}
 }
 
+// TestFormBatchCanceledOnCachedInfeasible: a canceled batch fails even
+// when every task's plan is a cached negative entry, which planFor
+// answers without polling the context: the batch checks the context
+// before each task, at every worker count.
+func TestFormBatchCanceledOnCachedInfeasible(t *testing.T) {
+	f := newFixture(t)
+	u, err := skills.NewUniverse([]string{"A", "B", "C", "D"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assign := skills.NewAssignment(u, 5)
+	for user, skill := range []skills.SkillID{0, 1, 1, 2, 2} {
+		assign.MustAdd(sgraph.NodeID(user), skill)
+	}
+	unheld := []skills.Task{skills.NewTask(0, 3), skills.NewTask(0, 3)} // nobody holds D
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, workers := range []int{1, 2} {
+		s := NewSolver(nne(t, f.g), assign, SolverOptions{Workers: workers, PlanCache: 4})
+		teams, err := s.FormBatch(unheld, Options{})
+		if err != nil || teams[0] != nil || teams[1] != nil {
+			t.Fatalf("Workers %d: warm-up got %v, %v; want nil teams", workers, teams, err)
+		}
+		if _, err := s.FormBatchContext(ctx, unheld, Options{}); !errors.Is(err, ErrCanceled) {
+			t.Fatalf("Workers %d: canceled batch over cached infeasible plans got %v, want ErrCanceled", workers, err)
+		}
+	}
+}
+
 func TestFormContextExpiredDeadline(t *testing.T) {
 	f := newFixture(t)
 	rel := nne(t, f.g)
