@@ -8,9 +8,8 @@ import (
 // ParallelFor runs fn(w, i) for every i in [0, count), spread over the
 // given number of workers clamped to [1, count]; w, in [0, workers),
 // names the worker running the item, so fn can index per-worker state
-// by it. One worker runs the items inline, in index order, on the
-// caller's goroutine. More take their indices from a shared counter,
-// so items start in index order.
+// by it. Workers take their indices from a shared counter, so items
+// start in index order, and one worker runs them in index order.
 //
 // The first error stops every worker at its next item, and ParallelFor
 // returns, once every started item has ended, the error of the lowest
@@ -18,14 +17,7 @@ import (
 // it and so runs to its end, which makes the reported error
 // independent of scheduling.
 func ParallelFor(count, workers int, fn func(w, i int) error) error {
-	if workers = min(workers, count); workers <= 1 {
-		for i := 0; i < count; i++ {
-			if err := fn(0, i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
+	workers = max(1, min(workers, count))
 	var (
 		next     atomic.Int64
 		stop     atomic.Bool

@@ -1,27 +1,11 @@
 package container
 
 import (
-	"bytes"
 	"fmt"
-	"runtime"
-	"strconv"
 	"sync/atomic"
 	"testing"
 	"time"
 )
-
-// goroutineID returns the id of the calling goroutine, read from the
-// header line of its stack trace ("goroutine 7 [running]:").
-func goroutineID() uint64 {
-	var buf [64]byte
-	line := buf[:runtime.Stack(buf[:], false)]
-	line = bytes.TrimPrefix(line, []byte("goroutine "))
-	id, err := strconv.ParseUint(string(line[:bytes.IndexByte(line, ' ')]), 10, 64)
-	if err != nil {
-		panic(err)
-	}
-	return id
-}
 
 // TestParallelForEmpty: a count of 0 never calls fn, at any worker
 // count.
@@ -37,48 +21,29 @@ func TestParallelForEmpty(t *testing.T) {
 	}
 }
 
-// TestParallelForOneWorkerInline: one worker — asked for, or clamped
-// up from workers ≤ 0, or down from a count of 1 — runs every item in
-// index order on the caller's goroutine, as worker 0.
-func TestParallelForOneWorkerInline(t *testing.T) {
-	caller := goroutineID()
-	for _, tc := range []struct{ count, workers int }{{10, 1}, {10, 0}, {10, -3}, {1, 8}} {
-		var got []int
-		err := ParallelFor(tc.count, tc.workers, func(w, i int) error {
-			if w != 0 {
-				t.Errorf("count=%d workers=%d: item %d ran on worker %d", tc.count, tc.workers, i, w)
-			}
-			if id := goroutineID(); id != caller {
-				t.Errorf("count=%d workers=%d: item %d ran on goroutine %d, not the caller's %d", tc.count, tc.workers, i, id, caller)
-			}
-			got = append(got, i)
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != tc.count {
-			t.Fatalf("count=%d workers=%d: ran %v", tc.count, tc.workers, got)
-		}
-		for i, v := range got {
-			if v != i {
-				t.Fatalf("count=%d workers=%d: ran %v, want index order", tc.count, tc.workers, got)
-			}
-		}
-	}
-}
-
-// TestParallelForEveryIndexOnce: several workers — 4, and more than
-// the count, which clamps to it — run every index exactly once, each
-// on a worker in range. hits is written without atomics, so under
+// TestParallelForEveryIndexOnce: any worker count — 4, more than the
+// count (clamped down to it), or 1, asked for or clamped up from
+// workers ≤ 0 — runs every index exactly once, each on a worker in
+// range, and each worker runs its items in index order, so one worker
+// runs them all in order. hits is written without atomics, so under
 // -race an index run by two workers is also a reported race.
 func TestParallelForEveryIndexOnce(t *testing.T) {
-	for _, tc := range []struct{ count, workers int }{{1000, 4}, {5, 64}} {
+	for _, tc := range []struct{ count, workers int }{{1000, 4}, {5, 64}, {10, 1}, {10, 0}, {10, -3}, {1, 8}} {
+		workers := max(1, min(tc.workers, tc.count))
 		hits := make([]int, tc.count)
+		last := make([]int, workers)
+		for w := range last {
+			last[w] = -1
+		}
 		err := ParallelFor(tc.count, tc.workers, func(w, i int) error {
-			if w < 0 || w >= min(tc.workers, tc.count) {
-				t.Errorf("item %d ran on worker %d, want one in [0, %d)", i, w, min(tc.workers, tc.count))
+			if w < 0 || w >= workers {
+				t.Errorf("count=%d workers=%d: item %d ran on worker %d, want one in [0, %d)", tc.count, tc.workers, i, w, workers)
+				return nil
 			}
+			if i <= last[w] {
+				t.Errorf("count=%d workers=%d: worker %d ran item %d after item %d", tc.count, tc.workers, w, i, last[w])
+			}
+			last[w] = i
 			hits[i]++
 			return nil
 		})

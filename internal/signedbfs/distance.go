@@ -2,7 +2,9 @@ package signedbfs
 
 import (
 	"math/bits"
+	"runtime"
 
+	"repro/internal/container"
 	"repro/internal/sgraph"
 )
 
@@ -34,31 +36,50 @@ func AverageDistance(g *sgraph.Graph) float64 {
 }
 
 // distanceSweep sweeps g from every node, MaxSources consecutive ids
-// per traversal, on the calling goroutine. A level entry at depth d > 0
-// stands for one ordered reachable pair per source bit it carries, at
-// distance d, so the sweep returns the largest such d, the sum of the
-// pairs' distances and their number.
+// per traversal, the traversals spread over GOMAXPROCS workers with one
+// MultiSweep each. A level entry at depth d > 0 stands for one ordered
+// reachable pair per source bit it carries, at distance d, so the sweep
+// returns the largest such d, the sum of the pairs' distances and their
+// number.
 func distanceSweep(g *sgraph.Graph) (diam int32, sum, pairs int64) {
+	type worker struct {
+		sw         *MultiSweep
+		diam       int32
+		sum, pairs int64
+	}
 	n := g.NumNodes()
-	sw := NewMultiSweep(n)
-	srcs := make([]sgraph.NodeID, 0, MaxSources)
-	for base := 0; base < n; base += MaxSources {
-		srcs = srcs[:0]
-		for u := base; u < min(base+MaxSources, n); u++ {
-			srcs = append(srcs, sgraph.NodeID(u))
+	ids := make([]sgraph.NodeID, n)
+	for u := range ids {
+		ids[u] = sgraph.NodeID(u)
+	}
+	blocks := (n + MaxSources - 1) / MaxSources
+	workers := make([]worker, min(runtime.GOMAXPROCS(0), blocks))
+	container.ParallelFor(blocks, len(workers), func(w, b int) error {
+		wk := &workers[w]
+		if wk.sw == nil {
+			wk.sw = NewMultiSweep(n)
 		}
-		for ok := sw.Start(g, srcs); ok; ok = sw.Next() {
-			d, level := sw.Level()
+		var bsum, bpairs int64
+		for ok := wk.sw.Start(g, ids[b*MaxSources:min((b+1)*MaxSources, n)]); ok; ok = wk.sw.Next() {
+			d, level := wk.sw.Level()
 			if d == 0 {
 				continue
 			}
-			diam = max(diam, d)
+			wk.diam = max(wk.diam, d)
 			for _, e := range level {
 				k := int64(bits.OnesCount64(e.Pos | e.Neg))
-				sum += int64(d) * k
-				pairs += k
+				bsum += int64(d) * k
+				bpairs += k
 			}
 		}
+		wk.sum += bsum
+		wk.pairs += bpairs
+		return nil
+	})
+	for _, wk := range workers {
+		diam = max(diam, wk.diam)
+		sum += wk.sum
+		pairs += wk.pairs
 	}
 	return diam, sum, pairs
 }
