@@ -7,7 +7,7 @@
 // Absolute wall-clock numbers depend on the machine; the custom
 // metrics (solved fractions, compatible-pair fractions, SBP/SBPH gap)
 // are deterministic reproductions of the paper's measurements at
-// bench scale. EXPERIMENTS.md records the full-scale runs.
+// bench scale; cmd/experiments regenerates the full-scale runs.
 package signedteams_test
 
 import (
@@ -948,8 +948,8 @@ func BenchmarkFormTeamLCMD(b *testing.B) {
 }
 
 // BenchmarkMutateThenQuery measures the point of the epoch/dirty-shard
-// machinery: after a single sign flip, answering a query by lazily
-// rebuilding only the dirtied shard(s) versus rebuilding the whole
+// machinery: a single sign flip stales every shard, and a query then
+// lazily rebuilds only the shard it reads, versus rebuilding the whole
 // sharded engine from scratch. The workload is the bench-standard
 // Epinions stand-in (1,154 users) on the sharded SPO engine at 64-row
 // shards: 19 shards, 18 of 64 rows and a two-row tail (1,154 = 18·64
@@ -977,7 +977,7 @@ func BenchmarkMutateThenQuery(b *testing.B) {
 		b.Fatal("node 0 has no edges")
 	}
 	shardOpts := compat.ShardedOptions{ShardRows: 64}
-	tail := sgraph.NodeID(g.NumNodes() - 1) // last shard: far from the flip row
+	tail := sgraph.NodeID(g.NumNodes() - 1)
 	if full := int(tail-2) / 64 * 64; full+64 > g.NumNodes() {
 		b.Fatalf("row %d is not in a full 64-row shard at n = %d", tail-2, g.NumNodes())
 	}

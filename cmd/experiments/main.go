@@ -9,7 +9,7 @@
 //	experiments -figure policies
 //
 // Output is aligned text by default; -markdown switches to Markdown
-// tables (as pasted into EXPERIMENTS.md).
+// tables.
 package main
 
 import (

@@ -5,8 +5,8 @@
 // coalescing, and graceful drain on SIGINT/SIGTERM.
 //
 // Endpoints: /form, /formtopk, /healthz, /stats, and — with
-// -mutations — POST /mutate for live edge mutations (epoch-versioned,
-// dirty-shard invalidation). See internal/serve for the request
+// -mutations — POST /mutate for live edge mutations (epoch-versioned;
+// each one stales every shard, and stale shards rebuild on first read). See internal/serve for the request
 // lifecycle and README.md for a curl walkthrough.
 //
 // Usage:

@@ -76,9 +76,8 @@
 // component by component) and sweeps the graph snapshot relabelled
 // into it, derived once per snapshot; a shard's sources go in that
 // order, 64 to a block, so a block's sources share their frontiers
-// and the sweep walks memory front to back. Rows, columns and the
-// touched-set footprint map back to the original ids, so the stored
-// rows are the same bits. The sweep's per-source positive/negative
+// and the sweep walks memory front to back. Rows and columns map back
+// to the original ids, so the stored rows are the same bits. The sweep's per-source positive/negative
 // bits are exactly Algorithm 1's Pos>0 / Neg>0 and its levels give
 // every distance (DPE and NNE keep their neighbour-list bits and take
 // only the distances). The sweep fills per-node column buffers, and
@@ -114,18 +113,15 @@
 // The Relation contract includes live edge mutations (add / remove /
 // flip, sgraph.Mutation) against a serving engine. Mutate derives a
 // fresh immutable graph through an epoch-versioned sgraph.Dynamic and
-// invalidates only the derived
-// state the mutation can have perturbed: the lazy engine drops its row
-// cache, and the packed engine marks only shards whose rows the
-// mutation can have changed *stale* and drops them from its lock-free
-// table — a row's BFS answers can only change if the search visited an
-// endpoint of the mutated edge, so each shard of a multi-shard engine
-// records the vertex set its rows' BFS traversals touched and shards
-// that miss both endpoints keep serving without rebuild (a single
-// shard is staled by every mutation); stale ones rebuild on first
-// access (flip+re-query
-// is ~77× cheaper than a full rebuild at bench scale,
-// BenchmarkMutateThenQuery). Concurrent
+// invalidates the derived state: the lazy engine drops its row cache,
+// and the packed engine follows one rule, kept in sharded_mutate.go —
+// every mutation marks every shard *stale* and drops it from the
+// lock-free table. The relations are path relations over the whole
+// graph, so on a connected graph every row's search reaches both
+// endpoints of any edge and no shard's rows are safe. A stale shard
+// rebuilds on first access, each read rebuilding only the shard it
+// reads (flip+re-query is ~77× cheaper than a full rebuild at bench
+// scale, BenchmarkMutateThenQuery). Concurrent
 // readers are protected by AcquireSnapshot: a Snapshot pins the
 // current epoch for a batch of queries (mutations wait), and the
 // zero-value Snapshot makes the same code a no-op where no pin is

@@ -102,8 +102,8 @@ func (b slabView) setDists(u sgraph.NodeID, dist []int32) error {
 func (m *ShardedMatrix) fillRows(g, sg *sgraph.Graph, slab shardSlabs, base, rows, workers int, scratches []*rowScratch) error {
 	out := slab.view(base, m.stride, m.n)
 	if sg == nil { // SBP, SBPH
-		return container.ParallelFor(rows, workers, func(w, i int) error {
-			return m.fillBalanceRow(g, out, sgraph.NodeID(base+i), scratches[w])
+		return container.ParallelFor(rows, workers, func(_, i int) error {
+			return m.fillBalanceRow(g, out, sgraph.NodeID(base+i))
 		})
 	}
 	// The range's sources by their ids in sg, their ranks in the
@@ -188,7 +188,7 @@ func balanceRow(g *sgraph.Graph, kind Kind, beam int, exact balance.ExactOptions
 
 // fillBalanceRow fills row u of an SBPH or SBP relation from one
 // balance search.
-func (m *ShardedMatrix) fillBalanceRow(g *sgraph.Graph, out slabView, u sgraph.NodeID, s *rowScratch) error {
+func (m *ShardedMatrix) fillBalanceRow(g *sgraph.Graph, out slabView, u sgraph.NodeID) error {
 	row := out.row(u)
 	clear(row)
 	dist, err := balanceRow(g, m.kind, m.beam, m.exact, u, row)
@@ -196,13 +196,6 @@ func (m *ShardedMatrix) fillBalanceRow(g *sgraph.Graph, out slabView, u sgraph.N
 		return err
 	}
 	setWordBit(row, u)
-	if s.reach != nil {
-		// The balance searches keep no plain-distance output, so the
-		// footprint takes one extra BFS per row — only when reach
-		// tracking is armed (multi-shard engines).
-		s.dist = signedbfs.DistancesInto(g, u, s.dist, s.bfs)
-		s.recordReach(s.dist)
-	}
 	if err := out.setDists(u, dist); err != nil {
 		return err
 	}
@@ -212,8 +205,8 @@ func (m *ShardedMatrix) fillBalanceRow(g *sgraph.Graph, out slabView, u sgraph.N
 // fillSweepBlock fills the rows of an SPA, SPO, SPM, DPE or NNE
 // relation for srcs — at most signedbfs.MaxSources sources, named by
 // their ids in sg, the locality-relabelled copy of g — from one
-// multi-source sweep of sg, source srcs[j] riding bit j. Rows, columns
-// and the footprint map back to g's ids through m.order; DPE/NNE
+// multi-source sweep of sg, source srcs[j] riding bit j. Rows and
+// columns map back to g's ids through m.order; DPE/NNE
 // neighbour bits and SPM's overflow recount read g itself.
 //
 // The sweep writes no bits into the rows, nor, under the uint8
@@ -307,13 +300,6 @@ func (m *ShardedMatrix) fillSweepBlock(g, sg *sgraph.Graph, out slabView, srcs [
 	}
 	if kind == SPM && sw.Overflowed() {
 		m.recountBlock(g, out, srcs, s)
-	}
-	// The block's footprint: every node any of its sources saw.
-	if s.reach != nil {
-		for _, r := range sw.Reached() {
-			v := order[r]
-			s.reach[v>>6] |= 1 << uint(v&63)
-		}
 	}
 	return nil
 }

@@ -14,9 +14,8 @@ import "sync"
 
 // MutationResult reports an applied mutation: the epoch it published
 // and how many shards it newly invalidated — 0 on the lazy engine; on
-// the packed engine the shards whose rows the mutation can have
-// changed, which in the single-shard matrix configuration is the one
-// shard unless an earlier mutation already staled it.
+// the packed engine, which stales every shard on every mutation, the
+// shards that were fresh before it.
 type MutationResult struct {
 	Epoch       uint64
 	DirtyShards int

@@ -6,7 +6,7 @@
 // engine must agree pair-for-pair (Compatible, Distance, and the packed
 // engine's DistanceRow) with a relation built from scratch on the
 // mutated edge set. This is the correctness contract of the whole
-// epoch/dirty-shard machinery: lazy rebuilds, touched-set invalidation,
+// epoch/dirty-shard machinery: lazy rebuilds, stale-shard invalidation,
 // spill epoch tags and view relocation are all observable only through
 // disagreement with the fresh build.
 

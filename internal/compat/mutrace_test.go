@@ -155,14 +155,14 @@ func TestShardedMutationOverflowPromotion(t *testing.T) {
 	})
 }
 
-// TestShardedOverflowPromotionColdReaders: readers of shards a
-// mutation left fresh, but spilled to disk, race the wide promotion
-// that mutation forces. The promotion retires the spill file, so it
-// must stale every shard in the same critical section: a fresh cold
-// shard seen without a spill file fails its reload. The graph is a
-// chorded 300-node path, whose chord removal stretches a distance to
-// 299, beside a separate ring, whose shards' touched sets miss the
-// chord's endpoints. Run under -race in CI.
+// TestShardedOverflowPromotionColdReaders: readers of a ring's shards,
+// which they rebuild after a mutation staled every shard and which
+// then spill to disk, race the wide promotion that mutation forces.
+// The promotion retires the spill file, so it must stale every shard
+// in the same critical section: a fresh cold shard seen without a
+// spill file fails its reload. The graph is a chorded 300-node path,
+// whose chord removal stretches a distance to 299, beside a separate
+// ring. Run under -race in CI.
 func TestShardedOverflowPromotionColdReaders(t *testing.T) {
 	const path, ring = 300, 256
 	const n = path + ring
@@ -189,8 +189,8 @@ func TestShardedOverflowPromotionColdReaders(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.DirtyShards >= m.NumShards() {
-				t.Fatalf("rows=%d: the chord removal staled all %d shards; the ring's must stay fresh", rows, res.DirtyShards)
+			if res.DirtyShards != m.NumShards() {
+				t.Fatalf("rows=%d: the chord removal staled %d of %d shards, want all", rows, res.DirtyShards, m.NumShards())
 			}
 			var wg sync.WaitGroup
 			var stop atomic.Bool

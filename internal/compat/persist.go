@@ -4,10 +4,11 @@
 // section 8-byte aligned so that mapped slots serve as zero-copy views:
 //
 //	header   fileHeader, 72 bytes
-//	touched  numShards × stride words, only with ≥ 2 shards, so that
-//	         mutation invalidation stays as narrow as on a built engine
 //	slots    one per shard in the spill slot layout (spill.go), each
 //	         tagged with the header's epoch
+//
+// Version 1 files, which also held per-shard touched-node sets, are
+// refused.
 
 package compat
 
@@ -27,7 +28,7 @@ import (
 
 const (
 	fileMagic    = uint32(0x4b505453) // "STPK"
-	fileVersion  = uint32(1)
+	fileVersion  = uint32(2)
 	maxFileNodes = 1 << 28 // keeps the file size arithmetic in int64 (5n² < 2^63)
 )
 
@@ -53,14 +54,6 @@ func graphFingerprint(g *sgraph.Graph) uint64 {
 	return h.Sum64()
 }
 
-// touchedBytes is the size of the file's touched-set section.
-func (m *ShardedMatrix) touchedBytes() int64 {
-	if m.numShards < 2 {
-		return 0
-	}
-	return int64(m.numShards) * int64(m.stride) * 8
-}
-
 // Save writes the engine to path. It holds a snapshot, so no mutation
 // interleaves, rebuilds stale shards first, and works on spilling
 // engines too. It writes path+".tmp", syncs it and renames it over
@@ -83,8 +76,8 @@ func (m *ShardedMatrix) Save(path string) error {
 	return nil
 }
 
-// fileHead freshens every stale shard and encodes the header and the
-// touched sets at the pinned epoch.
+// fileHead freshens every stale shard and encodes the header at the
+// pinned epoch.
 func (m *ShardedMatrix) fileHead(epoch uint64) ([]byte, error) {
 	fingerprint := graphFingerprint(m.dyn.Graph())
 	m.mu.Lock()
@@ -104,9 +97,6 @@ func (m *ShardedMatrix) fileHead(epoch uint64) ([]byte, error) {
 	}
 	var head bytes.Buffer
 	binary.Write(&head, binary.LittleEndian, &h)
-	for s := range m.shards { // a single shard records no touched set
-		binary.Write(&head, binary.LittleEndian, m.shards[s].touched)
-	}
 	return head.Bytes(), nil
 }
 
@@ -195,7 +185,7 @@ func openHeader(f *os.File, g *sgraph.Graph) (*ShardedMatrix, error) {
 		ShardRows: int(min(h.ShardRows, maxFileNodes+1)),
 	})
 	m.wide = h.Wide == 1
-	want := fileHeaderBytes + m.touchedBytes()
+	want := fileHeaderBytes
 	for s := 0; s < m.numShards; s++ {
 		want += slotHeaderBytes + m.shardBytes(m.shardLen(s))
 	}
@@ -221,20 +211,11 @@ func openHeader(f *os.File, g *sgraph.Graph) (*ShardedMatrix, error) {
 func (m *ShardedMatrix) loadFile(f *os.File, useMmap bool) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.spill = newSlotFile(f, fileHeaderBytes+m.touchedBytes(), m.slotSizes())
+	m.spill = newSlotFile(f, fileHeaderBytes, m.slotSizes())
 	if useMmap {
 		m.spill.mapFile()
 	}
 	m.views = m.spill.canView()
-	if m.numShards >= 2 {
-		touched := make([]uint64, m.numShards*m.stride)
-		if err := binary.Read(io.NewSectionReader(f, fileHeaderBytes, m.touchedBytes()), binary.LittleEndian, touched); err != nil {
-			return err
-		}
-		for s := range m.shards { // rebuilds replace a touched set, never write it
-			m.shards[s].touched = touched[s*m.stride : (s+1)*m.stride : (s+1)*m.stride]
-		}
-	}
 	m.lru = container.NewIndexLRU(m.numShards)
 	tail := ^uint64(0) << uint(m.n&63) // bits ≥ n in a row's last word
 	if m.n&63 == 0 {

@@ -117,7 +117,7 @@ func TestSaveOpenRoundTrip(t *testing.T) {
 // TestOpenedMatchesLiveRelation: an engine opened from a file answers
 // every query exactly as the live relation of its kind, and reports the
 // kind, size and graph it was opened over. The saved engine has several
-// shards, so its file carries the per-shard touched sets.
+// shards.
 func TestOpenedMatchesLiveRelation(t *testing.T) {
 	const n = 40
 	g := randomSignedGraph(rand.New(rand.NewSource(1605)), n, 160, 0.25)
@@ -273,7 +273,8 @@ func TestOpenShardedRejectsBadFiles(t *testing.T) {
 	const offMagic, offVersion, offKind, offWide, offBeam = 0, 4, 8, 12, 16
 	const offN, offRows, offEpoch, offFP = 40, 48, 56, 64
 	try("magic", patch(offMagic, 0x12345678, 4), g)
-	try("version", patch(offVersion, 2, 4), g)
+	try("retired version", patch(offVersion, uint64(fileVersion-1), 4), g)
+	try("version", patch(offVersion, uint64(fileVersion+1), 4), g)
 	try("kind", patch(offKind, uint64(numKinds), 4), g)
 	try("packing", patch(offWide, 2, 4), g)
 	try("int32 packing of uint8 slots", patch(offWide, 1, 4), g)
@@ -297,7 +298,7 @@ func TestOpenShardedRejectsBadFiles(t *testing.T) {
 	try("flipped sign", good, flipped.Graph())
 
 	// Rows with a bit set past n: the first slot's first row's tail.
-	slot0 := int(fileHeaderBytes + m.touchedBytes())
+	slot0 := int(fileHeaderBytes)
 	tailed := append([]byte(nil), good...)
 	tailed[slot0+slotHeaderBytes+7] |= 0x80 // bit 63 of row 0's only word
 	try("tail bit", tailed, g)

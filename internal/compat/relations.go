@@ -49,43 +49,10 @@ type rowScratch struct {
 	// lane. Between blocks colBits is all zeros and colDist all noDist8.
 	colBits []uint64
 	colDist []uint8
-
-	// reach, when non-nil, makes the relation fillers OR each source
-	// row's plain-BFS reachable set into it (a node bitset of the given
-	// word count) — the conservative search footprint the packed
-	// engine's mutation invalidation keys on. Nil everywhere else, so
-	// the lazy sweeps and single-shard builds pay nothing.
-	reach []uint64
 }
 
 func newRowScratch(n int) *rowScratch {
 	return &rowScratch{bfs: signedbfs.NewScratch(n)}
-}
-
-// recordReach ORs one row's plain-BFS reachable set into the reach
-// accumulator when it is armed; every relation's search only traverses
-// graph edges, so this is a superset of any vertex the row's
-// computation could have relaxed through.
-func (s *rowScratch) recordReach(dist []int32) {
-	if s.reach == nil {
-		return
-	}
-	for v, d := range dist {
-		if d != signedbfs.Unreachable {
-			s.reach[v>>6] |= 1 << uint(v&63)
-		}
-	}
-}
-
-// resetReach arms (or rezeroes) the reach accumulator for one shard
-// sweep.
-func (s *rowScratch) resetReach(words int) {
-	if cap(s.reach) < words {
-		s.reach = make([]uint64, words)
-		return
-	}
-	s.reach = s.reach[:words]
-	clear(s.reach)
 }
 
 // lazyRelation is the lazy engine: every kind answers point queries

@@ -169,7 +169,7 @@ type ShardedMatrix struct {
 	closed   bool
 
 	// Mutation state. curEpoch (under mu) trails dyn's epoch: it is
-	// advanced by invalidateLocked after stale marking, so a rebuild
+	// advanced by Mutate as it stales the shards, so a rebuild
 	// that captured its graph snapshot before a racing mutation's
 	// invalidation cannot clear staleness it shouldn't (the swap-in
 	// compares its build epoch against curEpoch). staleCount is the
@@ -246,22 +246,9 @@ type shardState struct {
 
 	// epoch is the graph epoch the shard's data was computed at; stale
 	// marks data invalidated by a later mutation (rebuilt lazily by the
-	// next rowView). touched is a node bitset (stride words): the union
-	// over the shard's rows of each row's plain-BFS reachable set — a
-	// conservative superset of every vertex any row's search relaxed
-	// through, for every relation kind (a beam or signed search only
-	// traverses graph edges, so its footprint is within plain
-	// reachability). A mutation of edge (u,v) can change a row of this
-	// shard only if the row's search could reach u or v, hence the
-	// shard is invalidated iff touched∩{u,v} ≠ ∅. The set stays valid
-	// while the shard is clean: any mutation that could change the
-	// shard's reachable sets would itself have hit touched and marked
-	// the shard stale. A single-shard engine records no set (nil): every
-	// mutation stales its one shard, and the tracking would only slow
-	// the build.
-	epoch   uint64
-	stale   bool
-	touched []uint64
+	// next rowView).
+	epoch uint64
+	stale bool
 }
 
 // Kind returns the relation kind the matrix materialises.

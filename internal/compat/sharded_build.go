@@ -148,13 +148,7 @@ func (m *ShardedMatrix) refill(g *sgraph.Graph, epoch uint64, wide, retireSpill 
 	}
 	m.views = false
 	m.wide = wide
-	for s := range m.shards {
-		if sh := &m.shards[s]; !sh.stale {
-			sh.stale = true
-			m.staleCount++
-		}
-	}
-	m.publishLocked()
+	m.staleAllLocked()
 	m.mu.Unlock()
 	var err error
 	for s := 0; s < m.numShards && err == nil; s++ {
@@ -197,9 +191,7 @@ func (m *ShardedMatrix) fillShard(g *sgraph.Graph, epoch uint64, s int, workers 
 	}
 
 	slab := m.newSlab(sh.rows) // fillRows writes every cell
-	m.armReach(scratches)
 	err = m.fillRows(g, m.sweepGraph(g, epoch), slab, s*m.shardRows, sh.rows, workers, scratches)
-	touched := m.mergeReach(scratches)
 	if err == nil && m.kind == SBPH {
 		err = m.symmetriseSlab(workers, slab, sh.rows, s)
 	}
@@ -213,7 +205,6 @@ func (m *ShardedMatrix) fillShard(g *sgraph.Graph, epoch uint64, s int, workers 
 	sh.shardSlabs = slab
 	m.lru.Touch(s)
 	sh.epoch = epoch
-	sh.touched = touched
 	sh.dirty = true // newer than any spilled copy
 	// Clear staleness only if no mutation was applied after the graph
 	// snapshot this fill used; otherwise the shard stays stale and the
@@ -241,36 +232,6 @@ func (m *ShardedMatrix) sweepGraph(g *sgraph.Graph, epoch uint64) *sgraph.Graph 
 		m.swept, m.sweptEpoch = g.Relabel(m.order), epoch
 	}
 	return m.swept
-}
-
-// armReach arms (or rezeroes) the workers' reach accumulators before a
-// multi-shard fill; a single shard records no touched set. The fillers
-// accumulate each row's plain-BFS reachable set per worker, and
-// mergeReach unions them into the shard's touched bitset — what
-// mutation invalidation tests edge endpoints against.
-func (m *ShardedMatrix) armReach(scratches []*rowScratch) {
-	if m.numShards < 2 {
-		return
-	}
-	for _, sc := range scratches {
-		sc.resetReach(m.stride)
-	}
-}
-
-// mergeReach unions the workers' reach accumulators into the filled
-// shard's touched set; nil on a single shard, where armReach left them
-// unarmed.
-func (m *ShardedMatrix) mergeReach(scratches []*rowScratch) []uint64 {
-	if m.numShards < 2 {
-		return nil
-	}
-	touched := make([]uint64, m.stride)
-	for _, sc := range scratches {
-		for i, w := range sc.reach {
-			touched[i] |= w
-		}
-	}
-	return touched
 }
 
 // symmetriseSlab rewrites shard s's freshly filled, detached slab from

@@ -1,6 +1,7 @@
-// ShardedMatrix mutation: stale-shard invalidation, the lazy
-// post-mutation shard rebuilds and the wide promotion, all of which
-// refill shards through fillShard (sharded_build.go).
+// ShardedMatrix mutation: the one invalidation rule (every mutation
+// stales every shard), the lazy post-mutation shard rebuilds and the
+// wide promotion, all of which refill shards through fillShard
+// (sharded_build.go).
 
 package compat
 
@@ -10,16 +11,14 @@ import (
 	"repro/internal/sgraph"
 )
 
-// Mutate applies one edge mutation and invalidates only the shards it
-// can affect: a shard is marked stale iff its touched-vertex set
-// intersects the mutated edge's endpoints (see shardState.touched for
-// the soundness argument; a single shard is always staled). For SBPH,
-// whose symmetrised lower triangle mirrors the directed rows of earlier
-// shards, staleness propagates to every later shard, so the stale
-// region is always a suffix. Stale shards leave the lock-free table and
-// rebuild lazily on next access via the same worker-pool fill path as
-// construction; exposed row and distance views keep aliasing their
-// pre-mutation slabs.
+// Mutate applies one edge mutation and stales every shard. The
+// relations are path relations over the whole graph: on a connected
+// graph every row's search reaches both endpoints of any edge, so no
+// shard's rows are safe from a mutation. Stale shards leave the
+// lock-free table and rebuild lazily on next access via the same
+// worker-pool fill path as construction (see freshen); exposed row and
+// distance views keep aliasing their pre-mutation slabs. DirtyShards
+// counts the shards that were fresh before the mutation.
 func (m *ShardedMatrix) Mutate(mut sgraph.Mutation) (MutationResult, error) {
 	m.pin.Lock()
 	defer m.pin.Unlock()
@@ -28,59 +27,29 @@ func (m *ShardedMatrix) Mutate(mut sgraph.Mutation) (MutationResult, error) {
 		return MutationResult{Epoch: m.dyn.Epoch()}, err
 	}
 	m.mu.Lock()
-	dirty := m.invalidateLocked(mut, epoch)
+	m.curEpoch = epoch
+	dirty := m.staleAllLocked()
 	m.mu.Unlock()
 	m.mutCount.Add(1)
 	return MutationResult{Epoch: epoch, DirtyShards: dirty}, nil
 }
 
-// invalidateLocked marks the shards mut can affect stale and returns
-// how many it newly marked. Requires m.mu.
-func (m *ShardedMatrix) invalidateLocked(mut sgraph.Mutation, epoch uint64) int {
-	m.curEpoch = epoch
+// staleAllLocked marks every fresh shard stale, drops it from the
+// lock-free table and returns how many it marked: the engine's one
+// invalidation rule, which mutations and refills share. Requires m.mu.
+func (m *ShardedMatrix) staleAllLocked() int {
 	marked := 0
-	mark := func(s int) {
-		if !m.shards[s].stale {
-			m.shards[s].stale = true
-			m.staleCount++
+	for s := range m.shards {
+		if sh := &m.shards[s]; !sh.stale {
+			sh.stale = true
 			marked++
 		}
 	}
-	if m.kind == SBPH {
-		// Stale shards always form a suffix (this loop only ever marks
-		// suffixes), so the fresh prefix is scanned front to back and
-		// the first affected shard stales everything after it.
-		for s := 0; s < m.numShards && !m.shards[s].stale; s++ {
-			if m.shardTouchedLocked(s, mut) {
-				for t := s; t < m.numShards; t++ {
-					mark(t)
-				}
-				break
-			}
-		}
-	} else {
-		for s := 0; s < m.numShards; s++ {
-			if !m.shards[s].stale && m.shardTouchedLocked(s, mut) {
-				mark(s)
-			}
-		}
-	}
 	if marked > 0 {
+		m.staleCount += marked
 		m.publishLocked()
 	}
 	return marked
-}
-
-// shardTouchedLocked reports whether shard s's touched-vertex set
-// contains either endpoint of mut. A missing set — a single-shard
-// engine records none — is conservatively treated as touched.
-func (m *ShardedMatrix) shardTouchedLocked(s int, mut sgraph.Mutation) bool {
-	t := m.shards[s].touched
-	if t == nil {
-		return true
-	}
-	return t[int(mut.U)>>6]&(1<<uint(int(mut.U)&63)) != 0 ||
-		t[int(mut.V)>>6]&(1<<uint(int(mut.V)&63)) != 0
 }
 
 // MutationStats reports the engine's mutation counters.

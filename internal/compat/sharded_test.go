@@ -5,6 +5,7 @@ import (
 	"flag"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -667,91 +668,123 @@ func TestShardedLiveStatsScrape(t *testing.T) {
 
 // TestShardedResidentTable: a fully resident engine — multi-shard, or
 // the single-shard matrix configuration — serves fresh rows from its
-// published table without taking the engine mutex; a mutation drops
-// exactly the shards it stales from the table (their readers fall back
-// to the locked rebuild path), and the rebuild republishes them. A
-// spilling engine publishes no table. The single shard records no
-// touched set, so every mutation stales it.
+// published table without taking the engine mutex. Every mutation
+// stales every shard: its DirtyShards is the number of shards that
+// were fresh before it, and afterwards every shard is stale and out of
+// the table (readers fall back to the locked rebuild path), for every
+// relation kind at shard heights 1, 7, 16, n and the -shard-rows ones.
+// The requeried rows equal the lazy oracle's, and their rebuilds
+// republish exactly the fresh shards; odd flips requery only the first
+// third of the rows, so the next flip finds some shards still stale. A
+// spilling engine publishes no table.
 func TestShardedResidentTable(t *testing.T) {
 	rng := rand.New(rand.NewSource(415))
 	n := 90
-	g := randomSignedGraph(rng, n, 110, 0.3) // sparse: some mutations miss some shards
+	g := randomSignedGraph(rng, n, 110, 0.3)
 	spilling := mustSharded(t, SPO, g, ShardedOptions{ShardRows: 16, MaxResidentShards: 2, SpillDir: t.TempDir()})
 	defer spilling.Close()
 	if spilling.table.Load() != nil {
 		t.Fatal("a spilling engine published a lock-free table")
 	}
 	edges := collectEdges(g)
-	for _, rows := range []int{16, n} {
-		m := mustSharded(t, SPO, g, ShardedOptions{ShardRows: rows})
-		oracle := mustNew(SPO, g, Options{})
-		// With m.mu held by the test, every read must still complete.
-		done := make(chan error, 1)
-		m.mu.Lock()
-		go func() {
-			mask := make([]uint64, m.stride)
-			fillWords(mask, n)
-			us := make([]sgraph.NodeID, n)
-			for u := range us {
-				us[u] = sgraph.NodeID(u)
+	heights := append([]int{1, 7, 16, n}, parseShardRows(t)...)
+	slices.Sort(heights)
+	heights = slices.Compact(heights)
+	for _, k := range []Kind{DPE, SPA, SPM, SPO, NNE, SBPH} {
+		for _, rows := range heights {
+			checkResidentTable(t, k, g, rows, edges[:6])
+		}
+	}
+}
+
+// checkResidentTable runs TestShardedResidentTable's checks on one
+// engine of kind k and shard height rows over g, flipping each of
+// edges in turn.
+func checkResidentTable(t *testing.T, k Kind, g *sgraph.Graph, rows int, edges []sgraph.Edge) {
+	t.Helper()
+	n := g.NumNodes()
+	m := mustSharded(t, k, g, ShardedOptions{ShardRows: rows})
+	defer m.Close()
+	oracle := mustNew(k, g, Options{})
+	// With m.mu held by the test, every read must still complete.
+	done := make(chan error, 1)
+	m.mu.Lock()
+	go func() {
+		mask := make([]uint64, m.stride)
+		fillWords(mask, n)
+		us := make([]sgraph.NodeID, n)
+		for u := range us {
+			us[u] = sgraph.NodeID(u)
+		}
+		for u := sgraph.NodeID(0); int(u) < n; u++ {
+			_ = m.RowWords(u)
+			_ = m.DistanceRow(u)
+			if _, err := m.Compatible(u, 0); err != nil {
+				done <- err
+				return
 			}
-			for u := sgraph.NodeID(0); int(u) < n; u++ {
-				_ = m.RowWords(u)
-				_ = m.DistanceRow(u)
-				if _, err := m.Compatible(u, 0); err != nil {
-					done <- err
-					return
+		}
+		_, err := m.AndCountRows(us, mask)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatalf("%v rows=%d: resident reads blocked on the engine mutex", k, rows)
+	}
+	m.mu.Unlock()
+
+	for i, e := range edges {
+		fresh := m.NumShards() - m.MutationStats().StaleShards
+		res, err := flipSign(m, e.U, e.V)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := flipSign(oracle, e.U, e.V); err != nil {
+			t.Fatal(err)
+		}
+		if res.DirtyShards != fresh {
+			t.Fatalf("%v rows=%d flip %d: %d dirty shards, want the %d fresh before it", k, rows, i, res.DirtyShards, fresh)
+		}
+		if st := m.MutationStats(); st.StaleShards != m.NumShards() {
+			t.Fatalf("%v rows=%d flip %d: %d of %d shards stale", k, rows, i, st.StaleShards, m.NumShards())
+		}
+		for s, sl := range m.table.Load().slabs {
+			if sl.bits != nil {
+				t.Fatalf("%v rows=%d flip %d: shard %d still in the table", k, rows, i, s)
+			}
+		}
+		upto := n
+		if i%2 == 1 {
+			upto = n / 3
+		}
+		for u := sgraph.NodeID(0); int(u) < upto; u++ {
+			for v := sgraph.NodeID(0); int(v) < n; v++ {
+				want, _ := oracle.Compatible(u, v)
+				wd, wok, _ := oracle.Distance(u, v)
+				got, err := m.Compatible(u, v)
+				if err != nil {
+					t.Fatal(err)
+				}
+				gd, gok, _ := m.Distance(u, v)
+				if got != want || gok != wok || (gok && gd != wd) {
+					t.Fatalf("%v rows=%d flip %d: (%d,%d) = %v (%d,%v), want %v (%d,%v)", k, rows, i, u, v, got, gd, gok, want, wd, wok)
 				}
 			}
-			_, err := m.AndCountRows(us, mask)
-			done <- err
-		}()
-		select {
-		case err := <-done:
-			if err != nil {
-				t.Fatal(err)
+		}
+		tab := m.table.Load()
+		m.mu.Lock()
+		for s := range m.shards {
+			if inTable := tab.slabs[s].bits != nil; inTable == m.shards[s].stale {
+				t.Fatalf("%v rows=%d flip %d: shard %d stale=%v but in table=%v", k, rows, i, s, m.shards[s].stale, inTable)
 			}
-		case <-time.After(10 * time.Second):
-			t.Fatalf("rows=%d: resident reads blocked on the engine mutex", rows)
+			if upto == n && m.shards[s].stale {
+				t.Fatalf("%v rows=%d flip %d: shard %d still stale after every row was read", k, rows, i, s)
+			}
 		}
 		m.mu.Unlock()
-		if rows == n && m.shards[0].touched != nil {
-			t.Fatal("single-shard build recorded a touched set")
-		}
-
-		for i, e := range edges[:6] {
-			res, err := flipSign(m, e.U, e.V)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := flipSign(oracle, e.U, e.V); err != nil {
-				t.Fatal(err)
-			}
-			if rows == n && res.DirtyShards != 1 {
-				t.Fatalf("flip %d: single shard reported %d dirty shards, want 1", i, res.DirtyShards)
-			}
-			tab := m.table.Load()
-			m.mu.Lock()
-			for s := range m.shards {
-				if inTable := tab.slabs[s].bits != nil; inTable == m.shards[s].stale {
-					t.Fatalf("rows=%d flip %d: shard %d stale=%v but in table=%v", rows, i, s, m.shards[s].stale, inTable)
-				}
-			}
-			m.mu.Unlock()
-			for u := sgraph.NodeID(0); int(u) < n; u++ {
-				for v := sgraph.NodeID(0); int(v) < n; v += 7 {
-					want, _ := oracle.Compatible(u, v)
-					if got, _ := m.Compatible(u, v); got != want {
-						t.Fatalf("rows=%d flip %d: Compatible(%d,%d) = %v, want %v", rows, i, u, v, got, want)
-					}
-				}
-			}
-			for s, sl := range m.table.Load().slabs {
-				if sl.bits == nil {
-					t.Fatalf("rows=%d flip %d: shard %d missing from the table after every row was read", rows, i, s)
-				}
-			}
-		}
-		m.Close()
 	}
 }

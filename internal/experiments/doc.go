@@ -13,8 +13,6 @@
 //
 // Each experiment returns typed rows; render.go turns them into
 // aligned text tables. Everything is deterministic in Config.Seed.
-// EXPERIMENTS.md records measured-vs-paper numbers and discusses the
-// shape comparisons.
 //
 // # Relation engines
 //

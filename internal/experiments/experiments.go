@@ -44,9 +44,8 @@ type Config struct {
 	// SBPMaxLen caps the exact SBP path length. The enumeration is
 	// exponential in this cap: on the mostly-balanced stand-ins the
 	// balance pruning rarely fires, so an unbounded run enumerates
-	// all simple paths. 0 selects the default 12, where the Slashdot
-	// compatible-pair fraction has saturated (98.62% at 12 vs 98.70%
-	// at 14 and 16 — see EXPERIMENTS.md); -1 means unbounded.
+	// all simple paths. 0 selects the default 12; newRelation never
+	// caps below the graph diameter + 2.
 	SBPMaxLen int
 	// Dataset selects the network for the team formation experiments
 	// (Table 3, Figures 2(a–d), the policy grid). Default "epinions",
@@ -110,21 +109,12 @@ func loadDataset(cfg Config, name string) (*datasets.Dataset, error) {
 func newRelation(cfg Config, k compat.Kind, g *sgraph.Graph) (compat.Relation, string, error) {
 	opts := compat.Options{CacheCap: g.NumNodes() + 1}
 	if k == compat.SBP {
-		switch {
-		case cfg.SBPMaxLen < 0:
-			opts.Exact.MaxLen = 0 // unbounded, as in the paper's exhaustive run
-		default:
-			// Never cap below the graph diameter: Proposition 3.5
-			// (SPO ⊆ SBP) relies on shortest paths — which are always
-			// structurally balanced — being within reach of the
-			// enumeration. diameter+2 also keeps SBPH ⊆ SBP intact in
-			// practice (the compatible-pair fraction saturates well
-			// below that length; see EXPERIMENTS.md).
-			opts.Exact.MaxLen = cfg.SBPMaxLen
-			if d := int(signedbfs.Diameter(g)) + 2; opts.Exact.MaxLen < d {
-				opts.Exact.MaxLen = d
-			}
-		}
+		// Never cap below the graph diameter: Proposition 3.5
+		// (SPO ⊆ SBP) relies on shortest paths — which are always
+		// structurally balanced — being within reach of the
+		// enumeration. diameter+2 also keeps SBPH ⊆ SBP intact in
+		// practice.
+		opts.Exact.MaxLen = max(cfg.SBPMaxLen, int(signedbfs.Diameter(g))+2)
 	}
 	return cfg.Engine.Build(k, g, opts)
 }

@@ -51,7 +51,8 @@
 // edge that exists, removing one that doesn't — answer 409 so clients
 // can re-read and retry; malformed specs answer 400; GET answers 405.
 // A successful mutation returns the new graph epoch and the number of
-// shards it staled. Solves are isolated from concurrent mutations by
+// shards it staled: on a packed engine every shard still fresh, since
+// every mutation stales every shard. Solves are isolated from concurrent mutations by
 // snapshots: every direct solve (and every coalescing window) pins the
 // engine's epoch for its duration, so a request sees one graph version
 // end to end and a racing /mutate waits for the pin to release.

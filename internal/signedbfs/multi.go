@@ -411,8 +411,3 @@ func (s *MultiSweep) Majority(v sgraph.NodeID, both uint64) uint64 {
 // have carried into its neighbour), and only the sign bits and
 // distances of the levels remain exact.
 func (s *MultiSweep) Overflowed() bool { return s.sums&(1<<31|1<<63) != 0 }
-
-// Reached returns the nodes any source of the current sweep has
-// reached so far, in discovery order. The slice is owned by the sweep
-// and valid until the next Start.
-func (s *MultiSweep) Reached() []sgraph.NodeID { return s.touched[:s.nTouched] }

@@ -19,7 +19,8 @@ import (
 // level's fresh bits are disjoint from everything seen before, while
 // the sweep has not overflowed a counted lane's non-zero halves are
 // exactly its sign bits and Majority holds its lane where Pos ≥ Neg,
-// and Reached lists exactly the nodes some source reached.
+// and the sweep's touched list holds exactly the nodes some source
+// reached.
 func sweepRows(t *testing.T, g *sgraph.Graph, sw *MultiSweep, srcs []sgraph.NodeID, counting bool) (dist [][]int32, pos, neg [][]bool, cnt [][]uint64) {
 	t.Helper()
 	n := g.NumNodes()
@@ -79,9 +80,9 @@ func sweepRows(t *testing.T, g *sgraph.Graph, sw *MultiSweep, srcs []sgraph.Node
 		}
 	}
 	reached := 0
-	for _, v := range sw.Reached() {
+	for _, v := range sw.touched[:sw.nTouched] {
 		if seen[v] == 0 {
-			t.Fatalf("Reached lists %d, which no level reported", v)
+			t.Fatalf("touched lists %d, which no level reported", v)
 		}
 		reached++
 	}
@@ -91,7 +92,7 @@ func sweepRows(t *testing.T, g *sgraph.Graph, sw *MultiSweep, srcs []sgraph.Node
 		}
 	}
 	if reached != 0 {
-		t.Fatalf("Reached has %d more entries than nodes seen", reached)
+		t.Fatalf("touched has %d more entries than nodes seen", reached)
 	}
 	return dist, pos, neg, cnt
 }
