@@ -1,6 +1,7 @@
 // Benchmarks regenerating every table and figure of the paper (at a
 // reduced, fixed configuration so a full -bench=. run stays in the
-// minutes range) plus the ablations called out in DESIGN.md.
+// minutes range) plus three ablations: the SBPH beam width, the cost
+// objective and the exact solver's scaling.
 //
 //	go test -bench=. -benchmem
 //
@@ -40,7 +41,7 @@ func benchConfig() experiments.Config {
 	}
 }
 
-// --- Table and figure benches (E1–E8 in DESIGN.md) -----------------
+// --- Table and figure benches (one per table and figure) -----------
 
 func BenchmarkTable1DatasetStats(b *testing.B) {
 	cfg := benchConfig()
@@ -201,7 +202,7 @@ func BenchmarkPolicyGrid(b *testing.B) {
 	b.ReportMetric(lcmdDiam, "LCMD-diameter")
 }
 
-// --- Ablations (E10) -----------------------------------------------
+// --- Ablations -----------------------------------------------------
 //
 // E11 (BenchmarkPathCounting) lives in internal/signedbfs, next to the
 // exact-arithmetic counter it compares against.

@@ -1,21 +1,23 @@
 // Command cmatrix builds a compatibility relation into the packed
 // engine, saves it as a file, and answers queries from a built or an
-// opened engine.
+// opened engine. It shares tfsn's dataset flags and every binary's
+// relation parameters (cliflags.RelationOptions), but builds exact SBP
+// packed.
 //
 // Build and save (expensive relations — exact SBP — pay off most):
 //
 //	cmatrix -dataset slashdot -relation SBP -out slashdot-sbp.stpk
 //
 // Open, inspect and query a saved engine. The file is checked against
-// the graph it was saved over, so -in needs the same dataset flags
-// (-dataset, -seed, -scale) as the build; the relation comes from the
-// file:
+// the graph it was saved over, so -in needs the same dataset flags as
+// the build; the relation comes from the file (-relation is refused):
 //
 //	cmatrix -dataset slashdot -in slashdot-sbp.stpk -info
 //	cmatrix -dataset slashdot -in slashdot-sbp.stpk -query 3,17
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -23,14 +25,19 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/balance"
+	"repro/internal/cliflags"
 	"repro/internal/compat"
-	"repro/internal/datasets"
 )
+
+// errUsage marks a flag that would do nothing; main exits 2 on it.
+var errUsage = errors.New("usage")
 
 func main() {
 	if err := run(os.Stdout, os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "cmatrix:", err)
+		if errors.Is(err, errUsage) {
+			os.Exit(2)
+		}
 		os.Exit(1)
 	}
 }
@@ -38,23 +45,22 @@ func main() {
 // run parses the command line args and carries it out, printing to w.
 func run(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("cmatrix", flag.ExitOnError)
+	var data cliflags.Data
+	data.Register(fs)
 	var (
-		dataset  = fs.String("dataset", "", "built-in dataset: slashdot, epinions or wikipedia (required, also with -in)")
-		seed     = fs.Int64("seed", 1, "dataset seed")
-		scale    = fs.Float64("scale", 0, "dataset scale (0 = default)")
-		relation = fs.String("relation", "SPO", "relation to build (ignored with -in: the file records it)")
-		maxLen   = fs.Int("sbp-maxlen", 14, "exact SBP path length cap (SBP only)")
+		relation = fs.String("relation", "SPO", "relation to build (not with -in: the file records it)")
 		out      = fs.String("out", "", "save the engine to this file")
 		in       = fs.String("in", "", "open an engine saved over the dataset instead of building")
 		info     = fs.Bool("info", false, "print engine metadata")
 		query    = fs.String("query", "", "answer one pair query, e.g. -query 3,17")
-		workers  = fs.Int("workers", 0, "build parallelism (0 = GOMAXPROCS)")
 	)
 	_ = fs.Parse(args) // ExitOnError: a bad flag exits, as with flag.Parse
-	if *dataset == "" {
-		return fmt.Errorf("pass -dataset (to build, or to check the -in file against)")
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if set["in"] && set["relation"] {
+		return fmt.Errorf("%w: -relation does not apply with -in (the file records the relation)", errUsage)
 	}
-	d, err := datasets.Load(*dataset, *seed, *scale)
+	d, err := data.Load()
 	if err != nil {
 		return err
 	}
@@ -66,12 +72,9 @@ func run(w io.Writer, args []string) error {
 		if perr != nil {
 			return perr
 		}
-		opts := compat.ShardedOptions{Workers: *workers}
-		if kind == compat.SBP {
-			opts.Exact = balance.ExactOptions{MaxLen: *maxLen}
-		}
 		fmt.Fprintf(os.Stderr, "building %v over %d nodes...\n", kind, d.Graph.NumNodes())
-		m, err = compat.NewSharded(kind, d.Graph, opts)
+		opts := cliflags.RelationOptions(kind, d.Graph, compat.Options{})
+		m, err = compat.NewSharded(kind, d.Graph, compat.ShardedOptions{Options: opts})
 	}
 	if err != nil {
 		return err

@@ -158,14 +158,7 @@ func run(cfg config) error {
 	if err != nil {
 		return err
 	}
-	relOpts := compat.Options{}
-	if cfg.batch > 0 {
-		// Batch mode revisits sources across tasks: let the lazy row
-		// cache cover the node set instead of thrashing at the default
-		// capacity. (The packed engines ignore CacheCap.)
-		relOpts.CacheCap = d.Graph.NumNodes() + 1
-	}
-	rel, engine, err := cfg.eng.Build(kind, d.Graph, relOpts)
+	rel, engine, err := cfg.eng.Build(kind, d.Graph, compat.Options{})
 	if err != nil {
 		return err
 	}

@@ -4,9 +4,13 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
+	"repro/internal/cliflags"
 	"repro/internal/compat"
 	"repro/internal/sgraph"
 	"repro/internal/skills"
@@ -94,5 +98,37 @@ func TestSolveTopOneIsForm(t *testing.T) {
 	}
 	if len(got) != 2 || !slices.Equal(got[0].Members, []sgraph.NodeID{10, 11}) || !slices.Equal(got[1].Members, []sgraph.NodeID{2, 3}) {
 		t.Fatalf("solve at k = 2 = %v, %v, want top-K's [10 11], [2 3]", got[0].Members, got[1].Members)
+	}
+}
+
+// TestSBPFormsOnSlashdot: tfsn -dataset slashdot -relation SBP -k 3
+// forms a team. With an uncapped path length the exact enumeration
+// exceeds its budget on this stand-in (source 119); the engine's
+// diameter+2 cap is what lets the relation answer.
+func TestSBPFormsOnSlashdot(t *testing.T) {
+	cfg := config{
+		relation: "SBP", k: 3, topk: 1,
+		skillPol: "leastcompatible", userPol: "mindistance", costKind: "diameter",
+		data: cliflags.Data{Name: "slashdot", Seed: 1},
+	}
+	out := filepath.Join(t.TempDir(), "stdout")
+	f, err := os.Create(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = f
+	err = run(cfg)
+	os.Stdout = stdout
+	f.Close()
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	b, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(b), "relation SBP (engine=lazy)") || !strings.Contains(string(b), "team of 3 (Diameter ") {
+		t.Fatalf("tfsn printed\n%s\nwant an SBP team of 3", b)
 	}
 }

@@ -98,10 +98,7 @@ func run(cfg config) error {
 	if err != nil {
 		return err
 	}
-	// A resident server revisits sources across its lifetime: on the
-	// lazy engine, size the row cache for the node set (the packed
-	// engines ignore CacheCap).
-	rel, engine, err := cfg.eng.Build(kind, d.Graph, compat.Options{CacheCap: d.Graph.NumNodes() + 1})
+	rel, engine, err := cfg.eng.Build(kind, d.Graph, compat.Options{})
 	if err != nil {
 		return err
 	}

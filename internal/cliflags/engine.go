@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/compat"
 	"repro/internal/sgraph"
+	"repro/internal/signedbfs"
 )
 
 // Engine is the relation-engine flag group shared by the binaries and
@@ -61,13 +62,30 @@ func (e *Engine) Validate(set map[string]bool) error {
 	return nil
 }
 
-// Build constructs the selected engine over g. Exact SBP stays on the
-// lazy engine regardless of the selection: its per-source enumeration
-// is budgeted and exponential, so an all-pairs packed build would
-// abort where lazy point queries succeed. "matrix" is the packed
+// RelationOptions fills opts' zero relation parameters for g, the one
+// place they are chosen: a row cache covering the node set, and for
+// exact SBP a path cap of g's diameter + 2, fixed at build. The
+// enumeration is exponential in the cap, and SPO ⊆ SBP ⊇ SBPH
+// (Proposition 3.5) needs paths only a little past the diameter.
+func RelationOptions(kind compat.Kind, g *sgraph.Graph, opts compat.Options) compat.Options {
+	if opts.CacheCap == 0 {
+		opts.CacheCap = g.NumNodes() + 1
+	}
+	if kind == compat.SBP && opts.Exact.MaxLen == 0 {
+		opts.Exact.MaxLen = int(signedbfs.Diameter(g)) + 2
+	}
+	return opts
+}
+
+// Build constructs the selected engine over g with RelationOptions'
+// parameters. Exact SBP stays on the lazy engine regardless of the
+// selection: its per-source enumeration is budgeted and exponential,
+// so an all-pairs packed build would abort where lazy point queries
+// succeed. "matrix" is the packed
 // engine as a single resident shard. The returned name is the engine
 // actually built ("lazy" under that override), for reporting.
 func (e *Engine) Build(kind compat.Kind, g *sgraph.Graph, opts compat.Options) (compat.Relation, string, error) {
+	opts = RelationOptions(kind, g, opts)
 	switch e.Name {
 	case "", "lazy":
 		rel, err := compat.New(kind, g, opts)

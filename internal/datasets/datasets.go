@@ -8,7 +8,7 @@
 // generators in internal/gen:
 //
 //   - Slashdot: 214 users, ≈304 edges, 29.2% negative, sparse and
-//     tree-like (diameter ≈9), 1024 Zipf skills. Generated at the
+//     tree-like (diameter 12–14), 1024 Zipf skills. Generated at the
 //     paper's exact scale so the exact SBP relation stays feasible,
 //     as it is in the paper.
 //   - Epinions: heavy-tailed (Chung–Lu) topology, 16.7% negative,
@@ -20,8 +20,8 @@
 //     edges, preserving average degree ≈28.5.
 //
 // Signs follow the two-faction mostly-balanced-plus-noise model,
-// which reproduces the balance regime of real signed networks (see
-// DESIGN.md for the substitution argument). All generation is
+// which reproduces the balance regime of real signed networks
+// (internal/gen documents the generators). All generation is
 // deterministic in the seed.
 package datasets
 

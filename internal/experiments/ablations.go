@@ -54,7 +54,7 @@ func BeamAblation(cfg Config, widths []int) ([]BeamRow, error) {
 
 	// Exact reference rows, computed once per sampled source through
 	// the relation's cache (CacheCap covers every source).
-	exactRel, _, err := newRelation(cfg, compat.SBP, g)
+	exactRel, _, err := cfg.Engine.Build(compat.SBP, g, compat.Options{})
 	if err != nil {
 		return nil, err
 	}

@@ -7,8 +7,9 @@ import (
 
 func TestBeamAblation(t *testing.T) {
 	cfg := tinyConfig()
-	// Exact SBP rows dominate the cost (the cap auto-raises to
-	// diameter+2); sampling keeps the test in single-digit seconds.
+	// Exact SBP rows dominate the cost (paths up to diameter+2, the
+	// cap cliflags.RelationOptions sets); sampling keeps the test in
+	// single-digit seconds.
 	cfg.SampleSources = 20
 	rows, err := BeamAblation(cfg, []int{1, 4})
 	if err != nil {

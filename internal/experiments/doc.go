@@ -21,8 +21,10 @@
 // its Build, the one engine switch: "lazy" (default), "matrix" (full
 // packed precompute) or "sharded" (packed row shards with bounded
 // residency and disk spill, tuned by the group's ShardRows,
-// MaxResidentShards and MmapSpill). Exact SBP always stays on the lazy
-// engine, because its budgeted exponential enumeration would abort an
+// MaxResidentShards and MmapSpill). It fills the relation parameters
+// as for every binary (cliflags.RelationOptions; exact SBP's paths end
+// at diameter + 2). Exact SBP always stays on the lazy engine,
+// because its budgeted exponential enumeration would abort an
 // all-pairs build that source sampling completes. A packed build
 // follows GOMAXPROCS, not Config.Workers.
 //

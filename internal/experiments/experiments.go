@@ -11,7 +11,6 @@ import (
 	"repro/internal/compat"
 	"repro/internal/datasets"
 	"repro/internal/sgraph"
-	"repro/internal/signedbfs"
 	"repro/internal/skills"
 )
 
@@ -41,12 +40,6 @@ type Config struct {
 	// bounded by it: like every binary's, it follows GOMAXPROCS, and
 	// its rows are the same at any worker count.
 	Workers int
-	// SBPMaxLen caps the exact SBP path length. The enumeration is
-	// exponential in this cap: on the mostly-balanced stand-ins the
-	// balance pruning rarely fires, so an unbounded run enumerates
-	// all simple paths. 0 selects the default 12; newRelation never
-	// caps below the graph diameter + 2.
-	SBPMaxLen int
 	// Dataset selects the network for the team formation experiments
 	// (Table 3, Figures 2(a–d), the policy grid). Default "epinions",
 	// as in the paper; the paper notes results are similar on the
@@ -61,7 +54,8 @@ type Config struct {
 	// "sharded" (packed row shards with bounded residency and cold
 	// shards spilled to disk; a literal group reads the spill back
 	// through ReadAt unless MmapSpill is set, as the flag's default
-	// does). Exact SBP always stays on the lazy engine.
+	// does). Exact SBP always stays on the lazy engine, its paths
+	// capped at diameter + 2 (cliflags.RelationOptions).
 	Engine cliflags.Engine
 }
 
@@ -78,9 +72,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if len(c.TaskSizes) == 0 {
 		c.TaskSizes = []int{2, 5, 10, 15, 20}
-	}
-	if c.SBPMaxLen == 0 {
-		c.SBPMaxLen = 12
 	}
 	if c.Dataset == "" {
 		c.Dataset = "epinions"
@@ -99,24 +90,6 @@ func TeamRelations() []compat.Kind {
 // loadDataset builds a dataset stand-in from the config.
 func loadDataset(cfg Config, name string) (*datasets.Dataset, error) {
 	return datasets.Load(name, cfg.Seed, cfg.Scale)
-}
-
-// newRelation builds a relation sized for all-pairs workloads — the
-// row cache covers the whole node set — on the configured engine, and
-// names the engine that built it ("lazy" for exact SBP under every
-// engine), so result rows are attributed to the backend that really
-// computed them.
-func newRelation(cfg Config, k compat.Kind, g *sgraph.Graph) (compat.Relation, string, error) {
-	opts := compat.Options{CacheCap: g.NumNodes() + 1}
-	if k == compat.SBP {
-		// Never cap below the graph diameter: Proposition 3.5
-		// (SPO ⊆ SBP) relies on shortest paths — which are always
-		// structurally balanced — being within reach of the
-		// enumeration. diameter+2 also keeps SBPH ⊆ SBP intact in
-		// practice.
-		opts.Exact.MaxLen = max(cfg.SBPMaxLen, int(signedbfs.Diameter(g))+2)
-	}
-	return cfg.Engine.Build(k, g, opts)
 }
 
 // sampleSources picks cfg.SampleSources distinct nodes, or nil (all)

@@ -18,7 +18,6 @@ func tinyConfig() Config {
 		Tasks:     12,
 		TaskSize:  4,
 		TaskSizes: []int{2, 4},
-		SBPMaxLen: 8, // keeps the exact SBP sweep around 100ms
 	}
 }
 
@@ -60,8 +59,9 @@ func TestTable1(t *testing.T) {
 
 func TestTable2ShapeOnSlashdot(t *testing.T) {
 	cfg := tinyConfig()
-	// Sample sources: the exact SBP cap auto-raises to diameter+2,
-	// so a full 214-source sweep would dominate the test run.
+	// Sample sources: exact SBP explores paths up to diameter+2
+	// (cliflags.RelationOptions), so a full 214-source sweep would
+	// dominate the test run.
 	cfg.SampleSources = 25
 	rows, err := Table2(cfg, []string{"slashdot"})
 	if err != nil {

@@ -49,7 +49,7 @@ func Figure2ab(cfg Config) ([]AlgoResult, error) {
 
 	var results []AlgoResult
 	for _, k := range TeamRelations() {
-		rel, _, err := newRelation(cfg, k, d.Graph)
+		rel, _, err := cfg.Engine.Build(k, d.Graph, compat.Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -156,7 +156,7 @@ func Figure2cd(cfg Config) ([]TaskSizeResult, error) {
 	}
 	var results []TaskSizeResult
 	for _, k := range TeamRelations() {
-		rel, _, err := newRelation(cfg, k, d.Graph)
+		rel, _, err := cfg.Engine.Build(k, d.Graph, compat.Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -214,7 +214,7 @@ func PolicyGrid(cfg Config, kind *compat.Kind) ([]PolicyResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	rel, _, err := newRelation(cfg, k, d.Graph)
+	rel, _, err := cfg.Engine.Build(k, d.Graph, compat.Options{})
 	if err != nil {
 		return nil, err
 	}

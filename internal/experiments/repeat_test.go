@@ -141,7 +141,7 @@ func TestMonotoneInChainDetectsViolation(t *testing.T) {
 // TestHarnessSelfCheck runs a miniature of the full experiment
 // pipeline and verifies the headline shapes programmatically.
 func TestHarnessSelfCheck(t *testing.T) {
-	cfg := Config{Seed: 3, Scale: 0.02, Tasks: 10, TaskSize: 4, SBPMaxLen: 8}
+	cfg := Config{Seed: 3, Scale: 0.02, Tasks: 10, TaskSize: 4}
 	series, err := Figure2aRepeated(cfg, 2)
 	if err != nil {
 		t.Fatal(err)

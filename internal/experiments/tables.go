@@ -96,7 +96,7 @@ func Table2(cfg Config, names []string) ([]Table2Row, error) {
 				rows = append(rows, Table2Row{Dataset: name, Relation: k, Skipped: true})
 				continue
 			}
-			rel, engine, err := newRelation(cfg, k, d.Graph)
+			rel, engine, err := cfg.Engine.Build(k, d.Graph, compat.Options{})
 			if err != nil {
 				return nil, err
 			}
@@ -169,7 +169,7 @@ func Table3(cfg Config) ([]Table3Row, error) {
 			teams = append(teams, tm.Members)
 		}
 		for _, k := range TeamRelations() {
-			rel, _, err := newRelation(cfg, k, d.Graph)
+			rel, _, err := cfg.Engine.Build(k, d.Graph, compat.Options{})
 			if err != nil {
 				return nil, err
 			}

@@ -62,7 +62,9 @@ type (
 	// RelationKind enumerates the seven compatibility relations.
 	RelationKind = compat.Kind
 	// RelationOptions tunes relation construction (SBPH beam width,
-	// exact-SBP budgets, row-cache capacity).
+	// exact-SBP budgets, row-cache capacity). A zero Exact.MaxLen
+	// leaves exact SBP uncapped here; the binaries instead cap it at
+	// the graph's diameter + 2, fixed when the relation is built.
 	RelationOptions = compat.Options
 	// RelationStats aggregates compatible-pair fractions and average
 	// distances, as in the paper's Table 2.
